@@ -115,6 +115,8 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: [run] integer field: {exc}") from exc
     if k_max < 1:
         raise ConfigError(f"{path}: [run] k_max must be >= 1")
+    if trace_every < 1:
+        raise ConfigError(f"{path}: [run] trace_every must be >= 1")
     tol_raw = runsec.get("stop_kkt_tol", "none").strip().lower()
     stop_tol = None if tol_raw in ("none", "") else float(tol_raw)
     fit_cols: tuple[str, ...] = ()

@@ -20,9 +20,14 @@ set: the root balance (slack injection equals total root outflow), the
 voltage-drop equalities v_n - v_parent + 2 R_n f_n + 2 X_n g_n = 0, the
 voltage box, the per-line flow-magnitude balls f^2 + g^2 <= S_n^2 and the
 slack bounds.  Squared currents and quadratic loss terms are dropped
-entirely (lossless model), which keeps every projection closed-form or
-Dykstra-friendly; the two flow-magnitude caps of the lossy model then
-coincide.
+entirely (lossless model); the two flow-magnitude caps of the lossy model
+then coincide.
+
+Every projection on the pricing path is exact except the operator's: the
+aggregator sets split into energy budgets (breakpoint search, exact) and
+production pairs (closed form), and the operator set is a Dykstra
+intersection of the voltage-drop/root-balance subspace (a precomputed
+affine projector, exact), the box and the flow balls.
 """
 
 from __future__ import annotations
@@ -36,15 +41,9 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock, kkt_residual
-from .errors import InfeasibleInstance
+from .errors import InfeasibleInstance, SolverDivergence
 from .oracles import least_squares_reference
-from .proxops import (
-    AffineSubspace,
-    Box,
-    Halfspace,
-    dykstra_project,
-    project_energy_budget,
-)
+from .proxops import AffineSubspace, Box, dykstra_project, project_energy_budget
 from .sampling import draw, make_rng, paired_dso
 from .solver import PdaEngine, RunResult, TraceRecord
 from .stepsize import convex_default_policy
@@ -425,20 +424,36 @@ def _make_dso_prox(net: NetworkModel, lay: DsoLayout, tol: float, max_iter: int)
 
 
 def _project_production_pair(v2: Array, cap: float, lo: float, hi: float) -> Array:
-    """Project (pg, qg) onto {0 <= pg <= cap, lo*pg <= qg <= hi*pg}."""
+    """Project (pg, qg) onto {0 <= pg <= cap, lo*pg <= qg <= hi*pg}.
+
+    For lo < hi the set is the triangle with vertices (0, 0), (cap, lo*cap)
+    and (cap, hi*cap) (the ratio wedge already forces pg >= 0).  A point
+    outside it projects onto the nearest of the three edges, each edge a
+    clamped segment projection whose clamps are the vertices.
+    """
     if cap <= 0.0:
         return np.zeros(2)
+    pg, qg = float(v2[0]), float(v2[1])
     if lo == hi:
         # segment qg = lo * pg, pg in [0, cap]
-        pg = (v2[0] + lo * v2[1]) / (1.0 + lo * lo)
+        pg = (pg + lo * qg) / (1.0 + lo * lo)
         pg = min(max(pg, 0.0), cap)
         return np.array([pg, lo * pg])
-    prims = (
-        Box(np.array([0.0, -np.inf]), np.array([cap, np.inf])),
-        Halfspace(np.array([-hi, 1.0]), 0.0),
-        Halfspace(np.array([lo, -1.0]), 0.0),
-    )
-    return dykstra_project(prims, v2)
+    if pg <= cap and lo * pg <= qg <= hi * pg:
+        return np.array([pg, qg])
+    best, best_dist = None, math.inf
+    for (p0, q0), (p1, q1) in (
+        ((0.0, 0.0), (cap, hi * cap)),
+        ((0.0, 0.0), (cap, lo * cap)),
+        ((cap, lo * cap), (cap, hi * cap)),
+    ):
+        dp, dq = p1 - p0, q1 - q0
+        s = min(max(((pg - p0) * dp + (qg - q0) * dq) / (dp * dp + dq * dq), 0.0), 1.0)
+        cand = (p0 + s * dp, q0 + s * dq)
+        dist = (cand[0] - pg) ** 2 + (cand[1] - qg) ** 2
+        if dist < best_dist:
+            best, best_dist = cand, dist
+    return np.array(best)
 
 
 def _make_agg_prox(net: NetworkModel, lay: AggLayout):
@@ -720,10 +735,12 @@ def ppdlmp_run(
     """Drive the pair-activated coordination loop.
 
     With ``crosscheck=True`` a generic primal-dual engine with the same
-    draws and the matching dual initialisation runs in lockstep and the
-    sup-distance between the primal iterates is asserted below 1e-9 each
-    step.
+    draws and the matching dual initialisation runs in lockstep, and a
+    sup-distance between the primal iterates above 1e-9 at any step raises
+    :class:`SolverDivergence`.  ``trace_every`` must be at least 1.
     """
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
     eng = PpdlmpEngine(problem, sigma=sigma, policy=policy)
     rng = make_rng(seed)
     state = eng.init_state(x0, rng)
@@ -746,7 +763,12 @@ def ppdlmp_run(
             pda, twin_state = twin
             pda.step(twin_state)
             gap = float(np.max(np.abs(state.x - twin_state.x)))
-            assert gap <= 1e-9, f"pair-activated step diverged from generic engine: {gap}"
+            if not gap <= 1e-9:
+                raise SolverDivergence(
+                    f"pair-activated step {state.k} diverged from the generic "
+                    f"engine: sup-distance {gap:.3e} > 1e-9",
+                    last_record=trace[-1] if trace else None,
+                )
         done = state.k
         if done % trace_every == 0 or done == k_max:
             rec = _ppdlmp_trace(problem, eng, state, reference)

@@ -8,6 +8,7 @@ anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -99,21 +100,6 @@ def prox_box_block(lo, hi) -> ProxBlock:
     return ProxBlock(value, lambda g, v: np.clip(v, lo, hi), 0.0)
 
 
-def prox_indicator_block(project, member, mu: float = 0.0) -> ProxBlock:
-    """Indicator of an arbitrary closed convex set given its projector.
-
-    The prox of an indicator in any diagonal metric whose block is a scalar
-    multiple of the identity equals the Euclidean projection; this is how
-    set constraints enter the solver, so all built-in block metrics are
-    scalar-per-block.
-    """
-
-    def value(x):
-        return 0.0 if member(x) else np.inf
-
-    return ProxBlock(value, lambda g, v: project(v), mu)
-
-
 # ---------------------------------------------------------------------------
 # projection primitives
 # ---------------------------------------------------------------------------
@@ -199,11 +185,17 @@ class EnergyBudget:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """{x : C x = e} with a cached Gram factorisation for repeated projection."""
+    """{x : C x = e}, projected onto through a precomputed affine map.
+
+    The projection is v - C^T (C C^T)^{-1} (C v - e) = P v + s with
+    P = I - C^T (C C^T)^{-1} C and s = C^T (C C^T)^{-1} e, both formed once
+    from a Cholesky factor of the Gram matrix.
+    """
 
     c_matrix: Array
     e: Array
-    _solve: object = field(init=False, repr=False, compare=False)
+    _proj: Array = field(init=False, repr=False, compare=False)
+    _shift: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         import scipy.linalg as sla
@@ -212,29 +204,16 @@ class AffineSubspace:
         gram = c @ c.T
         # tiny diagonal lift guards against duplicated rows
         factor = sla.cho_factor(gram + 1e-14 * np.eye(gram.shape[0]))
-        object.__setattr__(self, "_solve", lambda r: sla.cho_solve(factor, r))
+        object.__setattr__(self, "_proj", np.eye(c.shape[1]) - c.T @ sla.cho_solve(factor, c))
+        object.__setattr__(
+            self, "_shift", c.T @ sla.cho_solve(factor, np.asarray(self.e, dtype=float))
+        )
 
     def project(self, v: Array) -> Array:
-        c = self.c_matrix
-        return v - c.T @ self._solve(c @ v - self.e)
+        return self._proj @ v + self._shift
 
     def distance(self, v: Array) -> float:
         return float(np.linalg.norm(v - self.project(v)))
-
-
-@dataclass(frozen=True)
-class PolyhedralSet:
-    """Intersection of projection primitives, projected onto via Dykstra.
-
-    Each primitive must be individually nonempty; emptiness of the
-    intersection is only detected at runtime through the divergence guard in
-    :func:`dykstra_project`.
-    """
-
-    primitives: tuple
-
-    def project(self, v, tol=DYKSTRA_TOL, max_iter=DYKSTRA_MAX_ITER):
-        return dykstra_project(self.primitives, v, tol=tol, max_iter=max_iter)
 
 
 def project_box(lo, hi, v):
@@ -259,35 +238,43 @@ def project_hyperplane(a, c, v):
     )
 
 
-def project_energy_budget(lo, hi, demand, v, iters: int = 100) -> Array:
+def project_energy_budget(lo, hi, demand, v) -> Array:
     """Project onto {x : sum x >= demand, lo <= x <= hi}.
 
-    Bisection on the scalar multiplier of the budget row: the projection is
-    clip(v + t, lo, hi) with t >= 0 chosen so the budget holds with equality
-    whenever it is active.  ``iters`` halvings of the initial bracket leave a
-    gap far below double precision.
+    The projection is clip(v + t, lo, hi) with the smallest t >= 0 at which
+    the budget holds.  s(t) = sum clip(v + t, lo, hi) is nondecreasing and
+    piecewise linear, so t is found exactly: sort the breakpoints of s,
+    scan s along them to the piece that crosses ``demand`` and solve that
+    linear piece for t.  This is the capped-simplex projection of Held,
+    Wolfe & Crowder (1974) and Condat (2016).
     """
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), np.shape(v)).astype(float)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), np.shape(v)).astype(float)
     v = np.asarray(v, dtype=float)
-    if float(np.sum(hi)) < demand - 1e-12:
-        raise InfeasibleInstance(
-            f"energy demand {demand} exceeds total capacity {float(np.sum(hi))}"
-        )
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), v.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), v.shape)
+    cap = float(hi.sum())
+    if cap < demand - 1e-12:
+        raise InfeasibleInstance(f"energy demand {demand} exceeds total capacity {cap}")
     x = np.clip(v, lo, hi)
-    if float(np.sum(x)) >= demand - 1e-12:
+    s = float(x.sum())
+    if s >= demand - 1e-12:
         return x
-    t_hi = max(demand, float(np.max(np.abs(v))) * v.size, 1.0)
-    while float(np.sum(np.clip(v + t_hi, lo, hi))) < demand:
-        t_hi *= 2.0
-    t_lo = 0.0
-    for _ in range(iters):
-        t = 0.5 * (t_lo + t_hi)
-        if float(np.sum(np.clip(v + t, lo, hi))) >= demand:
-            t_hi = t
-        else:
-            t_lo = t
-    return np.clip(v + t_hi, lo, hi)
+    # a coordinate leaves its lower bound at t = lo - v (slope +1) and
+    # reaches its upper bound at t = hi - v (slope -1); breakpoints at or
+    # before t = 0 (lo = -inf among them) only set the starting slope, and
+    # hi = +inf is never reached
+    knots = sorted(
+        [(max(g, 0.0), 1) for g in (lo - v).tolist() if g < math.inf]
+        + [(max(g, 0.0), -1) for g in (hi - v).tolist() if g < math.inf]
+    )
+    t, slope = 0.0, 0
+    for knot, turn in knots:
+        s_knot = s + slope * (knot - t)
+        if s_knot >= demand:
+            break
+        s, t, slope = s_knot, knot, slope + turn
+    if slope > 0:
+        t += (demand - s) / slope
+    return np.clip(v + t, lo, hi)
 
 
 def dykstra_project(
@@ -304,8 +291,6 @@ def dykstra_project(
     than ``tol`` and every primitive is within ``tol``; raises if the sweep
     cap is hit first (the usual cause is an empty intersection).
     """
-    if isinstance(primitives, PolyhedralSet):
-        primitives = primitives.primitives
     x = np.array(v, dtype=float)
     if len(primitives) == 1:
         return primitives[0].project(x)
@@ -314,14 +299,15 @@ def dykstra_project(
         x_prev = x.copy()
         corr_change = 0.0
         for j, prim in enumerate(primitives):
-            y = prim.project(x + corrections[j])
-            new_corr = x + corrections[j] - y
-            corr_change = max(corr_change, float(np.max(np.abs(new_corr - corrections[j]))))
+            z = x + corrections[j]
+            y = prim.project(z)
+            new_corr = z - y
+            corr_change = max(corr_change, float(np.abs(new_corr - corrections[j]).max()))
             corrections[j] = new_corr
             x = y
         # the iterate alone can repeat transiently; the correction terms must
         # settle too before the cycle is at its fixed point
-        if float(np.max(np.abs(x - x_prev))) <= tol and corr_change <= tol:
+        if float(np.abs(x - x_prev).max()) <= tol and corr_change <= tol:
             if all(prim.distance(x) <= 10 * tol for prim in primitives):
                 return x
     raise ProjectionDidNotConverge(

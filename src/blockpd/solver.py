@@ -306,8 +306,9 @@ def run(
     Parameters
     ----------
     engine : "rbcd" (averaging form) or "pda" (primal-dual form).
-    trace_every : record a trace row every this many iterations (the final
-        iteration is always recorded; nothing is recorded at k = 0).
+    trace_every : record a trace row every this many iterations, at least 1
+        (the final iteration is always recorded; nothing is recorded at
+        k = 0).
     trace_sink : optional callable receiving each TraceRecord as it is
         produced (for streaming rows to a file while the run is live).
     stop_kkt_tol : stop early once the saddle residual at a trace point falls
@@ -323,6 +324,8 @@ def run(
     block draws.  Raises :class:`SolverDivergence` if non-finite values show
     up, with the last recorded trace row attached.
     """
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
     if rng is None:
         rng = make_rng(seed)
     if reference is None:

@@ -76,6 +76,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_trace_every(self, tmp_path, value):
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            f"[run]\nexperiment = random_ls\ntrace_every = {value}\n",
+        )
+        with pytest.raises(ConfigError, match="trace_every"):
+            parse_config(cfg)
+
+    def test_trace_every_zero_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "zero"
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            BASE_RANDOM_LS.format(k_max=50, trace_every=0, out=out),
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+
     def test_exit_code_on_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", "[run]\nexperiment = wat\n")
         assert main(["--config", cfg]) == 2

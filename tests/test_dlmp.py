@@ -3,7 +3,8 @@ import pytest
 
 import blockpd as bp
 from blockpd import dlmp
-from blockpd.errors import InfeasibleInstance
+from blockpd.errors import InfeasibleInstance, SolverDivergence
+from blockpd.proxops import AffineSubspace, Box, Halfspace, exact_projection_qp
 from blockpd.sampling import weight_matrix_p
 
 
@@ -139,6 +140,53 @@ class TestProjectors:
         assert out[1] <= 0.5 * out[0] + 1e-9
         assert out[1] >= -0.5 * out[0] - 1e-9
 
+    @pytest.mark.parametrize("ratios", [(-0.6, 0.4), (0.2, 1.5)])
+    def test_production_pair_matches_qp_oracle(self, rng, ratios):
+        lo, hi = ratios
+        for trial in range(300):
+            cap = float(rng.uniform(0.1, 2.0))
+            v2 = rng.standard_normal(2) * 1.5
+            mine = dlmp._project_production_pair(v2, cap, lo, hi)
+            oracle = exact_projection_qp(
+                [
+                    Box(np.array([0.0, -np.inf]), np.array([cap, np.inf])),
+                    Halfspace(np.array([-hi, 1.0]), 0.0),
+                    Halfspace(np.array([lo, -1.0]), 0.0),
+                ],
+                v2,
+            )
+            assert np.allclose(mine, oracle, atol=1e-9), f"trial {trial}"
+
+    def test_operator_affine_projector_matches_normal_equations(self, opf15, rng):
+        import scipy.linalg as sla
+
+        affine = opf15.meta["dso_primitives"][0]
+        assert isinstance(affine, AffineSubspace)
+        c, e = affine.c_matrix, affine.e
+        assert c.shape[1] == 88
+        factor = sla.cho_factor(c @ c.T + 1e-14 * np.eye(c.shape[0]))
+        for _ in range(20):
+            v = rng.standard_normal(c.shape[1])
+            direct = v - c.T @ sla.cho_solve(factor, c @ v - e)
+            assert np.max(np.abs(affine.project(v) - direct)) <= 1e-12
+
+    def test_exact_budget_keeps_the_bisection_trajectory(
+        self, opf15, monkeypatch, bisection_budget
+    ):
+        # 5700 steps is the seed-1 iteration count to residual 1e-4
+        def final_iterate():
+            eng = dlmp.PpdlmpEngine(opf15)
+            state = eng.init_state(dlmp.opf_initial_point(opf15), bp.make_rng(0))
+            for _ in range(5700):
+                eng.step(state)
+            return state
+
+        exact = final_iterate()
+        monkeypatch.setattr(dlmp, "project_energy_budget", bisection_budget)
+        bisected = final_iterate()
+        assert np.max(np.abs(exact.x - bisected.x)) <= 1e-10
+        assert np.max(np.abs(exact.y - bisected.y)) <= 1e-10
+
 
 class TestToyNetworkPrices:
     def test_prices_match_marginal_cost(self):
@@ -195,6 +243,25 @@ class TestPairActivatedLoop:
         # crosscheck asserts agreement with the generic primal-dual engine
         # at every one of the 200 steps
         dlmp.ppdlmp_run(opf15, x0, 200, seed=3, trace_every=200, crosscheck=True)
+
+    def test_crosscheck_mismatch_raises(self, opf15, monkeypatch):
+        class DriftingPda(dlmp.PdaEngine):
+            def step(self, state, active_mask=None):
+                state = super().step(state, active_mask)
+                if state.k == 7:
+                    state.x[0] += 1e-6
+                return state
+
+        monkeypatch.setattr(dlmp, "PdaEngine", DriftingPda)
+        x0 = dlmp.opf_initial_point(opf15)
+        with pytest.raises(SolverDivergence, match="step 7"):
+            dlmp.ppdlmp_run(opf15, x0, 20, seed=3, trace_every=20, crosscheck=True)
+
+    def test_trace_every_must_be_positive(self, opf15):
+        x0 = dlmp.opf_initial_point(opf15)
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="trace_every"):
+                dlmp.ppdlmp_run(opf15, x0, 10, seed=0, trace_every=bad)
 
     def test_initialisation_identities(self, opf15):
         eng = dlmp.PpdlmpEngine(opf15)

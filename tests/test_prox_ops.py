@@ -10,6 +10,7 @@ from blockpd.errors import (
     UnsupportedOperator,
 )
 from blockpd.proxops import (
+    AffineSubspace,
     Ball,
     Box,
     DiagonalMetric,
@@ -138,6 +139,86 @@ class TestEnergyBudget:
                 [Box(lo, hi), Halfspace(-np.ones(3), -demand)], v
             )
             assert np.allclose(mine, oracle, atol=1e-9)
+
+    @staticmethod
+    def _random_budget(rng):
+        t_h = int(rng.integers(1, 25))
+        lo = rng.uniform(-1.0, 0.5, t_h)
+        hi = lo + rng.uniform(0.0, 2.0, t_h)
+        v = rng.standard_normal(t_h)
+        if rng.random() < 0.3:
+            lo[rng.random(t_h) < 0.3] = -np.inf
+        if rng.random() < 0.3:
+            hi[rng.random(t_h) < 0.3] = np.inf
+        if rng.random() < 0.3:
+            v = np.round(v, 1)  # ties in v, hence coincident breakpoints
+        if np.all(np.isfinite(hi)) and rng.random() < 0.2:
+            demand = float(np.sum(hi))
+        else:
+            reach = np.where(np.isfinite(hi), hi, np.clip(v, lo, None) + 3.0)
+            demand = float(rng.uniform(np.sum(np.clip(v, lo, hi)) - 1.0, np.sum(reach)))
+        return lo, hi, demand, v
+
+    def test_matches_bisection_random_horizons(self, rng, bisection_budget):
+        for trial in range(2000):
+            lo, hi, demand, v = self._random_budget(rng)
+            mine = project_energy_budget(lo, hi, demand, v)
+            oracle = bisection_budget(lo, hi, demand, v)
+            assert np.max(np.abs(mine - oracle)) <= 1e-12, f"trial {trial}"
+
+    def test_budget_tight_when_active(self, rng):
+        for _ in range(200):
+            lo, hi, demand, v = self._random_budget(rng)
+            out = project_energy_budget(lo, hi, demand, v)
+            assert np.all(out >= lo) and np.all(out <= hi)
+            if np.sum(np.clip(v, lo, hi)) < demand - 1e-12:
+                assert np.sum(out) == pytest.approx(demand, abs=1e-12)
+
+    def test_demand_at_total_capacity(self, bisection_budget):
+        lo, hi = np.zeros(3), np.array([1.0, 2.0, 0.5])
+        v = np.array([0.2, 0.2, 0.2])
+        out = project_energy_budget(lo, hi, 3.5, v)
+        assert np.allclose(out, hi, atol=1e-12)
+        assert np.allclose(out, bisection_budget(lo, hi, 3.5, v), atol=1e-12)
+
+    def test_demand_within_tolerance_above_capacity(self):
+        # accepted as feasible by the 1e-12 capacity check; the old
+        # bisection doubled its bracket forever here
+        out = project_energy_budget(np.zeros(2), np.ones(2), 2.0 + 5e-13, np.zeros(2))
+        assert np.allclose(out, [1.0, 1.0], atol=1e-15)
+
+    def test_unbounded_coordinates(self, bisection_budget):
+        lo = np.array([-np.inf, 0.0, -np.inf])
+        hi = np.array([np.inf, 1.0, 0.5])
+        v = np.array([-3.0, 0.2, 0.0])
+        out = project_energy_budget(lo, hi, 4.0, v)
+        assert float(np.sum(out)) == pytest.approx(4.0, abs=1e-12)
+        assert np.allclose(out, bisection_budget(lo, hi, 4.0, v), atol=1e-12)
+
+    def test_scalar_bounds_broadcast(self):
+        out = project_energy_budget(0.0, 10.0, 2.0, np.zeros(4))
+        assert np.allclose(out, 0.5, atol=1e-15)
+
+
+class TestAffineSubspace:
+    def test_projector_matches_normal_equations(self, rng):
+        import scipy.linalg as sla
+
+        c = rng.standard_normal((3, 7))
+        e = rng.standard_normal(3)
+        aff = AffineSubspace(c, e)
+        for _ in range(20):
+            v = rng.standard_normal(7)
+            direct = v - c.T @ sla.solve(c @ c.T, c @ v - e)
+            out = aff.project(v)
+            assert np.allclose(out, direct, atol=1e-12)
+            assert np.allclose(c @ out, e, atol=1e-12)
+
+    def test_duplicated_rows(self, rng):
+        c = rng.standard_normal((2, 4))
+        aff = AffineSubspace(np.vstack([c, c]), np.array([1.0, 2.0, 1.0, 2.0]))
+        out = aff.project(rng.standard_normal(4))
+        assert np.allclose(c @ out, [1.0, 2.0], atol=1e-10)
 
 
 class TestDykstra:

@@ -391,6 +391,14 @@ class TestRunLoop:
         assert res.trace == []
         assert np.allclose(res.state.x, 0.0)
 
+    def test_trace_every_must_be_positive(self, two_block_instance):
+        p = two_block_instance
+        s = bp.single_coordinate(2)
+        pol = bp.convex_default_policy(p, s)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="trace_every"):
+                bp.run(p, s, pol, np.zeros(p.m), 10, seed=0, trace_every=bad)
+
     def test_consensus_two_node_limit(self):
         local = [prox_quadratic_block(1.0, center=c) for c in (0.0, 2.0)]
         p = bp.make_consensus([(0, 1)], local)
