@@ -26,6 +26,7 @@ from .proxops import (
     project_ball,
     project_box,
     project_energy_budget,
+    project_energy_budgets,
     project_halfspace,
     project_hyperplane,
     weighted_prox,

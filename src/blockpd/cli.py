@@ -32,7 +32,9 @@ a leading comment line; deterministic bytes for a fixed config), ``metadata.json
 wall time, so not byte-stable), ``rates.csv`` with log-log slope fits, and
 ``dlmp.csv`` for the grid experiment.
 
-Exit codes: 0 success, 2 config error, 3 divergence, 4 infeasible instance.
+Exit codes: 0 success, 2 config error (including a field that does not read
+as a number), 3 divergence or a projection that did not converge, 4
+infeasible instance.
 """
 
 from __future__ import annotations
@@ -66,7 +68,13 @@ from .dlmp import (
     opf_initial_point,
     ppdlmp_run,
 )
-from .errors import ConfigError, InfeasibleInstance, InsufficientData, SolverDivergence
+from .errors import (
+    ConfigError,
+    InfeasibleInstance,
+    InsufficientData,
+    ProjectionDidNotConverge,
+    SolverDivergence,
+)
 from .oracles import Reference, reference_for
 from .proxops import prox_l1_block, prox_quadratic_block, prox_zero_block
 from .sampling import from_config as sampling_from_config
@@ -118,14 +126,16 @@ def parse_config(path: str) -> RunConfig:
     if trace_every < 1:
         raise ConfigError(f"{path}: [run] trace_every must be >= 1")
     tol_raw = runsec.get("stop_kkt_tol", "none").strip().lower()
-    stop_tol = None if tol_raw in ("none", "") else float(tol_raw)
+    stop_tol = None
+    if tol_raw not in ("none", ""):
+        stop_tol = field_value("run", runsec, "stop_kkt_tol", None)
     fit_cols: tuple[str, ...] = ()
     fit_k_min = None
     if "fit" in cp:
         cols = cp["fit"].get("columns", "")
         fit_cols = tuple(c.strip() for c in cols.split(",") if c.strip())
         if cp["fit"].get("k_min"):
-            fit_k_min = cp["fit"].getint("k_min")
+            fit_k_min = field_value("fit", cp["fit"], "k_min", None, int)
     return RunConfig(
         experiment=experiment,
         seed=seed,
@@ -141,30 +151,45 @@ def parse_config(path: str) -> RunConfig:
     )
 
 
+def field_value(section: str, fields, key: str, default, kind=float):
+    """``fields[key]`` read as ``kind`` (``default`` when unset); a value that
+    does not read is a :class:`ConfigError` naming the section and field."""
+    raw = fields.get(key)
+    if raw is None:
+        return default
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # instance builders
 # ---------------------------------------------------------------------------
 
 
+def _instance(cfg: RunConfig, key: str, default, kind=float):
+    return field_value("instance", cfg.instance, key, default, kind)
+
+
 def _build_random_ls(cfg: RunConfig):
-    ins = cfg.instance
     problem = make_random_inconsistent_ls(
-        seed=int(ins.get("instance_seed", cfg.seed)),
-        d=int(ins.get("d", 10)),
-        dims=int(ins.get("block_dim", 4)),
-        q=int(ins.get("q", 60)),
-        noise=float(ins.get("noise", 0.5)),
-        mu=float(ins.get("mu", 1.0)),
-        rank_deficiency=int(ins.get("rank_deficiency", 4)),
+        seed=_instance(cfg, "instance_seed", cfg.seed, int),
+        d=_instance(cfg, "d", 10, int),
+        dims=_instance(cfg, "block_dim", 4, int),
+        q=_instance(cfg, "q", 60, int),
+        noise=_instance(cfg, "noise", 0.5),
+        mu=_instance(cfg, "mu", 1.0),
+        rank_deficiency=_instance(cfg, "rank_deficiency", 4, int),
     )
     return problem, np.zeros(problem.m)
 
 
 def _build_consensus(cfg: RunConfig):
     ins = cfg.instance
-    n = int(ins.get("nodes", 8))
+    n = _instance(cfg, "nodes", 8, int)
     graph = ins.get("graph", "path")
-    rng = np.random.default_rng(int(ins.get("instance_seed", cfg.seed)))
+    rng = np.random.default_rng(_instance(cfg, "instance_seed", cfg.seed, int))
     anchors = rng.uniform(-2.0, 2.0, size=n)
     if graph == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -183,14 +208,13 @@ def _build_consensus(cfg: RunConfig):
 
 
 def _build_model_fit(cfg: RunConfig):
-    ins = cfg.instance
-    rng = np.random.default_rng(int(ins.get("instance_seed", cfg.seed)))
-    q = int(ins.get("q", 30))
-    p = int(ins.get("p", 10))
+    rng = np.random.default_rng(_instance(cfg, "instance_seed", cfg.seed, int))
+    q = _instance(cfg, "q", 30, int)
+    p = _instance(cfg, "p", 10, int)
     k_matrix = rng.standard_normal((q, p)) / math.sqrt(p)
     b = rng.standard_normal(q)
     losses = [SmoothBlock.quadratic(np.eye(1), np.zeros(1)) for _ in range(q)]
-    weight = float(ins.get("l1_weight", 0.1))
+    weight = _instance(cfg, "l1_weight", 0.1)
     regs = [prox_l1_block(weight) for _ in range(p)]
     problem = make_model_fitting(k_matrix, b, losses, regs)
     return problem, np.zeros(problem.m)
@@ -203,11 +227,11 @@ def _build_custom(cfg: RunConfig):
         b = np.loadtxt(ins["b_path"], delimiter=",")
     except KeyError as exc:
         raise ConfigError(f"[instance] custom experiment needs {exc} set") from exc
-    dims = [int(t) for t in ins.get("dims", str(a.shape[1])).split()]
+    dims = _instance(cfg, "dims", [a.shape[1]], lambda raw: [int(t) for t in raw.split()])
     structure = BlockStructure(tuple(dims))
     if structure.m != a.shape[1]:
         raise ConfigError("[instance] dims do not sum to the column count of A")
-    mu = float(ins.get("mu", 0.0))
+    mu = _instance(cfg, "mu", 0.0)
     prox = tuple(
         prox_quadratic_block(mu) if mu > 0 else prox_zero_block(n) for n in dims
     )
@@ -274,12 +298,6 @@ def trace_column(trace, name, reference: Reference | None = None):
     return ks, vals
 
 
-def fit_trace(trace, column, k_min=None, k_max=None, reference=None):
-    """Rate fit of one trace column over an iteration range."""
-    ks, vals = trace_column(trace, column, reference)
-    return fit_rate(ks, vals, k_min=k_min, k_max=k_max)
-
-
 def run_experiment(cfg: RunConfig) -> int:
     """Execute one configured run and write its artifacts.  Returns the
     process exit code."""
@@ -315,7 +333,7 @@ def run_experiment(cfg: RunConfig) -> int:
     kind = cfg.sampling.get("kind", "single")
     skwargs = {}
     if "m" in cfg.sampling:
-        skwargs["m"] = int(cfg.sampling["m"])
+        skwargs["m"] = field_value("sampling", cfg.sampling, "m", None, int)
     sampling = sampling_from_config(kind, problem.d, **skwargs)
     meta["sampling_resolved"] = {"kind": kind, "pi": sampling.pi.tolist()}
 
@@ -324,7 +342,7 @@ def run_experiment(cfg: RunConfig) -> int:
     if pol_kind == "convex":
         policy = convex_default_policy(problem, sampling, certify=certify)
         if "sigma" in cfg.policy and cfg.policy["sigma"] != "auto":
-            policy.sigma = float(cfg.policy["sigma"])
+            policy.sigma = field_value("policy", cfg.policy, "sigma", None)
         meta["policy_resolved"] = {
             "kind": "convex",
             "sigma": policy.sigma,
@@ -332,10 +350,10 @@ def run_experiment(cfg: RunConfig) -> int:
             "halvings": policy.halvings,
         }
     elif pol_kind == "accelerated":
-        tau0 = cfg.policy.get("tau0")
-        policy = make_accelerated_policy(
-            problem, sampling, tau0=float(tau0) if tau0 else None
-        )
+        tau0 = None
+        if cfg.policy.get("tau0"):
+            tau0 = field_value("policy", cfg.policy, "tau0", None)
+        policy = make_accelerated_policy(problem, sampling, tau0=tau0)
         meta["policy_resolved"] = {
             "kind": "accelerated",
             "alpha": policy.alpha,
@@ -347,7 +365,7 @@ def run_experiment(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"[policy] kind must be convex or accelerated, got {pol_kind!r}")
 
-    oracle_k = int(cfg.instance.get("oracle_k", 200_000))
+    oracle_k = _instance(cfg, "oracle_k", 200_000, int)
     reference = reference_for(problem, k_max=oracle_k, seed=cfg.seed + 1)
     meta["reference"] = {
         "source": reference.source,
@@ -460,6 +478,9 @@ def main(argv=None) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         if exc.last_record is not None:
             print(f"last trace row: {exc.last_record}", file=sys.stderr)
+        return 3
+    except ProjectionDidNotConverge as exc:
+        print(f"projection did not converge: {exc}", file=sys.stderr)
         return 3
     except InfeasibleInstance as exc:
         print(f"infeasible instance: {exc}", file=sys.stderr)

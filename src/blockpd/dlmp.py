@@ -23,11 +23,13 @@ slack bounds.  Squared currents and quadratic loss terms are dropped
 entirely (lossless model); the two flow-magnitude caps of the lossy model
 then coincide.
 
-Every projection on the pricing path is exact except the operator's: the
-aggregator sets split into energy budgets (breakpoint search, exact) and
-production pairs (closed form), and the operator set is a Dykstra
-intersection of the voltage-drop/root-balance subspace (a precomputed
-affine projector, exact), the box and the flow balls.
+Every projection on the pricing path is exact.  The aggregator sets split
+into energy budgets (a breakpoint search over all of a group's buses at
+once) and production pairs (closed form).  The operator set is the
+voltage-drop/root-balance subspace intersected with the voltage/slack box
+and the flow balls; it is projected onto by semismooth Newton on the dual
+of the subspace's rows, to a row residual of 1e-12 with the box and balls
+held exactly.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from importlib import resources
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock, kkt_residual
-from .errors import InfeasibleInstance, SolverDivergence
+from .errors import InfeasibleInstance, ProjectionDidNotConverge, SolverDivergence
 from .oracles import least_squares_reference
-from .proxops import AffineSubspace, Box, dykstra_project, project_energy_budget
+from .proxops import AffineSubspace, Box, project_energy_budgets
 from .sampling import draw, make_rng, paired_dso
 from .solver import PdaEngine, RunResult, TraceRecord
 from .stepsize import convex_default_policy
@@ -335,25 +338,29 @@ def row_q(net: NetworkModel, n: int, t: int) -> int:
 
 
 class _FlowBalls:
-    """All per-line, per-period flow-magnitude caps, projected jointly."""
+    """All per-line, per-period flow-magnitude caps, projected jointly.  The
+    f and g coordinates are contiguous slices of the operator's vector."""
 
-    def __init__(self, f_idx: Array, g_idx: Array, radii: Array):
-        self.f_idx = f_idx
-        self.g_idx = g_idx
+    def __init__(self, f: slice, g: slice, radii: Array):
+        self.f = f
+        self.g = g
         self.radii = radii
 
+    def scales(self, v: Array) -> tuple[Array, Array]:
+        """The flow magnitudes of v and the factors that pull them into the
+        balls (1 inside a ball)."""
+        nrm = np.hypot(v[self.f], v[self.g])
+        return nrm, np.minimum(1.0, self.radii / np.maximum(nrm, 1e-300))
+
     def project(self, v: Array) -> Array:
-        out = np.asarray(v, dtype=float).copy()
-        f = out[self.f_idx]
-        g = out[self.g_idx]
-        nrm = np.hypot(f, g)
-        scale = np.where(nrm > self.radii, self.radii / np.maximum(nrm, 1e-300), 1.0)
-        out[self.f_idx] = f * scale
-        out[self.g_idx] = g * scale
+        out = np.array(v, dtype=float)
+        _, scale = self.scales(out)
+        out[self.f] *= scale
+        out[self.g] *= scale
         return out
 
     def distance(self, v: Array) -> float:
-        nrm = np.hypot(v[self.f_idx], v[self.g_idx])
+        nrm = np.hypot(v[self.f], v[self.g])
         return float(np.max(np.maximum(nrm - self.radii, 0.0), initial=0.0))
 
 
@@ -401,18 +408,125 @@ def _dso_feasible_set(net: NetworkModel, lay: DsoLayout):
             hi[lay.idx_v(n, t)] = net.v_hi
     box = Box(lo, hi)
 
-    f_idx = np.array([lay.idx_f(n, t) for n in net.buses for t in range(t_h)])
-    g_idx = np.array([lay.idx_g(n, t) for n in net.buses for t in range(t_h)])
+    # f and g run bus-major, period-minor over the buses in layout order
+    first, size = net.buses[0], net.n_buses * t_h
+    f = slice(lay.idx_f(first, 0), lay.idx_f(first, 0) + size)
+    g = slice(lay.idx_g(first, 0), lay.idx_g(first, 0) + size)
     radii = np.array([net.s_cap[n] for n in net.buses for t in range(t_h)])
-    balls = _FlowBalls(f_idx, g_idx, radii)
+    balls = _FlowBalls(f, g, radii)
     return (affine, box, balls)
 
 
-def _make_dso_prox(net: NetworkModel, lay: DsoLayout, tol: float, max_iter: int):
-    prims = _dso_feasible_set(net, lay)
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 100
+ARMIJO_MAX_HALVINGS = 60
 
-    def project(v):
-        return dykstra_project(prims, v, tol=tol, max_iter=max_iter)
+
+class _OperatorProjector:
+    """Exact Euclidean projection onto {C x = e} ∩ K, K = box × flow balls.
+
+    Semismooth Newton on the dual of the affine rows (Qi & Sun, SIAM J.
+    Matrix Anal. Appl. 2006).  For a multiplier lam the inner minimiser is
+    x(lam) = Pi_K(w), w = v - C^T lam, and the (negated) dual objective
+
+        D(lam) = <w, x(lam)> - 0.5 ||x(lam)||^2 + <lam, e>
+
+    is convex and differentiable with gradient e - C x(lam).  Each step
+    solves (C J C^T + eps I) d = C x - e, with J from the generalised
+    Jacobian of Pi_K (0/1 on box coordinates, (r/|w|)(I - u u^T) on a
+    binding flow ball, u = w/|w|) and eps = 0.1 min(1e-2, |C x - e|_inf),
+    then backtracks on D (Armijo, with a 1e-13 |D| allowance for roundoff
+    in D itself).  It starts at the multiplier of the plain affine projection
+    and stops when |C x - e|_inf <= NEWTON_TOL; x lies in K by
+    construction.
+    """
+
+    def __init__(self, affine: AffineSubspace, box: Box, balls: _FlowBalls):
+        self.affine = affine
+        self.c = np.asarray(affine.c_matrix, dtype=float)
+        self.e = np.asarray(affine.e, dtype=float)
+        self.gram = self.c @ self.c.T
+        self.eye = np.eye(self.c.shape[0])
+        self.lo, self.hi = box.lo, box.hi
+        self.balls = balls
+        self.f, self.g = balls.f, balls.g
+        self.c_f, self.c_g = self.c[:, self.f], self.c[:, self.g]
+
+    def _inner(self, v: Array, lam: Array):
+        """x = Pi_K(v - C^T lam), the dual objective there and the pieces the
+        Newton matrix needs: w, the flow magnitudes of w, the ball scales."""
+        w = v - lam @ self.c
+        x = np.minimum(np.maximum(w, self.lo), self.hi)  # f and g are unbounded
+        nrm, scale = self.balls.scales(w)
+        x[self.f] *= scale
+        x[self.g] *= scale
+        dual = float(x @ (w - 0.5 * x) + lam @ self.e)
+        return x, w, nrm, scale, dual
+
+    def _newton_matrix(self, w: Array, nrm: Array, scale: Array, eps: float) -> Array:
+        """C J C^T + eps I = C C^T + eps I - C (I - J) C^T.  I - J is 1 on the
+        clipped box coordinates and u u^T + (1 - a) u' u'^T on a ball with
+        scale a < 1, u' being u turned by a right angle."""
+        bind = scale < 1.0
+        a = scale[bind]
+        u_f = w[self.f][bind] / nrm[bind]
+        u_g = w[self.g][bind] / nrm[bind]
+        c_f, c_g = self.c_f[:, bind], self.c_g[:, bind]
+        cols = np.concatenate(
+            [
+                self.c[:, (w <= self.lo) | (w >= self.hi)],
+                c_f * u_f + c_g * u_g,
+                c_g * u_f - c_f * u_g,
+            ],
+            axis=1,
+        )
+        weights = np.ones(cols.shape[1])
+        weights[cols.shape[1] - a.size :] -= a
+        return (self.gram + eps * self.eye) - (cols * weights) @ cols.T
+
+    def project(self, v: Array) -> Array:
+        v = np.asarray(v, dtype=float)
+        lam = self.affine.multiplier(v)
+        x, w, nrm, scale, dual = self._inner(v, lam)
+        newton_steps = 0
+        while True:
+            res = self.c @ x - self.e
+            gap = abs(res).max()
+            if gap <= NEWTON_TOL:
+                return x
+            if newton_steps == NEWTON_MAX_ITER:
+                raise ProjectionDidNotConverge(
+                    f"operator projection: row residual {gap:.3e} after "
+                    f"{newton_steps} Newton steps (tol {NEWTON_TOL:g})"
+                )
+            newton_steps += 1
+            h = self._newton_matrix(w, nrm, scale, 0.1 * min(1e-2, gap))
+            _, step, info = lapack.dposv(h, res)
+            if info != 0:
+                raise ProjectionDidNotConverge(
+                    f"operator projection: Newton matrix not positive definite "
+                    f"(LAPACK info {info})"
+                )
+            descent = 1e-4 * (res @ step)
+            allowance = 1e-13 * abs(dual)
+            t = 1.0
+            for _ in range(ARMIJO_MAX_HALVINGS):
+                lam_t = lam + t * step
+                trial = self._inner(v, lam_t)
+                if trial[-1] <= dual - t * descent + allowance:
+                    break
+                t *= 0.5
+            else:
+                raise ProjectionDidNotConverge(
+                    f"operator projection: line search stalled at row residual {gap:.3e}"
+                )
+            lam = lam_t
+            x, w, nrm, scale, dual = trial
+
+
+def _make_dso_prox(net: NetworkModel, lay: DsoLayout):
+    prims = _dso_feasible_set(net, lay)
+    projector = _OperatorProjector(*prims)
 
     def member(v):
         return all(prim.distance(v) <= 1e-6 for prim in prims)
@@ -420,7 +534,7 @@ def _make_dso_prox(net: NetworkModel, lay: DsoLayout, tol: float, max_iter: int)
     def value(v):
         return 0.0 if member(v) else math.inf
 
-    return ProxBlock(value, lambda g, v: project(v), 0.0), prims
+    return ProxBlock(value, lambda g, v: projector.project(v), 0.0), prims
 
 
 def _project_production_pair(v2: Array, cap: float, lo: float, hi: float) -> Array:
@@ -457,50 +571,49 @@ def _project_production_pair(v2: Array, cap: float, lo: float, hi: float) -> Arr
 
 
 def _make_agg_prox(net: NetworkModel, lay: AggLayout):
+    """Prox of an aggregator's feasible set.  The group's vector is viewed as
+    an (n_bus, 3, T) array of (pc, pg, qg) rows: all energy budgets are
+    projected in one batched call, production pairs are zero wherever the
+    cap is zero and projected pairwise at the renewable buses."""
     t_h = net.horizon
+    shape = (len(lay.buses), 3, t_h)
+    p_lo = np.array([net.p_lo[n] for n in lay.buses])
+    p_hi = np.array([net.p_hi[n] for n in lay.buses])
+    energy = np.array([net.energy[n] for n in lay.buses])
+    caps = np.zeros((len(lay.buses), t_h))
+    ratio_lo = np.zeros((len(lay.buses), 1))
+    ratio_hi = np.zeros((len(lay.buses), 1))
+    pairs = []  # (row, period, cap, ratio bounds) at the renewable buses
+    for i, n in enumerate(lay.buses):
+        if n in net.renewable:
+            caps[i] = net.renewable[n]
+            ratio_lo[i], ratio_hi[i] = net.ratio_lo[n], net.ratio_hi[n]
+            pairs.extend(
+                (i, t, float(caps[i, t]), net.ratio_lo[n], net.ratio_hi[n])
+                for t in range(t_h)
+            )
 
     def project(v):
-        out = np.asarray(v, dtype=float).copy()
-        for n in lay.buses:
-            sl = slice(lay.idx_pc(n, 0), lay.idx_pc(n, 0) + t_h)
-            out[sl] = project_energy_budget(
-                net.p_lo[n], net.p_hi[n], net.energy[n], out[sl]
-            )
-            caps = net.renewable.get(n)
-            for t in range(t_h):
-                i_pg, i_qg = lay.idx_pg(n, t), lay.idx_qg(n, t)
-                cap = float(caps[t]) if caps is not None else 0.0
-                out[[i_pg, i_qg]] = _project_production_pair(
-                    out[[i_pg, i_qg]],
-                    cap,
-                    net.ratio_lo.get(n, 0.0),
-                    net.ratio_hi.get(n, 0.0),
-                )
-        return out
+        rows = np.asarray(v, dtype=float).reshape(shape)
+        out = np.zeros(shape)
+        out[:, 0] = project_energy_budgets(p_lo, p_hi, energy, rows[:, 0])
+        for i, t, cap, lo, hi in pairs:
+            out[i, 1:, t] = _project_production_pair(rows[i, 1:, t], cap, lo, hi)
+        return out.reshape(-1)
 
     def member(v):
         tol = 1e-8
-        for n in lay.buses:
-            sl = slice(lay.idx_pc(n, 0), lay.idx_pc(n, 0) + t_h)
-            pc = v[sl]
-            if np.any(pc < net.p_lo[n] - tol) or np.any(pc > net.p_hi[n] + tol):
-                return False
-            if float(np.sum(pc)) < net.energy[n] - tol:
-                return False
-            caps = net.renewable.get(n)
-            for t in range(t_h):
-                pg = v[lay.idx_pg(n, t)]
-                qg = v[lay.idx_qg(n, t)]
-                cap = float(caps[t]) if caps is not None else 0.0
-                if not -tol <= pg <= cap + tol:
-                    return False
-                if not (
-                    net.ratio_lo.get(n, 0.0) * pg - tol
-                    <= qg
-                    <= net.ratio_hi.get(n, 0.0) * pg + tol
-                ):
-                    return False
-        return True
+        rows = np.asarray(v, dtype=float).reshape(shape)
+        pc, pg, qg = rows[:, 0], rows[:, 1], rows[:, 2]
+        return bool(
+            np.all(pc >= p_lo - tol)
+            and np.all(pc <= p_hi + tol)
+            and np.all(pc.sum(axis=1) >= energy - tol)
+            and np.all(pg >= -tol)
+            and np.all(pg <= caps + tol)
+            and np.all(qg >= ratio_lo * pg - tol)
+            and np.all(qg <= ratio_hi * pg + tol)
+        )
 
     def value(v):
         return 0.0 if member(v) else math.inf
@@ -527,8 +640,6 @@ def build_opf_problem(
     drop_shunt: bool = False,
     xi: Array | None = None,
     slack_costs=None,
-    dykstra_tol: float = 1e-10,
-    dykstra_max_iter: int = 10_000,
 ) -> ProblemSpec:
     """Assemble the pricing problem as a block problem.
 
@@ -580,7 +691,7 @@ def build_opf_problem(
     for t in range(t_h):
         lam0[lay0.idx_p0(t), lay0.idx_p0(t)] = costs[t][2]
 
-    dso_prox, dso_prims = _make_dso_prox(net, lay0, dykstra_tol, dykstra_max_iter)
+    dso_prox, dso_prims = _make_dso_prox(net, lay0)
     smooth = [SmoothBlock(phi0_value, phi0_grad, lam0)]
     prox = [dso_prox]
     for lay in agg_lays:

@@ -29,6 +29,12 @@ class ProjectionDidNotConverge(RuntimeError):
     """Cyclic projection hit its iteration cap; the intersection may be empty."""
 
 
+class InvariantViolation(RuntimeError):
+    """Two computations of one quantity disagree, or a computed quantity
+    lacks a property it has by construction: a numerical fault, not bad
+    input."""
+
+
 class SolverDivergence(RuntimeError):
     """Non-finite iterates detected.  Carries the last valid trace row."""
 

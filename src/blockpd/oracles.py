@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .blocks import ProblemSpec, eval_psi, penalty_h
+from .errors import InvariantViolation, StrongConvexityRequired
 
 Array = np.ndarray
 
@@ -56,7 +57,11 @@ class Reference:
 def least_squares_reference(p: ProblemSpec) -> Reference:
     """Penalty floor via the normal equations (minimum-norm solution)."""
     x_ls, *_ = np.linalg.lstsq(p.a, p.b, rcond=None)
-    assert float(np.max(np.abs(p.a.T @ (p.a @ x_ls - p.b)))) < 1e-8
+    normal = float(np.max(np.abs(p.a.T @ (p.a @ x_ls - p.b))))
+    if not normal < 1e-8:
+        raise InvariantViolation(
+            f"least-squares solution misses the normal equations by {normal:.3e}"
+        )
     return Reference(x_ls=x_ls, h_star=penalty_h(p, x_ls))
 
 
@@ -92,7 +97,11 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     grad = h @ x_star + c
     # stationarity demands grad + A'y = 0 for some multiplier y
     y_star, *_ = np.linalg.lstsq(p.a.T, -grad, rcond=None)
-    assert float(np.max(np.abs(p.a.T @ y_star + grad))) < 1e-7
+    stationarity = float(np.max(np.abs(p.a.T @ y_star + grad)))
+    if not stationarity < 1e-7:
+        raise InvariantViolation(
+            f"reference multiplier misses stationarity by {stationarity:.3e}"
+        )
     return Reference(
         x_ls=base.x_ls,
         h_star=base.h_star,
@@ -113,7 +122,7 @@ def long_run_reference(p: ProblemSpec, k_max: int = 200_000, seed: int = 0) -> R
     base = least_squares_reference(p)
     try:
         policy = make_accelerated_policy(p, s)
-    except Exception:
+    except StrongConvexityRequired:
         policy = convex_default_policy(p, s)
     result = run(p, s, policy, np.zeros(p.m), k_max, seed=seed, trace_every=k_max)
     x_star = result.state.x

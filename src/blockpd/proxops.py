@@ -8,7 +8,6 @@ anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -189,13 +188,16 @@ class AffineSubspace:
 
     The projection is v - C^T (C C^T)^{-1} (C v - e) = P v + s with
     P = I - C^T (C C^T)^{-1} C and s = C^T (C C^T)^{-1} e, both formed once
-    from a Cholesky factor of the Gram matrix.
+    from a Cholesky factor of the Gram matrix.  The same factor gives the
+    projection's multiplier (C C^T)^{-1} (C v - e).
     """
 
     c_matrix: Array
     e: Array
     _proj: Array = field(init=False, repr=False, compare=False)
     _shift: Array = field(init=False, repr=False, compare=False)
+    _gram_inv_c: Array = field(init=False, repr=False, compare=False)
+    _gram_inv_e: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         import scipy.linalg as sla
@@ -204,13 +206,19 @@ class AffineSubspace:
         gram = c @ c.T
         # tiny diagonal lift guards against duplicated rows
         factor = sla.cho_factor(gram + 1e-14 * np.eye(gram.shape[0]))
-        object.__setattr__(self, "_proj", np.eye(c.shape[1]) - c.T @ sla.cho_solve(factor, c))
-        object.__setattr__(
-            self, "_shift", c.T @ sla.cho_solve(factor, np.asarray(self.e, dtype=float))
-        )
+        gram_inv_c = sla.cho_solve(factor, c)
+        gram_inv_e = sla.cho_solve(factor, np.asarray(self.e, dtype=float))
+        object.__setattr__(self, "_gram_inv_c", gram_inv_c)
+        object.__setattr__(self, "_gram_inv_e", gram_inv_e)
+        object.__setattr__(self, "_proj", np.eye(c.shape[1]) - c.T @ gram_inv_c)
+        object.__setattr__(self, "_shift", c.T @ gram_inv_e)
 
     def project(self, v: Array) -> Array:
         return self._proj @ v + self._shift
+
+    def multiplier(self, v: Array) -> Array:
+        """(C C^T)^{-1} (C v - e), so that project(v) = v - C^T multiplier(v)."""
+        return self._gram_inv_c @ v - self._gram_inv_e
 
     def distance(self, v: Array) -> float:
         return float(np.linalg.norm(v - self.project(v)))
@@ -239,42 +247,65 @@ def project_hyperplane(a, c, v):
 
 
 def project_energy_budget(lo, hi, demand, v) -> Array:
-    """Project onto {x : sum x >= demand, lo <= x <= hi}.
+    """Project onto {x : sum x >= demand, lo <= x <= hi}: the one-row case
+    of :func:`project_energy_budgets`.  ``lo`` and ``hi`` broadcast against
+    ``v``."""
+    v = np.asarray(v, dtype=float)[None, :]
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), v.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), v.shape)
+    return project_energy_budgets(lo, hi, [demand], v)[0]
+
+
+def project_energy_budgets(lo, hi, demand, v) -> Array:
+    """Project each row v[i] onto {x : sum x >= demand[i], lo[i] <= x <= hi[i]}.
 
     The projection is clip(v + t, lo, hi) with the smallest t >= 0 at which
     the budget holds.  s(t) = sum clip(v + t, lo, hi) is nondecreasing and
     piecewise linear, so t is found exactly: sort the breakpoints of s,
-    scan s along them to the piece that crosses ``demand`` and solve that
-    linear piece for t.  This is the capped-simplex projection of Held,
-    Wolfe & Crowder (1974) and Condat (2016).
+    accumulate s along them to the piece that crosses ``demand`` and solve
+    that linear piece for t.  This is the capped-simplex projection of
+    Held, Wolfe & Crowder (1974) and Condat (2016), done for all rows at
+    once.  ``lo``, ``hi`` and ``v`` have shape (rows, T), ``demand`` has
+    shape (rows,); bounds may be infinite.
     """
     v = np.asarray(v, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), v.shape)
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), v.shape)
-    cap = float(hi.sum())
-    if cap < demand - 1e-12:
-        raise InfeasibleInstance(f"energy demand {demand} exceeds total capacity {cap}")
-    x = np.clip(v, lo, hi)
-    s = float(x.sum())
-    if s >= demand - 1e-12:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    cap = hi.sum(axis=1)
+    short = cap < demand - 1e-12
+    if short.any():
+        i = int(np.argmax(short))
+        raise InfeasibleInstance(
+            f"energy demand {demand[i]} exceeds total capacity {cap[i]}"
+        )
+    x = np.minimum(np.maximum(v, lo), hi)
+    s0 = x.sum(axis=1)
+    rows = np.flatnonzero(s0 < demand - 1e-12)
+    if rows.size == 0:
         return x
+    v, lo, hi, demand, s0 = v[rows], lo[rows], hi[rows], demand[rows], s0[rows]
     # a coordinate leaves its lower bound at t = lo - v (slope +1) and
     # reaches its upper bound at t = hi - v (slope -1); breakpoints at or
-    # before t = 0 (lo = -inf among them) only set the starting slope, and
-    # hi = +inf is never reached
-    knots = sorted(
-        [(max(g, 0.0), 1) for g in (lo - v).tolist() if g < math.inf]
-        + [(max(g, 0.0), -1) for g in (hi - v).tolist() if g < math.inf]
-    )
-    t, slope = 0.0, 0
-    for knot, turn in knots:
-        s_knot = s + slope * (knot - t)
-        if s_knot >= demand:
-            break
-        s, t, slope = s_knot, knot, slope + turn
-    if slope > 0:
-        t += (demand - s) / slope
-    return np.clip(v + t, lo, hi)
+    # before t = 0 (lo = -inf among them) only set the starting slope
+    knots = np.maximum(np.concatenate([lo - v, hi - v], axis=1), 0.0)
+    order = np.argsort(knots, axis=1, kind="stable")
+    row = np.arange(rows.size)
+    knots = knots[row[:, None], order]
+    slopes = np.cumsum(np.where(order < v.shape[1], 1.0, -1.0), axis=1)
+    # s at each breakpoint, summed in order from s(0) = s0; hi = +inf
+    # breakpoints come last and s reaches +inf at the first of them
+    with np.errstate(invalid="ignore"):
+        rises = slopes[:, :-1] * (knots[:, 1:] - knots[:, :-1])
+    sums = np.cumsum(np.concatenate([s0[:, None], rises], axis=1), axis=1)
+    crossed = sums >= demand[:, None]
+    # the crossing piece starts one breakpoint before the first s >= demand;
+    # with no crossing (demand at capacity) every coordinate ends at hi
+    last = np.where(crossed.any(axis=1), crossed.argmax(axis=1) - 1, knots.shape[1] - 1)
+    t, s, slope = knots[row, last], sums[row, last], slopes[row, last]
+    t = t + np.where(slope > 0, (demand - s) / np.maximum(slope, 1.0), 0.0)
+    x[rows] = np.minimum(np.maximum(v + t[:, None], lo), hi)
+    return x
 
 
 def dykstra_project(

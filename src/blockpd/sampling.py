@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blocks import BlockStructure
-from .errors import UnsupportedSampling
+from .errors import InvariantViolation, UnsupportedSampling
 
 Array = np.ndarray
 
@@ -121,16 +121,6 @@ def paired_dso(p: int) -> Sampling:
     return Sampling(p + 1, "paired", pi, support, probs)
 
 
-def explicit(d: int, subsets: Sequence[Sequence[int]], probs) -> Sampling:
-    subsets = tuple(tuple(sorted(int(i) for i in s)) for s in subsets)
-    probs = np.asarray(probs, dtype=float)
-    pi = np.zeros(d)
-    for subset, p in zip(subsets, probs):
-        for i in subset:
-            pi[i] += p
-    return Sampling(d, "explicit", pi, subsets, probs)
-
-
 def draw(s: Sampling, rng: np.random.Generator) -> Array:
     """One i.i.d. realization as a boolean activation vector."""
     if s.support is not None:
@@ -164,8 +154,10 @@ def prob_matrix(s: Sampling) -> Array:
         np.fill_diagonal(pi_mat, m / s.d)
     else:
         raise UnsupportedSampling("pair probabilities need an enumerable support")
-    assert np.max(np.abs(np.diag(pi_mat) - s.pi)) < 1e-12
-    assert float(np.linalg.eigvalsh(pi_mat).min()) > -1e-12
+    if not np.max(np.abs(np.diag(pi_mat) - s.pi)) < 1e-12:
+        raise InvariantViolation("pair-probability diagonal differs from the marginals")
+    if not float(np.linalg.eigvalsh(pi_mat).min()) > -1e-12:
+        raise InvariantViolation("pair-probability matrix is not positive semidefinite")
     return pi_mat
 
 
@@ -217,9 +209,12 @@ def xi_matrix(s: Sampling, a_blocks: Sequence[Array]) -> Array:
             mask[blocks.block_slice(i)] = 1.0
         scaled = p_diag * mask
         xi_exact += p * (scaled[:, None] * gram * scaled[None, :])
-    assert np.max(np.abs(xi_exact - xi_formula)) < 1e-12 * max(
+    if not np.max(np.abs(xi_exact - xi_formula)) < 1e-12 * max(
         1.0, float(np.max(np.abs(xi_exact)))
-    ), "exhaustive and closed-form activation second moments disagree"
+    ):
+        raise InvariantViolation(
+            "exhaustive and closed-form activation second moments disagree"
+        )
     return xi_exact
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import ProblemSpec
-from .errors import PolicyConstructionError, StrongConvexityRequired
+from .errors import InvariantViolation, PolicyConstructionError, StrongConvexityRequired
 from .sampling import Sampling, weight_matrix_p, xi_matrix
 
 Array = np.ndarray
@@ -159,8 +159,14 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
         mu_b = np.array([p.prox[i].mu for i in range(p.d)])
         alpha_cf = 1.0 / float(np.max(p.block_sq_norms / (mu_b * s.pi**2)))
         kappa_cf = float(np.max((p.smooth_lipschitz + mu_b) / (s.pi * mu_b)))
-        assert abs(alpha - alpha_cf) <= 1e-10 * max(1.0, alpha)
-        assert abs(kappa - kappa_cf) <= 1e-10 * max(1.0, kappa)
+        if not (
+            abs(alpha - alpha_cf) <= 1e-10 * max(1.0, alpha)
+            and abs(kappa - kappa_cf) <= 1e-10 * max(1.0, kappa)
+        ):
+            raise InvariantViolation(
+                f"accelerated parameters disagree with their closed forms: "
+                f"alpha {alpha!r} vs {alpha_cf!r}, kappa {kappa!r} vs {kappa_cf!r}"
+            )
     return alpha, beta, kappa
 
 
@@ -234,10 +240,12 @@ def tau_next(tau_k: float, kappa: float, pi) -> float:
     out = max(roots)
     if float(np.max(pi) - np.min(pi)) < 1e-12:
         alt = _tau_normalized(tau_k, kappa, float(pi[0]))
-        assert abs(out - alt) <= 1e-10 * max(1.0, out), (
-            "step recursion paths disagree"
-        )
-    assert out < tau_k
+        if not abs(out - alt) <= 1e-10 * max(1.0, out):
+            raise InvariantViolation(
+                f"step recursion paths disagree: {out!r} vs {alt!r} at tau={tau_k!r}"
+            )
+    if not out < tau_k:
+        raise InvariantViolation(f"step parameter did not decrease: {out!r} >= {tau_k!r}")
     return out
 
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock
-from blockpd.errors import InfeasibleInstance
+from blockpd import stepsize
+from blockpd.errors import InfeasibleInstance, InvariantViolation, PolicyConstructionError
+from blockpd.oracles import long_run_reference
 from blockpd.proxops import prox_box_block, prox_quadratic_block, prox_zero_block
 
 
@@ -254,3 +256,32 @@ class TestPenaltyIdentities:
             gap = bp.penalty_h(p, x) - ref.h_star
             ident = 0.5 * float(np.sum((p.a @ (x - ref.x_ls)) ** 2))
             assert gap == pytest.approx(ident, rel=1e-9, abs=1e-12)
+
+
+class TestReferenceChecks:
+    def test_normal_equation_check(self, monkeypatch):
+        p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
+        real = np.linalg.lstsq
+
+        def off_by_one(*args, **kwargs):
+            x, *rest = real(*args, **kwargs)
+            return (x + 1.0, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", off_by_one)
+        with pytest.raises(InvariantViolation, match="normal equations"):
+            bp.least_squares_reference(p)
+
+    def test_long_run_falls_back_without_strong_convexity(self):
+        p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8, mu=0.0)
+        ref = long_run_reference(p, k_max=10)
+        assert ref.source == "long-run[k=10]"
+
+    def test_long_run_keeps_other_policy_errors(self, monkeypatch):
+        p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
+
+        def broken(*args, **kwargs):
+            raise PolicyConstructionError("no admissible parameters")
+
+        monkeypatch.setattr(stepsize, "make_accelerated_policy", broken)
+        with pytest.raises(PolicyConstructionError):
+            long_run_reference(p, k_max=10)

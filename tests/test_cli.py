@@ -97,6 +97,23 @@ class TestConfigParsing:
         cfg = write_config(tmp_path / "c.cfg", "[run]\nexperiment = wat\n")
         assert main(["--config", cfg]) == 2
 
+    def test_non_numeric_stop_kkt_tol(self, tmp_path, capsys):
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
+        cfg = write_config(
+            tmp_path / "c.cfg", body.replace("seed = 5", "seed = 5\nstop_kkt_tol = abc")
+        )
+        with pytest.raises(ConfigError, match="stop_kkt_tol"):
+            parse_config(cfg)
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "stop_kkt_tol" in capsys.readouterr().err
+
+    def test_non_numeric_instance_field(self, tmp_path, capsys):
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
+        cfg = write_config(tmp_path / "c.cfg", body.replace("d = 4", "d = ten"))
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "[instance] d = 'ten'" in err
+
 
 class TestRandomLsExperiment:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -255,6 +272,24 @@ b_path = {tmp_path / 'not_there_b.csv'}
 """,
         )
         assert main(["--config", cfg, "--quiet"]) == 2
+
+    def test_projection_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        from blockpd import dlmp
+
+        # an unreachable tolerance: the operator projection must give up
+        monkeypatch.setattr(dlmp, "NEWTON_TOL", -1.0)
+        out = tmp_path / "stuck"
+        cfg = write_config(
+            tmp_path / "stuck.cfg",
+            f"""
+[run]
+experiment = opf15
+k_max = 10
+out = {out}
+""",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 3
+        assert "projection did not converge" in capsys.readouterr().err
 
     def test_infeasible_opf_exit_code(self, tmp_path):
         from blockpd.dlmp import default_network_paths

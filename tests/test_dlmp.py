@@ -1,10 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import blockpd as bp
 from blockpd import dlmp
-from blockpd.errors import InfeasibleInstance, SolverDivergence
-from blockpd.proxops import AffineSubspace, Box, Halfspace, exact_projection_qp
+from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge, SolverDivergence
+from blockpd.proxops import (
+    AffineSubspace,
+    Box,
+    Halfspace,
+    dykstra_project,
+    exact_projection_qp,
+)
 from blockpd.sampling import weight_matrix_p
 
 
@@ -17,6 +25,66 @@ def net15():
 @pytest.fixture(scope="module")
 def opf15(net15):
     return dlmp.build_opf_problem(net15)
+
+
+# 5700 steps is the seed-1 iteration count to residual 1e-4
+PATH_STEPS = 5700
+
+
+def final_iterate(problem):
+    eng = dlmp.PpdlmpEngine(problem)
+    state = eng.init_state(dlmp.opf_initial_point(problem), bp.make_rng(0))
+    for _ in range(PATH_STEPS):
+        eng.step(state)
+    return state
+
+
+@pytest.fixture(scope="module")
+def opf15_path_end(opf15):
+    """Final iterate of the pair-activated loop at seed 0 with the grid's own
+    projections, shared by the trajectory comparisons below."""
+    return final_iterate(opf15)
+
+
+def kkt_certificate(prims, v, x, tol):
+    """Check that x is the projection of v onto {C x = e} ∩ K from the
+    optimality conditions alone: x in K, C x = e, and a multiplier lam with
+    v - x - C^T lam in the normal cone of K at x.  lam solves, by least
+    squares, the equations that the cone makes exact: a zero component off
+    the active box bounds and off the binding balls, and no tangential
+    component on a binding ball."""
+    affine, box, balls = prims
+    c, e = affine.c_matrix, affine.e
+    idx = np.arange(v.size)
+    f_idx, g_idx = idx[balls.f], idx[balls.g]
+    assert np.all(x >= box.lo) and np.all(x <= box.hi)
+    nrm = np.hypot(x[f_idx], x[g_idx])
+    assert np.all(nrm <= balls.radii * (1.0 + 1e-12))
+    assert np.max(np.abs(c @ x - e)) <= 1e-12
+
+    at_lo, at_hi = x <= box.lo, x >= box.hi
+    on_ball = nrm >= balls.radii * (1.0 - 1e-12)
+    free = ~(at_lo | at_hi)
+    free[f_idx[on_ball]] = False
+    free[g_idx[on_ball]] = False
+    xf, xg = x[f_idx[on_ball]], x[g_idx[on_ball]]
+    gap = v - x
+    rows = np.vstack(
+        [
+            c.T[free],
+            xg[:, None] * c.T[f_idx[on_ball]] - xf[:, None] * c.T[g_idx[on_ball]],
+        ]
+    )
+    rhs = np.concatenate(
+        [gap[free], xg * gap[f_idx[on_ball]] - xf * gap[g_idx[on_ball]]]
+    )
+    lam, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    z = gap - c.T @ lam
+    assert np.max(np.abs(rows @ lam - rhs), initial=0.0) <= tol
+    assert np.all(z[at_hi] >= -tol) and np.all(z[at_lo] <= tol)
+    radial = z[f_idx[on_ball]] * xf + z[g_idx[on_ball]] * xg
+    assert np.all(radial >= -tol)
+    return int(at_lo.sum() + at_hi.sum()), int(on_ball.sum())
 
 
 class TestLoadNetwork:
@@ -171,21 +239,71 @@ class TestProjectors:
             assert np.max(np.abs(affine.project(v) - direct)) <= 1e-12
 
     def test_exact_budget_keeps_the_bisection_trajectory(
-        self, opf15, monkeypatch, bisection_budget
+        self, opf15, opf15_path_end, monkeypatch, bisection_budget
     ):
-        # 5700 steps is the seed-1 iteration count to residual 1e-4
-        def final_iterate():
-            eng = dlmp.PpdlmpEngine(opf15)
-            state = eng.init_state(dlmp.opf_initial_point(opf15), bp.make_rng(0))
-            for _ in range(5700):
-                eng.step(state)
-            return state
+        calls = []
 
-        exact = final_iterate()
-        monkeypatch.setattr(dlmp, "project_energy_budget", bisection_budget)
-        bisected = final_iterate()
-        assert np.max(np.abs(exact.x - bisected.x)) <= 1e-10
-        assert np.max(np.abs(exact.y - bisected.y)) <= 1e-10
+        def bisection_rows(lo, hi, demand, v):
+            calls.append(len(v))
+            return np.array([bisection_budget(*row) for row in zip(lo, hi, demand, v)])
+
+        monkeypatch.setattr(dlmp, "project_energy_budgets", bisection_rows)
+        bisected = final_iterate(opf15)
+        # one batched call per aggregator prox, a row per bus of the group
+        assert len(calls) >= PATH_STEPS and set(calls) == {6, 5, 3}
+        assert np.max(np.abs(opf15_path_end.x - bisected.x)) <= 1e-10
+        assert np.max(np.abs(opf15_path_end.y - bisected.y)) <= 1e-10
+
+
+class TestOperatorProjection:
+    @pytest.fixture
+    def around_start(self, opf15):
+        sl = opf15.blocks.block_slice(0)
+        return dlmp.opf_initial_point(opf15)[sl]
+
+    def test_matches_dykstra(self, opf15, around_start, rng):
+        prims = opf15.meta["dso_primitives"]
+        for scale in (0.01, 0.1, 0.3, 1.0, 3.0):
+            for _ in range(4):
+                v = around_start + rng.standard_normal(around_start.size) * scale
+                oracle = dykstra_project(prims, v, tol=1e-12)
+                out = opf15.prox[0].prox(None, v)
+                assert np.max(np.abs(out - oracle)) <= 1e-9, f"scale {scale}"
+
+    def test_kkt_certificate(self, opf15, around_start, rng):
+        prims = opf15.meta["dso_primitives"]
+        active = []
+        for scale in (0.01, 0.3, 3.0, 10.0):
+            for _ in range(5):
+                v = around_start + rng.standard_normal(around_start.size) * scale
+                x = opf15.prox[0].prox(None, v)
+                active.append(kkt_certificate(prims, v, x, 1e-9 * max(1.0, scale)))
+        # the draws exercise both the box and the flow balls
+        assert max(a for a, _ in active) > 0 and max(b for _, b in active) > 0
+
+    def test_converges_where_dykstra_gives_up(self, opf15, around_start):
+        prims = opf15.meta["dso_primitives"]
+        v = around_start + np.random.default_rng(0).standard_normal(around_start.size) * 10.0
+        # the tolerance and sweep cap the operator prox used with Dykstra
+        with pytest.raises(ProjectionDidNotConverge):
+            dykstra_project(prims, v, tol=1e-10, max_iter=10_000)
+        kkt_certificate(prims, v, opf15.prox[0].prox(None, v), 1e-8)
+
+    def test_iteration_cap_raises(self, opf15, around_start, monkeypatch):
+        v = around_start + np.random.default_rng(0).standard_normal(around_start.size) * 10.0
+        monkeypatch.setattr(dlmp, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(ProjectionDidNotConverge, match="after 1 Newton steps"):
+            opf15.prox[0].prox(None, v)
+
+    def test_keeps_the_dykstra_trajectory(self, opf15, opf15_path_end):
+        prims = opf15.meta["dso_primitives"]
+        dykstra_prox = replace(
+            opf15.prox[0],
+            prox=lambda g, v: dykstra_project(prims, v, tol=1e-10, max_iter=10_000),
+        )
+        dykstra_path = final_iterate(replace(opf15, prox=(dykstra_prox, *opf15.prox[1:])))
+        assert np.max(np.abs(opf15_path_end.x - dykstra_path.x)) <= 1e-9
+        assert np.max(np.abs(opf15_path_end.y - dykstra_path.y)) <= 1e-10
 
 
 class TestToyNetworkPrices:

@@ -22,6 +22,7 @@ from blockpd.proxops import (
     project_ball,
     project_box,
     project_energy_budget,
+    project_energy_budgets,
     project_halfspace,
     project_hyperplane,
     prox_box_block,
@@ -141,8 +142,9 @@ class TestEnergyBudget:
             assert np.allclose(mine, oracle, atol=1e-9)
 
     @staticmethod
-    def _random_budget(rng):
-        t_h = int(rng.integers(1, 25))
+    def _random_budget(rng, t_h=None):
+        if t_h is None:
+            t_h = int(rng.integers(1, 25))
         lo = rng.uniform(-1.0, 0.5, t_h)
         hi = lo + rng.uniform(0.0, 2.0, t_h)
         v = rng.standard_normal(t_h)
@@ -198,6 +200,24 @@ class TestEnergyBudget:
     def test_scalar_bounds_broadcast(self):
         out = project_energy_budget(0.0, 10.0, 2.0, np.zeros(4))
         assert np.allclose(out, 0.5, atol=1e-15)
+
+    def test_batched_rows_match_single_rows(self, rng):
+        # same draws as the bisection comparison (infinite bounds, ties,
+        # demand == sum hi), stacked into batches of a common horizon
+        for trial in range(2000):
+            t_h = int(rng.integers(1, 25))
+            n_rows = int(rng.integers(1, 7))
+            rows = [self._random_budget(rng, t_h) for _ in range(n_rows)]
+            lo, hi, demand, v = (np.array(col) for col in zip(*rows))
+            batched = project_energy_budgets(lo, hi, demand, v)
+            for i, row in enumerate(rows):
+                single = project_energy_budget(*row)
+                assert np.array_equal(batched[i], single), f"trial {trial} row {i}"
+
+    def test_batched_infeasible_row(self):
+        lo, hi = np.zeros((3, 2)), np.ones((3, 2))
+        with pytest.raises(InfeasibleInstance, match="demand 3.0"):
+            project_energy_budgets(lo, hi, [1.0, 3.0, 2.0], np.zeros((3, 2)))
 
 
 class TestAffineSubspace:

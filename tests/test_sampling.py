@@ -3,7 +3,8 @@ import pytest
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure
-from blockpd.errors import UnsupportedSampling
+from blockpd import sampling
+from blockpd.errors import InvariantViolation, UnsupportedSampling
 from blockpd.sampling import expectation_over_sampling, from_config, nice
 
 
@@ -82,6 +83,21 @@ class TestProbMatrix:
         rng = bp.make_rng(0)
         for _ in range(20):
             assert bp.draw(s, rng).sum() == 7
+
+
+class TestInvariantChecks:
+    def test_pair_probabilities_off_the_marginals(self):
+        # 2-of-3 has marginals 2/3, not the 1/2 claimed here
+        s = bp.Sampling(3, "nice", np.full(3, 0.5), None, None, nice_m=2)
+        with pytest.raises(InvariantViolation, match="marginals"):
+            bp.prob_matrix(s)
+
+    def test_second_moment_paths_disagree(self, monkeypatch):
+        real = sampling.prob_matrix
+        monkeypatch.setattr(sampling, "prob_matrix", lambda s: real(s) * 0.5)
+        blocks = [np.array([[1.0], [1.0]]), np.array([[1.0], [2.0]])]
+        with pytest.raises(InvariantViolation, match="second moments"):
+            bp.xi_matrix(bp.full(2), blocks)
 
 
 class TestWeights:

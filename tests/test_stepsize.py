@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import blockpd as bp
+from blockpd import stepsize
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock
-from blockpd.errors import StrongConvexityRequired
+from blockpd.errors import InvariantViolation, StrongConvexityRequired
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from blockpd.sampling import weight_matrix_p, xi_matrix
 from blockpd.stepsize import (
@@ -125,6 +131,43 @@ class TestTauRecursion:
                 0.0, abs=1e-14
             )
         assert step_map(0.0, 0.0, 4.0, 0.5) == pytest.approx(0.0, abs=1e-15)
+
+
+class TestInvariantChecks:
+    """The production cross-checks raise InvariantViolation, which, unlike a
+    bare assert, ``python -O`` keeps."""
+
+    def test_tau_paths_disagree(self, monkeypatch):
+        monkeypatch.setattr(stepsize, "_tau_normalized", lambda t, kappa, pi: 0.5 * t)
+        with pytest.raises(InvariantViolation, match="paths disagree"):
+            tau_next(0.2, 4.0, 0.5)
+
+    def test_tau_must_decrease(self, monkeypatch):
+        monkeypatch.setattr(stepsize, "_tau_root", lambda t, kappa, pi: t)
+        with pytest.raises(InvariantViolation, match="did not decrease"):
+            tau_next(0.2, 4.0, [0.5, 0.25])
+
+    def test_closed_forms_disagree(self, monkeypatch):
+        # two blocks on the same row: Xi couples them, so the block-diagonal
+        # closed forms do not apply and must not match
+        p = tiny_problem([np.ones((1, 1)), np.ones((1, 1))], [1.0, 1.0], [1.0, 1.0])
+        monkeypatch.setattr(stepsize, "_xi_block_diagonal", lambda xi, p: True)
+        with pytest.raises(InvariantViolation, match="closed forms"):
+            bp.accel_params(p, bp.full(2))
+
+    def test_checks_survive_optimize_flag(self):
+        code = (
+            "import blockpd.stepsize as s\n"
+            "s._tau_normalized = lambda t, kappa, pi: 0.5 * t\n"
+            "s.tau_next(0.2, 4.0, 0.5)\n"
+        )
+        src = str(Path(bp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert out.returncode != 0
+        assert "InvariantViolation" in out.stderr
 
 
 class TestLowerBound:
