@@ -48,9 +48,10 @@ class Reference:
         return float(np.sqrt(2.0) * np.linalg.norm(self.y_star))
 
     def h_gap(self, p: ProblemSpec, x: Array) -> float:
-        """h(x) - h*, evaluated cancellation-free as 0.5||A(x - x_ls)||^2."""
-        ref = self.x_star if self.x_star is not None else self.x_ls
-        r = p.a @ (np.asarray(x) - ref)
+        """h(x) - h*, evaluated cancellation-free as 0.5||A(x - x_ls)||^2.
+        Anchored at ``x_ls`` always: a long-run ``x_star`` is an iterate, not
+        a normal-equation solution."""
+        r = p.a @ (np.asarray(x) - self.x_ls)
         return 0.5 * float(r @ r)
 
 

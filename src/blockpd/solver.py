@@ -1,4 +1,4 @@
-"""Randomized block-coordinate engines.
+"""Randomized block-coordinate engines and the one loop that drives them.
 
 Two equivalent formulations of the same stochastic process are provided.
 
@@ -8,14 +8,17 @@ forward-backward step against the penalty gradient scaled by the cumulative
 weight S_k, and w is refreshed with inverse-probability corrections.  The
 primal-dual form tracks (x, u, y) where u is the running residual Ax - b and
 y is a dual price vector; with shared draws its x-iterates coincide with the
-averaging form to rounding error.
+averaging form to rounding error.  A third engine, the grid's pair-activated
+price coordination (``blockpd.dlmp.PpdlmpEngine``), specialises the
+primal-dual form to coordinator-pair sampling; it is passed to :func:`run`
+as an engine object.
 
-Both engines touch only the active blocks per iteration; the matrix-vector
-products Ax and Aw are maintained incrementally and refreshed every
-``recompute_every`` steps to cap float drift.  Within one iteration the block
-updates read shared state and write disjoint slices, so they could run
-concurrently; the w/u/y updates are the synchronisation point.  One engine
-instance is single-writer.
+All engines touch only the active blocks per iteration; the incrementally
+maintained products (Ax and Aw, the residual u, the grid's aggregate bid)
+are refreshed every ``recompute_every`` steps to cap float drift.  Within
+one iteration the block updates read shared state and write disjoint
+slices, so they could run concurrently; the w/u/y updates are the
+synchronisation point.  One engine instance is single-writer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blocks import ProblemSpec, kkt_residual
-from .errors import SolverDivergence
+from .errors import InvariantViolation, SolverDivergence
 from .oracles import Reference, least_squares_reference
 from .sampling import Sampling, draw, make_rng, weight_matrix_p
 
@@ -287,7 +290,7 @@ def run(
     x0: Array,
     k_max: int,
     *,
-    engine: str = "rbcd",
+    engine="rbcd",
     seed: int = 0,
     rng: np.random.Generator | None = None,
     trace_every: int = 100,
@@ -305,7 +308,10 @@ def run(
 
     Parameters
     ----------
-    engine : "rbcd" (averaging form) or "pda" (primal-dual form).
+    engine : "rbcd" (averaging form), "pda" (primal-dual form), or an engine
+        object built for this problem, sampling and policy (with
+        ``init_state``, ``step`` and ``refresh``, e.g. the grid's
+        ``PpdlmpEngine``).
     trace_every : record a trace row every this many iterations, at least 1
         (the final iteration is always recorded; nothing is recorded at
         k = 0).
@@ -317,8 +323,10 @@ def run(
         normal equations when omitted.
     with_lyapunov : also record the energy V_k (averaging engine only; needs
         a reference with x_star and psi_star).
-    record_iterates : keep the full (x, w) history; only sensible for short
-        runs.
+    record_iterates : keep the full x history (and w for the averaging
+        form); only sensible for short runs.
+    y0 : dual start, passed to the engine's ``init_state`` (primal-dual
+        engines only).
 
     Deterministic for a fixed seed: the generator is consumed only by the
     block draws.  Raises :class:`SolverDivergence` if non-finite values show
@@ -331,20 +339,21 @@ def run(
     if reference is None:
         reference = least_squares_reference(problem)
 
-    eng: _EngineBase
-    if engine == "rbcd":
-        eng = RbcdEngine(problem, sampling, policy)
-        state = eng.init_state(x0, rng)
-    elif engine == "pda":
-        eng = PdaEngine(problem, sampling, policy)
-        state = eng.init_state(x0, rng, y0=y0)
+    if isinstance(engine, str):
+        engines = {"rbcd": RbcdEngine, "pda": PdaEngine}
+        if engine not in engines:
+            raise ValueError(f"unknown engine {engine!r}")
+        eng = engines[engine](problem, sampling, policy)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        eng = engine
+        if not (eng.problem is problem and eng.sampling is sampling and eng.policy is policy):
+            raise ValueError("engine was built for another problem, sampling or policy")
+    state = eng.init_state(x0, rng) if y0 is None else eng.init_state(x0, rng, y0=y0)
 
     trace: list[TraceRecord] = []
     iterates = [state.x.copy()] if record_iterates else None
     averaged = (
-        [state.w.copy()] if (record_iterates and engine == "rbcd") else None
+        [state.w.copy()] if record_iterates and isinstance(state, RbcdState) else None
     )
     t_start = time.perf_counter()
     stopped_at = None
@@ -391,18 +400,22 @@ def _trace_record(problem, eng, state, ref, with_lyapunov) -> TraceRecord:
     k = state.k
     sigma = eng.policy.sigma_at(k)
     tau = eng.policy.tau_at(k)
+    psi_hat = h_gap_w = math.nan
     if isinstance(state, RbcdState):
         psi_x = state.psi_total
         psi_hat = state.psi_hat
         h_gap_w = ref.h_gap(problem, state.w)
         y = eng.dual_estimate(state)
         primal = float(np.linalg.norm(state.ax - problem.b))
-    else:
+    elif isinstance(state, PdaState):
         psi_x = math.nan
-        psi_hat = math.nan
-        h_gap_w = math.nan
         y = state.y
         primal = float(np.linalg.norm(state.u))
+    else:
+        # pair-activated grid state: x and y, no running residual
+        psi_x = problem.phi(state.x)
+        y = state.y
+        primal = float(np.linalg.norm(problem.a @ state.x - problem.b))
     rec = TraceRecord(
         k=k,
         psi_x=psi_x,
@@ -446,7 +459,9 @@ def gamma_table(thetas, pi) -> Array:
         gam[k + 1, k + 1, :] = th / pi
         closure = gam[k + 1, k, :] + gam[k + 1, k + 1, :]
         expected = th + (1.0 - th) * gam[k, k, :]
-        assert np.max(np.abs(closure - expected)) < 1e-12
+        dev = float(np.max(np.abs(closure - expected)))
+        if not dev < 1e-12:
+            raise InvariantViolation(f"gamma closure off by {dev:.3e} at k={k}")
     return gam
 
 

@@ -276,6 +276,15 @@ class TestReferenceChecks:
         ref = long_run_reference(p, k_max=10)
         assert ref.source == "long-run[k=10]"
 
+    def test_penalty_gap_anchors_at_least_squares_solution(self):
+        # a short long-run reference stores an iterate far from the
+        # normal-equation solutions as x_star; h_gap must not measure from it
+        p = bp.make_random_inconsistent_ls(seed=3, d=4, dims=3, q=18, noise=0.5)
+        ref = long_run_reference(p, k_max=5)
+        assert ref.h_gap(p, ref.x_ls) == pytest.approx(0.0, abs=1e-12)
+        x = np.zeros(p.m)
+        assert ref.h_gap(p, x) == pytest.approx(bp.penalty_h(p, x) - ref.h_star, rel=1e-10)
+
     def test_long_run_keeps_other_policy_errors(self, monkeypatch):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
 

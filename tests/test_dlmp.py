@@ -403,3 +403,46 @@ class TestPairActivatedLoop:
             for a in range(1, opf15.d)
         )
         assert np.allclose(state.v, v_true, atol=1e-10)
+        state.v = state.v + 1.0
+        eng.refresh(state)
+        assert np.allclose(state.v, v_true, atol=1e-10)
+
+    def test_shared_loop_stops_at_nan_aggregator_bid(self, opf15):
+        # every step calls exactly one aggregator prox; the fifth returns NaN
+        calls = []
+
+        def nan_on_fifth(prox):
+            def wrapped(g, v):
+                calls.append(None)
+                out = prox(g, v)
+                return np.full_like(out, np.nan) if len(calls) == 5 else out
+
+            return wrapped
+
+        prox = [opf15.prox[0]] + [
+            replace(pb, prox=nan_on_fifth(pb.prox)) for pb in opf15.prox[1:]
+        ]
+        problem = replace(opf15, prox=tuple(prox))
+        eng = dlmp.PpdlmpEngine(problem)
+        x0 = dlmp.opf_initial_point(opf15)
+        with pytest.raises(SolverDivergence, match="k=5"):
+            bp.run(problem, eng.sampling, eng.policy, x0, 20, engine=eng,
+                   nan_check_every=1)
+
+    def test_shared_loop_streams_grid_rows(self, opf15):
+        eng = dlmp.PpdlmpEngine(opf15)
+        x0 = dlmp.opf_initial_point(opf15)
+        seen = []
+        res = bp.run(opf15, eng.sampling, eng.policy, x0, 30, engine=eng, seed=2,
+                     trace_every=10, trace_sink=seen.append)
+        assert seen == res.trace
+        assert [r.k for r in seen] == [10, 20, 30]
+        assert all(np.isfinite(r.wall_time) for r in seen)
+        assert all(np.isfinite(r.psi_x) and np.isnan(r.psi_hat) for r in seen)
+
+    def test_engine_object_must_match_run_arguments(self, opf15):
+        eng = dlmp.PpdlmpEngine(opf15)
+        other = bp.convex_default_policy(opf15, eng.sampling)
+        with pytest.raises(ValueError, match="built for another"):
+            bp.run(opf15, eng.sampling, other, dlmp.opf_initial_point(opf15), 5,
+                   engine=eng)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock, eval_psi
-from blockpd.errors import SolverDivergence
+from blockpd.errors import InvariantViolation, SolverDivergence
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from blockpd.sampling import expectation_over_sampling, weight_matrix_p
 from blockpd.solver import PdaEngine, RbcdEngine, gamma_table, lyapunov
@@ -209,6 +211,10 @@ class TestGammaTable:
         assert gam.min() >= -1e-12
         sums = gam.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-12
+
+    def test_nan_theta_fails_the_closure_check(self):
+        with pytest.raises(InvariantViolation, match="closure"):
+            gamma_table([0.5, math.nan], np.array([0.5, 0.5]))
 
 
 class TestAveragedIterate:

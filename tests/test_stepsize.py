@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -168,6 +169,18 @@ class TestInvariantChecks:
         )
         assert out.returncode != 0
         assert "InvariantViolation" in out.stderr
+
+    def test_no_assert_statements_in_package(self):
+        # python -O strips assert statements, so the package checks its
+        # invariants with explicit raises only
+        package = Path(bp.__file__).resolve().parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestLowerBound:
