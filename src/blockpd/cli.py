@@ -33,8 +33,8 @@ wall time, so not byte-stable), ``rates.csv`` with log-log slope fits, and
 ``dlmp.csv`` for the grid experiment.
 
 Exit codes: 0 success, 2 config error (including a field that does not read
-as a number), 3 divergence or a projection that did not converge, 4
-infeasible instance.
+as a number or a boolean), 3 divergence or a projection that did not
+converge, 4 infeasible instance.
 """
 
 from __future__ import annotations
@@ -149,6 +149,13 @@ def parse_config(path: str) -> RunConfig:
         fit_columns=fit_cols,
         fit_k_min=fit_k_min,
     )
+
+
+def _ini_bool(raw: str) -> bool:
+    """An INI boolean word: true/false, yes/no, on/off or 1/0, any case."""
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("not a boolean (true/false, yes/no, on/off or 1/0)")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 def field_value(section: str, fields, key: str, default, kind=float):
@@ -338,7 +345,7 @@ def run_experiment(cfg: RunConfig) -> int:
     meta["sampling_resolved"] = {"kind": kind, "pi": sampling.pi.tolist()}
 
     pol_kind = cfg.policy.get("kind", "convex")
-    certify = cfg.policy.get("certify", "true").lower() != "false"
+    certify = field_value("policy", cfg.policy, "certify", True, _ini_bool)
     if pol_kind == "convex":
         policy = convex_default_policy(problem, sampling, certify=certify)
         if "sigma" in cfg.policy and cfg.policy["sigma"] != "auto":
@@ -421,7 +428,8 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
     if not bus_path or not edges_path:
         bus_path, edges_path = default_network_paths()
     net = load_network(bus_path, edges_path)
-    problem = build_opf_problem(net, drop_shunt=ins.get("drop_shunt", "false") == "true")
+    drop_shunt = field_value("instance", ins, "drop_shunt", False, _ini_bool)
+    problem = build_opf_problem(net, drop_shunt=drop_shunt)
     x0 = opf_initial_point(problem)
     say(f"[opf15] buses={net.n_buses} T={net.horizon} blocks={problem.d} "
         f"m={problem.m} q={problem.q}")

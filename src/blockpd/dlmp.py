@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
@@ -44,12 +44,12 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock
-from .errors import InfeasibleInstance, ProjectionDidNotConverge, SolverDivergence
+from .errors import InfeasibleInstance, ProjectionDidNotConverge
 from .proxops import AffineSubspace, Box, project_energy_budgets
-from .sampling import draw, paired_dso
+from .sampling import paired_dso
 # a private name keeps wrappers that patch ``run`` by name (as the
 # benchmark's tracer does) from timing a grid solve twice
-from .solver import PdaEngine, RunResult, _EngineBase
+from .solver import PdaEngine, PdaState, RunResult
 from .solver import run as _run_loop
 from .stepsize import convex_default_policy
 
@@ -749,91 +749,29 @@ def extract_dlmp(y: Array, problem: ProblemSpec):
 
 
 # ---------------------------------------------------------------------------
-# coordinator/agent iteration (pair-activated primal-dual specialisation)
+# coordinator/agent iteration (primal-dual engine under pair sampling)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PpdlmpState:
-    x: Array
-    y: Array
-    v: Array
-    k: int
-    rng: np.random.Generator
-
-    def copy(self) -> "PpdlmpState":
-        return replace(self, x=self.x.copy(), y=self.y.copy(), v=self.v.copy())
-
-
-class PpdlmpEngine(_EngineBase):
-    """Pair-activated price coordination: every iteration the operator takes
-    a projected gradient step on its own block, one uniformly drawn
-    aggregator responds to the current prices with weight p in its metric,
-    and the operator folds the aggregator's bid into the price and the
-    running aggregate-bid vector v = sigma sum_{a>=1} A_a x_a.
-
-    Algebraically identical to the primal-dual engine under the
-    coordinator-pair sampling with constant sigma; ``crosscheck`` in
-    :func:`ppdlmp_run` runs both engines on the same draws and compares
-    their primal iterates step by step.  Driven by :func:`blockpd.solver.run`
-    like the generic engines.
-    """
+class PpdlmpEngine(PdaEngine):
+    """Pair-activated price coordination: the primal-dual engine with the
+    coordinator-pair sampling fixed, so every step moves the operator and
+    one uniformly drawn aggregator; its dual variables are the DLMPs."""
 
     def __init__(self, problem: ProblemSpec, policy=None):
         sampling = paired_dso(problem.d - 1)
         if policy is None:
             policy = convex_default_policy(problem, sampling)
         super().__init__(problem, sampling, policy)
-        self.p = problem.d - 1
-        self.sigma = policy.sigma
 
-    def _aggregate_bid(self, x: Array) -> Array:
-        pr = self.problem
-        return self.sigma * sum(
-            pr.a_blocks[a] @ x[self.slices[a]] for a in range(1, pr.d)
-        )
-
-    def init_state(self, x0: Array, rng: np.random.Generator) -> PpdlmpState:
-        pr = self.problem
-        x0 = np.asarray(x0, dtype=float).copy()
-        v = self._aggregate_bid(x0)
-        y = v + self.sigma * (pr.a_blocks[0] @ x0[self.slices[0]] - pr.b)
-        return PpdlmpState(x=x0, y=y, v=v, k=0, rng=rng)
-
-    def step(self, state: PpdlmpState, active_mask=None) -> PpdlmpState:
-        pr = self.problem
-        sigma = self.sigma
-        if active_mask is None:
-            active_mask = draw(self.sampling, state.rng)
-        a = int(np.nonzero(active_mask[1:])[0][0]) + 1
-
-        # tau = 1; the metric weights 1/pi are 1 for the operator, p for a
-        sl0 = self.slices[0]
-        x0_old = state.x[sl0]
-        g0 = pr.smooth[0].grad(x0_old) + pr.a_blocks[0].T @ state.y
-        x0_new = self._fb(0, x0_old, g0, 1.0)
-
-        sla = self.slices[a]
-        xa_old = state.x[sla]
-        ga = pr.smooth[a].grad(xa_old) + pr.a_blocks[a].T @ state.y
-        xa_new = self._fb(a, xa_old, ga, 1.0)
-        bid = pr.a_blocks[a] @ (xa_new - xa_old)
-
-        state.y = (
-            state.y
-            + sigma * (pr.a_blocks[0] @ (2.0 * x0_new - x0_old) - pr.b)
-            + sigma * (self.p + 1) * bid
-            + state.v
-        )
-        state.v = state.v + sigma * bid
-        state.x[sl0] = x0_new
-        state.x[sla] = xa_new
-        state.k += 1
+    def init_state(
+        self, x0: Array, rng: np.random.Generator, y0: Array | None = None
+    ) -> PdaState:
+        """Prices start at sigma (A x0 - b) unless ``y0`` is given."""
+        state = super().init_state(x0, rng, y0=y0)
+        if y0 is None:
+            state.y *= self.policy.sigma_at(0)
         return state
-
-    def refresh(self, state: PpdlmpState) -> None:
-        """Recompute the aggregate-bid vector from scratch (drift cap)."""
-        state.v = self._aggregate_bid(state.x)
 
 
 def ppdlmp_run(
@@ -845,37 +783,12 @@ def ppdlmp_run(
     seed: int = 0,
     trace_every: int = 100,
     stop_kkt_tol: float | None = None,
-    crosscheck: bool = False,
     reference=None,
 ) -> RunResult:
-    """Drive the pair-activated coordination engine through
-    :func:`blockpd.solver.run`.
-
-    With ``crosscheck=True`` both this run and a generic primal-dual run
-    with the same draws and the matching dual start record their primal
-    iterates (so it suits short runs); a sup-distance above 1e-9 at any
-    step raises :class:`SolverDivergence` naming the first such step.
-    ``trace_every`` must be at least 1.
-    """
+    """Drive the pair-activated engine through :func:`blockpd.solver.run`.
+    ``trace_every`` must be at least 1."""
     eng = PpdlmpEngine(problem, policy=policy)
-    opts = dict(seed=seed, trace_every=trace_every, record_iterates=crosscheck)
-    res = _run_loop(
-        problem, eng.sampling, eng.policy, x0, k_max, engine=eng,
-        stop_kkt_tol=stop_kkt_tol, reference=reference, **opts,
+    return _run_loop(
+        problem, eng.sampling, eng.policy, x0, k_max, engine=eng, seed=seed,
+        trace_every=trace_every, stop_kkt_tol=stop_kkt_tol, reference=reference,
     )
-    if crosscheck:
-        twin = PdaEngine(problem, eng.sampling, eng.policy)
-        twin_res = _run_loop(
-            problem, eng.sampling, eng.policy, x0, res.state.k, engine=twin,
-            reference=res.reference, y0=eng.sigma * (problem.a @ x0 - problem.b),
-            **opts,
-        )
-        for k, (x, x_twin) in enumerate(zip(res.iterates, twin_res.iterates)):
-            gap = float(np.max(np.abs(x - x_twin)))
-            if not gap <= 1e-9:
-                raise SolverDivergence(
-                    f"pair-activated step {k} diverged from the generic "
-                    f"engine: sup-distance {gap:.3e} > 1e-9",
-                    last_record=next((r for r in reversed(res.trace) if r.k < k), None),
-                )
-    return res

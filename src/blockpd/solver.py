@@ -8,17 +8,16 @@ forward-backward step against the penalty gradient scaled by the cumulative
 weight S_k, and w is refreshed with inverse-probability corrections.  The
 primal-dual form tracks (x, u, y) where u is the running residual Ax - b and
 y is a dual price vector; with shared draws its x-iterates coincide with the
-averaging form to rounding error.  A third engine, the grid's pair-activated
-price coordination (``blockpd.dlmp.PpdlmpEngine``), specialises the
-primal-dual form to coordinator-pair sampling; it is passed to :func:`run`
-as an engine object.
+averaging form to rounding error.  Grid pricing (``blockpd.dlmp.PpdlmpEngine``)
+is the primal-dual form with coordinator-pair sampling fixed; it is passed
+to :func:`run` as an engine object.
 
-All engines touch only the active blocks per iteration; the incrementally
-maintained products (Ax and Aw, the residual u, the grid's aggregate bid)
-are refreshed every ``recompute_every`` steps to cap float drift.  Within
-one iteration the block updates read shared state and write disjoint
-slices, so they could run concurrently; the w/u/y updates are the
-synchronisation point.  One engine instance is single-writer.
+Both engines touch only the active blocks per iteration; the incrementally
+maintained products (Ax and Aw, the residual u) are refreshed every
+``recompute_every`` steps to cap float drift.  Within one iteration the
+block updates read shared state and write disjoint slices, so they could
+run concurrently; the w/u/y updates are the synchronisation point.  One
+engine instance is single-writer.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blocks import ProblemSpec, kkt_residual
+from .blocks import ProblemSpec, eval_psi, kkt_residual
 from .errors import InvariantViolation, SolverDivergence
 from .oracles import Reference, least_squares_reference
 from .sampling import Sampling, draw, make_rng, weight_matrix_p
@@ -241,6 +240,8 @@ class PdaEngine(_EngineBase):
         # default dual start S_0 (A z^0 - b) = A x^0 - b matches the
         # averaging form exactly (z^0 = x^0 because w^0 = x^0)
         y0 = u0.copy() if y0 is None else np.asarray(y0, dtype=float).copy()
+        if y0.shape != (p.q,):
+            raise ValueError(f"y0 has shape {y0.shape}, expected ({p.q},)")
         return PdaState(x=x0, u=u0, y=y0, k=0, rng=rng)
 
     def step(self, state: PdaState, active_mask: Array | None = None) -> PdaState:
@@ -407,15 +408,10 @@ def _trace_record(problem, eng, state, ref, with_lyapunov) -> TraceRecord:
         h_gap_w = ref.h_gap(problem, state.w)
         y = eng.dual_estimate(state)
         primal = float(np.linalg.norm(state.ax - problem.b))
-    elif isinstance(state, PdaState):
-        psi_x = math.nan
+    else:
+        psi_x = eval_psi(problem, state.x)
         y = state.y
         primal = float(np.linalg.norm(state.u))
-    else:
-        # pair-activated grid state: x and y, no running residual
-        psi_x = problem.phi(state.x)
-        y = state.y
-        primal = float(np.linalg.norm(problem.a @ state.x - problem.b))
     rec = TraceRecord(
         k=k,
         psi_x=psi_x,

@@ -224,8 +224,8 @@ def tau_next(tau_k: float, kappa: float, pi) -> float:
         delta_i = kappa - 1/pi_i,  t = tau_k,
 
     maximised over blocks, evaluated two independent ways: (a) the explicit
-    root formula per block, and (b) for uniform marginals the normalized
-    recursion s_{k+1} = 2 s_k / (s_k + sqrt(s_k^2 + 4 d_k)) with
+    root formula once per distinct pi_i, and (b) for uniform marginals the
+    normalized recursion s_{k+1} = 2 s_k / (s_k + sqrt(s_k^2 + 4 d_k)) with
     s_k = (1 + delta) tau_k and d_k = 1 - delta tau_k - kappa tau_k^2.
     The two paths must agree to 1e-10.  The result is strictly below tau_k
     and satisfies the binding block's inequality with equality.
@@ -236,8 +236,7 @@ def tau_next(tau_k: float, kappa: float, pi) -> float:
             f"tau={tau_k} outside (0, 1/kappa={1.0 / kappa}): the quadratic's "
             "leading coefficient would lose positivity"
         )
-    roots = [_tau_root(tau_k, kappa, float(pii)) for pii in pi]
-    out = max(roots)
+    out = max(_tau_root(tau_k, kappa, pii) for pii in set(pi.tolist()))
     if float(np.max(pi) - np.min(pi)) < 1e-12:
         alt = _tau_normalized(tau_k, kappa, float(pi[0]))
         if not abs(out - alt) <= 1e-10 * max(1.0, out):

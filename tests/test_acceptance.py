@@ -253,14 +253,23 @@ def test_08_prox_inequality(bench_instance):
     )
 
 
-def test_09_grid_pricing():
+def test_09_grid_pricing(pair_oracle):
     bus, edges = dlmp.default_network_paths()
     net = dlmp.load_network(bus, edges)
     problem = dlmp.build_opf_problem(net)
     x0 = dlmp.opf_initial_point(problem)
 
-    # lockstep agreement with the generic engine over 200 steps
-    dlmp.ppdlmp_run(problem, x0, 200, seed=3, trace_every=200, crosscheck=True)
+    # lockstep agreement with the coordinator/aggregator recursion over 200
+    # steps: x at every step, the prices at the end
+    eng = dlmp.PpdlmpEngine(problem)
+    short = bp.run(problem, eng.sampling, eng.policy, x0, 200, engine=eng, seed=3,
+                   trace_every=200, record_iterates=True)
+    path, y_end = pair_oracle(problem, x0, 200, seed=3)
+    lockstep = (
+        len(short.iterates) == len(path)
+        and max(float(np.max(np.abs(a - b))) for a, b in zip(short.iterates, path)) <= 1e-9
+        and float(np.max(np.abs(short.state.y - y_end))) <= 1e-9
+    )
 
     t0 = time.perf_counter()
     res = dlmp.ppdlmp_run(
@@ -285,11 +294,12 @@ def test_09_grid_pricing():
     toy_ok = abs(prices[(1, 0)] - 3.0) <= 1e-6 and abs(prices[(1, 1)] - 1.0) <= 1e-6
     report(
         9,
-        converged and elapsed < 180.0 and toy_ok,
+        lockstep and converged and elapsed < 180.0 and toy_ok,
         f"15-bus lossless run reaches saddle residual {last.kkt_res:.2e} and "
         f"coupling residual {last.primal_res:.2e} (< 1e-4) at k={res.stopped_at} "
-        f"(<= 2e4) in {elapsed:.0f}s (< 180s); pair loop matches the generic "
-        f"engine for 200 steps; single-line prices match hand values to 1e-6",
+        f"(<= 2e4) in {elapsed:.0f}s (< 180s); pair loop matches the "
+        f"coordinator/aggregator recursion for 200 steps; single-line prices "
+        f"match hand values to 1e-6",
     )
 
 

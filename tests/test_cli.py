@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +114,50 @@ class TestConfigParsing:
         assert main(["--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "[instance] d = 'ten'" in err
+
+    @pytest.mark.parametrize("word", ["no", "False", "off", "0"])
+    def test_certify_false_words(self, tmp_path, word):
+        out = tmp_path / "o"
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
+        cfg = write_config(
+            tmp_path / "c.cfg", body.replace("kind = convex", f"kind = convex\ncertify = {word}")
+        )
+        assert main(["--config", cfg, "--quiet"]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert math.isnan(meta["policy_resolved"]["certified_margin"])
+
+    def test_unknown_boolean_word_exit_code(self, tmp_path, capsys):
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
+        cfg = write_config(
+            tmp_path / "c.cfg", body.replace("kind = convex", "kind = convex\ncertify = maybe")
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "[policy] certify = 'maybe'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("word, expected", [("True", True), ("yes", True),
+                                                ("off", False), ("maybe", None)])
+    def test_drop_shunt_words(self, tmp_path, monkeypatch, word, expected):
+        from blockpd import cli
+
+        seen = []
+
+        def recording(net, *, drop_shunt):
+            seen.append(drop_shunt)
+            return build(net, drop_shunt=drop_shunt)
+
+        build = cli.build_opf_problem
+        monkeypatch.setattr(cli, "build_opf_problem", recording)
+        out = tmp_path / "opf"
+        cfg = write_config(
+            tmp_path / "opf.cfg",
+            f"[run]\nexperiment = opf15\nk_max = 5\nout = {out}\n\n"
+            f"[instance]\ndrop_shunt = {word}\n",
+        )
+        code = main(["--config", cfg, "--quiet"])
+        if expected is None:
+            assert code == 2 and seen == []
+        else:
+            assert code == 0 and seen == [expected]
 
 
 class TestRandomLsExperiment:

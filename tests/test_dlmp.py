@@ -356,24 +356,18 @@ class TestConvergenceDiagnostics:
 
 
 class TestPairActivatedLoop:
-    def test_matches_generic_engine(self, opf15):
+    def test_matches_generic_engine(self, opf15, pair_oracle):
+        # the primal-dual engine under pair sampling replays the
+        # coordinator/aggregator recursion at every one of the 200 steps
         x0 = dlmp.opf_initial_point(opf15)
-        # crosscheck asserts agreement with the generic primal-dual engine
-        # at every one of the 200 steps
-        dlmp.ppdlmp_run(opf15, x0, 200, seed=3, trace_every=200, crosscheck=True)
-
-    def test_crosscheck_mismatch_raises(self, opf15, monkeypatch):
-        class DriftingPda(dlmp.PdaEngine):
-            def step(self, state, active_mask=None):
-                state = super().step(state, active_mask)
-                if state.k == 7:
-                    state.x[0] += 1e-6
-                return state
-
-        monkeypatch.setattr(dlmp, "PdaEngine", DriftingPda)
-        x0 = dlmp.opf_initial_point(opf15)
-        with pytest.raises(SolverDivergence, match="step 7"):
-            dlmp.ppdlmp_run(opf15, x0, 20, seed=3, trace_every=20, crosscheck=True)
+        eng = dlmp.PpdlmpEngine(opf15)
+        res = bp.run(opf15, eng.sampling, eng.policy, x0, 200, engine=eng, seed=3,
+                     trace_every=200, record_iterates=True)
+        path, y_end = pair_oracle(opf15, x0, 200, seed=3)
+        assert len(res.iterates) == len(path) == 201
+        for x, x_oracle in zip(res.iterates, path):
+            assert np.max(np.abs(x - x_oracle)) <= 1e-9
+        assert np.max(np.abs(res.state.y - y_end)) <= 1e-9
 
     def test_trace_every_must_be_positive(self, opf15):
         x0 = dlmp.opf_initial_point(opf15)
@@ -385,27 +379,20 @@ class TestPairActivatedLoop:
         eng = dlmp.PpdlmpEngine(opf15)
         x0 = dlmp.opf_initial_point(opf15)
         state = eng.init_state(x0, bp.make_rng(0))
-        sigma = eng.sigma
+        sigma = eng.policy.sigma
         assert np.allclose(state.y, sigma * (opf15.a @ x0 - opf15.b), atol=1e-14)
-        v_expected = state.y - sigma * (
-            opf15.a_blocks[0] @ x0[opf15.blocks.block_slice(0)] - opf15.b
-        )
-        assert np.allclose(state.v, v_expected, atol=1e-14)
 
-    def test_aggregate_bid_vector_tracks_truth(self, opf15):
+    def test_refresh_restores_perturbed_residual(self, opf15):
         eng = dlmp.PpdlmpEngine(opf15)
         x0 = dlmp.opf_initial_point(opf15)
         state = eng.init_state(x0, bp.make_rng(1))
         for _ in range(40):
             eng.step(state)
-        v_true = eng.sigma * sum(
-            opf15.a_blocks[a] @ state.x[opf15.blocks.block_slice(a)]
-            for a in range(1, opf15.d)
-        )
-        assert np.allclose(state.v, v_true, atol=1e-10)
-        state.v = state.v + 1.0
+        u_true = opf15.a @ state.x - opf15.b
+        assert np.allclose(state.u, u_true, atol=1e-10)
+        state.u = state.u + 1.0
         eng.refresh(state)
-        assert np.allclose(state.v, v_true, atol=1e-10)
+        assert np.allclose(state.u, u_true, atol=1e-10)
 
     def test_shared_loop_stops_at_nan_aggregator_bid(self, opf15):
         # every step calls exactly one aggregator prox; the fifth returns NaN

@@ -151,6 +151,15 @@ class TestPrimalDualStep:
         state = eng.init_state(x0, bp.make_rng(0))
         assert np.allclose(state.y, p.a @ x0 - p.b, atol=1e-15)
 
+    @pytest.mark.parametrize("shape", ["q+1", "1,q", "q,1"])
+    def test_dual_start_shape_checked(self, two_block_instance, shape):
+        p = two_block_instance
+        pol = ConvexPolicy(sigma=0.5, b_diag=np.full(p.m, 50.0))
+        eng = PdaEngine(p, bp.single_coordinate(2), pol)
+        bad = {"q+1": (p.q + 1,), "1,q": (1, p.q), "q,1": (p.q, 1)}[shape]
+        with pytest.raises(ValueError, match="y0"):
+            eng.init_state(np.zeros(p.m), bp.make_rng(0), y0=np.zeros(bad))
+
     def test_residual_cache_matches_truth(self, two_block_instance):
         p = two_block_instance
         s = bp.single_coordinate(2)
@@ -191,6 +200,9 @@ class TestEquivalence:
             float(np.max(np.abs(a - b))) for a, b in zip(r1.iterates, r2.iterates)
         )
         assert dev <= 1e-9
+        assert len(r1.trace) == len(r2.trace) >= 1
+        for row1, row2 in zip(r1.trace, r2.trace):
+            assert row2.psi_x == pytest.approx(row1.psi_x, rel=1e-8)
 
 
 class TestGammaTable:

@@ -126,6 +126,25 @@ class TestTauRecursion:
         diffs = np.diff(taus)
         assert (diffs < 0).all()
 
+    def test_one_root_per_distinct_marginal(self, monkeypatch):
+        # 250 blocks with one marginal share one root
+        calls = []
+        root = stepsize._tau_root
+
+        def counted(t, kappa, pi_i):
+            calls.append(pi_i)
+            return root(t, kappa, pi_i)
+
+        monkeypatch.setattr(stepsize, "_tau_root", counted)
+        pi = np.full(250, 4.0 / 250)
+        kappa = 1.0 / pi[0] + 3.0
+        tau = 0.5 / kappa
+        assert tau_next(tau, kappa, pi) == root(tau, kappa, pi[0])
+        assert len(calls) == 1
+        calls.clear()
+        tau_next(tau, kappa, np.concatenate([pi[:200], np.full(50, 0.02)]))
+        assert len(calls) == 2
+
     def test_fixed_point_at_inverse_kappa(self):
         for kappa, pi in ((4.0, 0.5), (10.0, 0.2), (1.5, 1.0)):
             assert step_map(1.0 / kappa, 1.0 / kappa, kappa, pi) == pytest.approx(
