@@ -28,9 +28,10 @@ A run is described by a flat INI file with sections::
 
 Artifacts written to the output directory: ``trace.csv`` (schema versioned in
 a leading comment line; deterministic bytes for a fixed config), ``metadata.json``
-(every resolved default, reference values, certification results; includes
-wall time, so not byte-stable), ``rates.csv`` with log-log slope fits, and
-``dlmp.csv`` for the grid experiment.
+(every resolved default, reference values, certification results, and for
+the grid experiment the operator projection's call, Newton-step and
+factorisation totals; includes wall time, so not byte-stable), ``rates.csv``
+with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 
 Exit codes: 0 success, 2 config error (including a field that does not read
 as a number or a boolean), 3 divergence or a projection that did not
@@ -61,12 +62,12 @@ from .blocks import (
     make_random_inconsistent_ls,
 )
 from .dlmp import (
+    PpdlmpEngine,
     build_opf_problem,
     default_network_paths,
     extract_dlmp,
     load_network,
     opf_initial_point,
-    ppdlmp_run,
 )
 from .errors import (
     ConfigError,
@@ -433,10 +434,16 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
     x0 = opf_initial_point(problem)
     say(f"[opf15] buses={net.n_buses} T={net.horizon} blocks={problem.d} "
         f"m={problem.m} q={problem.q}")
-    result = ppdlmp_run(
+    # the engine is built here, not inside ppdlmp_run, so that its
+    # projection counts can be read after the run
+    eng = PpdlmpEngine(problem)
+    result = run(
         problem,
+        eng.sampling,
+        eng.policy,
         x0,
         cfg.k_max,
+        engine=eng,
         seed=cfg.seed,
         trace_every=cfg.trace_every,
         stop_kkt_tol=cfg.stop_kkt_tol,
@@ -453,6 +460,7 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
     }
     meta["policy_resolved"] = eng_meta
     meta["reference"] = {"h_star": result.reference.h_star, "source": result.reference.source}
+    meta["operator_projection"] = eng.session.totals()
     meta["wall_time_sec"] = time.perf_counter() - t0
     with open(out / "metadata.json", "w") as fh:
         json.dump(meta, fh, indent=2, default=float)

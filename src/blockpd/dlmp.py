@@ -30,6 +30,18 @@ voltage-drop/root-balance subspace intersected with the voltage/slack box
 and the flow balls; it is projected onto by semismooth Newton on the dual
 of the subspace's rows, to a row residual of 1e-12 with the box and balls
 held exactly.
+
+Under coordinator-pair sampling the operator moves on every step, so
+consecutive operator prox points are close.  A grid run therefore owns a
+projection session: each step-path projection starts at the multiplier the
+previous one stopped at and takes chord steps on the previous Newton
+factor while the binding set (clipped box coordinates, binding flow balls)
+is unchanged, refactoring when the set changes, after an Armijo halving,
+after a stale chord step or after a fixed number of chord steps.  Only the
+engine's step lends the session to the projector.  Trace rows, direct calls
+and other engines project cold from the affine multiplier, so nothing they
+do reaches the warm start: the iterates do not depend on ``trace_every``,
+and one run leaves nothing behind for the next.
 """
 
 from __future__ import annotations
@@ -422,6 +434,41 @@ def _dso_feasible_set(net: NetworkModel, lay: DsoLayout):
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 ARMIJO_MAX_HALVINGS = 60
+# chord steps on one Newton factor before a fresh one is formed
+CHORD_MAX = 6
+# a chord step that cuts the row residual by less than this factor is
+# followed by a step on a fresh factor
+CHORD_CONTRACTION = 3e-5
+
+
+class ProjectionSession:
+    """Warm-start state of one run's step-path operator projections.
+
+    It holds the multiplier the last projection stopped at, the last
+    Cholesky factor of the Newton matrix with the binding set it was formed
+    on (the clipped box coordinates and the binding flow balls) and the
+    number of chord steps taken on that factor, plus plain counts of the
+    projections, Newton steps (chord steps included) and factorisations.
+    """
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        self.lam = None
+        self.factor = None
+        self.binding = None
+        self.chords = 0
+        self.calls = 0
+        self.newton_steps = 0
+        self.factorisations = 0
+
+    def totals(self) -> dict:
+        return {
+            "calls": self.calls,
+            "newton_steps": self.newton_steps,
+            "factorisations": self.factorisations,
+        }
 
 
 class _OperatorProjector:
@@ -434,13 +481,29 @@ class _OperatorProjector:
         D(lam) = <w, x(lam)> - 0.5 ||x(lam)||^2 + <lam, e>
 
     is convex and differentiable with gradient e - C x(lam).  Each step
-    solves (C J C^T + eps I) d = C x - e, with J from the generalised
+    solves H d = C x - e with H = C J C^T + eps I, J from the generalised
     Jacobian of Pi_K (0/1 on box coordinates, (r/|w|)(I - u u^T) on a
     binding flow ball, u = w/|w|) and eps = 0.1 min(1e-2, |C x - e|_inf),
     then backtracks on D (Armijo, with a 1e-13 |D| allowance for roundoff
-    in D itself).  It starts at the multiplier of the plain affine projection
-    and stops when |C x - e|_inf <= NEWTON_TOL; x lies in K by
+    in D itself).  It stops when |C x - e|_inf <= NEWTON_TOL; x lies in K by
     construction.
+
+    With no ``session`` (the default) a projection starts at the multiplier
+    of the plain affine projection and forms and factors H at every step.
+    While a :class:`ProjectionSession` is lent to ``session``, a projection
+    starts at the multiplier the previous one stopped at and takes chord
+    steps: it solves with the session's stored factor of H as long as the
+    binding set is the one that factor was formed on.  It forms and factors
+    a fresh H when the binding set changes, after a step whose line search
+    halved, after CHORD_MAX chord steps on one factor, and after a chord
+    step that cut the row residual by less than CHORD_CONTRACTION (the
+    factor has gone stale; a step on a fresh factor cuts it by about 1e-5
+    along the 15-bus path).  A chord direction is a descent direction of D
+    too (the stored H is positive definite), so the Armijo safeguard, the
+    stopping test and the failure modes are those of the cold path.  The
+    result depends on where the session's multiplier and factor came from,
+    so only a run's step path may lend one (see :class:`PpdlmpEngine`);
+    every other caller gets the cold path.
     """
 
     def __init__(self, affine: AffineSubspace, box: Box, balls: _FlowBalls):
@@ -453,6 +516,7 @@ class _OperatorProjector:
         self.balls = balls
         self.f, self.g = balls.f, balls.g
         self.c_f, self.c_g = self.c[:, self.f], self.c[:, self.g]
+        self.session: ProjectionSession | None = None
 
     def _inner(self, v: Array, lam: Array):
         """x = Pi_K(v - C^T lam), the dual objective there and the pieces the
@@ -465,36 +529,70 @@ class _OperatorProjector:
         dual = float(x @ (w - 0.5 * x) + lam @ self.e)
         return x, w, nrm, scale, dual
 
-    def _newton_matrix(self, w: Array, nrm: Array, scale: Array, eps: float) -> Array:
+    def _newton_matrix(
+        self, w: Array, nrm: Array, scale: Array, clipped: Array, bind: Array, eps: float
+    ) -> Array:
         """C J C^T + eps I = C C^T + eps I - C (I - J) C^T.  I - J is 1 on the
         clipped box coordinates and u u^T + (1 - a) u' u'^T on a ball with
         scale a < 1, u' being u turned by a right angle."""
-        bind = scale < 1.0
         a = scale[bind]
         u_f = w[self.f][bind] / nrm[bind]
         u_g = w[self.g][bind] / nrm[bind]
         c_f, c_g = self.c_f[:, bind], self.c_g[:, bind]
         cols = np.concatenate(
-            [
-                self.c[:, (w <= self.lo) | (w >= self.hi)],
-                c_f * u_f + c_g * u_g,
-                c_g * u_f - c_f * u_g,
-            ],
+            [self.c[:, clipped], c_f * u_f + c_g * u_g, c_g * u_f - c_f * u_g],
             axis=1,
         )
         weights = np.ones(cols.shape[1])
         weights[cols.shape[1] - a.size :] -= a
         return (self.gram + eps * self.eye) - (cols * weights) @ cols.T
 
+    def _direction(self, res, w, nrm, scale, gap, fresh: bool) -> tuple[Array, bool]:
+        """Solve H d = res with the session's factor (a chord step) when the
+        rules above allow it, else with a freshly formed and factored H.
+        Also says whether the step was a chord step."""
+        session = self.session
+        clipped = (w <= self.lo) | (w >= self.hi)
+        bind = scale < 1.0
+        binding = clipped.tobytes() + bind.tobytes()
+        if (
+            session is not None
+            and not fresh
+            and binding == session.binding
+            and session.chords < CHORD_MAX
+        ):
+            session.chords += 1
+            return lapack.dpotrs(session.factor, res)[0], True
+        h = self._newton_matrix(w, nrm, scale, clipped, bind, 0.1 * min(1e-2, gap))
+        factor, info = lapack.dpotrf(h)
+        if info != 0:
+            raise ProjectionDidNotConverge(
+                f"operator projection: Newton matrix not positive definite "
+                f"(LAPACK info {info})"
+            )
+        if session is not None:
+            session.factor, session.binding, session.chords = factor, binding, 0
+            session.factorisations += 1
+        return lapack.dpotrs(factor, res)[0], False
+
     def project(self, v: Array) -> Array:
         v = np.asarray(v, dtype=float)
-        lam = self.affine.multiplier(v)
+        session = self.session
+        if session is not None and session.lam is not None:
+            lam = session.lam
+        else:
+            lam = self.affine.multiplier(v)
         x, w, nrm, scale, dual = self._inner(v, lam)
         newton_steps = 0
+        gap_before, chord, halved = math.inf, False, False
         while True:
             res = self.c @ x - self.e
             gap = abs(res).max()
             if gap <= NEWTON_TOL:
+                if session is not None:
+                    session.lam = lam
+                    session.calls += 1
+                    session.newton_steps += newton_steps
                 return x
             if newton_steps == NEWTON_MAX_ITER:
                 raise ProjectionDidNotConverge(
@@ -502,13 +600,8 @@ class _OperatorProjector:
                     f"{newton_steps} Newton steps (tol {NEWTON_TOL:g})"
                 )
             newton_steps += 1
-            h = self._newton_matrix(w, nrm, scale, 0.1 * min(1e-2, gap))
-            _, step, info = lapack.dposv(h, res)
-            if info != 0:
-                raise ProjectionDidNotConverge(
-                    f"operator projection: Newton matrix not positive definite "
-                    f"(LAPACK info {info})"
-                )
+            fresh = halved or (chord and gap > CHORD_CONTRACTION * gap_before)
+            step, chord = self._direction(res, w, nrm, scale, gap, fresh)
             descent = 1e-4 * (res @ step)
             allowance = 1e-13 * abs(dual)
             t = 1.0
@@ -522,21 +615,33 @@ class _OperatorProjector:
                 raise ProjectionDidNotConverge(
                     f"operator projection: line search stalled at row residual {gap:.3e}"
                 )
+            gap_before, halved = gap, t < 1.0
             lam = lam_t
             x, w, nrm, scale, dual = trial
 
 
 def _make_dso_prox(net: NetworkModel, lay: DsoLayout):
     prims = _dso_feasible_set(net, lay)
+    affine, box, balls = prims
     projector = _OperatorProjector(*prims)
 
     def member(v):
-        return all(prim.distance(v) <= 1e-6 for prim in prims)
+        """Each primitive's distance is at most 1e-6 (Euclidean for the
+        subspace and the box, the largest excess radius for the balls)."""
+        v = np.asarray(v, dtype=float)
+        off_rows = affine.project(v) - v
+        off_box = np.maximum(np.maximum(box.lo - v, v - box.hi), 0.0)
+        excess = np.hypot(v[balls.f], v[balls.g]) - balls.radii
+        return bool(
+            math.sqrt(off_rows @ off_rows) <= 1e-6
+            and math.sqrt(off_box @ off_box) <= 1e-6
+            and excess.max() <= 1e-6
+        )
 
     def value(v):
         return 0.0 if member(v) else math.inf
 
-    return ProxBlock(value, lambda g, v: projector.project(v), 0.0), prims
+    return ProxBlock(value, lambda g, v: projector.project(v), 0.0), prims, projector
 
 
 def _project_production_pair(v2: Array, cap: float, lo: float, hi: float) -> Array:
@@ -603,18 +708,20 @@ def _make_agg_prox(net: NetworkModel, lay: AggLayout):
             out[i, 1:, t] = _project_production_pair(rows[i, 1:, t], cap, lo, hi)
         return out.reshape(-1)
 
+    # the (pc, pg, qg) bounds as (n_bus, 3, T) arrays; qg is bounded only
+    # through the ratio wedge
+    rows_lo = np.stack([p_lo, np.zeros_like(caps), np.full_like(caps, -np.inf)], axis=1)
+    rows_hi = np.stack([p_hi, caps, np.full_like(caps, np.inf)], axis=1)
+
     def member(v):
+        """Every bound, budget and ratio constraint holds to 1e-8."""
         tol = 1e-8
         rows = np.asarray(v, dtype=float).reshape(shape)
-        pc, pg, qg = rows[:, 0], rows[:, 1], rows[:, 2]
+        pg, qg = rows[:, 1], rows[:, 2]
         return bool(
-            np.all(pc >= p_lo - tol)
-            and np.all(pc <= p_hi + tol)
-            and np.all(pc.sum(axis=1) >= energy - tol)
-            and np.all(pg >= -tol)
-            and np.all(pg <= caps + tol)
-            and np.all(qg >= ratio_lo * pg - tol)
-            and np.all(qg <= ratio_hi * pg + tol)
+            np.maximum(rows_lo - rows, rows - rows_hi).max() <= tol
+            and (energy - rows[:, 0].sum(axis=1)).max() <= tol
+            and np.maximum(ratio_lo * pg - qg, qg - ratio_hi * pg).max() <= tol
         )
 
     def value(v):
@@ -693,7 +800,7 @@ def build_opf_problem(
     for t in range(t_h):
         lam0[lay0.idx_p0(t), lay0.idx_p0(t)] = costs[t][2]
 
-    dso_prox, dso_prims = _make_dso_prox(net, lay0)
+    dso_prox, dso_prims, dso_projector = _make_dso_prox(net, lay0)
     smooth = [SmoothBlock(phi0_value, phi0_grad, lam0)]
     prox = [dso_prox]
     for lay in agg_lays:
@@ -712,6 +819,7 @@ def build_opf_problem(
             "dso_layout": lay0,
             "agg_layouts": agg_lays,
             "dso_primitives": dso_prims,
+            "dso_projector": dso_projector,
         },
     )
     return problem
@@ -756,22 +864,40 @@ def extract_dlmp(y: Array, problem: ProblemSpec):
 class PpdlmpEngine(PdaEngine):
     """Pair-activated price coordination: the primal-dual engine with the
     coordinator-pair sampling fixed, so every step moves the operator and
-    one uniformly drawn aggregator; its dual variables are the DLMPs."""
+    one uniformly drawn aggregator; its dual variables are the DLMPs.
+
+    The engine owns the :class:`ProjectionSession` of its run (``session``,
+    reset by ``init_state``) and lends it to the problem's operator
+    projector only while one of its steps runs.  Consecutive step-path
+    projections are then warm-started and share Newton factors, while the
+    projections of trace rows, direct calls and other engines stay cold, so
+    the iterates do not depend on ``trace_every`` or on earlier runs.
+    """
 
     def __init__(self, problem: ProblemSpec, policy=None):
         sampling = paired_dso(problem.d - 1)
         if policy is None:
             policy = convex_default_policy(problem, sampling)
         super().__init__(problem, sampling, policy)
+        self.projector: _OperatorProjector = problem.meta["dso_projector"]
+        self.session = ProjectionSession()
 
     def init_state(
         self, x0: Array, rng: np.random.Generator, y0: Array | None = None
     ) -> PdaState:
         """Prices start at sigma (A x0 - b) unless ``y0`` is given."""
+        self.session.reset()
         state = super().init_state(x0, rng, y0=y0)
         if y0 is None:
             state.y *= self.policy.sigma_at(0)
         return state
+
+    def step(self, state: PdaState, active_mask: Array | None = None) -> PdaState:
+        self.projector.session = self.session
+        try:
+            return super().step(state, active_mask)
+        finally:
+            self.projector.session = None
 
 
 def ppdlmp_run(

@@ -264,48 +264,53 @@ def project_energy_budgets(lo, hi, demand, v) -> Array:
     piecewise linear, so t is found exactly: sort the breakpoints of s,
     accumulate s along them to the piece that crosses ``demand`` and solve
     that linear piece for t.  This is the capped-simplex projection of
-    Held, Wolfe & Crowder (1974) and Condat (2016), done for all rows at
-    once.  ``lo``, ``hi`` and ``v`` have shape (rows, T), ``demand`` has
-    shape (rows,); bounds may be infinite.
+    Held, Wolfe & Crowder (1974) and Condat (2016).  ``lo``, ``hi`` and
+    ``v`` have shape (rows, T), ``demand`` has shape (rows,); bounds may be
+    infinite.  The clip and the row sums are one NumPy call each; the scan
+    runs row by row on Python floats, which for the few short rows of a
+    grid aggregator costs less than batching it.
     """
     v = np.asarray(v, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     demand = np.asarray(demand, dtype=float)
-    cap = hi.sum(axis=1)
-    short = cap < demand - 1e-12
-    if short.any():
-        i = int(np.argmax(short))
-        raise InfeasibleInstance(
-            f"energy demand {demand[i]} exceeds total capacity {cap[i]}"
-        )
     x = np.minimum(np.maximum(v, lo), hi)
-    s0 = x.sum(axis=1)
-    rows = np.flatnonzero(s0 < demand - 1e-12)
-    if rows.size == 0:
-        return x
-    v, lo, hi, demand, s0 = v[rows], lo[rows], hi[rows], demand[rows], s0[rows]
+    rows = zip(
+        hi.sum(axis=1).tolist(), x.sum(axis=1).tolist(), demand.tolist(),
+        lo.tolist(), hi.tolist(), v.tolist(),
+    )
+    for i, (cap, s0, dem, lo_i, hi_i, v_i) in enumerate(rows):
+        if cap < dem - 1e-12:
+            raise InfeasibleInstance(f"energy demand {dem} exceeds total capacity {cap}")
+        if s0 < dem - 1e-12:
+            x[i] = _budget_scan(lo_i, hi_i, dem, v_i, s0)
+    return x
+
+
+def _budget_scan(lo, hi, demand, v, s0):
+    """One row of :func:`project_energy_budgets` whose clip sums to s0 < demand."""
+    n = len(v)
     # a coordinate leaves its lower bound at t = lo - v (slope +1) and
     # reaches its upper bound at t = hi - v (slope -1); breakpoints at or
     # before t = 0 (lo = -inf among them) only set the starting slope
-    knots = np.maximum(np.concatenate([lo - v, hi - v], axis=1), 0.0)
-    order = np.argsort(knots, axis=1, kind="stable")
-    row = np.arange(rows.size)
-    knots = knots[row[:, None], order]
-    slopes = np.cumsum(np.where(order < v.shape[1], 1.0, -1.0), axis=1)
-    # s at each breakpoint, summed in order from s(0) = s0; hi = +inf
-    # breakpoints come last and s reaches +inf at the first of them
-    with np.errstate(invalid="ignore"):
-        rises = slopes[:, :-1] * (knots[:, 1:] - knots[:, :-1])
-    sums = np.cumsum(np.concatenate([s0[:, None], rises], axis=1), axis=1)
-    crossed = sums >= demand[:, None]
-    # the crossing piece starts one breakpoint before the first s >= demand;
-    # with no crossing (demand at capacity) every coordinate ends at hi
-    last = np.where(crossed.any(axis=1), crossed.argmax(axis=1) - 1, knots.shape[1] - 1)
-    t, s, slope = knots[row, last], sums[row, last], slopes[row, last]
-    t = t + np.where(slope > 0, (demand - s) / np.maximum(slope, 1.0), 0.0)
-    x[rows] = np.minimum(np.maximum(v + t[:, None], lo), hi)
-    return x
+    knots = [max(b - a, 0.0) for b, a in zip(lo, v)]
+    knots += [max(b - a, 0.0) for b, a in zip(hi, v)]
+    order = sorted(range(2 * n), key=knots.__getitem__)
+    t, s = knots[order[0]], s0
+    slope = 1.0 if order[0] < n else -1.0
+    # walk s along the breakpoints to the piece that crosses demand; hi =
+    # +inf breakpoints come last and s reaches +inf (or NaN, never crossing)
+    # at the first of them; with no crossing (demand at capacity) every
+    # coordinate ends at hi
+    for j in order[1:]:
+        s_next = s + slope * (knots[j] - t)
+        if s_next >= demand:
+            break
+        t, s = knots[j], s_next
+        slope += 1.0 if j < n else -1.0
+    if slope > 0:
+        t = t + (demand - s) / slope
+    return [min(max(a + t, l), h) for a, l, h in zip(v, lo, hi)]
 
 
 def dykstra_project(

@@ -271,6 +271,21 @@ out = {out}
         assert lines[0] == "bus,period,y_p,y_q"
         assert len(lines) == 1 + 14 * 2
 
+    def test_opf15_metadata_counts_operator_projections(self, tmp_path):
+        traces = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            cfg = write_config(
+                tmp_path / f"{name}.cfg",
+                f"[run]\nexperiment = opf15\nseed = 1\nk_max = 60\ntrace_every = 7\nout = {out}\n",
+            )
+            assert main(["--config", cfg, "--quiet"]) == 0
+            traces.append((out / "trace.csv").read_bytes())
+            counts = json.loads((out / "metadata.json").read_text())["operator_projection"]
+            assert counts["calls"] == 60
+            assert 1 <= counts["factorisations"] <= counts["newton_steps"]
+        assert traces[0] == traces[1]
+
     def test_custom_experiment(self, tmp_path):
         a_path = tmp_path / "a.csv"
         b_path = tmp_path / "b.csv"

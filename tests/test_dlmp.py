@@ -238,6 +238,82 @@ class TestProjectors:
             direct = v - c.T @ sla.cho_solve(factor, c @ v - e)
             assert np.max(np.abs(affine.project(v) - direct)) <= 1e-12
 
+    @staticmethod
+    def segment_points(inside, others, rng):
+        """Points from ``inside`` (a point of the set) towards each point of
+        ``others`` (each meets all but one group of the set's constraints),
+        at steps from 1e-9 to 1.  Each violates at most that one group, by an
+        amount proportional to the step, so the points straddle its
+        membership tolerance."""
+        return [inside + h * (q - inside) for q in others for h in 10.0 ** rng.uniform(-9, 0, 6)]
+
+    def test_operator_membership_reads_the_primitives(self, opf15, rng):
+        affine, box, balls = prims = opf15.meta["dso_primitives"]
+        sl = opf15.blocks.block_slice(0)
+        center = dlmp.opf_initial_point(opf15)[sl]
+        unbounded = np.full(center.size, np.inf)
+        no_box = dlmp._OperatorProjector(affine, Box(-unbounded, unbounded), balls)
+        no_balls = dlmp._OperatorProjector(
+            affine, box, dlmp._FlowBalls(balls.f, balls.g, np.full(balls.radii.size, np.inf))
+        )
+        blk = opf15.prox[0]
+        lone_misses = set()
+        for scale in (0.3, 3.0):
+            for _ in range(5):
+                v = center + rng.standard_normal(center.size) * scale
+                on = blk.prox(None, v)
+                others = [no_box.project(v), no_balls.project(v), balls.project(box.project(v))]
+                for x in [v, on, *self.segment_points(on, others, rng)]:
+                    # the membership test this one replaced: every distance <= 1e-6
+                    misses = [prim.distance(x) > 1e-6 for prim in prims]
+                    assert (blk.value(x) == 0.0) == (not any(misses))
+                    if sum(misses) == 1:
+                        lone_misses.add(misses.index(True))
+        assert lone_misses == {0, 1, 2}  # each primitive alone decides somewhere
+
+    def test_aggregator_membership_reads_the_constraints(self, net15, opf15, rng):
+        x0 = dlmp.opf_initial_point(opf15)
+        seen = set()
+        for a, lay in enumerate(opf15.meta["agg_layouts"], start=1):
+            sl = opf15.blocks.block_slice(a)
+            blk = opf15.prox[a]
+            shape = (len(lay.buses), 3, net15.horizon)
+            p_lo = np.array([net15.p_lo[n] for n in lay.buses])
+            p_hi = np.array([net15.p_hi[n] for n in lay.buses])
+            energy = np.array([net15.energy[n] for n in lay.buses])
+            caps = np.array([net15.renewable.get(n, np.zeros(net15.horizon)) for n in lay.buses])
+            r_lo = np.array([[net15.ratio_lo.get(n, 0.0)] for n in lay.buses])
+            r_hi = np.array([[net15.ratio_hi.get(n, 0.0)] for n in lay.buses])
+            for scale in (0.3, 3.0):
+                for _ in range(5):
+                    v = x0[sl] + rng.standard_normal(sl.stop - sl.start) * scale
+                    on = blk.prox(None, v).reshape(shape)
+                    # consumption at its floor (the budget alone fails),
+                    # consumption from v, production from v
+                    others = [on.copy(), on.copy(), on.copy()]
+                    others[0][:, 0] = p_lo
+                    others[1][:, 0] = v.reshape(shape)[:, 0]
+                    others[2][:, 1:] = v.reshape(shape)[:, 1:]
+                    points = [v, on.ravel()] + [
+                        x.ravel() for x in self.segment_points(on, others, rng)
+                    ]
+                    for x in points:
+                        # the membership test this one replaced, at tolerance 1e-8
+                        pc, pg, qg = x.reshape(shape).transpose(1, 0, 2)
+                        tol = 1e-8
+                        old = bool(
+                            np.all(pc >= p_lo - tol)
+                            and np.all(pc <= p_hi + tol)
+                            and np.all(pc.sum(axis=1) >= energy - tol)
+                            and np.all(pg >= -tol)
+                            and np.all(pg <= caps + tol)
+                            and np.all(qg >= r_lo * pg - tol)
+                            and np.all(qg <= r_hi * pg + tol)
+                        )
+                        assert (blk.value(x) == 0.0) == old
+                        seen.add(old)
+        assert seen == {True, False}
+
     def test_exact_budget_keeps_the_bisection_trajectory(
         self, opf15, opf15_path_end, monkeypatch, bisection_budget
     ):
@@ -294,6 +370,89 @@ class TestOperatorProjection:
         monkeypatch.setattr(dlmp, "NEWTON_MAX_ITER", 1)
         with pytest.raises(ProjectionDidNotConverge, match="after 1 Newton steps"):
             opf15.prox[0].prox(None, v)
+
+    @staticmethod
+    def warm_matches_cold(projector, points):
+        """Project ``points`` in order with a session lent to ``projector``;
+        each result must match the cold projection to 1e-10 and meet the
+        rows to 1e-12.  Returns the session."""
+        session = dlmp.ProjectionSession()
+        c, e = projector.c, projector.e
+        for v in points:
+            projector.session = session
+            try:
+                warm = projector.project(v)
+            finally:
+                projector.session = None
+            cold = projector.project(v)
+            assert np.max(np.abs(warm - cold)) <= 1e-10
+            assert np.max(np.abs(c @ warm - e)) <= 1e-12
+        assert session.calls == len(points)
+        return session
+
+    def test_warm_path_matches_cold_on_the_step_path(self, opf15):
+        steps = []
+
+        def recording(g, v):
+            steps.append(np.array(v))
+            return opf15.prox[0].prox(g, v)
+
+        problem = replace(opf15, prox=(replace(opf15.prox[0], prox=recording), *opf15.prox[1:]))
+        eng = dlmp.PpdlmpEngine(problem)
+        bp.run(problem, eng.sampling, eng.policy, dlmp.opf_initial_point(opf15), 300,
+               engine=eng, seed=1, trace_every=300)
+        # one operator prox per step, plus the one trace row's
+        assert len(steps) == 301 and eng.session.calls == 300
+        session = self.warm_matches_cold(opf15.meta["dso_projector"], steps[:300])
+        assert session.factorisations > 1
+        assert session.newton_steps > session.factorisations  # chord steps taken
+
+    def test_warm_path_across_binding_set_changes(self, opf15, around_start, rng, monkeypatch):
+        # a path out to scale 3 and back along two directions: flow balls and
+        # box clips enter and leave the binding set on the way
+        prims = opf15.meta["dso_primitives"]
+        projector = opf15.meta["dso_projector"]
+        scales = np.geomspace(0.01, 3.0, 40)
+        points = [
+            around_start + s * d
+            for d in rng.standard_normal((2, around_start.size))
+            for s in np.concatenate([scales, scales[::-1]])
+        ]
+        steps = []  # (binding set changed since the stored factor, chord step)
+        direction = projector._direction
+
+        def recording(res, w, nrm, scale, gap, fresh):
+            session = projector.session
+            binding = ((w <= projector.lo) | (w >= projector.hi)).tobytes() + (scale < 1).tobytes()
+            changed = session is not None and session.binding not in (None, binding)
+            step, chord = direction(res, w, nrm, scale, gap, fresh)
+            steps.append((changed, chord))
+            return step, chord
+
+        monkeypatch.setattr(projector, "_direction", recording)
+        session = self.warm_matches_cold(projector, points)
+        # a stored factor serves only the binding set it was formed on
+        assert any(changed for changed, _ in steps)
+        assert not any(changed and chord for changed, chord in steps)
+        active = {kkt_certificate(prims, v, opf15.prox[0].prox(None, v), 3e-9) for v in points}
+        assert len(active) > 4
+        assert max(a for a, _ in active) > 0 and min(b for _, b in active) == 0
+        assert session.factorisations > 1
+
+    @pytest.mark.parametrize("knob, value", [("NEWTON_MAX_ITER", 1), ("NEWTON_TOL", -1.0)])
+    def test_lent_session_still_raises(self, opf15, around_start, rng, monkeypatch, knob, value):
+        projector = opf15.meta["dso_projector"]
+        session = dlmp.ProjectionSession()
+        points = [around_start + rng.standard_normal(around_start.size) * 0.1 for _ in range(4)]
+        projector.session = session
+        try:
+            for v in points[:3]:
+                projector.project(v)  # a stored multiplier and factor to start from
+            monkeypatch.setattr(dlmp, knob, value)
+            with pytest.raises(ProjectionDidNotConverge):
+                projector.project(points[3] + rng.standard_normal(around_start.size))
+        finally:
+            projector.session = None
 
     def test_keeps_the_dykstra_trajectory(self, opf15, opf15_path_end):
         prims = opf15.meta["dso_primitives"]
@@ -433,3 +592,47 @@ class TestPairActivatedLoop:
         with pytest.raises(ValueError, match="built for another"):
             bp.run(opf15, eng.sampling, other, dlmp.opf_initial_point(opf15), 5,
                    engine=eng)
+
+    def test_iterates_do_not_depend_on_trace_every(self, opf15):
+        # trace rows project at other points; they must not reach the step
+        # path's warm start
+        x0 = dlmp.opf_initial_point(opf15)
+        states = [
+            dlmp.ppdlmp_run(opf15, x0, 300, seed=4, trace_every=every).state
+            for every in (1, 7, 300)
+        ]
+        for state in states[1:]:
+            assert np.array_equal(state.x, states[0].x)
+            assert np.array_equal(state.y, states[0].y)
+
+    def test_runs_leave_no_projection_state_behind(self, opf15, rng):
+        x0 = dlmp.opf_initial_point(opf15)
+        sl = opf15.blocks.block_slice(0)
+        v = x0[sl] + rng.standard_normal(sl.stop - sl.start)
+        before = opf15.prox[0].prox(None, v)
+        first = dlmp.ppdlmp_run(opf15, x0, 200, seed=5, trace_every=50).state
+        after = opf15.prox[0].prox(None, v)
+        second = dlmp.ppdlmp_run(opf15, x0, 200, seed=5, trace_every=50).state
+        assert np.array_equal(before, after)
+        assert np.array_equal(first.x, second.x) and np.array_equal(first.y, second.y)
+        assert opf15.meta["dso_projector"].session is None
+        # an engine driven twice starts its second run cold as well
+        eng = dlmp.PpdlmpEngine(opf15)
+        again = [
+            bp.run(opf15, eng.sampling, eng.policy, x0, 200, engine=eng, seed=5,
+                   trace_every=50).state
+            for _ in range(2)
+        ]
+        assert np.array_equal(again[0].x, first.x) and np.array_equal(again[1].x, first.x)
+        assert np.array_equal(again[1].y, first.y)
+
+    def test_warm_start_cuts_newton_work(self, opf15):
+        # a cold projection takes about 3.05 Newton steps, each factored
+        eng = dlmp.PpdlmpEngine(opf15)
+        bp.run(opf15, eng.sampling, eng.policy, dlmp.opf_initial_point(opf15), 2000,
+               engine=eng, seed=1, trace_every=2000)
+        totals = eng.session.totals()
+        assert totals["calls"] == 2000
+        assert all(type(n) is int for n in totals.values())
+        assert totals["newton_steps"] <= 2.2 * totals["calls"]
+        assert totals["factorisations"] <= 0.7 * totals["calls"]
