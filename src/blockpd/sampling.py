@@ -176,46 +176,21 @@ def xi_matrix(s: Sampling, a_blocks: Sequence[Array]) -> Array:
     to the coupling matrix: Xi = E[E P A'A P E] with E the random 0/1 block
     mask and P the inverse-marginal scaling.
 
-    Computed exactly from the support and cross-checked against the blockwise
-    closed form Xi[i,j] = (Pi_ij / (pi_i pi_j)) A_i'A_j (off-diagonal) and
-    Xi[i,i] = A_i'A_i / pi_i.
+    Built in closed form for every proper sampling, the Gram matrix A'A
+    scaled blockwise by W = Pi / (pi pi') (diagonal 1/pi_i):
+    Xi[i,j] = (Pi_ij / (pi_i pi_j)) A_i'A_j off the diagonal and
+    Xi[i,i] = A_i'A_i / pi_i.  One Gram product, then one row slab of
+    blocks scaled at a time.  The exhaustive expectation over the support
+    and the per-pair block loop are test oracles (``tests/conftest.py``).
     """
-    d = len(a_blocks)
-    dims = [a.shape[1] for a in a_blocks]
-    blocks = BlockStructure(tuple(dims))
-    m = blocks.m
-    pi_mat = prob_matrix(s)
-    xi_formula = np.zeros((m, m))
-    for i in range(d):
-        sli = blocks.block_slice(i)
-        for j in range(d):
-            slj = blocks.block_slice(j)
-            if i == j:
-                xi_formula[sli, slj] = (a_blocks[i].T @ a_blocks[i]) / s.pi[i]
-            else:
-                w = pi_mat[i, j] / (s.pi[i] * s.pi[j])
-                if w != 0.0:
-                    xi_formula[sli, slj] = w * (a_blocks[i].T @ a_blocks[j])
-    if s.support is None:
-        return xi_formula
-
+    blocks = BlockStructure(tuple(a.shape[1] for a in a_blocks))
+    w = prob_matrix(s) / np.outer(s.pi, s.pi)
+    np.fill_diagonal(w, 1.0 / s.pi)
     a = np.hstack(a_blocks)
-    gram = a.T @ a
-    p_diag = weight_matrix_p(s, blocks)
-    xi_exact = np.zeros((m, m))
-    for subset, p in zip(s.support, s.probs):
-        mask = np.zeros(m)
-        for i in subset:
-            mask[blocks.block_slice(i)] = 1.0
-        scaled = p_diag * mask
-        xi_exact += p * (scaled[:, None] * gram * scaled[None, :])
-    if not np.max(np.abs(xi_exact - xi_formula)) < 1e-12 * max(
-        1.0, float(np.max(np.abs(xi_exact)))
-    ):
-        raise InvariantViolation(
-            "exhaustive and closed-form activation second moments disagree"
-        )
-    return xi_exact
+    xi = a.T @ a
+    for i in range(blocks.d):
+        xi[blocks.block_slice(i)] *= blocks.expand(w[i])
+    return xi
 
 
 def expectation_over_sampling(s: Sampling, f: Callable[[Array], object]):

@@ -66,6 +66,7 @@ class AcceleratedPolicy:
     b_diag: Array
     uniform: bool = True
     _taus: list = field(default_factory=list, repr=False)
+    _marginals: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.tau0 < 1.0 / self.kappa:
@@ -74,10 +75,11 @@ class AcceleratedPolicy:
                 f"(0, 1/kappa={1.0 / self.kappa})"
             )
         self._taus = [float(self.tau0)]
+        self._marginals = _distinct_marginals(self.pi)
 
     def tau_at(self, k: int) -> float:
         while len(self._taus) <= k:
-            self._taus.append(tau_next(self._taus[-1], self.kappa, self.pi))
+            self._taus.append(tau_next(self._taus[-1], self.kappa, self._marginals))
         return self._taus[k]
 
     def sigma_at(self, k: int) -> float:
@@ -130,14 +132,16 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
 
     With M = P^{-1} Upsilon, alpha is the reciprocal of the largest
     eigenvalue of M^{-1/2} Xi M^{-1/2} and beta = alpha * lammax of
-    M^{-1/2}(Lam + Upsilon)M^{-1/2}.  When Xi is block diagonal these reduce
-    to the closed forms
+    M^{-1/2}(Lam + Upsilon)M^{-1/2}.  Lam + Upsilon and M are block
+    diagonal, so beta takes the largest of the per-block eigenvalues.  When
+    Xi is block diagonal alpha and kappa = beta / alpha reduce to the
+    closed forms
 
         alpha = (max_i ||A_i||^2 / (mu_i pi_i^2))^{-1}
         kappa = max_i (L_i + mu_i) / (pi_i mu_i)
 
-    which are cross-checked whenever they apply.  Requires mu_i > 0 on every
-    block.
+    which the tests check, as they check beta against the dense
+    eigenproblem.  Requires mu_i > 0 on every block.
     """
     mu = p.mu_vector
     if np.any(mu <= 0.0):
@@ -147,35 +151,20 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     p_diag = weight_matrix_p(s, p.blocks)
     m_diag = mu / p_diag  # diagonal of P^{-1} Upsilon
     scale = 1.0 / np.sqrt(m_diag)
-    xi = xi_matrix(s, p.a_blocks)
-    xi_scaled = scale[:, None] * xi * scale[None, :]
+    xi_scaled = xi_matrix(s, p.a_blocks)
+    xi_scaled *= scale[:, None]
+    xi_scaled *= scale[None, :]
     alpha = 1.0 / float(np.linalg.eigvalsh(xi_scaled).max())
-    lam_ups = p.lam_full + np.diag(mu)
-    lu_scaled = scale[:, None] * lam_ups * scale[None, :]
-    beta = alpha * float(np.linalg.eigvalsh(lu_scaled).max())
-    kappa = beta / alpha
-
-    if _xi_block_diagonal(xi, p):
-        mu_b = np.array([p.prox[i].mu for i in range(p.d)])
-        alpha_cf = 1.0 / float(np.max(p.block_sq_norms / (mu_b * s.pi**2)))
-        kappa_cf = float(np.max((p.smooth_lipschitz + mu_b) / (s.pi * mu_b)))
-        if not (
-            abs(alpha - alpha_cf) <= 1e-10 * max(1.0, alpha)
-            and abs(kappa - kappa_cf) <= 1e-10 * max(1.0, kappa)
-        ):
-            raise InvariantViolation(
-                f"accelerated parameters disagree with their closed forms: "
-                f"alpha {alpha!r} vs {alpha_cf!r}, kappa {kappa!r} vs {kappa_cf!r}"
-            )
-    return alpha, beta, kappa
-
-
-def _xi_block_diagonal(xi: Array, p: ProblemSpec) -> bool:
-    off = xi.copy()
-    for i in range(p.d):
+    lu_max = 0.0
+    for i, blk in enumerate(p.smooth):
         sl = p.blocks.block_slice(i)
-        off[sl, sl] = 0.0
-    return float(np.max(np.abs(off))) < 1e-12 * max(1.0, float(np.max(np.abs(xi))))
+        n = p.blocks.dims[i]
+        lam_ups = blk.lam_matrix(n) + np.diag(mu[sl])
+        lu_scaled = scale[sl, None] * lam_ups * scale[None, sl]
+        lu_max = max(lu_max, float(np.linalg.eigvalsh(lu_scaled).max()))
+    beta = alpha * lu_max
+    kappa = beta / alpha
+    return alpha, beta, kappa
 
 
 def make_accelerated_policy(
@@ -223,29 +212,33 @@ def tau_next(tau_k: float, kappa: float, pi) -> float:
         (1 - kappa t^2 - delta_i t) x^2 + t^2 (delta_i + 1) x - t^2 = 0,
         delta_i = kappa - 1/pi_i,  t = tau_k,
 
-    maximised over blocks, evaluated two independent ways: (a) the explicit
-    root formula once per distinct pi_i, and (b) for uniform marginals the
-    normalized recursion s_{k+1} = 2 s_k / (s_k + sqrt(s_k^2 + 4 d_k)) with
-    s_k = (1 + delta) tau_k and d_k = 1 - delta tau_k - kappa tau_k^2.
-    The two paths must agree to 1e-10.  The result is strictly below tau_k
-    and satisfies the binding block's inequality with equality.
+    maximised over blocks by the explicit root formula, once per distinct
+    pi_i.  ``pi`` is one marginal, the marginals as an array or list, or a
+    tuple of distinct marginals (what :class:`AcceleratedPolicy` passes,
+    used as given).  The result is strictly below tau_k and satisfies the
+    binding block's inequality with equality.  For uniform marginals the
+    tests check it against the normalized recursion
+    s_{k+1} = 2 s_k / (s_k + sqrt(s_k^2 + 4 d_k)) with
+    s_k = (1 + delta) tau_k and d_k = 1 - delta tau_k - kappa tau_k^2
+    (see :func:`normalized_s_step`).
     """
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
     if not 0.0 < tau_k < 1.0 / kappa:
         raise ValueError(
             f"tau={tau_k} outside (0, 1/kappa={1.0 / kappa}): the quadratic's "
             "leading coefficient would lose positivity"
         )
-    out = max(_tau_root(tau_k, kappa, pii) for pii in set(pi.tolist()))
-    if float(np.max(pi) - np.min(pi)) < 1e-12:
-        alt = _tau_normalized(tau_k, kappa, float(pi[0]))
-        if not abs(out - alt) <= 1e-10 * max(1.0, out):
-            raise InvariantViolation(
-                f"step recursion paths disagree: {out!r} vs {alt!r} at tau={tau_k!r}"
-            )
+    if not isinstance(pi, tuple):
+        pi = _distinct_marginals(pi)
+    out = max(_tau_root(tau_k, kappa, pii) for pii in pi)
     if not out < tau_k:
         raise InvariantViolation(f"step parameter did not decrease: {out!r} >= {tau_k!r}")
     return out
+
+
+def _distinct_marginals(pi) -> tuple[float, ...]:
+    """The distinct values of one marginal or an array of marginals, as
+    plain floats."""
+    return tuple(set(np.atleast_1d(np.asarray(pi, dtype=float)).tolist()))
 
 
 def _tau_root(t: float, kappa: float, pi_i: float) -> float:
@@ -254,14 +247,6 @@ def _tau_root(t: float, kappa: float, pi_i: float) -> float:
     rad = (1.0 + 0.5 * c * t) ** 2 - ((2.0 - pi_i) / pi_i + 2.0 * kappa) * t * t / 4.0
     num = 0.5 * t * t * (c - 1.0) + t * math.sqrt(rad)
     return num / den
-
-
-def _tau_normalized(t: float, kappa: float, pi: float) -> float:
-    delta = kappa - 1.0 / pi
-    d_k = 1.0 - delta * t - kappa * t * t
-    s_k = (1.0 + delta) * t
-    s_next = normalized_s_step(s_k, d_k)
-    return s_next / (1.0 + delta)
 
 
 def normalized_s_step(s_k: float, d_k: float) -> float:

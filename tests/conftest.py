@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import blockpd as bp
+from blockpd.blocks import BlockStructure
 from blockpd.oracles import quadratic_reference
-from blockpd.sampling import draw
+from blockpd.sampling import draw, prob_matrix, weight_matrix_p
 from blockpd.solver import _EngineBase
+from blockpd.stepsize import normalized_s_step
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +69,71 @@ def bisection_energy_budget(lo, hi, demand, v, iters=100):
 @pytest.fixture(scope="session")
 def bisection_budget():
     return bisection_energy_budget
+
+
+def exhaustive_xi(s, a_blocks):
+    """Xi = E[E P A'A P E] summed over the sampling's support, the
+    exhaustive path ``sampling.xi_matrix`` used to cross-check itself with;
+    a test oracle for enumerable samplings."""
+    dims = [a.shape[1] for a in a_blocks]
+    blocks = BlockStructure(tuple(dims))
+    m = blocks.m
+    a = np.hstack(a_blocks)
+    gram = a.T @ a
+    p_diag = weight_matrix_p(s, blocks)
+    xi_exact = np.zeros((m, m))
+    for subset, p in zip(s.support, s.probs):
+        mask = np.zeros(m)
+        for i in subset:
+            mask[blocks.block_slice(i)] = 1.0
+        scaled = p_diag * mask
+        xi_exact += p * (scaled[:, None] * gram * scaled[None, :])
+    return xi_exact
+
+
+def block_pair_xi(s, a_blocks):
+    """Xi block by block, (Pi_ij / (pi_i pi_j)) A_i'A_j off the diagonal and
+    A_i'A_i / pi_i on it: the per-pair loop ``sampling.xi_matrix`` used to
+    run, a test oracle for every sampling."""
+    d = len(a_blocks)
+    dims = [a.shape[1] for a in a_blocks]
+    blocks = BlockStructure(tuple(dims))
+    m = blocks.m
+    pi_mat = prob_matrix(s)
+    xi_formula = np.zeros((m, m))
+    for i in range(d):
+        sli = blocks.block_slice(i)
+        for j in range(d):
+            slj = blocks.block_slice(j)
+            if i == j:
+                xi_formula[sli, slj] = (a_blocks[i].T @ a_blocks[i]) / s.pi[i]
+            else:
+                w = pi_mat[i, j] / (s.pi[i] * s.pi[j])
+                if w != 0.0:
+                    xi_formula[sli, slj] = w * (a_blocks[i].T @ a_blocks[j])
+    return xi_formula
+
+
+@pytest.fixture(scope="session")
+def xi_oracles():
+    return SimpleNamespace(exhaustive=exhaustive_xi, block_pair=block_pair_xi)
+
+
+def tau_normalized(t, kappa, pi):
+    """tau_{k+1} for uniform marginals pi through the normalized recursion
+    s+ = 2s / (s + sqrt(s^2 + 4d)), s = (1 + delta) tau, d = 1 - delta tau -
+    kappa tau^2: the second path ``stepsize.tau_next`` used to cross-check
+    itself with, a test oracle for its root formula."""
+    delta = kappa - 1.0 / pi
+    d_k = 1.0 - delta * t - kappa * t * t
+    s_k = (1.0 + delta) * t
+    s_next = normalized_s_step(s_k, d_k)
+    return s_next / (1.0 + delta)
+
+
+@pytest.fixture(scope="session")
+def tau_oracle():
+    return tau_normalized
 
 
 class PairActivatedOracle(_EngineBase):

@@ -87,7 +87,7 @@ def test_03_accelerated_rates(bench_instance, bench_reference):
     )
 
 
-def test_04_step_certificates(bench_instance):
+def test_04_step_certificates(bench_instance, tau_oracle):
     p = bench_instance
     s = bp.single_coordinate(p.d)
     pol = make_accelerated_policy(p, s)
@@ -111,17 +111,21 @@ def test_04_step_certificates(bench_instance):
     decreasing = bool((np.diff(taus) < 0).all())
     # independent re-derivation of the recursion on random admissible states
     rng = np.random.default_rng(0)
+    path_dev = 0.0
     for _ in range(10_000):
         pi_r = float(rng.uniform(0.05, 1.0))
         kap = float(rng.uniform(1.0 / pi_r, 60.0))
         tau = float(rng.uniform(1e-8, 0.999 / kap))
-        tau_next(tau, kap, pi_r)  # internal dual-path assert at 1e-10
+        out = tau_next(tau, kap, pi_r)
+        path_dev = max(path_dev, abs(out - tau_oracle(tau, kap, pi_r)) / max(1.0, out))
     report(
         4,
-        worst1 >= -1e-8 and worst2 >= -1e-8 and decreasing and bound_ok,
+        worst1 >= -1e-8 and worst2 >= -1e-8 and decreasing and bound_ok
+        and path_dev <= 1e-10,
         f"10^4 accelerated steps: certificate margins {worst1:.2e}/{worst2:.2e} "
         f"(>= -1e-8), tau strictly decreasing={decreasing}, floor respected={bound_ok}, "
-        "recursion paths agree to 1e-10 on 10^4 random states",
+        f"root formula and normalized recursion agree to {path_dev:.1e} (<= 1e-10) "
+        "on 10^4 random states",
     )
 
 
@@ -185,7 +189,7 @@ def test_06_supermartingale(two_block_instance, two_block_reference):
     )
 
 
-def test_07_activation_second_moment():
+def test_07_activation_second_moment(xi_oracles):
     rng = np.random.default_rng(42)
     worst = 0.0
     cases = [
@@ -195,7 +199,9 @@ def test_07_activation_second_moment():
         (bp.paired_dso(3), [rng.standard_normal((6, 2)) for _ in range(4)]),
     ]
     for s, blocks in cases:
-        xi_exact = xi_matrix(s, blocks)  # internal 1e-12 crosscheck
+        xi = xi_matrix(s, blocks)
+        xi_exact = xi_oracles.exhaustive(s, blocks)
+        worst = max(worst, float(np.max(np.abs(xi - xi_exact))))
         pi_mat = bp.prob_matrix(s)
         struct = bp.BlockStructure(tuple(b.shape[1] for b in blocks))
         formula = np.zeros_like(xi_exact)
@@ -209,8 +215,9 @@ def test_07_activation_second_moment():
     report(
         7,
         worst <= 1e-12,
-        f"exhaustive activation second moment matches the pairwise formula to "
-        f"{worst:.1e} (<= 1e-12) for all four sampling kinds",
+        f"closed-form activation second moment, its exhaustive expectation over "
+        f"the support and the pairwise formula agree to {worst:.1e} (<= 1e-12) "
+        "for all four sampling kinds",
     )
 
 

@@ -3,7 +3,6 @@ import pytest
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure
-from blockpd import sampling
 from blockpd.errors import InvariantViolation, UnsupportedSampling
 from blockpd.sampling import expectation_over_sampling, from_config, nice
 
@@ -92,12 +91,38 @@ class TestInvariantChecks:
         with pytest.raises(InvariantViolation, match="marginals"):
             bp.prob_matrix(s)
 
-    def test_second_moment_paths_disagree(self, monkeypatch):
-        real = sampling.prob_matrix
-        monkeypatch.setattr(sampling, "prob_matrix", lambda s: real(s) * 0.5)
-        blocks = [np.array([[1.0], [1.0]]), np.array([[1.0], [2.0]])]
-        with pytest.raises(InvariantViolation, match="second moments"):
-            bp.xi_matrix(bp.full(2), blocks)
+
+class TestXiOracles:
+    """The closed-form Xi against the exhaustive expectation over the
+    support and against the per-pair block loop it replaced."""
+
+    def test_matches_exhaustive_enumeration(self, rng, xi_oracles):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        cases = [
+            (bp.single_coordinate(3), (2, 2, 2)),
+            (bp.single_coordinate(4, probs), (1, 2, 3, 2)),
+            (bp.nice(4, 2), (2, 1, 2, 3)),
+            (bp.nice(6, 3), (1, 1, 2, 2, 3, 1)),
+            (bp.paired_dso(3), (3, 2, 2, 1)),
+            (bp.full(3), (3, 1, 2)),
+        ]
+        for s, dims in cases:
+            blocks = [rng.standard_normal((7, n)) for n in dims]
+            xi = bp.xi_matrix(s, blocks)
+            exact = xi_oracles.exhaustive(s, blocks)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(exact))))
+            assert np.max(np.abs(xi - exact)) <= tol, s.kind
+            assert np.max(np.abs(xi - xi_oracles.block_pair(s, blocks))) <= tol, s.kind
+            assert np.array_equal(xi, xi.T)
+
+    def test_non_enumerable_matches_block_pair_loop(self, rng, xi_oracles):
+        s = bp.nice(40, 10)
+        assert s.support is None
+        blocks = [rng.standard_normal((30, n)) for n in rng.integers(1, 4, size=40)]
+        xi = bp.xi_matrix(s, blocks)
+        oracle = xi_oracles.block_pair(s, blocks)
+        assert np.max(np.abs(xi - oracle)) <= 1e-12 * float(np.max(np.abs(oracle)))
+        assert np.array_equal(xi, xi.T)
 
 
 class TestWeights:

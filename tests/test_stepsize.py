@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,55 @@ class TestAccelParams:
             bp.accel_params(p, bp.single_coordinate(2))
 
 
+class TestAccelOracles:
+    """accel_params against the block-diagonal closed forms and against the
+    dense eigenproblem for beta."""
+
+    @staticmethod
+    def _orthogonal_design():
+        q = np.linalg.qr(np.random.default_rng(5).standard_normal((9, 9)))[0]
+        return tiny_problem([q[:, :2], q[:, 2:5], q[:, 5:]], [1.0, 2.0, 0.5], [1.0, 0.5, 2.0])
+
+    def test_closed_forms_where_xi_is_block_diagonal(self, bench_instance):
+        # block diagonal Xi by the sampling (one block at a time) and by the
+        # design (orthogonal columns under 2-of-3 activation)
+        for p, s in (
+            (bench_instance, bp.single_coordinate(bench_instance.d)),
+            (self._orthogonal_design(), bp.nice(3, 2)),
+        ):
+            xi = xi_matrix(s, p.a_blocks)
+            off = xi.copy()
+            for i in range(p.d):
+                sl = p.blocks.block_slice(i)
+                off[sl, sl] = 0.0
+            assert np.max(np.abs(off)) < 1e-12 * max(1.0, np.max(np.abs(xi)))
+            alpha, beta, kappa = bp.accel_params(p, s)
+            mu_b = np.array([p.prox[i].mu for i in range(p.d)])
+            alpha_cf = 1.0 / float(np.max(p.block_sq_norms / (mu_b * s.pi**2)))
+            kappa_cf = float(np.max((p.smooth_lipschitz + mu_b) / (s.pi * mu_b)))
+            assert abs(alpha - alpha_cf) <= 1e-10 * max(1.0, alpha)
+            assert abs(kappa - kappa_cf) <= 1e-10 * max(1.0, kappa)
+            assert beta == pytest.approx(alpha * kappa, rel=1e-14)
+
+    def test_blockwise_beta_matches_dense(self, bench_instance, two_block_instance):
+        wide = bp.make_random_inconsistent_ls(
+            seed=1, d=24, dims=4, q=144, noise=0.6, mu=1.0, rank_deficiency=4
+        )
+        for p, s in (
+            (bench_instance, bp.single_coordinate(bench_instance.d)),
+            (two_block_instance, bp.single_coordinate(2)),
+            (wide, bp.nice(24, 4)),
+        ):
+            alpha, beta, kappa = bp.accel_params(p, s)
+            scale = 1.0 / np.sqrt(p.mu_vector / weight_matrix_p(s, p.blocks))
+            lam_ups = p.lam_full + np.diag(p.mu_vector)
+            dense = alpha * float(
+                np.linalg.eigvalsh(scale[:, None] * lam_ups * scale[None, :]).max()
+            )
+            assert abs(beta - dense) <= 1e-12 * dense
+            assert abs(kappa - dense / alpha) <= 1e-12 * kappa
+
+
 class TestTauRecursion:
     def test_hand_value(self):
         # kappa=4, pi=1/2, tau=0.2: root of 0.44 x^2 + 0.12 x - 0.04 = 0
@@ -111,13 +161,16 @@ class TestTauRecursion:
         with pytest.raises(ValueError):
             tau_next(0.3, 4.0, 0.5)  # tau >= 1/kappa
 
-    def test_dual_paths_agree_randomized(self):
+    def test_dual_paths_agree_randomized(self, tau_oracle):
+        # the root formula against the normalized recursion
         rng = np.random.default_rng(0)
         for _ in range(10_000):
             pi = float(rng.uniform(0.05, 1.0))
             kappa = float(rng.uniform(1.0 / pi, 60.0))
             tau = float(rng.uniform(1e-8, 0.999 / kappa))
-            tau_next(tau, kappa, pi)  # asserts the two paths agree internally
+            out = tau_next(tau, kappa, pi)
+            alt = tau_oracle(tau, kappa, pi)
+            assert abs(out - alt) <= 1e-10 * max(1.0, out), (tau, kappa, pi)
 
     def test_strictly_decreasing_long_run(self):
         taus = [0.01]
@@ -145,6 +198,28 @@ class TestTauRecursion:
         tau_next(tau, kappa, np.concatenate([pi[:200], np.full(50, 0.02)]))
         assert len(calls) == 2
 
+    def test_largest_root_over_marginals(self):
+        for pis in ([0.5, 0.25], (0.1, 0.05, 0.3), np.array([0.3, 0.1, 0.3, 0.05])):
+            roots = [tau_next(0.01, 30.0, float(p)) for p in pis]
+            assert tau_next(0.01, 30.0, pis) == max(roots)
+
+    def test_policy_sequence_matches_full_marginals(self, bench_instance):
+        # the policy hands tau_next its distinct marginals once; the
+        # sequence is the one the full marginal array gives, bit for bit
+        # (block 0 has the largest marginal, so the smallest root)
+        probs = np.linspace(2, 1, bench_instance.d)
+        for s in (
+            bp.single_coordinate(bench_instance.d),
+            bp.single_coordinate(bench_instance.d, probs / probs.sum()),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                pol = make_accelerated_policy(bench_instance, s)
+            taus = [pol.tau0]
+            for _ in range(2000):
+                taus.append(tau_next(taus[-1], pol.kappa, s.pi))
+            assert [pol.tau_at(k) for k in range(2001)] == taus
+
     def test_fixed_point_at_inverse_kappa(self):
         for kappa, pi in ((4.0, 0.5), (10.0, 0.2), (1.5, 1.0)):
             assert step_map(1.0 / kappa, 1.0 / kappa, kappa, pi) == pytest.approx(
@@ -157,28 +232,15 @@ class TestInvariantChecks:
     """The production cross-checks raise InvariantViolation, which, unlike a
     bare assert, ``python -O`` keeps."""
 
-    def test_tau_paths_disagree(self, monkeypatch):
-        monkeypatch.setattr(stepsize, "_tau_normalized", lambda t, kappa, pi: 0.5 * t)
-        with pytest.raises(InvariantViolation, match="paths disagree"):
-            tau_next(0.2, 4.0, 0.5)
-
     def test_tau_must_decrease(self, monkeypatch):
         monkeypatch.setattr(stepsize, "_tau_root", lambda t, kappa, pi: t)
         with pytest.raises(InvariantViolation, match="did not decrease"):
             tau_next(0.2, 4.0, [0.5, 0.25])
 
-    def test_closed_forms_disagree(self, monkeypatch):
-        # two blocks on the same row: Xi couples them, so the block-diagonal
-        # closed forms do not apply and must not match
-        p = tiny_problem([np.ones((1, 1)), np.ones((1, 1))], [1.0, 1.0], [1.0, 1.0])
-        monkeypatch.setattr(stepsize, "_xi_block_diagonal", lambda xi, p: True)
-        with pytest.raises(InvariantViolation, match="closed forms"):
-            bp.accel_params(p, bp.full(2))
-
     def test_checks_survive_optimize_flag(self):
         code = (
             "import blockpd.stepsize as s\n"
-            "s._tau_normalized = lambda t, kappa, pi: 0.5 * t\n"
+            "s._tau_root = lambda t, kappa, pi: t\n"
             "s.tau_next(0.2, 4.0, 0.5)\n"
         )
         src = str(Path(bp.__file__).resolve().parents[1])
@@ -188,6 +250,7 @@ class TestInvariantChecks:
         )
         assert out.returncode != 0
         assert "InvariantViolation" in out.stderr
+        assert "did not decrease" in out.stderr
 
     def test_no_assert_statements_in_package(self):
         # python -O strips assert statements, so the package checks its
