@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Per-step cost of both engines as the block count grows at fixed q.
+
+Builds the random inconsistent least-squares instance with q=60 rows and
+d blocks of 4 columns for d in {10, 100, 1000, 10^4}, draws one block per
+step (single-coordinate sampling) under the uncertified constant policy,
+and prints the median microseconds per engine step over several timed
+windows, plus each engine's cost at the last d over its cost at the
+first.  A step that touches only its active blocks keeps that ratio
+near 1.  Runs on one BLAS thread:
+
+    PYTHONPATH=src python scripts/step_ladder.py
+"""
+
+import os
+
+# one BLAS thread; must precede numpy's import
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+import blockpd as bp
+from blockpd.solver import PdaEngine, RbcdEngine
+
+ENGINES = {"rbcd": RbcdEngine, "pda": PdaEngine}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--d", type=int, nargs="+", default=[10, 100, 1000, 10_000])
+    ap.add_argument("--q", type=int, default=60)
+    ap.add_argument("--steps", type=int, default=5000)
+    ap.add_argument("--windows", type=int, default=7)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+
+    runs = []
+    for d in args.d:
+        p = bp.make_random_inconsistent_ls(seed=args.seed, d=d, dims=4, q=args.q, noise=0.6)
+        s = bp.single_coordinate(d)
+        for name, cls in ENGINES.items():
+            eng = cls(p, s, bp.convex_default_policy(p, s, certify=False))
+            runs.append((d, name, eng, eng.init_state(np.zeros(p.m), bp.make_rng(args.seed))))
+
+    # windows go round-robin over the rungs, so drift in the host's speed
+    # reaches every rung alike; the first window warms up and is dropped
+    times = {(d, name): [] for d, name, _, _ in runs}
+    for w in range(args.windows + 1):
+        for d, name, eng, state in runs:
+            t0 = time.perf_counter()
+            for _ in range(args.steps):
+                eng.step(state)
+            if w:
+                times[d, name].append((time.perf_counter() - t0) / args.steps * 1e6)
+    us = {key: statistics.median(v) for key, v in times.items()}
+
+    print(f"{'d':>6} {'m':>6} " + " ".join(f"{name + ' us/step':>14}" for name in ENGINES))
+    for d in args.d:
+        print(f"{d:>6} {4 * d:>6} " + " ".join(f"{us[d, name]:14.1f}" for name in ENGINES))
+    lo, hi = args.d[0], args.d[-1]
+    print(f"ratio d={hi} / d={lo}: " + ", ".join(
+        f"{name} {us[hi, name] / us[lo, name]:.2f}x" for name in ENGINES))
+
+
+if __name__ == "__main__":
+    main()

@@ -123,7 +123,10 @@ class ProxBlock:
 class ProblemSpec:
     """Immutable problem instance; safe for concurrent read-only use.
 
-    All oracles must be pure functions of their inputs.
+    All oracles must be pure functions of their inputs.  The coupling blocks
+    are copied once into one read-only, column-major q-by-m matrix ``a``;
+    ``a_blocks`` are then its column slabs, so each is a contiguous view and
+    the per-block products ``A_i' r`` and ``A_i t`` run on contiguous memory.
     """
 
     blocks: BlockStructure
@@ -132,6 +135,7 @@ class ProblemSpec:
     a_blocks: tuple[Array, ...]
     b: Array
     meta: dict = field(default_factory=dict, compare=False)
+    a: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "smooth", tuple(self.smooth))
@@ -150,6 +154,13 @@ class ProblemSpec:
                     f"constraint block {i} has shape {a.shape}, "
                     f"expected {(q, self.blocks.dims[i])}"
                 )
+        a = np.empty((q, self.blocks.m), order="F")
+        slices = [self.blocks.block_slice(i) for i in range(d)]
+        for sl, a_i in zip(slices, self.a_blocks):
+            a[:, sl] = a_i
+        a.flags.writeable = False
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a_blocks", tuple(a[:, sl] for sl in slices))
 
     @property
     def q(self) -> int:
@@ -162,11 +173,6 @@ class ProblemSpec:
     @property
     def d(self) -> int:
         return self.blocks.d
-
-    @cached_property
-    def a(self) -> Array:
-        """Dense q-by-m coupling matrix (column blocks stacked)."""
-        return np.hstack(self.a_blocks)
 
     @cached_property
     def block_sq_norms(self) -> Array:

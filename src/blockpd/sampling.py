@@ -75,6 +75,16 @@ class Sampling:
         return np.cumsum(self.probs)
 
     @cached_property
+    def _index_sets(self) -> tuple[Array, ...]:
+        """Read-only ascending block indices of each support subset."""
+        out = []
+        for subset in self.support:
+            idx = np.array(sorted(subset), dtype=np.intp)
+            idx.flags.writeable = False
+            out.append(idx)
+        return tuple(out)
+
+    @cached_property
     def _masks(self) -> Array:
         masks = np.zeros((len(self.support), self.d), dtype=bool)
         for j, subset in enumerate(self.support):
@@ -122,15 +132,19 @@ def paired_dso(p: int) -> Sampling:
 
 
 def draw(s: Sampling, rng: np.random.Generator) -> Array:
-    """One i.i.d. realization as a boolean activation vector."""
+    """One i.i.d. realization as the active block indices, ascending.
+
+    Enumerable kinds return a shared read-only index array of the drawn
+    subset; the large subset-uniform kind sorts m distinct blocks drawn
+    directly.  Each draw takes one uniform variate (enumerable kinds) or one
+    ``choice`` call (the large kind) from ``rng``.
+    """
     if s.support is not None:
-        j = int(np.searchsorted(s._cum, rng.random(), side="right"))
-        j = min(j, len(s.support) - 1)
-        return s._masks[j].copy()
-    # large subset-uniform support: draw m distinct blocks directly
-    active = np.zeros(s.d, dtype=bool)
-    active[rng.choice(s.d, size=s.nice_m, replace=False)] = True
-    return active
+        j = int(s._cum.searchsorted(rng.random(), side="right"))
+        return s._index_sets[min(j, len(s.support) - 1)]
+    idx = rng.choice(s.d, size=s.nice_m, replace=False)
+    idx.sort()
+    return idx
 
 
 def prob_matrix(s: Sampling) -> Array:

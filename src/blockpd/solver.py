@@ -12,12 +12,17 @@ averaging form to rounding error.  Grid pricing (``blockpd.dlmp.PpdlmpEngine``)
 is the primal-dual form with coordinator-pair sampling fixed; it is passed
 to :func:`run` as an engine object.
 
-Both engines touch only the active blocks per iteration; the incrementally
-maintained products (Ax and Aw, the residual u) are refreshed every
-``recompute_every`` steps to cap float drift.  Within one iteration the
-block updates read shared state and write disjoint slices, so they could
-run concurrently; the w/u/y updates are the synchronisation point.  One
-engine instance is single-writer.
+Both engines touch only the active blocks per iteration: a step costs the
+active blocks' oracles and products plus O(q), never O(m).  The averaging
+form keeps w implicitly as x + gamma e (the change of variables of Lee &
+Sidford and of APPROX, Fercoq & Richtarik 2015, section 5), so a step
+rescales the scalar gamma and writes only the active slices of e.  The
+incrementally maintained products (Ax and Ae, the residual u) are refreshed
+every ``recompute_every`` steps to cap float drift, and the averaging form
+folds gamma into e there.  Within one iteration the block updates read
+shared state and write disjoint slices, so they could run concurrently; the
+e/u/y updates are the synchronisation point.  One engine instance is
+single-writer.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .sampling import Sampling, draw, make_rng, weight_matrix_p
 Array = np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     k: int
     psi_x: float
@@ -68,12 +73,17 @@ class TraceRecord:
 class RbcdState:
     """Averaging-form iterate.  ``s_cur`` is S_k; ``s_prev`` is S_{k-1} with
     the convention S_{-1} = 1 - sigma_0, which makes the extrapolated point a
-    convex combination already at k = 0."""
+    convex combination already at k = 0.
+
+    The averaged iterate is stored implicitly as w = x + gamma e, with
+    Aw = Ax + gamma Ae, so a step rescales gamma and touches only the
+    active slices of e; ``w`` and ``aw`` assemble it on demand."""
 
     x: Array
-    w: Array
+    e: Array
     ax: Array
-    aw: Array
+    ae: Array
+    gamma: float
     psi_vec: Array
     psi_total: float
     psi_hat: float
@@ -82,13 +92,21 @@ class RbcdState:
     s_cur: float
     rng: np.random.Generator
 
+    @property
+    def w(self) -> Array:
+        return self.x + self.gamma * self.e
+
+    @property
+    def aw(self) -> Array:
+        return self.ax + self.gamma * self.ae
+
     def copy(self) -> "RbcdState":
         return replace(
             self,
             x=self.x.copy(),
-            w=self.w.copy(),
+            e=self.e.copy(),
             ax=self.ax.copy(),
-            aw=self.aw.copy(),
+            ae=self.ae.copy(),
             psi_vec=self.psi_vec.copy(),
         )
 
@@ -135,13 +153,13 @@ class RbcdEngine(_EngineBase):
         psi_vec = np.array([p.psi_block(i, x0[sl]) for i, sl in enumerate(self.slices)])
         if not np.all(np.isfinite(psi_vec)):
             raise ValueError("x0 must lie in dom R (finite objective on every block)")
-        ax = p.a @ x0
         sigma0 = self.policy.sigma_at(0)
         return RbcdState(
             x=x0,
-            w=x0.copy(),
-            ax=ax,
-            aw=ax.copy(),
+            e=np.zeros(p.m),
+            ax=p.a @ x0,
+            ae=np.zeros(p.q),
+            gamma=1.0,
             psi_vec=psi_vec,
             psi_total=float(psi_vec.sum()),
             psi_hat=float(psi_vec.sum()),
@@ -153,11 +171,9 @@ class RbcdEngine(_EngineBase):
 
     def extrapolated(self, state: RbcdState) -> tuple[Array, Array, float]:
         """Current z = (1 - theta) w + theta x and its A-image."""
-        k = state.k
-        theta = self.policy.sigma_at(k) / state.s_cur
-        z = (1.0 - theta) * state.w + theta * state.x
-        az = (1.0 - theta) * state.aw + theta * state.ax
-        return z, az, theta
+        theta = self.policy.sigma_at(state.k) / state.s_cur
+        c = (1.0 - theta) * state.gamma
+        return state.x + c * state.e, state.ax + c * state.ae, theta
 
     def forward_backward_block(self, state: RbcdState, i: int) -> Array:
         _, az, _ = self.extrapolated(state)
@@ -169,6 +185,12 @@ class RbcdEngine(_EngineBase):
         return self._fb(i, state.x[sl], g, self.policy.tau_at(state.k))
 
     def step(self, state: RbcdState, active_mask: Array | None = None) -> RbcdState:
+        """One iteration in O(q) plus the active blocks' work.
+
+        With w = x + gamma e, the update w+ = z + (theta/pi_i) delta_i on the
+        active blocks reads w+ = x+ + gamma+ e+ with gamma+ = (1 - theta)
+        gamma and e+ = e + ((theta/pi_i - 1)/gamma+) delta_i; when
+        theta = 1 the old w drops out and e restarts from zero."""
         p = self.problem
         k = state.k
         sigma_k = self.policy.sigma_at(k)
@@ -176,47 +198,55 @@ class RbcdEngine(_EngineBase):
         s_k = state.s_cur
         theta = sigma_k / s_k
 
-        z = (1.0 - theta) * state.w + theta * state.x
-        az = (1.0 - theta) * state.aw + theta * state.ax
-        res = az - p.b
+        gamma = (1.0 - theta) * state.gamma
+        res = state.ax + gamma * state.ae
+        res -= p.b
+        if gamma == 0.0:
+            state.e[:] = 0.0
+            state.ae[:] = 0.0
+            gamma = 1.0
 
         if active_mask is None:
-            active_mask = draw(self.sampling, state.rng)
-        active = np.nonzero(active_mask)[0]
+            active = draw(self.sampling, state.rng)
+        else:
+            active = np.flatnonzero(active_mask)
 
-        w_new = z
-        aw_new = az.copy()
         bracket = state.psi_total
         for i in active:
             sl = self.slices[i]
             xi = state.x[sl]
-            g = p.smooth[i].grad(xi) + s_k * (p.a_blocks[i].T @ res)
+            a_i = p.a_blocks[i]
+            g = p.smooth[i].grad(xi) + s_k * (a_i.T @ res)
             x_hat = self._fb(i, xi, g, tau_k)
             delta = x_hat - xi
-            a_delta = p.a_blocks[i] @ delta
+            a_delta = a_i @ delta
             state.ax += a_delta
-            aw_new += (theta * self.inv_pi[i]) * a_delta
-            w_new[sl] = z[sl] + (theta * self.inv_pi[i]) * delta
+            c = (theta * self.inv_pi[i] - 1.0) / gamma
+            delta *= c
+            state.e[sl] += delta
+            a_delta *= c
+            state.ae += a_delta
             psi_new = p.psi_block(i, x_hat)
             bracket += self.inv_pi[i] * (psi_new - state.psi_vec[i])
             state.psi_total += psi_new - state.psi_vec[i]
             state.psi_vec[i] = psi_new
             state.x[sl] = x_hat
 
+        state.gamma = gamma
         state.psi_hat = (1.0 - theta) * state.psi_hat + theta * bracket
-        state.w = w_new
-        state.aw = aw_new
-        sigma_next = self.policy.sigma_at(k + 1)
         state.s_prev = s_k
-        state.s_cur = s_k + sigma_next
+        state.s_cur = s_k + self.policy.sigma_at(k + 1)
         state.k = k + 1
         return state
 
     def refresh(self, state: RbcdState) -> None:
-        """Recompute incremental caches from scratch (drift cap)."""
+        """Recompute incremental caches from scratch (drift cap), folding
+        gamma into e."""
         p = self.problem
+        state.e *= state.gamma
+        state.gamma = 1.0
         state.ax = p.a @ state.x
-        state.aw = p.a @ state.w
+        state.ae = p.a @ state.e
         state.psi_vec = np.array(
             [p.psi_block(i, state.x[sl]) for i, sl in enumerate(self.slices)]
         )
@@ -229,6 +259,12 @@ class RbcdEngine(_EngineBase):
 
 
 class PdaEngine(_EngineBase):
+    def __init__(self, problem: ProblemSpec, sampling: Sampling, policy):
+        super().__init__(problem, sampling, policy)
+        # per-step q-vectors: the scaled sum of A_i delta_i and the dual step
+        self._ap_delta = np.empty(problem.q)
+        self._dy = np.empty(problem.q)
+
     def init_state(
         self, x0: Array, rng: np.random.Generator, y0: Array | None = None
     ) -> PdaState:
@@ -251,22 +287,29 @@ class PdaEngine(_EngineBase):
         tau_k = self.policy.tau_at(k)
 
         if active_mask is None:
-            active_mask = draw(self.sampling, state.rng)
-        active = np.nonzero(active_mask)[0]
+            active = draw(self.sampling, state.rng)
+        else:
+            active = np.flatnonzero(active_mask)
 
-        ap_delta = np.zeros(p.q)
+        ap_delta = self._ap_delta
+        ap_delta.fill(0.0)
         for i in active:
             sl = self.slices[i]
             xi = state.x[sl]
-            g = p.smooth[i].grad(xi) + p.a_blocks[i].T @ state.y
+            a_i = p.a_blocks[i]
+            g = p.smooth[i].grad(xi) + a_i.T @ state.y
             x_hat = self._fb(i, xi, g, tau_k)
-            delta = x_hat - xi
-            a_delta = p.a_blocks[i] @ delta
+            a_delta = a_i @ (x_hat - xi)
             state.u += a_delta
-            ap_delta += self.inv_pi[i] * a_delta
+            a_delta *= self.inv_pi[i]
+            ap_delta += a_delta
             state.x[sl] = x_hat
 
-        state.y += sigma_k * ap_delta + self.policy.sigma_at(k + 1) * state.u
+        # y += sigma_k ap_delta + sigma_{k+1} u, in that association
+        ap_delta *= sigma_k
+        np.multiply(state.u, self.policy.sigma_at(k + 1), out=self._dy)
+        ap_delta += self._dy
+        state.y += ap_delta
         state.k = k + 1
         return state
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ class AcceleratedPolicy:
     tau0: float
     b_diag: Array
     uniform: bool = True
-    _taus: list = field(default_factory=list, repr=False)
+    _taus: array = field(default_factory=lambda: array("d"), repr=False)
     _marginals: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
@@ -74,7 +75,8 @@ class AcceleratedPolicy:
                 f"tau0={self.tau0} outside the admissible interval "
                 f"(0, 1/kappa={1.0 / self.kappa})"
             )
-        self._taus = [float(self.tau0)]
+        # 8 bytes a step: a long run memoises one tau per iteration
+        self._taus = array("d", (float(self.tau0),))
         self._marginals = _distinct_marginals(self.pi)
 
     def tau_at(self, k: int) -> float:
@@ -111,12 +113,21 @@ def convex_default_policy(
         return ConvexPolicy(sigma, b_diag)
 
     xi = xi_matrix(s, p.a_blocks)
-    p_diag = weight_matrix_p(s, p.blocks)
-    pb = np.diag(p_diag * b_diag)
-    lam_full = p.lam_full
+    pb_diag = weight_matrix_p(s, p.blocks) * b_diag
+    lam_blocks = [
+        (p.blocks.block_slice(i), blk.lam_matrix(n))
+        for i, (blk, n) in enumerate(zip(p.smooth, p.blocks.dims))
+    ]
+    # P B - sigma Xi - Lam in one reused buffer; Lam is block diagonal
+    work = np.empty((p.m, p.m))
+    work_diag = work.reshape(-1)[:: p.m + 1]
     halvings = 0
     while True:
-        margin = float(np.linalg.eigvalsh(pb - sigma * xi - lam_full).min())
+        np.multiply(xi, -sigma, out=work)
+        work_diag += pb_diag
+        for sl, lam in lam_blocks:
+            work[sl, sl] -= lam
+        margin = float(np.linalg.eigvalsh(work).min())
         if margin >= MI_TOL:
             return ConvexPolicy(sigma, b_diag, certified_margin=margin, halvings=halvings)
         sigma *= 0.5
@@ -261,8 +272,11 @@ def tau_lower_bound(k: int, tau0: float, kappa: float, pi: float) -> float:
 
 
 def step_map(x: float, y: float, kappa: float, pi) -> float:
-    """Max over blocks of the quadratic whose positive root drives tau;
-    vanishes at the successor value and has fixed point x = y = 1/kappa."""
+    """Min over blocks of the quadratic whose positive root drives tau.
+
+    Each block's quadratic is negative below its positive root and positive
+    above it, and the successor value is the largest root, so the minimum
+    vanishes there.  The fixed point is x = y = 1/kappa."""
     pi = np.atleast_1d(np.asarray(pi, dtype=float))
     vals = []
     for pii in pi:
@@ -271,7 +285,7 @@ def step_map(x: float, y: float, kappa: float, pi) -> float:
         a2 = y * y * (delta + 1.0)
         a3 = y * y
         vals.append(a1 * x * x + a2 * x - a3)
-    return max(vals)
+    return min(vals)
 
 
 def mi_margins(

@@ -7,7 +7,7 @@ import blockpd as bp
 from blockpd.blocks import BlockStructure
 from blockpd.oracles import quadratic_reference
 from blockpd.sampling import draw, prob_matrix, weight_matrix_p
-from blockpd.solver import _EngineBase
+from blockpd.solver import RbcdEngine, _EngineBase
 from blockpd.stepsize import normalized_s_step
 
 
@@ -168,8 +168,8 @@ class PairActivatedOracle(_EngineBase):
     def step(self, state):
         pr = self.problem
         sigma = self.sigma
-        active_mask = draw(self.sampling, state.rng)
-        a = int(np.nonzero(active_mask[1:])[0][0]) + 1
+        # the draw is (0, a), ascending
+        a = int(draw(self.sampling, state.rng)[1])
 
         # tau = 1; the metric weights 1/pi are 1 for the operator, p for a
         sl0 = self.slices[0]
@@ -217,3 +217,95 @@ def pair_activated_path(problem, x0, k_max, seed):
 @pytest.fixture(scope="session")
 def pair_oracle():
     return pair_activated_path
+
+
+def mask_draw(s, rng):
+    """One realization as a boolean activation vector: the mask form
+    ``sampling.draw`` had before it returned index arrays, kept verbatim as
+    a test oracle for the index sets and the random stream."""
+    if s.support is not None:
+        j = int(np.searchsorted(s._cum, rng.random(), side="right"))
+        j = min(j, len(s.support) - 1)
+        return s._masks[j].copy()
+    # large subset-uniform support: draw m distinct blocks directly
+    active = np.zeros(s.d, dtype=bool)
+    active[rng.choice(s.d, size=s.nice_m, replace=False)] = True
+    return active
+
+
+@pytest.fixture(scope="session")
+def draw_oracle():
+    return mask_draw
+
+
+class ExplicitRbcdOracle(RbcdEngine):
+    """The averaging engine with w and Aw held explicitly: the step and
+    refresh ``RbcdEngine`` ran before it kept w = x + gamma e implicitly,
+    a test oracle for the implicit form.  Its state is a namespace with x,
+    w, ax, aw, psi_vec, psi_total, psi_hat, k, s_prev, s_cur and rng; the
+    draws come from the mask oracle."""
+
+    def init_state(self, x0, rng):
+        st = super().init_state(x0, rng)
+        return SimpleNamespace(
+            x=st.x, w=st.x.copy(), ax=st.ax, aw=st.ax.copy(), psi_vec=st.psi_vec,
+            psi_total=st.psi_total, psi_hat=st.psi_hat, k=0, s_prev=st.s_prev,
+            s_cur=st.s_cur, rng=rng,
+        )
+
+    def step(self, state):
+        p = self.problem
+        k = state.k
+        sigma_k = self.policy.sigma_at(k)
+        tau_k = self.policy.tau_at(k)
+        s_k = state.s_cur
+        theta = sigma_k / s_k
+
+        z = (1.0 - theta) * state.w + theta * state.x
+        az = (1.0 - theta) * state.aw + theta * state.ax
+        res = az - p.b
+
+        active_mask = mask_draw(self.sampling, state.rng)
+        active = np.nonzero(active_mask)[0]
+
+        w_new = z
+        aw_new = az.copy()
+        bracket = state.psi_total
+        for i in active:
+            sl = self.slices[i]
+            xi = state.x[sl]
+            g = p.smooth[i].grad(xi) + s_k * (p.a_blocks[i].T @ res)
+            x_hat = self._fb(i, xi, g, tau_k)
+            delta = x_hat - xi
+            a_delta = p.a_blocks[i] @ delta
+            state.ax += a_delta
+            aw_new += (theta * self.inv_pi[i]) * a_delta
+            w_new[sl] = z[sl] + (theta * self.inv_pi[i]) * delta
+            psi_new = p.psi_block(i, x_hat)
+            bracket += self.inv_pi[i] * (psi_new - state.psi_vec[i])
+            state.psi_total += psi_new - state.psi_vec[i]
+            state.psi_vec[i] = psi_new
+            state.x[sl] = x_hat
+
+        state.psi_hat = (1.0 - theta) * state.psi_hat + theta * bracket
+        state.w = w_new
+        state.aw = aw_new
+        sigma_next = self.policy.sigma_at(k + 1)
+        state.s_prev = s_k
+        state.s_cur = s_k + sigma_next
+        state.k = k + 1
+        return state
+
+    def refresh(self, state):
+        p = self.problem
+        state.ax = p.a @ state.x
+        state.aw = p.a @ state.w
+        state.psi_vec = np.array(
+            [p.psi_block(i, state.x[sl]) for i, sl in enumerate(self.slices)]
+        )
+        state.psi_total = float(state.psi_vec.sum())
+
+
+@pytest.fixture(scope="session")
+def explicit_rbcd():
+    return ExplicitRbcdOracle

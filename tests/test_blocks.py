@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,18 +259,45 @@ class TestPenaltyIdentities:
             assert gap == pytest.approx(ident, rel=1e-9, abs=1e-12)
 
 
+class TestCouplingLayout:
+    def test_blocks_are_contiguous_read_only_views(self):
+        p = bp.make_random_inconsistent_ls(seed=4, d=5, dims=(1, 3, 2, 4, 2), q=9, noise=0.3)
+        assert p.a.flags.f_contiguous and not p.a.flags.writeable
+        for i, a_i in enumerate(p.a_blocks):
+            assert a_i.flags.f_contiguous and not a_i.flags.writeable
+            assert a_i.base is p.a
+            assert np.array_equal(a_i, p.a[:, p.blocks.block_slice(i)])
+        with pytest.raises(ValueError):
+            p.a_blocks[0][0, 0] = 1.0
+
+    def test_caller_blocks_are_copied(self):
+        a0 = np.arange(6.0).reshape(3, 2)
+        p = scalar_problem(a=[a0, np.ones((3, 1))], b=np.zeros(3), dims=(2, 1))
+        a0[0, 0] = 99.0
+        assert p.a[0, 0] == 0.0
+        assert np.array_equal(p.a, np.hstack([np.arange(6.0).reshape(3, 2), np.ones((3, 1))]))
+
+
 class TestReferenceChecks:
     def test_normal_equation_check(self, monkeypatch):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
-        real = np.linalg.lstsq
+        real = sla.lstsq
 
         def off_by_one(*args, **kwargs):
             x, *rest = real(*args, **kwargs)
             return (x + 1.0, *rest)
 
-        monkeypatch.setattr(np.linalg, "lstsq", off_by_one)
+        monkeypatch.setattr(sla, "lstsq", off_by_one)
         with pytest.raises(InvariantViolation, match="normal equations"):
             bp.least_squares_reference(p)
+
+    @pytest.mark.parametrize("q", [20, 9])
+    def test_minimum_norm_on_rank_deficient_coupling(self, q):
+        # rank 9 of 12 columns, with more rows than columns and with fewer
+        p = bp.make_random_inconsistent_ls(seed=21, d=3, dims=4, q=q, noise=0.8, rank_deficiency=3)
+        x_np, *_ = np.linalg.lstsq(p.a, p.b, rcond=None)
+        ref = bp.least_squares_reference(p)
+        assert np.max(np.abs(ref.x_ls - x_np)) <= 1e-9
 
     def test_long_run_falls_back_without_strong_convexity(self):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8, mu=0.0)

@@ -12,7 +12,7 @@ class TestDraw:
         s = bp.full(3)
         rng = bp.make_rng(0)
         for _ in range(10):
-            assert bp.draw(s, rng).all()
+            assert np.array_equal(bp.draw(s, rng), np.arange(3))
 
     def test_deterministic_given_seed(self):
         s = bp.nice(6, 2)
@@ -27,16 +27,44 @@ class TestDraw:
     def test_single_coordinate_frequency(self):
         s = bp.single_coordinate(2)
         rng = bp.make_rng(123)
-        hits = sum(bp.draw(s, rng)[0] for _ in range(100_000))
+        hits = sum(bp.draw(s, rng)[0] == 0 for _ in range(100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_paired_realizations(self):
         s = bp.paired_dso(3)
         rng = bp.make_rng(5)
         for _ in range(200):
-            mask = bp.draw(s, rng)
-            assert mask[0]
-            assert mask.sum() == 2
+            idx = bp.draw(s, rng)
+            assert idx[0] == 0
+            assert len(idx) == 2 and 1 <= idx[1] <= 3
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: bp.single_coordinate(5),
+            lambda: bp.single_coordinate(4, [0.1, 0.2, 0.3, 0.4]),
+            lambda: bp.nice(4, 2),
+            lambda: bp.nice(250, 4),
+            lambda: bp.full(3),
+            lambda: bp.paired_dso(3),
+        ],
+        ids=["single", "single_nonuniform", "nice_2_of_4", "nice_4_of_250", "full", "paired"],
+    )
+    def test_indices_match_mask_oracle(self, make, draw_oracle):
+        # same index sets and the same random stream as the mask form
+        s = make()
+        rng_new, rng_old = bp.make_rng(77), bp.make_rng(77)
+        for _ in range(10_000):
+            idx = bp.draw(s, rng_new)
+            assert np.array_equal(idx, np.flatnonzero(draw_oracle(s, rng_old)))
+        assert rng_new.random() == rng_old.random()
+
+    def test_enumerable_indices_are_shared_and_read_only(self):
+        s = bp.nice(4, 2)
+        rng = bp.make_rng(3)
+        idx = bp.draw(s, rng)
+        assert not idx.flags.writeable
+        assert any(bp.draw(s, rng) is idx for _ in range(50))
 
     def test_improper_sampling_rejected(self):
         with pytest.raises(ValueError):
@@ -81,7 +109,9 @@ class TestProbMatrix:
         assert s.support is None
         rng = bp.make_rng(0)
         for _ in range(20):
-            assert bp.draw(s, rng).sum() == 7
+            idx = bp.draw(s, rng)
+            assert len(idx) == 7
+            assert np.all(np.diff(idx) > 0) and 0 <= idx[0] and idx[-1] < 30
 
 
 class TestInvariantChecks:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,75 @@ class TestEquivalence:
         assert len(r1.trace) == len(r2.trace) >= 1
         for row1, row2 in zip(r1.trace, r2.trace):
             assert row2.psi_x == pytest.approx(row1.psi_x, rel=1e-8)
+
+
+class TestImplicitAveragedIterate:
+    """The implicit w = x + gamma e against the explicit step it replaced
+    (``ExplicitRbcdOracle`` in conftest), drawing the same blocks."""
+
+    @staticmethod
+    def _compare(p, s, pol_new, pol_old, oracle_cls, steps, recompute_every, seed=8):
+        eng = RbcdEngine(p, s, pol_new)
+        ora = oracle_cls(p, s, pol_old)
+        st = eng.init_state(np.zeros(p.m), bp.make_rng(seed))
+        so = ora.init_state(np.zeros(p.m), bp.make_rng(seed))
+
+        def rel(new, old):
+            return float(np.max(np.abs(new - old))) / max(1.0, float(np.max(np.abs(old))))
+
+        worst_w = worst_x = 0.0
+        for _ in range(steps):
+            eng.step(st)
+            ora.step(so)
+            if recompute_every and st.k % recompute_every == 0:
+                eng.refresh(st)
+                ora.refresh(so)
+            worst_w = max(worst_w, rel(st.w, so.w), rel(st.aw, so.aw))
+            worst_x = max(worst_x, rel(st.x, so.x))
+        assert worst_w <= 1e-12
+        # x feeds rounding differences of the residual back through the
+        # gradient weight S_k (about 1e6 here), so it is held to less
+        assert worst_x <= 1e-10
+        assert st.psi_hat == pytest.approx(so.psi_hat, rel=1e-12)
+        return st
+
+    @pytest.mark.parametrize("recompute_every", [0, 1000])
+    def test_accelerated_matches_explicit(self, recompute_every, bench_instance, explicit_rbcd):
+        p = bench_instance
+        s = bp.single_coordinate(p.d)
+        pol = bp.make_accelerated_policy(p, s)
+        self._compare(p, s, pol, replace(pol), explicit_rbcd, 10_000, recompute_every)
+
+    def test_full_sampling_accelerated_matches_explicit(self, bench_instance, explicit_rbcd):
+        # sigma_0 = min pi = 1 to rounding, so gamma starts near 1e-16
+        p = bench_instance
+        s = bp.full(p.d)
+        pol = bp.make_accelerated_policy(p, s)
+        assert pol.sigma_at(0) == pytest.approx(1.0, abs=1e-12)
+        self._compare(p, s, pol, replace(pol), explicit_rbcd, 10_000, 1000)
+
+    def test_theta0_one_restarts_the_average(self, bench_instance, explicit_rbcd):
+        # theta_0 = sigma / S_0 = 1 exactly; B >= d A_i'A_i + Lam_i blockwise
+        # bounds A'A + Lam, so sigma = 1 is admissible under full sampling
+        p = bench_instance
+        s = bp.full(p.d)
+        b_diag = p.blocks.expand(p.d * p.block_sq_norms + p.smooth_lipschitz)
+        pol = ConvexPolicy(sigma=1.0, b_diag=b_diag)
+        eng = RbcdEngine(p, s, pol)
+        st = eng.init_state(np.zeros(p.m), bp.make_rng(0))
+        eng.step(st)
+        assert st.gamma == 1.0 and not st.e.any()
+        assert np.array_equal(st.w, st.x)
+        self._compare(p, s, pol, replace(pol), explicit_rbcd, 10_000, 0)
+
+    def test_averaged_iterate_is_read_only(self, two_block_instance):
+        p = two_block_instance
+        s = bp.single_coordinate(2)
+        eng = RbcdEngine(p, s, bp.convex_default_policy(p, s))
+        st = eng.init_state(np.zeros(p.m), bp.make_rng(0))
+        for attr in ("w", "aw"):
+            with pytest.raises(AttributeError):
+                setattr(st, attr, np.zeros(2))
 
 
 class TestGammaTable:

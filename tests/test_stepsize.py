@@ -227,6 +227,15 @@ class TestTauRecursion:
             )
         assert step_map(0.0, 0.0, 4.0, 0.5) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "t, kappa, pi",
+        [(0.01, 30.0, (0.5, 0.25)), (0.02, 12.0, (0.9, 0.3, 0.6)), (1e-4, 30.0, (0.5, 0.25))],
+    )
+    def test_vanishes_at_successor_for_non_uniform_marginals(self, t, kappa, pi):
+        # every block's quadratic is >= 0 at the largest root, the binding
+        # one is 0, so the map over blocks is their minimum
+        assert step_map(tau_next(t, kappa, pi), t, kappa, pi) == pytest.approx(0.0, abs=1e-15)
+
 
 class TestInvariantChecks:
     """The production cross-checks raise InvariantViolation, which, unlike a
