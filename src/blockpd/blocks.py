@@ -42,6 +42,11 @@ class BlockStructure:
     def offsets(self) -> tuple[int, ...]:
         return tuple(np.concatenate([[0], np.cumsum(self.dims)]).tolist())
 
+    @cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """The d block slices of a length-m vector, built once."""
+        return tuple(slice(a, b) for a, b in zip(self.offsets[:-1], self.offsets[1:]))
+
     @property
     def d(self) -> int:
         return len(self.dims)
@@ -51,13 +56,13 @@ class BlockStructure:
         return self.offsets[-1]
 
     def block_slice(self, i: int) -> slice:
-        return slice(self.offsets[i], self.offsets[i + 1])
+        return self.slices[i]
 
     def block(self, x: Array, i: int) -> Array:
-        return x[self.block_slice(i)]
+        return x[self.slices[i]]
 
     def split(self, x: Array) -> list[Array]:
-        return [self.block(x, i) for i in range(self.d)]
+        return [x[sl] for sl in self.slices]
 
     def expand(self, per_block: Sequence[float]) -> Array:
         """Repeat one scalar per block into a length-m vector."""
@@ -87,8 +92,8 @@ class SmoothBlock:
         h = np.asarray(h, dtype=float)
         c = np.asarray(c, dtype=float)
         return SmoothBlock(
-            lambda x: 0.5 * float(x @ (h @ x)) + float(c @ x),
-            lambda x: h @ x + c,
+            lambda x: 0.5 * float(x.dot(h.dot(x))) + float(c.dot(x)),
+            lambda x: h.dot(x) + c,
             h,
         )
 
@@ -155,7 +160,7 @@ class ProblemSpec:
                     f"expected {(q, self.blocks.dims[i])}"
                 )
         a = np.empty((q, self.blocks.m), order="F")
-        slices = [self.blocks.block_slice(i) for i in range(d)]
+        slices = self.blocks.slices
         for sl, a_i in zip(slices, self.a_blocks):
             a[:, sl] = a_i
         a.flags.writeable = False
@@ -194,9 +199,8 @@ class ProblemSpec:
     def lam_full(self) -> Array:
         """Block-diagonal assembly of all smooth curvature matrices."""
         out = np.zeros((self.m, self.m))
-        for i, blk in enumerate(self.smooth):
-            sl = self.blocks.block_slice(i)
-            out[sl, sl] = blk.lam_matrix(self.blocks.dims[i])
+        for sl, n, blk in zip(self.blocks.slices, self.blocks.dims, self.smooth):
+            out[sl, sl] = blk.lam_matrix(n)
         return out
 
     @cached_property
@@ -211,20 +215,19 @@ class ProblemSpec:
 
     def phi(self, x: Array) -> float:
         return sum(
-            float(self.smooth[i].value(self.blocks.block(x, i))) for i in range(self.d)
+            float(blk.value(x[sl])) for sl, blk in zip(self.blocks.slices, self.smooth)
         )
 
     def grad_phi(self, x: Array) -> Array:
         out = np.empty(self.m)
-        for i in range(self.d):
-            sl = self.blocks.block_slice(i)
-            out[sl] = self.smooth[i].grad(x[sl])
+        for sl, blk in zip(self.blocks.slices, self.smooth):
+            out[sl] = blk.grad(x[sl])
         return out
 
     def r_value(self, x: Array) -> float:
         total = 0.0
-        for i in range(self.d):
-            v = float(self.prox[i].value(self.blocks.block(x, i)))
+        for sl, blk in zip(self.blocks.slices, self.prox):
+            v = float(blk.value(x[sl]))
             if not np.isfinite(v):
                 return math.inf
             total += v
@@ -233,9 +236,8 @@ class ProblemSpec:
     def prox_r(self, gamma: Array, v: Array) -> Array:
         """Blockwise weighted prox of R in the diagonal metric ``gamma``."""
         out = np.empty(self.m)
-        for i in range(self.d):
-            sl = self.blocks.block_slice(i)
-            out[sl] = self.prox[i].prox(gamma[sl], v[sl])
+        for sl, blk in zip(self.blocks.slices, self.prox):
+            out[sl] = blk.prox(gamma[sl], v[sl])
         return out
 
 
@@ -255,8 +257,8 @@ def penalty_h(p: ProblemSpec, x: Array) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.m,):
         raise ValueError(f"x has shape {x.shape}, expected ({p.m},)")
-    res = p.a @ x - p.b
-    return 0.5 * float(res @ res)
+    res = p.a.dot(x) - p.b
+    return 0.5 * float(res.dot(res))
 
 
 def grad_h(p: ProblemSpec, x: Array) -> Array:
@@ -264,7 +266,7 @@ def grad_h(p: ProblemSpec, x: Array) -> Array:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.m,):
         raise ValueError(f"x has shape {x.shape}, expected ({p.m},)")
-    return p.a.T @ (p.a @ x - p.b)
+    return p.a.T.dot(p.a.dot(x) - p.b)
 
 
 def partial_grad_h(p: ProblemSpec, z: Array, i: int) -> Array:
@@ -272,7 +274,7 @@ def partial_grad_h(p: ProblemSpec, z: Array, i: int) -> Array:
     z = np.asarray(z, dtype=float)
     if z.shape != (p.m,):
         raise ValueError(f"z has shape {z.shape}, expected ({p.m},)")
-    return p.a_blocks[i].T @ (p.a @ z - p.b)
+    return p.a_blocks[i].T.dot(p.a.dot(z) - p.b)
 
 
 def kkt_residual(p: ProblemSpec, x: Array, y: Array) -> float:
@@ -286,10 +288,10 @@ def kkt_residual(p: ProblemSpec, x: Array, y: Array) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    g = p.grad_phi(x) + p.a.T @ y
+    g = p.grad_phi(x) + p.a.T.dot(y)
     xp = p.prox_r(np.ones(p.m), x - g)
     primal = float(np.max(np.abs(x - xp))) if p.m else 0.0
-    dual = float(np.max(np.abs(p.a @ x - p.b))) if p.q else 0.0
+    dual = float(np.max(np.abs(p.a.dot(x) - p.b))) if p.q else 0.0
     return max(primal, dual)
 
 
@@ -462,7 +464,7 @@ def make_random_inconsistent_ls(
         if lo is None:
 
             def value(xv):
-                return 0.5 * mu * float(xv @ xv)
+                return 0.5 * mu * float(xv.dot(xv))
 
             def prox(g, v):
                 return g * v / (g + mu)
@@ -472,7 +474,7 @@ def make_random_inconsistent_ls(
             def value(xv):
                 if np.any(xv < lo - 1e-12) or np.any(xv > hi + 1e-12):
                     return math.inf
-                return 0.5 * mu * float(xv @ xv)
+                return 0.5 * mu * float(xv.dot(xv))
 
             def prox(g, v):
                 return np.clip(g * v / (g + mu), lo, hi)

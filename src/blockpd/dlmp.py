@@ -521,12 +521,12 @@ class _OperatorProjector:
     def _inner(self, v: Array, lam: Array):
         """x = Pi_K(v - C^T lam), the dual objective there and the pieces the
         Newton matrix needs: w, the flow magnitudes of w, the ball scales."""
-        w = v - lam @ self.c
+        w = v - lam.dot(self.c)
         x = np.minimum(np.maximum(w, self.lo), self.hi)  # f and g are unbounded
         nrm, scale = self.balls.scales(w)
         x[self.f] *= scale
         x[self.g] *= scale
-        dual = float(x @ (w - 0.5 * x) + lam @ self.e)
+        dual = float(x.dot(w - 0.5 * x) + lam.dot(self.e))
         return x, w, nrm, scale, dual
 
     def _newton_matrix(
@@ -545,7 +545,7 @@ class _OperatorProjector:
         )
         weights = np.ones(cols.shape[1])
         weights[cols.shape[1] - a.size :] -= a
-        return (self.gram + eps * self.eye) - (cols * weights) @ cols.T
+        return (self.gram + eps * self.eye) - (cols * weights).dot(cols.T)
 
     def _direction(self, res, w, nrm, scale, gap, fresh: bool) -> tuple[Array, bool]:
         """Solve H d = res with the session's factor (a chord step) when the
@@ -586,7 +586,7 @@ class _OperatorProjector:
         newton_steps = 0
         gap_before, chord, halved = math.inf, False, False
         while True:
-            res = self.c @ x - self.e
+            res = self.c.dot(x) - self.e
             gap = abs(res).max()
             if gap <= NEWTON_TOL:
                 if session is not None:
@@ -602,7 +602,7 @@ class _OperatorProjector:
             newton_steps += 1
             fresh = halved or (chord and gap > CHORD_CONTRACTION * gap_before)
             step, chord = self._direction(res, w, nrm, scale, gap, fresh)
-            descent = 1e-4 * (res @ step)
+            descent = 1e-4 * res.dot(step)
             allowance = 1e-13 * abs(dual)
             t = 1.0
             for _ in range(ARMIJO_MAX_HALVINGS):
@@ -633,8 +633,8 @@ def _make_dso_prox(net: NetworkModel, lay: DsoLayout):
         off_box = np.maximum(np.maximum(box.lo - v, v - box.hi), 0.0)
         excess = np.hypot(v[balls.f], v[balls.g]) - balls.radii
         return bool(
-            math.sqrt(off_rows @ off_rows) <= 1e-6
-            and math.sqrt(off_box @ off_box) <= 1e-6
+            math.sqrt(off_rows.dot(off_rows)) <= 1e-6
+            and math.sqrt(off_box.dot(off_box)) <= 1e-6
             and excess.max() <= 1e-6
         )
 
@@ -787,13 +787,14 @@ def build_opf_problem(
 
     costs = slack_costs if slack_costs is not None else default_slack_costs(t_h)
 
+    p0 = [lay0.idx_p0(t) for t in range(t_h)]
+
     def phi0_value(x0):
-        return sum(costs[t][0](x0[lay0.idx_p0(t)]) for t in range(t_h))
+        return sum(costs[t][0](x0[j]) for t, j in enumerate(p0))
 
     def phi0_grad(x0):
         g = np.zeros(lay0.dim)
-        for t in range(t_h):
-            g[lay0.idx_p0(t)] = costs[t][1](x0[lay0.idx_p0(t)])
+        g[p0] = [costs[t][1](x0[j]) for t, j in enumerate(p0)]
         return g
 
     lam0 = np.zeros((lay0.dim, lay0.dim))

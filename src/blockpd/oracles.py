@@ -51,8 +51,8 @@ class Reference:
         """h(x) - h*, evaluated cancellation-free as 0.5||A(x - x_ls)||^2.
         Anchored at ``x_ls`` always: a long-run ``x_star`` is an iterate, not
         a normal-equation solution."""
-        r = p.a @ (np.asarray(x) - self.x_ls)
-        return 0.5 * float(r @ r)
+        r = p.a.dot(np.asarray(x) - self.x_ls)
+        return 0.5 * float(r.dot(r))
 
 
 def least_squares_reference(p: ProblemSpec) -> Reference:

@@ -214,11 +214,11 @@ class AffineSubspace:
         object.__setattr__(self, "_shift", c.T @ gram_inv_e)
 
     def project(self, v: Array) -> Array:
-        return self._proj @ v + self._shift
+        return self._proj.dot(v) + self._shift
 
     def multiplier(self, v: Array) -> Array:
         """(C C^T)^{-1} (C v - e), so that project(v) = v - C^T multiplier(v)."""
-        return self._gram_inv_c @ v - self._gram_inv_e
+        return self._gram_inv_c.dot(v) - self._gram_inv_e
 
     def distance(self, v: Array) -> float:
         return float(np.linalg.norm(v - self.project(v)))

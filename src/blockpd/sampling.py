@@ -14,6 +14,7 @@ bit generator for stable streams (see :func:`make_rng`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -71,8 +72,9 @@ class Sampling:
                 raise ValueError("marginals inconsistent with the support")
 
     @cached_property
-    def _cum(self) -> Array:
-        return np.cumsum(self.probs)
+    def _cum(self) -> list[float]:
+        """Cumulative support probabilities as plain floats, for bisection."""
+        return np.cumsum(self.probs).tolist()
 
     @cached_property
     def _index_sets(self) -> tuple[Array, ...]:
@@ -140,7 +142,7 @@ def draw(s: Sampling, rng: np.random.Generator) -> Array:
     ``choice`` call (the large kind) from ``rng``.
     """
     if s.support is not None:
-        j = int(s._cum.searchsorted(rng.random(), side="right"))
+        j = bisect_right(s._cum, rng.random())
         return s._index_sets[min(j, len(s.support) - 1)]
     idx = rng.choice(s.d, size=s.nice_m, replace=False)
     idx.sort()
@@ -202,8 +204,8 @@ def xi_matrix(s: Sampling, a_blocks: Sequence[Array]) -> Array:
     np.fill_diagonal(w, 1.0 / s.pi)
     a = np.hstack(a_blocks)
     xi = a.T @ a
-    for i in range(blocks.d):
-        xi[blocks.block_slice(i)] *= blocks.expand(w[i])
+    for sl, w_i in zip(blocks.slices, w):
+        xi[sl] *= blocks.expand(w_i)
     return xi
 
 

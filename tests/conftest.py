@@ -279,10 +279,11 @@ class ExplicitRbcdOracle(RbcdEngine):
             delta = x_hat - xi
             a_delta = p.a_blocks[i] @ delta
             state.ax += a_delta
-            aw_new += (theta * self.inv_pi[i]) * a_delta
-            w_new[sl] = z[sl] + (theta * self.inv_pi[i]) * delta
+            inv_pi = self.per_block[i].inv_pi
+            aw_new += (theta * inv_pi) * a_delta
+            w_new[sl] = z[sl] + (theta * inv_pi) * delta
             psi_new = p.psi_block(i, x_hat)
-            bracket += self.inv_pi[i] * (psi_new - state.psi_vec[i])
+            bracket += inv_pi * (psi_new - state.psi_vec[i])
             state.psi_total += psi_new - state.psi_vec[i]
             state.psi_vec[i] = psi_new
             state.x[sl] = x_hat

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,22 @@ class TestDraw:
             idx = bp.draw(s, rng_new)
             assert np.array_equal(idx, np.flatnonzero(draw_oracle(s, rng_old)))
         assert rng_new.random() == rng_old.random()
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: bp.single_coordinate(4, [0.1, 0.2, 0.3, 0.4]), lambda: bp.paired_dso(3)],
+        ids=["single_nonuniform", "paired"],
+    )
+    def test_ties_at_cumulative_boundaries(self, make):
+        # a uniform equal to a cumulative probability belongs to the next
+        # subset (searchsorted side="right"); above the last one it is
+        # clamped to the last subset.  Random draws almost never tie.
+        s = make()
+        cum = np.cumsum(s.probs)
+        for u in [*cum.tolist(), float(np.nextafter(1.0, 0.0)), 0.0]:
+            stub = SimpleNamespace(random=lambda u=u: u)
+            j = min(int(np.searchsorted(cum, u, side="right")), len(s.support) - 1)
+            assert np.array_equal(bp.draw(s, stub), sorted(s.support[j]))
 
     def test_enumerable_indices_are_shared_and_read_only(self):
         s = bp.nice(4, 2)

@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,3 +572,57 @@ class TestRunLoop:
             stop_callback=lambda st: st.k >= 30,
         )
         assert res.stopped_at == 30
+
+
+# functions on the step and trace-row paths, per module of the package; their
+# products go through ndarray.dot, which on the few-column slabs of a block
+# step skips most of @'s dispatch cost
+HOT_PATHS = {
+    "solver.py": ("RbcdEngine.step", "PdaEngine.step"),
+    "blocks.py": ("kkt_residual", "SmoothBlock.quadratic"),
+    "oracles.py": ("Reference.h_gap",),
+    "dlmp.py": (
+        "_OperatorProjector._inner",
+        "_OperatorProjector.project",
+        "_OperatorProjector._newton_matrix",
+    ),
+}
+
+
+def matmul_uses(source: str, names) -> list[str]:
+    """``name:line`` of every ``@`` or ``@=`` inside the named module-level
+    functions or methods of ``source``; a missing name raises KeyError."""
+    tree = ast.parse(source)
+    funcs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            funcs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    funcs[f"{node.name}.{item.name}"] = item
+    return [
+        f"{name}:{node.lineno}"
+        for name in names
+        for node in ast.walk(funcs[name])
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+
+
+class TestHotPathProducts:
+    def test_hot_paths_have_no_matmul(self):
+        package = Path(bp.__file__).resolve().parent
+        found = [
+            f"{module}:{use}"
+            for module, names in HOT_PATHS.items()
+            for use in matmul_uses((package / module).read_text(), names)
+        ]
+        assert found == []
+
+    def test_guard_sees_a_matmul_put_back(self):
+        source = (Path(bp.__file__).resolve().parent / "solver.py").read_text()
+        assert "a_t.dot(res)" in source
+        back = source.replace("a_t.dot(res)", "a_t @ res")
+        assert [use.split(":")[0] for use in matmul_uses(back, HOT_PATHS["solver.py"])] == [
+            "RbcdEngine.step"
+        ]
