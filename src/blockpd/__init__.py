@@ -20,16 +20,10 @@ from .blocks import (
 )
 from .oracles import Reference, least_squares_reference, quadratic_reference
 from .proxops import (
-    DiagonalMetric,
     dykstra_project,
     exact_projection_qp,
-    project_ball,
-    project_box,
     project_energy_budget,
     project_energy_budgets,
-    project_halfspace,
-    project_hyperplane,
-    weighted_prox,
 )
 from .sampling import (
     Sampling,
@@ -42,7 +36,6 @@ from .sampling import (
     prob_matrix,
     single_coordinate,
     weight_matrix_p,
-    weight_vector,
     xi_matrix,
 )
 from .solver import (
@@ -58,7 +51,6 @@ from .stepsize import (
     AcceleratedPolicy,
     ConvexPolicy,
     accel_params,
-    certify_mi,
     convex_default_policy,
     make_accelerated_policy,
     mi_margins,

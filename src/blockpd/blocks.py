@@ -58,12 +58,6 @@ class BlockStructure:
     def block_slice(self, i: int) -> slice:
         return self.slices[i]
 
-    def block(self, x: Array, i: int) -> Array:
-        return x[self.slices[i]]
-
-    def split(self, x: Array) -> list[Array]:
-        return [x[sl] for sl in self.slices]
-
     def expand(self, per_block: Sequence[float]) -> Array:
         """Repeat one scalar per block into a length-m vector."""
         return np.repeat(np.asarray(per_block, dtype=float), self.dims)
@@ -120,7 +114,7 @@ class ProxBlock:
     """
 
     value: Callable[[Array], float]
-    prox: Callable[[Array, Array], Array] | None
+    prox: Callable[[Array, Array], Array]
     mu: float = 0.0
 
 

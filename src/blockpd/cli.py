@@ -21,7 +21,7 @@ A run is described by a flat INI file with sections::
 
     [policy]
     kind = convex                 ; convex | accelerated
-    certify = true
+    certify = true                ; not done when sigma is given (NaN margin)
 
     [fit]
     columns = psi_hat_gap, h_gap_w
@@ -34,8 +34,8 @@ factorisation totals; includes wall time, so not byte-stable), ``rates.csv``
 with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 
 Exit codes: 0 success, 2 config error (including a field that does not read
-as a number or a boolean), 3 divergence or a projection that did not
-converge, 4 infeasible instance.
+as a number or a boolean, or a value the library rejects), 3 divergence or a
+projection that did not converge, 4 infeasible instance.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -169,6 +170,17 @@ def field_value(section: str, fields, key: str, default, kind=float):
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+
+@contextmanager
+def rejected_as_config(section: str):
+    """Re-raise a library ``ValueError`` as a ConfigError naming ``section``."""
+    try:
+        yield
+    except (ConfigError, InfeasibleInstance):
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +348,23 @@ def run_experiment(cfg: RunConfig) -> int:
         "model_fit": _build_model_fit,
         "custom": _build_custom,
     }
-    problem, x0 = builders[cfg.experiment](cfg)
+    with rejected_as_config("instance"):
+        problem, x0 = builders[cfg.experiment](cfg)
 
     kind = cfg.sampling.get("kind", "single")
-    skwargs = {}
-    if "m" in cfg.sampling:
-        skwargs["m"] = field_value("sampling", cfg.sampling, "m", None, int)
-    sampling = sampling_from_config(kind, problem.d, **skwargs)
+    m = field_value("sampling", cfg.sampling, "m", None, int)
+    with rejected_as_config("sampling"):
+        sampling = sampling_from_config(kind, problem.d, m)
     meta["sampling_resolved"] = {"kind": kind, "pi": sampling.pi.tolist()}
 
     pol_kind = cfg.policy.get("kind", "convex")
     certify = field_value("policy", cfg.policy, "certify", True, _ini_bool)
     if pol_kind == "convex":
-        policy = convex_default_policy(problem, sampling, certify=certify)
-        if "sigma" in cfg.policy and cfg.policy["sigma"] != "auto":
+        # the default sigma's certificate does not describe a given sigma
+        given = cfg.policy.get("sigma", "auto") != "auto"
+        with rejected_as_config("policy"):
+            policy = convex_default_policy(problem, sampling, certify=certify and not given)
+        if given:
             policy.sigma = field_value("policy", cfg.policy, "sigma", None)
         meta["policy_resolved"] = {
             "kind": "convex",
@@ -361,7 +376,8 @@ def run_experiment(cfg: RunConfig) -> int:
         tau0 = None
         if cfg.policy.get("tau0"):
             tau0 = field_value("policy", cfg.policy, "tau0", None)
-        policy = make_accelerated_policy(problem, sampling, tau0=tau0)
+        with rejected_as_config("policy"):
+            policy = make_accelerated_policy(problem, sampling, tau0=tau0)
         meta["policy_resolved"] = {
             "kind": "accelerated",
             "alpha": policy.alpha,

@@ -486,7 +486,8 @@ class _OperatorProjector:
     binding flow ball, u = w/|w|) and eps = 0.1 min(1e-2, |C x - e|_inf),
     then backtracks on D (Armijo, with a 1e-13 |D| allowance for roundoff
     in D itself).  It stops when |C x - e|_inf <= NEWTON_TOL; x lies in K by
-    construction.
+    construction.  A non-finite first row residual (non-finite input, e.g. a
+    NaN price) raises at once.
 
     With no ``session`` (the default) a projection starts at the multiplier
     of the plain affine projection and forms and factors H at every step.
@@ -594,6 +595,10 @@ class _OperatorProjector:
                     session.calls += 1
                     session.newton_steps += newton_steps
                 return x
+            if newton_steps == 0 and not math.isfinite(gap):
+                raise ProjectionDidNotConverge(
+                    f"operator projection: non-finite input (row residual {gap})"
+                )
             if newton_steps == NEWTON_MAX_ITER:
                 raise ProjectionDidNotConverge(
                     f"operator projection: row residual {gap:.3e} after "
@@ -883,14 +888,11 @@ class PpdlmpEngine(PdaEngine):
         self.projector: _OperatorProjector = problem.meta["dso_projector"]
         self.session = ProjectionSession()
 
-    def init_state(
-        self, x0: Array, rng: np.random.Generator, y0: Array | None = None
-    ) -> PdaState:
-        """Prices start at sigma (A x0 - b) unless ``y0`` is given."""
+    def init_state(self, x0: Array, rng: np.random.Generator) -> PdaState:
+        """Prices start at sigma (A x0 - b)."""
         self.session.reset()
-        state = super().init_state(x0, rng, y0=y0)
-        if y0 is None:
-            state.y *= self.policy.sigma_at(0)
+        state = super().init_state(x0, rng)
+        state.y *= self.policy.sigma_at(0)
         return state
 
     def step(self, state: PdaState, active_mask: Array | None = None) -> PdaState:

@@ -21,10 +21,6 @@ class UnsupportedSampling(ValueError):
     """Operation needs an explicitly enumerated support and none is available."""
 
 
-class UnsupportedOperator(ValueError):
-    """No closed-form prox/projection is registered for the requested operator."""
-
-
 class ProjectionDidNotConverge(RuntimeError):
     """Cyclic projection hit its iteration cap; the intersection may be empty."""
 

@@ -1,7 +1,7 @@
-"""Weighted proximal operators and Euclidean projections.
+"""Prox factories and Euclidean projections.
 
-All operators act on flat float vectors.  ``gamma`` arguments are the
-(positive) diagonal of the prox metric; projections are metric-free.
+All operators act on flat float vectors.  A factory's ``prox(g, v)`` takes
+the positive diagonal ``g`` of the prox metric; projections are metric-free.
 Everything here is a pure function of its inputs and safe to call from
 anywhere.
 """
@@ -15,44 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import ProxBlock
-from .errors import InfeasibleInstance, ProjectionDidNotConverge, UnsupportedOperator
+from .errors import InfeasibleInstance, ProjectionDidNotConverge
 
 Array = np.ndarray
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 10_000
-
-
-@dataclass(frozen=True)
-class DiagonalMetric:
-    """Diagonal of a positive block metric."""
-
-    weights: Array
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w <= 0.0):
-            raise ValueError("metric weights must be strictly positive")
-        object.__setattr__(self, "weights", w)
-
-
-def weighted_prox(r: ProxBlock, gamma, v: Array) -> Array:
-    """argmin_u r(u) + 0.5 ||u - v||^2_diag(gamma).
-
-    ``gamma`` may be a :class:`DiagonalMetric`, a positive vector or a
-    positive scalar.  Separable terms evaluate coordinatewise through the
-    block's own rule; a block without a registered rule is rejected.
-    """
-    v = np.asarray(v, dtype=float)
-    if isinstance(gamma, DiagonalMetric):
-        g = gamma.weights
-    else:
-        g = np.broadcast_to(np.asarray(gamma, dtype=float), v.shape)
-    if np.any(g <= 0.0):
-        raise ValueError("metric weights must be strictly positive")
-    if r.prox is None:
-        raise UnsupportedOperator("no closed form or sub-solver registered")
-    return r.prox(np.array(g, dtype=float), v)
 
 
 # ---------------------------------------------------------------------------
@@ -222,28 +190,6 @@ class AffineSubspace:
 
     def distance(self, v: Array) -> float:
         return float(np.linalg.norm(v - self.project(v)))
-
-
-def project_box(lo, hi, v):
-    return np.clip(v, lo, hi)
-
-
-def project_ball(center, radius, v):
-    return Ball(np.asarray(center, dtype=float), float(radius)).project(
-        np.asarray(v, dtype=float)
-    )
-
-
-def project_halfspace(a, c, v):
-    return Halfspace(np.asarray(a, dtype=float), float(c)).project(
-        np.asarray(v, dtype=float)
-    )
-
-
-def project_hyperplane(a, c, v):
-    return Hyperplane(np.asarray(a, dtype=float), float(c)).project(
-        np.asarray(v, dtype=float)
-    )
 
 
 def project_energy_budget(lo, hi, demand, v) -> Array:

@@ -93,9 +93,6 @@ class Sampling:
             masks[j, list(subset)] = True
         return masks
 
-    def enumerable(self) -> bool:
-        return self.support is not None
-
 
 def single_coordinate(d: int, probs=None) -> Sampling:
     """One block per iteration; uniform unless per-block probs are given."""
@@ -177,14 +174,9 @@ def prob_matrix(s: Sampling) -> Array:
     return pi_mat
 
 
-def weight_vector(s: Sampling) -> Array:
-    """Per-block inverse marginals 1/pi_i."""
-    return 1.0 / s.pi
-
-
 def weight_matrix_p(s: Sampling, blocks: BlockStructure) -> Array:
     """Diagonal of the m-by-m scaling matrix with 1/pi_i on block i."""
-    return blocks.expand(weight_vector(s))
+    return blocks.expand(1.0 / s.pi)
 
 
 def xi_matrix(s: Sampling, a_blocks: Sequence[Array]) -> Array:
@@ -222,15 +214,15 @@ def expectation_over_sampling(s: Sampling, f: Callable[[Array], object]):
     return total
 
 
-def from_config(kind: str, d: int, **kwargs) -> Sampling:
-    """Build a sampling from a config-style kind tag."""
+def from_config(kind: str, d: int, m: int | None = None) -> Sampling:
+    """Build a sampling from a config-style kind tag; ``nice`` needs ``m``."""
     kind = kind.lower()
-    if kind in ("single", "single_coordinate"):
-        return single_coordinate(d, kwargs.get("probs"))
-    if kind in ("uniform",):
+    if kind in ("single", "single_coordinate", "uniform"):
         return single_coordinate(d)
     if kind == "nice":
-        return nice(d, int(kwargs["m"]))
+        if m is None:
+            raise ValueError("nice sampling needs a subset size m")
+        return nice(d, m)
     if kind == "full":
         return full(d)
     if kind in ("paired", "paired_dso"):

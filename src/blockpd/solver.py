@@ -18,7 +18,7 @@ form keeps w implicitly as x + gamma e (the change of variables of Lee &
 Sidford and of APPROX, Fercoq & Richtarik 2015, section 5), so a step
 rescales the scalar gamma and writes only the active slices of e.  The
 incrementally maintained products (Ax and Ae, the residual u) are refreshed
-every ``recompute_every`` steps to cap float drift, and the averaging form
+every ``REFRESH_EVERY`` steps to cap float drift, and the averaging form
 folds gamma into e there.  Within one iteration the block updates read
 shared state and write disjoint slices, so they could run concurrently; the
 e/u/y updates are the synchronisation point.  One engine instance is
@@ -40,6 +40,10 @@ from .oracles import Reference, least_squares_reference
 from .sampling import Sampling, draw, make_rng, weight_matrix_p
 
 Array = np.ndarray
+
+# steps between cache refreshes, and between finite-iterate checks
+REFRESH_EVERY = 1000
+NAN_CHECK_EVERY = 100
 
 
 @dataclass(slots=True)
@@ -292,20 +296,15 @@ class PdaEngine(_EngineBase):
         self._ap_delta = np.empty(problem.q)
         self._dy = np.empty(problem.q)
 
-    def init_state(
-        self, x0: Array, rng: np.random.Generator, y0: Array | None = None
-    ) -> PdaState:
+    def init_state(self, x0: Array, rng: np.random.Generator) -> PdaState:
         p = self.problem
         x0 = np.asarray(x0, dtype=float).copy()
         if x0.shape != (p.m,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({p.m},)")
         u0 = p.a.dot(x0) - p.b
-        # default dual start S_0 (A z^0 - b) = A x^0 - b matches the
-        # averaging form exactly (z^0 = x^0 because w^0 = x^0)
-        y0 = u0.copy() if y0 is None else np.asarray(y0, dtype=float).copy()
-        if y0.shape != (p.q,):
-            raise ValueError(f"y0 has shape {y0.shape}, expected ({p.q},)")
-        return PdaState(x=x0, u=u0, y=y0, k=0, rng=rng)
+        # the dual start S_0 (A z^0 - b) = A x^0 - b matches the averaging
+        # form exactly (z^0 = x^0 because w^0 = x^0)
+        return PdaState(x=x0, u=u0, y=u0.copy(), k=0, rng=rng)
 
     def step(self, state: PdaState, active_mask: Array | None = None) -> PdaState:
         k = state.k
@@ -362,17 +361,10 @@ def run(
     *,
     engine="rbcd",
     seed: int = 0,
-    rng: np.random.Generator | None = None,
     trace_every: int = 100,
     stop_kkt_tol: float | None = None,
-    stop_callback=None,
     reference: Reference | None = None,
-    with_lyapunov: bool = False,
-    recompute_every: int = 1000,
-    nan_check_every: int = 100,
     record_iterates: bool = False,
-    y0: Array | None = None,
-    trace_sink=None,
 ) -> RunResult:
     """Drive one engine for up to ``k_max`` iterations.
 
@@ -385,27 +377,21 @@ def run(
     trace_every : record a trace row every this many iterations, at least 1
         (the final iteration is always recorded; nothing is recorded at
         k = 0).
-    trace_sink : optional callable receiving each TraceRecord as it is
-        produced (for streaming rows to a file while the run is live).
     stop_kkt_tol : stop early once the saddle residual at a trace point falls
         below this value.
     reference : ground-truth anchors for gap columns; computed from the
         normal equations when omitted.
-    with_lyapunov : also record the energy V_k (averaging engine only; needs
-        a reference with x_star and psi_star).
     record_iterates : keep the full x history (and w for the averaging
         form); only sensible for short runs.
-    y0 : dual start, passed to the engine's ``init_state`` (primal-dual
-        engines only).
 
-    Deterministic for a fixed seed: the generator is consumed only by the
-    block draws.  Raises :class:`SolverDivergence` if non-finite values show
-    up, with the last recorded trace row attached.
+    The engine's caches are recomputed every ``REFRESH_EVERY`` steps, and a
+    non-finite iterate at a check every ``NAN_CHECK_EVERY`` steps raises
+    :class:`SolverDivergence` with the last trace row attached.  The
+    ``lyapunov`` column is left NaN (see :func:`lyapunov`).  Deterministic
+    for a fixed seed: the generator is consumed only by the block draws.
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
-    if rng is None:
-        rng = make_rng(seed)
     if reference is None:
         reference = least_squares_reference(problem)
 
@@ -418,7 +404,7 @@ def run(
         eng = engine
         if not (eng.problem is problem and eng.sampling is sampling and eng.policy is policy):
             raise ValueError("engine was built for another problem, sampling or policy")
-    state = eng.init_state(x0, rng) if y0 is None else eng.init_state(x0, rng, y0=y0)
+    state = eng.init_state(x0, make_rng(seed))
 
     trace: list[TraceRecord] = []
     iterates = [state.x.copy()] if record_iterates else None
@@ -435,24 +421,18 @@ def run(
             iterates.append(state.x.copy())
             if averaged is not None:
                 averaged.append(state.w.copy())
-        if nan_check_every and done % nan_check_every == 0:
-            if not np.all(np.isfinite(state.x)):
-                raise SolverDivergence(
-                    f"non-finite iterate at k={done}",
-                    last_record=trace[-1] if trace else None,
-                )
-        if recompute_every and done % recompute_every == 0:
+        if done % NAN_CHECK_EVERY == 0 and not np.all(np.isfinite(state.x)):
+            raise SolverDivergence(
+                f"non-finite iterate at k={done}",
+                last_record=trace[-1] if trace else None,
+            )
+        if done % REFRESH_EVERY == 0:
             eng.refresh(state)
         if done % trace_every == 0 or done == k_max:
-            rec = _trace_record(problem, eng, state, reference, with_lyapunov)
+            rec = _trace_record(problem, eng, state, reference)
             rec.wall_time = time.perf_counter() - t_start
             trace.append(rec)
-            if trace_sink is not None:
-                trace_sink(rec)
             if stop_kkt_tol is not None and rec.kkt_res < stop_kkt_tol:
-                stopped_at = done
-                break
-            if stop_callback is not None and stop_callback(state):
                 stopped_at = done
                 break
 
@@ -466,7 +446,7 @@ def run(
     )
 
 
-def _trace_record(problem, eng, state, ref, with_lyapunov) -> TraceRecord:
+def _trace_record(problem, eng, state, ref) -> TraceRecord:
     k = state.k
     sigma = eng.policy.sigma_at(k)
     tau = eng.policy.tau_at(k)
@@ -481,7 +461,7 @@ def _trace_record(problem, eng, state, ref, with_lyapunov) -> TraceRecord:
         psi_x = eval_psi(problem, state.x)
         y = state.y
         primal = float(np.linalg.norm(state.u))
-    rec = TraceRecord(
+    return TraceRecord(
         k=k,
         psi_x=psi_x,
         psi_hat=psi_hat,
@@ -492,10 +472,6 @@ def _trace_record(problem, eng, state, ref, with_lyapunov) -> TraceRecord:
         tau=tau,
         sigma=sigma,
     )
-    if with_lyapunov and isinstance(state, RbcdState):
-        v_k, _ = lyapunov(problem, eng.sampling, eng.policy, state, ref)
-        rec.lyapunov = v_k
-    return rec
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ class ConvexPolicy:
 class AcceleratedPolicy:
     """Coupled (sigma_k, tau_k) schedule for strongly convex problems.
 
-    ``tau_at`` extends the memoised sequence on demand through
-    :func:`tau_next`; sigma_k = alpha / tau_k - beta is then non-decreasing
-    while tau_k strictly decreases toward zero.
+    The memoised sequences grow on demand: tau through :func:`tau_next` and
+    sigma_k = alpha / tau_k - beta beside it, non-decreasing while tau_k
+    strictly decreases toward zero.
     """
 
     alpha: float
@@ -66,8 +66,9 @@ class AcceleratedPolicy:
     tau0: float
     b_diag: Array
     uniform: bool = True
-    _taus: array = field(default_factory=lambda: array("d"), repr=False)
-    _marginals: tuple = field(default=(), init=False, repr=False)
+    _taus: array = field(init=False, repr=False)
+    _sigmas: array = field(init=False, repr=False)
+    _marginals: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.tau0 < 1.0 / self.kappa:
@@ -75,17 +76,24 @@ class AcceleratedPolicy:
                 f"tau0={self.tau0} outside the admissible interval "
                 f"(0, 1/kappa={1.0 / self.kappa})"
             )
-        # 8 bytes a step: a long run memoises one tau per iteration
+        # 16 bytes a step: a long run memoises one (tau, sigma) per iteration
         self._taus = array("d", (float(self.tau0),))
+        self._sigmas = array("d", (self.alpha / self._taus[0] - self.beta,))
         self._marginals = _distinct_marginals(self.pi)
 
-    def tau_at(self, k: int) -> float:
+    def _extend(self, k: int) -> None:
         while len(self._taus) <= k:
-            self._taus.append(tau_next(self._taus[-1], self.kappa, self._marginals))
+            tau = tau_next(self._taus[-1], self.kappa, self._marginals)
+            self._taus.append(tau)
+            self._sigmas.append(self.alpha / tau - self.beta)
+
+    def tau_at(self, k: int) -> float:
+        self._extend(k)
         return self._taus[k]
 
     def sigma_at(self, k: int) -> float:
-        return self.alpha / self.tau_at(k) - self.beta
+        self._extend(k)
+        return self._sigmas[k]
 
     @property
     def delta(self) -> float:
@@ -314,25 +322,6 @@ def mi_margins(
     rhs = ratio * (p2b - tau_k1 * (1.0 - p_diag) * ups_diag)
     margin2 = float(np.min(lhs - rhs))
     return margin1, margin2
-
-
-def certify_mi(
-    lam_full: Array,
-    ups_diag: Array,
-    xi: Array,
-    p_diag: Array,
-    b_diag: Array,
-    sigma_k: float,
-    tau_k: float,
-    sigma_k1: float,
-    tau_k1: float,
-) -> tuple[bool, bool]:
-    """Nonnegativity flags (to -1e-8) for the two step-certification
-    inequalities; callers decide what to do on failure."""
-    m1, m2 = mi_margins(
-        lam_full, ups_diag, xi, p_diag, b_diag, sigma_k, tau_k, sigma_k1, tau_k1
-    )
-    return m1 >= MI_TOL, m2 >= MI_TOL
 
 
 def cumulative_weight_bound(

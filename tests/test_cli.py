@@ -115,6 +115,31 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "config error" in err and "[instance] d = 'ten'" in err
 
+    @pytest.mark.parametrize("section, old, new", [
+        ("sampling", "kind = single", "kind = bogus"),
+        ("sampling", "kind = single", "kind = nice\nm = 9"),
+        ("sampling", "kind = single", "kind = nice"),
+        ("policy", "kind = convex", "kind = accelerated\ntau0 = 5"),
+        ("instance", "d = 4", "d = 0"),
+    ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "no-blocks"])
+    def test_rejected_value_exit_code(self, tmp_path, capsys, section, old, new):
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
+        cfg = write_config(tmp_path / "c.cfg", body.replace(old, new))
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"[{section}]" in err
+
+    def test_given_sigma_is_not_certified(self, tmp_path):
+        out = tmp_path / "o"
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
+        cfg = write_config(
+            tmp_path / "c.cfg", body.replace("kind = convex", "kind = convex\nsigma = 0.01")
+        )
+        assert main(["--config", cfg, "--quiet"]) == 0
+        pol = json.loads((out / "metadata.json").read_text())["policy_resolved"]
+        assert pol["sigma"] == 0.01
+        assert math.isnan(pol["certified_margin"]) and pol["halvings"] == 0
+
     @pytest.mark.parametrize("word", ["no", "False", "off", "0"])
     def test_certify_false_words(self, tmp_path, word):
         out = tmp_path / "o"

@@ -5,7 +5,7 @@ import pytest
 
 import blockpd as bp
 from blockpd import dlmp
-from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge, SolverDivergence
+from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge
 from blockpd.proxops import (
     AffineSubspace,
     Box,
@@ -554,7 +554,9 @@ class TestPairActivatedLoop:
         assert np.allclose(state.u, u_true, atol=1e-10)
 
     def test_shared_loop_stops_at_nan_aggregator_bid(self, opf15):
-        # every step calls exactly one aggregator prox; the fifth returns NaN
+        # every step calls exactly one aggregator prox; the fifth returns NaN,
+        # so the prices are NaN from step 5 on and the operator projection of
+        # step 6 (called before that step's aggregator) gets non-finite input
         calls = []
 
         def nan_on_fifth(prox):
@@ -571,20 +573,18 @@ class TestPairActivatedLoop:
         problem = replace(opf15, prox=tuple(prox))
         eng = dlmp.PpdlmpEngine(problem)
         x0 = dlmp.opf_initial_point(opf15)
-        with pytest.raises(SolverDivergence, match="k=5"):
-            bp.run(problem, eng.sampling, eng.policy, x0, 20, engine=eng,
-                   nan_check_every=1)
+        with pytest.raises(ProjectionDidNotConverge, match="non-finite input"):
+            bp.run(problem, eng.sampling, eng.policy, x0, 20, engine=eng)
+        assert len(calls) == 5
 
     def test_shared_loop_streams_grid_rows(self, opf15):
         eng = dlmp.PpdlmpEngine(opf15)
         x0 = dlmp.opf_initial_point(opf15)
-        seen = []
         res = bp.run(opf15, eng.sampling, eng.policy, x0, 30, engine=eng, seed=2,
-                     trace_every=10, trace_sink=seen.append)
-        assert seen == res.trace
-        assert [r.k for r in seen] == [10, 20, 30]
-        assert all(np.isfinite(r.wall_time) for r in seen)
-        assert all(np.isfinite(r.psi_x) and np.isnan(r.psi_hat) for r in seen)
+                     trace_every=10)
+        assert [r.k for r in res.trace] == [10, 20, 30]
+        assert all(np.isfinite(r.wall_time) for r in res.trace)
+        assert all(np.isfinite(r.psi_x) and np.isnan(r.psi_hat) for r in res.trace)
 
     def test_engine_object_must_match_run_arguments(self, opf15):
         eng = dlmp.PpdlmpEngine(opf15)

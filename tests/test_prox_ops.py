@@ -3,59 +3,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockpd.blocks import ProxBlock
-from blockpd.errors import (
-    InfeasibleInstance,
-    ProjectionDidNotConverge,
-    UnsupportedOperator,
-)
+from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge
 from blockpd.proxops import (
     AffineSubspace,
     Ball,
     Box,
-    DiagonalMetric,
     EnergyBudget,
     Halfspace,
     Hyperplane,
     dykstra_project,
     exact_projection_qp,
-    project_ball,
-    project_box,
     project_energy_budget,
     project_energy_budgets,
-    project_halfspace,
-    project_hyperplane,
     prox_box_block,
     prox_l1_block,
     prox_zero_block,
-    weighted_prox,
 )
 
 
 class TestWeightedProx:
     def test_zero_is_identity(self, rng):
         v = rng.standard_normal(4)
-        out = weighted_prox(prox_zero_block(4), DiagonalMetric(np.full(4, 2.0)), v)
+        out = prox_zero_block(4).prox(np.full(4, 2.0), v)
         assert np.allclose(out, v)
 
     def test_l1_soft_threshold(self):
-        out = weighted_prox(prox_l1_block(1.0), 2.0, np.array([3.0]))
+        out = prox_l1_block(1.0).prox(np.array([2.0]), np.array([3.0]))
         assert out[0] == pytest.approx(2.5)
 
     def test_box_clamp(self):
-        out = weighted_prox(prox_box_block(0.0, 1.0), 7.0, np.array([1.7]))
+        out = prox_box_block(0.0, 1.0).prox(np.array([7.0]), np.array([1.7]))
         assert out[0] == pytest.approx(1.0)
-
-    def test_metric_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DiagonalMetric(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            weighted_prox(prox_zero_block(2), -1.0, np.zeros(2))
-
-    def test_missing_rule_rejected(self):
-        blk = ProxBlock(lambda x: 0.0, None, 0.0)
-        with pytest.raises(UnsupportedOperator):
-            weighted_prox(blk, 1.0, np.zeros(2))
 
     def test_optimality_quadratic_plus_box(self, rng):
         # r = mu/2 ||.||^2 restricted to [0, 1]: projected-gradient residual
@@ -77,17 +55,19 @@ class TestWeightedProx:
 
 class TestProjections:
     def test_box_example(self):
-        assert np.allclose(project_box([0, 0], [1, 1], [2.0, -1.0]), [1.0, 0.0])
+        out = Box(np.zeros(2), np.ones(2)).project(np.array([2.0, -1.0]))
+        assert np.allclose(out, [1.0, 0.0])
 
     def test_ball_radial_scaling(self):
-        assert np.allclose(project_ball([0, 0], 1.0, [3.0, 4.0]), [0.6, 0.8])
+        out = Ball(np.zeros(2), 1.0).project(np.array([3.0, 4.0]))
+        assert np.allclose(out, [0.6, 0.8])
 
     def test_halfspace_example(self):
-        out = project_halfspace([1.0, 1.0], 0.0, [1.0, 1.0])
+        out = Halfspace(np.array([1.0, 1.0]), 0.0).project(np.array([1.0, 1.0]))
         assert np.allclose(out, [0.0, 0.0])
 
     def test_hyperplane(self):
-        out = project_hyperplane([1.0, 0.0], 2.0, [0.0, 5.0])
+        out = Hyperplane(np.array([1.0, 0.0]), 2.0).project(np.array([0.0, 5.0]))
         assert np.allclose(out, [2.0, 5.0])
 
     @settings(max_examples=50, deadline=None)

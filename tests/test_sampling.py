@@ -181,11 +181,12 @@ class TestWeights:
 
     def test_paired_weights(self):
         s = bp.paired_dso(3)
-        assert np.allclose(bp.weight_vector(s), [1.0, 3.0, 3.0, 3.0])
+        p_diag = bp.weight_matrix_p(s, BlockStructure((1, 1, 1, 1)))
+        assert np.allclose(p_diag, [1.0, 3.0, 3.0, 3.0])
 
     def test_nice_weights(self):
         s = bp.nice(6, 2)
-        assert np.allclose(bp.weight_vector(s), np.full(6, 3.0))
+        assert np.allclose(bp.weight_matrix_p(s, BlockStructure((1,) * 6)), np.full(6, 3.0))
 
 
 class TestXiMatrix:

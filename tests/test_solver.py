@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -153,15 +154,6 @@ class TestPrimalDualStep:
         x0 = np.random.default_rng(0).standard_normal(p.m)
         state = eng.init_state(x0, bp.make_rng(0))
         assert np.allclose(state.y, p.a @ x0 - p.b, atol=1e-15)
-
-    @pytest.mark.parametrize("shape", ["q+1", "1,q", "q,1"])
-    def test_dual_start_shape_checked(self, two_block_instance, shape):
-        p = two_block_instance
-        pol = ConvexPolicy(sigma=0.5, b_diag=np.full(p.m, 50.0))
-        eng = PdaEngine(p, bp.single_coordinate(2), pol)
-        bad = {"q+1": (p.q + 1,), "1,q": (1, p.q), "q,1": (p.q, 1)}[shape]
-        with pytest.raises(ValueError, match="y0"):
-            eng.init_state(np.zeros(p.m), bp.make_rng(0), y0=np.zeros(bad))
 
     def test_residual_cache_matches_truth(self, two_block_instance):
         p = two_block_instance
@@ -481,6 +473,12 @@ class TestRunLoop:
         assert res.trace == []
         assert np.allclose(res.state.x, 0.0)
 
+    def test_run_options(self):
+        assert list(inspect.signature(bp.run).parameters) == [
+            "problem", "sampling", "policy", "x0", "k_max", "engine", "seed",
+            "trace_every", "stop_kkt_tol", "reference", "record_iterates",
+        ]
+
     def test_trace_every_must_be_positive(self, two_block_instance):
         p = two_block_instance
         s = bp.single_coordinate(2)
@@ -539,15 +537,6 @@ class TestRunLoop:
         assert res.stopped_at is not None
         assert res.trace[-1].kkt_res < 1e-6
 
-    def test_trace_sink_streams_rows(self, two_block_instance):
-        p = two_block_instance
-        s = bp.single_coordinate(2)
-        pol = bp.convex_default_policy(p, s)
-        seen = []
-        res = bp.run(p, s, pol, np.zeros(p.m), 300, seed=0, trace_every=100,
-                     trace_sink=seen.append)
-        assert [r.k for r in seen] == [r.k for r in res.trace] == [100, 200, 300]
-
     def test_dual_scale_bounds_objective_dip(self, two_block_instance,
                                              two_block_reference):
         p, ref = two_block_instance, two_block_reference
@@ -562,16 +551,6 @@ class TestRunLoop:
         for rec, w in zip(res.trace, res.averaged[50::50]):
             psi_w = eval_psi(p, w)
             assert psi_w - ref.psi_star >= -delta * math.sqrt(rec.h_gap_w) - 1e-9
-
-    def test_stop_callback(self, two_block_instance):
-        p = two_block_instance
-        s = bp.single_coordinate(2)
-        pol = bp.convex_default_policy(p, s)
-        res = bp.run(
-            p, s, pol, np.zeros(p.m), 1000, seed=0, trace_every=10,
-            stop_callback=lambda st: st.k >= 30,
-        )
-        assert res.stopped_at == 30
 
 
 # functions on the step and trace-row paths, per module of the package; their
