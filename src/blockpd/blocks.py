@@ -384,9 +384,7 @@ def make_random_inconsistent_ls(
     q: int,
     noise: float,
     *,
-    l_range=(1.0, 3.0),
     mu: float = 1.0,
-    box=None,
     rank_deficiency: int = 0,
 ) -> ProblemSpec:
     """Random strongly convex quadratic test instance with a controllable
@@ -400,10 +398,9 @@ def make_random_inconsistent_ls(
     nontrivial affine subspace.
 
     Smooth blocks are random convex quadratics with largest curvature equal
-    to a draw from ``l_range``; the proximable part is ``mu/2 ||.||^2`` plus
-    an optional coordinate box.  Ground truth (``xbar``, ``h*``) and, when no
-    box is present, the full quadratic data are recorded in ``meta`` for
-    independent reference solves.
+    to a uniform draw from [1, 3]; the proximable part is ``mu/2 ||.||^2``.
+    Ground truth (``xbar``, ``h*``) and the full quadratic data are recorded
+    in ``meta`` for independent reference solves.
     """
     if isinstance(dims, int):
         dims = [dims] * d
@@ -443,7 +440,7 @@ def make_random_inconsistent_ls(
     c_blocks = []
     for i in range(d):
         ni = dims[i]
-        l_i = float(rng.uniform(*l_range))
+        l_i = float(rng.uniform(1.0, 3.0))
         basis = np.linalg.qr(rng.standard_normal((ni, ni)))[0]
         eigs = rng.uniform(0.1 * l_i, l_i, size=ni)
         eigs[rng.integers(ni)] = l_i
@@ -454,42 +451,23 @@ def make_random_inconsistent_ls(
         h_blocks.append(h)
         c_blocks.append(c)
 
-    def make_prox(lo, hi):
-        if lo is None:
+    def value(xv):
+        return 0.5 * mu * float(xv.dot(xv))
 
-            def value(xv):
-                return 0.5 * mu * float(xv.dot(xv))
-
-            def prox(g, v):
-                return g * v / (g + mu)
-
-        else:
-
-            def value(xv):
-                if np.any(xv < lo - 1e-12) or np.any(xv > hi + 1e-12):
-                    return math.inf
-                return 0.5 * mu * float(xv.dot(xv))
-
-            def prox(g, v):
-                return np.clip(g * v / (g + mu), lo, hi)
-
-        return ProxBlock(value, prox, mu)
-
-    lo, hi = (None, None) if box is None else box
-    prox = tuple(make_prox(lo, hi) for _ in range(d))
+    def prox(g, v):
+        return g * v / (g + mu)
 
     meta = {
         "x_ls": xbar,
         "h_star": 0.5 * float(xi @ xi),
         "xi": xi,
         "seed": seed,
+        "quadratic": {"h_blocks": h_blocks, "c_blocks": c_blocks, "mu": mu},
     }
-    if box is None:
-        meta["quadratic"] = {"h_blocks": h_blocks, "c_blocks": c_blocks, "mu": mu}
     return ProblemSpec(
         blocks=structure,
         smooth=tuple(smooth),
-        prox=prox,
+        prox=tuple(ProxBlock(value, prox, mu) for _ in range(d)),
         a_blocks=tuple(a[:, structure.block_slice(i)] for i in range(d)),
         b=b,
         meta=meta,

@@ -34,8 +34,9 @@ factorisation totals; includes wall time, so not byte-stable), ``rates.csv``
 with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 
 Exit codes: 0 success, 2 config error (including a field that does not read
-as a number or a boolean, or a value the library rejects), 3 divergence or a
-projection that did not converge, 4 infeasible instance.
+as a number or a boolean, a value the library rejects, or malformed grid
+data), 3 divergence or a projection that did not converge, 4 infeasible
+instance.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: [run] integer field: {exc}") from exc
     if k_max < 1:
         raise ConfigError(f"{path}: [run] k_max must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"{path}: [run] seed must be >= 0, got {seed}")
     if trace_every < 1:
         raise ConfigError(f"{path}: [run] trace_every must be >= 1")
     tol_raw = runsec.get("stop_kkt_tol", "none").strip().lower()
@@ -390,6 +393,8 @@ def run_experiment(cfg: RunConfig) -> int:
         raise ConfigError(f"[policy] kind must be convex or accelerated, got {pol_kind!r}")
 
     oracle_k = _instance(cfg, "oracle_k", 200_000, int)
+    if oracle_k < 1:
+        raise ConfigError(f"[instance] oracle_k must be >= 1, got {oracle_k}")
     reference = reference_for(problem, k_max=oracle_k, seed=cfg.seed + 1)
     meta["reference"] = {
         "source": reference.source,
@@ -444,9 +449,10 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
     edges_path = ins.get("edges_path")
     if not bus_path or not edges_path:
         bus_path, edges_path = default_network_paths()
-    net = load_network(bus_path, edges_path)
     drop_shunt = field_value("instance", ins, "drop_shunt", False, _ini_bool)
-    problem = build_opf_problem(net, drop_shunt=drop_shunt)
+    with rejected_as_config("instance"):
+        net = load_network(bus_path, edges_path)
+        problem = build_opf_problem(net, drop_shunt=drop_shunt)
     x0 = opf_initial_point(problem)
     say(f"[opf15] buses={net.n_buses} T={net.horizon} blocks={problem.d} "
         f"m={problem.m} q={problem.q}")
@@ -498,6 +504,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out

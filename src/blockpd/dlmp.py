@@ -1,12 +1,13 @@
 """Distribution-grid pricing on a radial network.
 
-A lossless linearized branch-flow model over a tree rooted at the slack
-bus 0.  Per line n (identified with its downstream bus) and period t the
-variables are the active/reactive flows f, g measured positive from parent
-to child, and the squared voltage v at the bus.  The slack injections
-(p0, q0) and all line/voltage quantities belong to the system operator's
-block; each load aggregator controls consumption, production and production
-reactive power at its subset of buses.
+A lossless linearized branch-flow model (LinDistFlow, Baran & Wu 1989) over
+a tree rooted at the slack bus 0.  Per line n (identified with its
+downstream bus) and period t the variables are the active/reactive flows
+f, g measured positive from parent to child, and the squared voltage v at
+the bus.  The slack injections (p0, q0) and all line/voltage quantities
+belong to the system operator's block; each load aggregator controls
+consumption pc, production pg and production reactive power qg at its
+subset of buses.
 
 Coupling rows (one active + one reactive per bus and period), with net
 consumption p = pc - pg and q = tau_c * pc - qg:
@@ -23,13 +24,20 @@ slack bounds.  Squared currents and quadratic loss terms are dropped
 entirely (lossless model); the two flow-magnitude caps of the lossy model
 then coincide.
 
-Every projection on the pricing path is exact.  The aggregator sets split
-into energy budgets (a breakpoint search over all of a group's buses at
-once) and production pairs (closed form).  The operator set is the
-voltage-drop/root-balance subspace intersected with the voltage/slack box
-and the flow balls; it is projected onto by semismooth Newton on the dual
-of the subspace's rows, to a row residual of 1e-12 with the box and balls
-held exactly.
+Layout, bus-major and period-minor throughout, buses in ascending order:
+the coupling rows are all active rows, then all reactive rows; the
+operator's vector is (p0, q0, f, g, v); an aggregator's vector holds
+(pc, pg, qg) for each of its buses in turn.  One set of index arrays,
+built once per network by ``_layout``, places every coefficient, bound and
+price.
+
+Every projection on the pricing path is exact.  An aggregator's set is its
+energy budgets (a breakpoint search over all of the group's buses at once)
+times a production box: 0 <= pg <= cap with qg = 0, since production is
+fully active.  The operator set is the voltage-drop/root-balance subspace
+intersected with the voltage/slack box and the flow balls; it is projected
+onto by semismooth Newton on the dual of the subspace's rows, to a row
+residual of 1e-12 with the box and balls held exactly.
 
 Under coordinator-pair sampling the operator moves on every step, so
 consecutive operator prox points are close.  A grid run therefore owns a
@@ -50,7 +58,7 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -81,10 +89,15 @@ BUS_COLUMNS = (
     "tau_c",
 )
 
+# bounds on each period's slack injections p0 and q0
+SLACK_BOUNDS = (-10.0, 10.0)
+
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Radial network data over a horizon of T periods."""
+    """Radial network data over a horizon of T periods.  ``renewable`` maps
+    a bus to its per-period production caps; a bus without an entry
+    produces nothing."""
 
     buses: tuple[int, ...]
     parent: dict
@@ -97,20 +110,21 @@ class NetworkModel:
     energy: dict
     tau_c: dict
     renewable: dict
-    ratio_lo: dict
-    ratio_hi: dict
     v_lo: float
     v_hi: float
     v0: float
     horizon: int
     aggregators: tuple[tuple[int, ...], ...]
-    p0_bounds: tuple[float, float] = (-10.0, 10.0)
-    q0_bounds: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self):
+        known = {0, *self.buses}
         for n in self.buses:
             if n not in self.parent:
                 raise ValueError(f"bus {n} has no parent edge")
+            if self.parent[n] not in known:
+                raise ValueError(
+                    f"bus {n}: parent {self.parent[n]} is neither a bus nor the slack bus 0"
+                )
             seen = {n}
             node = n
             while node != 0:
@@ -138,10 +152,12 @@ class NetworkModel:
 def default_aggregators(buses, parent) -> tuple[tuple[int, ...], ...]:
     """Partition the buses into feeder branches: one group per child of the
     root, split once more at the first fork.  The 15-bus study yields the
-    three groups (1..6), (7..11) and (12..14)."""
+    three groups (1..6), (7..11) and (12..14).  A bus with no parent, or
+    with one that is not a bus, is left out of every group;
+    :class:`NetworkModel` names it."""
     children = {n: [] for n in [0, *buses]}
     for n in buses:
-        children[parent[n]].append(n)
+        children.setdefault(parent.get(n), []).append(n)
 
     def subtree(root):
         out, stack = [], [root]
@@ -172,27 +188,16 @@ def default_network_paths() -> tuple[str, str]:
     return str(base / "bus15.csv"), str(base / "edges15.csv")
 
 
-def load_network(
-    bus_path: str,
-    edges_path: str,
-    *,
-    renewable: dict | None = None,
-    ratio_bounds: dict | None = None,
-    v_bounds: tuple[float, float] = (0.81, 1.21),
-    v0: float = 1.0,
-    horizon: int = 2,
-    aggregators: Sequence[Sequence[int]] | None = None,
-    p0_bounds: tuple[float, float] = (-10.0, 10.0),
-    q0_bounds: tuple[float, float] = (-10.0, 10.0),
-) -> NetworkModel:
-    """Read the bus table and edge list.
+def load_network(bus_path: str, edges_path: str) -> NetworkModel:
+    """Read the bus table and edge list of a two-period study.
 
     The bus CSV must carry the columns ``n, S, R_e3, X_e3, B_e3, Pmin_0,
     Pmin_1, Pmax_0, Pmax_1, E, tau_c`` (impedances and shunt susceptance
     scaled by 1e3); the edge CSV has ``parent, child`` rows describing the
-    tree, rooted at the slack bus 0.  ``renewable`` maps a bus to per-period
-    production caps; the bundled study has caps (0.438, 0.201) at bus 11
-    with zero reactive-ratio bounds (fully active production).
+    tree, rooted at the slack bus 0.  Voltages are bounded to [0.81, 1.21]
+    around v0 = 1, the aggregators are :func:`default_aggregators`, and
+    bus 11, if the table has it, produces up to (0.438, 0.201), fully
+    active, as in the bundled study.  Malformed data raises ``ValueError``.
     """
     rows = {}
     with open(bus_path, newline="") as fh:
@@ -213,50 +218,31 @@ def load_network(
 
     buses = tuple(sorted(rows))
     parent = {child: par for par, child in edges}
-    if renewable is None:
-        renewable = {11: np.array([0.438, 0.201])} if 11 in rows else {}
-    renewable = {n: np.asarray(v, dtype=float) for n, v in renewable.items()}
-    ratio_bounds = ratio_bounds or {}
 
     def pick(rec, keys):
         return np.array([float(rec[k]) for k in keys])
 
-    model = NetworkModel(
+    return NetworkModel(
         buses=buses,
         parent=parent,
         r={n: float(rows[n]["R_e3"]) * 1e-3 for n in buses},
         x={n: float(rows[n]["X_e3"]) * 1e-3 for n in buses},
         s_cap={n: float(rows[n]["S"]) for n in buses},
         b_shunt={n: float(rows[n]["B_e3"]) * 1e-3 for n in buses},
-        p_lo={n: pick(rows[n], ("Pmin_0", "Pmin_1"))[:horizon] for n in buses},
-        p_hi={n: pick(rows[n], ("Pmax_0", "Pmax_1"))[:horizon] for n in buses},
+        p_lo={n: pick(rows[n], ("Pmin_0", "Pmin_1")) for n in buses},
+        p_hi={n: pick(rows[n], ("Pmax_0", "Pmax_1")) for n in buses},
         energy={n: float(rows[n]["E"]) for n in buses},
         tau_c={n: float(rows[n]["tau_c"]) for n in buses},
-        renewable=renewable,
-        ratio_lo={n: ratio_bounds.get(n, (0.0, 0.0))[0] for n in renewable},
-        ratio_hi={n: ratio_bounds.get(n, (0.0, 0.0))[1] for n in renewable},
-        v_lo=float(v_bounds[0]),
-        v_hi=float(v_bounds[1]),
-        v0=float(v0),
-        horizon=int(horizon),
-        aggregators=(
-            tuple(tuple(sorted(g)) for g in aggregators)
-            if aggregators is not None
-            else default_aggregators(buses, parent)
-        ),
-        p0_bounds=p0_bounds,
-        q0_bounds=q0_bounds,
+        renewable={11: np.array([0.438, 0.201])} if 11 in rows else {},
+        v_lo=0.81,
+        v_hi=1.21,
+        v0=1.0,
+        horizon=2,
+        aggregators=default_aggregators(buses, parent),
     )
-    return model
 
 
-def make_single_line_network(
-    demand=(0.5, 0.25),
-    *,
-    s_cap: float = 5.0,
-    r: float = 1e-3,
-    x: float = 1e-3,
-) -> NetworkModel:
+def make_single_line_network(demand=(0.5, 0.25)) -> NetworkModel:
     """One slack, one bus, fixed per-period demand: the marginal prices at
     the bus equal the slack cost derivatives at that demand."""
     demand = np.asarray(demand, dtype=float)
@@ -264,17 +250,15 @@ def make_single_line_network(
     return NetworkModel(
         buses=(1,),
         parent={1: 0},
-        r={1: r},
-        x={1: x},
-        s_cap={1: s_cap},
+        r={1: 1e-3},
+        x={1: 1e-3},
+        s_cap={1: 5.0},
         b_shunt={1: 0.0},
         p_lo={1: demand.copy()},
         p_hi={1: demand.copy()},
         energy={1: float(demand.sum())},
         tau_c={1: 0.0},
         renewable={},
-        ratio_lo={},
-        ratio_hi={},
         v_lo=0.25,
         v_hi=4.0,
         v0=1.0,
@@ -284,66 +268,44 @@ def make_single_line_network(
 
 
 # ---------------------------------------------------------------------------
-# variable layouts
+# index layout
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DsoLayout:
-    buses: tuple[int, ...]
-    horizon: int
+class _Layout(NamedTuple):
+    """Where each (bus, period) quantity sits.  Every array of indices is
+    (n_bus, T), rows in bus order; see the module docstring for the order."""
 
-    @property
-    def dim(self) -> int:
-        return (2 + 3 * len(self.buses)) * self.horizon
-
-    def pos(self, n: int) -> int:
-        return self.buses.index(n)
-
-    def idx_p0(self, t: int) -> int:
-        return t
-
-    def idx_q0(self, t: int) -> int:
-        return self.horizon + t
-
-    def idx_f(self, n: int, t: int) -> int:
-        return 2 * self.horizon + self.pos(n) * self.horizon + t
-
-    def idx_g(self, n: int, t: int) -> int:
-        return (2 + len(self.buses)) * self.horizon + self.pos(n) * self.horizon + t
-
-    def idx_v(self, n: int, t: int) -> int:
-        return (2 + 2 * len(self.buses)) * self.horizon + self.pos(n) * self.horizon + t
+    p: Array  # active coupling rows
+    q: Array  # reactive coupling rows
+    f: Array  # operator columns, after the T p0 and T q0 columns
+    g: Array
+    v: Array
+    up: Array  # each bus's parent as a bus position, -1 for the slack bus
+    # per aggregator: its buses' positions and its (n_group, 3, T) array of
+    # (pc, pg, qg) columns
+    groups: tuple[tuple[Array, Array], ...]
 
 
-@dataclass(frozen=True)
-class AggLayout:
-    buses: tuple[int, ...]
-    horizon: int
-
-    @property
-    def dim(self) -> int:
-        return 3 * len(self.buses) * self.horizon
-
-    def pos(self, n: int) -> int:
-        return self.buses.index(n)
-
-    def idx_pc(self, n: int, t: int) -> int:
-        return 3 * self.pos(n) * self.horizon + t
-
-    def idx_pg(self, n: int, t: int) -> int:
-        return (3 * self.pos(n) + 1) * self.horizon + t
-
-    def idx_qg(self, n: int, t: int) -> int:
-        return (3 * self.pos(n) + 2) * self.horizon + t
-
-
-def row_p(net: NetworkModel, n: int, t: int) -> int:
-    return net.buses.index(n) * net.horizon + t
-
-
-def row_q(net: NetworkModel, n: int, t: int) -> int:
-    return net.n_buses * net.horizon + net.buses.index(n) * net.horizon + t
+def _layout(net: NetworkModel) -> _Layout:
+    t_h, n_b = net.horizon, net.n_buses
+    pos = {n: i for i, n in enumerate(net.buses)}
+    grid = np.arange(n_b * t_h).reshape(n_b, t_h)
+    return _Layout(
+        p=grid,
+        q=n_b * t_h + grid,
+        f=2 * t_h + grid,
+        g=(2 + n_b) * t_h + grid,
+        v=(2 + 2 * n_b) * t_h + grid,
+        up=np.array([pos.get(net.parent[n], -1) for n in net.buses]),
+        groups=tuple(
+            (
+                np.array([pos[n] for n in group]),
+                np.arange(3 * len(group) * t_h).reshape(len(group), 3, t_h),
+            )
+            for group in net.aggregators
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,57 +340,39 @@ class _FlowBalls:
         return float(np.max(np.maximum(nrm - self.radii, 0.0), initial=0.0))
 
 
-def _dso_feasible_set(net: NetworkModel, lay: DsoLayout):
+def _dso_feasible_set(net: NetworkModel, lay: _Layout):
+    """The operator's affine rows, box and flow balls.  The rows are the
+    root balances (active, then reactive) period by period, then one
+    voltage drop per (bus, period)."""
     t_h = net.horizon
-    dim = lay.dim
-    rows, rhs = [], []
-    children0 = net.children(0)
-    for t in range(t_h):
-        row = np.zeros(dim)
-        for m in children0:
-            row[lay.idx_f(m, t)] = 1.0
-        row[lay.idx_p0(t)] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(dim)
-        for m in children0:
-            row[lay.idx_g(m, t)] = 1.0
-        row[lay.idx_q0(t)] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for n in net.buses:
-        par = net.parent[n]
-        for t in range(t_h):
-            row = np.zeros(dim)
-            row[lay.idx_v(n, t)] = 1.0
-            row[lay.idx_f(n, t)] = 2.0 * net.r[n]
-            row[lay.idx_g(n, t)] = 2.0 * net.x[n]
-            if par == 0:
-                rhs.append(net.v0)
-            else:
-                row[lay.idx_v(par, t)] = -1.0
-                rhs.append(0.0)
-            rows.append(row)
-    affine = AffineSubspace(np.array(rows), np.array(rhs))
+    dim = 2 * t_h + 3 * lay.p.size
+    periods = np.arange(t_h)
+    root_p, root_q = 2 * periods, 2 * periods + 1
+    drop = 2 * t_h + lay.p
+    inner = lay.up >= 0  # buses below another bus
+    c = np.zeros((2 * t_h + lay.p.size, dim))
+    e = np.zeros(c.shape[0])
+    c[root_p, lay.f[~inner]] = 1.0
+    c[root_q, lay.g[~inner]] = 1.0
+    c[root_p, periods] = -1.0
+    c[root_q, t_h + periods] = -1.0
+    c[drop, lay.v] = 1.0
+    c[drop, lay.f] = 2.0 * np.array([[net.r[n]] for n in net.buses])
+    c[drop, lay.g] = 2.0 * np.array([[net.x[n]] for n in net.buses])
+    c[drop[inner], lay.v[lay.up[inner]]] = -1.0
+    e[drop[~inner]] = net.v0
+    affine = AffineSubspace(c, e)
 
     lo = np.full(dim, -np.inf)
     hi = np.full(dim, np.inf)
-    for t in range(t_h):
-        lo[lay.idx_p0(t)], hi[lay.idx_p0(t)] = net.p0_bounds
-        lo[lay.idx_q0(t)], hi[lay.idx_q0(t)] = net.q0_bounds
-    for n in net.buses:
-        for t in range(t_h):
-            lo[lay.idx_v(n, t)] = net.v_lo
-            hi[lay.idx_v(n, t)] = net.v_hi
+    lo[: 2 * t_h], hi[: 2 * t_h] = SLACK_BOUNDS
+    lo[lay.v], hi[lay.v] = net.v_lo, net.v_hi
     box = Box(lo, hi)
 
-    # f and g run bus-major, period-minor over the buses in layout order
-    first, size = net.buses[0], net.n_buses * t_h
-    f = slice(lay.idx_f(first, 0), lay.idx_f(first, 0) + size)
-    g = slice(lay.idx_g(first, 0), lay.idx_g(first, 0) + size)
-    radii = np.array([net.s_cap[n] for n in net.buses for t in range(t_h)])
-    balls = _FlowBalls(f, g, radii)
-    return (affine, box, balls)
+    f = slice(int(lay.f[0, 0]), int(lay.f[-1, -1]) + 1)
+    g = slice(int(lay.g[0, 0]), int(lay.g[-1, -1]) + 1)
+    radii = np.repeat([net.s_cap[n] for n in net.buses], t_h)
+    return (affine, box, _FlowBalls(f, g, radii))
 
 
 NEWTON_TOL = 1e-12
@@ -625,7 +569,7 @@ class _OperatorProjector:
             x, w, nrm, scale, dual = trial
 
 
-def _make_dso_prox(net: NetworkModel, lay: DsoLayout):
+def _make_dso_prox(net: NetworkModel, lay: _Layout):
     prims = _dso_feasible_set(net, lay)
     affine, box, balls = prims
     projector = _OperatorProjector(*prims)
@@ -649,84 +593,34 @@ def _make_dso_prox(net: NetworkModel, lay: DsoLayout):
     return ProxBlock(value, lambda g, v: projector.project(v), 0.0), prims, projector
 
 
-def _project_production_pair(v2: Array, cap: float, lo: float, hi: float) -> Array:
-    """Project (pg, qg) onto {0 <= pg <= cap, lo*pg <= qg <= hi*pg}.
-
-    For lo < hi the set is the triangle with vertices (0, 0), (cap, lo*cap)
-    and (cap, hi*cap) (the ratio wedge already forces pg >= 0).  A point
-    outside it projects onto the nearest of the three edges, each edge a
-    clamped segment projection whose clamps are the vertices.
-    """
-    if cap <= 0.0:
-        return np.zeros(2)
-    pg, qg = float(v2[0]), float(v2[1])
-    if lo == hi:
-        # segment qg = lo * pg, pg in [0, cap]
-        pg = (pg + lo * qg) / (1.0 + lo * lo)
-        pg = min(max(pg, 0.0), cap)
-        return np.array([pg, lo * pg])
-    if pg <= cap and lo * pg <= qg <= hi * pg:
-        return np.array([pg, qg])
-    best, best_dist = None, math.inf
-    for (p0, q0), (p1, q1) in (
-        ((0.0, 0.0), (cap, hi * cap)),
-        ((0.0, 0.0), (cap, lo * cap)),
-        ((cap, lo * cap), (cap, hi * cap)),
-    ):
-        dp, dq = p1 - p0, q1 - q0
-        s = min(max(((pg - p0) * dp + (qg - q0) * dq) / (dp * dp + dq * dq), 0.0), 1.0)
-        cand = (p0 + s * dp, q0 + s * dq)
-        dist = (cand[0] - pg) ** 2 + (cand[1] - qg) ** 2
-        if dist < best_dist:
-            best, best_dist = cand, dist
-    return np.array(best)
-
-
-def _make_agg_prox(net: NetworkModel, lay: AggLayout):
-    """Prox of an aggregator's feasible set.  The group's vector is viewed as
-    an (n_bus, 3, T) array of (pc, pg, qg) rows: all energy budgets are
-    projected in one batched call, production pairs are zero wherever the
-    cap is zero and projected pairwise at the renewable buses."""
-    t_h = net.horizon
-    shape = (len(lay.buses), 3, t_h)
-    p_lo = np.array([net.p_lo[n] for n in lay.buses])
-    p_hi = np.array([net.p_hi[n] for n in lay.buses])
-    energy = np.array([net.energy[n] for n in lay.buses])
-    caps = np.zeros((len(lay.buses), t_h))
-    ratio_lo = np.zeros((len(lay.buses), 1))
-    ratio_hi = np.zeros((len(lay.buses), 1))
-    pairs = []  # (row, period, cap, ratio bounds) at the renewable buses
-    for i, n in enumerate(lay.buses):
+def _make_agg_prox(net: NetworkModel, group: tuple[int, ...], cols: Array):
+    """Prox of an aggregator's feasible set: every consumption row onto its
+    energy budget in one batched call, every other coordinate clipped to
+    its bounds (production to [0, cap], its reactive power to 0)."""
+    pc = cols[:, 0]
+    p_lo = np.array([net.p_lo[n] for n in group])
+    p_hi = np.array([net.p_hi[n] for n in group])
+    energy = np.array([net.energy[n] for n in group])
+    lo = np.zeros(cols.size)
+    hi = np.zeros(cols.size)
+    lo[pc], hi[pc] = p_lo, p_hi
+    for i, n in enumerate(group):
         if n in net.renewable:
-            caps[i] = net.renewable[n]
-            ratio_lo[i], ratio_hi[i] = net.ratio_lo[n], net.ratio_hi[n]
-            pairs.extend(
-                (i, t, float(caps[i, t]), net.ratio_lo[n], net.ratio_hi[n])
-                for t in range(t_h)
-            )
+            hi[cols[i, 1]] = net.renewable[n]
 
     def project(v):
-        rows = np.asarray(v, dtype=float).reshape(shape)
-        out = np.zeros(shape)
-        out[:, 0] = project_energy_budgets(p_lo, p_hi, energy, rows[:, 0])
-        for i, t, cap, lo, hi in pairs:
-            out[i, 1:, t] = _project_production_pair(rows[i, 1:, t], cap, lo, hi)
-        return out.reshape(-1)
-
-    # the (pc, pg, qg) bounds as (n_bus, 3, T) arrays; qg is bounded only
-    # through the ratio wedge
-    rows_lo = np.stack([p_lo, np.zeros_like(caps), np.full_like(caps, -np.inf)], axis=1)
-    rows_hi = np.stack([p_hi, caps, np.full_like(caps, np.inf)], axis=1)
+        v = np.asarray(v, dtype=float)
+        out = np.minimum(np.maximum(v, lo), hi)
+        out[pc] = project_energy_budgets(p_lo, p_hi, energy, v[pc])
+        return out
 
     def member(v):
-        """Every bound, budget and ratio constraint holds to 1e-8."""
+        """Every bound and budget holds to 1e-8."""
         tol = 1e-8
-        rows = np.asarray(v, dtype=float).reshape(shape)
-        pg, qg = rows[:, 1], rows[:, 2]
+        v = np.asarray(v, dtype=float)
         return bool(
-            np.maximum(rows_lo - rows, rows - rows_hi).max() <= tol
-            and (energy - rows[:, 0].sum(axis=1)).max() <= tol
-            and np.maximum(ratio_lo * pg - qg, qg - ratio_hi * pg).max() <= tol
+            np.maximum(lo - v, v - hi).max() <= tol
+            and (energy - v[pc].sum(axis=1)).max() <= tol
         )
 
     def value(v):
@@ -748,101 +642,81 @@ def default_slack_costs(horizon: int):
     return costs
 
 
-def build_opf_problem(
-    net: NetworkModel,
-    *,
-    drop_shunt: bool = False,
-    xi: Array | None = None,
-    slack_costs=None,
-) -> ProblemSpec:
+def build_opf_problem(net: NetworkModel, *, drop_shunt: bool = False) -> ProblemSpec:
     """Assemble the pricing problem as a block problem.
 
-    Block 0 is the operator, blocks 1..p the aggregators.  The coupling rows
-    are the flow-conservation equations; ``b`` is zero unless a fixed
-    perturbation ``xi`` is supplied to make the coupling inconsistent.
+    Block 0 is the operator, blocks 1..p the aggregators in the order of
+    ``net.aggregators``.  The coupling rows are the flow-conservation
+    equations with ``b = 0``; ``drop_shunt`` leaves the shunt term B v out
+    of the reactive rows.  The operator pays :func:`default_slack_costs`
+    for its active slack injections; the aggregators' objectives vanish.
     """
     t_h = net.horizon
-    n_b = net.n_buses
-    q = 2 * n_b * t_h
-    lay0 = DsoLayout(net.buses, t_h)
-    agg_lays = [AggLayout(g, t_h) for g in net.aggregators]
+    lay = _layout(net)
+    q = 2 * lay.p.size
+    dim0 = 2 * t_h + 3 * lay.p.size
 
-    a0 = np.zeros((q, lay0.dim))
-    for n in net.buses:
-        for t in range(t_h):
-            rp, rq = row_p(net, n, t), row_q(net, n, t)
-            a0[rp, lay0.idx_f(n, t)] = -1.0
-            a0[rq, lay0.idx_g(n, t)] = -1.0
-            for m in net.children(n):
-                a0[rp, lay0.idx_f(m, t)] = 1.0
-                a0[rq, lay0.idx_g(m, t)] = 1.0
-            if not drop_shunt:
-                a0[rq, lay0.idx_v(n, t)] = -net.b_shunt[n]
+    inner = lay.up >= 0  # buses below another bus
+    a0 = np.zeros((q, dim0))
+    a0[lay.p, lay.f] = -1.0
+    a0[lay.q, lay.g] = -1.0
+    a0[lay.p[lay.up[inner]], lay.f[inner]] = 1.0
+    a0[lay.q[lay.up[inner]], lay.g[inner]] = 1.0
+    if not drop_shunt:
+        a0[lay.q, lay.v] = -np.array([[net.b_shunt[n]] for n in net.buses])
 
     a_blocks = [a0]
-    for lay in agg_lays:
-        a_a = np.zeros((q, lay.dim))
-        for n in lay.buses:
-            for t in range(t_h):
-                a_a[row_p(net, n, t), lay.idx_pc(n, t)] = 1.0
-                a_a[row_p(net, n, t), lay.idx_pg(n, t)] = -1.0
-                a_a[row_q(net, n, t), lay.idx_pc(n, t)] = net.tau_c[n]
-                a_a[row_q(net, n, t), lay.idx_qg(n, t)] = -1.0
+    for group, (at, cols) in zip(net.aggregators, lay.groups):
+        pc, pg, qg = cols.transpose(1, 0, 2)
+        a_a = np.zeros((q, cols.size))
+        a_a[lay.p[at], pc] = 1.0
+        a_a[lay.p[at], pg] = -1.0
+        a_a[lay.q[at], pc] = np.array([[net.tau_c[n]] for n in group])
+        a_a[lay.q[at], qg] = -1.0
         a_blocks.append(a_a)
 
-    costs = slack_costs if slack_costs is not None else default_slack_costs(t_h)
-
-    p0 = [lay0.idx_p0(t) for t in range(t_h)]
+    # the slack costs act on the p0 columns, the operator's first T
+    costs = default_slack_costs(t_h)
 
     def phi0_value(x0):
-        return sum(costs[t][0](x0[j]) for t, j in enumerate(p0))
+        return sum(costs[t][0](x0[t]) for t in range(t_h))
 
     def phi0_grad(x0):
-        g = np.zeros(lay0.dim)
-        g[p0] = [costs[t][1](x0[j]) for t, j in enumerate(p0)]
+        g = np.zeros(dim0)
+        g[:t_h] = [costs[t][1](x0[t]) for t in range(t_h)]
         return g
 
-    lam0 = np.zeros((lay0.dim, lay0.dim))
-    for t in range(t_h):
-        lam0[lay0.idx_p0(t), lay0.idx_p0(t)] = costs[t][2]
+    lam0 = np.zeros((dim0, dim0))
+    lam0[range(t_h), range(t_h)] = [cost[2] for cost in costs]
 
-    dso_prox, dso_prims, dso_projector = _make_dso_prox(net, lay0)
+    dso_prox, dso_prims, dso_projector = _make_dso_prox(net, lay)
     smooth = [SmoothBlock(phi0_value, phi0_grad, lam0)]
     prox = [dso_prox]
-    for lay in agg_lays:
-        smooth.append(SmoothBlock.zero(lay.dim))
-        prox.append(_make_agg_prox(net, lay))
+    for group, (_, cols) in zip(net.aggregators, lay.groups):
+        smooth.append(SmoothBlock.zero(cols.size))
+        prox.append(_make_agg_prox(net, group, cols))
 
-    b = np.zeros(q) if xi is None else np.asarray(xi, dtype=float).copy()
-    problem = ProblemSpec(
-        blocks=BlockStructure(tuple([lay0.dim] + [lay.dim for lay in agg_lays])),
+    return ProblemSpec(
+        blocks=BlockStructure(tuple(a.shape[1] for a in a_blocks)),
         smooth=tuple(smooth),
         prox=tuple(prox),
         a_blocks=tuple(a_blocks),
-        b=b,
+        b=np.zeros(q),
         meta={
             "net": net,
-            "dso_layout": lay0,
-            "agg_layouts": agg_lays,
+            "layout": lay,
             "dso_primitives": dso_prims,
             "dso_projector": dso_projector,
         },
     )
-    return problem
 
 
 def opf_initial_point(problem: ProblemSpec) -> Array:
     """Feasible start: flat voltages, zero flows, projected aggregator plans."""
     net: NetworkModel = problem.meta["net"]
-    lay0: DsoLayout = problem.meta["dso_layout"]
     x0 = np.zeros(problem.m)
-    sl0 = problem.blocks.block_slice(0)
-    dso = np.zeros(lay0.dim)
-    for n in net.buses:
-        for t in range(net.horizon):
-            dso[lay0.idx_v(n, t)] = net.v0
-    x0[sl0] = dso
-    for a, _lay in enumerate(problem.meta["agg_layouts"], start=1):
+    x0[problem.meta["layout"].v] = net.v0  # the operator's block comes first
+    for a in range(1, problem.d):
         sl = problem.blocks.block_slice(a)
         x0[sl] = problem.prox[a].prox(np.ones(sl.stop - sl.start), x0[sl])
     return x0
@@ -851,15 +725,18 @@ def opf_initial_point(problem: ProblemSpec) -> Array:
 def extract_dlmp(y: Array, problem: ProblemSpec):
     """Map the dual vector back to per-bus, per-period price pairs.
 
-    Returns a list of (bus, period, y_p, y_q) tuples; the row-to-(bus, period)
-    mapping is a bijection by construction.
+    Returns a list of (bus, period, y_p, y_q) tuples in bus order, period
+    by period; each coupling row appears in exactly one of them.
     """
     net: NetworkModel = problem.meta["net"]
-    out = []
-    for n in net.buses:
-        for t in range(net.horizon):
-            out.append((n, t, float(y[row_p(net, n, t)]), float(y[row_q(net, n, t)])))
-    return out
+    lay: _Layout = problem.meta["layout"]
+    y = np.asarray(y, dtype=float)
+    y_p, y_q = y[lay.p].tolist(), y[lay.q].tolist()
+    return [
+        (n, t, y_p[i][t], y_q[i][t])
+        for i, n in enumerate(net.buses)
+        for t in range(net.horizon)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,37 @@ def bisection_budget():
     return bisection_energy_budget
 
 
+def bisection_energy_budgets(lo, hi, demand, v, iters=100):
+    """:func:`bisection_energy_budget` on every row of v at once: the same
+    arithmetic per element, with all rows bracketing and bisecting together
+    and each row that needs no shift keeping its clip.  ``lo``, ``hi`` and
+    ``v`` have shape (rows, T), ``demand`` has shape (rows,)."""
+    v = np.asarray(v, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), v.shape)
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), v.shape)
+    demand = np.asarray(demand, dtype=float)
+    x = np.clip(v, lo, hi)
+    short = x.sum(axis=1) < demand - 1e-12
+    t_hi = np.maximum(np.maximum(demand, np.abs(v).max(axis=1) * v.shape[1]), 1.0)
+    while True:
+        grow = short & (np.clip(v + t_hi[:, None], lo, hi).sum(axis=1) < demand)
+        if not grow.any():
+            break
+        t_hi[grow] *= 2.0
+    t_lo = np.zeros_like(t_hi)
+    for _ in range(iters):
+        t = 0.5 * (t_lo + t_hi)
+        enough = np.clip(v + t[:, None], lo, hi).sum(axis=1) >= demand
+        t_hi = np.where(enough, t, t_hi)
+        t_lo = np.where(enough, t_lo, t)
+    return np.where(short[:, None], np.clip(v + t_hi[:, None], lo, hi), x)
+
+
+@pytest.fixture(scope="session")
+def bisection_budgets():
+    return bisection_energy_budgets
+
+
 def exhaustive_xi(s, a_blocks):
     """Xi = E[E P A'A P E] summed over the sampling's support, the
     exhaustive path ``sampling.xi_matrix`` used to cross-check itself with;

@@ -129,6 +129,30 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "config error" in err and f"[{section}]" in err
 
+    def test_negative_seed_names_the_run_section(self, tmp_path, capsys):
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
+        cfg = write_config(tmp_path / "c.cfg", body.replace("seed = 5", "seed = -1"))
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "[run] seed must be >= 0" in err and "[instance]" not in err
+
+    def test_negative_seed_option_exit_code(self, tmp_path, capsys):
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert main(["--config", cfg, "--quiet", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0" in err and "[instance]" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_oracle_k_must_be_positive(self, tmp_path, capsys, value):
+        cfg = write_config(
+            tmp_path / "fit.cfg",
+            f"[run]\nexperiment = model_fit\nk_max = 20\nout = {tmp_path / 'o'}\n\n"
+            f"[instance]\nq = 6\np = 3\noracle_k = {value}\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "[instance] oracle_k must be >= 1" in capsys.readouterr().err
+
     def test_given_sigma_is_not_certified(self, tmp_path):
         out = tmp_path / "o"
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
@@ -375,6 +399,27 @@ out = {out}
         )
         assert main(["--config", cfg, "--quiet"]) == 3
         assert "projection did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, old, new, message", [
+        ("bus", "n,S,R_e3,", "n,S,", "bus table is missing columns"),
+        ("edges", "8,7", "20,7", "bus 7: parent 20 is neither a bus"),
+        ("edges", "0,12\n", "", "bus 12 has no parent edge"),
+    ], ids=["bus-columns-missing", "parent-not-a-bus", "bus-without-parent"])
+    def test_malformed_grid_data_exit_code(self, tmp_path, capsys, table, old, new, message):
+        from blockpd.dlmp import default_network_paths
+
+        paths = dict(zip(("bus", "edges"), default_network_paths()))
+        bad = tmp_path / f"{table}.csv"
+        bad.write_text(open(paths[table]).read().replace(old, new))
+        paths[table] = bad
+        cfg = write_config(
+            tmp_path / "grid.cfg",
+            f"[run]\nexperiment = opf15\nk_max = 10\nout = {tmp_path / 'o'}\n\n"
+            f"[instance]\nbus_path = {paths['bus']}\nedges_path = {paths['edges']}\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [instance]" in err and message in err
 
     def test_infeasible_opf_exit_code(self, tmp_path):
         from blockpd.dlmp import default_network_paths

@@ -6,13 +6,7 @@ import pytest
 import blockpd as bp
 from blockpd import dlmp
 from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge
-from blockpd.proxops import (
-    AffineSubspace,
-    Box,
-    Halfspace,
-    dykstra_project,
-    exact_projection_qp,
-)
+from blockpd.proxops import AffineSubspace, Box, dykstra_project
 from blockpd.sampling import weight_matrix_p
 
 
@@ -130,6 +124,13 @@ class TestLoadNetwork:
         with pytest.raises(ValueError, match="cycle"):
             dlmp.load_network(bus, str(cyc))
 
+    def test_parent_must_be_a_bus(self, tmp_path):
+        bus, edges = dlmp.default_network_paths()
+        bad = tmp_path / "edges.csv"
+        bad.write_text(open(edges).read().replace("8,7", "20,7"))
+        with pytest.raises(ValueError, match="bus 7: parent 20 is neither a bus"):
+            dlmp.load_network(bus, str(bad))
+
     def test_energy_above_caps_rejected(self, tmp_path):
         bus, edges = dlmp.default_network_paths()
         text = open(bus).read().replace("2.213", "9.9")
@@ -153,12 +154,64 @@ class TestBuildProblem:
             assert np.allclose(opf15.smooth[a].grad(xa), 0.0)
 
     def test_row_bus_bijection(self, net15, opf15):
-        seen = set()
-        for n in net15.buses:
-            for t in range(net15.horizon):
-                seen.add(dlmp.row_p(net15, n, t))
-                seen.add(dlmp.row_q(net15, n, t))
-        assert seen == set(range(opf15.q))
+        # each coupling row prices exactly one (bus, period) pair
+        prices = dlmp.extract_dlmp(np.arange(opf15.q, dtype=float), opf15)
+        pairs = [(n, t) for n in net15.buses for t in range(net15.horizon)]
+        assert [(n, t) for n, t, _, _ in prices] == pairs
+        assert sorted(r for _, _, y_p, y_q in prices for r in (y_p, y_q)) == list(range(opf15.q))
+
+    @pytest.mark.parametrize("network, drop_shunt",
+                             [("net15", False), ("net15", True), ("line", False)])
+    def test_assembly_matches_the_grid_equations(self, request, rng, network, drop_shunt):
+        net = (request.getfixturevalue("net15") if network == "net15"
+               else dlmp.make_single_line_network())
+        problem = dlmp.build_opf_problem(net, drop_shunt=drop_shunt)
+        t_h, n_b = net.horizon, net.n_buses
+        x = rng.standard_normal(problem.m)
+        # the documented layout: the operator's (p0, q0, f, g, v) bus-major,
+        # period-minor; each aggregator's (pc, pg, qg) bus by bus
+        dso = x[problem.blocks.block_slice(0)]
+        p0, q0 = dso[:t_h], dso[t_h : 2 * t_h]
+        f, g, v = (dict(zip(net.buses, part)) for part in dso[2 * t_h :].reshape(3, n_b, t_h))
+        pc, pg, qg = {}, {}, {}
+        for a, group in enumerate(net.aggregators, start=1):
+            plans = x[problem.blocks.block_slice(a)].reshape(len(group), 3, t_h)
+            for n, (c, p, r) in zip(group, plans):
+                pc[n], pg[n], qg[n] = c, p, r
+        shunt = 0.0 if drop_shunt else 1.0
+
+        # coupling rows: flow conservation at every bus and period
+        rows = dlmp.extract_dlmp(problem.a @ x - problem.b, problem)
+        assert len(rows) == n_b * t_h
+        for n, t, row_p, row_q in rows:
+            kids = net.children(n)
+            active = pc[n][t] - pg[n][t] + sum(f[m][t] for m in kids) - f[n][t]
+            reactive = (net.tau_c[n] * pc[n][t] - qg[n][t] + sum(g[m][t] for m in kids)
+                        - g[n][t] - shunt * net.b_shunt[n] * v[n][t])
+            assert row_p == pytest.approx(active, abs=1e-12)
+            assert row_q == pytest.approx(reactive, abs=1e-12)
+
+        # operator rows: root balance per period, then voltage drop per line
+        affine, box, balls = problem.meta["dso_primitives"]
+        expected = []
+        for t in range(t_h):
+            expected.append(sum(f[m][t] for m in net.children(0)) - p0[t])
+            expected.append(sum(g[m][t] for m in net.children(0)) - q0[t])
+        for n in net.buses:
+            for t in range(t_h):
+                v_up = net.v0 if net.parent[n] == 0 else v[net.parent[n]][t]
+                expected.append(v[n][t] - v_up + 2 * net.r[n] * f[n][t] + 2 * net.x[n] * g[n][t])
+        assert np.max(np.abs(affine.c_matrix @ dso - affine.e - expected)) <= 1e-12
+
+        # slack and voltage box, unbounded flows, one flow ball per line and period
+        inf = np.full(2 * n_b * t_h, np.inf)
+        assert np.array_equal(box.lo, np.concatenate([np.full(2 * t_h, -10.0), -inf,
+                                                      np.full(n_b * t_h, net.v_lo)]))
+        assert np.array_equal(box.hi, np.concatenate([np.full(2 * t_h, 10.0), inf,
+                                                      np.full(n_b * t_h, net.v_hi)]))
+        assert np.array_equal(balls.radii, [net.s_cap[n] for n in net.buses for _ in range(t_h)])
+        assert np.array_equal(dso[balls.f], dso[2 * t_h : (2 + n_b) * t_h])
+        assert np.array_equal(dso[balls.g], dso[(2 + n_b) * t_h : (2 + 2 * n_b) * t_h])
 
     def test_coupling_is_consistent_by_default(self, opf15):
         ref = bp.least_squares_reference(opf15)
@@ -198,32 +251,22 @@ class TestProjectors:
             out = blk.prox(np.ones(dim), v)
             assert blk.value(out) == 0.0
 
-    def test_production_pair_projection(self):
-        out = dlmp._project_production_pair(np.array([0.5, 0.3]), 0.4, 0.0, 0.0)
-        assert np.allclose(out, [0.4, 0.0])
-        out = dlmp._project_production_pair(np.array([-1.0, 5.0]), 0.4, 0.0, 0.0)
-        assert np.allclose(out, [0.0, 0.0])
-        # nondegenerate ratio cone
-        out = dlmp._project_production_pair(np.array([0.2, 0.5]), 1.0, -0.5, 0.5)
-        assert out[1] <= 0.5 * out[0] + 1e-9
-        assert out[1] >= -0.5 * out[0] - 1e-9
-
-    @pytest.mark.parametrize("ratios", [(-0.6, 0.4), (0.2, 1.5)])
-    def test_production_pair_matches_qp_oracle(self, rng, ratios):
-        lo, hi = ratios
-        for trial in range(300):
-            cap = float(rng.uniform(0.1, 2.0))
-            v2 = rng.standard_normal(2) * 1.5
-            mine = dlmp._project_production_pair(v2, cap, lo, hi)
-            oracle = exact_projection_qp(
-                [
-                    Box(np.array([0.0, -np.inf]), np.array([cap, np.inf])),
-                    Halfspace(np.array([-hi, 1.0]), 0.0),
-                    Halfspace(np.array([lo, -1.0]), 0.0),
-                ],
-                v2,
-            )
-            assert np.allclose(mine, oracle, atol=1e-9), f"trial {trial}"
+    def test_production_pair_projection(self, net15, opf15):
+        # the group (7, ..., 11): bus 11 produces up to (0.438, 0.201), fully
+        # active; bus 7 produces nothing
+        group = (7, 8, 9, 10, 11)
+        a = 1 + net15.aggregators.index(group)
+        sl = opf15.blocks.block_slice(a)
+        plans = dlmp.opf_initial_point(opf15)[sl].reshape(len(group), 3, net15.horizon)
+        v = plans.copy()
+        v[4, 1:, 0] = (0.5, 0.3)  # bus 11, period 0: above the cap
+        v[4, 1:, 1] = (-1.0, 5.0)  # bus 11, period 1: below zero
+        v[0, 1:] = [[0.5], [0.3]]  # bus 7
+        out = opf15.prox[a].prox(None, v.ravel()).reshape(v.shape)
+        assert np.allclose(out[4, 1:, 0], [0.438, 0.0])
+        assert np.allclose(out[4, 1:, 1], [0.0, 0.0])
+        assert np.allclose(out[0, 1:], 0.0)
+        assert np.array_equal(out[:, 0], plans[:, 0])  # consumption stays
 
     def test_operator_affine_projector_matches_normal_equations(self, opf15, rng):
         import scipy.linalg as sla
@@ -274,16 +317,16 @@ class TestProjectors:
     def test_aggregator_membership_reads_the_constraints(self, net15, opf15, rng):
         x0 = dlmp.opf_initial_point(opf15)
         seen = set()
-        for a, lay in enumerate(opf15.meta["agg_layouts"], start=1):
+        # the production ratio bounds of the bundled study are zero
+        r_lo = r_hi = 0.0
+        for a, group in enumerate(net15.aggregators, start=1):
             sl = opf15.blocks.block_slice(a)
             blk = opf15.prox[a]
-            shape = (len(lay.buses), 3, net15.horizon)
-            p_lo = np.array([net15.p_lo[n] for n in lay.buses])
-            p_hi = np.array([net15.p_hi[n] for n in lay.buses])
-            energy = np.array([net15.energy[n] for n in lay.buses])
-            caps = np.array([net15.renewable.get(n, np.zeros(net15.horizon)) for n in lay.buses])
-            r_lo = np.array([[net15.ratio_lo.get(n, 0.0)] for n in lay.buses])
-            r_hi = np.array([[net15.ratio_hi.get(n, 0.0)] for n in lay.buses])
+            shape = (len(group), 3, net15.horizon)
+            p_lo = np.array([net15.p_lo[n] for n in group])
+            p_hi = np.array([net15.p_hi[n] for n in group])
+            energy = np.array([net15.energy[n] for n in group])
+            caps = np.array([net15.renewable.get(n, np.zeros(net15.horizon)) for n in group])
             for scale in (0.3, 3.0):
                 for _ in range(5):
                     v = x0[sl] + rng.standard_normal(sl.stop - sl.start) * scale
@@ -315,13 +358,13 @@ class TestProjectors:
         assert seen == {True, False}
 
     def test_exact_budget_keeps_the_bisection_trajectory(
-        self, opf15, opf15_path_end, monkeypatch, bisection_budget
+        self, opf15, opf15_path_end, monkeypatch, bisection_budgets
     ):
         calls = []
 
         def bisection_rows(lo, hi, demand, v):
             calls.append(len(v))
-            return np.array([bisection_budget(*row) for row in zip(lo, hi, demand, v)])
+            return bisection_budgets(lo, hi, demand, v)
 
         monkeypatch.setattr(dlmp, "project_energy_budgets", bisection_rows)
         bisected = final_iterate(opf15)

@@ -194,6 +194,17 @@ class TestEnergyBudget:
                 single = project_energy_budget(*row)
                 assert np.array_equal(batched[i], single), f"trial {trial} row {i}"
 
+    def test_rows_at_once_bisection_matches_per_row(self, rng, bisection_budget, bisection_budgets):
+        # the test oracles: the rows-at-once bisection must be the per-row
+        # one bit for bit, at the grid's horizon and at others
+        for trial in range(300):
+            t_h = 2 if trial % 2 else int(rng.integers(1, 25))
+            rows = [self._random_budget(rng, t_h) for _ in range(int(rng.integers(1, 7)))]
+            lo, hi, demand, v = (np.array(col) for col in zip(*rows))
+            batched = bisection_budgets(lo, hi, demand, v)
+            single = np.array([bisection_budget(*row) for row in rows])
+            assert batched.tobytes() == single.tobytes(), f"trial {trial}"
+
     def test_batched_infeasible_row(self):
         lo, hi = np.zeros((3, 2)), np.ones((3, 2))
         with pytest.raises(InfeasibleInstance, match="demand 3.0"):
