@@ -15,7 +15,6 @@ from .blocks import (
     make_consensus,
     make_model_fitting,
     make_random_inconsistent_ls,
-    partial_grad_h,
     penalty_h,
 )
 from .oracles import Reference, least_squares_reference, quadratic_reference

@@ -67,8 +67,8 @@ class BlockStructure:
 class SmoothBlock:
     """Differentiable convex term on one block.
 
-    ``lam`` is the curvature bound: a symmetric PSD matrix (or scalar ``L``
-    standing for ``L * I``) so that the quadratic upper model
+    ``lam`` is the curvature bound: a symmetric PSD (n, n) matrix so that
+    the quadratic upper model
     ``phi(x+t) <= phi(x) + <grad phi(x), t> + 0.5 * t' lam t`` holds.
     """
 
@@ -90,18 +90,6 @@ class SmoothBlock:
             lambda x: h.dot(x) + c,
             h,
         )
-
-    def lam_matrix(self, dim: int) -> Array:
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim == 0:
-            return float(lam) * np.eye(dim)
-        return lam
-
-    def lam_max(self, dim: int) -> float:
-        lam = np.asarray(self.lam, dtype=float)
-        if lam.ndim == 0:
-            return float(lam)
-        return float(np.linalg.eigvalsh(lam).max())
 
 
 @dataclass(frozen=True)
@@ -185,16 +173,14 @@ class ProblemSpec:
     @cached_property
     def smooth_lipschitz(self) -> Array:
         """Per-block scalar curvature bounds L_i = lammax(Lam_i)."""
-        return np.array(
-            [blk.lam_max(self.blocks.dims[i]) for i, blk in enumerate(self.smooth)]
-        )
+        return np.array([float(np.linalg.eigvalsh(blk.lam).max()) for blk in self.smooth])
 
     @cached_property
     def lam_full(self) -> Array:
         """Block-diagonal assembly of all smooth curvature matrices."""
         out = np.zeros((self.m, self.m))
-        for sl, n, blk in zip(self.blocks.slices, self.blocks.dims, self.smooth):
-            out[sl, sl] = blk.lam_matrix(n)
+        for sl, blk in zip(self.blocks.slices, self.smooth):
+            out[sl, sl] = blk.lam
         return out
 
     @cached_property
@@ -263,14 +249,6 @@ def grad_h(p: ProblemSpec, x: Array) -> Array:
     return p.a.T.dot(p.a.dot(x) - p.b)
 
 
-def partial_grad_h(p: ProblemSpec, z: Array, i: int) -> Array:
-    """Block i of grad h at z, i.e. A_i'(Az - b)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (p.m,):
-        raise ValueError(f"z has shape {z.shape}, expected ({p.m},)")
-    return p.a_blocks[i].T.dot(p.a.dot(z) - p.b)
-
-
 def kkt_residual(p: ProblemSpec, x: Array, y: Array) -> float:
     """Sup-norm residual of the saddle conditions for L(x,y) = Psi(x) + <y, Ax-b>.
 
@@ -310,16 +288,15 @@ def _connected(n_nodes: int, edges: Sequence[tuple[int, int]]) -> bool:
 
 
 def make_consensus(
-    edges: Sequence[tuple[int, int]],
-    local_fns: Sequence[ProxBlock],
-    dim: int = 1,
+    edges: Sequence[tuple[int, int]], local_fns: Sequence[ProxBlock]
 ) -> ProblemSpec:
-    """Agreement problem over an undirected connected graph.
+    """Agreement problem over an undirected connected graph, one scalar
+    block per node.
 
     The coupling matrix is the edge-node incidence matrix (one signed row
-    group per edge), whose kernel is exactly the constant vectors.  It shares
+    per edge), whose kernel is exactly the constant vectors.  It shares
     that kernel with the graph Laplacian while keeping the row count at
-    |edges| * dim and improving conditioning.
+    |edges| and improving conditioning.
     """
     n = len(local_fns)
     edges = [(int(u), int(v)) for u, v in edges]
@@ -329,18 +306,15 @@ def make_consensus(
         raise InfeasibleInstance(
             "graph is disconnected: agreement across components is not enforceable"
         )
-    q = len(edges) * dim
-    a_blocks = [np.zeros((q, dim)) for _ in range(n)]
+    a = np.zeros((len(edges), n))
     for e, (u, v) in enumerate(edges):
-        rows = slice(e * dim, (e + 1) * dim)
-        a_blocks[u][rows] = np.eye(dim)
-        a_blocks[v][rows] = -np.eye(dim)
+        a[e, u], a[e, v] = 1.0, -1.0
     return ProblemSpec(
-        blocks=BlockStructure(tuple([dim] * n)),
-        smooth=tuple(SmoothBlock.zero(dim) for _ in range(n)),
+        blocks=BlockStructure((1,) * n),
+        smooth=tuple(SmoothBlock.zero(1) for _ in range(n)),
         prox=tuple(local_fns),
-        a_blocks=tuple(a_blocks),
-        b=np.zeros(q),
+        a_blocks=tuple(a[:, i : i + 1] for i in range(n)),
+        b=np.zeros(len(edges)),
     )
 
 
@@ -402,6 +376,9 @@ def make_random_inconsistent_ls(
     Ground truth (``xbar``, ``h*``) and the full quadratic data are recorded
     in ``meta`` for independent reference solves.
     """
+    for name, value in (("noise", noise), ("mu", mu)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if isinstance(dims, int):
         dims = [dims] * d
     dims = tuple(int(n) for n in dims)

@@ -28,9 +28,10 @@ A run is described by a flat INI file with sections::
 
 Artifacts written to the output directory: ``trace.csv`` (schema versioned in
 a leading comment line; deterministic bytes for a fixed config), ``metadata.json``
-(every resolved default, reference values, certification results, and for
-the grid experiment the operator projection's call, Newton-step and
-factorisation totals; includes wall time, so not byte-stable), ``rates.csv``
+(the ``[run]`` fields and the ``[instance]``, ``[sampling]`` and ``[policy]``
+sections as written, plus ``policy_resolved``, ``reference``, and
+``sampling_resolved`` and the rate fits or, for the grid experiment, the
+operator projection's totals; includes wall time, so not byte-stable), ``rates.csv``
 with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 
 Exit codes: 0 success, 2 config error (including a field that does not read
@@ -82,7 +83,7 @@ from .oracles import Reference, reference_for
 from .proxops import prox_l1_block, prox_quadratic_block, prox_zero_block
 from .sampling import from_config as sampling_from_config
 from .solver import TraceRecord, run
-from .stepsize import convex_default_policy, make_accelerated_policy
+from .stepsize import ConvexPolicy, convex_default_policy, make_accelerated_policy
 
 TRACE_SCHEMA = "blockpd-trace-v1"
 
@@ -118,12 +119,9 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(
             f"{path}: [run] experiment must be one of {EXPERIMENTS}, got {experiment!r}"
         )
-    try:
-        k_max = runsec.getint("k_max", 10_000)
-        seed = runsec.getint("seed", 0)
-        trace_every = runsec.getint("trace_every", 100)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [run] integer field: {exc}") from exc
+    k_max = field_value("run", runsec, "k_max", 10_000, int)
+    seed = field_value("run", runsec, "seed", 0, int)
+    trace_every = field_value("run", runsec, "trace_every", 100, int)
     if k_max < 1:
         raise ConfigError(f"{path}: [run] k_max must be >= 1")
     if seed < 0:
@@ -134,6 +132,8 @@ def parse_config(path: str) -> RunConfig:
     stop_tol = None
     if tol_raw not in ("none", ""):
         stop_tol = field_value("run", runsec, "stop_kkt_tol", None)
+        if not 0.0 < stop_tol < math.inf:
+            raise ConfigError(f"{path}: [run] stop_kkt_tol must be finite and > 0")
     fit_cols: tuple[str, ...] = ()
     fit_k_min = None
     if "fit" in cp:
@@ -196,7 +196,7 @@ def _instance(cfg: RunConfig, key: str, default, kind=float):
 
 
 def _build_random_ls(cfg: RunConfig):
-    problem = make_random_inconsistent_ls(
+    return make_random_inconsistent_ls(
         seed=_instance(cfg, "instance_seed", cfg.seed, int),
         d=_instance(cfg, "d", 10, int),
         dims=_instance(cfg, "block_dim", 4, int),
@@ -205,7 +205,6 @@ def _build_random_ls(cfg: RunConfig):
         mu=_instance(cfg, "mu", 1.0),
         rank_deficiency=_instance(cfg, "rank_deficiency", 4, int),
     )
-    return problem, np.zeros(problem.m)
 
 
 def _build_consensus(cfg: RunConfig):
@@ -227,7 +226,7 @@ def _build_consensus(cfg: RunConfig):
         "c_blocks": [np.array([-anchors[i]]) for i in range(n)],
         "mu": 0.0,
     }
-    return problem, np.zeros(problem.m)
+    return problem
 
 
 def _build_model_fit(cfg: RunConfig):
@@ -239,8 +238,7 @@ def _build_model_fit(cfg: RunConfig):
     losses = [SmoothBlock.quadratic(np.eye(1), np.zeros(1)) for _ in range(q)]
     weight = _instance(cfg, "l1_weight", 0.1)
     regs = [prox_l1_block(weight) for _ in range(p)]
-    problem = make_model_fitting(k_matrix, b, losses, regs)
-    return problem, np.zeros(problem.m)
+    return make_model_fitting(k_matrix, b, losses, regs)
 
 
 def _build_custom(cfg: RunConfig):
@@ -256,16 +254,15 @@ def _build_custom(cfg: RunConfig):
         raise ConfigError("[instance] dims do not sum to the column count of A")
     mu = _instance(cfg, "mu", 0.0)
     prox = tuple(
-        prox_quadratic_block(mu) if mu > 0 else prox_zero_block(n) for n in dims
+        prox_quadratic_block(mu) if mu > 0 else prox_zero_block() for _ in dims
     )
-    problem = ProblemSpec(
+    return ProblemSpec(
         blocks=structure,
         smooth=tuple(SmoothBlock.zero(n) for n in dims),
         prox=prox,
         a_blocks=tuple(a[:, structure.block_slice(i)] for i in range(len(dims))),
         b=np.atleast_1d(b),
     )
-    return problem, np.zeros(problem.m)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +278,6 @@ def write_trace_csv(path: Path, trace: list[TraceRecord]) -> None:
             vals = [getattr(rec, name) for name in TraceRecord.CSV_FIELDS]
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in vals))
             fh.write("\n")
-
-
-def read_trace_csv(path) -> dict[str, np.ndarray]:
-    data = np.genfromtxt(path, delimiter=",", names=True, skip_header=1)
-    names = data.dtype.names or ()
-    return {name: np.atleast_1d(data[name]) for name in names}
 
 
 def fit_rate(ks, values, k_min=None, k_max=None):
@@ -352,7 +343,7 @@ def run_experiment(cfg: RunConfig) -> int:
         "custom": _build_custom,
     }
     with rejected_as_config("instance"):
-        problem, x0 = builders[cfg.experiment](cfg)
+        problem = builders[cfg.experiment](cfg)
 
     kind = cfg.sampling.get("kind", "single")
     m = field_value("sampling", cfg.sampling, "m", None, int)
@@ -367,8 +358,9 @@ def run_experiment(cfg: RunConfig) -> int:
         given = cfg.policy.get("sigma", "auto") != "auto"
         with rejected_as_config("policy"):
             policy = convex_default_policy(problem, sampling, certify=certify and not given)
-        if given:
-            policy.sigma = field_value("policy", cfg.policy, "sigma", None)
+            if given:
+                sigma = field_value("policy", cfg.policy, "sigma", None)
+                policy = ConvexPolicy(sigma, policy.b_diag)
         meta["policy_resolved"] = {
             "kind": "convex",
             "sigma": policy.sigma,
@@ -408,15 +400,13 @@ def run_experiment(cfg: RunConfig) -> int:
         problem,
         sampling,
         policy,
-        x0,
+        np.zeros(problem.m),
         cfg.k_max,
         seed=cfg.seed,
         trace_every=cfg.trace_every,
         stop_kkt_tol=cfg.stop_kkt_tol,
         reference=reference,
     )
-    write_trace_csv(out / "trace.csv", result.trace)
-
     rates = []
     k_min = cfg.fit_k_min if cfg.fit_k_min is not None else max(1, cfg.k_max // 10)
     for col in cfg.fit_columns:
@@ -434,13 +424,7 @@ def run_experiment(cfg: RunConfig) -> int:
             fh.write(f"{row['column']},{row['slope']!r},{row['stderr']!r},{row['k_min']}\n")
     meta["rates"] = rates
     meta["stopped_at"] = result.stopped_at
-    meta["wall_time_sec"] = time.perf_counter() - t0
-    with open(out / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, default=float)
-    last = result.trace[-1] if result.trace else None
-    if last is not None:
-        say(f"  final k={last.k} kkt={last.kkt_res:.3e} |Ax-b|={last.primal_res:.3e}")
-    return 0
+    return _finish(out, result, meta, say, t0)
 
 
 def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
@@ -470,7 +454,6 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
         trace_every=cfg.trace_every,
         stop_kkt_tol=cfg.stop_kkt_tol,
     )
-    write_trace_csv(out / "trace.csv", result.trace)
     prices = extract_dlmp(result.state.y, problem)
     with open(out / "dlmp.csv", "w") as fh:
         fh.write("bus,period,y_p,y_q\n")
@@ -483,6 +466,12 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
     meta["policy_resolved"] = eng_meta
     meta["reference"] = {"h_star": result.reference.h_star, "source": result.reference.source}
     meta["operator_projection"] = eng.session.totals()
+    return _finish(out, result, meta, say, t0)
+
+
+def _finish(out: Path, result, meta: dict, say, t0: float) -> int:
+    """Write ``trace.csv`` and ``metadata.json`` and print the last trace row."""
+    write_trace_csv(out / "trace.csv", result.trace)
     meta["wall_time_sec"] = time.perf_counter() - t0
     with open(out / "metadata.json", "w") as fh:
         json.dump(meta, fh, indent=2, default=float)

@@ -194,7 +194,8 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
     The bus CSV must carry the columns ``n, S, R_e3, X_e3, B_e3, Pmin_0,
     Pmin_1, Pmax_0, Pmax_1, E, tau_c`` (impedances and shunt susceptance
     scaled by 1e3); the edge CSV has ``parent, child`` rows describing the
-    tree, rooted at the slack bus 0.  Voltages are bounded to [0.81, 1.21]
+    tree, rooted at the slack bus 0, each child a bus of the table named
+    in one edge only.  Voltages are bounded to [0.81, 1.21]
     around v0 = 1, the aggregators are :func:`default_aggregators`, and
     bus 11, if the table has it, produces up to (0.438, 0.201), fully
     active, as in the bundled study.  Malformed data raises ``ValueError``.
@@ -208,16 +209,20 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
         for rec in reader:
             n = int(rec["n"])
             rows[n] = rec
-    edges = []
+    parent = {}
     with open(edges_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not reader.fieldnames or set(reader.fieldnames) < {"parent", "child"}:
             raise ValueError("edge list needs 'parent' and 'child' columns")
         for rec in reader:
-            edges.append((int(rec["parent"]), int(rec["child"])))
+            par, child = int(rec["parent"]), int(rec["child"])
+            if child not in rows:
+                raise ValueError(f"edge {par},{child}: child {child} is not in the bus table")
+            if child in parent:
+                raise ValueError(f"edge {par},{child}: bus {child} has two parent edges")
+            parent[child] = par
 
     buses = tuple(sorted(rows))
-    parent = {child: par for par, child in edges}
 
     def pick(rec, keys):
         return np.array([float(rec[k]) for k in keys])
@@ -453,9 +458,7 @@ class _OperatorProjector:
 
     def __init__(self, affine: AffineSubspace, box: Box, balls: _FlowBalls):
         self.affine = affine
-        self.c = np.asarray(affine.c_matrix, dtype=float)
-        self.e = np.asarray(affine.e, dtype=float)
-        self.gram = self.c @ self.c.T
+        self.c, self.e, self.gram = affine.c_matrix, affine.e, affine.gram
         self.eye = np.eye(self.c.shape[0])
         self.lo, self.hi = box.lo, box.hi
         self.balls = balls

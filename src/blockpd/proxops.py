@@ -28,7 +28,7 @@ DYKSTRA_MAX_ITER = 10_000
 # ---------------------------------------------------------------------------
 
 
-def prox_zero_block(dim: int) -> ProxBlock:
+def prox_zero_block() -> ProxBlock:
     """r = 0: the prox is the identity."""
     return ProxBlock(lambda x: 0.0, lambda g, v: np.asarray(v, dtype=float), 0.0)
 
@@ -152,18 +152,14 @@ class EnergyBudget:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """{x : C x = e}, projected onto through a precomputed affine map.
-
-    The projection is v - C^T (C C^T)^{-1} (C v - e) = P v + s with
-    P = I - C^T (C C^T)^{-1} C and s = C^T (C C^T)^{-1} e, both formed once
-    from a Cholesky factor of the Gram matrix.  The same factor gives the
-    projection's multiplier (C C^T)^{-1} (C v - e).
-    """
+    """{x : C x = e}.  The projection is v - C^T multiplier(v); the
+    multiplier (C C^T)^{-1} (C v - e) is an affine map formed once from a
+    Cholesky factor of the Gram matrix ``gram`` = C C^T.  ``c_matrix`` and
+    ``e`` are kept as float arrays."""
 
     c_matrix: Array
     e: Array
-    _proj: Array = field(init=False, repr=False, compare=False)
-    _shift: Array = field(init=False, repr=False, compare=False)
+    gram: Array = field(init=False, repr=False, compare=False)
     _gram_inv_c: Array = field(init=False, repr=False, compare=False)
     _gram_inv_e: Array = field(init=False, repr=False, compare=False)
 
@@ -171,21 +167,21 @@ class AffineSubspace:
         import scipy.linalg as sla
 
         c = np.asarray(self.c_matrix, dtype=float)
+        e = np.asarray(self.e, dtype=float)
         gram = c @ c.T
         # tiny diagonal lift guards against duplicated rows
         factor = sla.cho_factor(gram + 1e-14 * np.eye(gram.shape[0]))
-        gram_inv_c = sla.cho_solve(factor, c)
-        gram_inv_e = sla.cho_solve(factor, np.asarray(self.e, dtype=float))
-        object.__setattr__(self, "_gram_inv_c", gram_inv_c)
-        object.__setattr__(self, "_gram_inv_e", gram_inv_e)
-        object.__setattr__(self, "_proj", np.eye(c.shape[1]) - c.T @ gram_inv_c)
-        object.__setattr__(self, "_shift", c.T @ gram_inv_e)
+        object.__setattr__(self, "c_matrix", c)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_gram_inv_c", sla.cho_solve(factor, c))
+        object.__setattr__(self, "_gram_inv_e", sla.cho_solve(factor, e))
 
     def project(self, v: Array) -> Array:
-        return self._proj.dot(v) + self._shift
+        return v - self.c_matrix.T.dot(self.multiplier(v))
 
     def multiplier(self, v: Array) -> Array:
-        """(C C^T)^{-1} (C v - e), so that project(v) = v - C^T multiplier(v)."""
+        """(C C^T)^{-1} (C v - e)."""
         return self._gram_inv_c.dot(v) - self._gram_inv_e
 
     def distance(self, v: Array) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,18 +60,9 @@ class TraceRecord:
     lyapunov: float = math.nan
     wall_time: float = math.nan
 
-    CSV_FIELDS = (
-        "k",
-        "psi_x",
-        "psi_hat",
-        "h_gap_x",
-        "h_gap_w",
-        "primal_res",
-        "kkt_res",
-        "tau",
-        "sigma",
-        "lyapunov",
-    )
+
+# the trace.csv columns: every field but the wall time, which varies by run
+TraceRecord.CSV_FIELDS = tuple(f.name for f in fields(TraceRecord) if f.name != "wall_time")
 
 
 @dataclass

@@ -43,6 +43,10 @@ class ConvexPolicy:
     certified_margin: float = math.nan
     halvings: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.sigma < math.inf:
+            raise PolicyConstructionError(f"sigma must be finite and > 0, got {self.sigma}")
+
     def sigma_at(self, k: int) -> float:
         return self.sigma
 
@@ -122,10 +126,6 @@ def convex_default_policy(
 
     xi = xi_matrix(s, p.a_blocks)
     pb_diag = weight_matrix_p(s, p.blocks) * b_diag
-    lam_blocks = [
-        (p.blocks.block_slice(i), blk.lam_matrix(n))
-        for i, (blk, n) in enumerate(zip(p.smooth, p.blocks.dims))
-    ]
     # P B - sigma Xi - Lam in one reused buffer; Lam is block diagonal
     work = np.empty((p.m, p.m))
     work_diag = work.reshape(-1)[:: p.m + 1]
@@ -133,8 +133,8 @@ def convex_default_policy(
     while True:
         np.multiply(xi, -sigma, out=work)
         work_diag += pb_diag
-        for sl, lam in lam_blocks:
-            work[sl, sl] -= lam
+        for sl, blk in zip(p.blocks.slices, p.smooth):
+            work[sl, sl] -= blk.lam
         margin = float(np.linalg.eigvalsh(work).min())
         if margin >= MI_TOL:
             return ConvexPolicy(sigma, b_diag, certified_margin=margin, halvings=halvings)
@@ -175,10 +175,8 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     xi_scaled *= scale[None, :]
     alpha = 1.0 / float(np.linalg.eigvalsh(xi_scaled).max())
     lu_max = 0.0
-    for i, blk in enumerate(p.smooth):
-        sl = p.blocks.block_slice(i)
-        n = p.blocks.dims[i]
-        lam_ups = blk.lam_matrix(n) + np.diag(mu[sl])
+    for sl, blk in zip(p.blocks.slices, p.smooth):
+        lam_ups = blk.lam + np.diag(mu[sl])
         lu_scaled = scale[sl, None] * lam_ups * scale[None, sl]
         lu_max = max(lu_max, float(np.linalg.eigvalsh(lu_scaled).max()))
     beta = alpha * lu_max

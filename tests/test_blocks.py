@@ -20,7 +20,7 @@ def scalar_problem(phi=None, prox=None, a=None, b=None, dims=(1,)):
     smooth = tuple(
         phi[i] if phi else SmoothBlock.zero(dims[i]) for i in range(d)
     )
-    pr = tuple(prox[i] if prox else prox_zero_block(dims[i]) for i in range(d))
+    pr = tuple(prox[i] if prox else prox_zero_block() for i in range(d))
     if a is None:
         a = [np.zeros((1, dims[i])) for i in range(d)]
         b = np.zeros(1)
@@ -78,16 +78,6 @@ class TestPenalty:
         x = rng.standard_normal(3)
         assert np.allclose(bp.grad_h(p, x), x)
 
-    def test_partial_grad_hand(self):
-        p = scalar_problem(a=[np.array([[1.0], [1.0]])], b=np.array([0.0, 1.0]))
-        assert bp.partial_grad_h(p, np.zeros(1), 0) == pytest.approx(-1.0)
-
-    def test_partial_concatenation(self, rng):
-        p = bp.make_random_inconsistent_ls(seed=5, d=3, dims=(2, 3, 1), q=8, noise=0.3)
-        x = rng.standard_normal(p.m)
-        parts = np.concatenate([bp.partial_grad_h(p, x, i) for i in range(p.d)])
-        assert np.allclose(parts, bp.grad_h(p, x), atol=1e-12)
-
 
 class TestKktResidual:
     def test_simple_saddle(self):
@@ -114,12 +104,12 @@ class TestConsensus:
         assert np.allclose(res.state.x, [1.0, 1.0], atol=1e-4)
 
     def test_zero_local_terms(self):
-        p = bp.make_consensus([(0, 1), (1, 2)], [prox_zero_block(1)] * 3)
+        p = bp.make_consensus([(0, 1), (1, 2)], [prox_zero_block()] * 3)
         const = np.full(3, 0.7)
         assert bp.penalty_h(p, const) == pytest.approx(0.0, abs=1e-15)
 
     def test_triangle_kernel(self, rng):
-        p = bp.make_consensus([(0, 1), (1, 2), (2, 0)], [prox_zero_block(1)] * 3)
+        p = bp.make_consensus([(0, 1), (1, 2), (2, 0)], [prox_zero_block()] * 3)
         a = p.a
         # ||Ax|| = 0 iff x constant
         assert np.linalg.norm(a @ np.ones(3)) == pytest.approx(0.0, abs=1e-15)
@@ -130,13 +120,13 @@ class TestConsensus:
 
     def test_disconnected_graph_rejected(self):
         with pytest.raises(InfeasibleInstance):
-            bp.make_consensus([(0, 1), (2, 3)], [prox_zero_block(1)] * 4)
+            bp.make_consensus([(0, 1), (2, 3)], [prox_zero_block()] * 4)
 
 
 class TestModelFitting:
     def test_consistent_least_squares(self):
         losses = [SmoothBlock.quadratic(np.eye(1), np.zeros(1)) for _ in range(2)]
-        regs = [prox_zero_block(1) for _ in range(2)]
+        regs = [prox_zero_block() for _ in range(2)]
         p = bp.make_model_fitting(np.eye(2), np.ones(2), losses, regs)
         # lifted optimum: v = 0, u = b; multiplier y = v = 0
         x_star = np.array([1.0, 1.0, 0.0, 0.0])
@@ -161,7 +151,7 @@ class TestModelFitting:
 
     def test_trivial_instance(self):
         losses = [SmoothBlock.quadratic(np.eye(1), np.zeros(1))]
-        p = bp.make_model_fitting(np.eye(1), np.zeros(1), losses, [prox_zero_block(1)])
+        p = bp.make_model_fitting(np.eye(1), np.zeros(1), losses, [prox_zero_block()])
         assert bp.kkt_residual(p, np.zeros(2), np.zeros(1)) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -191,7 +181,7 @@ class TestSmoothnessModel:
         p = bp.make_random_inconsistent_ls(seed=21, d=3, dims=(2, 4, 3), q=15, noise=0.5)
         for i in range(p.d):
             ni = p.blocks.dims[i]
-            lam = p.smooth[i].lam_matrix(ni)
+            lam = p.smooth[i].lam
             for _ in range(100):
                 x = rng.standard_normal(ni)
                 t = rng.standard_normal(ni)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blockpd.cli import fit_rate, main, parse_config, read_trace_csv
+from blockpd.cli import fit_rate, main, parse_config
 from blockpd.errors import ConfigError, InsufficientData
 
 
@@ -115,19 +115,25 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "config error" in err and "[instance] d = 'ten'" in err
 
-    @pytest.mark.parametrize("section, old, new", [
-        ("sampling", "kind = single", "kind = bogus"),
-        ("sampling", "kind = single", "kind = nice\nm = 9"),
-        ("sampling", "kind = single", "kind = nice"),
-        ("policy", "kind = convex", "kind = accelerated\ntau0 = 5"),
-        ("instance", "d = 4", "d = 0"),
-    ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "no-blocks"])
-    def test_rejected_value_exit_code(self, tmp_path, capsys, section, old, new):
+    @pytest.mark.parametrize("old, new, message", [
+        ("kind = single", "kind = bogus", "[sampling]"),
+        ("kind = single", "kind = nice\nm = 9", "[sampling]"),
+        ("kind = single", "kind = nice", "[sampling]"),
+        ("kind = convex", "kind = accelerated\ntau0 = 5", "[policy]"),
+        ("d = 4", "d = 0", "[instance]"),
+        ("kind = convex", "kind = convex\nsigma = -1", "[policy] sigma must be finite and > 0"),
+        ("kind = convex", "kind = convex\nsigma = inf", "[policy] sigma must be finite and > 0"),
+        ("noise = 0.4", "noise = 0.4\nmu = -1", "[instance] mu must be finite and >= 0"),
+        ("noise = 0.4", "noise = nan", "[instance] noise must be finite and >= 0"),
+        ("seed = 5", "seed = 5\nstop_kkt_tol = nan", "[run] stop_kkt_tol must be finite and > 0"),
+    ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "no-blocks",
+            "negative-sigma", "infinite-sigma", "negative-mu", "nan-noise", "nan-stop-tol"])
+    def test_rejected_value_exit_code(self, tmp_path, capsys, old, new, message):
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
         cfg = write_config(tmp_path / "c.cfg", body.replace(old, new))
         assert main(["--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and f"[{section}]" in err
+        assert "config error" in err and message in err
 
     def test_negative_seed_names_the_run_section(self, tmp_path, capsys):
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
@@ -225,9 +231,9 @@ class TestRandomLsExperiment:
         assert meta["policy_resolved"]["sigma"] == pytest.approx(0.25)
         assert meta["reference"]["source"] == "reduced-qp"
         assert (out1 / "rates.csv").exists()
-        cols = read_trace_csv(out1 / "trace.csv")
-        assert cols["k"][-1] == 2000
-        assert (np.diff(cols["k"]) > 0).all()
+        ks = np.genfromtxt(out1 / "trace.csv", delimiter=",", names=True, skip_header=1)["k"]
+        assert ks[-1] == 2000
+        assert (np.diff(ks) > 0).all()
 
     def test_single_row_when_k_max_one(self, tmp_path):
         out = tmp_path / "one"
@@ -237,7 +243,10 @@ class TestRandomLsExperiment:
         )
         assert main(["--config", cfg, "--quiet"]) == 0
         rows = (out / "trace.csv").read_text().strip().splitlines()
-        assert rows[0].startswith("#")
+        assert rows[:2] == [
+            "# blockpd-trace-v1",
+            "k,psi_x,psi_hat,h_gap_x,h_gap_w,primal_res,kkt_res,tau,sigma,lyapunov",
+        ]
         assert len(rows) == 3  # comment, header, one record
 
     def test_seed_override_changes_trace(self, tmp_path):
@@ -404,7 +413,10 @@ out = {out}
         ("bus", "n,S,R_e3,", "n,S,", "bus table is missing columns"),
         ("edges", "8,7", "20,7", "bus 7: parent 20 is neither a bus"),
         ("edges", "0,12\n", "", "bus 12 has no parent edge"),
-    ], ids=["bus-columns-missing", "parent-not-a-bus", "bus-without-parent"])
+        ("edges", "8,7\n", "8,7\n5,7\n", "edge 5,7: bus 7 has two parent edges"),
+        ("edges", "0,12\n", "0,12\n3,99\n", "edge 3,99: child 99 is not in the bus table"),
+    ], ids=["bus-columns-missing", "parent-not-a-bus", "bus-without-parent",
+            "repeated-child", "child-not-a-bus"])
     def test_malformed_grid_data_exit_code(self, tmp_path, capsys, table, old, new, message):
         from blockpd.dlmp import default_network_paths
 

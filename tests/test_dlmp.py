@@ -131,6 +131,20 @@ class TestLoadNetwork:
         with pytest.raises(ValueError, match="bus 7: parent 20 is neither a bus"):
             dlmp.load_network(bus, str(bad))
 
+    def test_repeated_child_rejected(self, tmp_path):
+        bus, edges = dlmp.default_network_paths()
+        bad = tmp_path / "edges.csv"
+        bad.write_text(open(edges).read().replace("8,7\n", "8,7\n5,7\n"))
+        with pytest.raises(ValueError, match="edge 5,7: bus 7 has two parent edges"):
+            dlmp.load_network(bus, str(bad))
+
+    def test_child_must_be_a_bus(self, tmp_path):
+        bus, edges = dlmp.default_network_paths()
+        bad = tmp_path / "edges.csv"
+        bad.write_text(open(edges).read().replace("0,12\n", "0,12\n3,99\n"))
+        with pytest.raises(ValueError, match="edge 3,99: child 99 is not in the bus table"):
+            dlmp.load_network(bus, str(bad))
+
     def test_energy_above_caps_rejected(self, tmp_path):
         bus, edges = dlmp.default_network_paths()
         text = open(bus).read().replace("2.213", "9.9")

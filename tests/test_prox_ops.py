@@ -24,7 +24,7 @@ from blockpd.proxops import (
 class TestWeightedProx:
     def test_zero_is_identity(self, rng):
         v = rng.standard_normal(4)
-        out = prox_zero_block(4).prox(np.full(4, 2.0), v)
+        out = prox_zero_block().prox(np.full(4, 2.0), v)
         assert np.allclose(out, v)
 
     def test_l1_soft_threshold(self):

@@ -22,7 +22,7 @@ def one_dim_problem(l_val=1.0, a=None, b=None):
     return ProblemSpec(
         BlockStructure((1,)),
         (SmoothBlock.quadratic(np.array([[l_val]]), np.zeros(1)),),
-        (prox_zero_block(1),),
+        (prox_zero_block(),),
         (a,),
         b,
     )
@@ -33,7 +33,7 @@ class TestForwardBackward:
         p = ProblemSpec(
             BlockStructure((2,)),
             (SmoothBlock.zero(2),),
-            (prox_zero_block(2),),
+            (prox_zero_block(),),
             (np.zeros((1, 2)),),
             np.zeros(1),
         )
@@ -134,7 +134,7 @@ class TestPrimalDualStep:
         p = ProblemSpec(
             BlockStructure((2,)),
             (SmoothBlock.quadratic(np.eye(2), np.zeros(2)),),
-            (prox_zero_block(2),),
+            (prox_zero_block(),),
             (a,),
             b,
         )
@@ -499,7 +499,7 @@ class TestRunLoop:
         p = ProblemSpec(
             BlockStructure((1,)),
             (SmoothBlock.zero(1),),
-            (prox_zero_block(1),),
+            (prox_zero_block(),),
             (np.array([[1.0], [1.0]]),),
             np.array([0.0, 1.0]),
         )

@@ -35,7 +35,7 @@ def tiny_problem(a_blocks, l_vals, mu_vals):
         h = l_vals[i] * np.eye(dims[i])
         smooth.append(SmoothBlock.quadratic(h, np.zeros(dims[i])))
         prox.append(
-            prox_quadratic_block(mu_vals[i]) if mu_vals[i] > 0 else prox_zero_block(dims[i])
+            prox_quadratic_block(mu_vals[i]) if mu_vals[i] > 0 else prox_zero_block()
         )
     return ProblemSpec(
         BlockStructure(dims),
