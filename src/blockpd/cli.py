@@ -7,7 +7,7 @@ A run is described by a flat INI file with sections::
     seed = 7
     k_max = 100000
     trace_every = 10
-    stop_kkt_tol = none
+    stop_kkt_tol = none           ; stop once kkt_res and primal_res are both below it
     out = runs/demo
 
     [instance]                    ; experiment-specific parameters
@@ -34,10 +34,10 @@ sections as written, plus ``policy_resolved``, ``reference``, and
 operator projection's totals; includes wall time, so not byte-stable), ``rates.csv``
 with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 
-Exit codes: 0 success, 2 config error (including a field that does not read
-as a number or a boolean, a value the library rejects, or malformed grid
-data), 3 divergence or a projection that did not converge, 4 infeasible
-instance.
+Exit codes: 0 success, 2 config error (including a file that is not valid
+INI, a field that does not read as a number or a boolean, a value the library
+rejects, or malformed grid data), 3 divergence or a projection that did not
+converge, 4 infeasible instance.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ class RunConfig:
 
 def parse_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: not a valid INI file: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     if "run" not in cp:
@@ -276,7 +279,7 @@ def write_trace_csv(path: Path, trace: list[TraceRecord]) -> None:
         fh.write(",".join(TraceRecord.CSV_FIELDS) + "\n")
         for rec in trace:
             vals = [getattr(rec, name) for name in TraceRecord.CSV_FIELDS]
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in vals))
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals))
             fh.write("\n")
 
 
@@ -365,7 +368,6 @@ def run_experiment(cfg: RunConfig) -> int:
             "kind": "convex",
             "sigma": policy.sigma,
             "certified_margin": policy.certified_margin,
-            "halvings": policy.halvings,
         }
     elif pol_kind == "accelerated":
         tau0 = None

@@ -368,8 +368,10 @@ def run(
     trace_every : record a trace row every this many iterations, at least 1
         (the final iteration is always recorded; nothing is recorded at
         k = 0).
-    stop_kkt_tol : stop early once the saddle residual at a trace point falls
-        below this value.
+    stop_kkt_tol : stop early at the first trace point where both the saddle
+        residual ``kkt_res`` and the coupling residual ``primal_res``
+        (||Ax - b||) are below this value; both vanish only on consistent
+        instances.
     reference : ground-truth anchors for gap columns; computed from the
         normal equations when omitted.
     record_iterates : keep the full x history (and w for the averaging
@@ -423,7 +425,9 @@ def run(
             rec = _trace_record(problem, eng, state, reference)
             rec.wall_time = time.perf_counter() - t_start
             trace.append(rec)
-            if stop_kkt_tol is not None and rec.kkt_res < stop_kkt_tol:
+            if stop_kkt_tol is not None and (
+                rec.kkt_res < stop_kkt_tol and rec.primal_res < stop_kkt_tol
+            ):
                 stopped_at = done
                 break
 

@@ -4,7 +4,8 @@ Two regimes:
 
 * a constant policy for merely convex problems, with the per-block scaling
   B_i = pi_i (lambda_i + L_i) I and sigma at most the smallest activation
-  probability, certified against the governing matrix inequality;
+  probability, taken at the edge of the governing matrix inequality by one
+  generalised eigensolve;
 
 * an accelerated policy for strongly convex problems, where sigma_k and a
   shrinking tau_k are tied by sigma_k * tau_k = alpha - beta * tau_k and
@@ -24,6 +25,7 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .blocks import ProblemSpec
 from .errors import InvariantViolation, PolicyConstructionError, StrongConvexityRequired
@@ -31,17 +33,24 @@ from .sampling import Sampling, weight_matrix_p, xi_matrix
 
 Array = np.ndarray
 
+# smallest accepted lower bound on lambda_min(P B - sigma Xi - Lam)
 MI_TOL = -1e-8
+# share of the largest certified step taken when min pi exceeds it
+EDGE_FRACTION = 0.95
 
 
 @dataclass
 class ConvexPolicy:
-    """Constant steps: sigma_k = sigma, tau_k = 1."""
+    """Constant steps: sigma_k = sigma, tau_k = 1.
+
+    ``certified_margin`` is a proven lower bound on the smallest eigenvalue
+    of P B - sigma Xi - Lam (see :func:`convex_default_policy`), NaN when
+    sigma was not certified.
+    """
 
     sigma: float
     b_diag: Array
     certified_margin: float = math.nan
-    halvings: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.sigma < math.inf:
@@ -107,14 +116,30 @@ class AcceleratedPolicy:
 def convex_default_policy(
     p: ProblemSpec, s: Sampling, certify: bool = True
 ) -> ConvexPolicy:
-    """Largest constant sigma compatible with the averaging weights, with the
-    standard per-block scaling, certified against the matrix inequality
-    P B >= sigma Xi + Lam.
+    """Constant sigma at the edge of the matrix inequality
+    P B >= sigma Xi + Lam, with the standard per-block scaling
+    B_i = pi_i (lambda_i + L_i) I.
 
-    The per-block construction is only sufficient when Xi is block diagonal
-    (single-block activation or orthogonal columns); for coupled Xi the
-    certificate is checked by a smallest-eigenvalue test and sigma is halved
-    until it passes.
+    With D = P B = diag(lambda_i + L_i), the inequality reads
+    sigma Xi <= D - Lam.  D - Lam is block diagonal with smallest eigenvalue
+    lambda_i = ||A_i||^2 on block i (L_i is the largest eigenvalue of Lam_i),
+    so the largest certified step is one generalised eigenvalue,
+    sigma_max = 1 / lammax(Xi, D - Lam), taken over the blocks with
+    lambda_i > 0 (the others have zero rows in Xi and certify any sigma).
+    The averaging weights need sigma <= min pi, so sigma = min pi when it
+    certifies (min pi <= sigma_max, up to ``MI_TOL``) and
+    sigma = EDGE_FRACTION * sigma_max (0.95) otherwise.
+
+    ``certified_margin`` = (1 - sigma / sigma_max) c bounds
+    lambda_min(P B - sigma Xi - Lam) from below, with c = min_i lambda_i
+    for sigma <= sigma_max and c = max_i (lambda_i + L_i) above it.  Proof:
+    write D - Lam = L L' and M = L^{-1} Xi L^{-T}, so lammax(M) = 1 / sigma_max
+    and D - Lam - sigma Xi = L (I - sigma M) L' >= (1 - sigma / sigma_max) L L'
+    = (1 - sigma / sigma_max)(D - Lam); then use
+    min_i lambda_i I <= D - Lam <= D = diag(lambda_i + L_i).  A bound below
+    ``MI_TOL`` raises :class:`PolicyConstructionError`.  The tests compare it
+    with the dense smallest eigenvalue.  With ``certify=False``
+    sigma = min pi, unchecked.
     """
     lam_i = p.block_sq_norms
     l_i = p.smooth_lipschitz
@@ -126,24 +151,44 @@ def convex_default_policy(
 
     xi = xi_matrix(s, p.a_blocks)
     pb_diag = weight_matrix_p(s, p.blocks) * b_diag
-    # P B - sigma Xi - Lam in one reused buffer; Lam is block diagonal
-    work = np.empty((p.m, p.m))
-    work_diag = work.reshape(-1)[:: p.m + 1]
-    halvings = 0
-    while True:
-        np.multiply(xi, -sigma, out=work)
-        work_diag += pb_diag
-        for sl, blk in zip(p.blocks.slices, p.smooth):
-            work[sl, sl] -= blk.lam
-        margin = float(np.linalg.eigvalsh(work).min())
-        if margin >= MI_TOL:
-            return ConvexPolicy(sigma, b_diag, certified_margin=margin, halvings=halvings)
-        sigma *= 0.5
-        halvings += 1
-        if sigma < 1e-12:
-            raise PolicyConstructionError(
-                "step certification failed down to sigma < 1e-12"
-            )
+    # D - Lam in one buffer; Lam is block diagonal
+    dml = np.zeros((p.m, p.m))
+    dml.reshape(-1)[:: p.m + 1] = pb_diag
+    for sl, blk in zip(p.blocks.slices, p.smooth):
+        dml[sl, sl] -= blk.lam
+    coupled = lam_i > 0.0
+    if not coupled.all():
+        keep = np.flatnonzero(p.blocks.expand(coupled))
+        xi = xi[np.ix_(keep, keep)]
+        dml = dml[np.ix_(keep, keep)]
+    n = xi.shape[0]
+    sigma_max = math.inf
+    if n:
+        try:
+            # both matrices are symmetric: their transposes are Fortran
+            # ordered, which LAPACK overwrites without a copy
+            top = sla.eigh(
+                xi.T, dml.T, eigvals_only=True, subset_by_index=[n - 1, n - 1],
+                overwrite_a=True, overwrite_b=True, check_finite=False,
+            )[0]
+        except np.linalg.LinAlgError as exc:
+            raise PolicyConstructionError(f"step certification failed: {exc}") from exc
+        sigma_max = 1.0 / float(top)
+    lam_min, d_max = float(np.min(lam_i)), float(np.max(lam_i + l_i))
+
+    def margin_at(sig):
+        slack = 1.0 - sig / sigma_max
+        return slack * (lam_min if slack >= 0.0 else d_max)
+
+    margin = margin_at(sigma)
+    if not margin >= MI_TOL:
+        sigma = EDGE_FRACTION * sigma_max
+        margin = margin_at(sigma)
+    if not margin >= MI_TOL:
+        raise PolicyConstructionError(
+            f"step certification failed: margin bound {margin!r} < {MI_TOL}"
+        )
+    return ConvexPolicy(sigma, b_diag, certified_margin=margin)
 
 
 def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:

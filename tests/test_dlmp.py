@@ -21,7 +21,8 @@ def opf15(net15):
     return dlmp.build_opf_problem(net15)
 
 
-# 5700 steps is the seed-1 iteration count to residual 1e-4
+# a fixed path length: the seed-1 iteration count to residual 1e-4 when the
+# step was halved to sigma = 1/6 (the larger certified step stops earlier)
 PATH_STEPS = 5700
 
 
@@ -569,6 +570,15 @@ class TestConvergenceDiagnostics:
             # skipping the initial transient
             windows = [series[i : i + 10].mean() for i in range(10, 60, 10)]
             assert all(b <= a * 1.05 for a, b in zip(windows, windows[1:]))
+
+    def test_stop_waits_for_both_residuals(self, opf15):
+        # an early stop needs the coupling residual ||Ax - b|| below the
+        # tolerance too, as acceptance criterion 9 checks at the stop
+        x0 = dlmp.opf_initial_point(opf15)
+        res = dlmp.ppdlmp_run(opf15, x0, 20_000, seed=1, trace_every=100, stop_kkt_tol=1e-4)
+        last = res.trace[-1]
+        assert res.stopped_at == last.k
+        assert last.kkt_res < 1e-4 and last.primal_res < 1e-4
 
 
 class TestPairActivatedLoop:

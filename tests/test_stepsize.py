@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import blockpd as bp
-from blockpd import stepsize
+from blockpd import dlmp, stepsize
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock
 from blockpd.errors import InvariantViolation, StrongConvexityRequired
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
@@ -55,13 +55,11 @@ class TestConvexDefault:
         assert pol.sigma == pytest.approx(1.0)
         assert np.allclose(pol.b_diag, [3.0])
         assert pol.certified_margin == pytest.approx(0.0, abs=1e-10)
-        assert pol.halvings == 0
 
     def test_orthogonal_design_no_halving(self):
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))[0]
         p = tiny_problem([q[:, :3], q[:, 3:]], [1.0, 2.0], [0.0, 0.0])
         pol = bp.convex_default_policy(p, bp.single_coordinate(2))
-        assert pol.halvings == 0
         assert pol.sigma == pytest.approx(0.5)
 
     def test_zero_coupling_any_sigma(self):
@@ -69,6 +67,84 @@ class TestConvexDefault:
         pol = bp.convex_default_policy(p, bp.single_coordinate(2))
         assert pol.sigma == pytest.approx(0.5)
         assert pol.certified_margin >= -1e-8
+
+
+def _edge_cases(name, two_block, bench):
+    if name == "two_block":
+        return two_block, bp.single_coordinate(2)
+    if name == "bench":
+        return bench, bp.single_coordinate(bench.d)
+    if name == "ring":
+        local = [prox_quadratic_block(1.0, center=0.25 * i) for i in range(8)]
+        return bp.make_consensus([(i, (i + 1) % 8) for i in range(8)], local), bp.nice(8, 2)
+    if name == "opf15":
+        problem = dlmp.build_opf_problem(dlmp.load_network(*dlmp.default_network_paths()))
+        return problem, bp.paired_dso(problem.d - 1)
+    wide = bp.make_random_inconsistent_ls(
+        seed=1, d=24, dims=4, q=144, noise=0.6, mu=1.0, rank_deficiency=4
+    )
+    return wide, bp.nice(24, 4)
+
+
+def dense_margin(p, s, sigma):
+    """Smallest eigenvalue of P B - sigma Xi - Lam, from the dense matrix."""
+    b_diag = bp.convex_default_policy(p, s, certify=False).b_diag
+    m1, _ = mi_margins(
+        p.lam_full, p.mu_vector, xi_matrix(s, p.a_blocks), weight_matrix_p(s, p.blocks),
+        b_diag, sigma, 1.0, sigma, 1.0,
+    )
+    return m1
+
+
+class TestCertificateEdge:
+    """The constant step against the dense eigenproblem: the margin is a
+    true lower bound, and the largest certified step it implies is the edge
+    of the matrix inequality, not a loose bound."""
+
+    @pytest.mark.parametrize("name", ["two_block", "bench", "ring", "opf15", "wide"])
+    def test_margin_bounds_dense_and_step_is_at_the_edge(
+        self, name, two_block_instance, bench_instance
+    ):
+        p, s = _edge_cases(name, two_block_instance, bench_instance)
+        pol = bp.convex_default_policy(p, s)
+        lam_min = float(np.min(p.block_sq_norms))
+        assert pol.certified_margin >= MI_TOL
+        assert dense_margin(p, s, pol.sigma) >= pol.certified_margin - 1e-10
+        # margin = (1 - sigma / sigma_max) min_i lambda_i
+        sigma_max = pol.sigma / (1.0 - pol.certified_margin / lam_min)
+        pi_min = float(np.min(s.pi))
+        if pol.sigma != pi_min:
+            assert pi_min > sigma_max
+            assert pol.sigma == pytest.approx(stepsize.EDGE_FRACTION * sigma_max, rel=1e-12)
+        assert dense_margin(p, s, sigma_max * (1.0 + 1e-6)) < 0.0
+        assert dense_margin(p, s, sigma_max * (1.0 - 1e-6)) >= -1e-10
+
+    def test_bench_keeps_the_smallest_marginal(self, bench_instance):
+        pol = bp.convex_default_policy(bench_instance, bp.single_coordinate(bench_instance.d))
+        assert pol.sigma == 0.1
+        assert pol.certified_margin > 0.0
+
+    def test_one_eigensolve_and_no_halving(self, bench_instance, monkeypatch):
+        # counts the eigen- and singular-value calls on m x m matrices; the
+        # per-block curvature and the d x d activation check are not the
+        # certificate
+        p, s = bench_instance, bp.single_coordinate(bench_instance.d)
+        calls = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                if np.shape(a) == (p.m, p.m):
+                    calls.append(fn.__name__)
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for mod, attr in ((stepsize.sla, "eigh"), (stepsize.sla, "eigvalsh"),
+                          (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                          (np.linalg, "eig"), (np.linalg, "svd")):
+            monkeypatch.setattr(mod, attr, counted(getattr(mod, attr)))
+        pol = bp.convex_default_policy(p, s)
+        assert calls == ["eigh"]
+        assert not hasattr(pol, "halvings")
 
 
 class TestAccelParams:
