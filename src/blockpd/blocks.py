@@ -299,6 +299,8 @@ def make_consensus(
     |edges| and improving conditioning.
     """
     n = len(local_fns)
+    if n == 0:
+        raise ValueError("consensus needs at least one node")
     edges = [(int(u), int(v)) for u, v in edges]
     if any(u == v or not (0 <= u < n and 0 <= v < n) for u, v in edges):
         raise ValueError("edge endpoints must be distinct node indices")

@@ -8,6 +8,7 @@ anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -34,7 +35,10 @@ def prox_zero_block() -> ProxBlock:
 
 
 def prox_l1_block(weight: float = 1.0) -> ProxBlock:
-    """r(x) = weight * ||x||_1, soft threshold at weight / gamma."""
+    """r(x) = weight * ||x||_1, soft threshold at weight / gamma; the weight
+    must be finite and >= 0 (a negative one is not convex)."""
+    if not 0.0 <= weight < math.inf:
+        raise ValueError(f"l1 weight must be finite and >= 0, got {weight}")
 
     def prox(g, v):
         t = weight / np.asarray(g, dtype=float)

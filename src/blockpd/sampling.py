@@ -17,14 +17,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .blocks import BlockStructure
-from .errors import InvariantViolation, UnsupportedSampling
+from .errors import UnsupportedSampling
 
 Array = np.ndarray
 
@@ -53,23 +53,35 @@ class Sampling:
     nice_m: int | None = None
 
     def __post_init__(self):
+        """Every check of the sampling, once: proper marginals, and either
+        a distribution over non-empty sets of distinct block indices with
+        those marginals, or the m-of-d kind with pi = m/d.  Its pair
+        probabilities are then symmetric PSD by construction (a sum of
+        p 1_S 1_S'), so :func:`prob_matrix` checks nothing."""
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
-        if np.any(pi <= 0.0) or np.any(pi > 1.0 + 1e-12):
-            raise ValueError("sampling is not proper: marginals must lie in (0, 1]")
-        if self.support is not None:
-            probs = np.asarray(self.probs, dtype=float)
-            object.__setattr__(self, "probs", probs)
-            if abs(float(probs.sum()) - 1.0) > 1e-12:
-                raise ValueError("support probabilities must sum to 1")
-            if any(len(s) == 0 for s in self.support):
-                raise ValueError("empty subsets are not allowed in the support")
-            marg = np.zeros(self.d)
-            for subset, p in zip(self.support, probs):
-                for i in subset:
-                    marg[i] += p
-            if np.max(np.abs(marg - pi)) > 1e-12:
-                raise ValueError("marginals inconsistent with the support")
+        d = self.d
+        if pi.shape != (d,) or np.any(pi <= 0.0) or np.any(pi > 1.0 + 1e-12):
+            raise ValueError("sampling is not proper: d marginals in (0, 1] needed")
+        if self.support is None:
+            m = self.nice_m
+            if self.kind != "nice" or not (isinstance(m, (int, np.integer)) and 1 <= m <= d):
+                raise ValueError("only the nice kind with integer 1 <= m <= d omits its support")
+            if np.max(np.abs(pi - m / d)) > 1e-12:
+                raise ValueError("nice marginals must equal m/d")
+            return
+        probs = np.asarray(self.probs, dtype=float)
+        object.__setattr__(self, "probs", probs)
+        n = len(self.support)
+        if probs.shape != (n,) or np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
+            raise ValueError("support probabilities must be nonnegative, one per subset, sum 1")
+        for subset in self.support:
+            if not 0 < len(set(subset)) == len(subset) or not all(0 <= i < d for i in subset):
+                raise ValueError(f"subset {subset} is not a non-empty set of blocks in [0, {d})")
+        flat = np.fromiter(chain.from_iterable(self.support), dtype=np.intp)
+        weights = np.repeat(probs, [len(t) for t in self.support])
+        if np.max(np.abs(np.bincount(flat, weights, d) - pi)) > 1e-12:
+            raise ValueError("marginals inconsistent with the support")
 
     @cached_property
     def _cum(self) -> list[float]:
@@ -85,13 +97,6 @@ class Sampling:
             idx.flags.writeable = False
             out.append(idx)
         return tuple(out)
-
-    @cached_property
-    def _masks(self) -> Array:
-        masks = np.zeros((len(self.support), self.d), dtype=bool)
-        for j, subset in enumerate(self.support):
-            masks[j, list(subset)] = True
-        return masks
 
 
 def single_coordinate(d: int, probs=None) -> Sampling:
@@ -149,28 +154,22 @@ def draw(s: Sampling, rng: np.random.Generator) -> Array:
 def prob_matrix(s: Sampling) -> Array:
     """Pairwise activation matrix: diagonal pi_i, off-diagonal P(i and j active).
 
-    Symmetric PSD for every proper sampling; strictly positive definite for
-    some kinds only (e.g. the all-blocks and the coordinator-pair kinds are
-    singular), so only PSD is asserted here.
+    The closed form for the m-of-d kind without an enumerated support,
+    otherwise one indexed add of each subset's probability.  The sampling
+    was validated when it was built, so nothing is checked here; that the
+    result is symmetric PSD with diagonal pi (strictly positive definite
+    for some kinds only: the all-blocks and the coordinator-pair kinds are
+    singular) is a property the tests assert.
     """
-    if s.support is not None:
-        pi_mat = np.zeros((s.d, s.d))
-        for subset, p in zip(s.support, s.probs):
-            idx = list(subset)
-            for i in idx:
-                for j in idx:
-                    pi_mat[i, j] += p
-    elif s.kind == "nice":
+    if s.support is None:
         m = s.nice_m
         off = m * (m - 1) / (s.d * (s.d - 1))
         pi_mat = np.full((s.d, s.d), off)
         np.fill_diagonal(pi_mat, m / s.d)
-    else:
-        raise UnsupportedSampling("pair probabilities need an enumerable support")
-    if not np.max(np.abs(np.diag(pi_mat) - s.pi)) < 1e-12:
-        raise InvariantViolation("pair-probability diagonal differs from the marginals")
-    if not float(np.linalg.eigvalsh(pi_mat).min()) > -1e-12:
-        raise InvariantViolation("pair-probability matrix is not positive semidefinite")
+        return pi_mat
+    pi_mat = np.zeros((s.d, s.d))
+    for idx, p in zip(s._index_sets, s.probs):
+        pi_mat[idx[:, None], idx] += p
     return pi_mat
 
 
@@ -205,11 +204,11 @@ def expectation_over_sampling(s: Sampling, f: Callable[[Array], object]):
     """Exact expectation of f(activation mask) over the support."""
     if s.support is None:
         raise UnsupportedSampling("exact expectation needs an enumerable support")
-    if len(s.support) > MAX_ENUMERABLE:
-        raise UnsupportedSampling("support too large to enumerate")
     total = None
-    for mask, p in zip(s._masks, s.probs):
-        term = f(mask.copy())
+    for idx, p in zip(s._index_sets, s.probs):
+        mask = np.zeros(s.d, dtype=bool)
+        mask[idx] = True
+        term = f(mask)
         total = p * term if total is None else total + p * term
     return total
 

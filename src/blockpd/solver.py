@@ -158,6 +158,26 @@ class _EngineBase:
             )
         )
 
+    def _start(self, x0: Array) -> tuple[Array, Array]:
+        """A float copy of x0, checked for length m and to lie in dom R
+        (a finite objective on every block), and its block objectives."""
+        x0 = np.asarray(x0, dtype=float).copy()
+        if x0.shape != (self.problem.m,):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({self.problem.m},)")
+        psi_vec = self._psi_vec(x0)
+        if not np.all(np.isfinite(psi_vec)):
+            raise ValueError("x0 must lie in dom R (finite objective on every block)")
+        return x0, psi_vec
+
+    def _psi_vec(self, x: Array) -> Array:
+        return np.array([self.problem.psi_block(i, x[sl]) for i, sl in enumerate(self.slices)])
+
+    def _active(self, state, active_mask: Array | None) -> list[int]:
+        """The blocks a step moves: drawn, or read off a given mask."""
+        if active_mask is None:
+            return draw(self.sampling, state.rng).tolist()
+        return np.flatnonzero(active_mask).tolist()
+
     def _fb(self, i: int, xi: Array, grad_i: Array, tau_k: float) -> Array:
         """Weighted forward-backward step on block i: prox in the metric
         B_i / (pi_i tau_k) of the gradient-shifted point."""
@@ -169,26 +189,12 @@ class _EngineBase:
 class RbcdEngine(_EngineBase):
     def init_state(self, x0: Array, rng: np.random.Generator) -> RbcdState:
         p = self.problem
-        x0 = np.asarray(x0, dtype=float).copy()
-        if x0.shape != (p.m,):
-            raise ValueError(f"x0 has shape {x0.shape}, expected ({p.m},)")
-        psi_vec = np.array([p.psi_block(i, x0[sl]) for i, sl in enumerate(self.slices)])
-        if not np.all(np.isfinite(psi_vec)):
-            raise ValueError("x0 must lie in dom R (finite objective on every block)")
-        sigma0 = self.policy.sigma_at(0)
+        x0, psi_vec = self._start(x0)
+        psi = float(psi_vec.sum())
         return RbcdState(
-            x=x0,
-            e=np.zeros(p.m),
-            ax=p.a.dot(x0),
-            ae=np.zeros(p.q),
-            gamma=1.0,
-            psi_vec=psi_vec,
-            psi_total=float(psi_vec.sum()),
-            psi_hat=float(psi_vec.sum()),
-            k=0,
-            s_prev=1.0 - sigma0,
-            s_cur=1.0,
-            rng=rng,
+            x=x0, e=np.zeros(p.m), ax=p.a.dot(x0), ae=np.zeros(p.q), gamma=1.0,
+            psi_vec=psi_vec, psi_total=psi, psi_hat=psi, k=0,
+            s_prev=1.0 - self.policy.sigma_at(0), s_cur=1.0, rng=rng,
         )
 
     def extrapolated(self, state: RbcdState) -> tuple[Array, Array, float]:
@@ -227,14 +233,9 @@ class RbcdEngine(_EngineBase):
             state.ae[:] = 0.0
             gamma = 1.0
 
-        if active_mask is None:
-            active = draw(self.sampling, state.rng)
-        else:
-            active = np.flatnonzero(active_mask)
-
         x, e, ax, ae, psi_vec = state.x, state.e, state.ax, state.ae, state.psi_vec
         bracket = state.psi_total
-        for i in active.tolist():
+        for i in self._active(state, active_mask):
             sl, a_i, a_t, grad, _, _, _, inv_pi = self.per_block[i]
             xi = x[sl]
             g = grad(xi) + s_k * a_t.dot(res)
@@ -269,9 +270,7 @@ class RbcdEngine(_EngineBase):
         state.gamma = 1.0
         state.ax = p.a.dot(state.x)
         state.ae = p.a.dot(state.e)
-        state.psi_vec = np.array(
-            [p.psi_block(i, state.x[sl]) for i, sl in enumerate(self.slices)]
-        )
+        state.psi_vec = self._psi_vec(state.x)
         state.psi_total = float(state.psi_vec.sum())
 
     def dual_estimate(self, state: RbcdState) -> Array:
@@ -289,9 +288,7 @@ class PdaEngine(_EngineBase):
 
     def init_state(self, x0: Array, rng: np.random.Generator) -> PdaState:
         p = self.problem
-        x0 = np.asarray(x0, dtype=float).copy()
-        if x0.shape != (p.m,):
-            raise ValueError(f"x0 has shape {x0.shape}, expected ({p.m},)")
+        x0, _ = self._start(x0)
         u0 = p.a.dot(x0) - p.b
         # the dual start S_0 (A z^0 - b) = A x^0 - b matches the averaging
         # form exactly (z^0 = x^0 because w^0 = x^0)
@@ -302,15 +299,10 @@ class PdaEngine(_EngineBase):
         sigma_k = self.policy.sigma_at(k)
         tau_k = self.policy.tau_at(k)
 
-        if active_mask is None:
-            active = draw(self.sampling, state.rng)
-        else:
-            active = np.flatnonzero(active_mask)
-
         x, u, y = state.x, state.u, state.y
         ap_delta = self._ap_delta
         ap_delta.fill(0.0)
-        for i in active.tolist():
+        for i in self._active(state, active_mask):
             sl, a_i, a_t, grad, _, _, _, inv_pi = self.per_block[i]
             xi = x[sl]
             g = grad(xi) + a_t.dot(y)
@@ -378,10 +370,11 @@ def run(
         form); only sensible for short runs.
 
     The engine's caches are recomputed every ``REFRESH_EVERY`` steps, and a
-    non-finite iterate at a check every ``NAN_CHECK_EVERY`` steps raises
-    :class:`SolverDivergence` with the last trace row attached.  The
-    ``lyapunov`` column is left NaN (see :func:`lyapunov`).  Deterministic
-    for a fixed seed: the generator is consumed only by the block draws.
+    non-finite iterate at a check every ``NAN_CHECK_EVERY`` steps and at
+    ``k_max`` raises :class:`SolverDivergence` with the last trace row
+    attached.  The ``lyapunov`` column is left NaN (see :func:`lyapunov`).
+    Deterministic for a fixed seed: the generator is consumed only by the
+    block draws.
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
@@ -401,9 +394,7 @@ def run(
 
     trace: list[TraceRecord] = []
     iterates = [state.x.copy()] if record_iterates else None
-    averaged = (
-        [state.w.copy()] if record_iterates and isinstance(state, RbcdState) else None
-    )
+    averaged = [state.w.copy()] if record_iterates and isinstance(state, RbcdState) else None
     t_start = time.perf_counter()
     stopped_at = None
 
@@ -414,7 +405,7 @@ def run(
             iterates.append(state.x.copy())
             if averaged is not None:
                 averaged.append(state.w.copy())
-        if done % NAN_CHECK_EVERY == 0 and not np.all(np.isfinite(state.x)):
+        if (done % NAN_CHECK_EVERY == 0 or done == k_max) and not np.all(np.isfinite(state.x)):
             raise SolverDivergence(
                 f"non-finite iterate at k={done}",
                 last_record=trace[-1] if trace else None,
@@ -431,14 +422,7 @@ def run(
                 stopped_at = done
                 break
 
-    return RunResult(
-        state=state,
-        trace=trace,
-        reference=reference,
-        stopped_at=stopped_at,
-        iterates=iterates,
-        averaged=averaged,
-    )
+    return RunResult(state, trace, reference, stopped_at, iterates, averaged)
 
 
 def _trace_record(problem, eng, state, ref) -> TraceRecord:

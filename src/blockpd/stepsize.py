@@ -139,11 +139,17 @@ def convex_default_policy(
     min_i lambda_i I <= D - Lam <= D = diag(lambda_i + L_i).  A bound below
     ``MI_TOL`` raises :class:`PolicyConstructionError`.  The tests compare it
     with the dense smallest eigenvalue.  With ``certify=False``
-    sigma = min pi, unchecked.
+    sigma = min pi, unchecked.  A block with lambda_i = L_i = 0 would get
+    B_i = 0, which the step divides by: it raises the same error.
     """
     lam_i = p.block_sq_norms
     l_i = p.smooth_lipschitz
     b_per_block = s.pi * (lam_i + l_i)
+    if not np.all(b_per_block > 0.0):
+        i = int(np.argmin(b_per_block > 0.0))
+        raise PolicyConstructionError(
+            f"block {i} has no coupling columns and no curvature: B_i = 0"
+        )
     b_diag = p.blocks.expand(b_per_block)
     sigma = float(np.min(s.pi))
     if not certify:
@@ -205,7 +211,7 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
         kappa = max_i (L_i + mu_i) / (pi_i mu_i)
 
     which the tests check, as they check beta against the dense
-    eigenproblem.  Requires mu_i > 0 on every block.
+    eigenproblem.  Requires mu_i > 0 on every block and A != 0.
     """
     mu = p.mu_vector
     if np.any(mu <= 0.0):
@@ -218,7 +224,10 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     xi_scaled = xi_matrix(s, p.a_blocks)
     xi_scaled *= scale[:, None]
     xi_scaled *= scale[None, :]
-    alpha = 1.0 / float(np.linalg.eigvalsh(xi_scaled).max())
+    top = float(np.linalg.eigvalsh(xi_scaled).max())
+    if not top > 0.0:
+        raise PolicyConstructionError("accelerated parameters need a coupled block: A = 0")
+    alpha = 1.0 / top
     lu_max = 0.0
     for sl, blk in zip(p.blocks.slices, p.smooth):
         lam_ups = blk.lam + np.diag(mu[sl])

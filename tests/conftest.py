@@ -256,8 +256,9 @@ def mask_draw(s, rng):
     a test oracle for the index sets and the random stream."""
     if s.support is not None:
         j = int(np.searchsorted(s._cum, rng.random(), side="right"))
-        j = min(j, len(s.support) - 1)
-        return s._masks[j].copy()
+        active = np.zeros(s.d, dtype=bool)
+        active[list(s.support[min(j, len(s.support) - 1)])] = True
+        return active
     # large subset-uniform support: draw m distinct blocks directly
     active = np.zeros(s.d, dtype=bool)
     active[rng.choice(s.d, size=s.nice_m, replace=False)] = True

@@ -39,6 +39,10 @@ columns = psi_hat_gap, h_gap_w
 """
 
 
+# experiment lines, to turn BASE_RANDOM_LS into another experiment's config
+LS, FIT, CONSENSUS = "experiment = random_ls", "experiment = model_fit", "experiment = consensus"
+
+
 class TestFitRate:
     def test_exact_inverse_k(self):
         ks = np.arange(10, 5000)
@@ -142,11 +146,20 @@ class TestConfigParsing:
         ("noise = 0.4", "noise = 0.4\nmu = -1", "[instance] mu must be finite and >= 0"),
         ("noise = 0.4", "noise = nan", "[instance] noise must be finite and >= 0"),
         ("seed = 5", "seed = 5\nstop_kkt_tol = nan", "[run] stop_kkt_tol must be finite and > 0"),
+        ((LS, "d = 4"), (FIT, "l1_weight = -1"), "[instance] l1 weight must be finite and >= 0"),
+        ((LS, "d = 4"), (FIT, "l1_weight = nan"), "[instance] l1 weight must be finite and >= 0"),
+        ((LS, "d = 4"), (CONSENSUS, "nodes = 0"), "[instance] consensus needs at least one node"),
+        ((LS, "d = 4"), (CONSENSUS, "nodes = 1"), "[policy] block 0 has no coupling columns"),
     ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "no-blocks",
-            "negative-sigma", "infinite-sigma", "negative-mu", "nan-noise", "nan-stop-tol"])
+            "negative-sigma", "infinite-sigma", "negative-mu", "nan-noise", "nan-stop-tol",
+            "negative-l1-weight", "nan-l1-weight", "no-consensus-nodes", "one-consensus-node"])
     def test_rejected_value_exit_code(self, tmp_path, capsys, old, new, message):
+        # a pair of tuples makes several replacements (another experiment)
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
-        cfg = write_config(tmp_path / "c.cfg", body.replace(old, new))
+        edits = zip(old, new) if isinstance(old, tuple) else [(old, new)]
+        for o, n in edits:
+            body = body.replace(o, n)
+        cfg = write_config(tmp_path / "c.cfg", body)
         assert main(["--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
@@ -402,6 +415,41 @@ kind = full
         )
         assert main(["--config", cfg, "--quiet"]) == 0
         assert (out / "trace.csv").exists()
+
+    def test_uncoupled_unscaled_block_exit_code(self, tmp_path, capsys):
+        # column 2 of A is zero and mu = 0: block 1 would get B_1 = 0
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a_path, np.array([[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]]), delimiter=",")
+        np.savetxt(b_path, np.array([1.0, 2.0, 0.0]), delimiter=",")
+        cfg = write_config(
+            tmp_path / "zero.cfg",
+            f"[run]\nexperiment = custom\nk_max = 300\nout = {tmp_path / 'o'}\n\n"
+            f"[instance]\na_path = {a_path}\nb_path = {b_path}\ndims = 1 1\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "[policy] block 1 has no coupling columns" in capsys.readouterr().err
+
+    def test_nan_before_the_first_check_exit_code(self, tmp_path, capsys, monkeypatch):
+        # block 0's prox returns NaN and k_max is below NAN_CHECK_EVERY: the
+        # last iterate is checked (the exact reference runs no solver)
+        import dataclasses
+
+        import blockpd.cli as cli
+        from blockpd.blocks import ProxBlock
+
+        def with_nan_prox(make):
+            def build(**kwargs):
+                p = make(**kwargs)
+                nan = ProxBlock(lambda x: 0.0, lambda g, v: v * np.nan, 0.0)
+                return dataclasses.replace(p, prox=(nan,) + p.prox[1:])
+            return build
+
+        monkeypatch.setattr(
+            cli, "make_random_inconsistent_ls", with_nan_prox(cli.make_random_inconsistent_ls)
+        )
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
+        assert main(["--config", write_config(tmp_path / "c.cfg", body), "--quiet"]) == 3
+        assert "non-finite iterate at k=50" in capsys.readouterr().err
 
     def test_missing_instance_file_exit_code(self, tmp_path):
         out = tmp_path / "missing"

@@ -2,10 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure
-from blockpd.errors import InvariantViolation, UnsupportedSampling
+from blockpd.errors import UnsupportedSampling
 from blockpd.sampling import expectation_over_sampling, from_config, nice
 
 
@@ -104,7 +105,11 @@ class TestProbMatrix:
         assert np.allclose(bp.prob_matrix(bp.full(3)), np.ones((3, 3)))
 
     def test_diag_and_symmetry_and_psd(self):
-        for s in (bp.single_coordinate(4), bp.nice(5, 2), bp.full(3), bp.paired_dso(3)):
+        # PSD is not checked by prob_matrix: it holds by construction
+        closed_form = bp.nice(30, 7)
+        assert closed_form.support is None
+        for s in (bp.single_coordinate(4), bp.nice(5, 2), bp.full(3), bp.paired_dso(3),
+                  closed_form):
             pi_mat = bp.prob_matrix(s)
             assert np.allclose(np.diag(pi_mat), s.pi)
             assert np.allclose(pi_mat, pi_mat.T)
@@ -133,11 +138,52 @@ class TestProbMatrix:
 
 
 class TestInvariantChecks:
+    """A sampling is checked once, when it is built."""
+
     def test_pair_probabilities_off_the_marginals(self):
         # 2-of-3 has marginals 2/3, not the 1/2 claimed here
-        s = bp.Sampling(3, "nice", np.full(3, 0.5), None, None, nice_m=2)
-        with pytest.raises(InvariantViolation, match="marginals"):
+        with pytest.raises(ValueError, match="marginals"):
+            bp.Sampling(3, "nice", np.full(3, 0.5), None, None, nice_m=2)
+
+    @pytest.mark.parametrize(
+        "support, probs, pi, message",
+        [
+            (((0, 0), (1,)), [0.5, 0.5], [1.0, 0.5], r"subset \(0, 0\)"),
+            (((0,), (3,)), [0.5, 0.5], [0.5, 0.5, 0.5], r"subset \(3,\)"),
+            (((-1,), (0,)), [0.5, 0.5], [0.5, 0.5, 0.5], None),
+            (((0,), (1,), (0, 1)), [0.6, 0.6, -0.2], [0.4, 0.4], "nonnegative"),
+        ],
+        ids=["repeated-index", "index-above-d", "negative-index", "negative-probability"],
+    )
+    def test_malformed_support_rejected(self, support, probs, pi, message):
+        with pytest.raises(ValueError, match=message):
+            bp.Sampling(len(pi), "explicit", np.array(pi), support, np.array(probs))
+
+    @pytest.mark.parametrize(
+        "kind, m",
+        [("single", None), ("full", 3), ("nice", None), ("nice", 0), ("nice", 4), ("nice", 1.5)],
+        ids=["single", "full", "nice-without-m", "nice-m-zero", "nice-m-above-d", "nice-m-float"],
+    )
+    def test_non_enumerable_needs_nice_m(self, kind, m):
+        with pytest.raises(ValueError, match="nice"):
+            bp.Sampling(3, kind, np.full(3, 0.5), None, None, nice_m=m)
+
+    def test_prob_matrix_makes_no_eigen_call(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod, attr in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "eig"),
+                          (np.linalg, "svd"), (sla, "eigh"), (sla, "eigvalsh")):
+            monkeypatch.setattr(mod, attr, counted(getattr(mod, attr)))
+        for s in (bp.single_coordinate(4), bp.single_coordinate(4, [0.1, 0.2, 0.3, 0.4]),
+                  bp.nice(6, 2), bp.nice(30, 7), bp.full(3), bp.paired_dso(3)):
             bp.prob_matrix(s)
+        assert calls == []
 
 
 class TestXiOracles:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import blockpd as bp
-from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock, eval_psi
+from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock, eval_psi
 from blockpd.errors import InvariantViolation, SolverDivergence
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from blockpd.sampling import expectation_over_sampling, weight_matrix_p
@@ -515,6 +515,21 @@ class TestRunLoop:
         bad = ConvexPolicy(sigma=5.0, b_diag=np.full(p.m, 1e-6))
         with pytest.raises(SolverDivergence):
             bp.run(p, s, bad, np.zeros(p.m), 2000, seed=0, trace_every=100)
+
+    @pytest.mark.parametrize("engine", ["rbcd", "pda"])
+    def test_nan_before_the_first_check(self, engine):
+        # k_max = 50 < NAN_CHECK_EVERY: the last iterate is checked too
+        p = ProblemSpec(
+            BlockStructure((1, 1)),
+            (SmoothBlock.zero(1), SmoothBlock.zero(1)),
+            (prox_zero_block(), ProxBlock(lambda x: 0.0, lambda g, v: v * np.nan, 0.0)),
+            (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])),
+            np.array([1.0, 2.0]),
+        )
+        s = bp.single_coordinate(2)
+        pol = bp.convex_default_policy(p, s)
+        with pytest.raises(SolverDivergence, match="k=50"):
+            bp.run(p, s, pol, np.zeros(p.m), 50, engine=engine, seed=0, trace_every=100)
 
     def test_deterministic_traces(self, two_block_instance, two_block_reference):
         p, ref = two_block_instance, two_block_reference

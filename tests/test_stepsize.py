@@ -11,7 +11,7 @@ import pytest
 import blockpd as bp
 from blockpd import dlmp, stepsize
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock
-from blockpd.errors import InvariantViolation, StrongConvexityRequired
+from blockpd.errors import InvariantViolation, PolicyConstructionError, StrongConvexityRequired
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from blockpd.sampling import weight_matrix_p, xi_matrix
 from blockpd.stepsize import (
@@ -63,10 +63,18 @@ class TestConvexDefault:
         assert pol.sigma == pytest.approx(0.5)
 
     def test_zero_coupling_any_sigma(self):
-        p = tiny_problem([np.zeros((2, 2)), np.zeros((2, 3))], [0.0, 0.0], [0.0, 0.0])
+        # uncoupled blocks with curvature: no row of Xi, so any sigma certifies
+        p = tiny_problem([np.zeros((2, 2)), np.zeros((2, 3))], [1.0, 1.0], [0.0, 0.0])
         pol = bp.convex_default_policy(p, bp.single_coordinate(2))
         assert pol.sigma == pytest.approx(0.5)
         assert pol.certified_margin >= -1e-8
+
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_zero_scaling_rejected(self, certify):
+        # block 1 has neither coupling columns nor curvature: B_1 would be 0
+        p = tiny_problem([np.ones((2, 1)), np.zeros((2, 3))], [1.0, 0.0], [0.0, 0.0])
+        with pytest.raises(PolicyConstructionError, match="block 1 has no coupling"):
+            bp.convex_default_policy(p, bp.single_coordinate(2), certify=certify)
 
 
 def _edge_cases(name, two_block, bench):
@@ -126,8 +134,7 @@ class TestCertificateEdge:
 
     def test_one_eigensolve_and_no_halving(self, bench_instance, monkeypatch):
         # counts the eigen- and singular-value calls on m x m matrices; the
-        # per-block curvature and the d x d activation check are not the
-        # certificate
+        # per-block curvature is not the certificate
         p, s = bench_instance, bp.single_coordinate(bench_instance.d)
         calls = []
 
@@ -147,7 +154,38 @@ class TestCertificateEdge:
         assert not hasattr(pol, "halvings")
 
 
+def test_no_eigensolve_on_the_activation_matrix(monkeypatch):
+    # the ls_wide sampling (4-of-250, closed form): neither policy runs an
+    # eigen- or singular-value call on a d x d matrix (the pair-probability
+    # matrix is PSD by construction); two-column blocks keep m != d
+    p = bp.make_random_inconsistent_ls(
+        seed=1, d=250, dims=2, q=750, noise=0.6, mu=1.0, rank_deficiency=4
+    )
+    s = bp.nice(p.d, 4)
+    shapes = []
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for mod, attr in ((stepsize.sla, "eigh"), (stepsize.sla, "eigvalsh"),
+                      (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                      (np.linalg, "eig"), (np.linalg, "svd")):
+        monkeypatch.setattr(mod, attr, counted(getattr(mod, attr)))
+    bp.convex_default_policy(p, s)
+    make_accelerated_policy(p, s)
+    assert (p.m, p.m) in shapes
+    assert (p.d, p.d) not in shapes
+
+
 class TestAccelParams:
+    def test_no_coupled_block_rejected(self):
+        p = tiny_problem([np.zeros((2, 1)), np.zeros((2, 2))], [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(PolicyConstructionError, match="coupled block"):
+            make_accelerated_policy(p, bp.single_coordinate(2))
+
     def test_hand_case(self):
         # two scalar blocks, uniform one-at-a-time activation, unit data
         p = tiny_problem([np.eye(2)[:, :1], np.eye(2)[:, 1:]], [1.0, 1.0], [1.0, 1.0])
