@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Per-step cost of both engines as the block count grows at fixed q.
+"""Per-step and per-trace-row cost of both engines as the block count
+grows at fixed q.
 
 Builds the random inconsistent least-squares instance with q=60 rows and
 d blocks of 4 columns for d in {10, 100, 1000, 10^4}, draws one block per
 step (single-coordinate sampling) under the uncertified constant policy,
-and prints the median microseconds per engine step over several timed
-windows, plus each engine's cost at the last d over its cost at the
-first.  A step that touches only its active blocks keeps that ratio
-near 1.  Runs on one BLAS thread:
+and prints the median microseconds per engine step and per trace row
+(``solver._trace_record``, what ``run`` pays every ``trace_every`` steps)
+over several timed windows, plus each engine's step cost at the last d
+over its cost at the first.  A step that touches only its active blocks
+keeps that ratio near 1; a row is O(m) by nature.  Runs on one BLAS
+thread:
 
     PYTHONPATH=src python scripts/step_ladder.py
 """
@@ -25,9 +28,10 @@ import time
 import numpy as np
 
 import blockpd as bp
-from blockpd.solver import PdaEngine, RbcdEngine
+from blockpd.solver import PdaEngine, RbcdEngine, _trace_record
 
 ENGINES = {"rbcd": RbcdEngine, "pda": PdaEngine}
+ROWS = 50  # trace rows per window
 
 
 def main():
@@ -43,25 +47,35 @@ def main():
     for d in args.d:
         p = bp.make_random_inconsistent_ls(seed=args.seed, d=d, dims=4, q=args.q, noise=0.6)
         s = bp.single_coordinate(d)
+        ref = bp.least_squares_reference(p)
         for name, cls in ENGINES.items():
             eng = cls(p, s, bp.convex_default_policy(p, s, certify=False))
-            runs.append((d, name, eng, eng.init_state(np.zeros(p.m), bp.make_rng(args.seed))))
+            state = eng.init_state(np.zeros(p.m), bp.make_rng(args.seed))
+            runs.append((d, name, eng, state, ref))
 
     # windows go round-robin over the rungs, so drift in the host's speed
     # reaches every rung alike; the first window warms up and is dropped
-    times = {(d, name): [] for d, name, _, _ in runs}
+    steps = {(d, name): [] for d, name, *_ in runs}
+    rows = {(d, name): [] for d, name, *_ in runs}
     for w in range(args.windows + 1):
-        for d, name, eng, state in runs:
+        for d, name, eng, state, ref in runs:
             t0 = time.perf_counter()
             for _ in range(args.steps):
                 eng.step(state)
+            t1 = time.perf_counter()
+            for _ in range(ROWS):
+                _trace_record(eng.problem, eng, state, ref)
             if w:
-                times[d, name].append((time.perf_counter() - t0) / args.steps * 1e6)
-    us = {key: statistics.median(v) for key, v in times.items()}
+                steps[d, name].append((t1 - t0) / args.steps * 1e6)
+                rows[d, name].append((time.perf_counter() - t1) / ROWS * 1e6)
+    us = {key: statistics.median(v) for key, v in steps.items()}
+    row_us = {key: statistics.median(v) for key, v in rows.items()}
 
-    print(f"{'d':>6} {'m':>6} " + " ".join(f"{name + ' us/step':>14}" for name in ENGINES))
+    print(f"{'d':>6} {'m':>6} " + " ".join(f"{name + ' us/step':>14}" for name in ENGINES)
+          + " " + " ".join(f"{name + ' us/row':>14}" for name in ENGINES))
     for d in args.d:
-        print(f"{d:>6} {4 * d:>6} " + " ".join(f"{us[d, name]:14.1f}" for name in ENGINES))
+        print(f"{d:>6} {4 * d:>6} " + " ".join(f"{us[d, name]:14.1f}" for name in ENGINES)
+              + " " + " ".join(f"{row_us[d, name]:14.1f}" for name in ENGINES))
     lo, hi = args.d[0], args.d[-1]
     print(f"ratio d={hi} / d={lo}: " + ", ".join(
         f"{name} {us[hi, name] / us[lo, name]:.2f}x" for name in ENGINES))

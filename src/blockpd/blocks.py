@@ -83,13 +83,25 @@ class SmoothBlock:
     @staticmethod
     def quadratic(h: Array, c: Array) -> "SmoothBlock":
         """phi(x) = 0.5 x'Hx + c'x with exact curvature matrix H."""
-        h = np.asarray(h, dtype=float)
-        c = np.asarray(c, dtype=float)
-        return SmoothBlock(
-            lambda x: 0.5 * float(x.dot(h.dot(x))) + float(c.dot(x)),
-            lambda x: h.dot(x) + c,
-            h,
-        )
+        quad = _Quadratic(np.asarray(h, dtype=float), np.asarray(c, dtype=float))
+        return SmoothBlock(quad.value, quad.grad, quad.h)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Quadratic:
+    """The oracles of phi(x) = 0.5 x'hx + c'x.  A block whose value and
+    grad are both bound to one instance is exactly this quadratic, which
+    lets :class:`ProblemSpec` evaluate all such blocks of one size at once;
+    a block whose oracle was replaced is not recognised."""
+
+    h: Array
+    c: Array
+
+    def value(self, x: Array) -> float:
+        return 0.5 * float(x.dot(self.h.dot(x))) + float(self.c.dot(x))
+
+    def grad(self, x: Array) -> Array:
+        return self.h.dot(x) + self.c
 
 
 @dataclass(frozen=True)
@@ -99,11 +111,15 @@ class ProxBlock:
     ``prox(gamma, v)`` returns ``argmin_u r(u) + 0.5 * ||u - v||^2_diag(gamma)``
     where ``gamma`` is the (positive) diagonal of the block metric.  ``mu`` is
     the strong-convexity modulus of ``r`` (0 for merely convex terms).
+    ``coordinatewise`` marks a ``prox`` that acts on each coordinate alone
+    and alike, so one call on a concatenation of blocks equals the
+    concatenation of the per-block calls.
     """
 
     value: Callable[[Array], float]
     prox: Callable[[Array, Array], Array]
     mu: float = 0.0
+    coordinatewise: bool = False
 
 
 @dataclass(frozen=True)
@@ -190,18 +206,61 @@ class ProblemSpec:
 
     # -- value / gradient oracles ------------------------------------------
 
+    @cached_property
+    def _quadratic_stack(self) -> tuple[Array, Array] | None:
+        """Every smooth block's H stacked (d, n, n) and c as one length-m
+        vector, when every block still has both oracles that
+        :meth:`SmoothBlock.quadratic` built and all blocks have one
+        dimension n; None otherwise."""
+        quads = [getattr(blk.grad, "__self__", None) for blk in self.smooth]
+        if len(set(self.blocks.dims)) > 1 or not all(
+            isinstance(quad, _Quadratic) and blk.value == quad.value
+            for quad, blk in zip(quads, self.smooth)
+        ):
+            return None
+        return np.stack([quad.h for quad in quads]), np.concatenate([quad.c for quad in quads])
+
+    @cached_property
+    def _shared_prox(self) -> Callable[[Array, Array], Array] | None:
+        """The one coordinatewise prox callable every block shares, if any."""
+        f = self.prox[0].prox
+        if all(blk.prox is f and blk.coordinatewise for blk in self.prox):
+            return f
+        return None
+
     def psi_block(self, i: int, xi: Array) -> float:
         return float(self.smooth[i].value(xi)) + float(self.prox[i].value(xi))
 
+    # The whole-vector oracles below take one NumPy pass where the blocks
+    # allow it (stacked quadratics, a shared coordinatewise prox) and loop
+    # over the blocks otherwise; both give the same bits.  The batched
+    # products reach the per-block BLAS calls, and the block values are
+    # summed in block order.
+
     def phi(self, x: Array) -> float:
-        return sum(
-            float(blk.value(x[sl])) for sl, blk in zip(self.blocks.slices, self.smooth)
-        )
+        quad = self._quadratic_stack
+        if quad is None:
+            return sum(
+                float(blk.value(x[sl])) for sl, blk in zip(self.blocks.slices, self.smooth)
+            )
+        h, c = quad
+        d, n, _ = h.shape
+        col = x.reshape(d, n, 1)
+        vals = 0.5 * np.matmul(x.reshape(d, 1, n), np.matmul(h, col))
+        vals += np.matmul(c.reshape(d, 1, n), col)
+        return sum(vals.ravel().tolist())
 
     def grad_phi(self, x: Array) -> Array:
-        out = np.empty(self.m)
-        for sl, blk in zip(self.blocks.slices, self.smooth):
-            out[sl] = blk.grad(x[sl])
+        quad = self._quadratic_stack
+        if quad is None:
+            out = np.empty(self.m)
+            for sl, blk in zip(self.blocks.slices, self.smooth):
+                out[sl] = blk.grad(x[sl])
+            return out
+        h, c = quad
+        d, n, _ = h.shape
+        out = np.matmul(h, x.reshape(d, n, 1)).reshape(self.m)
+        out += c
         return out
 
     def r_value(self, x: Array) -> float:
@@ -216,6 +275,10 @@ class ProblemSpec:
     def prox_r(self, gamma: Array, v: Array) -> Array:
         """Blockwise weighted prox of R in the diagonal metric ``gamma``."""
         out = np.empty(self.m)
+        f = self._shared_prox
+        if f is not None:
+            out[:] = f(gamma, v)
+            return out
         for sl, blk in zip(self.blocks.slices, self.prox):
             out[sl] = blk.prox(gamma[sl], v[sl])
         return out
@@ -446,7 +509,7 @@ def make_random_inconsistent_ls(
     return ProblemSpec(
         blocks=structure,
         smooth=tuple(smooth),
-        prox=tuple(ProxBlock(value, prox, mu) for _ in range(d)),
+        prox=tuple(ProxBlock(value, prox, mu, coordinatewise=True) for _ in range(d)),
         a_blocks=tuple(a[:, structure.block_slice(i)] for i in range(d)),
         b=b,
         meta=meta,

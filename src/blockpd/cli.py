@@ -35,7 +35,8 @@ operator projection's totals; includes wall time, so not byte-stable), ``rates.c
 with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 
 Exit codes: 0 success, 2 config error (including a file that is not valid
-INI, a field that does not read as a number or a boolean, a value the library
+INI, a field that does not read as a number or a boolean, a count below its
+least value, a ``[fit] k_min`` above ``[run] k_max``, a value the library
 rejects, or malformed grid data), 3 divergence or a projection that did not
 converge, 4 infeasible instance.
 """
@@ -122,15 +123,9 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(
             f"{path}: [run] experiment must be one of {EXPERIMENTS}, got {experiment!r}"
         )
-    k_max = field_value("run", runsec, "k_max", 10_000, int)
-    seed = field_value("run", runsec, "seed", 0, int)
-    trace_every = field_value("run", runsec, "trace_every", 100, int)
-    if k_max < 1:
-        raise ConfigError(f"{path}: [run] k_max must be >= 1")
-    if seed < 0:
-        raise ConfigError(f"{path}: [run] seed must be >= 0, got {seed}")
-    if trace_every < 1:
-        raise ConfigError(f"{path}: [run] trace_every must be >= 1")
+    k_max = field_value("run", runsec, "k_max", 10_000, int, at_least=1)
+    seed = field_value("run", runsec, "seed", 0, int, at_least=0)
+    trace_every = field_value("run", runsec, "trace_every", 100, int, at_least=1)
     tol_raw = runsec.get("stop_kkt_tol", "none").strip().lower()
     stop_tol = None
     if tol_raw not in ("none", ""):
@@ -143,7 +138,11 @@ def parse_config(path: str) -> RunConfig:
         cols = cp["fit"].get("columns", "")
         fit_cols = tuple(c.strip() for c in cols.split(",") if c.strip())
         if cp["fit"].get("k_min"):
-            fit_k_min = field_value("fit", cp["fit"], "k_min", None, int)
+            fit_k_min = field_value("fit", cp["fit"], "k_min", None, int, at_least=1)
+            if fit_k_min > k_max:
+                raise ConfigError(
+                    f"{path}: [fit] k_min must be <= [run] k_max = {k_max}, got {fit_k_min}"
+                )
     return RunConfig(
         experiment=experiment,
         seed=seed,
@@ -166,16 +165,20 @@ def _ini_bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
-def field_value(section: str, fields, key: str, default, kind=float):
+def field_value(section: str, fields, key: str, default, kind=float, *, at_least=None):
     """``fields[key]`` read as ``kind`` (``default`` when unset); a value that
-    does not read is a :class:`ConfigError` naming the section and field."""
+    does not read, or that is below ``at_least`` when that is given, is a
+    :class:`ConfigError` naming the section and field."""
     raw = fields.get(key)
     if raw is None:
         return default
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if at_least is not None and value < at_least:
+        raise ConfigError(f"[{section}] {key} must be >= {at_least}, got {value}")
+    return value
 
 
 @contextmanager
@@ -194,16 +197,17 @@ def rejected_as_config(section: str):
 # ---------------------------------------------------------------------------
 
 
-def _instance(cfg: RunConfig, key: str, default, kind=float):
-    return field_value("instance", cfg.instance, key, default, kind)
+def _instance(cfg: RunConfig, key: str, default, kind=float, *, at_least=None):
+    return field_value("instance", cfg.instance, key, default, kind, at_least=at_least)
 
 
 def _build_random_ls(cfg: RunConfig):
+    # q >= 1: an instance without coupling rows has no penalty to rate
     return make_random_inconsistent_ls(
         seed=_instance(cfg, "instance_seed", cfg.seed, int),
-        d=_instance(cfg, "d", 10, int),
-        dims=_instance(cfg, "block_dim", 4, int),
-        q=_instance(cfg, "q", 60, int),
+        d=_instance(cfg, "d", 10, int, at_least=1),
+        dims=_instance(cfg, "block_dim", 4, int, at_least=1),
+        q=_instance(cfg, "q", 60, int, at_least=1),
         noise=_instance(cfg, "noise", 0.5),
         mu=_instance(cfg, "mu", 1.0),
         rank_deficiency=_instance(cfg, "rank_deficiency", 4, int),
@@ -386,9 +390,7 @@ def run_experiment(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"[policy] kind must be convex or accelerated, got {pol_kind!r}")
 
-    oracle_k = _instance(cfg, "oracle_k", 200_000, int)
-    if oracle_k < 1:
-        raise ConfigError(f"[instance] oracle_k must be >= 1, got {oracle_k}")
+    oracle_k = _instance(cfg, "oracle_k", 200_000, int, at_least=1)
     reference = reference_for(problem, k_max=oracle_k, seed=cfg.seed + 1)
     meta["reference"] = {
         "source": reference.source,

@@ -89,6 +89,17 @@ class Sampling:
         return np.cumsum(self.probs).tolist()
 
     @cached_property
+    def _index_table(self) -> Array:
+        """The support subsets as rows of one index table, in support order;
+        a subset shorter than the widest is padded with the index d."""
+        sizes = np.fromiter(map(len, self.support), dtype=np.intp, count=len(self.support))
+        table = np.full((sizes.size, sizes.max()), self.d, dtype=np.intp)
+        table[np.arange(table.shape[1]) < sizes[:, None]] = np.fromiter(
+            chain.from_iterable(self.support), dtype=np.intp
+        )
+        return table
+
+    @cached_property
     def _index_sets(self) -> tuple[Array, ...]:
         """Read-only ascending block indices of each support subset."""
         out = []
@@ -155,11 +166,12 @@ def prob_matrix(s: Sampling) -> Array:
     """Pairwise activation matrix: diagonal pi_i, off-diagonal P(i and j active).
 
     The closed form for the m-of-d kind without an enumerated support,
-    otherwise one indexed add of each subset's probability.  The sampling
-    was validated when it was built, so nothing is checked here; that the
-    result is symmetric PSD with diagonal pi (strictly positive definite
-    for some kinds only: the all-blocks and the coordinator-pair kinds are
-    singular) is a property the tests assert.
+    otherwise one ``np.add.at`` of every subset's probability onto its
+    index pairs, which adds subset after subset in support order.  The
+    sampling was validated when it was built, so nothing is checked here;
+    that the result is symmetric PSD with diagonal pi (strictly positive
+    definite for some kinds only: the all-blocks and the coordinator-pair
+    kinds are singular) is a property the tests assert.
     """
     if s.support is None:
         m = s.nice_m
@@ -167,10 +179,12 @@ def prob_matrix(s: Sampling) -> Array:
         pi_mat = np.full((s.d, s.d), off)
         np.fill_diagonal(pi_mat, m / s.d)
         return pi_mat
-    pi_mat = np.zeros((s.d, s.d))
-    for idx, p in zip(s._index_sets, s.probs):
-        pi_mat[idx[:, None], idx] += p
-    return pi_mat
+    idx = s._index_table
+    # padded entries land in an extra row and column, which are dropped
+    pad = int(idx[:, -1].max() == s.d)
+    pi_mat = np.zeros((s.d + pad, s.d + pad))
+    np.add.at(pi_mat, (idx[:, :, None], idx[:, None, :]), s.probs[:, None, None])
+    return pi_mat[: s.d, : s.d].copy() if pad else pi_mat
 
 
 def weight_matrix_p(s: Sampling, blocks: BlockStructure) -> Array:

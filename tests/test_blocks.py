@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockpd as bp
-from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock
+from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock, _Quadratic
 from blockpd import stepsize
 from blockpd.errors import InfeasibleInstance, InvariantViolation, PolicyConstructionError
 from blockpd.oracles import long_run_reference
+from blockpd import dlmp
 from blockpd.proxops import prox_box_block, prox_quadratic_block, prox_zero_block
 
 
@@ -312,3 +314,111 @@ class TestReferenceChecks:
         monkeypatch.setattr(stepsize, "make_accelerated_policy", broken)
         with pytest.raises(PolicyConstructionError):
             long_run_reference(p, k_max=10)
+
+
+def block_loops(p, x, gamma):
+    """grad_phi, prox_r and phi evaluated block by block, as the loops the
+    one-call paths replace."""
+    sls = p.blocks.slices
+    grad = np.concatenate([blk.grad(x[sl]) for sl, blk in zip(sls, p.smooth)])
+    prox = np.concatenate([blk.prox(gamma[sl], x[sl]) for sl, blk in zip(sls, p.prox)])
+    phi = sum(float(blk.value(x[sl])) for sl, blk in zip(sls, p.smooth))
+    return grad, prox, phi
+
+
+def assert_same_bits_as_block_loops(p, seed, points=20):
+    rng = np.random.default_rng(seed)
+    for _ in range(points):
+        x = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(p.m)
+        gamma = 10.0 ** rng.uniform(-3, 3, size=p.m)
+        grad, prox, phi = block_loops(p, x, gamma)
+        assert np.array_equal(p.grad_phi(x), grad)
+        assert np.array_equal(p.prox_r(gamma, x), prox)
+        assert p.phi(x) == phi
+
+
+class TestWholeVectorOracles:
+    @pytest.mark.parametrize("seed", [1, 2, 2024])
+    @pytest.mark.parametrize("d", [10, 250])
+    def test_one_call_paths_match_the_block_loops(self, d, seed):
+        p = bp.make_random_inconsistent_ls(
+            seed=seed, d=d, dims=4, q=6 * d, noise=0.6, mu=1.0, rank_deficiency=4
+        )
+        assert p._quadratic_stack is not None and p._shared_prox is not None
+        assert_same_bits_as_block_loops(p, seed)
+
+    def test_replaced_problem_keeps_the_fast_path(self, bench_instance):
+        p = dataclasses.replace(bench_instance)
+        assert p._quadratic_stack is not None and p._shared_prox is not None
+        assert_same_bits_as_block_loops(p, 3, points=5)
+
+    def test_fast_path_makes_no_per_block_call(self, bench_instance):
+        class Refusing(_Quadratic):
+            def value(self, x):
+                raise AssertionError("per-block oracle called")
+
+            grad = value
+
+        quads = [Refusing(blk.lam, blk.grad.__self__.c) for blk in bench_instance.smooth]
+        p = dataclasses.replace(
+            bench_instance,
+            smooth=tuple(SmoothBlock(quad.value, quad.grad, quad.h) for quad in quads),
+        )
+        x = np.ones(p.m)
+        p.grad_phi(x), p.phi(x), p.prox_r(np.ones(p.m), x)
+
+    @pytest.mark.parametrize("oracle", ["grad", "value"])
+    def test_replaced_oracle_takes_the_loop(self, bench_instance, oracle):
+        """A block whose grad or value was swapped, as a tracer swaps grad
+        for a timed wrapper, is no longer read as its stored quadratic."""
+        calls = []
+
+        def wrap(f):
+            def wrapped(x):
+                calls.append(1)
+                return 2.0 * f(x)
+
+            return wrapped
+
+        blk = bench_instance.smooth[0]
+        p = dataclasses.replace(
+            bench_instance,
+            smooth=(dataclasses.replace(blk, **{oracle: wrap(getattr(blk, oracle))}),)
+            + bench_instance.smooth[1:],
+        )
+        assert p._quadratic_stack is None
+        assert_same_bits_as_block_loops(p, 4, points=3)
+        assert calls
+
+    def test_grid_and_consensus_take_the_loop(self):
+        grid = dlmp.build_opf_problem(dlmp.load_network(*dlmp.default_network_paths()))
+        ring = bp.make_consensus(
+            [(i, (i + 1) % 8) for i in range(8)],
+            [prox_quadratic_block(1.0, center=0.25 * i) for i in range(8)],
+        )
+        for p in (grid, ring):
+            assert p._quadratic_stack is None and p._shared_prox is None
+        assert_same_bits_as_block_loops(ring, 5, points=5)
+
+    @pytest.mark.parametrize("variant", [
+        "mixed-dims", "one-block-not-quadratic", "prox-not-shared", "shared-not-coordinatewise",
+    ])
+    def test_partial_matches_take_the_loop(self, variant):
+        dims = (2, 3, 2) if variant == "mixed-dims" else (2, 2, 2)
+        p = bp.make_random_inconsistent_ls(seed=8, d=3, dims=dims, q=12, noise=0.3)
+        if variant == "one-block-not-quadratic":
+            p = dataclasses.replace(p, smooth=p.smooth[:2] + (SmoothBlock.zero(2),))
+        elif variant == "prox-not-shared":
+            p = dataclasses.replace(p, prox=p.prox[:2] + (prox_quadratic_block(1.0),))
+        elif variant == "shared-not-coordinatewise":
+            p = dataclasses.replace(
+                p, prox=tuple(dataclasses.replace(blk, coordinatewise=False) for blk in p.prox)
+            )
+        fast = (p._quadratic_stack is not None, p._shared_prox is not None)
+        assert fast == {
+            "mixed-dims": (False, True),
+            "one-block-not-quadratic": (False, True),
+            "prox-not-shared": (True, False),
+            "shared-not-coordinatewise": (True, False),
+        }[variant]
+        assert_same_bits_as_block_loops(p, 9, points=5)

@@ -178,6 +178,45 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "--seed must be >= 0" in err and "[instance]" not in err
 
+    @pytest.mark.parametrize("value, message", [
+        ("-5", "[fit] k_min must be >= 1, got -5"),
+        ("0", "[fit] k_min must be >= 1, got 0"),
+        ("51", "[fit] k_min must be <= [run] k_max = 50, got 51"),
+        ("1000000", "[fit] k_min must be <= [run] k_max = 50, got 1000000"),
+    ])
+    def test_fit_k_min_domain(self, tmp_path, capsys, value, message):
+        out = tmp_path / "o"
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
+        cfg = write_config(tmp_path / "c.cfg", body + f"k_min = {value}\n")
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "rates.csv").exists()
+
+    def test_fit_k_min_at_k_max_runs(self, tmp_path):
+        out = tmp_path / "o"
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
+        cfg = write_config(tmp_path / "c.cfg", body + "k_min = 50\n")
+        assert main(["--config", cfg, "--quiet"]) == 0
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("block_dim = 3", "block_dim = 0", "[instance] block_dim must be >= 1, got 0"),
+        ("block_dim = 3", "block_dim = -1", "[instance] block_dim must be >= 1, got -1"),
+        ("q = 18", "q = 0", "[instance] q must be >= 1, got 0"),
+        ("q = 18", "q = -3", "[instance] q must be >= 1, got -3"),
+        ("d = 4", "d = -2", "[instance] d must be >= 1, got -2"),
+        # no coupling rows is rejected whatever the rank deficiency
+        ("q = 18\nnoise = 0.4\nrank_deficiency = 2", "q = 0\nnoise = 0.4\nrank_deficiency = 0",
+         "[instance] q must be >= 1, got 0"),
+    ], ids=["block-dim-zero", "block-dim-negative", "q-zero", "q-negative", "d-negative",
+            "q-zero-full-rank"])
+    def test_instance_sizes_name_their_field(self, tmp_path, capsys, old, new, message):
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
+        assert old in body
+        cfg = write_config(tmp_path / "c.cfg", body.replace(old, new))
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "rank_deficiency" not in err
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_oracle_k_must_be_positive(self, tmp_path, capsys, value):
         cfg = write_config(

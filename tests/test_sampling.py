@@ -127,6 +127,25 @@ class TestProbMatrix:
         closed_form = bp.Sampling(6, "nice", np.full(6, 0.5), None, None, nice_m=3)
         assert np.allclose(bp.prob_matrix(closed_form), enumerated)
 
+    @pytest.mark.parametrize("s", [
+        bp.single_coordinate(10),
+        bp.single_coordinate(4, [0.1, 0.2, 0.3, 0.4]),
+        bp.nice(5, 2),
+        bp.nice(10, 5),
+        bp.full(4),
+        bp.paired_dso(6),
+        bp.Sampling(3, "ragged", np.array([0.3, 0.7, 0.7]), ((0,), (2, 1)), np.array([0.3, 0.7])),
+    ], ids=["single", "single-weighted", "nice-2-of-5", "nice-5-of-10", "full", "paired",
+            "ragged"])
+    def test_one_add_matches_the_per_subset_loop(self, s):
+        loop = np.zeros((s.d, s.d))
+        for subset, p in zip(s.support, s.probs):
+            idx = np.array(subset)
+            loop[idx[:, None], idx] += p
+        pi_mat = bp.prob_matrix(s)
+        assert pi_mat.flags.c_contiguous
+        assert np.array_equal(pi_mat, loop)
+
     def test_huge_support_draw_size(self):
         s = nice(30, 7)  # C(30,7) far above the enumeration cap
         assert s.support is None
