@@ -10,7 +10,6 @@ from .blocks import (
     ProxBlock,
     SmoothBlock,
     eval_psi,
-    grad_h,
     kkt_residual,
     make_consensus,
     make_model_fitting,
@@ -20,14 +19,12 @@ from .blocks import (
 from .oracles import Reference, least_squares_reference, quadratic_reference
 from .proxops import (
     dykstra_project,
-    exact_projection_qp,
     project_energy_budget,
     project_energy_budgets,
 )
 from .sampling import (
     Sampling,
     draw,
-    expectation_over_sampling,
     full,
     make_rng,
     nice,
@@ -42,8 +39,6 @@ from .solver import (
     RbcdEngine,
     RunResult,
     TraceRecord,
-    gamma_table,
-    lyapunov,
     run,
 )
 from .stepsize import (
@@ -52,8 +47,6 @@ from .stepsize import (
     accel_params,
     convex_default_policy,
     make_accelerated_policy,
-    mi_margins,
-    tau_lower_bound,
     tau_next,
 )
 

@@ -192,14 +192,6 @@ class ProblemSpec:
         return np.array([float(np.linalg.eigvalsh(blk.lam).max()) for blk in self.smooth])
 
     @cached_property
-    def lam_full(self) -> Array:
-        """Block-diagonal assembly of all smooth curvature matrices."""
-        out = np.zeros((self.m, self.m))
-        for sl, blk in zip(self.blocks.slices, self.smooth):
-            out[sl, sl] = blk.lam
-        return out
-
-    @cached_property
     def mu_vector(self) -> Array:
         """Length-m diagonal of the strong-convexity matrix of R."""
         return self.blocks.expand([p.mu for p in self.prox])
@@ -302,14 +294,6 @@ def penalty_h(p: ProblemSpec, x: Array) -> float:
         raise ValueError(f"x has shape {x.shape}, expected ({p.m},)")
     res = p.a.dot(x) - p.b
     return 0.5 * float(res.dot(res))
-
-
-def grad_h(p: ProblemSpec, x: Array) -> Array:
-    """A'(Ax - b), assembled without forming A'A."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.m,):
-        raise ValueError(f"x has shape {x.shape}, expected ({p.m},)")
-    return p.a.T.dot(p.a.dot(x) - p.b)
 
 
 def kkt_residual(p: ProblemSpec, x: Array, y: Array) -> float:

@@ -86,7 +86,7 @@ from .sampling import from_config as sampling_from_config
 from .solver import TraceRecord, run
 from .stepsize import ConvexPolicy, convex_default_policy, make_accelerated_policy
 
-TRACE_SCHEMA = "blockpd-trace-v1"
+TRACE_SCHEMA = "blockpd-trace-v2"
 
 EXPERIMENTS = ("consensus", "model_fit", "random_ls", "opf15", "custom")
 
@@ -204,7 +204,7 @@ def _instance(cfg: RunConfig, key: str, default, kind=float, *, at_least=None):
 def _build_random_ls(cfg: RunConfig):
     # q >= 1: an instance without coupling rows has no penalty to rate
     return make_random_inconsistent_ls(
-        seed=_instance(cfg, "instance_seed", cfg.seed, int),
+        seed=_instance(cfg, "instance_seed", cfg.seed, int, at_least=0),
         d=_instance(cfg, "d", 10, int, at_least=1),
         dims=_instance(cfg, "block_dim", 4, int, at_least=1),
         q=_instance(cfg, "q", 60, int, at_least=1),
@@ -218,7 +218,7 @@ def _build_consensus(cfg: RunConfig):
     ins = cfg.instance
     n = _instance(cfg, "nodes", 8, int)
     graph = ins.get("graph", "path")
-    rng = np.random.default_rng(_instance(cfg, "instance_seed", cfg.seed, int))
+    rng = np.random.default_rng(_instance(cfg, "instance_seed", cfg.seed, int, at_least=0))
     anchors = rng.uniform(-2.0, 2.0, size=n)
     if graph == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -237,9 +237,9 @@ def _build_consensus(cfg: RunConfig):
 
 
 def _build_model_fit(cfg: RunConfig):
-    rng = np.random.default_rng(_instance(cfg, "instance_seed", cfg.seed, int))
-    q = _instance(cfg, "q", 30, int)
-    p = _instance(cfg, "p", 10, int)
+    rng = np.random.default_rng(_instance(cfg, "instance_seed", cfg.seed, int, at_least=0))
+    q = _instance(cfg, "q", 30, int, at_least=1)
+    p = _instance(cfg, "p", 10, int, at_least=1)
     k_matrix = rng.standard_normal((q, p)) / math.sqrt(p)
     b = rng.standard_normal(q)
     losses = [SmoothBlock.quadratic(np.eye(1), np.zeros(1)) for _ in range(q)]

@@ -247,31 +247,6 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
     )
 
 
-def make_single_line_network(demand=(0.5, 0.25)) -> NetworkModel:
-    """One slack, one bus, fixed per-period demand: the marginal prices at
-    the bus equal the slack cost derivatives at that demand."""
-    demand = np.asarray(demand, dtype=float)
-    t = demand.size
-    return NetworkModel(
-        buses=(1,),
-        parent={1: 0},
-        r={1: 1e-3},
-        x={1: 1e-3},
-        s_cap={1: 5.0},
-        b_shunt={1: 0.0},
-        p_lo={1: demand.copy()},
-        p_hi={1: demand.copy()},
-        energy={1: float(demand.sum())},
-        tau_c={1: 0.0},
-        renewable={},
-        v_lo=0.25,
-        v_hi=4.0,
-        v0=1.0,
-        horizon=t,
-        aggregators=((1,),),
-    )
-
-
 # ---------------------------------------------------------------------------
 # index layout
 # ---------------------------------------------------------------------------

@@ -37,16 +37,6 @@ class Reference:
     y_star: Array | None = None
     source: str = "normal-equations"
 
-    def dual_scale(self, p: ProblemSpec) -> float:
-        """The constant bounding how far the objective can dip below its
-        floor at infeasible points, in units of the root penalty gap.  The
-        stored multiplier pairs with the raw residual rows; it equals the
-        normal-equation-form multiplier pushed through A, so the constant is
-        sqrt(2) times its norm.  Only exact references provide it."""
-        if self.y_star is None:
-            raise ValueError("no multiplier recorded for this reference")
-        return float(np.sqrt(2.0) * np.linalg.norm(self.y_star))
-
     def h_gap(self, p: ProblemSpec, x: Array) -> float:
         """h(x) - h*, evaluated cancellation-free as 0.5||A(x - x_ls)||^2.
         Anchored at ``x_ls`` always: a long-run ``x_star`` is an iterate, not

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -60,17 +59,6 @@ def prox_quadratic_block(mu: float, center=0.0) -> ProxBlock:
     return ProxBlock(value, prox, mu)
 
 
-def prox_box_block(lo, hi) -> ProxBlock:
-    """Indicator of the coordinate box [lo, hi]."""
-
-    def value(x):
-        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
-            return np.inf
-        return 0.0
-
-    return ProxBlock(value, lambda g, v: np.clip(v, lo, hi), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # projection primitives
 # ---------------------------------------------------------------------------
@@ -83,72 +71,6 @@ class Box:
 
     def project(self, v: Array) -> Array:
         return np.clip(v, self.lo, self.hi)
-
-    def distance(self, v: Array) -> float:
-        return float(np.linalg.norm(v - self.project(v)))
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """{x : <a, x> <= c}."""
-
-    a: Array
-    c: float
-
-    def project(self, v: Array) -> Array:
-        a = np.asarray(self.a, dtype=float)
-        gap = float(a @ v) - self.c
-        if gap <= 0.0:
-            return np.asarray(v, dtype=float)
-        return v - (gap / float(a @ a)) * a
-
-    def distance(self, v: Array) -> float:
-        a = np.asarray(self.a, dtype=float)
-        return max(0.0, (float(a @ v) - self.c)) / float(np.linalg.norm(a))
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """{x : <a, x> = c}."""
-
-    a: Array
-    c: float
-
-    def project(self, v: Array) -> Array:
-        a = np.asarray(self.a, dtype=float)
-        return v - ((float(a @ v) - self.c) / float(a @ a)) * a
-
-    def distance(self, v: Array) -> float:
-        a = np.asarray(self.a, dtype=float)
-        return abs(float(a @ v) - self.c) / float(np.linalg.norm(a))
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: Array
-    radius: float
-
-    def project(self, v: Array) -> Array:
-        dv = v - self.center
-        nrm = float(np.linalg.norm(dv))
-        if nrm <= self.radius:
-            return np.asarray(v, dtype=float)
-        return self.center + (self.radius / nrm) * dv
-
-    def distance(self, v: Array) -> float:
-        return max(0.0, float(np.linalg.norm(v - self.center)) - self.radius)
-
-
-@dataclass(frozen=True)
-class EnergyBudget:
-    """{x : sum_t x_t >= demand, lo <= x <= hi}."""
-
-    lo: Array
-    hi: Array
-    demand: float
-
-    def project(self, v: Array) -> Array:
-        return project_energy_budget(self.lo, self.hi, self.demand, v)
 
     def distance(self, v: Array) -> float:
         return float(np.linalg.norm(v - self.project(v)))
@@ -296,72 +218,3 @@ def dykstra_project(
         f"no convergence within {max_iter} sweeps (tol={tol}); "
         "the intersection may be empty"
     )
-
-
-# ---------------------------------------------------------------------------
-# exact small-scale oracle
-# ---------------------------------------------------------------------------
-
-
-def _linearize(primitives, dim):
-    """Expand box/halfspace/hyperplane primitives into (G, h, C, e) rows."""
-    g_rows, h_vals, c_rows, e_vals = [], [], [], []
-    eye = np.eye(dim)
-    for prim in primitives:
-        if isinstance(prim, Box):
-            lo = np.broadcast_to(prim.lo, (dim,))
-            hi = np.broadcast_to(prim.hi, (dim,))
-            for j in range(dim):
-                if np.isfinite(hi[j]):
-                    g_rows.append(eye[j])
-                    h_vals.append(float(hi[j]))
-                if np.isfinite(lo[j]):
-                    g_rows.append(-eye[j])
-                    h_vals.append(-float(lo[j]))
-        elif isinstance(prim, Halfspace):
-            g_rows.append(np.asarray(prim.a, dtype=float))
-            h_vals.append(float(prim.c))
-        elif isinstance(prim, Hyperplane):
-            c_rows.append(np.asarray(prim.a, dtype=float))
-            e_vals.append(float(prim.c))
-        else:
-            raise ValueError(f"not a polyhedral primitive: {type(prim).__name__}")
-    g = np.array(g_rows) if g_rows else np.zeros((0, dim))
-    c = np.array(c_rows) if c_rows else np.zeros((0, dim))
-    return g, np.array(h_vals), c, np.array(e_vals)
-
-
-def exact_projection_qp(primitives: Sequence, v: Array) -> Array:
-    """Exact projection onto a polyhedral intersection by active-set
-    enumeration.  Intended for dimension <= 3 cross-checks of Dykstra; cost
-    grows exponentially with the number of inequality rows.
-    """
-    v = np.asarray(v, dtype=float)
-    dim = v.shape[0]
-    if dim > 3:
-        raise ValueError("enumeration oracle is restricted to dimension <= 3")
-    g, h, c, e = _linearize(primitives, dim)
-    best, best_dist = None, np.inf
-    n_ineq = g.shape[0]
-    for r in range(n_ineq + 1):
-        for active in combinations(range(n_ineq), r):
-            rows = np.vstack([c, g[list(active)]]) if active else c
-            rhs = np.concatenate([e, h[list(active)]]) if active else e
-            if rows.shape[0] == 0:
-                x = v.copy()
-            else:
-                # minimize ||x - v|| s.t. rows x = rhs  (least-norm correction)
-                corr, *_ = np.linalg.lstsq(rows, rhs - rows @ v, rcond=None)
-                x = v + corr
-                if np.max(np.abs(rows @ x - rhs)) > 1e-9:
-                    continue  # inconsistent active set
-            feasible = (g @ x <= h + 1e-9).all() if n_ineq else True
-            if c.shape[0] and np.max(np.abs(c @ x - e)) > 1e-9:
-                feasible = False
-            if feasible:
-                dist = float(np.linalg.norm(x - v))
-                if dist < best_dist - 1e-12:
-                    best, best_dist = x, dist
-    if best is None:
-        raise InfeasibleInstance("polyhedron appears empty")
-    return best

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -212,19 +212,6 @@ def xi_matrix(s: Sampling, a_blocks: Sequence[Array]) -> Array:
     for sl, w_i in zip(blocks.slices, w):
         xi[sl] *= blocks.expand(w_i)
     return xi
-
-
-def expectation_over_sampling(s: Sampling, f: Callable[[Array], object]):
-    """Exact expectation of f(activation mask) over the support."""
-    if s.support is None:
-        raise UnsupportedSampling("exact expectation needs an enumerable support")
-    total = None
-    for idx, p in zip(s._index_sets, s.probs):
-        mask = np.zeros(s.d, dtype=bool)
-        mask[idx] = True
-        term = f(mask)
-        total = p * term if total is None else total + p * term
-    return total
 
 
 def from_config(kind: str, d: int, m: int | None = None) -> Sampling:

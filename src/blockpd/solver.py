@@ -35,9 +35,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .blocks import ProblemSpec, eval_psi, kkt_residual
-from .errors import InvariantViolation, SolverDivergence
+from .errors import SolverDivergence
 from .oracles import Reference, least_squares_reference
-from .sampling import Sampling, draw, make_rng, weight_matrix_p
+from .sampling import Sampling, draw, make_rng
 
 Array = np.ndarray
 
@@ -57,7 +57,6 @@ class TraceRecord:
     kkt_res: float
     tau: float
     sigma: float
-    lyapunov: float = math.nan
     wall_time: float = math.nan
 
 
@@ -65,7 +64,7 @@ class TraceRecord:
 TraceRecord.CSV_FIELDS = tuple(f.name for f in fields(TraceRecord) if f.name != "wall_time")
 
 
-@dataclass
+@dataclass(slots=True)
 class RbcdState:
     """Averaging-form iterate.  ``s_cur`` is S_k; ``s_prev`` is S_{k-1} with
     the convention S_{-1} = 1 - sigma_0, which makes the extrapolated point a
@@ -73,7 +72,7 @@ class RbcdState:
 
     The averaged iterate is stored implicitly as w = x + gamma e, with
     Aw = Ax + gamma Ae, so a step rescales gamma and touches only the
-    active slices of e; ``w`` and ``aw`` assemble it on demand."""
+    active slices of e; ``w`` assembles it on demand."""
 
     x: Array
     e: Array
@@ -91,10 +90,6 @@ class RbcdState:
     @property
     def w(self) -> Array:
         return self.x + self.gamma * self.e
-
-    @property
-    def aw(self) -> Array:
-        return self.ax + self.gamma * self.ae
 
     def copy(self) -> "RbcdState":
         return replace(
@@ -202,14 +197,6 @@ class RbcdEngine(_EngineBase):
         theta = self.policy.sigma_at(state.k) / state.s_cur
         c = (1.0 - theta) * state.gamma
         return state.x + c * state.e, state.ax + c * state.ae, theta
-
-    def forward_backward_block(self, state: RbcdState, i: int) -> Array:
-        _, az, _ = self.extrapolated(state)
-        res = az - self.problem.b
-        blk = self.per_block[i]
-        xi = state.x[blk.sl]
-        g = blk.grad(xi) + state.s_cur * blk.a_t.dot(res)
-        return self._fb(i, xi, g, self.policy.tau_at(state.k))
 
     def step(self, state: RbcdState, active_mask: Array | None = None) -> RbcdState:
         """One iteration in O(q) plus the active blocks' work.
@@ -372,9 +359,8 @@ def run(
     The engine's caches are recomputed every ``REFRESH_EVERY`` steps, and a
     non-finite iterate at a check every ``NAN_CHECK_EVERY`` steps and at
     ``k_max`` raises :class:`SolverDivergence` with the last trace row
-    attached.  The ``lyapunov`` column is left NaN (see :func:`lyapunov`).
-    Deterministic for a fixed seed: the generator is consumed only by the
-    block draws.
+    attached.  Deterministic for a fixed seed: the generator is consumed only
+    by the block draws.
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
@@ -451,64 +437,3 @@ def _trace_record(problem, eng, state, ref) -> TraceRecord:
         tau=tau,
         sigma=sigma,
     )
-
-
-# ---------------------------------------------------------------------------
-# averaging diagnostics
-# ---------------------------------------------------------------------------
-
-
-def gamma_table(thetas, pi) -> Array:
-    """Ergodic averaging coefficients gamma[k, t, i] for k <= len(thetas).
-
-    Built by the forward recursion; every step verifies the two-term closure
-    gamma[k+1, k] + gamma[k+1, k+1] = theta_k + (1 - theta_k) gamma[k, k].
-    Intended as a test utility (the engine itself never materialises the
-    table).
-    """
-    pi = np.asarray(pi, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    k_max = len(thetas)
-    d = pi.shape[0]
-    gam = np.zeros((k_max + 1, k_max + 1, d))
-    gam[0, 0, :] = 1.0
-    for k in range(k_max):
-        th = thetas[k]
-        gam[k + 1, : k + 1, :] = (1.0 - th) * gam[k, : k + 1, :]
-        gam[k + 1, k, :] += th * (1.0 - 1.0 / pi)
-        gam[k + 1, k + 1, :] = th / pi
-        closure = gam[k + 1, k, :] + gam[k + 1, k + 1, :]
-        expected = th + (1.0 - th) * gam[k, k, :]
-        dev = float(np.max(np.abs(closure - expected)))
-        if not dev < 1e-12:
-            raise InvariantViolation(f"gamma closure off by {dev:.3e} at k={k}")
-    return gam
-
-
-def lyapunov(
-    problem: ProblemSpec,
-    sampling: Sampling,
-    policy,
-    state: RbcdState,
-    ref: Reference,
-) -> tuple[float, float]:
-    """Energy pair (V_k, F_k) for the averaging engine.
-
-    F_k adds the weighted penalty gap of the averaged iterate to the running
-    objective estimate; V_k adds the squared distance to the reference
-    solution in the policy metric W_k = (sigma_k/tau_k) P^2 B +
-    sigma_k (P - I) Ups.
-    """
-    if ref.x_star is None or ref.psi_star is None:
-        raise ValueError("lyapunov diagnostics need a reference with x_star/psi_star")
-    k = state.k
-    sigma_k = policy.sigma_at(k)
-    tau_k = policy.tau_at(k)
-    p_diag = weight_matrix_p(sampling, problem.blocks)
-    w_diag = (sigma_k / tau_k) * p_diag**2 * policy.b_diag + sigma_k * (
-        p_diag - 1.0
-    ) * problem.mu_vector
-    f_k = state.psi_hat + state.s_prev * ref.h_gap(problem, state.w)
-    dx = state.x - ref.x_star
-    v_k = 0.5 * float(dx @ (w_diag * dx)) + state.s_prev * (f_k - ref.psi_star)
-    return v_k, f_k

@@ -259,20 +259,23 @@ def make_accelerated_policy(
             "outside the proven regime",
             stacklevel=2,
         )
-    if tau0 is None:
+    given = tau0 is not None
+    if not given:
         tau0 = alpha / (beta + pi_min)
-    else:
-        sigma0 = alpha / tau0 - beta
-        if sigma0 > pi_min + 1e-12:
-            warnings.warn(
-                f"tau0={tau0} gives theta_0={sigma0:.4g} > min pi={pi_min:.4g}; "
-                "averaging weights may go negative",
-                stacklevel=2,
-            )
     mu = p.mu_vector
     p_diag = weight_matrix_p(s, p.blocks)
     b_diag = mu / p_diag**2
-    return AcceleratedPolicy(alpha, beta, kappa, s.pi.copy(), float(tau0), b_diag, uniform)
+    # built first, so tau0 is checked against its interval before sigma_0
+    # divides by it
+    policy = AcceleratedPolicy(alpha, beta, kappa, s.pi.copy(), float(tau0), b_diag, uniform)
+    sigma0 = policy.sigma_at(0)
+    if given and sigma0 > pi_min + 1e-12:
+        warnings.warn(
+            f"tau0={tau0} gives theta_0={sigma0:.4g} > min pi={pi_min:.4g}; "
+            "averaging weights may go negative",
+            stacklevel=2,
+        )
+    return policy
 
 
 def tau_next(tau_k: float, kappa: float, pi) -> float:
@@ -291,7 +294,7 @@ def tau_next(tau_k: float, kappa: float, pi) -> float:
     tests check it against the normalized recursion
     s_{k+1} = 2 s_k / (s_k + sqrt(s_k^2 + 4 d_k)) with
     s_k = (1 + delta) tau_k and d_k = 1 - delta tau_k - kappa tau_k^2
-    (see :func:`normalized_s_step`).
+    (``normalized_s_step`` in ``tests/instruments.py``).
     """
     if not 0.0 < tau_k < 1.0 / kappa:
         raise ValueError(
@@ -318,66 +321,3 @@ def _tau_root(t: float, kappa: float, pi_i: float) -> float:
     rad = (1.0 + 0.5 * c * t) ** 2 - ((2.0 - pi_i) / pi_i + 2.0 * kappa) * t * t / 4.0
     num = 0.5 * t * t * (c - 1.0) + t * math.sqrt(rad)
     return num / den
-
-
-def normalized_s_step(s_k: float, d_k: float) -> float:
-    """One step of the normalized recursion s+ = 2s / (s + sqrt(s^2 + 4d))."""
-    return 2.0 * s_k / (s_k + math.sqrt(s_k * s_k + 4.0 * d_k))
-
-
-def tau_lower_bound(k: int, tau0: float, kappa: float, pi: float) -> float:
-    """Guaranteed floor 2 tau0 / ((1 + kappa - 1/pi) tau0 k + 2)."""
-    delta = kappa - 1.0 / pi
-    return 2.0 * tau0 / ((1.0 + delta) * tau0 * k + 2.0)
-
-
-def step_map(x: float, y: float, kappa: float, pi) -> float:
-    """Min over blocks of the quadratic whose positive root drives tau.
-
-    Each block's quadratic is negative below its positive root and positive
-    above it, and the successor value is the largest root, so the minimum
-    vanishes there.  The fixed point is x = y = 1/kappa."""
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    vals = []
-    for pii in pi:
-        delta = kappa - 1.0 / pii
-        a1 = 1.0 - kappa * y * y - delta * y
-        a2 = y * y * (delta + 1.0)
-        a3 = y * y
-        vals.append(a1 * x * x + a2 * x - a3)
-    return min(vals)
-
-
-def mi_margins(
-    lam_full: Array,
-    ups_diag: Array,
-    xi: Array,
-    p_diag: Array,
-    b_diag: Array,
-    sigma_k: float,
-    tau_k: float,
-    sigma_k1: float,
-    tau_k1: float,
-) -> tuple[float, float]:
-    """Smallest eigenvalues of the two step-certification matrices.
-
-    First: P B - tau_k (Lam + sigma_k Xi).  Second:
-    P^2 B + tau_k P Ups - (tau_k sigma_{k+1} / (tau_{k+1} sigma_k)) *
-    (P^2 B - tau_{k+1} (I - P) Ups); every factor in the second is diagonal,
-    so its margin is exact and cheap.
-    """
-    m1 = np.diag(p_diag * b_diag) - tau_k * (lam_full + sigma_k * xi)
-    margin1 = float(np.linalg.eigvalsh(m1).min())
-    ratio = tau_k * sigma_k1 / (tau_k1 * sigma_k)
-    p2b = p_diag**2 * b_diag
-    lhs = p2b + tau_k * p_diag * ups_diag
-    rhs = ratio * (p2b - tau_k1 * (1.0 - p_diag) * ups_diag)
-    margin2 = float(np.min(lhs - rhs))
-    return margin1, margin2
-
-
-def cumulative_weight_bound(
-    k: int, alpha: float, delta: float, sigma0: float
-) -> float:
-    """Upper bound 1 + alpha (1+delta) k (k+1) / 4 + k sigma0 on S_k."""
-    return 1.0 + alpha * (1.0 + delta) * k * (k + 1) / 4.0 + k * sigma0

@@ -8,7 +8,7 @@ from blockpd.blocks import BlockStructure
 from blockpd.oracles import quadratic_reference
 from blockpd.sampling import draw, prob_matrix, weight_matrix_p
 from blockpd.solver import RbcdEngine, _EngineBase
-from blockpd.stepsize import normalized_s_step
+from instruments import normalized_s_step
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,394 @@
+"""Reference implementations the tests check the package against.
+
+Exact small-scale oracles (the active-set projection, the expectation over
+an enumerable sampling), the paper's closed-form bounds and energies (the
+tau floor, the cumulative-weight bound, the matrix-inequality margins, the
+ergodic weights, the Lyapunov pair) and the extra projection primitives the
+Dykstra tests intersect.  No run calls any of them, so they live beside the
+tests rather than in ``blockpd``; ``test_package_defines_only_what_runs_reference``
+keeps it that way.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable, Sequence
+
+import numpy as np
+
+from blockpd.blocks import ProblemSpec, ProxBlock
+from blockpd.dlmp import NetworkModel
+from blockpd.errors import InfeasibleInstance, InvariantViolation, UnsupportedSampling
+from blockpd.oracles import Reference
+from blockpd.proxops import Box, project_energy_budget
+from blockpd.sampling import Sampling, weight_matrix_p
+from blockpd.solver import RbcdEngine, RbcdState
+
+Array = np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# blocks, oracles, sampling
+# ---------------------------------------------------------------------------
+
+
+def grad_h(p: ProblemSpec, x: Array) -> Array:
+    """A'(Ax - b), assembled without forming A'A."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p.m,):
+        raise ValueError(f"x has shape {x.shape}, expected ({p.m},)")
+    return p.a.T.dot(p.a.dot(x) - p.b)
+
+
+def lam_full(p: ProblemSpec) -> Array:
+    """Block-diagonal assembly of all smooth curvature matrices."""
+    out = np.zeros((p.m, p.m))
+    for sl, blk in zip(p.blocks.slices, p.smooth):
+        out[sl, sl] = blk.lam
+    return out
+
+
+def dual_scale(ref: Reference) -> float:
+    """The constant bounding how far the objective can dip below its
+    floor at infeasible points, in units of the root penalty gap.  The
+    stored multiplier pairs with the raw residual rows; it equals the
+    normal-equation-form multiplier pushed through A, so the constant is
+    sqrt(2) times its norm.  Only exact references provide it."""
+    if ref.y_star is None:
+        raise ValueError("no multiplier recorded for this reference")
+    return float(np.sqrt(2.0) * np.linalg.norm(ref.y_star))
+
+
+def expectation_over_sampling(s: Sampling, f: Callable[[Array], object]):
+    """Exact expectation of f(activation mask) over the support."""
+    if s.support is None:
+        raise UnsupportedSampling("exact expectation needs an enumerable support")
+    total = None
+    for idx, p in zip(s._index_sets, s.probs):
+        mask = np.zeros(s.d, dtype=bool)
+        mask[idx] = True
+        term = f(mask)
+        total = p * term if total is None else total + p * term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# prox and projection primitives, and the exact small-scale projection
+# ---------------------------------------------------------------------------
+
+
+def prox_box_block(lo, hi) -> ProxBlock:
+    """Indicator of the coordinate box [lo, hi]."""
+
+    def value(x):
+        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+            return np.inf
+        return 0.0
+
+    return ProxBlock(value, lambda g, v: np.clip(v, lo, hi), 0.0)
+
+
+@dataclass(frozen=True)
+class Halfspace:
+    """{x : <a, x> <= c}."""
+
+    a: Array
+    c: float
+
+    def project(self, v: Array) -> Array:
+        a = np.asarray(self.a, dtype=float)
+        gap = float(a @ v) - self.c
+        if gap <= 0.0:
+            return np.asarray(v, dtype=float)
+        return v - (gap / float(a @ a)) * a
+
+    def distance(self, v: Array) -> float:
+        a = np.asarray(self.a, dtype=float)
+        return max(0.0, (float(a @ v) - self.c)) / float(np.linalg.norm(a))
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """{x : <a, x> = c}."""
+
+    a: Array
+    c: float
+
+    def project(self, v: Array) -> Array:
+        a = np.asarray(self.a, dtype=float)
+        return v - ((float(a @ v) - self.c) / float(a @ a)) * a
+
+    def distance(self, v: Array) -> float:
+        a = np.asarray(self.a, dtype=float)
+        return abs(float(a @ v) - self.c) / float(np.linalg.norm(a))
+
+
+@dataclass(frozen=True)
+class Ball:
+    center: Array
+    radius: float
+
+    def project(self, v: Array) -> Array:
+        dv = v - self.center
+        nrm = float(np.linalg.norm(dv))
+        if nrm <= self.radius:
+            return np.asarray(v, dtype=float)
+        return self.center + (self.radius / nrm) * dv
+
+    def distance(self, v: Array) -> float:
+        return max(0.0, float(np.linalg.norm(v - self.center)) - self.radius)
+
+
+@dataclass(frozen=True)
+class EnergyBudget:
+    """{x : sum_t x_t >= demand, lo <= x <= hi}."""
+
+    lo: Array
+    hi: Array
+    demand: float
+
+    def project(self, v: Array) -> Array:
+        return project_energy_budget(self.lo, self.hi, self.demand, v)
+
+    def distance(self, v: Array) -> float:
+        return float(np.linalg.norm(v - self.project(v)))
+
+
+def _linearize(primitives, dim):
+    """Expand box/halfspace/hyperplane primitives into (G, h, C, e) rows."""
+    g_rows, h_vals, c_rows, e_vals = [], [], [], []
+    eye = np.eye(dim)
+    for prim in primitives:
+        if isinstance(prim, Box):
+            lo = np.broadcast_to(prim.lo, (dim,))
+            hi = np.broadcast_to(prim.hi, (dim,))
+            for j in range(dim):
+                if np.isfinite(hi[j]):
+                    g_rows.append(eye[j])
+                    h_vals.append(float(hi[j]))
+                if np.isfinite(lo[j]):
+                    g_rows.append(-eye[j])
+                    h_vals.append(-float(lo[j]))
+        elif isinstance(prim, Halfspace):
+            g_rows.append(np.asarray(prim.a, dtype=float))
+            h_vals.append(float(prim.c))
+        elif isinstance(prim, Hyperplane):
+            c_rows.append(np.asarray(prim.a, dtype=float))
+            e_vals.append(float(prim.c))
+        else:
+            raise ValueError(f"not a polyhedral primitive: {type(prim).__name__}")
+    g = np.array(g_rows) if g_rows else np.zeros((0, dim))
+    c = np.array(c_rows) if c_rows else np.zeros((0, dim))
+    return g, np.array(h_vals), c, np.array(e_vals)
+
+
+def exact_projection_qp(primitives: Sequence, v: Array) -> Array:
+    """Exact projection onto a polyhedral intersection by active-set
+    enumeration.  Intended for dimension <= 3 cross-checks of Dykstra; cost
+    grows exponentially with the number of inequality rows.
+    """
+    v = np.asarray(v, dtype=float)
+    dim = v.shape[0]
+    if dim > 3:
+        raise ValueError("enumeration oracle is restricted to dimension <= 3")
+    g, h, c, e = _linearize(primitives, dim)
+    best, best_dist = None, np.inf
+    n_ineq = g.shape[0]
+    for r in range(n_ineq + 1):
+        for active in combinations(range(n_ineq), r):
+            rows = np.vstack([c, g[list(active)]]) if active else c
+            rhs = np.concatenate([e, h[list(active)]]) if active else e
+            if rows.shape[0] == 0:
+                x = v.copy()
+            else:
+                # minimize ||x - v|| s.t. rows x = rhs  (least-norm correction)
+                corr, *_ = np.linalg.lstsq(rows, rhs - rows @ v, rcond=None)
+                x = v + corr
+                if np.max(np.abs(rows @ x - rhs)) > 1e-9:
+                    continue  # inconsistent active set
+            feasible = (g @ x <= h + 1e-9).all() if n_ineq else True
+            if c.shape[0] and np.max(np.abs(c @ x - e)) > 1e-9:
+                feasible = False
+            if feasible:
+                dist = float(np.linalg.norm(x - v))
+                if dist < best_dist - 1e-12:
+                    best, best_dist = x, dist
+    if best is None:
+        raise InfeasibleInstance("polyhedron appears empty")
+    return best
+
+
+# ---------------------------------------------------------------------------
+# averaging engine: its block step, averaged product, weights and energy
+# ---------------------------------------------------------------------------
+
+
+def forward_backward_block(eng: RbcdEngine, state: RbcdState, i: int) -> Array:
+    """Block i's weighted forward-backward step from the current
+    extrapolated point, as the averaging engine's step takes it; the state
+    does not move."""
+    _, az, _ = eng.extrapolated(state)
+    res = az - eng.problem.b
+    blk = eng.per_block[i]
+    xi = state.x[blk.sl]
+    g = blk.grad(xi) + state.s_cur * blk.a_t.dot(res)
+    return eng._fb(i, xi, g, eng.policy.tau_at(state.k))
+
+
+def aw(state: RbcdState) -> Array:
+    """A w of the implicit averaged iterate w = x + gamma e."""
+    return state.ax + state.gamma * state.ae
+
+
+def gamma_table(thetas, pi) -> Array:
+    """Ergodic averaging coefficients gamma[k, t, i] for k <= len(thetas).
+
+    Built by the forward recursion; every step verifies the two-term closure
+    gamma[k+1, k] + gamma[k+1, k+1] = theta_k + (1 - theta_k) gamma[k, k].
+    """
+    pi = np.asarray(pi, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    k_max = len(thetas)
+    d = pi.shape[0]
+    gam = np.zeros((k_max + 1, k_max + 1, d))
+    gam[0, 0, :] = 1.0
+    for k in range(k_max):
+        th = thetas[k]
+        gam[k + 1, : k + 1, :] = (1.0 - th) * gam[k, : k + 1, :]
+        gam[k + 1, k, :] += th * (1.0 - 1.0 / pi)
+        gam[k + 1, k + 1, :] = th / pi
+        closure = gam[k + 1, k, :] + gam[k + 1, k + 1, :]
+        expected = th + (1.0 - th) * gam[k, k, :]
+        dev = float(np.max(np.abs(closure - expected)))
+        if not dev < 1e-12:
+            raise InvariantViolation(f"gamma closure off by {dev:.3e} at k={k}")
+    return gam
+
+
+def lyapunov(
+    problem: ProblemSpec,
+    sampling: Sampling,
+    policy,
+    state: RbcdState,
+    ref: Reference,
+) -> tuple[float, float]:
+    """Energy pair (V_k, F_k) for the averaging engine.
+
+    F_k adds the weighted penalty gap of the averaged iterate to the running
+    objective estimate; V_k adds the squared distance to the reference
+    solution in the policy metric W_k = (sigma_k/tau_k) P^2 B +
+    sigma_k (P - I) Ups.
+    """
+    if ref.x_star is None or ref.psi_star is None:
+        raise ValueError("lyapunov diagnostics need a reference with x_star/psi_star")
+    k = state.k
+    sigma_k = policy.sigma_at(k)
+    tau_k = policy.tau_at(k)
+    p_diag = weight_matrix_p(sampling, problem.blocks)
+    w_diag = (sigma_k / tau_k) * p_diag**2 * policy.b_diag + sigma_k * (
+        p_diag - 1.0
+    ) * problem.mu_vector
+    f_k = state.psi_hat + state.s_prev * ref.h_gap(problem, state.w)
+    dx = state.x - ref.x_star
+    v_k = 0.5 * float(dx @ (w_diag * dx)) + state.s_prev * (f_k - ref.psi_star)
+    return v_k, f_k
+
+
+# ---------------------------------------------------------------------------
+# step sizes: the normalized tau recursion, its floor and certificates
+# ---------------------------------------------------------------------------
+
+
+def normalized_s_step(s_k: float, d_k: float) -> float:
+    """One step of the normalized recursion s+ = 2s / (s + sqrt(s^2 + 4d))."""
+    return 2.0 * s_k / (s_k + math.sqrt(s_k * s_k + 4.0 * d_k))
+
+
+def tau_lower_bound(k: int, tau0: float, kappa: float, pi: float) -> float:
+    """Guaranteed floor 2 tau0 / ((1 + kappa - 1/pi) tau0 k + 2)."""
+    delta = kappa - 1.0 / pi
+    return 2.0 * tau0 / ((1.0 + delta) * tau0 * k + 2.0)
+
+
+def step_map(x: float, y: float, kappa: float, pi) -> float:
+    """Min over blocks of the quadratic whose positive root drives tau.
+
+    Each block's quadratic is negative below its positive root and positive
+    above it, and the successor value is the largest root, so the minimum
+    vanishes there.  The fixed point is x = y = 1/kappa."""
+    pi = np.atleast_1d(np.asarray(pi, dtype=float))
+    vals = []
+    for pii in pi:
+        delta = kappa - 1.0 / pii
+        a1 = 1.0 - kappa * y * y - delta * y
+        a2 = y * y * (delta + 1.0)
+        a3 = y * y
+        vals.append(a1 * x * x + a2 * x - a3)
+    return min(vals)
+
+
+def mi_margins(
+    lam_full: Array,
+    ups_diag: Array,
+    xi: Array,
+    p_diag: Array,
+    b_diag: Array,
+    sigma_k: float,
+    tau_k: float,
+    sigma_k1: float,
+    tau_k1: float,
+) -> tuple[float, float]:
+    """Smallest eigenvalues of the two step-certification matrices.
+
+    First: P B - tau_k (Lam + sigma_k Xi).  Second:
+    P^2 B + tau_k P Ups - (tau_k sigma_{k+1} / (tau_{k+1} sigma_k)) *
+    (P^2 B - tau_{k+1} (I - P) Ups); every factor in the second is diagonal,
+    so its margin is exact and cheap.
+    """
+    m1 = np.diag(p_diag * b_diag) - tau_k * (lam_full + sigma_k * xi)
+    margin1 = float(np.linalg.eigvalsh(m1).min())
+    ratio = tau_k * sigma_k1 / (tau_k1 * sigma_k)
+    p2b = p_diag**2 * b_diag
+    lhs = p2b + tau_k * p_diag * ups_diag
+    rhs = ratio * (p2b - tau_k1 * (1.0 - p_diag) * ups_diag)
+    margin2 = float(np.min(lhs - rhs))
+    return margin1, margin2
+
+
+def cumulative_weight_bound(
+    k: int, alpha: float, delta: float, sigma0: float
+) -> float:
+    """Upper bound 1 + alpha (1+delta) k (k+1) / 4 + k sigma0 on S_k."""
+    return 1.0 + alpha * (1.0 + delta) * k * (k + 1) / 4.0 + k * sigma0
+
+
+# ---------------------------------------------------------------------------
+# grid
+# ---------------------------------------------------------------------------
+
+
+def make_single_line_network(demand=(0.5, 0.25)) -> NetworkModel:
+    """One slack, one bus, fixed per-period demand: the marginal prices at
+    the bus equal the slack cost derivatives at that demand."""
+    demand = np.asarray(demand, dtype=float)
+    t = demand.size
+    return NetworkModel(
+        buses=(1,),
+        parent={1: 0},
+        r={1: 1e-3},
+        x={1: 1e-3},
+        s_cap={1: 5.0},
+        b_shunt={1: 0.0},
+        p_lo={1: demand.copy()},
+        p_hi={1: demand.copy()},
+        energy={1: float(demand.sum())},
+        tau_c={1: 0.0},
+        renewable={},
+        v_lo=0.25,
+        v_hi=4.0,
+        v0=1.0,
+        horizon=t,
+        aggregators=((1,),),
+    )

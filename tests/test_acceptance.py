@@ -13,10 +13,23 @@ import pytest
 import blockpd as bp
 from blockpd import dlmp
 from blockpd.cli import fit_rate
-from blockpd.proxops import Box, Halfspace, Hyperplane, dykstra_project, exact_projection_qp
-from blockpd.sampling import expectation_over_sampling, weight_matrix_p, xi_matrix
-from blockpd.solver import RbcdEngine, gamma_table, lyapunov
-from blockpd.stepsize import make_accelerated_policy, mi_margins, tau_lower_bound, tau_next
+from blockpd.proxops import Box, dykstra_project
+from blockpd.sampling import weight_matrix_p, xi_matrix
+from blockpd.solver import RbcdEngine
+from blockpd.stepsize import make_accelerated_policy, tau_next
+from instruments import (
+    Halfspace,
+    Hyperplane,
+    exact_projection_qp,
+    expectation_over_sampling,
+    forward_backward_block,
+    gamma_table,
+    lam_full,
+    lyapunov,
+    make_single_line_network,
+    mi_margins,
+    tau_lower_bound,
+)
 
 
 def report(num, ok, text):
@@ -93,7 +106,7 @@ def test_04_step_certificates(bench_instance, tau_oracle):
     pol = make_accelerated_policy(p, s)
     xi = xi_matrix(s, p.a_blocks)
     p_diag = weight_matrix_p(s, p.blocks)
-    lam, ups = p.lam_full, p.mu_vector
+    lam, ups = lam_full(p), p.mu_vector
     pi = float(s.pi[0])
     worst1 = worst2 = np.inf
     taus = [pol.tau_at(0)]
@@ -234,7 +247,7 @@ def test_08_prox_inequality(bench_instance):
     grad_phi = p.grad_phi(state.x)
     grad_pen = p.a.T @ (az - p.b)
     mu = p.mu_vector
-    x_hat = np.concatenate([eng.forward_backward_block(state, i) for i in range(p.d)])
+    x_hat = np.concatenate([forward_backward_block(eng, state, i) for i in range(p.d)])
 
     def zeta(x):
         return (
@@ -291,7 +304,7 @@ def test_09_grid_pricing(pair_oracle):
         and last.primal_res < 1e-4
     )
 
-    toy = dlmp.make_single_line_network(demand=(0.5, 0.25))
+    toy = make_single_line_network(demand=(0.5, 0.25))
     toy_prob = dlmp.build_opf_problem(toy)
     toy_res = dlmp.ppdlmp_run(
         toy_prob, dlmp.opf_initial_point(toy_prob), 30_000, seed=0,

@@ -140,6 +140,7 @@ class TestConfigParsing:
         ("kind = single", "kind = nice\nm = 9", "[sampling]"),
         ("kind = single", "kind = nice", "[sampling]"),
         ("kind = convex", "kind = accelerated\ntau0 = 5", "[policy]"),
+        ("kind = convex", "kind = accelerated\ntau0 = 0", "[policy]"),
         ("d = 4", "d = 0", "[instance]"),
         ("kind = convex", "kind = convex\nsigma = -1", "[policy] sigma must be finite and > 0"),
         ("kind = convex", "kind = convex\nsigma = inf", "[policy] sigma must be finite and > 0"),
@@ -150,9 +151,21 @@ class TestConfigParsing:
         ((LS, "d = 4"), (FIT, "l1_weight = nan"), "[instance] l1 weight must be finite and >= 0"),
         ((LS, "d = 4"), (CONSENSUS, "nodes = 0"), "[instance] consensus needs at least one node"),
         ((LS, "d = 4"), (CONSENSUS, "nodes = 1"), "[policy] block 0 has no coupling columns"),
-    ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "no-blocks",
-            "negative-sigma", "infinite-sigma", "negative-mu", "nan-noise", "nan-stop-tol",
-            "negative-l1-weight", "nan-l1-weight", "no-consensus-nodes", "one-consensus-node"])
+        ((LS, "d = 4"), (FIT, "p = 0"), "[instance] p must be >= 1, got 0"),
+        ((LS, "d = 4"), (FIT, "p = -1"), "[instance] p must be >= 1, got -1"),
+        ((LS, "q = 18"), (FIT, "q = 0"), "[instance] q must be >= 1, got 0"),
+        ((LS, "q = 18"), (FIT, "q = -2"), "[instance] q must be >= 1, got -2"),
+        ("d = 4", "d = 4\ninstance_seed = -1", "[instance] instance_seed must be >= 0, got -1"),
+        ((LS, "d = 4"), (FIT, "instance_seed = -1"),
+         "[instance] instance_seed must be >= 0, got -1"),
+        ((LS, "d = 4"), (CONSENSUS, "instance_seed = -1"),
+         "[instance] instance_seed must be >= 0, got -1"),
+    ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "tau0-zero",
+            "no-blocks", "negative-sigma", "infinite-sigma", "negative-mu", "nan-noise",
+            "nan-stop-tol", "negative-l1-weight", "nan-l1-weight", "no-consensus-nodes",
+            "one-consensus-node", "fit-no-features", "fit-negative-features", "fit-no-samples",
+            "fit-negative-samples", "negative-instance-seed", "fit-negative-instance-seed",
+            "consensus-negative-instance-seed"])
     def test_rejected_value_exit_code(self, tmp_path, capsys, old, new, message):
         # a pair of tuples makes several replacements (another experiment)
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
@@ -312,8 +325,8 @@ class TestRandomLsExperiment:
         assert main(["--config", cfg, "--quiet"]) == 0
         rows = (out / "trace.csv").read_text().strip().splitlines()
         assert rows[:2] == [
-            "# blockpd-trace-v1",
-            "k,psi_x,psi_hat,h_gap_x,h_gap_w,primal_res,kkt_res,tau,sigma,lyapunov",
+            "# blockpd-trace-v2",
+            "k,psi_x,psi_hat,h_gap_x,h_gap_w,primal_res,kkt_res,tau,sigma",
         ]
         assert len(rows) == 3  # comment, header, one record
 

@@ -8,6 +8,7 @@ from blockpd import dlmp
 from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge
 from blockpd.proxops import AffineSubspace, Box, dykstra_project
 from blockpd.sampling import weight_matrix_p
+from instruments import make_single_line_network
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +180,7 @@ class TestBuildProblem:
                              [("net15", False), ("net15", True), ("line", False)])
     def test_assembly_matches_the_grid_equations(self, request, rng, network, drop_shunt):
         net = (request.getfixturevalue("net15") if network == "net15"
-               else dlmp.make_single_line_network())
+               else make_single_line_network())
         problem = dlmp.build_opf_problem(net, drop_shunt=drop_shunt)
         t_h, n_b = net.horizon, net.n_buses
         x = rng.standard_normal(problem.m)
@@ -525,7 +526,7 @@ class TestOperatorProjection:
 
 class TestToyNetworkPrices:
     def test_prices_match_marginal_cost(self):
-        net = dlmp.make_single_line_network(demand=(0.5, 0.25))
+        net = make_single_line_network(demand=(0.5, 0.25))
         prob = dlmp.build_opf_problem(net)
         x0 = dlmp.opf_initial_point(prob)
         res = dlmp.ppdlmp_run(prob, x0, 30_000, seed=0, trace_every=1000,
@@ -537,7 +538,7 @@ class TestToyNetworkPrices:
         assert prices[(1, 1)][0] == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_demand_prices(self):
-        net = dlmp.make_single_line_network(demand=(0.0, 0.0))
+        net = make_single_line_network(demand=(0.0, 0.0))
         prob = dlmp.build_opf_problem(net)
         res = dlmp.ppdlmp_run(prob, dlmp.opf_initial_point(prob), 30_000, seed=0,
                               trace_every=1000, stop_kkt_tol=1e-10)

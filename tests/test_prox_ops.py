@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge
 from blockpd.proxops import (
     AffineSubspace,
-    Ball,
     Box,
+    dykstra_project,
+    project_energy_budget,
+    project_energy_budgets,
+    prox_l1_block,
+    prox_zero_block,
+)
+from instruments import (
+    Ball,
     EnergyBudget,
     Halfspace,
     Hyperplane,
-    dykstra_project,
     exact_projection_qp,
-    project_energy_budget,
-    project_energy_budgets,
     prox_box_block,
-    prox_l1_block,
-    prox_zero_block,
 )
 
 

@@ -7,7 +7,8 @@ import scipy.linalg as sla
 import blockpd as bp
 from blockpd.blocks import BlockStructure
 from blockpd.errors import UnsupportedSampling
-from blockpd.sampling import expectation_over_sampling, from_config, nice
+from blockpd.sampling import from_config, nice
+from instruments import expectation_over_sampling
 
 
 class TestDraw:

@@ -14,15 +14,14 @@ from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock
 from blockpd.errors import InvariantViolation, PolicyConstructionError, StrongConvexityRequired
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from blockpd.sampling import weight_matrix_p, xi_matrix
-from blockpd.stepsize import (
-    MI_TOL,
+from blockpd.stepsize import MI_TOL, make_accelerated_policy, tau_next
+from instruments import (
     cumulative_weight_bound,
-    make_accelerated_policy,
+    lam_full,
     mi_margins,
     normalized_s_step,
     step_map,
     tau_lower_bound,
-    tau_next,
 )
 
 
@@ -98,7 +97,7 @@ def dense_margin(p, s, sigma):
     """Smallest eigenvalue of P B - sigma Xi - Lam, from the dense matrix."""
     b_diag = bp.convex_default_policy(p, s, certify=False).b_diag
     m1, _ = mi_margins(
-        p.lam_full, p.mu_vector, xi_matrix(s, p.a_blocks), weight_matrix_p(s, p.blocks),
+        lam_full(p), p.mu_vector, xi_matrix(s, p.a_blocks), weight_matrix_p(s, p.blocks),
         b_diag, sigma, 1.0, sigma, 1.0,
     )
     return m1
@@ -251,7 +250,7 @@ class TestAccelOracles:
         ):
             alpha, beta, kappa = bp.accel_params(p, s)
             scale = 1.0 / np.sqrt(p.mu_vector / weight_matrix_p(s, p.blocks))
-            lam_ups = p.lam_full + np.diag(p.mu_vector)
+            lam_ups = lam_full(p) + np.diag(p.mu_vector)
             dense = alpha * float(
                 np.linalg.eigvalsh(scale[:, None] * lam_ups * scale[None, :]).max()
             )
@@ -352,6 +351,60 @@ class TestTauRecursion:
         assert step_map(tau_next(t, kappa, pi), t, kappa, pi) == pytest.approx(0.0, abs=1e-15)
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def caller_sources() -> dict[str, str]:
+    """The package's modules, ``scripts/`` and ``perfbench/``, keyed by path
+    from the repository root; the package ``__init__`` only re-exports, so
+    it is left out."""
+    return {
+        f.relative_to(REPO).as_posix(): f.read_text()
+        for top in ("src/blockpd", "scripts", "perfbench")
+        for f in sorted((REPO / top).rglob("*.py"))
+        if f != REPO / "src/blockpd/__init__.py"
+    }
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each function, class and non-dunder method defined
+    under ``src/blockpd/`` in ``sources`` that nothing in ``sources``
+    references outside the definition itself.  A reference is a name, an
+    attribute, an imported name or a string equal to the name
+    (``perfbench/tracer.py`` patches functions by string)."""
+    trees = {path: ast.parse(text, filename=path) for path, text in sources.items()}
+    refs = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            refs.setdefault(name, []).append((path, node))
+    found = []
+    for path, tree in trees.items():
+        if not path.startswith("src/blockpd/"):
+            continue
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                name = node.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if dunder and isinstance(parent, ast.ClassDef):
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if all(where == path and id(ref) in own for where, ref in refs.get(name, ())):
+                    found.append(f"{Path(path).stem}.{name}")
+    return found
+
+
 class TestInvariantChecks:
     """The production cross-checks raise InvariantViolation, which, unlike a
     bare assert, ``python -O`` keeps."""
@@ -387,6 +440,17 @@ class TestInvariantChecks:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+    def test_package_defines_only_what_runs_reference(self):
+        # what only the tests call lives in tests/instruments.py
+        assert unreferenced_definitions(caller_sources()) == []
+
+    def test_reference_guard_sees_a_definition_put_back(self):
+        sources = caller_sources()
+        sources["src/blockpd/stepsize.py"] += (
+            "\n\ndef normalized_s_step(s_k, d_k):\n    return normalized_s_step(s_k, d_k)\n"
+        )
+        assert unreferenced_definitions(sources) == ["stepsize.normalized_s_step"]
 
 
 class TestLowerBound:
@@ -461,6 +525,12 @@ class TestPolicies:
         with pytest.warns(UserWarning):
             make_accelerated_policy(bench_instance, s, tau0=small_tau0)
 
+    @pytest.mark.parametrize("tau0", [0.0, -0.5])
+    def test_tau0_below_interval_rejected(self, bench_instance, tau0):
+        s = bp.single_coordinate(bench_instance.d)
+        with pytest.raises(PolicyConstructionError, match="outside the admissible interval"):
+            make_accelerated_policy(bench_instance, s, tau0=tau0)
+
     def test_nonuniform_flagged(self, bench_instance):
         probs = np.linspace(1, 2, bench_instance.d)
         probs /= probs.sum()
@@ -473,7 +543,7 @@ class TestPolicies:
 class TestCertificates:
     def _pieces(self, problem, sampling):
         return (
-            problem.lam_full,
+            lam_full(problem),
             problem.mu_vector,
             xi_matrix(sampling, problem.a_blocks),
             weight_matrix_p(sampling, problem.blocks),
