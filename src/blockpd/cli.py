@@ -36,9 +36,9 @@ with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 
 Exit codes: 0 success, 2 config error (including a file that is not valid
 INI, a field that does not read as a number or a boolean, a count below its
-least value, a ``[fit] k_min`` above ``[run] k_max``, a value the library
-rejects, or malformed grid data), 3 divergence or a projection that did not
-converge, 4 infeasible instance.
+least value, a ``[fit] k_min`` above ``[run] k_max``, an unknown ``[fit]``
+column, a value the library rejects, or malformed grid data), 3 divergence
+or a projection that did not converge, 4 infeasible instance.
 """
 
 from __future__ import annotations
@@ -137,6 +137,10 @@ def parse_config(path: str) -> RunConfig:
     if "fit" in cp:
         cols = cp["fit"].get("columns", "")
         fit_cols = tuple(c.strip() for c in cols.split(",") if c.strip())
+        known = ("psi_hat_gap", *TraceRecord.CSV_FIELDS)
+        unknown = [c for c in fit_cols if c not in known]
+        if unknown:
+            raise ConfigError(f"{path}: [fit] columns: unknown {unknown}, known {known}")
         if cp["fit"].get("k_min"):
             fit_k_min = field_value("fit", cp["fit"], "k_min", None, int, at_least=1)
             if fit_k_min > k_max:
@@ -216,7 +220,7 @@ def _build_random_ls(cfg: RunConfig):
 
 def _build_consensus(cfg: RunConfig):
     ins = cfg.instance
-    n = _instance(cfg, "nodes", 8, int)
+    n = _instance(cfg, "nodes", 8, int, at_least=1)
     graph = ins.get("graph", "path")
     rng = np.random.default_rng(_instance(cfg, "instance_seed", cfg.seed, int, at_least=0))
     anchors = rng.uniform(-2.0, 2.0, size=n)
@@ -260,9 +264,7 @@ def _build_custom(cfg: RunConfig):
     if structure.m != a.shape[1]:
         raise ConfigError("[instance] dims do not sum to the column count of A")
     mu = _instance(cfg, "mu", 0.0)
-    prox = tuple(
-        prox_quadratic_block(mu) if mu > 0 else prox_zero_block() for _ in dims
-    )
+    prox = tuple(prox_zero_block() if mu == 0 else prox_quadratic_block(mu) for _ in dims)
     return ProblemSpec(
         blocks=structure,
         smooth=tuple(SmoothBlock.zero(n) for n in dims),
@@ -307,15 +309,14 @@ def fit_rate(ks, values, k_min=None, k_max=None):
 
 
 def trace_column(trace, name, reference: Reference | None = None):
+    """The trace's k and one ``[fit]`` column (a name ``parse_config`` accepts)."""
     ks = np.array([r.k for r in trace], dtype=float)
     if name == "psi_hat_gap":
         if reference is None or reference.psi_star is None:
             raise ConfigError("psi_hat_gap fit needs a reference objective value")
         vals = np.array([r.psi_hat - reference.psi_star for r in trace])
-    elif name in TraceRecord.CSV_FIELDS:
-        vals = np.array([getattr(r, name) for r in trace])
     else:
-        raise ConfigError(f"unknown fit column {name!r}")
+        vals = np.array([getattr(r, name) for r in trace])
     return ks, vals
 
 

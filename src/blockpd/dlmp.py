@@ -141,9 +141,6 @@ class NetworkModel:
         if covered != sorted(self.buses):
             raise ValueError("aggregator groups must partition the buses")
 
-    def children(self, n: int) -> list[int]:
-        return [m for m in self.buses if self.parent[m] == n]
-
     @property
     def n_buses(self) -> int:
         return len(self.buses)
@@ -548,9 +545,8 @@ class _OperatorProjector:
 
 
 def _make_dso_prox(net: NetworkModel, lay: _Layout):
-    prims = _dso_feasible_set(net, lay)
-    affine, box, balls = prims
-    projector = _OperatorProjector(*prims)
+    affine, box, balls = _dso_feasible_set(net, lay)
+    projector = _OperatorProjector(affine, box, balls)
 
     def member(v):
         """Each primitive's distance is at most 1e-6 (Euclidean for the
@@ -568,7 +564,7 @@ def _make_dso_prox(net: NetworkModel, lay: _Layout):
     def value(v):
         return 0.0 if member(v) else math.inf
 
-    return ProxBlock(value, lambda g, v: projector.project(v), 0.0), prims, projector
+    return ProxBlock(value, lambda g, v: projector.project(v), 0.0), projector
 
 
 def _make_agg_prox(net: NetworkModel, group: tuple[int, ...], cols: Array):
@@ -667,7 +663,7 @@ def build_opf_problem(net: NetworkModel, *, drop_shunt: bool = False) -> Problem
     lam0 = np.zeros((dim0, dim0))
     lam0[range(t_h), range(t_h)] = [cost[2] for cost in costs]
 
-    dso_prox, dso_prims, dso_projector = _make_dso_prox(net, lay)
+    dso_prox, dso_projector = _make_dso_prox(net, lay)
     smooth = [SmoothBlock(phi0_value, phi0_grad, lam0)]
     prox = [dso_prox]
     for group, (_, cols) in zip(net.aggregators, lay.groups):
@@ -683,7 +679,6 @@ def build_opf_problem(net: NetworkModel, *, drop_shunt: bool = False) -> Problem
         meta={
             "net": net,
             "layout": lay,
-            "dso_primitives": dso_prims,
             "dso_projector": dso_projector,
         },
     )
@@ -750,10 +745,10 @@ class PpdlmpEngine(PdaEngine):
         state.y *= self.policy.sigma_at(0)
         return state
 
-    def step(self, state: PdaState, active_mask: Array | None = None) -> PdaState:
+    def step(self, state: PdaState) -> PdaState:
         self.projector.session = self.session
         try:
-            return super().step(state, active_mask)
+            return super().step(state)
         finally:
             self.projector.session = None
 

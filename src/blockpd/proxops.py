@@ -47,7 +47,9 @@ def prox_l1_block(weight: float = 1.0) -> ProxBlock:
 
 
 def prox_quadratic_block(mu: float, center=0.0) -> ProxBlock:
-    """r(x) = mu/2 * ||x - center||^2."""
+    """r(x) = mu/2 * ||x - center||^2; mu must be finite and >= 0."""
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
 
     def value(x):
         dx = x - center

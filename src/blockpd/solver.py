@@ -66,9 +66,7 @@ TraceRecord.CSV_FIELDS = tuple(f.name for f in fields(TraceRecord) if f.name != 
 
 @dataclass(slots=True)
 class RbcdState:
-    """Averaging-form iterate.  ``s_cur`` is S_k; ``s_prev`` is S_{k-1} with
-    the convention S_{-1} = 1 - sigma_0, which makes the extrapolated point a
-    convex combination already at k = 0.
+    """Averaging-form iterate; ``s_cur`` is the cumulative weight S_k.
 
     The averaged iterate is stored implicitly as w = x + gamma e, with
     Aw = Ax + gamma Ae, so a step rescales gamma and touches only the
@@ -83,7 +81,6 @@ class RbcdState:
     psi_total: float
     psi_hat: float
     k: int
-    s_prev: float
     s_cur: float
     rng: np.random.Generator
 
@@ -167,12 +164,6 @@ class _EngineBase:
     def _psi_vec(self, x: Array) -> Array:
         return np.array([self.problem.psi_block(i, x[sl]) for i, sl in enumerate(self.slices)])
 
-    def _active(self, state, active_mask: Array | None) -> list[int]:
-        """The blocks a step moves: drawn, or read off a given mask."""
-        if active_mask is None:
-            return draw(self.sampling, state.rng).tolist()
-        return np.flatnonzero(active_mask).tolist()
-
     def _fb(self, i: int, xi: Array, grad_i: Array, tau_k: float) -> Array:
         """Weighted forward-backward step on block i: prox in the metric
         B_i / (pi_i tau_k) of the gradient-shifted point."""
@@ -188,17 +179,10 @@ class RbcdEngine(_EngineBase):
         psi = float(psi_vec.sum())
         return RbcdState(
             x=x0, e=np.zeros(p.m), ax=p.a.dot(x0), ae=np.zeros(p.q), gamma=1.0,
-            psi_vec=psi_vec, psi_total=psi, psi_hat=psi, k=0,
-            s_prev=1.0 - self.policy.sigma_at(0), s_cur=1.0, rng=rng,
+            psi_vec=psi_vec, psi_total=psi, psi_hat=psi, k=0, s_cur=1.0, rng=rng,
         )
 
-    def extrapolated(self, state: RbcdState) -> tuple[Array, Array, float]:
-        """Current z = (1 - theta) w + theta x and its A-image."""
-        theta = self.policy.sigma_at(state.k) / state.s_cur
-        c = (1.0 - theta) * state.gamma
-        return state.x + c * state.e, state.ax + c * state.ae, theta
-
-    def step(self, state: RbcdState, active_mask: Array | None = None) -> RbcdState:
+    def step(self, state: RbcdState) -> RbcdState:
         """One iteration in O(q) plus the active blocks' work.
 
         With w = x + gamma e, the update w+ = z + (theta/pi_i) delta_i on the
@@ -222,7 +206,7 @@ class RbcdEngine(_EngineBase):
 
         x, e, ax, ae, psi_vec = state.x, state.e, state.ax, state.ae, state.psi_vec
         bracket = state.psi_total
-        for i in self._active(state, active_mask):
+        for i in draw(self.sampling, state.rng).tolist():
             sl, a_i, a_t, grad, _, _, _, inv_pi = self.per_block[i]
             xi = x[sl]
             g = grad(xi) + s_k * a_t.dot(res)
@@ -244,7 +228,6 @@ class RbcdEngine(_EngineBase):
 
         state.gamma = gamma
         state.psi_hat = (1.0 - theta) * state.psi_hat + theta * bracket
-        state.s_prev = s_k
         state.s_cur = s_k + self.policy.sigma_at(k + 1)
         state.k = k + 1
         return state
@@ -261,8 +244,10 @@ class RbcdEngine(_EngineBase):
         state.psi_total = float(state.psi_vec.sum())
 
     def dual_estimate(self, state: RbcdState) -> Array:
-        """Price vector the equivalent primal-dual process would hold now."""
-        _, az, _ = self.extrapolated(state)
+        """Price vector the equivalent primal-dual process would hold now:
+        S_k (A z - b) at the extrapolated point z = (1 - theta) w + theta x."""
+        theta = self.policy.sigma_at(state.k) / state.s_cur
+        az = state.ax + ((1.0 - theta) * state.gamma) * state.ae
         return state.s_cur * (az - self.problem.b)
 
 
@@ -281,7 +266,7 @@ class PdaEngine(_EngineBase):
         # form exactly (z^0 = x^0 because w^0 = x^0)
         return PdaState(x=x0, u=u0, y=u0.copy(), k=0, rng=rng)
 
-    def step(self, state: PdaState, active_mask: Array | None = None) -> PdaState:
+    def step(self, state: PdaState) -> PdaState:
         k = state.k
         sigma_k = self.policy.sigma_at(k)
         tau_k = self.policy.tau_at(k)
@@ -289,7 +274,7 @@ class PdaEngine(_EngineBase):
         x, u, y = state.x, state.u, state.y
         ap_delta = self._ap_delta
         ap_delta.fill(0.0)
-        for i in self._active(state, active_mask):
+        for i in draw(self.sampling, state.rng).tolist():
             sl, a_i, a_t, grad, _, _, _, inv_pi = self.per_block[i]
             xi = x[sl]
             g = grad(xi) + a_t.dot(y)
@@ -318,8 +303,6 @@ class RunResult:
     trace: list[TraceRecord]
     reference: Reference | None = None
     stopped_at: int | None = None
-    iterates: list[Array] | None = None
-    averaged: list[Array] | None = None
 
 
 def run(
@@ -334,7 +317,6 @@ def run(
     trace_every: int = 100,
     stop_kkt_tol: float | None = None,
     reference: Reference | None = None,
-    record_iterates: bool = False,
 ) -> RunResult:
     """Drive one engine for up to ``k_max`` iterations.
 
@@ -353,8 +335,6 @@ def run(
         instances.
     reference : ground-truth anchors for gap columns; computed from the
         normal equations when omitted.
-    record_iterates : keep the full x history (and w for the averaging
-        form); only sensible for short runs.
 
     The engine's caches are recomputed every ``REFRESH_EVERY`` steps, and a
     non-finite iterate at a check every ``NAN_CHECK_EVERY`` steps and at
@@ -379,18 +359,12 @@ def run(
     state = eng.init_state(x0, make_rng(seed))
 
     trace: list[TraceRecord] = []
-    iterates = [state.x.copy()] if record_iterates else None
-    averaged = [state.w.copy()] if record_iterates and isinstance(state, RbcdState) else None
     t_start = time.perf_counter()
     stopped_at = None
 
     for k in range(k_max):
         eng.step(state)
         done = state.k
-        if record_iterates:
-            iterates.append(state.x.copy())
-            if averaged is not None:
-                averaged.append(state.w.copy())
         if (done % NAN_CHECK_EVERY == 0 or done == k_max) and not np.all(np.isfinite(state.x)):
             raise SolverDivergence(
                 f"non-finite iterate at k={done}",
@@ -408,7 +382,7 @@ def run(
                 stopped_at = done
                 break
 
-    return RunResult(state, trace, reference, stopped_at, iterates, averaged)
+    return RunResult(state, trace, reference, stopped_at)
 
 
 def _trace_record(problem, eng, state, ref) -> TraceRecord:

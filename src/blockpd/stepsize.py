@@ -108,10 +108,6 @@ class AcceleratedPolicy:
         self._extend(k)
         return self._sigmas[k]
 
-    @property
-    def delta(self) -> float:
-        return self.kappa - 1.0 / float(np.min(self.pi))
-
 
 def convex_default_policy(
     p: ProblemSpec, s: Sampling, certify: bool = True

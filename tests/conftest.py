@@ -281,8 +281,8 @@ class ExplicitRbcdOracle(RbcdEngine):
         st = super().init_state(x0, rng)
         return SimpleNamespace(
             x=st.x, w=st.x.copy(), ax=st.ax, aw=st.ax.copy(), psi_vec=st.psi_vec,
-            psi_total=st.psi_total, psi_hat=st.psi_hat, k=0, s_prev=st.s_prev,
-            s_cur=st.s_cur, rng=rng,
+            psi_total=st.psi_total, psi_hat=st.psi_hat, k=0,
+            s_prev=1.0 - self.policy.sigma_at(0), s_cur=st.s_cur, rng=rng,
         )
 
     def step(self, state):

@@ -7,6 +7,11 @@ ergodic weights, the Lyapunov pair) and the extra projection primitives the
 Dykstra tests intersect.  No run calls any of them, so they live beside the
 tests rather than in ``blockpd``; ``test_package_defines_only_what_runs_reference``
 keeps it that way.
+
+The engines carry no test hooks either.  A test watches or steers a run
+through two seams production already has: :func:`recorded` wraps an engine
+object, which ``run`` accepts as ``engine=``, and :func:`step_on` patches
+``blockpd.solver.draw``, which every engine step reads its blocks from.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
+from unittest import mock
 
 import numpy as np
 
+from blockpd import solver
 from blockpd.blocks import ProblemSpec, ProxBlock
 from blockpd.dlmp import NetworkModel
 from blockpd.errors import InfeasibleInstance, InvariantViolation, UnsupportedSampling
@@ -221,15 +228,53 @@ def exact_projection_qp(primitives: Sequence, v: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# engine seams: a recorded run, a step on given blocks
+# ---------------------------------------------------------------------------
+
+
+def recorded(eng):
+    """``eng`` keeping its x, and w for the averaging form, in
+    ``eng.iterates`` and ``eng.averaged``: once at ``init_state`` and after
+    every ``step``, where ``run`` ends a step before its finite-iterate
+    check and cache refresh.  Pass it to ``run`` as ``engine=``."""
+    eng.iterates, eng.averaged = [], []
+    init_state, step = eng.init_state, eng.step
+
+    def keep(state):
+        eng.iterates.append(state.x.copy())
+        if isinstance(state, RbcdState):
+            eng.averaged.append(state.w.copy())
+        return state
+
+    eng.init_state = lambda x0, rng: keep(init_state(x0, rng))
+    eng.step = lambda state: keep(step(state))
+    return eng
+
+
+def step_on(eng, state, mask):
+    """One step of ``eng`` that moves the blocks of the boolean ``mask``
+    instead of drawing them; the generator is not consumed."""
+    with mock.patch.object(solver, "draw", lambda sampling, rng: np.flatnonzero(mask)):
+        return eng.step(state)
+
+
+# ---------------------------------------------------------------------------
 # averaging engine: its block step, averaged product, weights and energy
 # ---------------------------------------------------------------------------
+
+
+def extrapolated(eng: RbcdEngine, state: RbcdState) -> tuple[Array, Array, float]:
+    """Current z = (1 - theta) w + theta x, its A-image and theta."""
+    theta = eng.policy.sigma_at(state.k) / state.s_cur
+    c = (1.0 - theta) * state.gamma
+    return state.x + c * state.e, state.ax + c * state.ae, theta
 
 
 def forward_backward_block(eng: RbcdEngine, state: RbcdState, i: int) -> Array:
     """Block i's weighted forward-backward step from the current
     extrapolated point, as the averaging engine's step takes it; the state
     does not move."""
-    _, az, _ = eng.extrapolated(state)
+    _, az, _ = extrapolated(eng, state)
     res = az - eng.problem.b
     blk = eng.per_block[i]
     xi = state.x[blk.sl]
@@ -267,6 +312,19 @@ def gamma_table(thetas, pi) -> Array:
     return gam
 
 
+def previous_weight(policy, k: int) -> float:
+    """S_{k-1} of the averaging engine, with S_{-1} = 1 - sigma_0 (the
+    extrapolated point is then a convex combination already at k = 0),
+    replayed with the engine's own additions S_0 = 1, S_j = S_{j-1} +
+    sigma_j, so its bits are the engine's."""
+    if k == 0:
+        return 1.0 - policy.sigma_at(0)
+    s = 1.0
+    for j in range(1, k):
+        s += policy.sigma_at(j)
+    return s
+
+
 def lyapunov(
     problem: ProblemSpec,
     sampling: Sampling,
@@ -290,9 +348,10 @@ def lyapunov(
     w_diag = (sigma_k / tau_k) * p_diag**2 * policy.b_diag + sigma_k * (
         p_diag - 1.0
     ) * problem.mu_vector
-    f_k = state.psi_hat + state.s_prev * ref.h_gap(problem, state.w)
+    s_prev = previous_weight(policy, k)
+    f_k = state.psi_hat + s_prev * ref.h_gap(problem, state.w)
     dx = state.x - ref.x_star
-    v_k = 0.5 * float(dx @ (w_diag * dx)) + state.s_prev * (f_k - ref.psi_star)
+    v_k = 0.5 * float(dx @ (w_diag * dx)) + s_prev * (f_k - ref.psi_star)
     return v_k, f_k
 
 
@@ -357,6 +416,11 @@ def mi_margins(
     return margin1, margin2
 
 
+def accel_delta(policy) -> float:
+    """delta = kappa - 1/min pi of an accelerated policy."""
+    return policy.kappa - 1.0 / float(np.min(policy.pi))
+
+
 def cumulative_weight_bound(
     k: int, alpha: float, delta: float, sigma0: float
 ) -> float:
@@ -367,6 +431,18 @@ def cumulative_weight_bound(
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
+
+
+def children(net: NetworkModel, n: int) -> list[int]:
+    """The buses whose parent is ``n``, in bus order."""
+    return [m for m in net.buses if net.parent[m] == n]
+
+
+def dso_primitives(problem: ProblemSpec):
+    """The operator's affine rows, box and flow balls, as its projector
+    holds them: the primitives Dykstra's projection intersects."""
+    projector = problem.meta["dso_projector"]
+    return projector.affine, Box(projector.lo, projector.hi), projector.balls
 
 
 def make_single_line_network(demand=(0.5, 0.25)) -> NetworkModel:

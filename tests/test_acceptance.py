@@ -15,19 +15,22 @@ from blockpd import dlmp
 from blockpd.cli import fit_rate
 from blockpd.proxops import Box, dykstra_project
 from blockpd.sampling import weight_matrix_p, xi_matrix
-from blockpd.solver import RbcdEngine
+from blockpd.solver import PdaEngine, RbcdEngine
 from blockpd.stepsize import make_accelerated_policy, tau_next
 from instruments import (
     Halfspace,
     Hyperplane,
     exact_projection_qp,
     expectation_over_sampling,
+    extrapolated,
     forward_backward_block,
     gamma_table,
     lam_full,
     lyapunov,
     make_single_line_network,
     mi_margins,
+    recorded,
+    step_on,
     tau_lower_bound,
 )
 
@@ -43,12 +46,11 @@ def test_01_engine_equivalence(bench_instance):
     pol_a = bp.convex_default_policy(p, s)
     pol_b = bp.convex_default_policy(p, s)
     t0 = time.perf_counter()
-    r1 = bp.run(p, s, pol_a, np.zeros(p.m), 500, seed=17, trace_every=500,
-                record_iterates=True)
-    r2 = bp.run(p, s, pol_b, np.zeros(p.m), 500, seed=17, trace_every=500,
-                engine="pda", record_iterates=True)
+    e1, e2 = recorded(RbcdEngine(p, s, pol_a)), recorded(PdaEngine(p, s, pol_b))
+    bp.run(p, s, pol_a, np.zeros(p.m), 500, seed=17, trace_every=500, engine=e1)
+    bp.run(p, s, pol_b, np.zeros(p.m), 500, seed=17, trace_every=500, engine=e2)
     elapsed = time.perf_counter() - t0
-    dev = max(float(np.max(np.abs(a - b))) for a, b in zip(r1.iterates, r2.iterates))
+    dev = max(float(np.max(np.abs(a - b))) for a, b in zip(e1.iterates, e2.iterates))
     report(
         1,
         dev <= 1e-9 and elapsed < 5.0,
@@ -147,8 +149,8 @@ def test_05_averaging_weights(bench_instance):
     s = bp.single_coordinate(p.d)
     pol = bp.convex_default_policy(p, s)
     assert pol.sigma <= float(np.min(s.pi)) + 1e-15
-    res = bp.run(p, s, pol, np.zeros(p.m), 50, seed=23, trace_every=50,
-                 record_iterates=True)
+    eng = recorded(RbcdEngine(p, s, pol))
+    bp.run(p, s, pol, np.zeros(p.m), 50, seed=23, trace_every=50, engine=eng)
     thetas = [pol.sigma / (1.0 + k * pol.sigma) for k in range(50)]
     gam = gamma_table(thetas, s.pi)
     min_gamma = float(gam.min())
@@ -159,8 +161,8 @@ def test_05_averaging_weights(bench_instance):
         for t in range(k + 1):
             for i in range(p.d):
                 sl = p.blocks.block_slice(i)
-                w_direct[sl] += gam[k, t, i] * res.iterates[t][sl]
-        w_err = max(w_err, float(np.max(np.abs(w_direct - res.averaged[k]))))
+                w_direct[sl] += gam[k, t, i] * eng.iterates[t][sl]
+        w_err = max(w_err, float(np.max(np.abs(w_direct - eng.averaged[k]))))
     report(
         5,
         min_gamma >= -1e-12 and sum_err <= 1e-12 and w_err <= 1e-10,
@@ -185,7 +187,7 @@ def test_06_supermartingale(two_block_instance, two_block_reference):
 
             def v_next(mask):
                 st = state.copy()
-                eng.step(st, active_mask=mask)
+                step_on(eng, st, mask)
                 return lyapunov(p, s, pol, st, ref)[0]
 
             exp_v = expectation_over_sampling(s, v_next)
@@ -242,7 +244,7 @@ def test_08_prox_inequality(bench_instance):
     state = eng.init_state(np.zeros(p.m), bp.make_rng(2))
     for _ in range(7):
         eng.step(state)
-    z, az, _ = eng.extrapolated(state)
+    z, az, _ = extrapolated(eng, state)
     q_diag = pol.b_diag * weight_matrix_p(s, p.blocks) / pol.tau_at(state.k)
     grad_phi = p.grad_phi(state.x)
     grad_pen = p.a.T @ (az - p.b)
@@ -281,13 +283,13 @@ def test_09_grid_pricing(pair_oracle):
 
     # lockstep agreement with the coordinator/aggregator recursion over 200
     # steps: x at every step, the prices at the end
-    eng = dlmp.PpdlmpEngine(problem)
+    eng = recorded(dlmp.PpdlmpEngine(problem))
     short = bp.run(problem, eng.sampling, eng.policy, x0, 200, engine=eng, seed=3,
-                   trace_every=200, record_iterates=True)
+                   trace_every=200)
     path, y_end = pair_oracle(problem, x0, 200, seed=3)
     lockstep = (
-        len(short.iterates) == len(path)
-        and max(float(np.max(np.abs(a - b))) for a, b in zip(short.iterates, path)) <= 1e-9
+        len(eng.iterates) == len(path)
+        and max(float(np.max(np.abs(a - b))) for a, b in zip(eng.iterates, path)) <= 1e-9
         and float(np.max(np.abs(short.state.y - y_end))) <= 1e-9
     )
 

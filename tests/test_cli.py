@@ -149,7 +149,8 @@ class TestConfigParsing:
         ("seed = 5", "seed = 5\nstop_kkt_tol = nan", "[run] stop_kkt_tol must be finite and > 0"),
         ((LS, "d = 4"), (FIT, "l1_weight = -1"), "[instance] l1 weight must be finite and >= 0"),
         ((LS, "d = 4"), (FIT, "l1_weight = nan"), "[instance] l1 weight must be finite and >= 0"),
-        ((LS, "d = 4"), (CONSENSUS, "nodes = 0"), "[instance] consensus needs at least one node"),
+        ((LS, "d = 4"), (CONSENSUS, "nodes = 0"), "[instance] nodes must be >= 1, got 0"),
+        ((LS, "d = 4"), (CONSENSUS, "nodes = -1"), "[instance] nodes must be >= 1, got -1"),
         ((LS, "d = 4"), (CONSENSUS, "nodes = 1"), "[policy] block 0 has no coupling columns"),
         ((LS, "d = 4"), (FIT, "p = 0"), "[instance] p must be >= 1, got 0"),
         ((LS, "d = 4"), (FIT, "p = -1"), "[instance] p must be >= 1, got -1"),
@@ -163,8 +164,9 @@ class TestConfigParsing:
     ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "tau0-zero",
             "no-blocks", "negative-sigma", "infinite-sigma", "negative-mu", "nan-noise",
             "nan-stop-tol", "negative-l1-weight", "nan-l1-weight", "no-consensus-nodes",
-            "one-consensus-node", "fit-no-features", "fit-negative-features", "fit-no-samples",
-            "fit-negative-samples", "negative-instance-seed", "fit-negative-instance-seed",
+            "negative-consensus-nodes", "one-consensus-node", "fit-no-features",
+            "fit-negative-features", "fit-no-samples", "fit-negative-samples",
+            "negative-instance-seed", "fit-negative-instance-seed",
             "consensus-negative-instance-seed"])
     def test_rejected_value_exit_code(self, tmp_path, capsys, old, new, message):
         # a pair of tuples makes several replacements (another experiment)
@@ -176,6 +178,19 @@ class TestConfigParsing:
         assert main(["--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize("columns", ["h_gap_w, bogus", "lyapunov", "wall_time"])
+    def test_unknown_fit_column_before_the_run(self, tmp_path, capsys, columns):
+        out = tmp_path / "o"
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
+        cfg = write_config(
+            tmp_path / "c.cfg", body.replace("psi_hat_gap, h_gap_w", columns)
+        )
+        with pytest.raises(ConfigError, match=r"\[fit\] columns"):
+            parse_config(cfg)
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "[fit] columns" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_names_the_run_section(self, tmp_path, capsys):
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
@@ -467,6 +482,20 @@ kind = full
         )
         assert main(["--config", cfg, "--quiet"]) == 0
         assert (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("mu", ["-1", "nan", "inf"])
+    def test_custom_mu_domain(self, tmp_path, capsys, mu):
+        # the random_ls domain: finite and >= 0
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a_path, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), delimiter=",")
+        np.savetxt(b_path, np.array([1.0, 2.0, 0.0]), delimiter=",")
+        cfg = write_config(
+            tmp_path / "mu.cfg",
+            f"[run]\nexperiment = custom\nk_max = 300\nout = {tmp_path / 'o'}\n\n"
+            f"[instance]\na_path = {a_path}\nb_path = {b_path}\ndims = 1 1\nmu = {mu}\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "[instance] mu must be finite and >= 0" in capsys.readouterr().err
 
     def test_uncoupled_unscaled_block_exit_code(self, tmp_path, capsys):
         # column 2 of A is zero and mu = 0: block 1 would get B_1 = 0

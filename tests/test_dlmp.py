@@ -8,7 +8,7 @@ from blockpd import dlmp
 from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge
 from blockpd.proxops import AffineSubspace, Box, dykstra_project
 from blockpd.sampling import weight_matrix_p
-from instruments import make_single_line_network
+from instruments import children, dso_primitives, make_single_line_network, recorded
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ class TestLoadNetwork:
     def test_tree_structure(self, net15):
         assert net15.parent[7] == 8
         assert net15.parent[8] == 3
-        assert sorted(net15.children(0)) == [1, 12]
+        assert sorted(children(net15, 0)) == [1, 12]
         assert net15.n_buses == 14
 
     def test_default_partition(self, net15):
@@ -200,7 +200,7 @@ class TestBuildProblem:
         rows = dlmp.extract_dlmp(problem.a @ x - problem.b, problem)
         assert len(rows) == n_b * t_h
         for n, t, row_p, row_q in rows:
-            kids = net.children(n)
+            kids = children(net, n)
             active = pc[n][t] - pg[n][t] + sum(f[m][t] for m in kids) - f[n][t]
             reactive = (net.tau_c[n] * pc[n][t] - qg[n][t] + sum(g[m][t] for m in kids)
                         - g[n][t] - shunt * net.b_shunt[n] * v[n][t])
@@ -208,11 +208,11 @@ class TestBuildProblem:
             assert row_q == pytest.approx(reactive, abs=1e-12)
 
         # operator rows: root balance per period, then voltage drop per line
-        affine, box, balls = problem.meta["dso_primitives"]
+        affine, box, balls = dso_primitives(problem)
         expected = []
         for t in range(t_h):
-            expected.append(sum(f[m][t] for m in net.children(0)) - p0[t])
-            expected.append(sum(g[m][t] for m in net.children(0)) - q0[t])
+            expected.append(sum(f[m][t] for m in children(net, 0)) - p0[t])
+            expected.append(sum(g[m][t] for m in children(net, 0)) - q0[t])
         for n in net.buses:
             for t in range(t_h):
                 v_up = net.v0 if net.parent[n] == 0 else v[net.parent[n]][t]
@@ -287,7 +287,7 @@ class TestProjectors:
     def test_operator_affine_projector_matches_normal_equations(self, opf15, rng):
         import scipy.linalg as sla
 
-        affine = opf15.meta["dso_primitives"][0]
+        affine = dso_primitives(opf15)[0]
         assert isinstance(affine, AffineSubspace)
         c, e = affine.c_matrix, affine.e
         assert c.shape[1] == 88
@@ -307,7 +307,7 @@ class TestProjectors:
         return [inside + h * (q - inside) for q in others for h in 10.0 ** rng.uniform(-9, 0, 6)]
 
     def test_operator_membership_reads_the_primitives(self, opf15, rng):
-        affine, box, balls = prims = opf15.meta["dso_primitives"]
+        affine, box, balls = prims = dso_primitives(opf15)
         sl = opf15.blocks.block_slice(0)
         center = dlmp.opf_initial_point(opf15)[sl]
         unbounded = np.full(center.size, np.inf)
@@ -397,7 +397,7 @@ class TestOperatorProjection:
         return dlmp.opf_initial_point(opf15)[sl]
 
     def test_matches_dykstra(self, opf15, around_start, rng):
-        prims = opf15.meta["dso_primitives"]
+        prims = dso_primitives(opf15)
         for scale in (0.01, 0.1, 0.3, 1.0, 3.0):
             for _ in range(4):
                 v = around_start + rng.standard_normal(around_start.size) * scale
@@ -406,7 +406,7 @@ class TestOperatorProjection:
                 assert np.max(np.abs(out - oracle)) <= 1e-9, f"scale {scale}"
 
     def test_kkt_certificate(self, opf15, around_start, rng):
-        prims = opf15.meta["dso_primitives"]
+        prims = dso_primitives(opf15)
         active = []
         for scale in (0.01, 0.3, 3.0, 10.0):
             for _ in range(5):
@@ -417,7 +417,7 @@ class TestOperatorProjection:
         assert max(a for a, _ in active) > 0 and max(b for _, b in active) > 0
 
     def test_converges_where_dykstra_gives_up(self, opf15, around_start):
-        prims = opf15.meta["dso_primitives"]
+        prims = dso_primitives(opf15)
         v = around_start + np.random.default_rng(0).standard_normal(around_start.size) * 10.0
         # the tolerance and sweep cap the operator prox used with Dykstra
         with pytest.raises(ProjectionDidNotConverge):
@@ -469,7 +469,7 @@ class TestOperatorProjection:
     def test_warm_path_across_binding_set_changes(self, opf15, around_start, rng, monkeypatch):
         # a path out to scale 3 and back along two directions: flow balls and
         # box clips enter and leave the binding set on the way
-        prims = opf15.meta["dso_primitives"]
+        prims = dso_primitives(opf15)
         projector = opf15.meta["dso_projector"]
         scales = np.geomspace(0.01, 3.0, 40)
         points = [
@@ -514,7 +514,7 @@ class TestOperatorProjection:
             projector.session = None
 
     def test_keeps_the_dykstra_trajectory(self, opf15, opf15_path_end):
-        prims = opf15.meta["dso_primitives"]
+        prims = dso_primitives(opf15)
         dykstra_prox = replace(
             opf15.prox[0],
             prox=lambda g, v: dykstra_project(prims, v, tol=1e-10, max_iter=10_000),
@@ -587,12 +587,12 @@ class TestPairActivatedLoop:
         # the primal-dual engine under pair sampling replays the
         # coordinator/aggregator recursion at every one of the 200 steps
         x0 = dlmp.opf_initial_point(opf15)
-        eng = dlmp.PpdlmpEngine(opf15)
+        eng = recorded(dlmp.PpdlmpEngine(opf15))
         res = bp.run(opf15, eng.sampling, eng.policy, x0, 200, engine=eng, seed=3,
-                     trace_every=200, record_iterates=True)
+                     trace_every=200)
         path, y_end = pair_oracle(opf15, x0, 200, seed=3)
-        assert len(res.iterates) == len(path) == 201
-        for x, x_oracle in zip(res.iterates, path):
+        assert len(eng.iterates) == len(path) == 201
+        for x, x_oracle in zip(eng.iterates, path):
             assert np.max(np.abs(x - x_oracle)) <= 1e-9
         assert np.max(np.abs(res.state.y - y_end)) <= 1e-9
 

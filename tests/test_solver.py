@@ -1,28 +1,32 @@
 import ast
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blockpd as bp
+from blockpd import dlmp
 from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock, eval_psi
 from blockpd.errors import InvariantViolation, SolverDivergence
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from blockpd.sampling import weight_matrix_p
-from blockpd.solver import PdaEngine, RbcdEngine
+from blockpd.solver import PdaEngine, RbcdEngine, RunResult
 from blockpd.stepsize import ConvexPolicy
 from instruments import (
     aw,
     dual_scale,
     expectation_over_sampling,
+    extrapolated,
     forward_backward_block,
     gamma_table,
     grad_h,
     lyapunov,
     prox_box_block,
+    recorded,
+    step_on,
 )
 
 
@@ -74,7 +78,7 @@ class TestForwardBackward:
         eng = RbcdEngine(p, bp.full(1), pol)
         state = eng.init_state(rng.standard_normal(1), bp.make_rng(3))
         x_hat = forward_backward_block(eng, state, 0)[0]
-        z, az, _ = eng.extrapolated(state)
+        z, az, _ = extrapolated(eng, state)
         g = p.smooth[0].grad(state.x) + state.s_cur * (p.a_blocks[0].T @ (az - p.b))
         q_val = pol.b_diag[0] / 1.0
 
@@ -93,9 +97,9 @@ class TestAveragingStep:
     def test_full_sampling_contracts_quadratic(self):
         p = one_dim_problem()
         pol = ConvexPolicy(sigma=1.0, b_diag=np.ones(1))
-        res = bp.run(p, bp.full(1), pol, np.ones(1), 30, seed=0, trace_every=30,
-                     record_iterates=True)
-        mags = [abs(float(x[0])) for x in res.iterates]
+        eng = recorded(RbcdEngine(p, bp.full(1), pol))
+        bp.run(p, eng.sampling, pol, np.ones(1), 30, seed=0, trace_every=30, engine=eng)
+        mags = [abs(float(x[0])) for x in eng.iterates]
         assert all(b <= a + 1e-15 for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 1e-8
 
@@ -112,10 +116,10 @@ class TestAveragingStep:
         # with A = 0 the primal path must match plain proximal gradient
         p = one_dim_problem()
         pol = ConvexPolicy(sigma=0.25, b_diag=np.full(1, 2.0))
-        res = bp.run(p, bp.full(1), pol, np.ones(1), 10, seed=0, trace_every=10,
-                     record_iterates=True)
+        eng = recorded(RbcdEngine(p, bp.full(1), pol))
+        bp.run(p, eng.sampling, pol, np.ones(1), 10, seed=0, trace_every=10, engine=eng)
         x = 1.0
-        for nxt in res.iterates[1:]:
+        for nxt in eng.iterates[1:]:
             x = x - (1.0 / 2.0) * x  # gradient step in the fixed metric
             assert float(nxt[0]) == pytest.approx(x, abs=1e-14)
 
@@ -195,12 +199,11 @@ class TestEquivalence:
                 warnings.simplefilter("ignore")
                 pol1 = bp.make_accelerated_policy(p, s)
                 pol2 = bp.make_accelerated_policy(p, s)
-        r1 = bp.run(p, s, pol1, np.zeros(p.m), 300, seed=5, trace_every=300,
-                    record_iterates=True)
-        r2 = bp.run(p, s, pol2, np.zeros(p.m), 300, seed=5, trace_every=300,
-                    engine="pda", record_iterates=True)
+        e1, e2 = recorded(RbcdEngine(p, s, pol1)), recorded(PdaEngine(p, s, pol2))
+        r1 = bp.run(p, s, pol1, np.zeros(p.m), 300, seed=5, trace_every=300, engine=e1)
+        r2 = bp.run(p, s, pol2, np.zeros(p.m), 300, seed=5, trace_every=300, engine=e2)
         dev = max(
-            float(np.max(np.abs(a - b))) for a, b in zip(r1.iterates, r2.iterates)
+            float(np.max(np.abs(a - b))) for a, b in zip(e1.iterates, e2.iterates)
         )
         assert dev <= 1e-9
         assert len(r1.trace) == len(r2.trace) >= 1
@@ -306,8 +309,8 @@ class TestAveragedIterate:
         p = two_block_instance
         s = bp.single_coordinate(2)
         pol = bp.convex_default_policy(p, s)
-        res = bp.run(p, s, pol, np.zeros(p.m), 50, seed=3, trace_every=50,
-                     record_iterates=True)
+        eng = recorded(RbcdEngine(p, s, pol))
+        bp.run(p, s, pol, np.zeros(p.m), 50, seed=3, trace_every=50, engine=eng)
         thetas = [pol.sigma / (1 + k * pol.sigma) for k in range(50)]
         gam = gamma_table(thetas, s.pi)
         for k in range(51):
@@ -315,8 +318,8 @@ class TestAveragedIterate:
             for t in range(k + 1):
                 for i in range(p.d):
                     sl = p.blocks.block_slice(i)
-                    w_direct[sl] += gam[k, t, i] * res.iterates[t][sl]
-            assert np.max(np.abs(w_direct - res.averaged[k])) < 1e-10
+                    w_direct[sl] += gam[k, t, i] * eng.iterates[t][sl]
+            assert np.max(np.abs(w_direct - eng.averaged[k])) < 1e-10
 
     def test_objective_estimate_dominates_averaged_value(self, two_block_instance):
         p = two_block_instance
@@ -362,7 +365,7 @@ class TestExactExpectations:
 
         def dist(mask):
             st = state.copy()
-            eng.step(st, active_mask=mask)
+            step_on(eng, st, mask)
             dx = st.x - x_ref
             return float(dx @ (p_diag * m_diag * dx))
 
@@ -384,7 +387,7 @@ class TestExactExpectations:
 
         def nxt(mask):
             st = state.copy()
-            eng.step(st, active_mask=mask)
+            step_on(eng, st, mask)
             return st.psi_hat
 
         lhs = expectation_over_sampling(s, nxt)
@@ -397,7 +400,7 @@ class TestExactExpectations:
         p = two_block_instance
         pol = bp.convex_default_policy(p, bp.single_coordinate(2))
         s, eng, state = self._engine_state(p, pol, warm=9)
-        z, az, theta = eng.extrapolated(state)
+        z, az, theta = extrapolated(eng, state)
         lhs = p.a.T @ (az - p.b)
         rhs = (1 - theta) * grad_h(p, state.w) + theta * grad_h(p, state.x)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -412,7 +415,7 @@ class TestProxInequality:
         state = eng.init_state(np.zeros(p.m), bp.make_rng(0))
         for _ in range(4):
             eng.step(state)
-        z, az, _ = eng.extrapolated(state)
+        z, az, _ = extrapolated(eng, state)
         res_z = az - p.b
         tau = pol.tau_at(state.k)
         # blockwise metric B / (pi * tau)
@@ -463,7 +466,7 @@ class TestLyapunovDescent:
 
             def nxt(mask):
                 st = state.copy()
-                eng.step(st, active_mask=mask)
+                step_on(eng, st, mask)
                 return lyapunov(p, s, pol, st, ref)[0]
 
             exp_v = expectation_over_sampling(s, nxt)
@@ -484,7 +487,16 @@ class TestRunLoop:
     def test_run_options(self):
         assert list(inspect.signature(bp.run).parameters) == [
             "problem", "sampling", "policy", "x0", "k_max", "engine", "seed",
-            "trace_every", "stop_kkt_tol", "reference", "record_iterates",
+            "trace_every", "stop_kkt_tol", "reference",
+        ]
+
+    @pytest.mark.parametrize("engine", [RbcdEngine, PdaEngine, dlmp.PpdlmpEngine])
+    def test_step_takes_only_the_state(self, engine):
+        assert list(inspect.signature(engine.step).parameters) == ["self", "state"]
+
+    def test_run_result_fields(self):
+        assert [f.name for f in fields(RunResult)] == [
+            "state", "trace", "reference", "stopped_at",
         ]
 
     def test_trace_every_must_be_positive(self, two_block_instance):
@@ -567,11 +579,12 @@ class TestRunLoop:
         assert delta > 0
         s = bp.single_coordinate(2)
         pol = bp.convex_default_policy(p, s)
+        eng = recorded(RbcdEngine(p, s, pol))
         res = bp.run(p, s, pol, np.zeros(p.m), 3000, seed=2, trace_every=50,
-                     reference=ref, record_iterates=True)
+                     reference=ref, engine=eng)
         import math
 
-        for rec, w in zip(res.trace, res.averaged[50::50]):
+        for rec, w in zip(res.trace, eng.averaged[50::50]):
             psi_w = eval_psi(p, w)
             assert psi_w - ref.psi_star >= -delta * math.sqrt(rec.h_gap_w) - 1e-9
 

@@ -16,6 +16,7 @@ from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from blockpd.sampling import weight_matrix_p, xi_matrix
 from blockpd.stepsize import MI_TOL, make_accelerated_policy, tau_next
 from instruments import (
+    accel_delta,
     cumulative_weight_bound,
     lam_full,
     mi_margins,
@@ -367,11 +368,13 @@ def caller_sources() -> dict[str, str]:
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` of each function, class and non-dunder method defined
-    under ``src/blockpd/`` in ``sources`` that nothing in ``sources``
-    references outside the definition itself.  A reference is a name, an
-    attribute, an imported name or a string equal to the name
-    (``perfbench/tracer.py`` patches functions by string)."""
+    """``module.name`` of each function and class, and ``module.Class.name``
+    of each non-dunder method, defined under ``src/blockpd/`` in ``sources``
+    that nothing in ``sources`` references outside the definition itself.
+    A reference is a name, an attribute, an imported name or a string equal
+    to the name (``perfbench/tracer.py`` patches functions by string); a
+    method or property is reached only through an attribute or a string, so
+    for it a bare name (a local, a parameter) does not count."""
     trees = {path: ast.parse(text, filename=path) for path, text in sources.items()}
     refs = {}
     for path, tree in trees.items():
@@ -396,12 +399,17 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     continue
                 name = node.name
-                dunder = name.startswith("__") and name.endswith("__")
-                if dunder and isinstance(parent, ast.ClassDef):
+                method = isinstance(parent, ast.ClassDef)
+                if method and name.startswith("__") and name.endswith("__"):
                     continue
                 own = {id(n) for n in ast.walk(node)}
-                if all(where == path and id(ref) in own for where, ref in refs.get(name, ())):
-                    found.append(f"{Path(path).stem}.{name}")
+                if all(
+                    (where == path and id(ref) in own)
+                    or (method and isinstance(ref, (ast.Name, ast.alias)))
+                    for where, ref in refs.get(name, ())
+                ):
+                    owner = f"{parent.name}." if method else ""
+                    found.append(f"{Path(path).stem}.{owner}{name}")
     return found
 
 
@@ -451,6 +459,17 @@ class TestInvariantChecks:
             "\n\ndef normalized_s_step(s_k, d_k):\n    return normalized_s_step(s_k, d_k)\n"
         )
         assert unreferenced_definitions(sources) == ["stepsize.normalized_s_step"]
+        # a method is not hidden by a local of its name (default_aggregators
+        # has a local ``children``)
+        sources = caller_sources()
+        anchor = "    @property\n    def n_buses(self)"
+        assert sources["src/blockpd/dlmp.py"].count(anchor) == 1
+        sources["src/blockpd/dlmp.py"] = sources["src/blockpd/dlmp.py"].replace(
+            anchor,
+            "    def children(self, n):\n"
+            "        return [m for m in self.buses if self.parent[m] == n]\n\n" + anchor,
+        )
+        assert unreferenced_definitions(sources) == ["dlmp.NetworkModel.children"]
 
 
 class TestLowerBound:
@@ -511,7 +530,7 @@ class TestPolicies:
         sigma0 = pol.sigma_at(0)
         for k in range(1, 3000):
             s_k += pol.sigma_at(k)
-            assert s_k <= cumulative_weight_bound(k, pol.alpha, pol.delta, sigma0) + 1e-9
+            assert s_k <= cumulative_weight_bound(k, pol.alpha, accel_delta(pol), sigma0) + 1e-9
 
     def test_default_tau0_keeps_theta0_admissible(self, bench_instance):
         s = bp.single_coordinate(bench_instance.d)
