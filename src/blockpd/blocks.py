@@ -187,6 +187,15 @@ class ProblemSpec:
         return out
 
     @cached_property
+    def gram(self) -> Array:
+        """The read-only m-by-m Gram matrix A'A, formed once per problem:
+        both step certificates scale it into Xi and the least-squares
+        reference factors it."""
+        g = self.a.T @ self.a
+        g.flags.writeable = False
+        return g
+
+    @cached_property
     def smooth_lipschitz(self) -> Array:
         """Per-block scalar curvature bounds L_i = lammax(Lam_i)."""
         return np.array([float(np.linalg.eigvalsh(blk.lam).max()) for blk in self.smooth])
@@ -259,7 +268,7 @@ class ProblemSpec:
         total = 0.0
         for sl, blk in zip(self.blocks.slices, self.prox):
             v = float(blk.value(x[sl]))
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 return math.inf
             total += v
         return total

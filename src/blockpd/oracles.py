@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .blocks import ProblemSpec, eval_psi, penalty_h
 from .errors import InvariantViolation, StrongConvexityRequired
@@ -48,17 +49,82 @@ class Reference:
 def least_squares_reference(p: ProblemSpec) -> Reference:
     """Penalty floor via the normal equations (minimum-norm solution).
 
-    Solved by complete orthogonal factorisation (LAPACK ``gelsy``) with
-    NumPy's default rank cut-off eps * max(q, m), which still yields the
-    minimum-norm solution and costs a fraction of an SVD."""
+    Solved first from the problem's cached Gram matrix G = A'A, the product
+    the step certificates scale (:func:`_gram_min_norm`).  G squares the
+    singular values of A, so its factorisation treats as null every
+    direction with singular value below about sqrt(m eps) ||A||; the Gram
+    solve declines unless each such direction is null for A itself at the
+    cut-off of the complete orthogonal factorisation of A
+    (:func:`_gelsy_min_norm`).  A solution must meet the normal equations,
+    ||A'(A x - b)||_inf < 1e-8, checked from A.  When the Gram solve
+    declines or misses that check, ``gelsy`` runs instead; a miss there
+    raises :class:`InvariantViolation`."""
+    for solve in (_gram_min_norm, _gelsy_min_norm):
+        x_ls = solve(p)
+        if x_ls is None:
+            continue
+        normal = float(np.max(np.abs(p.a.T @ (p.a @ x_ls - p.b))))
+        if normal < 1e-8:
+            return Reference(x_ls=x_ls, h_star=penalty_h(p, x_ls))
+    raise InvariantViolation(
+        f"least-squares solution misses the normal equations by {normal:.3e}"
+    )
+
+
+def _gram_min_norm(p: ProblemSpec) -> Array | None:
+    """Minimum-norm solution of G x = A'b from G = ``p.gram``, or None when
+    G's rank is below the rank ``gelsy`` would find for A.
+
+    Pivoted Cholesky (LAPACK ``dpstrf``, its default rank cut-off
+    m * eps * max_i G_ii) factors P'GP = U'U with U = [U11 U12] of rank r.
+    The columns of N = P [-W; I], W = U11^{-1} U12, span the null space of
+    U.  When r < min(q, m), each must be null for A at ``gelsy``'s cut-off,
+    ||A N_j|| <= eps * max(q, m) * sqrt(max_i G_ii) * ||N_j|| (the largest
+    column norm of A, where ``gelsy``'s pivoted QR starts), which costs
+    O(q m (m - r)).  At r = min(q, m) the factor kept as many directions
+    as A has singular values, each far above ``gelsy``'s cut-off, so the
+    two ranks agree and the check is skipped.  Then
+    x_b = P [U11^{-1} U11^{-T} (P'A'b)_1; 0] solves the normal equations;
+    taking out its component in the null space, x = P [z - W t; t] with
+    (I + W'W) t = W'z, costs O(r^2 (m - r)) beyond the factorisation;
+    I + W'W >= I, so its Cholesky factor always exists.
+    """
+    c, piv, rank, _ = lapack.dpstrf(p.gram)
+    if rank == 0:  # G = 0, so A = 0
+        return np.zeros(p.m)
+    perm, dropped = piv[:rank] - 1, piv[rank:] - 1
+    # solves straight through LAPACK, without scipy.linalg's per-call
+    # checks (some 12 us each, as much as the factorisation at m = 40).
+    # With U11' as the lower factor, trans=1 solves with U11.  Every info
+    # is 0: U11's diagonal holds the pivots dpstrf kept, and I + W'W >= I
+    low = c[:rank, :rank].T
+    z, _ = lapack.dtrtrs(low, p.a.T.dot(p.b)[perm], lower=1)
+    z, _ = lapack.dtrtrs(low, z, lower=1, trans=1)
+    x = np.empty(p.m)
+    x[perm] = z
+    if rank == p.m:
+        return x
+    w, _ = lapack.dtrtrs(low, c[:rank, rank:], lower=1, trans=1)
+    if rank < min(p.q, p.m):
+        null = np.zeros((p.m, p.m - rank))
+        null[perm] = -w
+        null[dropped, np.arange(p.m - rank)] = 1.0
+        cut = np.finfo(float).eps * max(p.q, p.m) * np.sqrt(p.gram.diagonal().max())
+        if np.any(np.linalg.norm(p.a @ null, axis=0) > cut * np.linalg.norm(null, axis=0)):
+            return None
+    f, _ = lapack.dpotrf(np.eye(p.m - rank) + w.T @ w)
+    t, _ = lapack.dpotrs(f, w.T @ z)
+    x[perm] -= w @ t
+    x[dropped] = t
+    return x
+
+
+def _gelsy_min_norm(p: ProblemSpec) -> Array:
+    """Minimum-norm least-squares solution from LAPACK ``gelsy`` on A, with
+    NumPy's default rank cut-off eps * max(q, m)."""
     cond = np.finfo(float).eps * max(p.q, p.m)
     x_ls, *_ = sla.lstsq(p.a, p.b, cond=cond, lapack_driver="gelsy")
-    normal = float(np.max(np.abs(p.a.T @ (p.a @ x_ls - p.b))))
-    if not normal < 1e-8:
-        raise InvariantViolation(
-            f"least-squares solution misses the normal equations by {normal:.3e}"
-        )
-    return Reference(x_ls=x_ls, h_star=penalty_h(p, x_ls))
+    return x_ls
 
 
 def quadratic_reference(p: ProblemSpec) -> Reference:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -192,23 +191,24 @@ def weight_matrix_p(s: Sampling, blocks: BlockStructure) -> Array:
     return blocks.expand(1.0 / s.pi)
 
 
-def xi_matrix(s: Sampling, a_blocks: Sequence[Array]) -> Array:
+def xi_matrix(s: Sampling, gram: Array, blocks: BlockStructure) -> Array:
     """Second-moment matrix of the inverse-marginal-scaled activation applied
     to the coupling matrix: Xi = E[E P A'A P E] with E the random 0/1 block
     mask and P the inverse-marginal scaling.
 
-    Built in closed form for every proper sampling, the Gram matrix A'A
-    scaled blockwise by W = Pi / (pi pi') (diagonal 1/pi_i):
+    Built in closed form for every proper sampling from the Gram matrix
+    ``gram`` = A'A (a problem's cached ``ProblemSpec.gram``) split by
+    ``blocks``, scaled blockwise by W = Pi / (pi pi') (diagonal 1/pi_i):
     Xi[i,j] = (Pi_ij / (pi_i pi_j)) A_i'A_j off the diagonal and
-    Xi[i,i] = A_i'A_i / pi_i.  One Gram product, then one row slab of
-    blocks scaled at a time.  The exhaustive expectation over the support
-    and the per-pair block loop are test oracles (``tests/conftest.py``).
+    Xi[i,i] = A_i'A_i / pi_i.  A fresh copy of ``gram`` is scaled one row
+    slab of blocks at a time and returned, so a caller may overwrite it.
+    The exhaustive expectation, the per-pair block loop and the form that
+    stacks the blocks into its own Gram product are test oracles
+    (``tests/conftest.py``).
     """
-    blocks = BlockStructure(tuple(a.shape[1] for a in a_blocks))
     w = prob_matrix(s) / np.outer(s.pi, s.pi)
     np.fill_diagonal(w, 1.0 / s.pi)
-    a = np.hstack(a_blocks)
-    xi = a.T @ a
+    xi = gram.copy()
     for sl, w_i in zip(blocks.slices, w):
         xi[sl] *= blocks.expand(w_i)
     return xi

@@ -151,7 +151,7 @@ def convex_default_policy(
     if not certify:
         return ConvexPolicy(sigma, b_diag)
 
-    xi = xi_matrix(s, p.a_blocks)
+    xi = xi_matrix(s, p.gram, p.blocks)
     pb_diag = weight_matrix_p(s, p.blocks) * b_diag
     # D - Lam in one buffer; Lam is block diagonal
     dml = np.zeros((p.m, p.m))
@@ -217,7 +217,7 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     p_diag = weight_matrix_p(s, p.blocks)
     m_diag = mu / p_diag  # diagonal of P^{-1} Upsilon
     scale = 1.0 / np.sqrt(m_diag)
-    xi_scaled = xi_matrix(s, p.a_blocks)
+    xi_scaled = xi_matrix(s, p.gram, p.blocks)
     xi_scaled *= scale[:, None]
     xi_scaled *= scale[None, :]
     top = float(np.linalg.eigvalsh(xi_scaled).max())

@@ -145,9 +145,25 @@ def block_pair_xi(s, a_blocks):
     return xi_formula
 
 
+def stacked_xi(s, a_blocks):
+    """Xi from the Gram product of the stacked coupling blocks, scaled one
+    row slab of blocks at a time: the form ``sampling.xi_matrix`` had before
+    it read a problem's cached Gram matrix, kept verbatim as the bit-for-bit
+    oracle of one test (``TestOneGram``); every other raw-blocks Xi in the
+    tests is the production one, ``instruments.block_xi``."""
+    blocks = BlockStructure(tuple(a.shape[1] for a in a_blocks))
+    w = prob_matrix(s) / np.outer(s.pi, s.pi)
+    np.fill_diagonal(w, 1.0 / s.pi)
+    a = np.hstack(a_blocks)
+    xi = a.T @ a
+    for sl, w_i in zip(blocks.slices, w):
+        xi[sl] *= blocks.expand(w_i)
+    return xi
+
+
 @pytest.fixture(scope="session")
 def xi_oracles():
-    return SimpleNamespace(exhaustive=exhaustive_xi, block_pair=block_pair_xi)
+    return SimpleNamespace(exhaustive=exhaustive_xi, block_pair=block_pair_xi, stacked=stacked_xi)
 
 
 def tau_normalized(t, kappa, pi):

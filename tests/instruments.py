@@ -25,12 +25,12 @@ from unittest import mock
 import numpy as np
 
 from blockpd import solver
-from blockpd.blocks import ProblemSpec, ProxBlock
+from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock
 from blockpd.dlmp import NetworkModel
 from blockpd.errors import InfeasibleInstance, InvariantViolation, UnsupportedSampling
 from blockpd.oracles import Reference
 from blockpd.proxops import Box, project_energy_budget
-from blockpd.sampling import Sampling, weight_matrix_p
+from blockpd.sampling import Sampling, weight_matrix_p, xi_matrix
 from blockpd.solver import RbcdEngine, RbcdState
 
 Array = np.ndarray
@@ -47,6 +47,16 @@ def grad_h(p: ProblemSpec, x: Array) -> Array:
     if x.shape != (p.m,):
         raise ValueError(f"x has shape {x.shape}, expected ({p.m},)")
     return p.a.T.dot(p.a.dot(x) - p.b)
+
+
+def block_xi(s: Sampling, a_blocks: Sequence[Array]) -> Array:
+    """The production ``sampling.xi_matrix`` on raw coupling blocks: the
+    Gram matrix of their stack, split by their widths.  The tests of Xi's
+    properties go through it, so they exercise the production scaling;
+    ``conftest.stacked_xi`` is the verbatim pre-cache form that only the
+    bit-identity test reads."""
+    a = np.hstack(a_blocks)
+    return xi_matrix(s, a.T @ a, BlockStructure(tuple(a_i.shape[1] for a_i in a_blocks)))
 
 
 def lam_full(p: ProblemSpec) -> Array:

@@ -20,6 +20,7 @@ from blockpd.stepsize import make_accelerated_policy, tau_next
 from instruments import (
     Halfspace,
     Hyperplane,
+    block_xi,
     exact_projection_qp,
     expectation_over_sampling,
     extrapolated,
@@ -106,7 +107,7 @@ def test_04_step_certificates(bench_instance, tau_oracle):
     p = bench_instance
     s = bp.single_coordinate(p.d)
     pol = make_accelerated_policy(p, s)
-    xi = xi_matrix(s, p.a_blocks)
+    xi = xi_matrix(s, p.gram, p.blocks)
     p_diag = weight_matrix_p(s, p.blocks)
     lam, ups = lam_full(p), p.mu_vector
     pi = float(s.pi[0])
@@ -214,7 +215,7 @@ def test_07_activation_second_moment(xi_oracles):
         (bp.paired_dso(3), [rng.standard_normal((6, 2)) for _ in range(4)]),
     ]
     for s, blocks in cases:
-        xi = xi_matrix(s, blocks)
+        xi = block_xi(s, blocks)
         xi_exact = xi_oracles.exhaustive(s, blocks)
         worst = max(worst, float(np.max(np.abs(xi - xi_exact))))
         pi_mat = bp.prob_matrix(s)

@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock, _Quadratic
-from blockpd import stepsize
+from blockpd import oracles, stepsize
 from blockpd.errors import InfeasibleInstance, InvariantViolation, PolicyConstructionError
 from blockpd.oracles import long_run_reference
 from blockpd import dlmp
@@ -274,15 +273,59 @@ class TestCouplingLayout:
 class TestReferenceChecks:
     def test_normal_equation_check(self, monkeypatch):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
-        real = sla.lstsq
-
-        def off_by_one(*args, **kwargs):
-            x, *rest = real(*args, **kwargs)
-            return (x + 1.0, *rest)
-
-        monkeypatch.setattr(sla, "lstsq", off_by_one)
+        # both solves, the Gram solve and its gelsy fallback, miss by one
+        for name in ("_gram_min_norm", "_gelsy_min_norm"):
+            real = getattr(oracles, name)
+            monkeypatch.setattr(oracles, name, lambda prob, real=real: real(prob) + 1.0)
         with pytest.raises(InvariantViolation, match="normal equations"):
             bp.least_squares_reference(p)
+
+    def test_gelsy_fallback_when_gram_solve_misses(self):
+        # 22 singular values from 1 down to 5.2e-8 on 56 columns: G = A'A
+        # squares that spread, so its factor drops the directions below
+        # about 1e-7, which A does not null; solved anyway, G missed the
+        # normal equations (4.8e-8) where the orthogonal factorisation of A
+        # meets them (2.6e-10)
+        rng = np.random.default_rng(1462)
+        q, m = 22, 56
+        u = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        v = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        a = (u * np.logspace(0.0, np.log10(5.2223527848731225e-08), q)) @ v[:, :q].T
+        p = scalar_problem(a=[a[:, j : j + 1] for j in range(m)], b=rng.standard_normal(q), dims=(1,) * m)
+
+        def normal(x):
+            return float(np.max(np.abs(p.a.T @ (p.a @ x - p.b))))
+
+        assert oracles._gram_min_norm(p) is None, "the case no longer needs the fallback"
+        ref = bp.least_squares_reference(p)
+        assert normal(ref.x_ls) < 1e-8
+
+    def test_gelsy_fallback_when_gram_solution_misses(self, monkeypatch):
+        p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
+        real = oracles._gram_min_norm
+        monkeypatch.setattr(oracles, "_gram_min_norm", lambda prob: real(prob) + 1.0)
+        ref = bp.least_squares_reference(p)
+        assert np.array_equal(ref.x_ls, oracles._gelsy_min_norm(p))
+
+    def test_gram_rank_follows_gelsy_cutoff(self):
+        # singular values 1 and 1e-9: G's factor cuts at m eps = 4.4e-16 on
+        # 1e-18 and drops the second column, whose normal-equation residual
+        # 1e-9 would pass the 1e-8 check; gelsy's cut-off eps * max(q, m),
+        # NumPy's default, keeps it, so the floor is 0.5, not 1.0
+        a = np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]])
+        p = scalar_problem(a=[a[:, :1], a[:, 1:]], b=np.ones(3), dims=(1, 1))
+        x_np, *_ = np.linalg.lstsq(p.a, p.b, rcond=None)
+        ref = bp.least_squares_reference(p)
+        assert ref.h_star == pytest.approx(bp.penalty_h(p, x_np), abs=1e-12)
+        assert np.allclose(ref.x_ls, x_np, rtol=1e-12, atol=0.0)
+
+    def test_zero_coupling(self, capfd):
+        # rank 0: no triangular solve reaches LAPACK, which would reject an
+        # empty one on the console
+        p = scalar_problem(a=[np.zeros((3, 1)), np.zeros((3, 1))], b=np.ones(3), dims=(1, 1))
+        ref = bp.least_squares_reference(p)
+        assert np.array_equal(ref.x_ls, np.zeros(2)) and ref.h_star == 1.5
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("q", [20, 9])
     def test_minimum_norm_on_rank_deficient_coupling(self, q):

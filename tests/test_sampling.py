@@ -8,7 +8,7 @@ import blockpd as bp
 from blockpd.blocks import BlockStructure
 from blockpd.errors import UnsupportedSampling
 from blockpd.sampling import from_config, nice
-from instruments import expectation_over_sampling
+from instruments import block_xi, expectation_over_sampling
 
 
 class TestDraw:
@@ -222,7 +222,7 @@ class TestXiOracles:
         ]
         for s, dims in cases:
             blocks = [rng.standard_normal((7, n)) for n in dims]
-            xi = bp.xi_matrix(s, blocks)
+            xi = block_xi(s, blocks)
             exact = xi_oracles.exhaustive(s, blocks)
             tol = 1e-12 * max(1.0, float(np.max(np.abs(exact))))
             assert np.max(np.abs(xi - exact)) <= tol, s.kind
@@ -233,7 +233,7 @@ class TestXiOracles:
         s = bp.nice(40, 10)
         assert s.support is None
         blocks = [rng.standard_normal((30, n)) for n in rng.integers(1, 4, size=40)]
-        xi = bp.xi_matrix(s, blocks)
+        xi = block_xi(s, blocks)
         oracle = xi_oracles.block_pair(s, blocks)
         assert np.max(np.abs(xi - oracle)) <= 1e-12 * float(np.max(np.abs(oracle)))
         assert np.array_equal(xi, xi.T)
@@ -258,20 +258,20 @@ class TestWeights:
 class TestXiMatrix:
     def test_single_coordinate_hand_case(self):
         s = bp.single_coordinate(2)
-        xi = bp.xi_matrix(s, [np.array([[1.0]]), np.array([[2.0]])])
+        xi = block_xi(s, [np.array([[1.0]]), np.array([[2.0]])])
         assert np.allclose(xi, np.diag([2.0, 8.0]))
 
     def test_full_sampling_gives_gram(self, rng):
         a = rng.standard_normal((6, 5))
         blocks = [a[:, :2], a[:, 2:]]
-        xi = bp.xi_matrix(bp.full(2), blocks)
+        xi = block_xi(bp.full(2), blocks)
         assert np.allclose(xi, a.T @ a, atol=1e-12)
 
     def test_orthogonal_design_block_diagonal(self):
         q = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
         blocks = [q[:, :3], q[:, 3:]]
         s = bp.nice(2, 1)
-        xi = bp.xi_matrix(s, blocks)
+        xi = block_xi(s, blocks)
         expect = np.zeros((6, 6))
         expect[:3, :3] = blocks[0].T @ blocks[0] / s.pi[0]
         expect[3:, 3:] = blocks[1].T @ blocks[1] / s.pi[1]
@@ -297,7 +297,7 @@ class TestXiMatrix:
         a = np.hstack(a_blocks)
         blocks = BlockStructure((2, 2, 2))
         p_diag = bp.weight_matrix_p(s, blocks)
-        xi = bp.xi_matrix(s, a_blocks)
+        xi = block_xi(s, a_blocks)
         for _ in range(10):
             t = rng.standard_normal(6)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import blockpd as bp
-from blockpd import dlmp, stepsize
+from blockpd import dlmp, oracles, stepsize
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock
 from blockpd.errors import InvariantViolation, PolicyConstructionError, StrongConvexityRequired
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
@@ -98,7 +98,7 @@ def dense_margin(p, s, sigma):
     """Smallest eigenvalue of P B - sigma Xi - Lam, from the dense matrix."""
     b_diag = bp.convex_default_policy(p, s, certify=False).b_diag
     m1, _ = mi_margins(
-        lam_full(p), p.mu_vector, xi_matrix(s, p.a_blocks), weight_matrix_p(s, p.blocks),
+        lam_full(p), p.mu_vector, xi_matrix(s, p.gram, p.blocks), weight_matrix_p(s, p.blocks),
         b_diag, sigma, 1.0, sigma, 1.0,
     )
     return m1
@@ -180,6 +180,72 @@ def test_no_eigensolve_on_the_activation_matrix(monkeypatch):
     assert (p.d, p.d) not in shapes
 
 
+class TestOneGram:
+    """Both step certificates and the least-squares reference read the
+    problem's one cached Gram matrix A'A."""
+
+    def test_formed_once_and_never_stacked(self, monkeypatch):
+        p = bp.make_random_inconsistent_ls(
+            seed=1, d=24, dims=4, q=144, noise=0.6, mu=1.0, rank_deficiency=4
+        )
+        s = bp.nice(p.d, 4)
+        formed, stacked, read = [], [], []
+        prop = ProblemSpec.__dict__["gram"]
+        real_gram, real_hstack = prop.func, np.hstack
+        real_xi, real_pstrf = stepsize.xi_matrix, oracles.lapack.dpstrf
+
+        def gram(problem):
+            formed.append(problem)
+            return real_gram(problem)
+
+        def hstack(*args, **kwargs):
+            stacked.append(args)
+            return real_hstack(*args, **kwargs)
+
+        def xi(sampling, g, blocks):
+            read.append(g)
+            return real_xi(sampling, g, blocks)
+
+        def pstrf(g, *args, **kwargs):
+            read.append(g)
+            return real_pstrf(g, *args, **kwargs)
+
+        monkeypatch.setattr(prop, "func", gram)
+        monkeypatch.setattr(np, "hstack", hstack)
+        monkeypatch.setattr(stepsize, "xi_matrix", xi)
+        monkeypatch.setattr(oracles.lapack, "dpstrf", pstrf)
+        bp.convex_default_policy(p, s)
+        make_accelerated_policy(p, s)
+        bp.least_squares_reference(p)
+        assert formed == [p]
+        assert stacked == []
+        assert len(read) == 3 and all(g is p.gram for g in read)
+        assert not p.gram.flags.writeable
+
+    def test_xi_bits_match_the_stacked_form(self, xi_oracles):
+        p = bp.make_random_inconsistent_ls(
+            seed=1, d=24, dims=4, q=144, noise=0.6, mu=1.0, rank_deficiency=4
+        )
+        probs = np.random.default_rng(5).uniform(0.5, 1.5, p.d)
+        cases = [
+            (p, bp.single_coordinate(p.d)),
+            (p, bp.single_coordinate(p.d, probs / probs.sum())),
+            (p, bp.nice(p.d, 2)),
+            (p, bp.nice(p.d, 4)),
+            (p, bp.full(p.d)),
+            (p, bp.paired_dso(p.d - 1)),
+        ]
+        grid = dlmp.build_opf_problem(dlmp.load_network(*dlmp.default_network_paths()))
+        assert len(set(grid.blocks.dims)) > 1
+        cases += [(grid, bp.paired_dso(grid.d - 1)), (grid, bp.single_coordinate(grid.d))]
+        assert cases[2][1].support is not None and cases[3][1].support is None
+        for problem, sampling in cases:
+            xi = xi_matrix(sampling, problem.gram, problem.blocks)
+            assert np.array_equal(xi, xi_oracles.stacked(sampling, problem.a_blocks)), sampling.kind
+            # a fresh array each call: the convex certificate overwrites it
+            assert xi.flags.writeable and not np.shares_memory(xi, problem.gram)
+
+
 class TestAccelParams:
     def test_no_coupled_block_rejected(self):
         p = tiny_problem([np.zeros((2, 1)), np.zeros((2, 2))], [1.0, 1.0], [1.0, 1.0])
@@ -226,7 +292,7 @@ class TestAccelOracles:
             (bench_instance, bp.single_coordinate(bench_instance.d)),
             (self._orthogonal_design(), bp.nice(3, 2)),
         ):
-            xi = xi_matrix(s, p.a_blocks)
+            xi = xi_matrix(s, p.gram, p.blocks)
             off = xi.copy()
             for i in range(p.d):
                 sl = p.blocks.block_slice(i)
@@ -564,7 +630,7 @@ class TestCertificates:
         return (
             lam_full(problem),
             problem.mu_vector,
-            xi_matrix(sampling, problem.a_blocks),
+            xi_matrix(sampling, problem.gram, problem.blocks),
             weight_matrix_p(sampling, problem.blocks),
         )
 
