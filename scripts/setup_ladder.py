@@ -4,7 +4,7 @@
 Builds the random inconsistent least-squares instance of the ls_wide
 benchmark (d blocks of 4 columns, q = 6d rows, seed 1) with 4-of-d
 ``nice`` sampling for d in {10, 250, 500}; ``--d`` adds rungs (d=1000 takes
-about a minute to generate and some 20 s a window to set up).  Each
+about a minute to generate and some 15 s a window to set up).  Each
 instance is generated once, outside the timings.  Every window takes a
 fresh ``dataclasses.replace`` copy, so nothing cached carries over, and
 times four phases on it in the order a run pays them: the Gram matrix A'A
@@ -15,6 +15,12 @@ over the rungs in one process on one BLAS thread, and the first window
 warms up and is dropped:
 
     PYTHONPATH=src python scripts/setup_ladder.py [--d 1000] [--windows 5]
+
+``--against DIR`` times a second checkout's ``src/blockpd`` in the same
+process (see ``against.py``): each tree generates its own instances, the
+windows go round-robin over tree x rung (the tree order flips every
+window), and the script prints both trees' medians and, per phase, this
+tree's median over the other's.
 """
 
 import os
@@ -29,13 +35,19 @@ import statistics
 import time
 
 import blockpd as bp
+from against import load_tree
 
-PHASES = {
-    "gram": lambda p, s: p.gram,
-    "convex": bp.convex_default_policy,
-    "accelerated": bp.make_accelerated_policy,
-    "reference": lambda p, s: bp.least_squares_reference(p),
-}
+PHASES = ("gram", "convex", "accelerated", "reference")
+
+
+def phases(tree):
+    """The timed phases, in the order a run pays them, from one tree."""
+    return dict(zip(PHASES, (
+        lambda p, s: p.gram,
+        tree.convex_default_policy,
+        tree.make_accelerated_policy,
+        lambda p, s: tree.least_squares_reference(p),
+    )))
 
 
 def main():
@@ -43,33 +55,51 @@ def main():
     ap.add_argument("--d", type=int, nargs="+", default=[], help="rungs added to 10 250 500")
     ap.add_argument("--windows", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--against", metavar="DIR", help="a second checkout to time beside this one")
     args = ap.parse_args()
     ds = sorted({10, 250, 500, *args.d})
+    trees = {"this": bp}
+    if args.against:
+        trees["against"] = load_tree(args.against)
 
-    rungs = []
+    rungs = {}
     for d in ds:
-        t0 = time.perf_counter()
-        p = bp.make_random_inconsistent_ls(
-            seed=args.seed, d=d, dims=4, q=6 * d, noise=0.6, mu=1.0, rank_deficiency=4
-        )
-        rungs.append((d, p, bp.nice(d, 4), time.perf_counter() - t0))
+        for name, tree in trees.items():
+            t0 = time.perf_counter()
+            p = tree.make_random_inconsistent_ls(
+                seed=args.seed, d=d, dims=4, q=6 * d, noise=0.6, mu=1.0, rank_deficiency=4
+            )
+            rungs[name, d] = (p, tree.nice(d, 4), time.perf_counter() - t0)
 
-    secs = {(d, name): [] for d in ds for name in PHASES}
+    secs = {(name, d, phase): [] for name, d in rungs for phase in PHASES}
     for w in range(args.windows + 1):
-        for d, p0, s, _ in rungs:
-            p = dataclasses.replace(p0)
-            for name, phase in PHASES.items():
-                t0 = time.perf_counter()
-                phase(p, s)
-                if w:
-                    secs[d, name].append(time.perf_counter() - t0)
+        for d in ds:
+            for name in list(trees)[:: 1 if w % 2 == 0 else -1]:
+                p0, s, _ = rungs[name, d]
+                p = dataclasses.replace(p0)
+                for phase, fn in phases(trees[name]).items():
+                    t0 = time.perf_counter()
+                    fn(p, s)
+                    if w:
+                        secs[name, d, phase].append(time.perf_counter() - t0)
     med = {key: statistics.median(v) for key, v in secs.items()}
+    cols = (*PHASES, "total")
+    for key in rungs:
+        med[(*key, "total")] = sum(med[(*key, phase)] for phase in PHASES)
 
-    print(f"{'d':>6} {'m':>6} {'generate':>9} " + " ".join(f"{name:>11}" for name in PHASES)
-          + f" {'total':>9}")
-    for d, p, _, gen in rungs:
-        print(f"{d:>6} {p.m:>6} {gen:9.3f} " + " ".join(f"{med[d, name]:11.4f}" for name in PHASES)
-              + f" {sum(med[d, name] for name in PHASES):9.3f}")
+    def table(cell, generate):
+        print(f"{'d':>6} {'m':>6} {'generate':>9} " + " ".join(f"{c:>11}" for c in cols))
+        for d in ds:
+            print(f"{d:>6} {rungs['this', d][0].m:>6} {generate(d):>9} "
+                  + " ".join(f"{cell(d, c):11.4f}" for c in cols))
+
+    for name, tree in trees.items():
+        if args.against:
+            print(f"{name}: {tree.__file__}")
+        table(lambda d, c: med[name, d, c], lambda d: f"{rungs[name, d][2]:.3f}")
+    if args.against:
+        print("this / against (ratio of the medians)")
+        table(lambda d, c: med["this", d, c] / med["against", d, c], lambda d: "")
 
 
 if __name__ == "__main__":

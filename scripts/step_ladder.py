@@ -13,6 +13,12 @@ keeps that ratio near 1; a row is O(m) by nature.  Runs on one BLAS
 thread:
 
     PYTHONPATH=src python scripts/step_ladder.py
+
+``--against DIR`` times a second checkout's ``src/blockpd`` in the same
+process (see ``against.py``): each tree builds its own instances and
+engines, the windows go round-robin over tree x rung (the tree order flips
+every window), and the script prints both trees' medians and this tree's
+median over the other's.
 """
 
 import os
@@ -28,9 +34,9 @@ import time
 import numpy as np
 
 import blockpd as bp
-from blockpd.solver import PdaEngine, RbcdEngine, _trace_record
+from against import load_tree
 
-ENGINES = {"rbcd": RbcdEngine, "pda": PdaEngine}
+ENGINES = {"rbcd": "RbcdEngine", "pda": "PdaEngine"}
 ROWS = 50  # trace rows per window
 
 
@@ -41,44 +47,68 @@ def main():
     ap.add_argument("--steps", type=int, default=5000)
     ap.add_argument("--windows", type=int, default=7)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--against", metavar="DIR", help="a second checkout to time beside this one")
     args = ap.parse_args()
+    trees = {"this": bp}
+    if args.against:
+        trees["against"] = load_tree(args.against)
 
-    runs = []
+    runs = {}
     for d in args.d:
-        p = bp.make_random_inconsistent_ls(seed=args.seed, d=d, dims=4, q=args.q, noise=0.6)
-        s = bp.single_coordinate(d)
-        ref = bp.least_squares_reference(p)
-        for name, cls in ENGINES.items():
-            eng = cls(p, s, bp.convex_default_policy(p, s, certify=False))
-            state = eng.init_state(np.zeros(p.m), bp.make_rng(args.seed))
-            runs.append((d, name, eng, state, ref))
+        for tree_name, tree in trees.items():
+            p = tree.make_random_inconsistent_ls(
+                seed=args.seed, d=d, dims=4, q=args.q, noise=0.6
+            )
+            s = tree.single_coordinate(d)
+            ref = tree.least_squares_reference(p)
+            for name, cls in ENGINES.items():
+                policy = tree.convex_default_policy(p, s, certify=False)
+                eng = getattr(tree.solver, cls)(p, s, policy)
+                state = eng.init_state(np.zeros(p.m), tree.make_rng(args.seed))
+                runs[tree_name, d, name] = (eng, state, ref, tree.solver._trace_record)
 
-    # windows go round-robin over the rungs, so drift in the host's speed
+    # windows go round-robin over tree x rung, so drift in the host's speed
     # reaches every rung alike; the first window warms up and is dropped
-    steps = {(d, name): [] for d, name, *_ in runs}
-    rows = {(d, name): [] for d, name, *_ in runs}
+    steps = {key: [] for key in runs}
+    rows = {key: [] for key in runs}
     for w in range(args.windows + 1):
-        for d, name, eng, state, ref in runs:
-            t0 = time.perf_counter()
-            for _ in range(args.steps):
-                eng.step(state)
-            t1 = time.perf_counter()
-            for _ in range(ROWS):
-                _trace_record(eng.problem, eng, state, ref)
-            if w:
-                steps[d, name].append((t1 - t0) / args.steps * 1e6)
-                rows[d, name].append((time.perf_counter() - t1) / ROWS * 1e6)
+        for d in args.d:
+            for tree_name in list(trees)[:: 1 if w % 2 == 0 else -1]:
+                for name in ENGINES:
+                    key = (tree_name, d, name)
+                    eng, state, ref, trace_record = runs[key]
+                    t0 = time.perf_counter()
+                    for _ in range(args.steps):
+                        eng.step(state)
+                    t1 = time.perf_counter()
+                    for _ in range(ROWS):
+                        trace_record(eng.problem, eng, state, ref)
+                    if w:
+                        steps[key].append((t1 - t0) / args.steps * 1e6)
+                        rows[key].append((time.perf_counter() - t1) / ROWS * 1e6)
     us = {key: statistics.median(v) for key, v in steps.items()}
     row_us = {key: statistics.median(v) for key, v in rows.items()}
 
-    print(f"{'d':>6} {'m':>6} " + " ".join(f"{name + ' us/step':>14}" for name in ENGINES)
-          + " " + " ".join(f"{name + ' us/row':>14}" for name in ENGINES))
-    for d in args.d:
-        print(f"{d:>6} {4 * d:>6} " + " ".join(f"{us[d, name]:14.1f}" for name in ENGINES)
-              + " " + " ".join(f"{row_us[d, name]:14.1f}" for name in ENGINES))
+    head = (f"{'d':>6} {'m':>6} " + " ".join(f"{name + ' us/step':>14}" for name in ENGINES)
+            + " " + " ".join(f"{name + ' us/row':>14}" for name in ENGINES))
+
+    def table(step, row, fmt):
+        print(head)
+        for d in args.d:
+            print(f"{d:>6} {4 * d:>6} " + " ".join(
+                f"{x:14{fmt}}" for x in [step(d, n) for n in ENGINES] + [row(d, n) for n in ENGINES]))
+
     lo, hi = args.d[0], args.d[-1]
-    print(f"ratio d={hi} / d={lo}: " + ", ".join(
-        f"{name} {us[hi, name] / us[lo, name]:.2f}x" for name in ENGINES))
+    for tree_name, tree in trees.items():
+        if args.against:
+            print(f"{tree_name}: {tree.__file__}")
+        table(lambda d, n: us[tree_name, d, n], lambda d, n: row_us[tree_name, d, n], ".1f")
+        print(f"ratio d={hi} / d={lo}: " + ", ".join(
+            f"{name} {us[tree_name, hi, name] / us[tree_name, lo, name]:.2f}x" for name in ENGINES))
+    if args.against:
+        print("this / against (ratio of the medians)")
+        table(lambda d, n: us["this", d, n] / us["against", d, n],
+              lambda d, n: row_us["this", d, n] / row_us["against", d, n], ".3f")
 
 
 if __name__ == "__main__":

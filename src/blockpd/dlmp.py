@@ -181,7 +181,9 @@ def default_aggregators(buses, parent) -> tuple[tuple[int, ...], ...]:
 
 def default_network_paths() -> tuple[str, str]:
     """Bundled 15-bus study data (bus table + edge list)."""
-    base = resources.files("blockpd") / "data"
+    # the package's own name, so a copy imported under another name (a
+    # second checkout timed beside this one) reads its own data
+    base = resources.files(__package__) / "data"
     return str(base / "bus15.csv"), str(base / "edges15.csv")
 
 

@@ -55,19 +55,26 @@ def least_squares_reference(p: ProblemSpec) -> Reference:
     direction with singular value below about sqrt(m eps) ||A||; the Gram
     solve declines unless each such direction is null for A itself at the
     cut-off of the complete orthogonal factorisation of A
-    (:func:`_gelsy_min_norm`).  A solution must meet the normal equations,
-    ||A'(A x - b)||_inf < 1e-8, checked from A.  When the Gram solve
-    declines or misses that check, ``gelsy`` runs instead; a miss there
-    raises :class:`InvariantViolation`."""
+    (:func:`_gelsy_min_norm`).  A solution must meet the normal equations
+    relative to the problem's scale,
+    ||A'(A x - b)||_inf <= 1e-8 max(max_i G_ii ||x||_inf, ||A'b||_inf),
+    checked from A; scaling A and b together by c scales both sides by c^2,
+    and A = 0 passes with x = 0.
+    When the Gram solve declines or misses that check, ``gelsy`` runs
+    instead; a miss there raises :class:`InvariantViolation`."""
+    atb_max = float(np.max(np.abs(p.a.T @ p.b)))
+    g_max = float(p.gram.diagonal().max())
     for solve in (_gram_min_norm, _gelsy_min_norm):
         x_ls = solve(p)
         if x_ls is None:
             continue
         normal = float(np.max(np.abs(p.a.T @ (p.a @ x_ls - p.b))))
-        if normal < 1e-8:
+        bound = 1e-8 * max(g_max * float(np.max(np.abs(x_ls))), atb_max)
+        if normal <= bound:
             return Reference(x_ls=x_ls, h_star=penalty_h(p, x_ls))
     raise InvariantViolation(
-        f"least-squares solution misses the normal equations by {normal:.3e}"
+        f"least-squares solution misses the normal equations by {normal:.3e} "
+        f"(bound {bound:.3e})"
     )
 
 

@@ -209,8 +209,9 @@ def xi_matrix(s: Sampling, gram: Array, blocks: BlockStructure) -> Array:
     w = prob_matrix(s) / np.outer(s.pi, s.pi)
     np.fill_diagonal(w, 1.0 / s.pi)
     xi = gram.copy()
-    for sl, w_i in zip(blocks.slices, w):
-        xi[sl] *= blocks.expand(w_i)
+    # one repeat for every row slab's column weights, not one per slab
+    for sl, w_i in zip(blocks.slices, np.repeat(w, blocks.dims, axis=1)):
+        xi[sl] *= w_i
     return xi
 
 

@@ -4,13 +4,19 @@ Two regimes:
 
 * a constant policy for merely convex problems, with the per-block scaling
   B_i = pi_i (lambda_i + L_i) I and sigma at most the smallest activation
-  probability, taken at the edge of the governing matrix inequality by one
-  generalised eigensolve;
+  probability, taken at the edge of the governing matrix inequality;
 
 * an accelerated policy for strongly convex problems, where sigma_k and a
   shrinking tau_k are tied by sigma_k * tau_k = alpha - beta * tau_k and
   tau advances through a per-step scalar recursion.  tau_k decays like 1/k,
   so the cumulative weight S_k grows quadratically.
+
+Each certificate computes one eigenvalue: the largest of a standard
+symmetric m x m matrix (:func:`_top_eigenvalue`).  The convex pencil
+(Xi, D - Lam) gets there through the block-diagonal Cholesky factor of
+D - Lam, so neither a dense D - Lam nor a full spectrum is formed; the
+generalised and full-spectrum eigenproblems are test oracles
+(``tests/instruments.py``).
 
 Both expose ``sigma_at(k)`` / ``tau_at(k)`` plus the diagonal of the block
 scaling B, which is what the engines consume.  Policy objects memoise their
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas, lapack
 
 from .blocks import ProblemSpec
 from .errors import InvariantViolation, PolicyConstructionError, StrongConvexityRequired
@@ -122,6 +129,13 @@ def convex_default_policy(
     so the largest certified step is one generalised eigenvalue,
     sigma_max = 1 / lammax(Xi, D - Lam), taken over the blocks with
     lambda_i > 0 (the others have zero rows in Xi and certify any sigma).
+    It is reduced block by block, with no m x m D - Lam: each coupled
+    block's D_i - Lam_i = L_i L_i' is factored, L_i^{-1} is applied to that
+    block's row slab of a fresh Xi and then to its row slab of the
+    transpose, and sigma_max = 1 / lammax(M) with M = L^{-1} Xi L^{-T}, the
+    M of the proof below.  A block whose factor does not exist in floating point
+    (lambda_i lost in rounding beside L_i) raises
+    :class:`PolicyConstructionError` naming it.
     The averaging weights need sigma <= min pi, so sigma = min pi when it
     certifies (min pi <= sigma_max, up to ``MI_TOL``) and
     sigma = EDGE_FRACTION * sigma_max (0.95) otherwise.
@@ -153,29 +167,33 @@ def convex_default_policy(
 
     xi = xi_matrix(s, p.gram, p.blocks)
     pb_diag = weight_matrix_p(s, p.blocks) * b_diag
-    # D - Lam in one buffer; Lam is block diagonal
-    dml = np.zeros((p.m, p.m))
-    dml.reshape(-1)[:: p.m + 1] = pb_diag
-    for sl, blk in zip(p.blocks.slices, p.smooth):
-        dml[sl, sl] -= blk.lam
     coupled = lam_i > 0.0
     if not coupled.all():
         keep = np.flatnonzero(p.blocks.expand(coupled))
         xi = xi[np.ix_(keep, keep)]
-        dml = dml[np.ix_(keep, keep)]
-    n = xi.shape[0]
-    sigma_max = math.inf
-    if n:
-        try:
-            # both matrices are symmetric: their transposes are Fortran
-            # ordered, which LAPACK overwrites without a copy
-            top = sla.eigh(
-                xi.T, dml.T, eigvals_only=True, subset_by_index=[n - 1, n - 1],
-                overwrite_a=True, overwrite_b=True, check_finite=False,
-            )[0]
-        except np.linalg.LinAlgError as exc:
-            raise PolicyConstructionError(f"step certification failed: {exc}") from exc
-        sigma_max = 1.0 / float(top)
+    # M = L^{-1} Xi L^{-T} with L L' = D - Lam, factored block by block
+    # over the coupled blocks, whose rows and columns stay contiguous in xi.
+    # L^{-1} goes onto the row slabs of xi, then onto those of a C-ordered
+    # copy of its transpose; a C-ordered row slab X is solved in place as
+    # X' L^{-T} on its Fortran-ordered transpose X'
+    factors, start = [], 0
+    for i in np.flatnonzero(coupled).tolist():
+        sl = p.blocks.slices[i]
+        rows = slice(start, start + sl.stop - sl.start)
+        start = rows.stop
+        low, info = lapack.dpotrf(np.diag(pb_diag[sl]) - p.smooth[i].lam, lower=1, clean=0)
+        if info:
+            raise PolicyConstructionError(
+                f"step certification failed: D_i - Lam_i of block {i} is not "
+                f"positive definite in floating point (lambda_i = {lam_i[i]:.3g} "
+                f"is lost beside L_i = {l_i[i]:.3g})"
+            )
+        blas.dtrsm(1.0, low, xi[rows].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        factors.append((rows, low))
+    xi = xi.T.copy()
+    for rows, low in factors:
+        blas.dtrsm(1.0, low, xi[rows].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    sigma_max = 1.0 / _top_eigenvalue(xi.T) if xi.size else math.inf
     lam_min, d_max = float(np.min(lam_i)), float(np.max(lam_i + l_i))
 
     def margin_at(sig):
@@ -197,7 +215,8 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     """Curvature-adapted parameters (alpha, beta, kappa).
 
     With M = P^{-1} Upsilon, alpha is the reciprocal of the largest
-    eigenvalue of M^{-1/2} Xi M^{-1/2} and beta = alpha * lammax of
+    eigenvalue of M^{-1/2} Xi M^{-1/2} (that eigenvalue alone, not the full
+    spectrum) and beta = alpha * lammax of
     M^{-1/2}(Lam + Upsilon)M^{-1/2}.  Lam + Upsilon and M are block
     diagonal, so beta takes the largest of the per-block eigenvalues.  When
     Xi is block diagonal alpha and kappa = beta / alpha reduce to the
@@ -206,8 +225,9 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
         alpha = (max_i ||A_i||^2 / (mu_i pi_i^2))^{-1}
         kappa = max_i (L_i + mu_i) / (pi_i mu_i)
 
-    which the tests check, as they check beta against the dense
-    eigenproblem.  Requires mu_i > 0 on every block and A != 0.
+    which the tests check, as they check alpha against the full spectrum
+    and beta against the dense eigenproblem.  Requires mu_i > 0 on every
+    block and A != 0.
     """
     mu = p.mu_vector
     if np.any(mu <= 0.0):
@@ -220,7 +240,7 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     xi_scaled = xi_matrix(s, p.gram, p.blocks)
     xi_scaled *= scale[:, None]
     xi_scaled *= scale[None, :]
-    top = float(np.linalg.eigvalsh(xi_scaled).max())
+    top = _top_eigenvalue(xi_scaled.T)
     if not top > 0.0:
         raise PolicyConstructionError("accelerated parameters need a coupled block: A = 0")
     alpha = 1.0 / top
@@ -232,6 +252,22 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     beta = alpha * lu_max
     kappa = beta / alpha
     return alpha, beta, kappa
+
+
+def _top_eigenvalue(sym: Array) -> float:
+    """Largest eigenvalue of the symmetric matrix ``sym``, read from its
+    lower triangle by one LAPACK ``syevr`` call that finds that eigenvalue
+    alone.  ``sym`` is overwritten: a Fortran-ordered array (the transpose
+    of a C-ordered one) without a copy."""
+    n = sym.shape[0]
+    try:
+        top = sla.eigh(
+            sym, eigvals_only=True, subset_by_index=[n - 1, n - 1],
+            overwrite_a=True, check_finite=False,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise PolicyConstructionError(f"step certification failed: {exc}") from exc
+    return float(top[0])
 
 
 def make_accelerated_policy(

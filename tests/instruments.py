@@ -2,9 +2,10 @@
 
 Exact small-scale oracles (the active-set projection, the expectation over
 an enumerable sampling), the paper's closed-form bounds and energies (the
-tau floor, the cumulative-weight bound, the matrix-inequality margins, the
-ergodic weights, the Lyapunov pair) and the extra projection primitives the
-Dykstra tests intersect.  No run calls any of them, so they live beside the
+tau floor, the cumulative-weight bound, the matrix-inequality margins and
+the dense eigenproblems behind the step certificates, the ergodic weights,
+the Lyapunov pair) and the extra projection primitives the Dykstra tests
+intersect.  No run calls any of them, so they live beside the
 tests rather than in ``blockpd``; ``test_package_defines_only_what_runs_reference``
 keeps it that way.
 
@@ -23,6 +24,7 @@ from typing import Callable, Sequence
 from unittest import mock
 
 import numpy as np
+import scipy.linalg as sla
 
 from blockpd import solver
 from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock
@@ -424,6 +426,28 @@ def mi_margins(
     rhs = ratio * (p2b - tau_k1 * (1.0 - p_diag) * ups_diag)
     margin2 = float(np.min(lhs - rhs))
     return margin1, margin2
+
+
+def generalised_sigma_max(p: ProblemSpec, s: Sampling) -> float:
+    """The convex certificate's largest step, 1 / lammax(Xi, D - Lam) over
+    the coupled blocks (lambda_i > 0), from the dense generalised
+    eigenproblem; inf when no block is coupled."""
+    lam_i = p.block_sq_norms
+    b_diag = p.blocks.expand(s.pi * (lam_i + p.smooth_lipschitz))
+    dml = np.diag(weight_matrix_p(s, p.blocks) * b_diag) - lam_full(p)
+    keep = np.ix_(*2 * (np.flatnonzero(p.blocks.expand(lam_i > 0.0)),))
+    xi = xi_matrix(s, p.gram, p.blocks)[keep]
+    if not xi.size:
+        return math.inf
+    return 1.0 / float(sla.eigh(xi, dml[keep], eigvals_only=True)[-1])
+
+
+def full_spectrum_alpha(p: ProblemSpec, s: Sampling) -> float:
+    """The accelerated alpha, 1 / lammax(M^{-1/2} Xi M^{-1/2}) with
+    M = P^{-1} Ups, from the full spectrum."""
+    scale = 1.0 / np.sqrt(p.mu_vector / weight_matrix_p(s, p.blocks))
+    xi = xi_matrix(s, p.gram, p.blocks)
+    return 1.0 / float(np.linalg.eigvalsh(scale[:, None] * xi * scale[None, :]).max())
 
 
 def accel_delta(policy) -> float:

@@ -280,6 +280,29 @@ class TestReferenceChecks:
         with pytest.raises(InvariantViolation, match="normal equations"):
             bp.least_squares_reference(p)
 
+    def test_small_scale_miss_is_caught(self, monkeypatch):
+        # A and b scaled by 1e-5: both solves missing by one leave a
+        # residual of about 1e-10, which an absolute 1e-8 bound accepted
+        p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
+        p = dataclasses.replace(p, a_blocks=tuple(1e-5 * a for a in p.a_blocks), b=1e-5 * p.b)
+        for name in ("_gram_min_norm", "_gelsy_min_norm"):
+            real = getattr(oracles, name)
+            monkeypatch.setattr(oracles, name, lambda prob, real=real: real(prob) + 1.0)
+        with pytest.raises(InvariantViolation, match="normal equations"):
+            bp.least_squares_reference(p)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e2, 1e3, 1e4])
+    def test_normal_equation_check_scales_with_the_problem(self, scale):
+        # A and b scaled together keep x_ls; the residual of an accurate
+        # solve grows with scale^2 (about 1e-7 at 1e4), and so must the bound
+        p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
+        base = bp.least_squares_reference(p).x_ls
+        big = dataclasses.replace(
+            p, a_blocks=tuple(scale * a for a in p.a_blocks), b=scale * p.b
+        )
+        x_ls = bp.least_squares_reference(big).x_ls
+        assert np.max(np.abs(x_ls - base)) <= 1e-12 * np.max(np.abs(base))
+
     def test_gelsy_fallback_when_gram_solve_misses(self):
         # 22 singular values from 1 down to 5.2e-8 on 56 columns: G = A'A
         # squares that spread, so its factor drops the directions below

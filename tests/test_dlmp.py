@@ -1,4 +1,8 @@
+import importlib.util
+import shutil
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,24 @@ def kkt_certificate(prims, v, x, tol):
 
 
 class TestLoadNetwork:
+    def test_bundled_data_follows_the_package(self, tmp_path):
+        # a copy of the package imported under another name (as
+        # scripts/against.py loads a second checkout) reads its own data
+        pkg = tmp_path / "blockpd"
+        shutil.copytree(Path(dlmp.__file__).parent, pkg,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        spec = importlib.util.spec_from_file_location(
+            "blockpd_copy", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+        )
+        sys.modules["blockpd_copy"] = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(sys.modules["blockpd_copy"])
+            bus, edges = importlib.import_module("blockpd_copy.dlmp").default_network_paths()
+        finally:
+            for name in [n for n in sys.modules if n.split(".")[0] == "blockpd_copy"]:
+                del sys.modules[name]
+        assert Path(bus).parent == Path(edges).parent == pkg / "data"
+
     def test_line_one_parameters(self, net15):
         assert net15.s_cap[1] == pytest.approx(2.000)
         assert net15.r[1] == pytest.approx(1.0e-3)

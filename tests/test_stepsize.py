@@ -18,6 +18,8 @@ from blockpd.stepsize import MI_TOL, make_accelerated_policy, tau_next
 from instruments import (
     accel_delta,
     cumulative_weight_bound,
+    full_spectrum_alpha,
+    generalised_sigma_max,
     lam_full,
     mi_margins,
     normalized_s_step,
@@ -69,6 +71,14 @@ class TestConvexDefault:
         assert pol.sigma == pytest.approx(0.5)
         assert pol.certified_margin >= -1e-8
 
+    def test_lost_coupling_names_its_block(self):
+        # lambda_1 = 1e-18 beside L_1 = 1: D_1 - Lam_1 = (1e-18 + 1) - 1 = 0
+        # in floating point, so block 1's factor does not exist
+        p = tiny_problem([np.ones((2, 1)), np.array([[1e-9], [0.0]])], [1.0, 1.0], [0.0, 0.0])
+        assert p.block_sq_norms[1] > 0.0
+        with pytest.raises(PolicyConstructionError, match="block 1 is not positive definite"):
+            bp.convex_default_policy(p, bp.single_coordinate(2))
+
     @pytest.mark.parametrize("certify", [True, False])
     def test_zero_scaling_rejected(self, certify):
         # block 1 has neither coupling columns nor curvature: B_1 would be 0
@@ -88,6 +98,11 @@ def _edge_cases(name, two_block, bench):
     if name == "opf15":
         problem = dlmp.build_opf_problem(dlmp.load_network(*dlmp.default_network_paths()))
         return problem, bp.paired_dso(problem.d - 1)
+    if name == "uncoupled":
+        # block 1 has no coupling columns, between two coupled blocks
+        rng = np.random.default_rng(3)
+        a_blocks = [rng.standard_normal((6, 2)), np.zeros((6, 3)), rng.standard_normal((6, 2))]
+        return tiny_problem(a_blocks, [1.0, 2.0, 0.5], [1.0, 1.0, 1.0]), bp.nice(3, 2)
     wide = bp.make_random_inconsistent_ls(
         seed=1, d=24, dims=4, q=144, noise=0.6, mu=1.0, rank_deficiency=4
     )
@@ -136,22 +151,38 @@ class TestCertificateEdge:
         # counts the eigen- and singular-value calls on m x m matrices; the
         # per-block curvature is not the certificate
         p, s = bench_instance, bp.single_coordinate(bench_instance.d)
-        calls = []
-
-        def counted(fn):
-            def wrapper(a, *args, **kwargs):
-                if np.shape(a) == (p.m, p.m):
-                    calls.append(fn.__name__)
-                return fn(a, *args, **kwargs)
-            return wrapper
-
-        for mod, attr in ((stepsize.sla, "eigh"), (stepsize.sla, "eigvalsh"),
-                          (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                          (np.linalg, "eig"), (np.linalg, "svd")):
-            monkeypatch.setattr(mod, attr, counted(getattr(mod, attr)))
+        calls = counted_eigen_calls(monkeypatch)
         pol = bp.convex_default_policy(p, s)
-        assert calls == ["eigh"]
+        assert_one_top_eigenvalue_each(calls, p.m, solves=1)
         assert not hasattr(pol, "halvings")
+
+
+def counted_eigen_calls(monkeypatch):
+    """Record (name, shape, positional args, keywords) of every eigen- and
+    singular-value call."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((fn.__name__, np.shape(a), args, kwargs))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for mod, attr in ((stepsize.sla, "eigh"), (stepsize.sla, "eigvalsh"),
+                      (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                      (np.linalg, "eig"), (np.linalg, "svd")):
+        monkeypatch.setattr(mod, attr, counted(getattr(mod, attr)))
+    return calls
+
+
+def assert_one_top_eigenvalue_each(calls, m, solves):
+    # every m x m call is a standard eigh for the top eigenvalue alone: no
+    # second matrix b (no generalised pencil) and no full spectrum
+    big = [c for c in calls if c[1] == (m, m)]
+    assert [name for name, *_ in big] == ["eigh"] * solves
+    for _, _, args, kwargs in big:
+        assert args == () and "b" not in kwargs
+        assert kwargs["subset_by_index"] == [m - 1, m - 1] and kwargs["eigvals_only"]
 
 
 def test_no_eigensolve_on_the_activation_matrix(monkeypatch):
@@ -162,22 +193,47 @@ def test_no_eigensolve_on_the_activation_matrix(monkeypatch):
         seed=1, d=250, dims=2, q=750, noise=0.6, mu=1.0, rank_deficiency=4
     )
     s = bp.nice(p.d, 4)
-    shapes = []
-
-    def counted(fn):
-        def wrapper(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return wrapper
-
-    for mod, attr in ((stepsize.sla, "eigh"), (stepsize.sla, "eigvalsh"),
-                      (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                      (np.linalg, "eig"), (np.linalg, "svd")):
-        monkeypatch.setattr(mod, attr, counted(getattr(mod, attr)))
+    calls = counted_eigen_calls(monkeypatch)
     bp.convex_default_policy(p, s)
     make_accelerated_policy(p, s)
-    assert (p.m, p.m) in shapes
-    assert (p.d, p.d) not in shapes
+    assert (p.d, p.d) not in [shape for _, shape, *_ in calls]
+    assert_one_top_eigenvalue_each(calls, p.m, solves=2)
+
+
+class TestOneTopEigenvalue:
+    """Both certificates take one top eigenvalue of a standard symmetric
+    matrix; the dense generalised pencil (Xi, D - Lam) and the full
+    spectrum they replace are the oracles."""
+
+    @staticmethod
+    def _tops(monkeypatch):
+        tops, real = [], stepsize._top_eigenvalue
+
+        def spy(sym):
+            tops.append(real(sym))
+            return tops[-1]
+
+        monkeypatch.setattr(stepsize, "_top_eigenvalue", spy)
+        return tops
+
+    @pytest.mark.parametrize(
+        "name", ["two_block", "bench", "ring", "opf15", "wide", "uncoupled"]
+    )
+    def test_matches_the_dense_eigenproblems(
+        self, name, two_block_instance, bench_instance, monkeypatch
+    ):
+        p, s = _edge_cases(name, two_block_instance, bench_instance)
+        tops = self._tops(monkeypatch)
+        bp.convex_default_policy(p, s)
+        sigma_max, oracle = 1.0 / tops[0], generalised_sigma_max(p, s)
+        assert abs(sigma_max - oracle) <= 1e-12 * oracle
+        if np.all(p.mu_vector > 0.0):
+            alpha, oracle = bp.accel_params(p, s)[0], full_spectrum_alpha(p, s)
+            assert abs(alpha - oracle) <= 1e-12 * oracle
+            assert alpha == 1.0 / tops[1]
+        else:
+            with pytest.raises(StrongConvexityRequired):
+                bp.accel_params(p, s)
 
 
 class TestOneGram:
@@ -244,6 +300,8 @@ class TestOneGram:
             assert np.array_equal(xi, xi_oracles.stacked(sampling, problem.a_blocks)), sampling.kind
             # a fresh array each call: the convex certificate overwrites it
             assert xi.flags.writeable and not np.shares_memory(xi, problem.gram)
+            # C-ordered: the certificate solves its row slabs in place
+            assert xi.flags.c_contiguous
 
 
 class TestAccelParams:
