@@ -37,8 +37,9 @@ with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 Exit codes: 0 success, 2 config error (including a file that is not valid
 INI, a field that does not read as a number or a boolean, a count below its
 least value, a ``[fit] k_min`` above ``[run] k_max``, an unknown ``[fit]``
-column, a value the library rejects, or malformed grid data), 3 divergence
-or a projection that did not converge, 4 infeasible instance.
+column, a value the library rejects, or malformed grid data such as a bus
+in two rows), 3 divergence or a projection that did not converge, 4
+infeasible instance (such as a bus whose consumption floor exceeds its cap).
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ from scipy.linalg import lapack
 
 from .blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock
 from .errors import InfeasibleInstance, ProjectionDidNotConverge
-from .proxops import AffineSubspace, Box, project_energy_budgets
+from .proxops import AffineSubspace, project_energy_budgets
 from .sampling import paired_dso
 # a private name keeps wrappers that patch ``run`` by name (as the
 # benchmark's tracer does) from timing a grid solve twice
@@ -132,6 +132,11 @@ class NetworkModel:
                 if node in seen:
                     raise ValueError("edge list contains a cycle")
                 seen.add(node)
+            for t, (lo, hi) in enumerate(zip(self.p_lo[n], self.p_hi[n])):
+                if lo > hi:
+                    raise InfeasibleInstance(
+                        f"bus {n}, period {t}: consumption floor {lo} exceeds cap {hi}"
+                    )
             if float(np.sum(self.p_hi[n])) < self.energy[n] - 1e-12:
                 raise InfeasibleInstance(
                     f"bus {n}: energy demand {self.energy[n]} exceeds "
@@ -192,12 +197,14 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
 
     The bus CSV must carry the columns ``n, S, R_e3, X_e3, B_e3, Pmin_0,
     Pmin_1, Pmax_0, Pmax_1, E, tau_c`` (impedances and shunt susceptance
-    scaled by 1e3); the edge CSV has ``parent, child`` rows describing the
-    tree, rooted at the slack bus 0, each child a bus of the table named
-    in one edge only.  Voltages are bounded to [0.81, 1.21]
+    scaled by 1e3), one row per bus; the edge CSV has ``parent, child``
+    rows describing the tree, rooted at the slack bus 0, each child a bus
+    of the table named in one edge only.  Voltages are bounded to [0.81, 1.21]
     around v0 = 1, the aggregators are :func:`default_aggregators`, and
     bus 11, if the table has it, produces up to (0.438, 0.201), fully
-    active, as in the bundled study.  Malformed data raises ``ValueError``.
+    active, as in the bundled study.  Malformed data raises ``ValueError``;
+    a consumption floor above its cap or an energy demand above the caps
+    raises :class:`InfeasibleInstance`.
     """
     rows = {}
     with open(bus_path, newline="") as fh:
@@ -207,6 +214,8 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
             raise ValueError(f"bus table is missing columns: {missing}")
         for rec in reader:
             n = int(rec["n"])
+            if n in rows:
+                raise ValueError(f"bus {n} has two rows in the bus table")
             rows[n] = rec
     parent = {}
     with open(edges_path, newline="") as fh:
@@ -292,36 +301,10 @@ def _layout(net: NetworkModel) -> _Layout:
 # ---------------------------------------------------------------------------
 
 
-class _FlowBalls:
-    """All per-line, per-period flow-magnitude caps, projected jointly.  The
-    f and g coordinates are contiguous slices of the operator's vector."""
-
-    def __init__(self, f: slice, g: slice, radii: Array):
-        self.f = f
-        self.g = g
-        self.radii = radii
-
-    def scales(self, v: Array) -> tuple[Array, Array]:
-        """The flow magnitudes of v and the factors that pull them into the
-        balls (1 inside a ball)."""
-        nrm = np.hypot(v[self.f], v[self.g])
-        return nrm, np.minimum(1.0, self.radii / np.maximum(nrm, 1e-300))
-
-    def project(self, v: Array) -> Array:
-        out = np.array(v, dtype=float)
-        _, scale = self.scales(out)
-        out[self.f] *= scale
-        out[self.g] *= scale
-        return out
-
-    def distance(self, v: Array) -> float:
-        nrm = np.hypot(v[self.f], v[self.g])
-        return float(np.max(np.maximum(nrm - self.radii, 0.0), initial=0.0))
-
-
 def _dso_feasible_set(net: NetworkModel, lay: _Layout):
-    """The operator's affine rows, box and flow balls.  The rows are the
-    root balances (active, then reactive) period by period, then one
+    """The operator's affine rows, its box ``lo``, ``hi`` and its flow balls:
+    the slices ``f``, ``g`` of its vector and the ``radii``.  The rows are
+    the root balances (active, then reactive) period by period, then one
     voltage drop per (bus, period)."""
     t_h = net.horizon
     dim = 2 * t_h + 3 * lay.p.size
@@ -346,12 +329,11 @@ def _dso_feasible_set(net: NetworkModel, lay: _Layout):
     hi = np.full(dim, np.inf)
     lo[: 2 * t_h], hi[: 2 * t_h] = SLACK_BOUNDS
     lo[lay.v], hi[lay.v] = net.v_lo, net.v_hi
-    box = Box(lo, hi)
 
     f = slice(int(lay.f[0, 0]), int(lay.f[-1, -1]) + 1)
     g = slice(int(lay.g[0, 0]), int(lay.g[-1, -1]) + 1)
     radii = np.repeat([net.s_cap[n] for n in net.buses], t_h)
-    return (affine, box, _FlowBalls(f, g, radii))
+    return affine, lo, hi, f, g, radii
 
 
 NEWTON_TOL = 1e-12
@@ -375,9 +357,6 @@ class ProjectionSession:
     """
 
     def __init__(self):
-        self.reset()
-
-    def reset(self) -> None:
         self.lam = None
         self.factor = None
         self.binding = None
@@ -430,22 +409,42 @@ class _OperatorProjector:
     every other caller gets the cold path.
     """
 
-    def __init__(self, affine: AffineSubspace, box: Box, balls: _FlowBalls):
+    def __init__(
+        self, affine: AffineSubspace, lo: Array, hi: Array, f: slice, g: slice, radii: Array
+    ):
         self.affine = affine
         self.c, self.e, self.gram = affine.c_matrix, affine.e, affine.gram
         self.eye = np.eye(self.c.shape[0])
-        self.lo, self.hi = box.lo, box.hi
-        self.balls = balls
-        self.f, self.g = balls.f, balls.g
-        self.c_f, self.c_g = self.c[:, self.f], self.c[:, self.g]
+        self.lo, self.hi = lo, hi
+        self.f, self.g, self.radii = f, g, radii
+        self.c_f, self.c_g = self.c[:, f], self.c[:, g]
         self.session: ProjectionSession | None = None
+
+    def member(self, v: Array) -> bool:
+        """Each part of the set is within 1e-6 of v: the subspace and the box
+        in Euclidean distance, the balls by their largest excess radius."""
+        v = np.asarray(v, dtype=float)
+        off_rows = self.affine.project(v) - v
+        off_box = np.maximum(np.maximum(self.lo - v, v - self.hi), 0.0)
+        excess = np.hypot(v[self.f], v[self.g]) - self.radii
+        return bool(
+            math.sqrt(off_rows.dot(off_rows)) <= 1e-6
+            and math.sqrt(off_box.dot(off_box)) <= 1e-6
+            and excess.max() <= 1e-6
+        )
+
+    def _scales(self, v: Array) -> tuple[Array, Array]:
+        """The flow magnitudes of v and the factors that pull them into the
+        balls (1 inside a ball)."""
+        nrm = np.hypot(v[self.f], v[self.g])
+        return nrm, np.minimum(1.0, self.radii / np.maximum(nrm, 1e-300))
 
     def _inner(self, v: Array, lam: Array):
         """x = Pi_K(v - C^T lam), the dual objective there and the pieces the
         Newton matrix needs: w, the flow magnitudes of w, the ball scales."""
         w = v - lam.dot(self.c)
         x = np.minimum(np.maximum(w, self.lo), self.hi)  # f and g are unbounded
-        nrm, scale = self.balls.scales(w)
+        nrm, scale = self._scales(w)
         x[self.f] *= scale
         x[self.g] *= scale
         dual = float(x.dot(w - 0.5 * x) + lam.dot(self.e))
@@ -547,24 +546,10 @@ class _OperatorProjector:
 
 
 def _make_dso_prox(net: NetworkModel, lay: _Layout):
-    affine, box, balls = _dso_feasible_set(net, lay)
-    projector = _OperatorProjector(affine, box, balls)
-
-    def member(v):
-        """Each primitive's distance is at most 1e-6 (Euclidean for the
-        subspace and the box, the largest excess radius for the balls)."""
-        v = np.asarray(v, dtype=float)
-        off_rows = affine.project(v) - v
-        off_box = np.maximum(np.maximum(box.lo - v, v - box.hi), 0.0)
-        excess = np.hypot(v[balls.f], v[balls.g]) - balls.radii
-        return bool(
-            math.sqrt(off_rows.dot(off_rows)) <= 1e-6
-            and math.sqrt(off_box.dot(off_box)) <= 1e-6
-            and excess.max() <= 1e-6
-        )
+    projector = _OperatorProjector(*_dso_feasible_set(net, lay))
 
     def value(v):
-        return 0.0 if member(v) else math.inf
+        return 0.0 if projector.member(v) else math.inf
 
     return ProxBlock(value, lambda g, v: projector.project(v), 0.0), projector
 
@@ -725,8 +710,8 @@ class PpdlmpEngine(PdaEngine):
     one uniformly drawn aggregator; its dual variables are the DLMPs.
 
     The engine owns the :class:`ProjectionSession` of its run (``session``,
-    reset by ``init_state``) and lends it to the problem's operator
-    projector only while one of its steps runs.  Consecutive step-path
+    a fresh one from each ``init_state``) and lends it to the problem's
+    operator projector only while one of its steps runs.  Consecutive step-path
     projections are then warm-started and share Newton factors, while the
     projections of trace rows, direct calls and other engines stay cold, so
     the iterates do not depend on ``trace_every`` or on earlier runs.
@@ -738,11 +723,10 @@ class PpdlmpEngine(PdaEngine):
             policy = convex_default_policy(problem, sampling)
         super().__init__(problem, sampling, policy)
         self.projector: _OperatorProjector = problem.meta["dso_projector"]
-        self.session = ProjectionSession()
 
     def init_state(self, x0: Array, rng: np.random.Generator) -> PdaState:
-        """Prices start at sigma (A x0 - b)."""
-        self.session.reset()
+        """Prices start at sigma (A x0 - b); the run gets a fresh session."""
+        self.session = ProjectionSession()
         state = super().init_state(x0, rng)
         state.y *= self.policy.sigma_at(0)
         return state

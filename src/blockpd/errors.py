@@ -18,7 +18,7 @@ class StrongConvexityRequired(ValueError):
 
 
 class UnsupportedSampling(ValueError):
-    """Operation needs an explicitly enumerated support and none is available."""
+    """A sampling kind the package does not know."""
 
 
 class ProjectionDidNotConverge(RuntimeError):

@@ -140,7 +140,11 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     Minimises 0.5 x'Hx + c'x over the affine set of normal-equation
     solutions by eliminating the constraint with an orthonormal null-space
     basis of A.  Requires the generator to have recorded the quadratic data
-    (no box constraints).
+    (no box constraints).  The multiplier must meet stationarity relative
+    to the size of the gradient's terms,
+    ||A'y + (H + mu I) x + c||_inf <= 1e-7 max(||(H + mu I) x||_inf, ||c||_inf),
+    so scaling H, c and mu together by s leaves x unchanged and scales both
+    sides by s; a miss raises :class:`InvariantViolation`.
     """
     quad = p.meta.get("quadratic")
     if quad is None:
@@ -163,13 +167,16 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
         rhs = -null.T @ (h @ base.x_ls + c)
         z = np.linalg.solve(reduced, rhs)
         x_star = base.x_ls + null @ z
-    grad = h @ x_star + c
+    hx = h @ x_star
+    grad = hx + c
     # stationarity demands grad + A'y = 0 for some multiplier y
     y_star, *_ = np.linalg.lstsq(p.a.T, -grad, rcond=None)
     stationarity = float(np.max(np.abs(p.a.T @ y_star + grad)))
-    if not stationarity < 1e-7:
+    bound = 1e-7 * max(float(np.max(np.abs(hx))), float(np.max(np.abs(c))))
+    if not stationarity <= bound:
         raise InvariantViolation(
-            f"reference multiplier misses stationarity by {stationarity:.3e}"
+            f"reference multiplier misses stationarity by {stationarity:.3e} "
+            f"(bound {bound:.3e})"
         )
     return Reference(
         x_ls=base.x_ls,

@@ -67,18 +67,6 @@ def prox_quadratic_block(mu: float, center=0.0) -> ProxBlock:
 
 
 @dataclass(frozen=True)
-class Box:
-    lo: Array
-    hi: Array
-
-    def project(self, v: Array) -> Array:
-        return np.clip(v, self.lo, self.hi)
-
-    def distance(self, v: Array) -> float:
-        return float(np.linalg.norm(v - self.project(v)))
-
-
-@dataclass(frozen=True)
 class AffineSubspace:
     """{x : C x = e}.  The projection is v - C^T multiplier(v); the
     multiplier (C C^T)^{-1} (C v - e) is an affine map formed once from a

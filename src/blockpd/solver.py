@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -88,16 +88,6 @@ class RbcdState:
     def w(self) -> Array:
         return self.x + self.gamma * self.e
 
-    def copy(self) -> "RbcdState":
-        return replace(
-            self,
-            x=self.x.copy(),
-            e=self.e.copy(),
-            ax=self.ax.copy(),
-            ae=self.ae.copy(),
-            psi_vec=self.psi_vec.copy(),
-        )
-
 
 @dataclass
 class PdaState:
@@ -108,9 +98,6 @@ class PdaState:
     y: Array
     k: int
     rng: np.random.Generator
-
-    def copy(self) -> "PdaState":
-        return replace(self, x=self.x.copy(), u=self.u.copy(), y=self.y.copy())
 
 
 class _Block(NamedTuple):

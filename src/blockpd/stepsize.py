@@ -85,7 +85,6 @@ class AcceleratedPolicy:
     pi: Array
     tau0: float
     b_diag: Array
-    uniform: bool = True
     _taus: array = field(init=False, repr=False)
     _sigmas: array = field(init=False, repr=False)
     _marginals: tuple = field(init=False, repr=False)
@@ -284,8 +283,7 @@ def make_accelerated_policy(
     """
     alpha, beta, kappa = accel_params(p, s)
     pi_min = float(np.min(s.pi))
-    uniform = bool(np.max(s.pi) - pi_min < 1e-12)
-    if not uniform:
+    if not np.max(s.pi) - pi_min < 1e-12:
         warnings.warn(
             "accelerated policy with non-uniform activation probabilities is "
             "outside the proven regime",
@@ -299,7 +297,7 @@ def make_accelerated_policy(
     b_diag = mu / p_diag**2
     # built first, so tau0 is checked against its interval before sigma_0
     # divides by it
-    policy = AcceleratedPolicy(alpha, beta, kappa, s.pi.copy(), float(tau0), b_diag, uniform)
+    policy = AcceleratedPolicy(alpha, beta, kappa, s.pi.copy(), float(tau0), b_diag)
     sigma0 = policy.sigma_at(0)
     if given and sigma0 > pi_min + 1e-12:
         warnings.warn(

@@ -4,10 +4,12 @@ Exact small-scale oracles (the active-set projection, the expectation over
 an enumerable sampling), the paper's closed-form bounds and energies (the
 tau floor, the cumulative-weight bound, the matrix-inequality margins and
 the dense eigenproblems behind the step certificates, the ergodic weights,
-the Lyapunov pair) and the extra projection primitives the Dykstra tests
-intersect.  No run calls any of them, so they live beside the
-tests rather than in ``blockpd``; ``test_package_defines_only_what_runs_reference``
-keeps it that way.
+the Lyapunov pair) and the projection primitives the Dykstra tests
+intersect, among them the operator's box and flow balls.  No run calls any
+of them, so they live beside the tests rather than in ``blockpd``;
+``test_package_defines_only_what_runs_reference`` keeps it that way, except
+for a method whose name a run also calls (``project``, ``distance``,
+``copy``), which that guard cannot tell apart.
 
 The engines carry no test hooks either.  A test watches or steers a run
 through two seams production already has: :func:`recorded` wraps an engine
@@ -18,7 +20,7 @@ object, which ``run`` accepts as ``engine=``, and :func:`step_on` patches
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from typing import Callable, Sequence
 from unittest import mock
@@ -31,7 +33,7 @@ from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock
 from blockpd.dlmp import NetworkModel
 from blockpd.errors import InfeasibleInstance, InvariantViolation, UnsupportedSampling
 from blockpd.oracles import Reference
-from blockpd.proxops import Box, project_energy_budget
+from blockpd.proxops import project_energy_budget
 from blockpd.sampling import Sampling, weight_matrix_p, xi_matrix
 from blockpd.solver import RbcdEngine, RbcdState
 
@@ -107,6 +109,45 @@ def prox_box_block(lo, hi) -> ProxBlock:
         return 0.0
 
     return ProxBlock(value, lambda g, v: np.clip(v, lo, hi), 0.0)
+
+
+@dataclass(frozen=True)
+class Box:
+    lo: Array
+    hi: Array
+
+    def project(self, v: Array) -> Array:
+        return np.clip(v, self.lo, self.hi)
+
+    def distance(self, v: Array) -> float:
+        return float(np.linalg.norm(v - self.project(v)))
+
+
+@dataclass(frozen=True)
+class FlowBalls:
+    """All per-line, per-period flow-magnitude caps, projected jointly.  The
+    f and g coordinates are contiguous slices of the operator's vector."""
+
+    f: slice
+    g: slice
+    radii: Array
+
+    def scales(self, v: Array) -> tuple[Array, Array]:
+        """The flow magnitudes of v and the factors that pull them into the
+        balls (1 inside a ball)."""
+        nrm = np.hypot(v[self.f], v[self.g])
+        return nrm, np.minimum(1.0, self.radii / np.maximum(nrm, 1e-300))
+
+    def project(self, v: Array) -> Array:
+        out = np.array(v, dtype=float)
+        _, scale = self.scales(out)
+        out[self.f] *= scale
+        out[self.g] *= scale
+        return out
+
+    def distance(self, v: Array) -> float:
+        nrm = np.hypot(v[self.f], v[self.g])
+        return float(np.max(np.maximum(nrm - self.radii, 0.0), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -261,6 +302,16 @@ def recorded(eng):
     eng.init_state = lambda x0, rng: keep(init_state(x0, rng))
     eng.step = lambda state: keep(step(state))
     return eng
+
+
+def copy_state(state):
+    """A copy of an engine state whose arrays are its own; the generator is
+    shared."""
+    return replace(state, **{
+        f.name: getattr(state, f.name).copy()
+        for f in fields(state)
+        if isinstance(getattr(state, f.name), np.ndarray)
+    })
 
 
 def step_on(eng, state, mask):
@@ -473,10 +524,15 @@ def children(net: NetworkModel, n: int) -> list[int]:
 
 
 def dso_primitives(problem: ProblemSpec):
-    """The operator's affine rows, box and flow balls, as its projector
-    holds them: the primitives Dykstra's projection intersects."""
+    """The operator's affine rows, box and flow balls, built from the
+    arrays its projector holds: the primitives Dykstra's projection
+    intersects."""
     projector = problem.meta["dso_projector"]
-    return projector.affine, Box(projector.lo, projector.hi), projector.balls
+    return (
+        projector.affine,
+        Box(projector.lo, projector.hi),
+        FlowBalls(projector.f, projector.g, projector.radii),
+    )
 
 
 def make_single_line_network(demand=(0.5, 0.25)) -> NetworkModel:

@@ -13,14 +13,16 @@ import pytest
 import blockpd as bp
 from blockpd import dlmp
 from blockpd.cli import fit_rate
-from blockpd.proxops import Box, dykstra_project
+from blockpd.proxops import dykstra_project
 from blockpd.sampling import weight_matrix_p, xi_matrix
 from blockpd.solver import PdaEngine, RbcdEngine
 from blockpd.stepsize import make_accelerated_policy, tau_next
 from instruments import (
+    Box,
     Halfspace,
     Hyperplane,
     block_xi,
+    copy_state,
     exact_projection_qp,
     expectation_over_sampling,
     extrapolated,
@@ -187,7 +189,7 @@ def test_06_supermartingale(two_block_instance, two_block_reference):
             v_k, _ = lyapunov(p, s, pol, state, ref)
 
             def v_next(mask):
-                st = state.copy()
+                st = copy_state(state)
                 step_on(eng, st, mask)
                 return lyapunov(p, s, pol, st, ref)[0]
 

@@ -358,6 +358,46 @@ class TestReferenceChecks:
         ref = bp.least_squares_reference(p)
         assert np.max(np.abs(ref.x_ls - x_np)) <= 1e-9
 
+    @staticmethod
+    def quadratic_scaled(scale):
+        """The rank-deficient d=50 generator instance with H, c and mu scaled
+        together by ``scale``, which leaves x* where it was."""
+        p = bp.make_random_inconsistent_ls(
+            seed=1, d=50, dims=4, q=300, noise=0.6, mu=1.0, rank_deficiency=4
+        )
+        quad = p.meta["quadratic"]
+        meta = {**p.meta, "quadratic": {
+            "h_blocks": [scale * h for h in quad["h_blocks"]],
+            "c_blocks": [scale * c for c in quad["c_blocks"]],
+            "mu": scale * quad["mu"],
+        }}
+        return p, dataclasses.replace(p, meta=meta)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e3, 1e5, 1e7])
+    def test_stationarity_check_scales_with_the_problem(self, scale):
+        # at 1e7 an accurate multiplier misses stationarity by about 1e-6,
+        # which an absolute 1e-7 bound rejected
+        p, big = self.quadratic_scaled(scale)
+        base = oracles.quadratic_reference(p).x_star
+        x_star = oracles.quadratic_reference(big).x_star
+        assert np.max(np.abs(x_star - base)) <= 1e-12 * np.max(np.abs(base))
+
+    def test_small_scale_stationarity_miss_is_caught(self, monkeypatch):
+        # at 1e-5 a multiplier that misses by 1e-3 of the scale leaves a
+        # residual of 1e-8, which an absolute 1e-7 bound accepted
+        scale = 1e-5
+        _, small = self.quadratic_scaled(scale)
+        real = np.linalg.lstsq
+
+        def missing(a_t, rhs, rcond=None):
+            y, *rest = real(a_t, rhs, rcond=rcond)
+            y[0] += 1e-3 * scale / np.max(np.abs(a_t[:, 0]))
+            return (y, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", missing)
+        with pytest.raises(InvariantViolation, match="stationarity"):
+            oracles.quadratic_reference(small)
+
     def test_long_run_falls_back_without_strong_convexity(self):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8, mu=0.0)
         ref = long_run_reference(p, k_max=10)

@@ -573,8 +573,10 @@ out = {out}
         ("edges", "0,12\n", "", "bus 12 has no parent edge"),
         ("edges", "8,7\n", "8,7\n5,7\n", "edge 5,7: bus 7 has two parent edges"),
         ("edges", "0,12\n", "0,12\n3,99\n", "edge 3,99: child 99 is not in the bus table"),
+        ("bus", "\n4,", "\n3,9.999,138.4,197.8,2.4,0.003,0.011,0.020,0.035,0.047,0.418\n4,",
+         "bus 3 has two rows in the bus table"),
     ], ids=["bus-columns-missing", "parent-not-a-bus", "bus-without-parent",
-            "repeated-child", "child-not-a-bus"])
+            "repeated-child", "child-not-a-bus", "repeated-bus"])
     def test_malformed_grid_data_exit_code(self, tmp_path, capsys, table, old, new, message):
         from blockpd.dlmp import default_network_paths
 
@@ -612,3 +614,18 @@ edges_path = {edges}
 """,
         )
         assert main(["--config", cfg, "--quiet"]) == 4
+
+    def test_consumption_floor_above_cap_exit_code(self, tmp_path, capsys):
+        from blockpd.dlmp import default_network_paths
+
+        bus, edges = default_network_paths()
+        bad = tmp_path / "bus.csv"
+        bad.write_text(open(bus).read().replace("2.4,0.003,0.011", "2.4,0.030,0.011"))
+        cfg = write_config(
+            tmp_path / "empty.cfg",
+            f"[run]\nexperiment = opf15\nk_max = 10\nout = {tmp_path / 'o'}\n\n"
+            f"[instance]\nbus_path = {bad}\nedges_path = {edges}\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert "infeasible instance: bus 3, period 0: consumption floor 0.03" in err

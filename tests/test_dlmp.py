@@ -10,7 +10,7 @@ import pytest
 import blockpd as bp
 from blockpd import dlmp
 from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge
-from blockpd.proxops import AffineSubspace, Box, dykstra_project
+from blockpd.proxops import AffineSubspace, dykstra_project
 from blockpd.sampling import weight_matrix_p
 from instruments import children, dso_primitives, make_single_line_network, recorded
 
@@ -177,6 +177,22 @@ class TestLoadNetwork:
         with pytest.raises(InfeasibleInstance):
             dlmp.load_network(str(bad), edges)
 
+    def test_repeated_bus_rejected(self, tmp_path):
+        bus, edges = dlmp.default_network_paths()
+        bad = tmp_path / "bus.csv"
+        # bus 3's row again, with another line capacity
+        again = "3,9.999,138.4,197.8,2.4,0.003,0.011,0.020,0.035,0.047,0.418"
+        bad.write_text(open(bus).read().replace("\n4,", f"\n{again}\n4,"))
+        with pytest.raises(ValueError, match="bus 3 has two rows"):
+            dlmp.load_network(str(bad), edges)
+
+    def test_consumption_floor_above_cap_rejected(self, tmp_path):
+        bus, edges = dlmp.default_network_paths()
+        bad = tmp_path / "bus.csv"
+        bad.write_text(open(bus).read().replace("2.4,0.003,0.011", "2.4,0.030,0.011"))
+        with pytest.raises(InfeasibleInstance, match="bus 3, period 0: consumption floor"):
+            dlmp.load_network(str(bad), edges)
+
 
 class TestBuildProblem:
     def test_slack_cost_values(self):
@@ -333,9 +349,11 @@ class TestProjectors:
         sl = opf15.blocks.block_slice(0)
         center = dlmp.opf_initial_point(opf15)[sl]
         unbounded = np.full(center.size, np.inf)
-        no_box = dlmp._OperatorProjector(affine, Box(-unbounded, unbounded), balls)
+        no_box = dlmp._OperatorProjector(
+            affine, -unbounded, unbounded, balls.f, balls.g, balls.radii
+        )
         no_balls = dlmp._OperatorProjector(
-            affine, box, dlmp._FlowBalls(balls.f, balls.g, np.full(balls.radii.size, np.inf))
+            affine, box.lo, box.hi, balls.f, balls.g, np.full(balls.radii.size, np.inf)
         )
         blk = opf15.prox[0]
         lone_misses = set()

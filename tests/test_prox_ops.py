@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from blockpd.errors import InfeasibleInstance, ProjectionDidNotConverge
 from blockpd.proxops import (
     AffineSubspace,
-    Box,
     dykstra_project,
     project_energy_budget,
     project_energy_budgets,
@@ -15,6 +14,7 @@ from blockpd.proxops import (
 )
 from instruments import (
     Ball,
+    Box,
     EnergyBudget,
     Halfspace,
     Hyperplane,

@@ -17,6 +17,7 @@ from blockpd.solver import PdaEngine, RbcdEngine, RunResult
 from blockpd.stepsize import ConvexPolicy
 from instruments import (
     aw,
+    copy_state,
     dual_scale,
     expectation_over_sampling,
     extrapolated,
@@ -364,7 +365,7 @@ class TestExactExpectations:
         )
 
         def dist(mask):
-            st = state.copy()
+            st = copy_state(state)
             step_on(eng, st, mask)
             dx = st.x - x_ref
             return float(dx @ (p_diag * m_diag * dx))
@@ -386,7 +387,7 @@ class TestExactExpectations:
         )
 
         def nxt(mask):
-            st = state.copy()
+            st = copy_state(state)
             step_on(eng, st, mask)
             return st.psi_hat
 
@@ -465,7 +466,7 @@ class TestLyapunovDescent:
             v_k, _ = lyapunov(p, s, pol, state, ref)
 
             def nxt(mask):
-                st = state.copy()
+                st = copy_state(state)
                 step_on(eng, st, mask)
                 return lyapunov(p, s, pol, st, ref)[0]
 

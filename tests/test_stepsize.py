@@ -679,8 +679,7 @@ class TestPolicies:
         probs /= probs.sum()
         s = bp.single_coordinate(bench_instance.d, probs)
         with pytest.warns(UserWarning, match="outside the proven regime"):
-            pol = make_accelerated_policy(bench_instance, s)
-        assert not pol.uniform
+            make_accelerated_policy(bench_instance, s)
 
 
 class TestCertificates:
