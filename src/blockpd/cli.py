@@ -38,8 +38,13 @@ Exit codes: 0 success, 2 config error (including a file that is not valid
 INI, a field that does not read as a number or a boolean, a count below its
 least value, a ``[fit] k_min`` above ``[run] k_max``, an unknown ``[fit]``
 column, a value the library rejects, or malformed grid data such as a bus
-in two rows), 3 divergence or a projection that did not converge, 4
-infeasible instance (such as a bus whose consumption floor exceeds its cap).
+in two rows, a bus value that is not finite or a negative line capacity),
+3 divergence or a projection that did not converge, 4 infeasible instance
+(such as a bus whose consumption floor exceeds its cap).
+
+The grid experiment reads ``[instance] bus_path`` and ``edges_path``, each
+falling back to its own bundled file, and runs
+:func:`blockpd.dlmp.ppdlmp_run`.
 """
 
 from __future__ import annotations
@@ -67,12 +72,12 @@ from .blocks import (
     make_random_inconsistent_ls,
 )
 from .dlmp import (
-    PpdlmpEngine,
     build_opf_problem,
     default_network_paths,
     extract_dlmp,
     load_network,
     opf_initial_point,
+    ppdlmp_run,
 )
 from .errors import (
     ConfigError,
@@ -435,10 +440,9 @@ def run_experiment(cfg: RunConfig) -> int:
 
 def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
     ins = cfg.instance
-    bus_path = ins.get("bus_path")
-    edges_path = ins.get("edges_path")
-    if not bus_path or not edges_path:
-        bus_path, edges_path = default_network_paths()
+    bundled_bus, bundled_edges = default_network_paths()
+    bus_path = ins.get("bus_path") or bundled_bus
+    edges_path = ins.get("edges_path") or bundled_edges
     drop_shunt = field_value("instance", ins, "drop_shunt", False, _ini_bool)
     with rejected_as_config("instance"):
         net = load_network(bus_path, edges_path)
@@ -446,18 +450,8 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
     x0 = opf_initial_point(problem)
     say(f"[opf15] buses={net.n_buses} T={net.horizon} blocks={problem.d} "
         f"m={problem.m} q={problem.q}")
-    # the engine is built here, not inside ppdlmp_run, so that its
-    # projection counts can be read after the run
-    eng = PpdlmpEngine(problem)
-    result = run(
-        problem,
-        eng.sampling,
-        eng.policy,
-        x0,
-        cfg.k_max,
-        engine=eng,
-        seed=cfg.seed,
-        trace_every=cfg.trace_every,
+    result = ppdlmp_run(
+        problem, x0, cfg.k_max, seed=cfg.seed, trace_every=cfg.trace_every,
         stop_kkt_tol=cfg.stop_kkt_tol,
     )
     prices = extract_dlmp(result.state.y, problem)
@@ -471,7 +465,7 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
     }
     meta["policy_resolved"] = eng_meta
     meta["reference"] = {"h_star": result.reference.h_star, "source": result.reference.source}
-    meta["operator_projection"] = eng.session.totals()
+    meta["operator_projection"] = result.state.session.totals()
     return _finish(out, result, meta, say, t0)
 
 

@@ -40,16 +40,16 @@ onto by semismooth Newton on the dual of the subspace's rows, to a row
 residual of 1e-12 with the box and balls held exactly.
 
 Under coordinator-pair sampling the operator moves on every step, so
-consecutive operator prox points are close.  A grid run therefore owns a
-projection session: each step-path projection starts at the multiplier the
-previous one stopped at and takes chord steps on the previous Newton
-factor while the binding set (clipped box coordinates, binding flow balls)
-is unchanged, refactoring when the set changes, after an Armijo halving,
-after a stale chord step or after a fixed number of chord steps.  Only the
-engine's step lends the session to the projector.  Trace rows, direct calls
-and other engines project cold from the affine multiplier, so nothing they
-do reaches the warm start: the iterates do not depend on ``trace_every``,
-and one run leaves nothing behind for the next.
+consecutive operator prox points are close.  A grid run's state therefore
+carries a projection session (:class:`PpdlmpState`): each step-path
+projection starts at the multiplier the previous one stopped at and takes
+chord steps on the previous Newton factor while the binding set (clipped
+box coordinates, binding flow balls) is unchanged, refactoring when the set
+changes, after an Armijo halving, after a stale chord step or after a fixed
+number of chord steps.  Only the engine's step lends the session to the
+projector.  Trace rows, direct calls and other engines project cold from
+the affine multiplier, so nothing they do reaches the warm start: the
+iterates do not depend on ``trace_every``, and each run starts afresh.
 """
 
 from __future__ import annotations
@@ -92,12 +92,25 @@ BUS_COLUMNS = (
 # bounds on each period's slack injections p0 and q0
 SLACK_BOUNDS = (-10.0, 10.0)
 
+# the per-bus fields of a NetworkModel and how a message names them
+BUS_QUANTITIES = (
+    ("s_cap", "line capacity S"),
+    ("r", "resistance R"),
+    ("x", "reactance X"),
+    ("b_shunt", "shunt susceptance B"),
+    ("p_lo", "consumption floor Pmin"),
+    ("p_hi", "consumption cap Pmax"),
+    ("energy", "energy demand E"),
+    ("tau_c", "reactive ratio tau_c"),
+)
+
 
 @dataclass(frozen=True)
 class NetworkModel:
     """Radial network data over a horizon of T periods.  ``renewable`` maps
     a bus to its per-period production caps; a bus without an entry
-    produces nothing."""
+    produces nothing.  Every per-bus value must be finite and every line
+    capacity non-negative (``ValueError`` naming the bus and quantity)."""
 
     buses: tuple[int, ...]
     parent: dict
@@ -117,8 +130,21 @@ class NetworkModel:
     aggregators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.buses:
+            raise ValueError("the bus table has no buses")
+        for name, label in BUS_QUANTITIES:
+            values = getattr(self, name)
+            table = np.array([values[n] for n in self.buses], dtype=float)
+            finite = np.isfinite(table.reshape(self.n_buses, -1)).all(axis=1)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(
+                    f"bus {self.buses[i]}: {label} {table[i].tolist()} is not finite"
+                )
         known = {0, *self.buses}
         for n in self.buses:
+            if self.s_cap[n] < 0.0:
+                raise ValueError(f"bus {n}: line capacity S {self.s_cap[n]} is negative")
             if n not in self.parent:
                 raise ValueError(f"bus {n} has no parent edge")
             if self.parent[n] not in known:
@@ -202,8 +228,9 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
     of the table named in one edge only.  Voltages are bounded to [0.81, 1.21]
     around v0 = 1, the aggregators are :func:`default_aggregators`, and
     bus 11, if the table has it, produces up to (0.438, 0.201), fully
-    active, as in the bundled study.  Malformed data raises ``ValueError``;
-    a consumption floor above its cap or an energy demand above the caps
+    active, as in the bundled study.  Malformed data, a bus value that is
+    not finite or a negative line capacity ``S`` raises ``ValueError``; a
+    consumption floor above its cap or an energy demand above the caps
     raises :class:`InfeasibleInstance`.
     """
     rows = {}
@@ -405,8 +432,8 @@ class _OperatorProjector:
     too (the stored H is positive definite), so the Armijo safeguard, the
     stopping test and the failure modes are those of the cold path.  The
     result depends on where the session's multiplier and factor came from,
-    so only a run's step path may lend one (see :class:`PpdlmpEngine`);
-    every other caller gets the cold path.
+    so only a run's step path lends one (see the module docstring); every
+    other caller gets the cold path.
     """
 
     def __init__(
@@ -704,18 +731,19 @@ def extract_dlmp(y: Array, problem: ProblemSpec):
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class PpdlmpState(PdaState):
+    """A grid run's iterate and the warm-start session of its step-path
+    operator projections."""
+
+    session: ProjectionSession
+
+
 class PpdlmpEngine(PdaEngine):
     """Pair-activated price coordination: the primal-dual engine with the
     coordinator-pair sampling fixed, so every step moves the operator and
-    one uniformly drawn aggregator; its dual variables are the DLMPs.
-
-    The engine owns the :class:`ProjectionSession` of its run (``session``,
-    a fresh one from each ``init_state``) and lends it to the problem's
-    operator projector only while one of its steps runs.  Consecutive step-path
-    projections are then warm-started and share Newton factors, while the
-    projections of trace rows, direct calls and other engines stay cold, so
-    the iterates do not depend on ``trace_every`` or on earlier runs.
-    """
+    one uniformly drawn aggregator; its dual variables are the DLMPs.  Its
+    step lends the state's session to the operator projector."""
 
     def __init__(self, problem: ProblemSpec, policy=None):
         sampling = paired_dso(problem.d - 1)
@@ -724,15 +752,14 @@ class PpdlmpEngine(PdaEngine):
         super().__init__(problem, sampling, policy)
         self.projector: _OperatorProjector = problem.meta["dso_projector"]
 
-    def init_state(self, x0: Array, rng: np.random.Generator) -> PdaState:
-        """Prices start at sigma (A x0 - b); the run gets a fresh session."""
-        self.session = ProjectionSession()
-        state = super().init_state(x0, rng)
-        state.y *= self.policy.sigma_at(0)
-        return state
+    def init_state(self, x0: Array, rng: np.random.Generator) -> PpdlmpState:
+        """Prices start at sigma (A x0 - b), with a fresh session."""
+        base = super().init_state(x0, rng)
+        base.y *= self.policy.sigma_at(0)
+        return PpdlmpState(**vars(base), session=ProjectionSession())
 
-    def step(self, state: PdaState) -> PdaState:
-        self.projector.session = self.session
+    def step(self, state: PpdlmpState) -> PpdlmpState:
+        self.projector.session = state.session
         try:
             return super().step(state)
         finally:
@@ -751,7 +778,9 @@ def ppdlmp_run(
     reference=None,
 ) -> RunResult:
     """Drive the pair-activated engine through :func:`blockpd.solver.run`.
-    ``trace_every`` must be at least 1."""
+    ``trace_every`` must be at least 1.  The result's state is a
+    :class:`PpdlmpState`: ``state.session.totals()`` counts the run's
+    operator projections."""
     eng = PpdlmpEngine(problem, policy=policy)
     return _run_loop(
         problem, eng.sampling, eng.policy, x0, k_max, engine=eng, seed=seed,

@@ -200,7 +200,8 @@ def long_run_reference(p: ProblemSpec, k_max: int = 200_000, seed: int = 0) -> R
         policy = make_accelerated_policy(p, s)
     except StrongConvexityRequired:
         policy = convex_default_policy(p, s)
-    result = run(p, s, policy, np.zeros(p.m), k_max, seed=seed, trace_every=k_max)
+    result = run(p, s, policy, np.zeros(p.m), k_max, seed=seed, trace_every=k_max,
+                 reference=base)
     x_star = result.state.x
     return Reference(
         x_ls=base.x_ls,

@@ -31,7 +31,6 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import blas, lapack
 
 from .blocks import ProblemSpec
@@ -259,13 +258,15 @@ def _top_eigenvalue(sym: Array) -> float:
     alone.  ``sym`` is overwritten: a Fortran-ordered array (the transpose
     of a C-ordered one) without a copy."""
     n = sym.shape[0]
-    try:
-        top = sla.eigh(
-            sym, eigvals_only=True, subset_by_index=[n - 1, n - 1],
-            overwrite_a=True, check_finite=False,
+    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    top, _, _, _, info = lapack.dsyevr(
+        sym, compute_v=0, range="I", lower=1, il=n, iu=n,
+        lwork=int(lwork), liwork=liwork, overwrite_a=1,
+    )
+    if info:
+        raise PolicyConstructionError(
+            f"step certification failed: LAPACK syevr info {info}"
         )
-    except np.linalg.LinAlgError as exc:
-        raise PolicyConstructionError(f"step certification failed: {exc}") from exc
     return float(top[0])
 
 

@@ -575,8 +575,14 @@ out = {out}
         ("edges", "0,12\n", "0,12\n3,99\n", "edge 3,99: child 99 is not in the bus table"),
         ("bus", "\n4,", "\n3,9.999,138.4,197.8,2.4,0.003,0.011,0.020,0.035,0.047,0.418\n4,",
          "bus 3 has two rows in the bus table"),
+        ("bus", "\n3,0.256,138.4,197.8,2.4,0.003,", "\n3,0.256,138.4,197.8,2.4,nan,",
+         "bus 3: consumption floor Pmin [nan, 0.011] is not finite"),
+        ("bus", "\n3,0.256,", "\n3,-1,", "bus 3: line capacity S -1.0 is negative"),
+        ("bus", "0.047,0.418", "0.047,nan", "bus 3: reactive ratio tau_c nan is not finite"),
+        ("bus", "0.035,0.047,", "0.035,inf,", "bus 3: energy demand E inf is not finite"),
     ], ids=["bus-columns-missing", "parent-not-a-bus", "bus-without-parent",
-            "repeated-child", "child-not-a-bus", "repeated-bus"])
+            "repeated-child", "child-not-a-bus", "repeated-bus", "nan-floor",
+            "negative-capacity", "nan-tau_c", "infinite-energy"])
     def test_malformed_grid_data_exit_code(self, tmp_path, capsys, table, old, new, message):
         from blockpd.dlmp import default_network_paths
 
@@ -588,6 +594,27 @@ out = {out}
             tmp_path / "grid.cfg",
             f"[run]\nexperiment = opf15\nk_max = 10\nout = {tmp_path / 'o'}\n\n"
             f"[instance]\nbus_path = {paths['bus']}\nedges_path = {paths['edges']}\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [instance]" in err and message in err
+
+    @pytest.mark.parametrize("table, old, new, message", [
+        ("bus", "n,S,R_e3,", "n,S,", "bus table is missing columns"),
+        ("edges", "8,7\n", "8,7\n5,7\n", "edge 5,7: bus 7 has two parent edges"),
+    ], ids=["lone-bus-path", "lone-edges-path"])
+    def test_lone_grid_path_is_read(self, tmp_path, capsys, table, old, new, message):
+        # the path not given falls back to its own bundled file; the given
+        # one is still read
+        from blockpd.dlmp import default_network_paths
+
+        paths = dict(zip(("bus", "edges"), default_network_paths()))
+        bad = tmp_path / f"{table}.csv"
+        bad.write_text(open(paths[table]).read().replace(old, new))
+        cfg = write_config(
+            tmp_path / "lone.cfg",
+            f"[run]\nexperiment = opf15\nk_max = 10\nout = {tmp_path / 'o'}\n\n"
+            f"[instance]\n{table}_path = {bad}\n",
         )
         assert main(["--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err

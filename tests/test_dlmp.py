@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import shutil
 import sys
 from dataclasses import replace
@@ -185,6 +186,24 @@ class TestLoadNetwork:
         bad.write_text(open(bus).read().replace("\n4,", f"\n{again}\n4,"))
         with pytest.raises(ValueError, match="bus 3 has two rows"):
             dlmp.load_network(str(bad), edges)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p_lo", np.array([np.nan, 0.011]), "bus 3: consumption floor Pmin [nan, 0.011] is not finite"),
+        ("tau_c", np.nan, "bus 3: reactive ratio tau_c nan is not finite"),
+        ("energy", np.inf, "bus 3: energy demand E inf is not finite"),
+        ("s_cap", -1.0, "bus 3: line capacity S -1.0 is negative"),
+    ], ids=["nan-floor", "nan-tau_c", "infinite-energy", "negative-capacity"])
+    def test_bus_values_are_domain_checked(self, net15, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(net15, **{field: {**getattr(net15, field), 3: value}})
+
+    def test_empty_bus_table_rejected(self, tmp_path):
+        bus, _ = dlmp.default_network_paths()
+        empty_bus, empty_edges = tmp_path / "bus.csv", tmp_path / "edges.csv"
+        empty_bus.write_text(open(bus).readline())
+        empty_edges.write_text("parent,child\n")
+        with pytest.raises(ValueError, match="the bus table has no buses"):
+            dlmp.load_network(str(empty_bus), str(empty_edges))
 
     def test_consumption_floor_above_cap_rejected(self, tmp_path):
         bus, edges = dlmp.default_network_paths()
@@ -498,10 +517,10 @@ class TestOperatorProjection:
 
         problem = replace(opf15, prox=(replace(opf15.prox[0], prox=recording), *opf15.prox[1:]))
         eng = dlmp.PpdlmpEngine(problem)
-        bp.run(problem, eng.sampling, eng.policy, dlmp.opf_initial_point(opf15), 300,
-               engine=eng, seed=1, trace_every=300)
+        state = bp.run(problem, eng.sampling, eng.policy, dlmp.opf_initial_point(opf15), 300,
+                       engine=eng, seed=1, trace_every=300).state
         # one operator prox per step, plus the one trace row's
-        assert len(steps) == 301 and eng.session.calls == 300
+        assert len(steps) == 301 and state.session.calls == 300
         session = self.warm_matches_cold(opf15.meta["dso_projector"], steps[:300])
         assert session.factorisations > 1
         assert session.newton_steps > session.factorisations  # chord steps taken
@@ -737,9 +756,9 @@ class TestPairActivatedLoop:
     def test_warm_start_cuts_newton_work(self, opf15):
         # a cold projection takes about 3.05 Newton steps, each factored
         eng = dlmp.PpdlmpEngine(opf15)
-        bp.run(opf15, eng.sampling, eng.policy, dlmp.opf_initial_point(opf15), 2000,
-               engine=eng, seed=1, trace_every=2000)
-        totals = eng.session.totals()
+        state = bp.run(opf15, eng.sampling, eng.policy, dlmp.opf_initial_point(opf15), 2000,
+                       engine=eng, seed=1, trace_every=2000).state
+        totals = state.session.totals()
         assert totals["calls"] == 2000
         assert all(type(n) is int for n in totals.values())
         assert totals["newton_steps"] <= 2.2 * totals["calls"]

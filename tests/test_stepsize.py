@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import blockpd as bp
 from blockpd import dlmp, oracles, stepsize
@@ -159,30 +160,32 @@ class TestCertificateEdge:
 
 def counted_eigen_calls(monkeypatch):
     """Record (name, shape, positional args, keywords) of every eigen- and
-    singular-value call."""
+    singular-value call, LAPACK's ``dsyevr`` among them."""
     calls = []
 
-    def counted(fn):
+    def counted(name, fn):
         def wrapper(a, *args, **kwargs):
-            calls.append((fn.__name__, np.shape(a), args, kwargs))
+            calls.append((name, np.shape(a), args, kwargs))
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for mod, attr in ((stepsize.sla, "eigh"), (stepsize.sla, "eigvalsh"),
+    for mod, attr in ((sla, "eigh"), (sla, "eigvalsh"), (stepsize.lapack, "dsyevr"),
                       (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                       (np.linalg, "eig"), (np.linalg, "svd")):
-        monkeypatch.setattr(mod, attr, counted(getattr(mod, attr)))
+        monkeypatch.setattr(mod, attr, counted(attr, getattr(mod, attr)))
     return calls
 
 
 def assert_one_top_eigenvalue_each(calls, m, solves):
-    # every m x m call is a standard eigh for the top eigenvalue alone: no
-    # second matrix b (no generalised pencil) and no full spectrum
+    # every m x m call is a standard dsyevr (dsyevr has no second matrix,
+    # so no generalised pencil) for the top eigenvalue alone: no full
+    # spectrum and no eigenvectors
     big = [c for c in calls if c[1] == (m, m)]
-    assert [name for name, *_ in big] == ["eigh"] * solves
+    assert [name for name, *_ in big] == ["dsyevr"] * solves
     for _, _, args, kwargs in big:
-        assert args == () and "b" not in kwargs
-        assert kwargs["subset_by_index"] == [m - 1, m - 1] and kwargs["eigvals_only"]
+        assert args == ()
+        assert kwargs["range"] == "I" and kwargs["il"] == kwargs["iu"] == m
+        assert kwargs["compute_v"] == 0
 
 
 def test_no_eigensolve_on_the_activation_matrix(monkeypatch):
@@ -234,6 +237,12 @@ class TestOneTopEigenvalue:
         else:
             with pytest.raises(StrongConvexityRequired):
                 bp.accel_params(p, s)
+
+
+def test_failed_eigensolve_is_a_policy_error():
+    # LAPACK reports a NaN matrix through a nonzero info
+    with pytest.raises(PolicyConstructionError, match="syevr info"):
+        stepsize._top_eigenvalue(np.full((5, 5), np.nan, order="F"))
 
 
 class TestOneGram:
