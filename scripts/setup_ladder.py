@@ -7,12 +7,15 @@ benchmark (d blocks of 4 columns, q = 6d rows, seed 1) with 4-of-d
 about a minute to generate and some 15 s a window to set up).  Each
 instance is generated once, outside the timings.  Every window takes a
 fresh ``dataclasses.replace`` copy, so nothing cached carries over, and
-times four phases on it in the order a run pays them: the Gram matrix A'A
-(``ProblemSpec.gram``), the convex policy, the accelerated policy and the
-least-squares reference.  The script prints each phase's median seconds
-over the windows and the one-off generation time.  Windows go round-robin
-over the rungs in one process on one BLAS thread, and the first window
-warms up and is dropped:
+times five phases on it in the order a run pays them: the Gram matrix A'A
+(``ProblemSpec.gram``), the convex policy, the accelerated policy, the
+least-squares reference and the exact quadratic reference
+(``quadratic_reference``, which solves the least-squares reference again
+inside, as the rate runs pay it).  The script prints each phase's median
+seconds over the windows, their total without the quadratic reference (the
+set-up of an ls_wide run) and the one-off generation time.  Windows go
+round-robin over the rungs in one process on one BLAS thread, and the first
+window warms up and is dropped:
 
     PYTHONPATH=src python scripts/setup_ladder.py [--d 1000] [--windows 5]
 
@@ -37,7 +40,7 @@ import time
 import blockpd as bp
 from against import load_tree
 
-PHASES = ("gram", "convex", "accelerated", "reference")
+PHASES = ("gram", "convex", "accelerated", "reference", "quadratic")
 
 
 def phases(tree):
@@ -47,6 +50,7 @@ def phases(tree):
         tree.convex_default_policy,
         tree.make_accelerated_policy,
         lambda p, s: tree.least_squares_reference(p),
+        lambda p, s: tree.quadratic_reference(p),
     )))
 
 
@@ -85,7 +89,7 @@ def main():
     med = {key: statistics.median(v) for key, v in secs.items()}
     cols = (*PHASES, "total")
     for key in rungs:
-        med[(*key, "total")] = sum(med[(*key, phase)] for phase in PHASES)
+        med[(*key, "total")] = sum(med[(*key, phase)] for phase in PHASES[:-1])
 
     def table(cell, generate):
         print(f"{'d':>6} {'m':>6} {'generate':>9} " + " ".join(f"{c:>11}" for c in cols))

@@ -316,10 +316,17 @@ def kkt_residual(p: ProblemSpec, x: Array, y: Array) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    g = p.grad_phi(x) + p.a.T.dot(y)
-    xp = p.prox_r(np.ones(p.m), x - g)
-    primal = float(np.max(np.abs(x - xp))) if p.m else 0.0
-    dual = float(np.max(np.abs(p.a.dot(x) - p.b))) if p.q else 0.0
+    # grad_phi, prox_r and the matvec return fresh arrays, so every update
+    # after them is in place
+    g = p.grad_phi(x)
+    g += p.a.T.dot(y)
+    np.subtract(x, g, out=g)
+    xp = p.prox_r(np.ones(p.m), g)
+    xp -= x
+    r = p.a.dot(x)
+    r -= p.b
+    primal = float(abs(xp).max()) if p.m else 0.0
+    dual = float(abs(r).max()) if p.q else 0.0
     return max(primal, dual)
 
 

@@ -37,7 +37,8 @@ with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 Exit codes: 0 success, 2 config error (including a file that is not valid
 INI, a field that does not read as a number or a boolean, a count below its
 least value, a ``[fit] k_min`` above ``[run] k_max``, an unknown ``[fit]``
-column, a value the library rejects, or malformed grid data such as a bus
+column, a value the library rejects, a custom ``a_path`` or ``b_path``
+holding a value that is not finite, or malformed grid data such as a bus
 in two rows, a bus value that is not finite or a negative line capacity),
 3 divergence or a projection that did not converge, 4 infeasible instance
 (such as a bus whose consumption floor exceeds its cap).
@@ -265,6 +266,9 @@ def _build_custom(cfg: RunConfig):
         b = np.loadtxt(ins["b_path"], delimiter=",")
     except KeyError as exc:
         raise ConfigError(f"[instance] custom experiment needs {exc} set") from exc
+    for key, values in (("a_path", a), ("b_path", b)):
+        if not np.isfinite(values).all():
+            raise ConfigError(f"[instance] {key} holds a value that is not finite")
     dims = _instance(cfg, "dims", [a.shape[1]], lambda raw: [int(t) for t in raw.split()])
     structure = BlockStructure(tuple(dims))
     if structure.m != a.shape[1]:

@@ -10,6 +10,7 @@ as such in the returned record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -78,48 +79,83 @@ def least_squares_reference(p: ProblemSpec) -> Reference:
     )
 
 
-def _gram_min_norm(p: ProblemSpec) -> Array | None:
-    """Minimum-norm solution of G x = A'b from G = ``p.gram``, or None when
-    G's rank is below the rank ``gelsy`` would find for A.
+class _GramFactor(NamedTuple):
+    """Pivoted Cholesky factor P'GP = U'U of G = ``p.gram``, U = [U11 U12]
+    of rank r: ``low`` is U11' (lower triangular), ``perm`` and ``dropped``
+    the columns of G the factor kept and dropped, and W = U11^{-1} U12."""
 
-    Pivoted Cholesky (LAPACK ``dpstrf``, its default rank cut-off
-    m * eps * max_i G_ii) factors P'GP = U'U with U = [U11 U12] of rank r.
-    The columns of N = P [-W; I], W = U11^{-1} U12, span the null space of
-    U.  When r < min(q, m), each must be null for A at ``gelsy``'s cut-off,
+    low: Array
+    perm: Array
+    dropped: Array
+    w: Array
+
+    def solve_kept(self, rhs: Array) -> Array:
+        """U11^{-1} U11^{-T} rhs, for rhs on the kept columns (r > 0).
+
+        Straight through LAPACK, without scipy.linalg's per-call checks
+        (some 12 us each, as much as the factorisation at m = 40).  With
+        U11' as the lower factor, trans=1 solves with U11.  Every info is 0:
+        U11's diagonal holds the pivots ``dpstrf`` kept."""
+        z, _ = lapack.dtrtrs(self.low, rhs, lower=1)
+        z, _ = lapack.dtrtrs(self.low, z, lower=1, trans=1)
+        return z
+
+    def null_basis(self) -> Array:
+        """N = P [-W; I], whose m - r columns span the null space of U."""
+        null = np.zeros((len(self.perm) + len(self.dropped), len(self.dropped)))
+        null[self.perm] = -self.w
+        null[self.dropped, np.arange(len(self.dropped))] = 1.0
+        return null
+
+
+def _gram_factor(p: ProblemSpec) -> _GramFactor | None:
+    """G = ``p.gram`` factored by pivoted Cholesky (LAPACK ``dpstrf``, its
+    default rank cut-off m * eps * max_i G_ii), or None when G's rank is
+    below the rank ``gelsy`` would find for A.
+
+    When r < min(q, m), each column N_j of :meth:`_GramFactor.null_basis`
+    must be null for A at ``gelsy``'s cut-off,
     ||A N_j|| <= eps * max(q, m) * sqrt(max_i G_ii) * ||N_j|| (the largest
     column norm of A, where ``gelsy``'s pivoted QR starts), which costs
     O(q m (m - r)).  At r = min(q, m) the factor kept as many directions
     as A has singular values, each far above ``gelsy``'s cut-off, so the
-    two ranks agree and the check is skipped.  Then
-    x_b = P [U11^{-1} U11^{-T} (P'A'b)_1; 0] solves the normal equations;
-    taking out its component in the null space, x = P [z - W t; t] with
-    (I + W'W) t = W'z, costs O(r^2 (m - r)) beyond the factorisation;
-    I + W'W >= I, so its Cholesky factor always exists.
+    two ranks agree and the check is skipped; at r = 0, G = 0 and so A = 0.
     """
     c, piv, rank, _ = lapack.dpstrf(p.gram)
-    if rank == 0:  # G = 0, so A = 0
-        return np.zeros(p.m)
-    perm, dropped = piv[:rank] - 1, piv[rank:] - 1
-    # solves straight through LAPACK, without scipy.linalg's per-call
-    # checks (some 12 us each, as much as the factorisation at m = 40).
-    # With U11' as the lower factor, trans=1 solves with U11.  Every info
-    # is 0: U11's diagonal holds the pivots dpstrf kept, and I + W'W >= I
     low = c[:rank, :rank].T
-    z, _ = lapack.dtrtrs(low, p.a.T.dot(p.b)[perm], lower=1)
-    z, _ = lapack.dtrtrs(low, z, lower=1, trans=1)
-    x = np.empty(p.m)
-    x[perm] = z
-    if rank == p.m:
-        return x
-    w, _ = lapack.dtrtrs(low, c[:rank, rank:], lower=1, trans=1)
-    if rank < min(p.q, p.m):
-        null = np.zeros((p.m, p.m - rank))
-        null[perm] = -w
-        null[dropped, np.arange(p.m - rank)] = 1.0
+    w = np.zeros((rank, p.m - rank))
+    if 0 < rank < p.m:
+        w, _ = lapack.dtrtrs(low, c[:rank, rank:], lower=1, trans=1)
+    factor = _GramFactor(low, piv[:rank] - 1, piv[rank:] - 1, w)
+    if 0 < rank < min(p.q, p.m):
+        null = factor.null_basis()
         cut = np.finfo(float).eps * max(p.q, p.m) * np.sqrt(p.gram.diagonal().max())
         if np.any(np.linalg.norm(p.a @ null, axis=0) > cut * np.linalg.norm(null, axis=0)):
             return None
-    f, _ = lapack.dpotrf(np.eye(p.m - rank) + w.T @ w)
+    return factor
+
+
+def _gram_min_norm(p: ProblemSpec) -> Array | None:
+    """Minimum-norm solution of G x = A'b from G = ``p.gram``, or None when
+    :func:`_gram_factor` declines.
+
+    x_b = P [U11^{-1} U11^{-T} (P'A'b)_1; 0] solves the normal equations;
+    taking out its component in the null space of U, x = P [z - W t; t]
+    with (I + W'W) t = W'z, costs O(r^2 (m - r)) beyond the factorisation;
+    I + W'W >= I, so its Cholesky factor always exists.
+    """
+    factor = _gram_factor(p)
+    if factor is None:
+        return None
+    _, perm, dropped, w = factor
+    if not perm.size:  # G = 0, so A = 0
+        return np.zeros(p.m)
+    z = factor.solve_kept(p.a.T.dot(p.b)[perm])
+    x = np.empty(p.m)
+    x[perm] = z
+    if not dropped.size:
+        return x
+    f, _ = lapack.dpotrf(np.eye(dropped.size) + w.T @ w)
     t, _ = lapack.dpotrs(f, w.T @ z)
     x[perm] -= w @ t
     x[dropped] = t
@@ -134,14 +170,37 @@ def _gelsy_min_norm(p: ProblemSpec) -> Array:
     return x_ls
 
 
+def _gram_multiplier(p: ProblemSpec, factor: _GramFactor, grad: Array) -> Array:
+    """The minimum-norm multiplier y = A z with G z = -grad, z = P [U11^{-1}
+    U11^{-T} (-P'grad)_1; 0]; it solves A'y = -grad when grad lies in the
+    range of G, as it does at a minimiser over the normal-equation
+    solutions, and lies in the range of A."""
+    z = np.zeros(p.m)
+    if factor.perm.size:
+        z[factor.perm] = factor.solve_kept(-grad[factor.perm])
+    return p.a @ z
+
+
 def quadratic_reference(p: ProblemSpec) -> Reference:
     """Exact solve for fully quadratic instances.
 
-    Minimises 0.5 x'Hx + c'x over the affine set of normal-equation
-    solutions by eliminating the constraint with an orthonormal null-space
-    basis of A.  Requires the generator to have recorded the quadratic data
-    (no box constraints).  The multiplier must meet stationarity relative
-    to the size of the gradient's terms,
+    Minimises 0.5 x'Hx + c'x over the affine set x_ls + null(A) of
+    normal-equation solutions by the null-space method: with an orthonormal
+    basis N of null(A), x* = x_ls + N z where (N'HN) z = -N'(H x_ls + c), an
+    (m - r)^2 system.  Requires the generator to have recorded the quadratic
+    data (no box constraints); H = blockdiag(H_i) + mu I is applied block by
+    block, never formed.  N and the multiplier y* (the minimum-norm
+    solution of A'y = -(H x* + c)) come from the pivoted Cholesky factor of
+    the cached Gram matrix G = A'A (:func:`_gram_factor`): N is a thin QR of
+    P [-W; I], and y* = A z with G z = -(H x* + c) by two triangular solves.
+    That factors G a second time after :func:`least_squares_reference`: on
+    one BLAS thread ``dpstrf`` took 8-15 us at m = 40 and 13-18 ms at
+    m = 1000, and the whole of :func:`_gram_factor`, rank check included,
+    45-65 us and 21 ms.  Where the factor declines (its rank is below the
+    rank ``gelsy`` finds for A), N comes from an SVD of A
+    (``scipy.linalg.null_space``) and y* from ``numpy.linalg.lstsq``.
+    The multiplier must meet stationarity relative to the size of the
+    gradient's terms,
     ||A'y + (H + mu I) x + c||_inf <= 1e-7 max(||(H + mu I) x||_inf, ||c||_inf),
     so scaling H, c and mu together by s leaves x unchanged and scales both
     sides by s; a miss raises :class:`InvariantViolation`.
@@ -150,27 +209,33 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     if quad is None:
         raise ValueError("instance carries no quadratic metadata")
     base = least_squares_reference(p)
-    m = p.m
-    h = np.zeros((m, m))
-    c = np.zeros(m)
-    for i in range(p.d):
-        sl = p.blocks.block_slice(i)
-        h[sl, sl] = quad["h_blocks"][i]
-        c[sl] = quad["c_blocks"][i]
-    h = h + quad["mu"] * np.eye(m)
-
-    null = sla.null_space(p.a)
-    if null.shape[1] == 0:
-        x_star = base.x_ls
+    c = np.concatenate(quad["c_blocks"])
+    factor = _gram_factor(p)
+    if factor is None:
+        null = sla.null_space(p.a)
+    elif factor.dropped.size:
+        # a thin QR of P [-W; I] straight through LAPACK
+        qr, tau, _, _ = lapack.dgeqrf(factor.null_basis())
+        null, _, _ = lapack.dorgqr(qr, tau)
     else:
-        reduced = null.T @ h @ null
-        rhs = -null.T @ (h @ base.x_ls + c)
-        z = np.linalg.solve(reduced, rhs)
+        null = np.empty((p.m, 0))
+    # (H + mu I) [N x_ls], block by block
+    v = np.column_stack((null, base.x_ls))
+    hv = quad["mu"] * v
+    for sl, h in zip(p.blocks.slices, quad["h_blocks"]):
+        hv[sl] += h @ v[sl]
+    k = null.shape[1]
+    x_star, hx = base.x_ls, hv[:, k]
+    if k:
+        z = np.linalg.solve(null.T @ hv[:, :k], -null.T @ (hx + c))
         x_star = base.x_ls + null @ z
-    hx = h @ x_star
+        hx = hx + hv[:, :k] @ z
     grad = hx + c
     # stationarity demands grad + A'y = 0 for some multiplier y
-    y_star, *_ = np.linalg.lstsq(p.a.T, -grad, rcond=None)
+    if factor is None:
+        y_star, *_ = np.linalg.lstsq(p.a.T, -grad, rcond=None)
+    else:
+        y_star = _gram_multiplier(p, factor, grad)
     stationarity = float(np.max(np.abs(p.a.T @ y_star + grad)))
     bound = 1e-7 * max(float(np.max(np.abs(hx))), float(np.max(np.abs(c))))
     if not stationarity <= bound:

@@ -1,10 +1,11 @@
 """Reference implementations the tests check the package against.
 
 Exact small-scale oracles (the active-set projection, the expectation over
-an enumerable sampling), the paper's closed-form bounds and energies (the
-tau floor, the cumulative-weight bound, the matrix-inequality margins and
-the dense eigenproblems behind the step certificates, the ergodic weights,
-the Lyapunov pair) and the projection primitives the Dykstra tests
+an enumerable sampling, the dense SVD solve of the quadratic reference),
+the paper's closed-form bounds and energies (the tau floor, the
+cumulative-weight bound, the matrix-inequality margins and the dense
+eigenproblems behind the step certificates, the ergodic weights, the
+Lyapunov pair) and the projection primitives the Dykstra tests
 intersect, among them the operator's box and flow balls.  No run calls any
 of them, so they live beside the tests rather than in ``blockpd``;
 ``test_package_defines_only_what_runs_reference`` keeps it that way, except
@@ -29,10 +30,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from blockpd import solver
-from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock
+from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock, eval_psi
 from blockpd.dlmp import NetworkModel
 from blockpd.errors import InfeasibleInstance, InvariantViolation, UnsupportedSampling
-from blockpd.oracles import Reference
+from blockpd.oracles import Reference, least_squares_reference
 from blockpd.proxops import project_energy_budget
 from blockpd.sampling import Sampling, weight_matrix_p, xi_matrix
 from blockpd.solver import RbcdEngine, RbcdState
@@ -80,6 +81,35 @@ def dual_scale(ref: Reference) -> float:
     if ref.y_star is None:
         raise ValueError("no multiplier recorded for this reference")
     return float(np.sqrt(2.0) * np.linalg.norm(ref.y_star))
+
+
+def dense_quadratic_reference(p: ProblemSpec) -> Reference:
+    """The exact reduced QP solve ``oracles.quadratic_reference`` made before
+    it read the Gram factor, kept as its test oracle: a dense m x m H, an
+    SVD null-space basis of A and the multiplier from ``numpy.linalg.lstsq``
+    (with no stationarity check)."""
+    quad = p.meta["quadratic"]
+    base = least_squares_reference(p)
+    m = p.m
+    h = np.zeros((m, m))
+    c = np.zeros(m)
+    for i in range(p.d):
+        sl = p.blocks.block_slice(i)
+        h[sl, sl] = quad["h_blocks"][i]
+        c[sl] = quad["c_blocks"][i]
+    h = h + quad["mu"] * np.eye(m)
+
+    null = sla.null_space(p.a)
+    if null.shape[1] == 0:
+        x_star = base.x_ls
+    else:
+        reduced = null.T @ h @ null
+        rhs = -null.T @ (h @ base.x_ls + c)
+        z = np.linalg.solve(reduced, rhs)
+        x_star = base.x_ls + null @ z
+    y_star, *_ = np.linalg.lstsq(p.a.T, -(h @ x_star + c), rcond=None)
+    return replace(base, x_star=x_star, psi_star=eval_psi(p, x_star), y_star=y_star,
+                   source="reduced-qp")
 
 
 def expectation_over_sampling(s: Sampling, f: Callable[[Array], object]):

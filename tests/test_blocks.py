@@ -13,7 +13,7 @@ from blockpd.errors import InfeasibleInstance, InvariantViolation, PolicyConstru
 from blockpd.oracles import long_run_reference
 from blockpd import dlmp
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
-from instruments import grad_h, prox_box_block
+from instruments import dense_quadratic_reference, grad_h, prox_box_block
 
 
 def scalar_problem(phi=None, prox=None, a=None, b=None, dims=(1,)):
@@ -387,16 +387,74 @@ class TestReferenceChecks:
         # residual of 1e-8, which an absolute 1e-7 bound accepted
         scale = 1e-5
         _, small = self.quadratic_scaled(scale)
-        real = np.linalg.lstsq
+        real = oracles._gram_multiplier
 
-        def missing(a_t, rhs, rcond=None):
-            y, *rest = real(a_t, rhs, rcond=rcond)
-            y[0] += 1e-3 * scale / np.max(np.abs(a_t[:, 0]))
-            return (y, *rest)
+        def missing(prob, factor, grad):
+            y = real(prob, factor, grad)
+            y[0] += 1e-3 * scale / np.max(np.abs(prob.a[0]))
+            return y
 
-        monkeypatch.setattr(np.linalg, "lstsq", missing)
+        monkeypatch.setattr(oracles, "_gram_multiplier", missing)
         with pytest.raises(InvariantViolation, match="stationarity"):
             oracles.quadratic_reference(small)
+
+    @staticmethod
+    def quadratic_instance(case, request):
+        """A generator instance, or the matrix of
+        ``test_gelsy_fallback_when_gram_solve_misses`` with quadratic blocks
+        and their metadata."""
+        if case in ("bench", "two_block"):
+            return request.getfixturevalue(f"{case}_instance")
+        if case != "gelsy":
+            kwargs = {
+                "wide": dict(seed=3, d=10, dims=4, q=20, rank_deficiency=4),
+                "full_rank": dict(seed=4, d=10, dims=4, q=60, rank_deficiency=0),
+                "mixed": dict(seed=5, d=5, dims=[2, 5, 3, 6, 4], q=30, rank_deficiency=3),
+            }[case]
+            return bp.make_random_inconsistent_ls(noise=0.6, mu=1.0, **kwargs)
+        rng = np.random.default_rng(1462)
+        q, m = 22, 56
+        u = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        v = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        a = (u * np.logspace(0.0, np.log10(5.2223527848731225e-08), q)) @ v[:, :q].T
+        h_blocks = [np.array([[t]]) for t in rng.uniform(1.0, 3.0, m)]
+        c_blocks = [np.array([t]) for t in rng.standard_normal(m)]
+        p = scalar_problem(
+            phi=[SmoothBlock.quadratic(h, c) for h, c in zip(h_blocks, c_blocks)],
+            prox=[prox_quadratic_block(1.0)] * m,
+            a=[a[:, j : j + 1] for j in range(m)], b=rng.standard_normal(q), dims=(1,) * m,
+        )
+        quad = {"h_blocks": h_blocks, "c_blocks": c_blocks, "mu": 1.0}
+        return dataclasses.replace(p, meta={"quadratic": quad})
+
+    @pytest.mark.parametrize("case", ["bench", "two_block", "wide", "full_rank", "mixed", "gelsy"])
+    def test_quadratic_reference_matches_the_dense_solve(self, case, request, monkeypatch):
+        # the Gram factor's null basis and multiplier move x*, y* and psi*
+        # by rounding only; the gelsy matrix's factor declines, so its
+        # reference takes the SVD path
+        p = self.quadratic_instance(case, request)
+        dense = dense_quadratic_reference(p)
+        real, svds = oracles.sla.null_space, []
+        monkeypatch.setattr(oracles.sla, "null_space", lambda a: svds.append(a) or real(a))
+        ref = oracles.quadratic_reference(p)
+        assert len(svds) == (case == "gelsy")
+        assert np.array_equal(ref.x_ls, dense.x_ls) and ref.h_star == dense.h_star
+
+        def rel(x, oracle):
+            return np.max(np.abs(x - oracle)) / np.max(np.abs(oracle))
+
+        assert rel(ref.x_star, dense.x_star) <= 1e-11
+        assert rel(ref.y_star, dense.y_star) <= 1e-10
+        assert abs(ref.psi_star - dense.psi_star) <= 1e-12 * abs(dense.psi_star)
+
+    def test_bench_reference_takes_no_svd(self, bench_instance, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("SVD-based solve on the bench instance")
+
+        monkeypatch.setattr(oracles.sla, "null_space", svd)
+        monkeypatch.setattr(np.linalg, "lstsq", svd)
+        ref = oracles.quadratic_reference(bench_instance)
+        assert ref.source == "reduced-qp"
 
     def test_long_run_falls_back_without_strong_convexity(self):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8, mu=0.0)

@@ -497,6 +497,23 @@ kind = full
         assert main(["--config", cfg, "--quiet"]) == 2
         assert "[instance] mu must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, a, b", [
+        ("b_path", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, np.inf, 0.0]),
+        ("a_path", [[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]], [1.0, 2.0, 0.0]),
+    ])
+    def test_custom_non_finite_data_exit_code(self, tmp_path, capsys, key, a, b):
+        # inf in b reached gelsy, nan in A the policy's SVD
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a_path, np.array(a), delimiter=",")
+        np.savetxt(b_path, np.array(b), delimiter=",")
+        cfg = write_config(
+            tmp_path / "nonfinite.cfg",
+            f"[run]\nexperiment = custom\nk_max = 300\nout = {tmp_path / 'o'}\n\n"
+            f"[instance]\na_path = {a_path}\nb_path = {b_path}\ndims = 1 1\nmu = 0.5\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert f"[instance] {key} holds a value that is not finite" in capsys.readouterr().err
+
     def test_uncoupled_unscaled_block_exit_code(self, tmp_path, capsys):
         # column 2 of A is zero and mu = 0: block 1 would get B_1 = 0
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
