@@ -6,16 +6,20 @@ benchmark (d blocks of 4 columns, q = 6d rows, seed 1) with 4-of-d
 ``nice`` sampling for d in {10, 250, 500}; ``--d`` adds rungs (d=1000 takes
 about a minute to generate and some 15 s a window to set up).  Each
 instance is generated once, outside the timings.  Every window takes a
-fresh ``dataclasses.replace`` copy, so nothing cached carries over, and
-times five phases on it in the order a run pays them: the Gram matrix A'A
-(``ProblemSpec.gram``), the convex policy, the accelerated policy, the
+fresh ``dataclasses.replace`` copy, so nothing cached on the problem
+carries over (its ``BlockStructure``, with the grouping of its blocks by
+size, is shared), and times six phases on it in the order a run pays
+them: the Gram matrix A'A (``ProblemSpec.gram``), the per-block norms and
+curvatures (``block_sq_norms`` and ``smooth_lipschitz``, which the convex
+policy pays otherwise), the convex policy, the accelerated policy, the
 least-squares reference and the exact quadratic reference
 (``quadratic_reference``, which solves the least-squares reference again
-inside, as the rate runs pay it).  The script prints each phase's median
-seconds over the windows, their total without the quadratic reference (the
-set-up of an ls_wide run) and the one-off generation time.  Windows go
-round-robin over the rungs in one process on one BLAS thread, and the first
-window warms up and is dropped:
+inside, from the Gram factor the reference phase left on the problem; the
+rate runs call it alone and pay that factor too).  The script prints each
+phase's median seconds over the windows, their total without the
+quadratic reference (the set-up of an ls_wide run) and the one-off
+generation time.  Windows go round-robin over the rungs in one process on
+one BLAS thread, and the first window warms up and is dropped:
 
     PYTHONPATH=src python scripts/setup_ladder.py [--d 1000] [--windows 5]
 
@@ -40,13 +44,14 @@ import time
 import blockpd as bp
 from against import load_tree
 
-PHASES = ("gram", "convex", "accelerated", "reference", "quadratic")
+PHASES = ("gram", "blocks", "convex", "accelerated", "reference", "quadratic")
 
 
 def phases(tree):
     """The timed phases, in the order a run pays them, from one tree."""
     return dict(zip(PHASES, (
         lambda p, s: p.gram,
+        lambda p, s: (p.block_sq_norms, p.smooth_lipschitz),
         tree.convex_default_policy,
         tree.make_accelerated_policy,
         lambda p, s: tree.least_squares_reference(p),

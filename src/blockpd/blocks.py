@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,6 +61,50 @@ class BlockStructure:
     def expand(self, per_block: Sequence[float]) -> Array:
         """Repeat one scalar per block into a length-m vector."""
         return np.repeat(np.asarray(per_block, dtype=float), self.dims)
+
+    @cached_property
+    def _size_groups(self) -> tuple["_SizeGroup", ...]:
+        """The blocks grouped by dimension, one group per distinct size in
+        order of first appearance, so per-block set-up work runs as one
+        stacked call per size rather than one call per block."""
+        order: dict[int, list[int]] = {}
+        for i, n in enumerate(self.dims):
+            order.setdefault(n, []).append(i)
+        groups = []
+        for n, ids in order.items():
+            first, last = ids[0], ids[-1]
+            if last - first + 1 == len(ids):
+                blocks = slice(first, last + 1)
+                cols = slice(self.offsets[first], self.offsets[last + 1])
+            else:
+                blocks = np.array(ids, dtype=np.intp)
+                cols = (np.asarray(self.offsets)[blocks][:, None] + np.arange(n)).ravel()
+            groups.append(_SizeGroup(n, tuple(ids), blocks, cols))
+        return tuple(groups)
+
+
+class _SizeGroup(NamedTuple):
+    """The blocks ``ids`` of one dimension ``n``, ascending.  ``blocks``
+    indexes a length-d array and ``cols`` a length-m one at those blocks:
+    slices when the blocks are contiguous, as on every generator instance,
+    and index arrays otherwise."""
+
+    n: int
+    ids: tuple[int, ...]
+    blocks: slice | Array
+    cols: slice | Array
+
+    def take(self, arr: Array) -> Array:
+        """The group's row slabs of ``arr`` (leading dimension m) stacked
+        (len(ids), n, ...): a view when the blocks are contiguous, else a
+        copy, which :meth:`put` writes back."""
+        return arr[self.cols].reshape(len(self.ids), self.n, *arr.shape[1:])
+
+    def put(self, arr: Array, stack: Array) -> None:
+        """Write a stack from :meth:`take` that was changed in place back
+        into ``arr``; nothing to do when it is a view."""
+        if not isinstance(self.cols, slice):
+            arr[self.cols] = stack.reshape(-1, *arr.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -150,7 +194,12 @@ class ProblemSpec:
         d = self.blocks.d
         if not (len(self.smooth) == len(self.prox) == len(self.a_blocks) == d):
             raise ValueError("per-block sequences must all have length d")
+        if self.b.ndim != 1:
+            raise ValueError(f"b must be a vector, got an array of shape {self.b.shape}")
         q = self.b.shape[0]
+        rows = {a.shape[0] for a in self.a_blocks if a.ndim == 2}
+        if len(rows) == 1 and q not in rows:
+            raise ValueError(f"b has length {q} but A has {rows.pop()} rows")
         for i, a in enumerate(self.a_blocks):
             if a.shape != (q, self.blocks.dims[i]):
                 raise ValueError(
@@ -179,11 +228,14 @@ class ProblemSpec:
 
     @cached_property
     def block_sq_norms(self) -> Array:
-        """Per-block squared spectral norms lambda_i = ||A_i||_2^2."""
-        out = np.empty(self.d)
-        for i, a in enumerate(self.a_blocks):
-            s = np.linalg.svd(a, compute_uv=False)
-            out[i] = float(s[0] ** 2) if s.size else 0.0
+        """Per-block squared spectral norms lambda_i = ||A_i||_2^2, one
+        singular-value call per block size on the stacked A_i (q = 0 gives
+        0)."""
+        out = np.zeros(self.d)
+        if self.q:
+            for g in self.blocks._size_groups:
+                s = np.linalg.svd(g.take(self.a.T).transpose(0, 2, 1), compute_uv=False)
+                out[g.blocks] = s[:, 0] ** 2
         return out
 
     @cached_property
@@ -196,9 +248,29 @@ class ProblemSpec:
         return g
 
     @cached_property
+    def lam_stacks(self) -> tuple[Array, ...]:
+        """The curvature matrices Lam_i stacked (len(ids), n, n), one stack
+        per entry of ``blocks._size_groups``; the per-block curvature and
+        both step certificates read them."""
+        return tuple(
+            np.stack([self.smooth[i].lam for i in g.ids]) for g in self.blocks._size_groups
+        )
+
+    @cached_property
     def smooth_lipschitz(self) -> Array:
-        """Per-block scalar curvature bounds L_i = lammax(Lam_i)."""
-        return np.array([float(np.linalg.eigvalsh(blk.lam).max()) for blk in self.smooth])
+        """Per-block scalar curvature bounds L_i = lammax(Lam_i), one
+        eigenvalue call per block size."""
+        out = np.empty(self.d)
+        for g, lam in zip(self.blocks._size_groups, self.lam_stacks):
+            out[g.blocks] = np.linalg.eigvalsh(lam).max(axis=1)
+        return out
+
+    @cached_property
+    def derived(self) -> dict:
+        """Results other modules compute from this problem's data alone
+        (the references' Gram factor), kept here so each is made once per
+        problem; a ``dataclasses.replace`` copy starts empty."""
+        return {}
 
     @cached_property
     def mu_vector(self) -> Array:
@@ -371,6 +443,8 @@ def make_consensus(
         raise InfeasibleInstance(
             "graph is disconnected: agreement across components is not enforceable"
         )
+    if not edges:
+        raise ValueError("consensus needs an edge: one node has nothing to agree with")
     a = np.zeros((len(edges), n))
     for e, (u, v) in enumerate(edges):
         a[e, u], a[e, v] = 1.0, -1.0

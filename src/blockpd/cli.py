@@ -234,7 +234,8 @@ def _build_consensus(cfg: RunConfig):
     if graph == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif graph == "ring":
-        edges = [(i, (i + 1) % n) for i in range(n)]
+        # one node makes no ring: its only edge would be a self-loop
+        edges = [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
     else:
         raise ConfigError(f"[instance] graph must be path or ring, got {graph!r}")
     local = [prox_quadratic_block(1.0, center=anchors[i]) for i in range(n)]

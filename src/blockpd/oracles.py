@@ -111,7 +111,9 @@ class _GramFactor(NamedTuple):
 def _gram_factor(p: ProblemSpec) -> _GramFactor | None:
     """G = ``p.gram`` factored by pivoted Cholesky (LAPACK ``dpstrf``, its
     default rank cut-off m * eps * max_i G_ii), or None when G's rank is
-    below the rank ``gelsy`` would find for A.
+    below the rank ``gelsy`` would find for A.  Made once per problem and
+    kept in ``p.derived``, None included, so the least-squares and the
+    quadratic reference share one factorisation.
 
     When r < min(q, m), each column N_j of :meth:`_GramFactor.null_basis`
     must be null for A at ``gelsy``'s cut-off,
@@ -121,6 +123,8 @@ def _gram_factor(p: ProblemSpec) -> _GramFactor | None:
     as A has singular values, each far above ``gelsy``'s cut-off, so the
     two ranks agree and the check is skipped; at r = 0, G = 0 and so A = 0.
     """
+    if _GramFactor in p.derived:
+        return p.derived[_GramFactor]
     c, piv, rank, _ = lapack.dpstrf(p.gram)
     low = c[:rank, :rank].T
     w = np.zeros((rank, p.m - rank))
@@ -131,7 +135,8 @@ def _gram_factor(p: ProblemSpec) -> _GramFactor | None:
         null = factor.null_basis()
         cut = np.finfo(float).eps * max(p.q, p.m) * np.sqrt(p.gram.diagonal().max())
         if np.any(np.linalg.norm(p.a @ null, axis=0) > cut * np.linalg.norm(null, axis=0)):
-            return None
+            factor = None
+    p.derived[_GramFactor] = factor
     return factor
 
 
@@ -181,6 +186,19 @@ def _gram_multiplier(p: ProblemSpec, factor: _GramFactor, grad: Array) -> Array:
     return p.a @ z
 
 
+def _apply_hessian(p: ProblemSpec, quad: dict, v: Array) -> Array:
+    """(H + mu I) v for H = blockdiag(H_i) of the quadratic metadata
+    ``quad`` and the m-row matrix v, by one stacked ``matmul`` per block
+    size (the bits of a per-block product)."""
+    hv = quad["mu"] * v
+    for g in p.blocks._size_groups:
+        h = np.stack([quad["h_blocks"][i] for i in g.ids])
+        slabs = g.take(hv)
+        slabs += np.matmul(h, g.take(v))
+        g.put(hv, slabs)
+    return hv
+
+
 def quadratic_reference(p: ProblemSpec) -> Reference:
     """Exact solve for fully quadratic instances.
 
@@ -188,15 +206,14 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     normal-equation solutions by the null-space method: with an orthonormal
     basis N of null(A), x* = x_ls + N z where (N'HN) z = -N'(H x_ls + c), an
     (m - r)^2 system.  Requires the generator to have recorded the quadratic
-    data (no box constraints); H = blockdiag(H_i) + mu I is applied block by
-    block, never formed.  N and the multiplier y* (the minimum-norm
+    data (no box constraints); H = blockdiag(H_i) + mu I is applied by one
+    stacked ``matmul`` per block size (:func:`_apply_hessian`), never
+    formed.  N and the multiplier y* (the minimum-norm
     solution of A'y = -(H x* + c)) come from the pivoted Cholesky factor of
     the cached Gram matrix G = A'A (:func:`_gram_factor`): N is a thin QR of
     P [-W; I], and y* = A z with G z = -(H x* + c) by two triangular solves.
-    That factors G a second time after :func:`least_squares_reference`: on
-    one BLAS thread ``dpstrf`` took 8-15 us at m = 40 and 13-18 ms at
-    m = 1000, and the whole of :func:`_gram_factor`, rank check included,
-    45-65 us and 21 ms.  Where the factor declines (its rank is below the
+    The factor is the one :func:`least_squares_reference` made, kept on
+    the problem.  Where the factor declines (its rank is below the
     rank ``gelsy`` finds for A), N comes from an SVD of A
     (``scipy.linalg.null_space``) and y* from ``numpy.linalg.lstsq``.
     The multiplier must meet stationarity relative to the size of the
@@ -219,11 +236,8 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
         null, _, _ = lapack.dorgqr(qr, tau)
     else:
         null = np.empty((p.m, 0))
-    # (H + mu I) [N x_ls], block by block
-    v = np.column_stack((null, base.x_ls))
-    hv = quad["mu"] * v
-    for sl, h in zip(p.blocks.slices, quad["h_blocks"]):
-        hv[sl] += h @ v[sl]
+    # (H + mu I) [N x_ls]
+    hv = _apply_hessian(p, quad, np.column_stack((null, base.x_ls)))
     k = null.shape[1]
     x_star, hx = base.x_ls, hv[:, k]
     if k:

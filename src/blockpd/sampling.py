@@ -200,8 +200,9 @@ def xi_matrix(s: Sampling, gram: Array, blocks: BlockStructure) -> Array:
     ``gram`` = A'A (a problem's cached ``ProblemSpec.gram``) split by
     ``blocks``, scaled blockwise by W = Pi / (pi pi') (diagonal 1/pi_i):
     Xi[i,j] = (Pi_ij / (pi_i pi_j)) A_i'A_j off the diagonal and
-    Xi[i,i] = A_i'A_i / pi_i.  A fresh copy of ``gram`` is scaled one row
-    slab of blocks at a time and returned, so a caller may overwrite it.
+    Xi[i,i] = A_i'A_i / pi_i.  A fresh copy of ``gram`` is scaled by one
+    operation per block size, on the stacked row slabs of that size's
+    blocks, and returned, so a caller may overwrite it.
     The exhaustive expectation, the per-pair block loop and the form that
     stacks the blocks into its own Gram product are test oracles
     (``tests/conftest.py``).
@@ -210,8 +211,11 @@ def xi_matrix(s: Sampling, gram: Array, blocks: BlockStructure) -> Array:
     np.fill_diagonal(w, 1.0 / s.pi)
     xi = gram.copy()
     # one repeat for every row slab's column weights, not one per slab
-    for sl, w_i in zip(blocks.slices, np.repeat(w, blocks.dims, axis=1)):
-        xi[sl] *= w_i
+    w_cols = np.repeat(w, blocks.dims, axis=1)
+    for g in blocks._size_groups:
+        slabs = g.take(xi)
+        slabs *= w_cols[g.blocks, None, :]
+        g.put(xi, slabs)
     return xi
 
 

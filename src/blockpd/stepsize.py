@@ -128,7 +128,8 @@ def convex_default_policy(
     sigma_max = 1 / lammax(Xi, D - Lam), taken over the blocks with
     lambda_i > 0 (the others have zero rows in Xi and certify any sigma).
     It is reduced block by block, with no m x m D - Lam: each coupled
-    block's D_i - Lam_i = L_i L_i' is factored, L_i^{-1} is applied to that
+    block's D_i - Lam_i = L_i L_i' is factored (one stacked Cholesky call
+    per block size, :func:`_coupled_factors`), L_i^{-1} is applied to that
     block's row slab of a fresh Xi and then to its row slab of the
     transpose, and sigma_max = 1 / lammax(M) with M = L^{-1} Xi L^{-T}, the
     M of the proof below.  A block whose factor does not exist in floating point
@@ -169,25 +170,17 @@ def convex_default_policy(
     if not coupled.all():
         keep = np.flatnonzero(p.blocks.expand(coupled))
         xi = xi[np.ix_(keep, keep)]
-    # M = L^{-1} Xi L^{-T} with L L' = D - Lam, factored block by block
-    # over the coupled blocks, whose rows and columns stay contiguous in xi.
-    # L^{-1} goes onto the row slabs of xi, then onto those of a C-ordered
-    # copy of its transpose; a C-ordered row slab X is solved in place as
-    # X' L^{-T} on its Fortran-ordered transpose X'
+    # M = L^{-1} Xi L^{-T} with L L' = D - Lam, factored one block size at
+    # a time over the coupled blocks, whose rows and columns stay contiguous
+    # in xi.  L^{-1} goes onto the row slabs of xi, then onto those of a
+    # C-ordered copy of its transpose; a C-ordered row slab X is solved in
+    # place as X' L^{-T} on its Fortran-ordered transpose X'
     factors, start = [], 0
-    for i in np.flatnonzero(coupled).tolist():
-        sl = p.blocks.slices[i]
-        rows = slice(start, start + sl.stop - sl.start)
-        start = rows.stop
-        low, info = lapack.dpotrf(np.diag(pb_diag[sl]) - p.smooth[i].lam, lower=1, clean=0)
-        if info:
-            raise PolicyConstructionError(
-                f"step certification failed: D_i - Lam_i of block {i} is not "
-                f"positive definite in floating point (lambda_i = {lam_i[i]:.3g} "
-                f"is lost beside L_i = {l_i[i]:.3g})"
-            )
+    for i, low in sorted(_coupled_factors(p, pb_diag, coupled).items()):
+        factors.append((slice(start, start + p.blocks.dims[i]), low))
+        start += p.blocks.dims[i]
+    for rows, low in factors:
         blas.dtrsm(1.0, low, xi[rows].T, side=1, lower=1, trans_a=1, overwrite_b=1)
-        factors.append((rows, low))
     xi = xi.T.copy()
     for rows, low in factors:
         blas.dtrsm(1.0, low, xi[rows].T, side=1, lower=1, trans_a=1, overwrite_b=1)
@@ -209,6 +202,35 @@ def convex_default_policy(
     return ConvexPolicy(sigma, b_diag, certified_margin=margin)
 
 
+def _coupled_factors(p: ProblemSpec, pb_diag: Array, coupled: Array) -> dict[int, Array]:
+    """The lower Cholesky factor of D_i - Lam_i for each coupled block i,
+    from one ``numpy.linalg.cholesky`` call per block size on the stacked
+    D_i - Lam_i (LAPACK ``potrf``, the bits of a per-block call).  When a
+    stack does not factor, the first block in block order whose own
+    ``dpotrf`` fails is named in a :class:`PolicyConstructionError`."""
+    lows = {}
+    try:
+        for g, lam in zip(p.blocks._size_groups, p.lam_stacks):
+            keep = coupled[g.blocks]
+            if not keep.any():
+                continue
+            dml = _diagonal_stack(g.take(pb_diag)[keep])
+            dml -= lam[keep]
+            lows.update(zip(np.array(g.ids)[keep].tolist(), np.linalg.cholesky(dml)))
+    except np.linalg.LinAlgError:
+        lam_i, l_i = p.block_sq_norms, p.smooth_lipschitz
+        for i in np.flatnonzero(coupled).tolist():
+            sl = p.blocks.slices[i]
+            if lapack.dpotrf(np.diag(pb_diag[sl]) - p.smooth[i].lam, lower=1)[1]:
+                raise PolicyConstructionError(
+                    f"step certification failed: D_i - Lam_i of block {i} is not "
+                    f"positive definite in floating point (lambda_i = {lam_i[i]:.3g} "
+                    f"is lost beside L_i = {l_i[i]:.3g})"
+                ) from None
+        raise
+    return lows
+
+
 def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     """Curvature-adapted parameters (alpha, beta, kappa).
 
@@ -216,7 +238,8 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     eigenvalue of M^{-1/2} Xi M^{-1/2} (that eigenvalue alone, not the full
     spectrum) and beta = alpha * lammax of
     M^{-1/2}(Lam + Upsilon)M^{-1/2}.  Lam + Upsilon and M are block
-    diagonal, so beta takes the largest of the per-block eigenvalues.  When
+    diagonal, so beta takes the largest of the per-block eigenvalues, from
+    one ``eigvalsh`` call per block size on the stacked blocks.  When
     Xi is block diagonal alpha and kappa = beta / alpha reduce to the
     closed forms
 
@@ -242,14 +265,32 @@ def accel_params(p: ProblemSpec, s: Sampling) -> tuple[float, float, float]:
     if not top > 0.0:
         raise PolicyConstructionError("accelerated parameters need a coupled block: A = 0")
     alpha = 1.0 / top
-    lu_max = 0.0
-    for sl, blk in zip(p.blocks.slices, p.smooth):
-        lam_ups = blk.lam + np.diag(mu[sl])
-        lu_scaled = scale[sl, None] * lam_ups * scale[None, sl]
-        lu_max = max(lu_max, float(np.linalg.eigvalsh(lu_scaled).max()))
-    beta = alpha * lu_max
+    beta = alpha * _scaled_curvature_top(p, scale)
     kappa = beta / alpha
     return alpha, beta, kappa
+
+
+def _diagonal_stack(rows: Array) -> Array:
+    """The (k, n, n) stack of diagonal matrices whose diagonals are the k
+    rows of ``rows``."""
+    k, n = rows.shape
+    out = np.zeros((k, n, n))
+    out[:, np.arange(n), np.arange(n)] = rows
+    return out
+
+
+def _scaled_curvature_top(p: ProblemSpec, scale: Array) -> float:
+    """max(0, lammax(S (Lam + Upsilon) S)) with S = diag(``scale``): the
+    largest of the per-block eigenvalues, from one ``eigvalsh`` call per
+    block size on the stacked S_i (Lam_i + Upsilon_i) S_i."""
+    top = 0.0
+    for g, lam in zip(p.blocks._size_groups, p.lam_stacks):
+        lam_ups = _diagonal_stack(g.take(p.mu_vector))
+        lam_ups += lam
+        s_i = g.take(scale)
+        lu_scaled = s_i[:, :, None] * lam_ups * s_i[:, None, :]
+        top = max(top, float(np.linalg.eigvalsh(lu_scaled).max()))
+    return top
 
 
 def _top_eigenvalue(sym: Array) -> float:

@@ -28,6 +28,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from blockpd import solver
 from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock, eval_psi
@@ -110,6 +111,57 @@ def dense_quadratic_reference(p: ProblemSpec) -> Reference:
     y_star, *_ = np.linalg.lstsq(p.a.T, -(h @ x_star + c), rcond=None)
     return replace(base, x_star=x_star, psi_star=eval_psi(p, x_star), y_star=y_star,
                    source="reduced-qp")
+
+
+# The per-block loops that the set-up ran before it stacked the blocks of
+# one size into one LAPACK call; the stacked forms must keep their bits.
+
+
+def looped_block_sq_norms(p: ProblemSpec) -> Array:
+    """||A_i||_2^2 by one SVD per block (0 when q = 0)."""
+    out = np.empty(p.d)
+    for i, a in enumerate(p.a_blocks):
+        s = np.linalg.svd(a, compute_uv=False)
+        out[i] = float(s[0] ** 2) if s.size else 0.0
+    return out
+
+
+def looped_smooth_lipschitz(p: ProblemSpec) -> Array:
+    """lammax(Lam_i) by one eigvalsh per block."""
+    return np.array([float(np.linalg.eigvalsh(blk.lam).max()) for blk in p.smooth])
+
+
+def looped_scaled_curvature_top(p: ProblemSpec, scale: Array) -> float:
+    """max(0, lammax of S_i (Lam_i + Upsilon_i) S_i over the blocks), one
+    eigvalsh per block."""
+    mu = p.mu_vector
+    top = 0.0
+    for sl, blk in zip(p.blocks.slices, p.smooth):
+        lam_ups = blk.lam + np.diag(mu[sl])
+        lu_scaled = scale[sl, None] * lam_ups * scale[None, sl]
+        top = max(top, float(np.linalg.eigvalsh(lu_scaled).max()))
+    return top
+
+
+def looped_coupled_factors(p: ProblemSpec, pb_diag: Array, coupled: Array) -> dict[int, Array]:
+    """The lower factor of D_i - Lam_i by one ``dpotrf`` per coupled block,
+    its upper triangle zeroed."""
+    out = {}
+    for i in np.flatnonzero(coupled).tolist():
+        sl = p.blocks.slices[i]
+        low, info = lapack.dpotrf(np.diag(pb_diag[sl]) - p.smooth[i].lam, lower=1, clean=0)
+        if info:
+            raise ValueError(f"block {i} does not factor")
+        out[i] = np.tril(low)
+    return out
+
+
+def looped_apply_hessian(p: ProblemSpec, quad: dict, v: Array) -> Array:
+    """(blockdiag(H_i) + mu I) v, one product per block."""
+    hv = quad["mu"] * v
+    for sl, h in zip(p.blocks.slices, quad["h_blocks"]):
+        hv[sl] += h @ v[sl]
+    return hv
 
 
 def expectation_over_sampling(s: Sampling, f: Callable[[Array], object]):

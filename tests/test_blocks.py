@@ -270,6 +270,34 @@ class TestCouplingLayout:
         assert np.array_equal(p.a, np.hstack([np.arange(6.0).reshape(3, 2), np.ones((3, 1))]))
 
 
+class TestProblemShapes:
+    def test_b_must_be_a_vector(self):
+        a = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(ValueError, match=r"b must be a vector, got an array of shape \(3, 2\)"):
+            scalar_problem(a=[a[:, :1], a[:, 1:]], b=np.ones((3, 2)), dims=(1, 1))
+
+    def test_b_length_names_the_rows_of_a(self):
+        a = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(ValueError, match="b has length 2 but A has 3 rows"):
+            scalar_problem(a=[a[:, :1], a[:, 1:]], b=np.ones(2), dims=(1, 1))
+
+    def test_consensus_needs_an_edge(self):
+        with pytest.raises(ValueError, match="consensus needs an edge"):
+            bp.make_consensus([], [prox_quadratic_block(1.0)])
+
+    def test_size_groups(self):
+        groups = BlockStructure((2, 5, 3, 2, 5))._size_groups
+        assert [(g.n, g.ids) for g in groups] == [(2, (0, 3)), (5, (1, 4)), (3, (2,))]
+        assert groups[0].cols.tolist() == [0, 1, 10, 11]
+        assert groups[2].blocks == slice(2, 3) and groups[2].cols == slice(7, 10)
+        x = np.arange(17.0)
+        assert groups[1].take(x).tolist() == [[2.0, 3.0, 4.0, 5.0, 6.0], [12.0, 13.0, 14.0, 15.0, 16.0]]
+        (one,) = BlockStructure((4,) * 6)._size_groups
+        assert one.blocks == slice(0, 6) and one.cols == slice(0, 24)
+        y = np.zeros((24, 3))
+        assert np.shares_memory(one.take(y), y)
+
+
 class TestReferenceChecks:
     def test_normal_equation_check(self, monkeypatch):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)

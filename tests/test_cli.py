@@ -151,7 +151,9 @@ class TestConfigParsing:
         ((LS, "d = 4"), (FIT, "l1_weight = nan"), "[instance] l1 weight must be finite and >= 0"),
         ((LS, "d = 4"), (CONSENSUS, "nodes = 0"), "[instance] nodes must be >= 1, got 0"),
         ((LS, "d = 4"), (CONSENSUS, "nodes = -1"), "[instance] nodes must be >= 1, got -1"),
-        ((LS, "d = 4"), (CONSENSUS, "nodes = 1"), "[policy] block 0 has no coupling columns"),
+        ((LS, "d = 4"), (CONSENSUS, "nodes = 1"), "[instance] consensus needs an edge"),
+        ((LS, "d = 4"), (CONSENSUS, "nodes = 1\ngraph = ring"),
+         "[instance] consensus needs an edge"),
         ((LS, "d = 4"), (FIT, "p = 0"), "[instance] p must be >= 1, got 0"),
         ((LS, "d = 4"), (FIT, "p = -1"), "[instance] p must be >= 1, got -1"),
         ((LS, "q = 18"), (FIT, "q = 0"), "[instance] q must be >= 1, got 0"),
@@ -164,7 +166,7 @@ class TestConfigParsing:
     ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "tau0-zero",
             "no-blocks", "negative-sigma", "infinite-sigma", "negative-mu", "nan-noise",
             "nan-stop-tol", "negative-l1-weight", "nan-l1-weight", "no-consensus-nodes",
-            "negative-consensus-nodes", "one-consensus-node", "fit-no-features",
+            "negative-consensus-nodes", "one-consensus-node", "one-node-ring", "fit-no-features",
             "fit-negative-features", "fit-no-samples", "fit-negative-samples",
             "negative-instance-seed", "fit-negative-instance-seed",
             "consensus-negative-instance-seed"])
@@ -513,6 +515,23 @@ kind = full
         )
         assert main(["--config", cfg, "--quiet"]) == 2
         assert f"[instance] {key} holds a value that is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b, message", [
+        # a matrix b reached the least-squares solve, which exited 1
+        ([[1.0, 2.0], [0.0, 1.0], [2.0, 0.0]], "[instance] b must be a vector, got an array of shape (3, 2)"),
+        ([1.0, 2.0], "[instance] b has length 2 but A has 3 rows"),
+    ], ids=["matrix-b", "short-b"])
+    def test_custom_b_shape_exit_code(self, tmp_path, capsys, b, message):
+        a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+        np.savetxt(a_path, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), delimiter=",")
+        np.savetxt(b_path, np.array(b), delimiter=",")
+        cfg = write_config(
+            tmp_path / "b.cfg",
+            f"[run]\nexperiment = custom\nk_max = 300\nout = {tmp_path / 'o'}\n\n"
+            f"[instance]\na_path = {a_path}\nb_path = {b_path}\ndims = 1 1\nmu = 0.5\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_uncoupled_unscaled_block_exit_code(self, tmp_path, capsys):
         # column 2 of A is zero and mu = 0: block 1 would get B_1 = 0

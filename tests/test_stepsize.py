@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,6 +23,11 @@ from instruments import (
     full_spectrum_alpha,
     generalised_sigma_max,
     lam_full,
+    looped_apply_hessian,
+    looped_block_sq_norms,
+    looped_coupled_factors,
+    looped_scaled_curvature_top,
+    looped_smooth_lipschitz,
     mi_margins,
     normalized_s_step,
     step_map,
@@ -748,3 +754,136 @@ class TestCertificates:
             pol.tau_at(k + 1),
         )
         assert not m1 >= MI_TOL
+
+
+def _stacked_case(name, bench):
+    """An instance and a sampling for the stacked-against-looped tests."""
+    if name == "bench":
+        return bench, bp.single_coordinate(bench.d)
+    if name == "mixed":
+        p = bp.make_random_inconsistent_ls(
+            seed=5, d=5, dims=[2, 5, 3, 2, 5], q=30, noise=0.6, mu=1.0, rank_deficiency=3
+        )
+        return p, bp.nice(5, 2)
+    if name == "one_block":
+        return bp.make_random_inconsistent_ls(seed=7, d=1, dims=6, q=9, noise=0.6), bp.full(1)
+    if name == "no_rows":
+        # q = 0: no coupling at all, every block certified by its curvature
+        p = tiny_problem([np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 2))],
+                         [1.0, 2.0, 0.5], [1.0, 1.0, 1.0])
+        return p, bp.single_coordinate(3)
+    return _edge_cases(name, None, bench)
+
+
+STACKED_CASES = ["bench", "mixed", "one_block", "uncoupled", "no_rows", "opf15"]
+
+
+class TestStackedSetUp:
+    """Each per-block set-up quantity runs as one LAPACK call per block
+    size on the stacked blocks, with the bits of the per-block loops it
+    replaced (``tests/instruments.py``)."""
+
+    @pytest.mark.parametrize("name", STACKED_CASES)
+    def test_norms_and_curvatures_match_the_loops(self, name, bench_instance):
+        p, _ = _stacked_case(name, bench_instance)
+        assert np.array_equal(p.block_sq_norms, looped_block_sq_norms(p))
+        assert np.array_equal(p.smooth_lipschitz, looped_smooth_lipschitz(p))
+        scale = np.random.default_rng(1).uniform(0.5, 2.0, p.m)
+        top = stepsize._scaled_curvature_top(p, scale)
+        assert top == looped_scaled_curvature_top(p, scale)
+
+    @pytest.mark.parametrize("name", STACKED_CASES)
+    def test_factors_sigma_and_margin_match_the_loops(self, name, bench_instance, monkeypatch):
+        p, s = _stacked_case(name, bench_instance)
+        b_diag = bp.convex_default_policy(p, s, certify=False).b_diag
+        pb_diag = weight_matrix_p(s, p.blocks) * b_diag
+        coupled = p.block_sq_norms > 0.0
+        stacked = stepsize._coupled_factors(p, pb_diag, coupled)
+        looped = looped_coupled_factors(p, pb_diag, coupled)
+        assert sorted(stacked) == sorted(looped) == np.flatnonzero(coupled).tolist()
+        assert all(np.array_equal(stacked[i], looped[i]) for i in looped)
+        pol = bp.convex_default_policy(p, s)
+        monkeypatch.setattr(stepsize, "_coupled_factors", looped_coupled_factors)
+        oracle = bp.convex_default_policy(p, s)
+        assert (pol.sigma, pol.certified_margin) == (oracle.sigma, oracle.certified_margin)
+        assert np.array_equal(pol.b_diag, oracle.b_diag)
+
+    @pytest.mark.parametrize("name", STACKED_CASES)
+    def test_hessian_product_matches_the_loop(self, name, bench_instance, monkeypatch):
+        p, _ = _stacked_case(name, bench_instance)
+        quad = {"h_blocks": [blk.lam for blk in p.smooth], "mu": 0.7}
+        v = np.random.default_rng(2).standard_normal((p.m, 3))
+        hv = oracles._apply_hessian(p, quad, v)
+        assert np.array_equal(hv, looped_apply_hessian(p, quad, v))
+        if "quadratic" in p.meta:
+            ref = oracles.quadratic_reference(dataclasses.replace(p))
+            monkeypatch.setattr(oracles, "_apply_hessian", looped_apply_hessian)
+            oracle = oracles.quadratic_reference(dataclasses.replace(p))
+            assert np.array_equal(ref.x_star, oracle.x_star)
+            assert np.array_equal(ref.y_star, oracle.y_star)
+            assert ref.psi_star == oracle.psi_star
+
+    def test_first_lost_block_is_named_across_sizes(self):
+        # blocks 1 (one column) and 2 (two columns) both lose lambda_i
+        # beside L_i; the two-column stack fails first, and the block named
+        # is still the first in block order
+        tiny = np.array([[1e-9, 0.0], [0.0, 0.0]])
+        p = tiny_problem([np.ones((2, 2)), tiny[:, :1], tiny], [1.0, 1.0, 1.0], [0.0] * 3)
+        assert [g.n for g in p.blocks._size_groups] == [2, 1]
+        with pytest.raises(PolicyConstructionError, match="block 1 is not positive definite"):
+            bp.convex_default_policy(p, bp.single_coordinate(3))
+
+
+def counted_calls(monkeypatch, *targets):
+    """Count the calls of each ``(module, name)`` in ``targets``, patched
+    by name."""
+    counts = dict.fromkeys((name for _, name in targets), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in targets:
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    return counts
+
+
+class TestCallsPerBlockSize:
+    """One LAPACK call per distinct block size, not per block: five blocks
+    of sizes 2, 5, 3, 2, 5 make three calls each."""
+
+    @staticmethod
+    def mixed():
+        return _stacked_case("mixed", None)
+
+    def test_norms_and_curvatures(self, monkeypatch):
+        p, _ = self.mixed()
+        counts = counted_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvalsh"))
+        p.block_sq_norms
+        assert counts == {"svd": 3, "eigvalsh": 0}
+        p.smooth_lipschitz
+        assert counts == {"svd": 3, "eigvalsh": 3}
+
+    def test_beta(self, monkeypatch):
+        p, s = self.mixed()
+        counts = counted_calls(monkeypatch, (np.linalg, "eigvalsh"))
+        make_accelerated_policy(p, s)
+        assert counts == {"eigvalsh": 3}
+
+    def test_convex_factors(self, monkeypatch):
+        p, s = self.mixed()
+        p.block_sq_norms, p.smooth_lipschitz
+        counts = counted_calls(
+            monkeypatch, (np.linalg, "cholesky"), (stepsize.lapack, "dpotrf")
+        )
+        bp.convex_default_policy(p, s)
+        assert counts == {"cholesky": 3, "dpotrf": 0}
+
+    def test_references_share_one_gram_factor(self, bench_instance, monkeypatch):
+        p = dataclasses.replace(bench_instance)
+        counts = counted_calls(monkeypatch, (oracles.lapack, "dpstrf"))
+        bp.least_squares_reference(p)
+        bp.quadratic_reference(p)
+        assert counts == {"dpstrf": 1}
