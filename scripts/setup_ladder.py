@@ -17,9 +17,13 @@ least-squares reference and the exact quadratic reference
 inside, from the Gram factor the reference phase left on the problem; the
 rate runs call it alone and pay that factor too).  The script prints each
 phase's median seconds over the windows, their total without the
-quadratic reference (the set-up of an ls_wide run) and the one-off
-generation time.  Windows go round-robin over the rungs in one process on
-one BLAS thread, and the first window warms up and is dropped:
+quadratic reference (the set-up of an ls_wide run), the one-off
+generation time and the process's peak resident set (``ru_maxrss``) read
+right after that generation.  Rungs are generated smallest first, before
+any window, so each reading bounds the peak of generating its rung (and
+of everything generated before it).  Windows go round-robin over the rungs
+in one process on one BLAS thread, and the first window warms up and is
+dropped:
 
     PYTHONPATH=src python scripts/setup_ladder.py [--d 1000] [--windows 5]
 
@@ -38,6 +42,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
 
 import argparse
 import dataclasses
+import resource
 import statistics
 import time
 
@@ -78,13 +83,15 @@ def main():
             p = tree.make_random_inconsistent_ls(
                 seed=args.seed, d=d, dims=4, q=6 * d, noise=0.6, mu=1.0, rank_deficiency=4
             )
-            rungs[name, d] = (p, tree.nice(d, 4), time.perf_counter() - t0)
+            seconds = time.perf_counter() - t0
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            rungs[name, d] = (p, tree.nice(d, 4), seconds, peak_mb)
 
     secs = {(name, d, phase): [] for name, d in rungs for phase in PHASES}
     for w in range(args.windows + 1):
         for d in ds:
             for name in list(trees)[:: 1 if w % 2 == 0 else -1]:
-                p0, s, _ = rungs[name, d]
+                p0, s, _, _ = rungs[name, d]
                 p = dataclasses.replace(p0)
                 for phase, fn in phases(trees[name]).items():
                     t0 = time.perf_counter()
@@ -97,18 +104,20 @@ def main():
         med[(*key, "total")] = sum(med[(*key, phase)] for phase in PHASES[:-1])
 
     def table(cell, generate):
-        print(f"{'d':>6} {'m':>6} {'generate':>9} " + " ".join(f"{c:>11}" for c in cols))
+        print(f"{'d':>6} {'m':>6} {'generate':>9} {'maxrss_mb':>9} "
+              + " ".join(f"{c:>11}" for c in cols))
         for d in ds:
-            print(f"{d:>6} {rungs['this', d][0].m:>6} {generate(d):>9} "
+            print(f"{d:>6} {rungs['this', d][0].m:>6} {generate(d)} "
                   + " ".join(f"{cell(d, c):11.4f}" for c in cols))
 
     for name, tree in trees.items():
         if args.against:
             print(f"{name}: {tree.__file__}")
-        table(lambda d, c: med[name, d, c], lambda d: f"{rungs[name, d][2]:.3f}")
+        table(lambda d, c: med[name, d, c],
+              lambda d: f"{rungs[name, d][2]:9.3f} {rungs[name, d][3]:9.1f}")
     if args.against:
         print("this / against (ratio of the medians)")
-        table(lambda d, c: med["this", d, c] / med["against", d, c], lambda d: "")
+        table(lambda d, c: med["this", d, c] / med["against", d, c], lambda d: " " * 19)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InfeasibleInstance
 
@@ -174,6 +175,11 @@ class ProblemSpec:
     are copied once into one read-only, column-major q-by-m matrix ``a``;
     ``a_blocks`` are then its column slabs, so each is a contiguous view and
     the per-block products ``A_i' r`` and ``A_i t`` run on contiguous memory.
+    Blocks that already are those slabs of one such matrix, at this
+    structure's offsets, are not copied: a ``dataclasses.replace`` copy of
+    a problem shares its ``a``.  Any other blocks, writable or C-ordered
+    ones among them, are copied, so a later write to them does not reach
+    ``a``.
     """
 
     blocks: BlockStructure
@@ -206,11 +212,13 @@ class ProblemSpec:
                     f"constraint block {i} has shape {a.shape}, "
                     f"expected {(q, self.blocks.dims[i])}"
                 )
-        a = np.empty((q, self.blocks.m), order="F")
         slices = self.blocks.slices
-        for sl, a_i in zip(slices, self.a_blocks):
-            a[:, sl] = a_i
-        a.flags.writeable = False
+        a = _shared_matrix(self.a_blocks, slices, q)
+        if a is None:
+            a = np.empty((q, self.blocks.m), order="F")
+            for sl, a_i in zip(slices, self.a_blocks):
+                a[:, sl] = a_i
+            a.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_blocks", tuple(a[:, sl] for sl in slices))
 
@@ -256,6 +264,14 @@ class ProblemSpec:
             np.stack([self.smooth[i].lam for i in g.ids]) for g in self.blocks._size_groups
         )
 
+    def _block_stacks(self, mats: Sequence[Array]) -> tuple[Array, ...]:
+        """The d per-block matrices ``mats`` stacked like :attr:`lam_stacks`,
+        which is returned itself when each of them is that block's curvature
+        matrix object, as :meth:`SmoothBlock.quadratic` stores H."""
+        if all(mat is blk.lam for mat, blk in zip(mats, self.smooth)):
+            return self.lam_stacks
+        return tuple(np.stack([mats[i] for i in g.ids]) for g in self.blocks._size_groups)
+
     @cached_property
     def smooth_lipschitz(self) -> Array:
         """Per-block scalar curvature bounds L_i = lammax(Lam_i), one
@@ -291,7 +307,8 @@ class ProblemSpec:
             for quad, blk in zip(quads, self.smooth)
         ):
             return None
-        return np.stack([quad.h for quad in quads]), np.concatenate([quad.c for quad in quads])
+        h = self._block_stacks([quad.h for quad in quads])[0]
+        return h, np.concatenate([quad.c for quad in quads])
 
     @cached_property
     def _shared_prox(self) -> Callable[[Array, Array], Array] | None:
@@ -355,6 +372,27 @@ class ProblemSpec:
         for sl, blk in zip(self.blocks.slices, self.prox):
             out[sl] = blk.prox(gamma[sl], v[sl])
         return out
+
+
+def _shared_matrix(a_blocks: Sequence[Array], slices: Sequence[slice], q: int) -> Array | None:
+    """The one read-only, column-major float (q, m) array whose column slabs
+    at ``slices`` the blocks are, as in a ``dataclasses.replace`` copy of a
+    problem; None when the blocks are anything else."""
+    a = a_blocks[0].base
+    if not (
+        type(a) is np.ndarray
+        and a.flags.owndata
+        and a.dtype == np.float64
+        and a.shape == (q, slices[-1].stop)
+        and a.flags.f_contiguous
+        and not a.flags.writeable
+    ):
+        return None
+    for sl, a_i in zip(slices, a_blocks):
+        view = a[:, sl]
+        if a_i.base is not a or a_i.ctypes.data != view.ctypes.data or a_i.strides != view.strides:
+            return None
+    return a
 
 
 def eval_psi(p: ProblemSpec, x: Array) -> float:
@@ -490,6 +528,45 @@ def make_model_fitting(
     )
 
 
+def _range_complement(a: Array, span: Array, v: Array) -> Array:
+    """The component of ``v`` orthogonal to range(``a``), given a factor
+    ``span`` with the same range (A itself, or G1 of A = G1 G2).
+
+    When ``span`` has at least as many columns as rows, that range is all
+    of R^q and the component is 0.  Otherwise one Householder QR of
+    ``span`` (LAPACK ``geqrf``) gives v - Q Q'v = Q [0; (Q'v)_2], applied
+    by two ``ormqr`` calls without forming Q.  When
+    min |R_ii| < 1e-12 max |R_ii|, the relative cut-off of the SVD rank,
+    ``span`` may have lost rank and the projection falls back to a thin
+    SVD of ``a`` (:func:`_svd_range_complement`)."""
+    q, k = span.shape
+    if k >= q:
+        return np.zeros(q)
+    lwork, _ = lapack.dgeqrf_lwork(q, k)
+    qr, tau, _, _ = lapack.dgeqrf(np.array(span, order="F"), lwork=int(lwork), overwrite_a=1)
+    r_diag = np.abs(qr.diagonal())
+    if not r_diag.min() >= 1e-12 * r_diag.max():
+        return _svd_range_complement(a, v)
+    # one column: lwork = 1 keeps ormqr on its unblocked reflector loop,
+    # O(q k) with no block reflector to form
+    c, _, _ = lapack.dormqr("L", "T", qr, tau, v[:, None], 1)
+    c[:k] = 0.0
+    c, _, _ = lapack.dormqr("L", "N", qr, tau, c, 1, overwrite_c=1)
+    return c[:, 0]
+
+
+def _svd_range_complement(a: Array, v: Array) -> Array:
+    """The component of ``v`` orthogonal to the span of the left singular
+    vectors of ``a`` whose singular values exceed 1e-12 times the largest;
+    0 when they span all of R^q."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > s[0] * 1e-12))
+    if rank == len(v):
+        return np.zeros(len(v))
+    ur = u[:, :rank]
+    return v - ur @ (ur.T @ v)
+
+
 def make_random_inconsistent_ls(
     seed: int,
     d: int,
@@ -503,12 +580,16 @@ def make_random_inconsistent_ls(
     """Random strongly convex quadratic test instance with a controllable
     inconsistency level.
 
-    ``b = A xbar + xi`` where ``xi`` is drawn with norm scaled by ``noise``
-    and then projected onto the orthogonal complement of range(A), so the
-    attainable penalty minimum is exactly ``h* = 0.5 ||xi||^2`` and ``xbar``
-    solves the normal equations.  With ``rank_deficiency > 0`` the coupling
-    matrix is given a null space of that dimension so the feasible set is a
-    nontrivial affine subspace.
+    ``b = A xbar + xi`` where ``xi`` is drawn, projected onto the orthogonal
+    complement of range(A) and scaled to norm ``noise``, so the attainable
+    penalty minimum is exactly ``h* = 0.5 ||xi||^2`` and ``xbar`` solves the
+    normal equations.  With ``rank_deficiency > 0`` the coupling matrix is
+    drawn as A = G1 G2 / sqrt(m (m - r)) with G1 q-by-(m - r), which gives it
+    a null space of dimension r, so the feasible set is a nontrivial affine
+    subspace.  The projection reads range(A) from the draw's own factor, G1
+    or A itself, by Householder reflectors (:func:`_range_complement`), with
+    no SVD of A.  When that factor has at least q columns, range(A) is all
+    of R^q: no b is inconsistent, and ``xi = 0``, ``h* = 0``.
 
     Smooth blocks are random convex quadratics with largest curvature equal
     to a uniform draw from [1, 3]; the proximable part is ``mu/2 ||.||^2``.
@@ -529,25 +610,23 @@ def make_random_inconsistent_ls(
     if rank_deficiency:
         if not 0 < rank_deficiency < min(q, m):
             raise ValueError("rank_deficiency must be in (0, min(q, m))")
-        # factored draw keeps entry variance at 1/m like the full-rank branch
-        a = rng.standard_normal((q, m - rank_deficiency)) @ rng.standard_normal(
-            (m - rank_deficiency, m)
-        ) / math.sqrt(m * (m - rank_deficiency))
+        # factored draw keeps entry variance at 1/m like the full-rank branch;
+        # range(A) = range(G1) almost surely
+        g1 = rng.standard_normal((q, m - rank_deficiency))
+        a = g1 @ rng.standard_normal((m - rank_deficiency, m))
+        a /= math.sqrt(m * (m - rank_deficiency))
     else:
-        a = rng.standard_normal((q, m)) / math.sqrt(m)
+        a = g1 = rng.standard_normal((q, m))
+        a /= math.sqrt(m)
 
     xbar = rng.standard_normal(m)
     xi = np.zeros(q)
     if noise > 0:
-        xi = rng.standard_normal(q)
-        # remove the range(A) component so xbar stays a normal-equation solution
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-        ur = u[:, :rank]
-        xi = xi - ur @ (ur.T @ xi)
+        xi = _range_complement(a, g1, rng.standard_normal(q))
         nrm = np.linalg.norm(xi)
         if nrm > 0:
             xi *= noise / nrm
+    del g1  # free the factor before ProblemSpec copies A
     b = a @ xbar + xi
 
     structure = BlockStructure(dims)

@@ -191,8 +191,7 @@ def _apply_hessian(p: ProblemSpec, quad: dict, v: Array) -> Array:
     ``quad`` and the m-row matrix v, by one stacked ``matmul`` per block
     size (the bits of a per-block product)."""
     hv = quad["mu"] * v
-    for g in p.blocks._size_groups:
-        h = np.stack([quad["h_blocks"][i] for i in g.ids])
+    for g, h in zip(p.blocks._size_groups, p._block_stacks(quad["h_blocks"])):
         slabs = g.take(hv)
         slabs += np.matmul(h, g.take(v))
         g.put(hv, slabs)

@@ -201,8 +201,9 @@ def xi_matrix(s: Sampling, gram: Array, blocks: BlockStructure) -> Array:
     ``blocks``, scaled blockwise by W = Pi / (pi pi') (diagonal 1/pi_i):
     Xi[i,j] = (Pi_ij / (pi_i pi_j)) A_i'A_j off the diagonal and
     Xi[i,i] = A_i'A_i / pi_i.  A fresh copy of ``gram`` is scaled by one
-    operation per block size, on the stacked row slabs of that size's
-    blocks, and returned, so a caller may overwrite it.
+    operation per pair of block sizes, on the n_i x n_j tiles of those
+    blocks' rows and columns, and returned, so a caller may overwrite it;
+    nothing beside it is larger than d x d.
     The exhaustive expectation, the per-pair block loop and the form that
     stacks the blocks into its own Gram product are test oracles
     (``tests/conftest.py``).
@@ -210,11 +211,18 @@ def xi_matrix(s: Sampling, gram: Array, blocks: BlockStructure) -> Array:
     w = prob_matrix(s) / np.outer(s.pi, s.pi)
     np.fill_diagonal(w, 1.0 / s.pi)
     xi = gram.copy()
-    # one repeat for every row slab's column weights, not one per slab
-    w_cols = np.repeat(w, blocks.dims, axis=1)
-    for g in blocks._size_groups:
+    groups = blocks._size_groups
+    for g in groups:
         slabs = g.take(xi)
-        slabs *= w_cols[g.blocks, None, :]
+        for h in groups:
+            # g's row slabs at h's columns (a view for a slice, else a copy),
+            # split into their n_g x n_h tiles, each scaled by its one
+            # weight: no weight is repeated out to m columns
+            tiles = slabs[..., h.cols]
+            grid = tiles.reshape(len(g.ids), g.n, len(h.ids), h.n)
+            grid *= w[g.blocks][:, h.blocks][:, None, :, None]
+            if not isinstance(h.cols, slice):
+                slabs[..., h.cols] = tiles
         g.put(xi, slabs)
     return xi
 

@@ -129,12 +129,12 @@ def convex_default_policy(
     lambda_i > 0 (the others have zero rows in Xi and certify any sigma).
     It is reduced block by block, with no m x m D - Lam: each coupled
     block's D_i - Lam_i = L_i L_i' is factored (one stacked Cholesky call
-    per block size, :func:`_coupled_factors`), L_i^{-1} is applied to that
-    block's row slab of a fresh Xi and then to its row slab of the
-    transpose, and sigma_max = 1 / lammax(M) with M = L^{-1} Xi L^{-T}, the
-    M of the proof below.  A block whose factor does not exist in floating point
-    (lambda_i lost in rounding beside L_i) raises
-    :class:`PolicyConstructionError` naming it.
+    per block size, :func:`_coupled_factors`), L_i^{-T} is applied from
+    the right to that block's column slab of a fresh Xi and then L_i^{-1}
+    to its row slab, in place, and sigma_max = 1 / lammax(M) with
+    M = L^{-1} Xi L^{-T}, the M of the proof below.  A block whose factor
+    does not exist in floating point (lambda_i lost in rounding beside L_i)
+    raises :class:`PolicyConstructionError` naming it.
     The averaging weights need sigma <= min pi, so sigma = min pi when it
     certifies (min pi <= sigma_max, up to ``MI_TOL``) and
     sigma = EDGE_FRACTION * sigma_max (0.95) otherwise.
@@ -172,16 +172,21 @@ def convex_default_policy(
         xi = xi[np.ix_(keep, keep)]
     # M = L^{-1} Xi L^{-T} with L L' = D - Lam, factored one block size at
     # a time over the coupled blocks, whose rows and columns stay contiguous
-    # in xi.  L^{-1} goes onto the row slabs of xi, then onto those of a
-    # C-ordered copy of its transpose; a C-ordered row slab X is solved in
-    # place as X' L^{-T} on its Fortran-ordered transpose X'
+    # in xi.  The first pass takes Xi L^{-T} one column slab X at a time: a
+    # Fortran-ordered copy of X is solved in place as X L^{-T} and written
+    # back.  Xi is exactly symmetric, so X holds the bits of the transposed
+    # row slab, and xi then holds (L^{-1} Xi)' with no m x m transposed
+    # copy.  The second pass solves each C-ordered row slab Y in place as
+    # Y' L^{-T} on its Fortran-ordered transpose Y'
     factors, start = [], 0
     for i, low in sorted(_coupled_factors(p, pb_diag, coupled).items()):
         factors.append((slice(start, start + p.blocks.dims[i]), low))
         start += p.blocks.dims[i]
-    for rows, low in factors:
-        blas.dtrsm(1.0, low, xi[rows].T, side=1, lower=1, trans_a=1, overwrite_b=1)
-    xi = xi.T.copy()
+    for cols, low in factors:
+        xi[:, cols] = blas.dtrsm(
+            1.0, low, np.array(xi[:, cols], order="F"), side=1, lower=1, trans_a=1,
+            overwrite_b=1,
+        )
     for rows, low in factors:
         blas.dtrsm(1.0, low, xi[rows].T, side=1, lower=1, trans_a=1, overwrite_b=1)
     sigma_max = 1.0 / _top_eigenvalue(xi.T) if xi.size else math.inf

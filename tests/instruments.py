@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against.
 
 Exact small-scale oracles (the active-set projection, the expectation over
-an enumerable sampling, the dense SVD solve of the quadratic reference),
+an enumerable sampling, the dense SVD solve of the quadratic reference,
+the generator's SVD projection of its noise),
 the paper's closed-form bounds and energies (the tau floor, the
 cumulative-weight bound, the matrix-inequality margins and the dense
 eigenproblems behind the step certificates, the ergodic weights, the
@@ -111,6 +112,21 @@ def dense_quadratic_reference(p: ProblemSpec) -> Reference:
     y_star, *_ = np.linalg.lstsq(p.a.T, -(h @ x_star + c), rcond=None)
     return replace(base, x_star=x_star, psi_star=eval_psi(p, x_star), y_star=y_star,
                    source="reduced-qp")
+
+
+def svd_projected_noise(a: Array, draw: Array, noise: float) -> Array:
+    """The generator's xi as it was made before it projected with its own
+    factor, kept as its test oracle: ``draw`` less its component along the
+    left singular vectors of ``a`` above 1e-12 of the largest singular
+    value, scaled to norm ``noise``."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
+    ur = u[:, :rank]
+    xi = draw - ur @ (ur.T @ draw)
+    nrm = np.linalg.norm(xi)
+    if nrm > 0:
+        xi *= noise / nrm
+    return xi
 
 
 # The per-block loops that the set-up ran before it stacked the blocks of

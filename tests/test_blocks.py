@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock, _Quadratic
-from blockpd import oracles, stepsize
+from blockpd import blocks, oracles, stepsize
 from blockpd.errors import InfeasibleInstance, InvariantViolation, PolicyConstructionError
 from blockpd.oracles import long_run_reference
 from blockpd import dlmp
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
-from instruments import dense_quadratic_reference, grad_h, prox_box_block
+from instruments import dense_quadratic_reference, grad_h, prox_box_block, svd_projected_noise
 
 
 def scalar_problem(phi=None, prox=None, a=None, b=None, dims=(1,)):
@@ -177,6 +177,80 @@ class TestRandomInstanceGenerator:
         )
         assert np.linalg.matrix_rank(p.a) == p.m - 3
 
+    # draws whose range factor (G1 of A = G1 G2, or A itself) has fewer
+    # columns than rows, so xi keeps a component
+    DRAWS = {
+        "rank_deficient": dict(seed=3, d=10, dims=4, q=60, rank_deficiency=4),
+        "full_rank": dict(seed=4, d=10, dims=4, q=60),
+        "mixed": dict(seed=5, d=5, dims=[2, 5, 3, 6, 4], q=30, rank_deficiency=3),
+    }
+
+    @staticmethod
+    def generated(monkeypatch, kwargs, factor=lambda f: f):
+        """A generator instance, with the coupling matrix and the raw noise
+        draw its range projection was given; ``factor`` edits the range
+        factor on its way in."""
+        real, seen = blocks._range_complement, []
+
+        def spy(a, span, v):
+            seen.append((a.copy(), v.copy()))
+            return real(a, factor(span), v)
+
+        monkeypatch.setattr(blocks, "_range_complement", spy)
+        p = bp.make_random_inconsistent_ls(noise=0.6, mu=1.0, **kwargs)
+        ((a, draw),) = seen
+        assert np.array_equal(a, p.a)
+        return p, draw
+
+    @pytest.mark.parametrize("case", sorted(DRAWS))
+    def test_no_svd_on_generator_draws(self, case, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        p = bp.make_random_inconsistent_ls(noise=0.6, mu=1.0, **self.DRAWS[case])
+        assert np.linalg.norm(p.meta["xi"]) == pytest.approx(0.6, rel=1e-14)
+
+    @pytest.mark.parametrize("case", sorted(DRAWS))
+    def test_xi_matches_the_svd_projection(self, case, monkeypatch):
+        p, draw = self.generated(monkeypatch, self.DRAWS[case])
+        xi, oracle = p.meta["xi"], svd_projected_noise(p.a, draw, 0.6)
+        assert np.linalg.norm(xi - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        assert float(np.max(np.abs(p.a.T @ xi))) <= 1e-13
+        assert p.meta["h_star"] == pytest.approx(0.18, rel=1e-14)
+
+    def test_lost_rank_in_the_factor_falls_back_to_the_svd(self, monkeypatch):
+        # a zero column gives R a zero diagonal entry
+        def rank_deficient(span):
+            span = span.copy()
+            span[:, 1] = 0.0
+            return span
+
+        svd_calls = []
+        real_svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            svd_calls.append(1)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        p, draw = self.generated(monkeypatch, self.DRAWS["rank_deficient"], rank_deficient)
+        assert len(svd_calls) == 1
+        monkeypatch.setattr(np.linalg, "svd", real_svd)
+        assert np.array_equal(p.meta["xi"], svd_projected_noise(p.a, draw, 0.6))
+
+    @pytest.mark.parametrize("rank_deficiency", [0, 4])
+    def test_no_noise_survives_when_the_range_is_everything(self, rank_deficiency):
+        # q = 10 rows against m = 20 columns (16 after the rank loss): A
+        # maps onto R^q, so no b is inconsistent and h* = 0
+        p = bp.make_random_inconsistent_ls(
+            seed=1, d=5, dims=4, q=10, noise=0.6, rank_deficiency=rank_deficiency
+        )
+        assert not np.any(p.meta["xi"]) and p.meta["h_star"] == 0.0
+        assert bp.least_squares_reference(p).h_star <= 1e-28
+        x = p.meta["x_ls"]
+        assert float(np.max(np.abs(p.a.T @ (p.a @ x - p.b)))) <= 1e-14
+
 
 class TestSmoothnessModel:
     def test_curvature_upper_bound_sampled(self, rng):
@@ -268,6 +342,45 @@ class TestCouplingLayout:
         a0[0, 0] = 99.0
         assert p.a[0, 0] == 0.0
         assert np.array_equal(p.a, np.hstack([np.arange(6.0).reshape(3, 2), np.ones((3, 1))]))
+
+    def test_replace_copy_shares_a(self, bench_instance):
+        p = dataclasses.replace(bench_instance)
+        assert p.a is bench_instance.a
+        assert all(a_i.base is p.a for a_i in p.a_blocks)
+        assert dataclasses.replace(p, b=-p.b).a is p.a
+
+    @pytest.mark.parametrize("source", [
+        "writable", "c_ordered", "read_only_view_of_writable", "other_offsets",
+    ])
+    def test_other_sources_are_copied(self, source):
+        """Only the column slabs of one read-only, column-major array at the
+        structure's offsets are taken as they are; any other source leaves
+        the problem its own read-only copy, which a later write to the
+        source does not reach."""
+        dims = (2, 3, 2)
+        src = np.asfortranarray(np.random.default_rng(3).standard_normal((4, 7)))
+        view = src
+        if source == "c_ordered":
+            src = np.ascontiguousarray(src)
+            src.flags.writeable = False
+            view = src
+        elif source == "read_only_view_of_writable":
+            view = src.view()
+            view.flags.writeable = False
+        elif source == "other_offsets":
+            src.flags.writeable = False
+            view = src
+        cuts = [(0, 2), (2, 5), (5, 7)]
+        if source == "other_offsets":
+            cuts = [(5, 7), (2, 5), (0, 2)]
+        a_blocks = [view[:, lo:hi] for lo, hi in cuts]
+        p = scalar_problem(a=a_blocks, b=np.zeros(4), dims=dims)
+        want = np.hstack(a_blocks)
+        assert not np.shares_memory(p.a, src)
+        assert p.a.flags.f_contiguous and not p.a.flags.writeable
+        src.flags.writeable = True
+        src[...] = 0.0
+        assert np.array_equal(p.a, want)
 
 
 class TestProblemShapes:

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -309,6 +310,10 @@ class TestOneGram:
         grid = dlmp.build_opf_problem(dlmp.load_network(*dlmp.default_network_paths()))
         assert len(set(grid.blocks.dims)) > 1
         cases += [(grid, bp.paired_dso(grid.d - 1)), (grid, bp.single_coordinate(grid.d))]
+        # blocks of one size that are not contiguous: sizes 2, 5, 3, 2, 5
+        mixed, _ = _stacked_case("mixed", None)
+        assert not isinstance(mixed.blocks._size_groups[0].cols, slice)
+        cases += [(mixed, bp.nice(mixed.d, 2)), (mixed, bp.single_coordinate(mixed.d))]
         assert cases[2][1].support is not None and cases[3][1].support is None
         for problem, sampling in cases:
             xi = xi_matrix(sampling, problem.gram, problem.blocks)
@@ -317,6 +322,24 @@ class TestOneGram:
             assert xi.flags.writeable and not np.shares_memory(xi, problem.gram)
             # C-ordered: the certificate solves its row slabs in place
             assert xi.flags.c_contiguous
+
+
+class TestSetUpMemory:
+    def test_convex_certificate_holds_one_m_by_m_array(self):
+        # Xi is the one m x m array the certificate makes: its two L^{-1}
+        # passes and the top eigenvalue run in place
+        p = bp.make_random_inconsistent_ls(
+            seed=1, d=50, dims=4, q=300, noise=0.6, mu=1.0, rank_deficiency=4
+        )
+        s = bp.nice(p.d, 4)
+        p.gram, p.block_sq_norms, p.smooth_lipschitz, p.lam_stacks
+        tracemalloc.start()
+        try:
+            bp.convex_default_policy(p, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.m == 200 and peak < 1.5 * p.m**2 * 8
 
 
 class TestAccelParams:
@@ -880,6 +903,19 @@ class TestCallsPerBlockSize:
         )
         bp.convex_default_policy(p, s)
         assert counts == {"cholesky": 3, "dpotrf": 0}
+
+    @pytest.mark.parametrize("name, sizes", [("bench", 1), ("mixed", 3)])
+    def test_curvature_matrices_stacked_once(self, name, sizes, bench_instance, monkeypatch):
+        # the generator stores each H_i as its block's curvature matrix, so
+        # the objective and the Hessian product read the curvature stacks
+        p, s = _stacked_case(name, bench_instance)
+        p = dataclasses.replace(p)
+        counts = counted_calls(monkeypatch, (np, "stack"))
+        p.phi(np.ones(p.m))
+        bp.convex_default_policy(p, s)
+        make_accelerated_policy(p, s)
+        bp.quadratic_reference(p)
+        assert counts == {"stack": sizes}
 
     def test_references_share_one_gram_factor(self, bench_instance, monkeypatch):
         p = dataclasses.replace(bench_instance)
