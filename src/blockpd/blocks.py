@@ -169,7 +169,10 @@ class ProxBlock:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Immutable problem instance; safe for concurrent read-only use.
+    """Immutable problem instance.  Shared read-only use is safe, except
+    that no two runs may step one grid problem at once: each
+    ``PpdlmpEngine.step`` lends its run's projection session to the operator
+    projector the problem shares through ``meta["dso_projector"]``.
 
     All oracles must be pure functions of their inputs.  The coupling blocks
     are copied once into one read-only, column-major q-by-m matrix ``a``;

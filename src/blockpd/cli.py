@@ -24,7 +24,7 @@ A run is described by a flat INI file with sections::
     certify = true                ; not done when sigma is given (NaN margin)
 
     [fit]
-    columns = psi_hat_gap, h_gap_w
+    columns = psi_hat_gap, h_gap_w  ; psi_hat_gap: random_ls or consensus only
 
 Artifacts written to the output directory: ``trace.csv`` (schema versioned in
 a leading comment line; deterministic bytes for a fixed config), ``metadata.json``
@@ -34,10 +34,16 @@ sections as written, plus ``policy_resolved``, ``reference``, and
 operator projection's totals; includes wall time, so not byte-stable), ``rates.csv``
 with log-log slope fits, and ``dlmp.csv`` for the grid experiment.
 
+Every reference is exact (:mod:`blockpd.oracles`), so Psi*, and with it a
+``psi_hat_gap`` fit, exists only for the fully quadratic random_ls and
+consensus instances.  Nothing is written before set-up has succeeded.
+
 Exit codes: 0 success, 2 config error (including a file that is not valid
 INI, a field that does not read as a number or a boolean, a count below its
 least value, a ``[fit] k_min`` above ``[run] k_max``, an unknown ``[fit]``
-column, a value the library rejects, a custom ``a_path`` or ``b_path``
+column, a ``psi_hat_gap`` fit with no exact Psi*, a field the run never
+reads, such as a misspelled key or ``[sampling] m`` for a kind other than
+``nice``, a value the library rejects, a custom ``a_path`` or ``b_path``
 holding a value that is not finite, or malformed grid data such as a bus
 in two rows, a bus value that is not finite or a negative line capacity),
 3 divergence or a projection that did not converge, 4 infeasible instance
@@ -87,7 +93,7 @@ from .errors import (
     ProjectionDidNotConverge,
     SolverDivergence,
 )
-from .oracles import Reference, reference_for
+from .oracles import Reference, least_squares_reference, quadratic_reference
 from .proxops import prox_l1_block, prox_quadratic_block, prox_zero_block
 from .sampling import from_config as sampling_from_config
 from .solver import TraceRecord, run
@@ -96,6 +102,24 @@ from .stepsize import ConvexPolicy, convex_default_policy, make_accelerated_poli
 TRACE_SCHEMA = "blockpd-trace-v2"
 
 EXPERIMENTS = ("consensus", "model_fit", "random_ls", "opf15", "custom")
+
+
+class Section(dict):
+    """One INI section's fields as written; ``read`` records each key looked
+    up through ``get`` or ``[]``, so that a key never read can be named."""
+
+    def __init__(self, name: str, fields=()):
+        super().__init__(fields)
+        self.name = name
+        self.read: set[str] = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
 @dataclass
@@ -107,49 +131,51 @@ class RunConfig:
     stop_kkt_tol: float | None = None
     out: str = "runs/out"
     quiet: bool = False
-    sampling: dict = field(default_factory=dict)
-    policy: dict = field(default_factory=dict)
-    instance: dict = field(default_factory=dict)
+    # every section by name, with [instance], [sampling] and [policy] even when absent
+    sections: dict[str, Section] = field(default_factory=dict)
     fit_columns: tuple[str, ...] = ()
     fit_k_min: int | None = None
 
 
 def parse_config(path: str) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    sections = {name: Section(name) for name in ("instance", "sampling", "policy")}
     try:
         read = cp.read(path)
+        sections.update((name, Section(name, cp[name])) for name in cp.sections())
     except configparser.Error as exc:
         raise ConfigError(f"{path}: not a valid INI file: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     if "run" not in cp:
         raise ConfigError(f"{path}: missing [run] section")
-    runsec = cp["run"]
+    runsec = sections["run"]
     experiment = runsec.get("experiment", "").strip()
     if experiment not in EXPERIMENTS:
         raise ConfigError(
             f"{path}: [run] experiment must be one of {EXPERIMENTS}, got {experiment!r}"
         )
-    k_max = field_value("run", runsec, "k_max", 10_000, int, at_least=1)
-    seed = field_value("run", runsec, "seed", 0, int, at_least=0)
-    trace_every = field_value("run", runsec, "trace_every", 100, int, at_least=1)
+    k_max = field_value(runsec, "k_max", 10_000, int, at_least=1)
+    seed = field_value(runsec, "seed", 0, int, at_least=0)
+    trace_every = field_value(runsec, "trace_every", 100, int, at_least=1)
     tol_raw = runsec.get("stop_kkt_tol", "none").strip().lower()
     stop_tol = None
     if tol_raw not in ("none", ""):
-        stop_tol = field_value("run", runsec, "stop_kkt_tol", None)
+        stop_tol = field_value(runsec, "stop_kkt_tol", None)
         if not 0.0 < stop_tol < math.inf:
             raise ConfigError(f"{path}: [run] stop_kkt_tol must be finite and > 0")
     fit_cols: tuple[str, ...] = ()
     fit_k_min = None
-    if "fit" in cp:
-        cols = cp["fit"].get("columns", "")
+    fit = sections.get("fit") if experiment != "opf15" else None  # the grid fits no rate
+    if fit is not None:
+        cols = fit.get("columns", "")
         fit_cols = tuple(c.strip() for c in cols.split(",") if c.strip())
         known = ("psi_hat_gap", *TraceRecord.CSV_FIELDS)
         unknown = [c for c in fit_cols if c not in known]
         if unknown:
             raise ConfigError(f"{path}: [fit] columns: unknown {unknown}, known {known}")
-        if cp["fit"].get("k_min"):
-            fit_k_min = field_value("fit", cp["fit"], "k_min", None, int, at_least=1)
+        if fit.get("k_min"):
+            fit_k_min = field_value(fit, "k_min", None, int, at_least=1)
             if fit_k_min > k_max:
                 raise ConfigError(
                     f"{path}: [fit] k_min must be <= [run] k_max = {k_max}, got {fit_k_min}"
@@ -161,9 +187,7 @@ def parse_config(path: str) -> RunConfig:
         trace_every=trace_every,
         stop_kkt_tol=stop_tol,
         out=runsec.get("out", "runs/out"),
-        sampling=dict(cp["sampling"]) if "sampling" in cp else {},
-        policy=dict(cp["policy"]) if "policy" in cp else {},
-        instance=dict(cp["instance"]) if "instance" in cp else {},
+        sections=sections,
         fit_columns=fit_cols,
         fit_k_min=fit_k_min,
     )
@@ -176,7 +200,7 @@ def _ini_bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
-def field_value(section: str, fields, key: str, default, kind=float, *, at_least=None):
+def field_value(fields: Section, key: str, default, kind=float, *, at_least=None):
     """``fields[key]`` read as ``kind`` (``default`` when unset); a value that
     does not read, or that is below ``at_least`` when that is given, is a
     :class:`ConfigError` naming the section and field."""
@@ -186,9 +210,9 @@ def field_value(section: str, fields, key: str, default, kind=float, *, at_least
     try:
         value = kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        raise ConfigError(f"[{fields.name}] {key} = {raw!r}: {exc}") from exc
     if at_least is not None and value < at_least:
-        raise ConfigError(f"[{section}] {key} must be >= {at_least}, got {value}")
+        raise ConfigError(f"[{fields.name}] {key} must be >= {at_least}, got {value}")
     return value
 
 
@@ -209,7 +233,7 @@ def rejected_as_config(section: str):
 
 
 def _instance(cfg: RunConfig, key: str, default, kind=float, *, at_least=None):
-    return field_value("instance", cfg.instance, key, default, kind, at_least=at_least)
+    return field_value(cfg.sections["instance"], key, default, kind, at_least=at_least)
 
 
 def _build_random_ls(cfg: RunConfig):
@@ -226,7 +250,7 @@ def _build_random_ls(cfg: RunConfig):
 
 
 def _build_consensus(cfg: RunConfig):
-    ins = cfg.instance
+    ins = cfg.sections["instance"]
     n = _instance(cfg, "nodes", 8, int, at_least=1)
     graph = ins.get("graph", "path")
     rng = np.random.default_rng(_instance(cfg, "instance_seed", cfg.seed, int, at_least=0))
@@ -261,7 +285,7 @@ def _build_model_fit(cfg: RunConfig):
 
 
 def _build_custom(cfg: RunConfig):
-    ins = cfg.instance
+    ins = cfg.sections["instance"]
     try:
         a = np.loadtxt(ins["a_path"], delimiter=",", ndmin=2)
         b = np.loadtxt(ins["b_path"], delimiter=",")
@@ -320,78 +344,78 @@ def fit_rate(ks, values, k_min=None, k_max=None):
 
 
 def trace_column(trace, name, reference: Reference | None = None):
-    """The trace's k and one ``[fit]`` column (a name ``parse_config`` accepts)."""
+    """The trace's k and one ``[fit]`` column (a name ``parse_config`` accepts;
+    ``psi_hat_gap`` reads ``reference.psi_star``, which the run checked)."""
     ks = np.array([r.k for r in trace], dtype=float)
     if name == "psi_hat_gap":
-        if reference is None or reference.psi_star is None:
-            raise ConfigError("psi_hat_gap fit needs a reference objective value")
         vals = np.array([r.psi_hat - reference.psi_star for r in trace])
     else:
         vals = np.array([getattr(r, name) for r in trace])
     return ks, vals
 
 
-def run_experiment(cfg: RunConfig) -> int:
-    """Execute one configured run and write its artifacts.  Returns the
-    process exit code."""
-    t0 = time.perf_counter()
+def _start(cfg: RunConfig) -> tuple[Path, dict]:
+    """Once set-up has read what it needs: a config field it never read is a
+    :class:`ConfigError` naming its section and key.  Otherwise make the
+    output directory and return it with the metadata the config fixes."""
+    unread = [f"[{s.name}] {k}" for s in cfg.sections.values() for k in s if k not in s.read]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by a {cfg.experiment} run")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    say = (lambda *a: None) if cfg.quiet else print
-
-    meta: dict = {
+    run_fields = ("experiment", "seed", "k_max", "trace_every", "stop_kkt_tol")
+    return out, {
         "schema": TRACE_SCHEMA,
         "version": __version__,
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "k_max": cfg.k_max,
-        "trace_every": cfg.trace_every,
-        "stop_kkt_tol": cfg.stop_kkt_tol,
-        "sampling": dict(cfg.sampling),
-        "policy": dict(cfg.policy),
-        "instance": dict(cfg.instance),
+        **{name: getattr(cfg, name) for name in run_fields},
+        **{name: dict(cfg.sections[name]) for name in ("sampling", "policy", "instance")},
     }
+
+
+def run_experiment(cfg: RunConfig) -> int:
+    """Execute one configured run and write its artifacts.  Returns the
+    process exit code.  Nothing is written before set-up has succeeded."""
+    t0 = time.perf_counter()
+    say = (lambda *a: None) if cfg.quiet else print
 
     if cfg.experiment == "opf15":
-        return _run_opf(cfg, out, meta, say, t0)
+        return _run_opf(cfg, say, t0)
 
-    builders = {
-        "random_ls": _build_random_ls,
-        "consensus": _build_consensus,
-        "model_fit": _build_model_fit,
-        "custom": _build_custom,
-    }
+    builders = {"random_ls": _build_random_ls, "consensus": _build_consensus,
+                "model_fit": _build_model_fit, "custom": _build_custom}
     with rejected_as_config("instance"):
         problem = builders[cfg.experiment](cfg)
 
-    kind = cfg.sampling.get("kind", "single")
-    m = field_value("sampling", cfg.sampling, "m", None, int)
+    fields = cfg.sections["sampling"]
+    kind = fields.get("kind", "single")
+    m = field_value(fields, "m", None, int) if kind.lower() == "nice" else None
     with rejected_as_config("sampling"):
         sampling = sampling_from_config(kind, problem.d, m)
-    meta["sampling_resolved"] = {"kind": kind, "pi": sampling.pi.tolist()}
+    resolved: dict = {"sampling_resolved": {"kind": kind, "pi": sampling.pi.tolist()}}
 
-    pol_kind = cfg.policy.get("kind", "convex")
-    certify = field_value("policy", cfg.policy, "certify", True, _ini_bool)
+    fields = cfg.sections["policy"]
+    pol_kind = fields.get("kind", "convex")
     if pol_kind == "convex":
+        certify = field_value(fields, "certify", True, _ini_bool)
         # the default sigma's certificate does not describe a given sigma
-        given = cfg.policy.get("sigma", "auto") != "auto"
+        given = fields.get("sigma", "auto") != "auto"
         with rejected_as_config("policy"):
             policy = convex_default_policy(problem, sampling, certify=certify and not given)
             if given:
-                sigma = field_value("policy", cfg.policy, "sigma", None)
+                sigma = field_value(fields, "sigma", None)
                 policy = ConvexPolicy(sigma, policy.b_diag)
-        meta["policy_resolved"] = {
+        resolved["policy_resolved"] = {
             "kind": "convex",
             "sigma": policy.sigma,
             "certified_margin": policy.certified_margin,
         }
     elif pol_kind == "accelerated":
         tau0 = None
-        if cfg.policy.get("tau0"):
-            tau0 = field_value("policy", cfg.policy, "tau0", None)
+        if fields.get("tau0"):
+            tau0 = field_value(fields, "tau0", None)
         with rejected_as_config("policy"):
             policy = make_accelerated_policy(problem, sampling, tau0=tau0)
-        meta["policy_resolved"] = {
+        resolved["policy_resolved"] = {
             "kind": "accelerated",
             "alpha": policy.alpha,
             "beta": policy.beta,
@@ -402,13 +426,19 @@ def run_experiment(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"[policy] kind must be convex or accelerated, got {pol_kind!r}")
 
-    oracle_k = _instance(cfg, "oracle_k", 200_000, int, at_least=1)
-    reference = reference_for(problem, k_max=oracle_k, seed=cfg.seed + 1)
-    meta["reference"] = {
+    # exact solves only: Psi* is known where the instance is fully quadratic
+    exact = quadratic_reference if "quadratic" in problem.meta else least_squares_reference
+    reference = exact(problem)
+    if "psi_hat_gap" in cfg.fit_columns and reference.psi_star is None:
+        raise ConfigError(f"[fit] columns: psi_hat_gap needs an exact objective floor, "
+                          f"which a {cfg.experiment} instance does not have")
+    resolved["reference"] = {
         "source": reference.source,
         "h_star": reference.h_star,
         "psi_star": reference.psi_star,
     }
+    out, meta = _start(cfg)
+    meta.update(resolved)
 
     say(f"[{cfg.experiment}] d={problem.d} m={problem.m} q={problem.q} "
         f"policy={pol_kind} sampling={kind}")
@@ -443,16 +473,17 @@ def run_experiment(cfg: RunConfig) -> int:
     return _finish(out, result, meta, say, t0)
 
 
-def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
-    ins = cfg.instance
+def _run_opf(cfg: RunConfig, say, t0) -> int:
+    ins = cfg.sections["instance"]
     bundled_bus, bundled_edges = default_network_paths()
     bus_path = ins.get("bus_path") or bundled_bus
     edges_path = ins.get("edges_path") or bundled_edges
-    drop_shunt = field_value("instance", ins, "drop_shunt", False, _ini_bool)
+    drop_shunt = field_value(ins, "drop_shunt", False, _ini_bool)
     with rejected_as_config("instance"):
         net = load_network(bus_path, edges_path)
         problem = build_opf_problem(net, drop_shunt=drop_shunt)
     x0 = opf_initial_point(problem)
+    out, meta = _start(cfg)
     say(f"[opf15] buses={net.n_buses} T={net.horizon} blocks={problem.d} "
         f"m={problem.m} q={problem.q}")
     result = ppdlmp_run(
@@ -464,11 +495,8 @@ def _run_opf(cfg: RunConfig, out: Path, meta: dict, say, t0) -> int:
         fh.write("bus,period,y_p,y_q\n")
         for busn, t, yp, yq in prices:
             fh.write(f"{busn},{t},{yp!r},{yq!r}\n")
-    eng_meta = {
-        "sigma": result.trace[-1].sigma if result.trace else None,
-        "stopped_at": result.stopped_at,
-    }
-    meta["policy_resolved"] = eng_meta
+    meta["policy_resolved"] = {"sigma": result.trace[-1].sigma if result.trace else None,
+                               "stopped_at": result.stopped_at}
     meta["reference"] = {"h_star": result.reference.h_star, "source": result.reference.source}
     meta["operator_projection"] = result.state.session.totals()
     return _finish(out, result, meta, say, t0)

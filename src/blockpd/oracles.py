@@ -1,10 +1,9 @@
 """Independent reference solutions used for diagnostics and tests.
 
-The penalty floor h* always comes from a direct least-squares solve of the
-normal equations.  The objective floor Psi* comes from an exact reduced QP
-solve when the instance is fully quadratic (generator metadata present), or
-otherwise from a long high-accuracy run of the engine itself, clearly marked
-as such in the returned record.
+Every reference is an exact solve.  The penalty floor h* always comes from a
+direct least-squares solve of the normal equations.  The objective floor
+Psi* comes from an exact reduced QP solve, and only when the instance is
+fully quadratic (quadratic metadata present); otherwise it is left unknown.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .blocks import ProblemSpec, eval_psi, penalty_h
-from .errors import InvariantViolation, StrongConvexityRequired
+from .errors import InvariantViolation
 
 Array = np.ndarray
 
@@ -41,8 +40,7 @@ class Reference:
 
     def h_gap(self, p: ProblemSpec, x: Array) -> float:
         """h(x) - h*, evaluated cancellation-free as 0.5||A(x - x_ls)||^2.
-        Anchored at ``x_ls`` always: a long-run ``x_star`` is an iterate, not
-        a normal-equation solution."""
+        Anchored at ``x_ls`` always, whatever ``x_star`` holds."""
         r = p.a.dot(np.asarray(x) - self.x_ls)
         return 0.5 * float(r.dot(r))
 
@@ -264,35 +262,3 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
         y_star=y_star,
         source="reduced-qp",
     )
-
-
-def long_run_reference(p: ProblemSpec, k_max: int = 200_000, seed: int = 0) -> Reference:
-    """Fallback objective floor from a long full-activation run."""
-    from . import sampling as smp
-    from .solver import run
-    from .stepsize import convex_default_policy, make_accelerated_policy
-
-    s = smp.full(p.d)
-    base = least_squares_reference(p)
-    try:
-        policy = make_accelerated_policy(p, s)
-    except StrongConvexityRequired:
-        policy = convex_default_policy(p, s)
-    result = run(p, s, policy, np.zeros(p.m), k_max, seed=seed, trace_every=k_max,
-                 reference=base)
-    x_star = result.state.x
-    return Reference(
-        x_ls=base.x_ls,
-        h_star=base.h_star,
-        x_star=x_star,
-        psi_star=eval_psi(p, x_star),
-        y_star=None,
-        source=f"long-run[k={k_max}]",
-    )
-
-
-def reference_for(p: ProblemSpec, k_max: int = 200_000, seed: int = 0) -> Reference:
-    """Best available reference: exact when quadratic metadata exists."""
-    if "quadratic" in p.meta:
-        return quadratic_reference(p)
-    return long_run_reference(p, k_max=k_max, seed=seed)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock, _Quadratic
-from blockpd import blocks, oracles, stepsize
-from blockpd.errors import InfeasibleInstance, InvariantViolation, PolicyConstructionError
-from blockpd.oracles import long_run_reference
+from blockpd import blocks, oracles
+from blockpd.errors import InfeasibleInstance, InvariantViolation
 from blockpd import dlmp
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from instruments import dense_quadratic_reference, grad_h, prox_box_block, svd_projected_noise
@@ -597,29 +596,16 @@ class TestReferenceChecks:
         ref = oracles.quadratic_reference(bench_instance)
         assert ref.source == "reduced-qp"
 
-    def test_long_run_falls_back_without_strong_convexity(self):
-        p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8, mu=0.0)
-        ref = long_run_reference(p, k_max=10)
-        assert ref.source == "long-run[k=10]"
-
     def test_penalty_gap_anchors_at_least_squares_solution(self):
-        # a short long-run reference stores an iterate far from the
-        # normal-equation solutions as x_star; h_gap must not measure from it
+        # a reference whose x_star is an iterate far from the normal-equation
+        # solutions; h_gap must not measure from it
         p = bp.make_random_inconsistent_ls(seed=3, d=4, dims=3, q=18, noise=0.5)
-        ref = long_run_reference(p, k_max=5)
+        s = bp.full(p.d)
+        iterate = bp.run(p, s, bp.convex_default_policy(p, s), np.zeros(p.m), 5).state.x
+        ref = dataclasses.replace(oracles.least_squares_reference(p), x_star=iterate)
         assert ref.h_gap(p, ref.x_ls) == pytest.approx(0.0, abs=1e-12)
         x = np.zeros(p.m)
         assert ref.h_gap(p, x) == pytest.approx(bp.penalty_h(p, x) - ref.h_star, rel=1e-10)
-
-    def test_long_run_keeps_other_policy_errors(self, monkeypatch):
-        p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
-
-        def broken(*args, **kwargs):
-            raise PolicyConstructionError("no admissible parameters")
-
-        monkeypatch.setattr(stepsize, "make_accelerated_policy", broken)
-        with pytest.raises(PolicyConstructionError):
-            long_run_reference(p, k_max=10)
 
 
 def block_loops(p, x, gamma):

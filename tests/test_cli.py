@@ -1,5 +1,10 @@
+import configparser
+import io
 import json
 import math
+import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,8 +113,9 @@ class TestConfigParsing:
             "[run]\nexperiment = random_ls\nk_max = 5\nk_max = 6\n",
             "[run]\nexperiment = random_ls\n[fit]\ncolumns = h_gap_w\n[fit]\ncolumns = h_gap_w\n",
             "experiment = random_ls\n[run]\nk_max = 5\n",
+            "[run]\nexperiment = random_ls\nout = runs/50%\n",
         ],
-        ids=["repeated-option", "repeated-section", "no-section-header"],
+        ids=["repeated-option", "repeated-section", "no-section-header", "stray-percent"],
     )
     def test_malformed_ini_exit_code(self, tmp_path, capsys, body):
         cfg = write_config(tmp_path / "c.cfg", body)
@@ -247,15 +253,66 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert message in err and "rank_deficiency" not in err
 
+    @pytest.mark.parametrize("old, new, unread", [
+        ("noise = 0.4", "nosie = 0.9", ["[instance] nosie"]),
+        ("columns = psi_hat_gap, h_gap_w", "colums = h_gap_w", ["[fit] colums"]),
+        ("kind = convex", "kind = convex\ntau0 = 0.5", ["[policy] tau0"]),
+        ("kind = single", "kind = single\nm = 3", ["[sampling] m"]),
+        ("kind = convex", "kind = accelerated\nsigma = 5\ncertify = no",
+         ["[policy] sigma", "[policy] certify"]),
+    ], ids=["misspelled-noise", "misspelled-columns", "tau0-under-convex", "m-under-single",
+            "convex-fields-under-accelerated"])
+    def test_unread_field_exit_code(self, tmp_path, capsys, old, new, unread):
+        out = tmp_path / "o"
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
+        cfg = write_config(tmp_path / "c.cfg", body.replace(old, new))
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert all(field in err for field in unread) and "not read" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_oracle_k_must_be_positive(self, tmp_path, capsys, value):
+        # oracle_k is gone: any value of it, in range or not, is a field the run never reads
+        out = tmp_path / "o"
         cfg = write_config(
             tmp_path / "fit.cfg",
-            f"[run]\nexperiment = model_fit\nk_max = 20\nout = {tmp_path / 'o'}\n\n"
+            f"[run]\nexperiment = model_fit\nk_max = 20\nout = {out}\n\n"
             f"[instance]\nq = 6\np = 3\noracle_k = {value}\n",
         )
         assert main(["--config", cfg, "--quiet"]) == 2
-        assert "[instance] oracle_k must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[instance] oracle_k" in err and "not read" in err
+        assert "must be >= 1" not in err
+        assert not out.exists()
+
+    def test_opf15_reads_no_generic_section(self, tmp_path, capsys):
+        # metadata.json recorded an accelerated policy for a convex paired run
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "opf.cfg",
+            f"[run]\nexperiment = opf15\nk_max = 5\nout = {out}\n\n"
+            "[instance]\nbus_pth = buses.csv\n\n[sampling]\nkind = single\n\n"
+            "[policy]\nkind = accelerated\nsigma = 5\n\n[fit]\ncolumns = h_gap_w\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        for field in ("[instance] bus_pth", "[sampling] kind", "[policy] kind",
+                      "[policy] sigma", "[fit] columns"):
+            assert field in err
+        assert not out.exists()
+
+    def test_psi_gap_fit_without_exact_floor_before_the_run(self, tmp_path, capsys):
+        # a model_fit instance has no quadratic metadata, so no exact Psi*
+        out = tmp_path / "o"
+        cfg = write_config(
+            tmp_path / "fit.cfg",
+            f"[run]\nexperiment = model_fit\nk_max = 20\nout = {out}\n\n"
+            "[instance]\nq = 6\np = 3\n\n[fit]\ncolumns = h_gap_w, psi_hat_gap\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert "[fit] columns: psi_hat_gap needs an exact" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_given_sigma_is_not_certified(self, tmp_path):
         out = tmp_path / "o"
@@ -476,7 +533,6 @@ a_path = {a_path}
 b_path = {b_path}
 dims = 1 1
 mu = 0.5
-oracle_k = 2000
 
 [sampling]
 kind = full
@@ -692,3 +748,84 @@ edges_path = {edges}
         assert main(["--config", cfg, "--quiet"]) == 4
         err = capsys.readouterr().err
         assert "infeasible instance: bus 3, period 0: consumption floor 0.03" in err
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+WORDS = ("zebra", "maybe", "lots", "none_of_these")
+
+
+def config_mutations(seed=2026):
+    """Every field of each bundled config deleted, emptied, set to 0, -1,
+    nan, inf and a word, and one key per section repeated under a misspelled
+    name, each with ``k_max = 20`` unless ``k_max`` itself is the field:
+    tuples (config name, section, key, value or None for a deletion,
+    misspelled key or None, INI text)."""
+    rng = random.Random(seed)
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        base = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        base.read(path)
+        base["run"]["k_max"] = "20"
+
+        def mutated(section, key, value, typo=None):
+            cp = configparser.ConfigParser()
+            cp.read_dict(base)
+            if typo is not None:  # beside the field it misspells
+                cp[section][typo] = cp[section][key]
+            elif value is None:
+                del cp[section][key]
+            else:
+                cp[section][key] = value
+            text = io.StringIO()
+            cp.write(text)
+            return (path.stem, section, key, value, typo, text.getvalue())
+
+        for section in base.sections():
+            for key in base[section]:
+                for value in (None, "", "0", "-1", "nan", "inf", rng.choice(WORDS)):
+                    yield mutated(section, key, value)
+            # a missing experiment is rejected before any other field
+            key = rng.choice([k for k in base[section] if k != "experiment"])
+            at = rng.randrange(len(key))
+            yield mutated(section, key, None, key[:at] + key[at] + key[at:])
+
+
+def accepted(name, section, key, value):
+    """Whether a run takes the mutation: a deleted field falls back to its
+    default, and a few fields admit the value given."""
+    if value is None:
+        # nothing stands in for the experiment, and consensus's nice
+        # sampling needs m, which a single sampling does not read
+        return key != "experiment" and not (name == "consensus" and section == "sampling")
+    admits = {
+        "out": None,  # any path
+        "stop_kkt_tol": {""},  # none
+        "columns": {""},  # fit nothing
+        "certify": {"0"},  # a boolean word
+        "seed": {"0"},
+        "noise": {"0"},
+        "rank_deficiency": {"0"},
+        # mu = 0 leaves the accelerated policy without strong convexity
+        "mu": {"0"} if name == "random_ls_convex" else set(),
+    }
+    return key in admits and (admits[key] is None or value in admits[key])
+
+
+class TestConfigMutations:
+    def test_every_mutation_exits_with_its_documented_code(self, tmp_path, monkeypatch, capsys):
+        # outputs land under tmp_path: every bundled config names a relative out
+        monkeypatch.chdir(tmp_path)
+        seen = 0
+        for name, section, key, value, typo, text in config_mutations():
+            cfg = write_config(tmp_path / "m.cfg", text)
+            code = main(["--config", cfg, "--quiet"])
+            err = capsys.readouterr().err
+            case = f"{name} [{section}] {typo or key} = {value!r}: exit {code} {err}"
+            if typo is not None:
+                assert code == 2 and f"[{section}] {typo}" in err, case
+            elif accepted(name, section, key, value):
+                assert code == 0, case
+            else:
+                # the message names a section, mostly the field's own
+                assert code == 2 and re.search(r"config error: .*\[[a-z]+\]", err), case
+            seen += 1
+        assert seen == 7 * 47 + 16  # 47 fields, 16 sections
