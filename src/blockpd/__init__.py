@@ -14,7 +14,6 @@ from .blocks import (
     make_consensus,
     make_model_fitting,
     make_random_inconsistent_ls,
-    penalty_h,
 )
 from .oracles import Reference, least_squares_reference, quadratic_reference
 from .proxops import (

@@ -409,23 +409,17 @@ def eval_psi(p: ProblemSpec, x: Array) -> float:
     return p.phi(x) + r
 
 
-def penalty_h(p: ProblemSpec, x: Array) -> float:
-    """Quadratic coupling penalty 0.5 * ||Ax - b||^2."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.m,):
-        raise ValueError(f"x has shape {x.shape}, expected ({p.m},)")
-    res = p.a.dot(x) - p.b
-    return 0.5 * float(res.dot(res))
-
-
-def kkt_residual(p: ProblemSpec, x: Array, y: Array) -> float:
+def kkt_residual(p: ProblemSpec, x: Array, y: Array, r: Array) -> float:
     """Sup-norm residual of the saddle conditions for L(x,y) = Psi(x) + <y, Ax-b>.
 
     The primal part is the unit-metric prox-gradient residual
     ``||x - prox_R(x - (grad Phi(x) + A'y))||_inf``; the dual part is
-    ``||Ax - b||_inf``.  The dual variable lives in R^q, pairing with the raw
-    residual ``Ax - b`` (not with the normal equations); it can only vanish on
-    consistent instances.
+    ``||r||_inf`` for the residual ``r = Ax - b``, which the caller passes
+    (trace rows pass the one the engines maintain, whose drift is bounded
+    by the ``solver.REFRESH_EVERY`` steps between refreshes), so A'y is the
+    one product over A here.  The dual variable lives in R^q, pairing with the
+    raw residual ``Ax - b`` (not with the normal equations); it can only
+    vanish on consistent instances.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -436,8 +430,6 @@ def kkt_residual(p: ProblemSpec, x: Array, y: Array) -> float:
     np.subtract(x, g, out=g)
     xp = p.prox_r(np.ones(p.m), g)
     xp -= x
-    r = p.a.dot(x)
-    r -= p.b
     primal = float(abs(xp).max()) if p.m else 0.0
     dual = float(abs(r).max()) if p.q else 0.0
     return max(primal, dual)

@@ -8,7 +8,7 @@ A run is described by a flat INI file with sections::
     k_max = 100000
     trace_every = 10
     stop_kkt_tol = none           ; stop once kkt_res and primal_res are both below it
-    out = runs/demo
+    out = runs/demo               ; a directory, made if missing; not empty, not a file
 
     [instance]                    ; experiment-specific parameters
     d = 10
@@ -354,6 +354,19 @@ def trace_column(trace, name, reference: Reference | None = None):
     return ks, vals
 
 
+def _check_out(out: str) -> None:
+    """Before set-up: ``out`` must name a directory that exists or can be
+    made, so neither the empty path (the working directory) nor a path
+    through an existing file."""
+    if not out:
+        raise ConfigError("[run] out must name an output directory, got ''")
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if path.is_dir():
+                return
+            raise ConfigError(f"[run] out = {out!r}: {path} exists and is not a directory")
+
+
 def _start(cfg: RunConfig) -> tuple[Path, dict]:
     """Once set-up has read what it needs: a config field it never read is a
     :class:`ConfigError` naming its section and key.  Otherwise make the
@@ -377,6 +390,7 @@ def run_experiment(cfg: RunConfig) -> int:
     process exit code.  Nothing is written before set-up has succeeded."""
     t0 = time.perf_counter()
     say = (lambda *a: None) if cfg.quiet else print
+    _check_out(cfg.out)
 
     if cfg.experiment == "opf15":
         return _run_opf(cfg, say, t0)

@@ -8,14 +8,14 @@ fully quadratic (quadratic metadata present); otherwise it is left unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .blocks import ProblemSpec, eval_psi, penalty_h
+from .blocks import ProblemSpec, eval_psi
 from .errors import InvariantViolation
 
 Array = np.ndarray
@@ -25,24 +25,33 @@ Array = np.ndarray
 class Reference:
     """Ground-truth anchors for an instance.
 
-    ``x_ls`` minimises the penalty (a normal-equation solution), ``h_star``
-    is the attainable penalty floor, and when available ``x_star`` /
-    ``psi_star`` / ``y_star`` describe a solution of the full problem with a
-    multiplier paired against the raw residual rows.
+    ``x_ls`` minimises the penalty (a normal-equation solution), ``r_ls``
+    is its residual A x_ls - b, ``h_star`` = 0.5||r_ls||^2 is the attainable
+    penalty floor, and when available ``x_star`` / ``psi_star`` / ``y_star``
+    describe a solution of the full problem with a multiplier paired against
+    the raw residual rows.
     """
 
     x_ls: Array
+    r_ls: Array
     h_star: float
     x_star: Array | None = None
     psi_star: float | None = None
     y_star: Array | None = None
     source: str = "normal-equations"
 
-    def h_gap(self, p: ProblemSpec, x: Array) -> float:
-        """h(x) - h*, evaluated cancellation-free as 0.5||A(x - x_ls)||^2.
-        Anchored at ``x_ls`` always, whatever ``x_star`` holds."""
-        r = p.a.dot(np.asarray(x) - self.x_ls)
-        return 0.5 * float(r.dot(r))
+    def h_gap(self, r: Array) -> float:
+        """h(x) - h* from the residual r = Ax - b, as 0.5||r - r_ls||^2.
+
+        r - r_ls = A(x - x_ls) and r_ls is orthogonal to range(A), so this
+        is h(x) - h* without the cancellation of the difference: its
+        rounding error scales like sqrt(h_gap) eps ||Ax||, where the
+        difference would carry eps h*.  Trace rows pass the residual the
+        engines maintain, whose drift is bounded by the ``REFRESH_EVERY``
+        steps between refreshes.  Anchored at ``x_ls`` always, whatever
+        ``x_star`` holds."""
+        d = r - self.r_ls
+        return 0.5 * float(d.dot(d))
 
 
 def least_squares_reference(p: ProblemSpec) -> Reference:
@@ -67,10 +76,11 @@ def least_squares_reference(p: ProblemSpec) -> Reference:
         x_ls = solve(p)
         if x_ls is None:
             continue
-        normal = float(np.max(np.abs(p.a.T @ (p.a @ x_ls - p.b))))
+        r_ls = p.a.dot(x_ls) - p.b
+        normal = float(np.max(np.abs(p.a.T @ r_ls)))
         bound = 1e-8 * max(g_max * float(np.max(np.abs(x_ls))), atb_max)
         if normal <= bound:
-            return Reference(x_ls=x_ls, h_star=penalty_h(p, x_ls))
+            return Reference(x_ls=x_ls, r_ls=r_ls, h_star=0.5 * float(r_ls.dot(r_ls)))
     raise InvariantViolation(
         f"least-squares solution misses the normal equations by {normal:.3e} "
         f"(bound {bound:.3e})"
@@ -254,11 +264,6 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
             f"reference multiplier misses stationarity by {stationarity:.3e} "
             f"(bound {bound:.3e})"
         )
-    return Reference(
-        x_ls=base.x_ls,
-        h_star=base.h_star,
-        x_star=x_star,
-        psi_star=eval_psi(p, x_star),
-        y_star=y_star,
-        source="reduced-qp",
+    return replace(
+        base, x_star=x_star, psi_star=eval_psi(p, x_star), y_star=y_star, source="reduced-qp"
     )

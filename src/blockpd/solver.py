@@ -19,10 +19,13 @@ Sidford and of APPROX, Fercoq & Richtarik 2015, section 5), so a step
 rescales the scalar gamma and writes only the active slices of e.  The
 incrementally maintained products (Ax and Ae, the residual u) are refreshed
 every ``REFRESH_EVERY`` steps to cap float drift, and the averaging form
-folds gamma into e there.  Within one iteration the block updates read
-shared state and write disjoint slices, so they could run concurrently; the
-e/u/y updates are the synchronisation point.  One engine instance is
-single-writer.
+folds gamma into e there.  Trace rows read the residual Ax - b from these
+products rather than forming it, so the penalty gaps ``h_gap_x`` and
+``h_gap_w`` and the dual part of ``kkt_res`` carry at most
+``REFRESH_EVERY`` steps of that drift; A'y is a row's one product over A.
+Within one iteration the block updates read shared state and write disjoint
+slices, so they could run concurrently; the e/u/y updates are the
+synchronisation point.  One engine instance is single-writer.
 """
 
 from __future__ import annotations
@@ -373,6 +376,11 @@ def run(
 
 
 def _trace_record(problem, eng, state, ref) -> TraceRecord:
+    """One trace row.  The residual r = Ax - b is read from the engine's
+    maintained products (``ax`` and ``ae``, or ``u``), not formed again, so
+    the penalty gaps, ``primal_res`` and the dual part of ``kkt_res`` cost
+    O(q) and A'y is the row's one product over A.  The gaps and ``kkt_res``
+    carry the products' drift, at most ``REFRESH_EVERY`` steps of it."""
     k = state.k
     sigma = eng.policy.sigma_at(k)
     tau = eng.policy.tau_at(k)
@@ -380,21 +388,24 @@ def _trace_record(problem, eng, state, ref) -> TraceRecord:
     if isinstance(state, RbcdState):
         psi_x = state.psi_total
         psi_hat = state.psi_hat
-        h_gap_w = ref.h_gap(problem, state.w)
+        r = state.ax - problem.b
+        # Aw - b = (Ax - b) + gamma Ae
+        r_w = state.gamma * state.ae
+        r_w += r
+        h_gap_w = ref.h_gap(r_w)
         y = eng.dual_estimate(state)
-        primal = float(np.linalg.norm(state.ax - problem.b))
     else:
         psi_x = eval_psi(problem, state.x)
+        r = state.u
         y = state.y
-        primal = float(np.linalg.norm(state.u))
     return TraceRecord(
         k=k,
         psi_x=psi_x,
         psi_hat=psi_hat,
-        h_gap_x=ref.h_gap(problem, state.x),
+        h_gap_x=ref.h_gap(r),
         h_gap_w=h_gap_w,
-        primal_res=primal,
-        kkt_res=kkt_residual(problem, state.x, y),
+        primal_res=float(np.linalg.norm(r)),
+        kkt_res=kkt_residual(problem, state.x, y, r),
         tau=tau,
         sigma=sigma,
     )

@@ -32,7 +32,7 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from blockpd import solver
-from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock, eval_psi
+from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock, eval_psi, kkt_residual
 from blockpd.dlmp import NetworkModel
 from blockpd.errors import InfeasibleInstance, InvariantViolation, UnsupportedSampling
 from blockpd.oracles import Reference, least_squares_reference
@@ -46,6 +46,15 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 # blocks, oracles, sampling
 # ---------------------------------------------------------------------------
+
+
+def penalty_h(p: ProblemSpec, x: Array) -> float:
+    """Quadratic coupling penalty 0.5 * ||Ax - b||^2, formed from x."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p.m,):
+        raise ValueError(f"x has shape {x.shape}, expected ({p.m},)")
+    res = p.a.dot(x) - p.b
+    return 0.5 * float(res.dot(res))
 
 
 def grad_h(p: ProblemSpec, x: Array) -> Array:
@@ -419,6 +428,35 @@ def step_on(eng, state, mask):
         return eng.step(state)
 
 
+def fresh_trace_record(problem: ProblemSpec, eng, state, ref: Reference) -> solver.TraceRecord:
+    """The trace row as it was made before rows read the engines' maintained
+    residual: the penalty gaps as 0.5||A(v - x_ls)||^2 for v = x and the
+    averaged w, and ``kkt_res`` with a fresh Ax - b; the other columns by
+    the same formulas as ``solver._trace_record``."""
+    k = state.k
+    psi_hat = h_gap_w = math.nan
+
+    def gap(v):
+        r = problem.a @ (v - ref.x_ls)
+        return 0.5 * float(r @ r)
+
+    if isinstance(state, RbcdState):
+        psi_x, psi_hat = state.psi_total, state.psi_hat
+        h_gap_w = gap(state.w)
+        y = eng.dual_estimate(state)
+        primal = float(np.linalg.norm(state.ax - problem.b))
+    else:
+        psi_x = eval_psi(problem, state.x)
+        y = state.y
+        primal = float(np.linalg.norm(state.u))
+    return solver.TraceRecord(
+        k=k, psi_x=psi_x, psi_hat=psi_hat, h_gap_x=gap(state.x), h_gap_w=h_gap_w,
+        primal_res=primal,
+        kkt_res=kkt_residual(problem, state.x, y, problem.a @ state.x - problem.b),
+        tau=eng.policy.tau_at(k), sigma=eng.policy.sigma_at(k),
+    )
+
+
 # ---------------------------------------------------------------------------
 # averaging engine: its block step, averaged product, weights and energy
 # ---------------------------------------------------------------------------
@@ -510,7 +548,7 @@ def lyapunov(
         p_diag - 1.0
     ) * problem.mu_vector
     s_prev = previous_weight(policy, k)
-    f_k = state.psi_hat + s_prev * ref.h_gap(problem, state.w)
+    f_k = state.psi_hat + s_prev * ref.h_gap(problem.a @ state.w - problem.b)
     dx = state.x - ref.x_star
     v_k = 0.5 * float(dx @ (w_diag * dx)) + s_prev * (f_k - ref.psi_star)
     return v_k, f_k

@@ -194,7 +194,7 @@ def test_06_supermartingale(two_block_instance, two_block_reference):
                 return lyapunov(p, s, pol, st, ref)[0]
 
             exp_v = expectation_over_sampling(s, v_next)
-            slack = max(slack, exp_v - (v_k - pol.sigma_at(k) ** 2 * ref.h_gap(p, state.x)))
+            slack = max(slack, exp_v - (v_k - pol.sigma_at(k) ** 2 * ref.h_gap(p.a @ state.x - p.b)))
             eng.step(state)
         worst[name] = slack
     ok = all(v <= 1e-9 for v in worst.values())

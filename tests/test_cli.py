@@ -314,6 +314,29 @@ class TestConfigParsing:
         assert "[fit] columns: psi_hat_gap needs an exact" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", [LS, "experiment = opf15"])
+    @pytest.mark.parametrize("out, option", [
+        ("afile", False), ("afile", True), ("afile/sub", False), ("", False), ("", True),
+    ], ids=["file", "file-option", "below-file", "empty", "empty-option"])
+    def test_out_that_names_no_directory_exits_before_set_up(
+        self, tmp_path, capsys, monkeypatch, experiment, out, option
+    ):
+        from blockpd import cli
+
+        def set_up(*args, **kwargs):
+            raise AssertionError("set-up ran")
+
+        monkeypatch.setattr(cli, "_build_random_ls", set_up)
+        monkeypatch.setattr(cli, "load_network", set_up)
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n")
+        body = f"[run]\n{experiment}\nk_max = 5\nout = {'runs/o' if option else out}\n"
+        argv = ["--config", write_config(tmp_path / "c.cfg", body), "--quiet"]
+        assert main(argv + (["--out", out] if option else [])) == 2
+        assert "config error: [run] out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.cfg"]
+        assert Path("afile").read_text() == "kept\n"
+
     def test_given_sigma_is_not_certified(self, tmp_path):
         out = tmp_path / "o"
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
@@ -796,8 +819,9 @@ def accepted(name, section, key, value):
         # nothing stands in for the experiment, and consensus's nice
         # sampling needs m, which a single sampling does not read
         return key != "experiment" and not (name == "consensus" and section == "sampling")
+    if key == "out":
+        return value != ""  # any path but the empty one, which names no directory
     admits = {
-        "out": None,  # any path
         "stop_kkt_tol": {""},  # none
         "columns": {""},  # fit nothing
         "certify": {"0"},  # a boolean word
@@ -807,7 +831,7 @@ def accepted(name, section, key, value):
         # mu = 0 leaves the accelerated policy without strong convexity
         "mu": {"0"} if name == "random_ls_convex" else set(),
     }
-    return key in admits and (admits[key] is None or value in admits[key])
+    return key in admits and value in admits[key]
 
 
 class TestConfigMutations:

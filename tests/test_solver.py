@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import blockpd as bp
-from blockpd import dlmp
+from blockpd import dlmp, solver
 from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock, eval_psi
 from blockpd.errors import InvariantViolation, SolverDivergence
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
@@ -22,9 +22,11 @@ from instruments import (
     expectation_over_sampling,
     extrapolated,
     forward_backward_block,
+    fresh_trace_record,
     gamma_table,
     grad_h,
     lyapunov,
+    penalty_h,
     prox_box_block,
     recorded,
     step_on,
@@ -471,7 +473,7 @@ class TestLyapunovDescent:
                 return lyapunov(p, s, pol, st, ref)[0]
 
             exp_v = expectation_over_sampling(s, nxt)
-            h_gap = ref.h_gap(p, state.x)
+            h_gap = ref.h_gap(p.a @ state.x - p.b)
             assert exp_v <= v_k - pol.sigma_at(k) ** 2 * h_gap + 1e-9
             eng.step(state)
 
@@ -527,7 +529,7 @@ class TestRunLoop:
         pol = bp.convex_default_policy(p, bp.full(1))
         res = bp.run(p, bp.full(1), pol, np.zeros(1), 4000, seed=0, trace_every=4000)
         assert res.state.x[0] == pytest.approx(0.5, abs=1e-6)
-        assert bp.penalty_h(p, res.state.x) == pytest.approx(0.25, abs=1e-8)
+        assert penalty_h(p, res.state.x) == pytest.approx(0.25, abs=1e-8)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self, two_block_instance):
@@ -590,11 +592,69 @@ class TestRunLoop:
             assert psi_w - ref.psi_star >= -delta * math.sqrt(rec.h_gap_w) - 1e-9
 
 
+class TestTraceRowsFromState:
+    """Rows read the residual Ax - b from the engines' maintained products;
+    a from-scratch row (``fresh_trace_record``) differs from them only in
+    the columns that read it, and there by the products' drift."""
+
+    @pytest.mark.parametrize("engine", ["rbcd", "pda"])
+    @pytest.mark.parametrize("kind", ["convex", "accelerated"])
+    @pytest.mark.parametrize("instance", ["bench", "nice"])
+    def test_rows_match_from_scratch_values(
+        self, bench_instance, monkeypatch, instance, kind, engine
+    ):
+        if instance == "bench":
+            p, s = bench_instance, bp.single_coordinate(bench_instance.d)
+        else:
+            p = bp.make_random_inconsistent_ls(
+                seed=1, d=24, dims=4, q=144, noise=0.6, mu=1.0, rank_deficiency=4
+            )
+            s = bp.nice(24, 4)
+        ref = bp.quadratic_reference(p)
+        pol = bp.convex_default_policy(p, s) if kind == "convex" else bp.make_accelerated_policy(p, s)
+        # each of the at most REFRESH_EVERY steps since a refresh rounds every
+        # entry of a maintained product once, at the size of |A| times the
+        # iterates it adds up (x, and w - x in gamma Ae); b and r_ls add one
+        # rounding each.  So the residual read for x, or w, lies within
+        # drift(...) of the fresh one, the penalty gap g = 0.5||r - r_ls||^2
+        # within drift (sqrt(2 g) + drift), and the saddle residual within drift
+        eps, abs_a = np.finfo(float).eps, np.abs(p.a)
+
+        def drift(*parts):
+            size = abs_a @ sum(np.abs(v) for v in (*parts, ref.x_ls))
+            return 4 * solver.REFRESH_EVERY * eps * (np.linalg.norm(size) + np.linalg.norm(p.b))
+
+        rows = []
+        record = solver._trace_record
+
+        def spy(problem, eng, state, reference):
+            rec = record(problem, eng, state, reference)
+            fresh = fresh_trace_record(problem, eng, state, reference)
+            w_drift = drift(state.x, state.w - state.x) if engine == "rbcd" else math.nan
+            rows.append((rec, fresh, drift(state.x), w_drift))
+            return rec
+
+        monkeypatch.setattr(solver, "_trace_record", spy)
+        res = bp.run(p, s, pol, np.zeros(p.m), 1500, engine=engine, seed=3, trace_every=7,
+                     reference=ref)
+        assert len(rows) == len(res.trace) == 1500 // 7 + 1
+        for rec, fresh, x_drift, w_drift in rows:
+            for name in ("k", "psi_x", "psi_hat", "primal_res", "tau", "sigma"):
+                assert np.array_equal(getattr(rec, name), getattr(fresh, name), equal_nan=True), name
+            for name, bound in (("h_gap_x", x_drift), ("h_gap_w", w_drift)):
+                got, want = getattr(rec, name), getattr(fresh, name)
+                if engine == "pda" and name == "h_gap_w":
+                    assert math.isnan(got) and math.isnan(want)
+                    continue
+                assert abs(got - want) <= bound * (math.sqrt(2 * want) + bound), (rec.k, name)
+            assert abs(rec.kkt_res - fresh.kkt_res) <= x_drift, rec.k
+
+
 # functions on the step and trace-row paths, per module of the package; their
 # products go through ndarray.dot, which on the few-column slabs of a block
 # step skips most of @'s dispatch cost
 HOT_PATHS = {
-    "solver.py": ("RbcdEngine.step", "PdaEngine.step"),
+    "solver.py": ("RbcdEngine.step", "PdaEngine.step", "_trace_record"),
     "blocks.py": ("kkt_residual", "SmoothBlock.quadratic"),
     "oracles.py": ("Reference.h_gap",),
     "dlmp.py": (
