@@ -19,11 +19,12 @@ rate runs call it alone and pay that factor too).  The script prints each
 phase's median seconds over the windows, their total without the
 quadratic reference (the set-up of an ls_wide run), the one-off
 generation time and the process's peak resident set (``ru_maxrss``) read
-right after that generation.  Rungs are generated smallest first, before
-any window, so each reading bounds the peak of generating its rung (and
-of everything generated before it).  Windows go round-robin over the rungs
-in one process on one BLAS thread, and the first window warms up and is
-dropped:
+right after that generation; the peak read right after the imports, before
+any rung, is printed first as the floor those readings stand on.  Rungs
+are generated smallest first, before any window, so each reading bounds
+the peak of generating its rung (and of everything generated before it).
+Windows go round-robin over the rungs in one process on one BLAS thread,
+and the first window warms up and is dropped:
 
     PYTHONPATH=src python scripts/setup_ladder.py [--d 1000] [--windows 5]
 
@@ -52,6 +53,10 @@ from against import load_tree
 PHASES = ("gram", "blocks", "convex", "accelerated", "reference", "quadratic")
 
 
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def phases(tree):
     """The timed phases, in the order a run pays them, from one tree."""
     return dict(zip(PHASES, (
@@ -75,6 +80,7 @@ def main():
     trees = {"this": bp}
     if args.against:
         trees["against"] = load_tree(args.against)
+    print(f"maxrss_mb after imports: {peak_rss_mb():.1f}")
 
     rungs = {}
     for d in ds:
@@ -84,8 +90,7 @@ def main():
                 seed=args.seed, d=d, dims=4, q=6 * d, noise=0.6, mu=1.0, rank_deficiency=4
             )
             seconds = time.perf_counter() - t0
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            rungs[name, d] = (p, tree.nice(d, 4), seconds, peak_mb)
+            rungs[name, d] = (p, tree.nice(d, 4), seconds, peak_rss_mb())
 
     secs = {(name, d, phase): [] for name, d in rungs for phase in PHASES}
     for w in range(args.windows + 1):

@@ -9,7 +9,9 @@ and prints the median microseconds per engine step and per trace row
 (``solver._trace_record``, what ``run`` pays every ``trace_every`` steps)
 over several timed windows, plus each engine's step cost at the last d
 over its cost at the first.  A step that touches only its active blocks
-keeps that ratio near 1; a row is O(m) by nature.  Runs on one BLAS
+keeps that ratio near 1; a row is O(m) by nature.  It also prints the
+process's peak resident set (``ru_maxrss``) right after the imports and
+again at the end, after every rung is built and run.  Runs on one BLAS
 thread:
 
     PYTHONPATH=src python scripts/step_ladder.py
@@ -28,6 +30,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ[_var] = "1"
 
 import argparse
+import resource
 import statistics
 import time
 
@@ -38,6 +41,10 @@ from against import load_tree
 
 ENGINES = {"rbcd": "RbcdEngine", "pda": "PdaEngine"}
 ROWS = 50  # trace rows per window
+
+
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main():
@@ -52,6 +59,7 @@ def main():
     trees = {"this": bp}
     if args.against:
         trees["against"] = load_tree(args.against)
+    print(f"maxrss_mb after imports: {peak_rss_mb():.1f}")
 
     runs = {}
     for d in args.d:
@@ -109,6 +117,7 @@ def main():
         print("this / against (ratio of the medians)")
         table(lambda d, n: us["this", d, n] / us["against", d, n],
               lambda d, n: row_us["this", d, n] / row_us["against", d, n], ".3f")
+    print(f"maxrss_mb at the end: {peak_rss_mb():.1f}")
 
 
 if __name__ == "__main__":

@@ -67,7 +67,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .blocks import (
@@ -328,7 +327,14 @@ def fit_rate(ks, values, k_min=None, k_max=None):
     """Least-squares slope of log |value| against log k.
 
     Values are folded to magnitudes and clipped at 1e-16 before taking logs.
-    Returns (slope, stderr); needs at least 10 points in range.
+    Returns (slope, stderr); needs at least 10 points in range.  The fit is
+    ``scipy.stats.linregress``'s arithmetic, operation for operation, so it
+    gives the same bits without loading ``scipy.stats``: with the biased
+    (co)variances ssxm, ssxym and ssym of x = log k and y = log |value|,
+    slope = ssxym / ssxm and stderr = sqrt((1 - r^2) ssym / ssxm / (n - 2))
+    for the correlation r = ssxym / sqrt(ssxm ssym) clipped to [-1, 1]
+    (0 where ssxm or ssym is 0, NaN if ssxym is 0 too).  All-identical k
+    in range is a ``ValueError``.
     """
     ks = np.asarray(ks, dtype=float)
     values = np.clip(np.abs(np.asarray(values, dtype=float)), 1e-16, None)
@@ -339,8 +345,17 @@ def fit_rate(ks, values, k_min=None, k_max=None):
         mask &= ks <= k_max
     if int(mask.sum()) < 10:
         raise InsufficientData(f"only {int(mask.sum())} trace points in range")
-    res = stats.linregress(np.log(ks[mask]), np.log(values[mask]))
-    return float(res.slope), float(res.stderr)
+    x, y = np.log(ks[mask]), np.log(values[mask])
+    if np.amax(x) == np.amin(x):
+        raise ValueError("Cannot calculate a linear regression if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
+    return float(slope), float(stderr)
 
 
 def trace_column(trace, name, reference: Reference | None = None):

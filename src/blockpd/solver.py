@@ -80,7 +80,7 @@ class RbcdState:
     ax: Array
     ae: Array
     gamma: float
-    psi_vec: Array
+    psi_vec: list[float]
     psi_total: float
     psi_hat: float
     k: int
@@ -140,19 +140,22 @@ class _EngineBase:
             )
         )
 
-    def _start(self, x0: Array) -> tuple[Array, Array]:
+    def _start(self, x0: Array) -> tuple[Array, list[float]]:
         """A float copy of x0, checked for length m and to lie in dom R
         (a finite objective on every block), and its block objectives."""
         x0 = np.asarray(x0, dtype=float).copy()
         if x0.shape != (self.problem.m,):
             raise ValueError(f"x0 has shape {x0.shape}, expected ({self.problem.m},)")
         psi_vec = self._psi_vec(x0)
-        if not np.all(np.isfinite(psi_vec)):
+        if not all(map(math.isfinite, psi_vec)):
             raise ValueError("x0 must lie in dom R (finite objective on every block)")
         return x0, psi_vec
 
-    def _psi_vec(self, x: Array) -> Array:
-        return np.array([self.problem.psi_block(i, x[sl]) for i, sl in enumerate(self.slices)])
+    def _psi_vec(self, x: Array) -> list[float]:
+        """The block objectives as Python floats, so that the running sums
+        built from them (and the trace rows) stay Python floats; totals are
+        taken with ``np.sum``, in NumPy's pairwise order."""
+        return [self.problem.psi_block(i, x[sl]) for i, sl in enumerate(self.slices)]
 
     def _fb(self, i: int, xi: Array, grad_i: Array, tau_k: float) -> Array:
         """Weighted forward-backward step on block i: prox in the metric
@@ -166,7 +169,7 @@ class RbcdEngine(_EngineBase):
     def init_state(self, x0: Array, rng: np.random.Generator) -> RbcdState:
         p = self.problem
         x0, psi_vec = self._start(x0)
-        psi = float(psi_vec.sum())
+        psi = float(np.sum(psi_vec))
         return RbcdState(
             x=x0, e=np.zeros(p.m), ax=p.a.dot(x0), ae=np.zeros(p.q), gamma=1.0,
             psi_vec=psi_vec, psi_total=psi, psi_hat=psi, k=0, s_cur=1.0, rng=rng,
@@ -231,7 +234,7 @@ class RbcdEngine(_EngineBase):
         state.ax = p.a.dot(state.x)
         state.ae = p.a.dot(state.e)
         state.psi_vec = self._psi_vec(state.x)
-        state.psi_total = float(state.psi_vec.sum())
+        state.psi_total = float(np.sum(state.psi_vec))
 
     def dual_estimate(self, state: RbcdState) -> Array:
         """Price vector the equivalent primal-dual process would hold now:

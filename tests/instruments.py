@@ -412,12 +412,12 @@ def recorded(eng):
 
 
 def copy_state(state):
-    """A copy of an engine state whose arrays are its own; the generator is
-    shared."""
+    """A copy of an engine state whose arrays and lists are its own; the
+    generator is shared."""
     return replace(state, **{
         f.name: getattr(state, f.name).copy()
         for f in fields(state)
-        if isinstance(getattr(state, f.name), np.ndarray)
+        if isinstance(getattr(state, f.name), (np.ndarray, list))
     })
 
 

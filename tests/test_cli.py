@@ -2,13 +2,17 @@ import configparser
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockpd
 from blockpd.cli import fit_rate, main, parse_config
 from blockpd.errors import ConfigError, InsufficientData
 
@@ -67,6 +71,88 @@ class TestFitRate:
         ks = np.arange(10, 2000)
         slope, _ = fit_rate(ks, -1.0 / ks**2)
         assert slope == pytest.approx(-2.0, abs=1e-6)
+
+
+def linregress_fit(ks, values):
+    """The reference fit: ``scipy.stats.linregress`` on the logs ``fit_rate`` takes."""
+    from scipy import stats
+
+    ks = np.asarray(ks, dtype=float)
+    logs = np.log(np.clip(np.abs(np.asarray(values, dtype=float)), 1e-16, None))
+    res = stats.linregress(np.log(ks), logs)
+    return float(res.slope), float(res.stderr)
+
+
+def fit_series(seed=2026, count=400):
+    """Seeded (ks, values): exact power laws, noisy ones, white noise over
+    40 decades and constant values; one series in ten holds one NaN or
+    infinite value."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(10, 300))
+        ks = np.sort(rng.choice(np.arange(1, 100_000), size=n, replace=False)).astype(float)
+        kind = t % 4
+        if kind == 0:
+            values = ks ** rng.uniform(-5.0, 1.0)
+        elif kind == 1:
+            values = ks ** rng.uniform(-5.0, 1.0) * np.exp(rng.normal(0.0, 3.0 * rng.random(), n))
+        elif kind == 2:
+            values = rng.normal(size=n) * 10.0 ** rng.uniform(-20.0, 20.0)
+        else:
+            values = np.full(n, rng.uniform(-2.0, 2.0))
+        if t % 10 == 9:
+            values[rng.integers(n)] = (np.nan, np.inf, -np.inf)[t % 3]
+        yield ks, values
+
+
+class TestFitMatchesLinregress:
+    """``fit_rate`` computes linregress's slope and standard error with
+    NumPy alone; the two agree bit for bit, NaN for NaN."""
+
+    @staticmethod
+    def same_bits(ours, theirs):
+        return np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+    def test_seeded_series_match_bit_for_bit(self):
+        finite = 0
+        for ks, values in fit_series():
+            with np.errstate(all="ignore"):
+                ours, theirs = fit_rate(ks, values), linregress_fit(ks, values)
+            assert self.same_bits(ours, theirs), (ours, theirs)
+            if not np.isfinite(values).all():
+                assert all(math.isnan(v) for v in ours)
+            finite += math.isfinite(ours[1])
+        assert finite > 300  # most fits are finite
+
+    def test_identical_ks_raise_the_same_error(self):
+        ks, values = np.full(12, 40.0), np.linspace(1.0, 2.0, 12)
+        with pytest.raises(ValueError) as theirs:
+            linregress_fit(ks, values)
+        with pytest.raises(ValueError, match="all x values are identical") as ours:
+            fit_rate(ks, values)
+        assert str(ours.value) == str(theirs.value)
+
+
+def test_package_loads_no_scipy_stats():
+    # scipy.stats adds about 43 MB of resident memory to an import of the
+    # package (scipy 1.17); the package uses SciPy for linear algebra only
+    code = (
+        "import sys\n"
+        "import blockpd, blockpd.cli, blockpd.dlmp\n"
+        "names = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
+        "subpackages = sorted(m for m in names if m.count('.') == 1\n"
+        "                     and not m.startswith('scipy._')\n"
+        "                     and hasattr(sys.modules[m], '__path__'))\n"
+        "print([m for m in names if m.startswith('scipy.stats')])\n"
+        "print(subpackages)\n"
+    )
+    src = str(Path(blockpd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    stats_modules, subpackages = out.stdout.splitlines()
+    assert stats_modules == "[]"
+    assert subpackages == "['scipy.linalg']"
 
 
 class TestConfigParsing:
@@ -461,6 +547,18 @@ class TestRandomLsExperiment:
         cfg = write_config(tmp_path / "div.cfg", body)
         assert main(["--config", cfg, "--quiet"]) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_prints_the_last_row_in_plain_floats(self, tmp_path, capsys):
+        out = tmp_path / "div"
+        body = BASE_RANDOM_LS.format(k_max=3000, trace_every=20, out=out).replace(
+            "kind = convex", "kind = convex\nsigma = 1e300"
+        )
+        cfg = write_config(tmp_path / "div.cfg", body)
+        assert main(["--config", cfg, "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "last trace row: TraceRecord(k=" in err
+        assert "np.float64" not in err and "psi_x=nan" in err
+
 
 class TestAcceleratedConfig:
     def test_metadata_resolves_parameters(self, tmp_path):
@@ -775,12 +873,20 @@ edges_path = {edges}
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 WORDS = ("zebra", "maybe", "lots", "none_of_these")
+# fields no bundled config sets, added at an admissible value before the
+# sweep: config name (None for every config with a [fit]), section, key, value
+UNSET_FIELDS = (
+    ("random_ls_accel", "policy", "tau0", "0.02"),  # the default 0.0138 < tau0 < 1/kappa
+    ("random_ls_convex", "policy", "sigma", "0.05"),  # the default is 0.1
+    (None, "fit", "k_min", "2"),
+)
 
 
 def config_mutations(seed=2026):
     """Every field of each bundled config deleted, emptied, set to 0, -1,
     nan, inf and a word, and one key per section repeated under a misspelled
-    name, each with ``k_max = 20`` unless ``k_max`` itself is the field:
+    name, each with ``k_max = 20`` unless ``k_max`` itself is the field and
+    with the ``UNSET_FIELDS`` set:
     tuples (config name, section, key, value or None for a deletion,
     misspelled key or None, INI text)."""
     rng = random.Random(seed)
@@ -788,6 +894,9 @@ def config_mutations(seed=2026):
         base = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         base.read(path)
         base["run"]["k_max"] = "20"
+        for name, section, key, value in UNSET_FIELDS:
+            if name == path.stem or (name is None and base.has_section(section)):
+                base[section][key] = value
 
         def mutated(section, key, value, typo=None):
             cp = configparser.ConfigParser()
@@ -816,13 +925,18 @@ def accepted(name, section, key, value):
     """Whether a run takes the mutation: a deleted field falls back to its
     default, and a few fields admit the value given."""
     if value is None:
-        # nothing stands in for the experiment, and consensus's nice
-        # sampling needs m, which a single sampling does not read
-        return key != "experiment" and not (name == "consensus" and section == "sampling")
+        # nothing stands in for the experiment; consensus's nice sampling
+        # needs m, which a single sampling does not read; and the convex
+        # policy a deleted kind falls back to does not read tau0
+        if key == "experiment" or (name == "consensus" and section == "sampling"):
+            return False
+        return not (name == "random_ls_accel" and section == "policy" and key == "kind")
     if key == "out":
         return value != ""  # any path but the empty one, which names no directory
     admits = {
         "stop_kkt_tol": {""},  # none
+        "tau0": {""},  # the default
+        "k_min": {""},  # the default, k_max // 10
         "columns": {""},  # fit nothing
         "certify": {"0"},  # a boolean word
         "seed": {"0"},
@@ -852,4 +966,4 @@ class TestConfigMutations:
                 # the message names a section, mostly the field's own
                 assert code == 2 and re.search(r"config error: .*\[[a-z]+\]", err), case
             seen += 1
-        assert seen == 7 * 47 + 16  # 47 fields, 16 sections
+        assert seen == 7 * 52 + 16  # 52 fields, 16 sections

@@ -554,6 +554,20 @@ class TestRunLoop:
         with pytest.raises(SolverDivergence, match="k=50"):
             bp.run(p, s, pol, np.zeros(p.m), 50, engine=engine, seed=0, trace_every=100)
 
+    @pytest.mark.parametrize("engine", ["rbcd", "pda"])
+    def test_trace_rows_hold_plain_floats(self, two_block_instance, two_block_reference, engine):
+        # a NumPy scalar in a row would print as np.float64(...) in the
+        # divergence message; the rows cross a cache refresh
+        p = two_block_instance
+        s = bp.single_coordinate(2)
+        pol = bp.convex_default_policy(p, s)
+        res = bp.run(p, s, pol, np.zeros(p.m), 1200, engine=engine, seed=3, trace_every=100,
+                     reference=two_block_reference)
+        for rec in res.trace:
+            kinds = {f.name: type(getattr(rec, f.name)) for f in fields(rec)}
+            assert kinds == {**dict.fromkeys(kinds, float), "k": int}, rec
+            assert "np.float64" not in repr(rec)
+
     def test_deterministic_traces(self, two_block_instance, two_block_reference):
         p, ref = two_block_instance, two_block_reference
         s = bp.single_coordinate(2)
