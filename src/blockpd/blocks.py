@@ -174,56 +174,48 @@ class ProblemSpec:
     ``PpdlmpEngine.step`` lends its run's projection session to the operator
     projector the problem shares through ``meta["dso_projector"]``.
 
-    All oracles must be pure functions of their inputs.  The coupling blocks
-    are copied once into one read-only, column-major q-by-m matrix ``a``;
-    ``a_blocks`` are then its column slabs, so each is a contiguous view and
-    the per-block products ``A_i' r`` and ``A_i t`` run on contiguous memory.
-    Blocks that already are those slabs of one such matrix, at this
-    structure's offsets, are not copied: a ``dataclasses.replace`` copy of
-    a problem shares its ``a``.  Any other blocks, writable or C-ordered
-    ones among them, are copied, so a later write to them does not reach
-    ``a``.
+    All oracles must be pure functions of their inputs.  ``a`` is the whole
+    q-by-m coupling matrix A, kept as one read-only, column-major float64
+    array; ``a_blocks`` are its column slabs A_1 .. A_d at the block
+    offsets, each a contiguous view, so the per-block products ``A_i' r``
+    and ``A_i t`` run on contiguous memory.  An ``a`` that already is such
+    an array and owns its data, as the one a ``dataclasses.replace`` copy
+    passes, is kept as it is; any other is copied once, so a later write to
+    it does not reach the problem.
     """
 
     blocks: BlockStructure
     smooth: tuple[SmoothBlock, ...]
     prox: tuple[ProxBlock, ...]
-    a_blocks: tuple[Array, ...]
+    a: Array
     b: Array
     meta: dict = field(default_factory=dict, compare=False)
-    a: Array = field(init=False, repr=False, compare=False)
+    a_blocks: tuple[Array, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "smooth", tuple(self.smooth))
         object.__setattr__(self, "prox", tuple(self.prox))
-        object.__setattr__(
-            self, "a_blocks", tuple(np.asarray(a, dtype=float) for a in self.a_blocks)
-        )
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        d = self.blocks.d
-        if not (len(self.smooth) == len(self.prox) == len(self.a_blocks) == d):
+        a = self.a
+        if not (
+            type(a) is np.ndarray
+            and a.flags.owndata
+            and a.dtype == np.float64
+            and a.flags.f_contiguous
+            and not a.flags.writeable
+        ):
+            a = np.array(a, dtype=float, order="F")
+            a.flags.writeable = False
+        object.__setattr__(self, "a", a)
+        if not len(self.smooth) == len(self.prox) == self.blocks.d:
             raise ValueError("per-block sequences must all have length d")
         if self.b.ndim != 1:
             raise ValueError(f"b must be a vector, got an array of shape {self.b.shape}")
-        q = self.b.shape[0]
-        rows = {a.shape[0] for a in self.a_blocks if a.ndim == 2}
-        if len(rows) == 1 and q not in rows:
-            raise ValueError(f"b has length {q} but A has {rows.pop()} rows")
-        for i, a in enumerate(self.a_blocks):
-            if a.shape != (q, self.blocks.dims[i]):
-                raise ValueError(
-                    f"constraint block {i} has shape {a.shape}, "
-                    f"expected {(q, self.blocks.dims[i])}"
-                )
-        slices = self.blocks.slices
-        a = _shared_matrix(self.a_blocks, slices, q)
-        if a is None:
-            a = np.empty((q, self.blocks.m), order="F")
-            for sl, a_i in zip(slices, self.a_blocks):
-                a[:, sl] = a_i
-            a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_blocks", tuple(a[:, sl] for sl in slices))
+        if a.ndim != 2 or a.shape[1] != self.blocks.m:
+            raise ValueError(f"A has shape {a.shape}, expected {self.blocks.m} columns")
+        if a.shape[0] != self.q:
+            raise ValueError(f"b has length {self.q} but A has {a.shape[0]} rows")
+        object.__setattr__(self, "a_blocks", tuple(a[:, sl] for sl in self.blocks.slices))
 
     @property
     def q(self) -> int:
@@ -377,27 +369,6 @@ class ProblemSpec:
         return out
 
 
-def _shared_matrix(a_blocks: Sequence[Array], slices: Sequence[slice], q: int) -> Array | None:
-    """The one read-only, column-major float (q, m) array whose column slabs
-    at ``slices`` the blocks are, as in a ``dataclasses.replace`` copy of a
-    problem; None when the blocks are anything else."""
-    a = a_blocks[0].base
-    if not (
-        type(a) is np.ndarray
-        and a.flags.owndata
-        and a.dtype == np.float64
-        and a.shape == (q, slices[-1].stop)
-        and a.flags.f_contiguous
-        and not a.flags.writeable
-    ):
-        return None
-    for sl, a_i in zip(slices, a_blocks):
-        view = a[:, sl]
-        if a_i.base is not a or a_i.ctypes.data != view.ctypes.data or a_i.strides != view.strides:
-            return None
-    return a
-
-
 def eval_psi(p: ProblemSpec, x: Array) -> float:
     """Full objective value; +inf outside dom R."""
     x = np.asarray(x, dtype=float)
@@ -485,7 +456,7 @@ def make_consensus(
         blocks=BlockStructure((1,) * n),
         smooth=tuple(SmoothBlock.zero(1) for _ in range(n)),
         prox=tuple(local_fns),
-        a_blocks=tuple(a[:, i : i + 1] for i in range(n)),
+        a=a,
         b=np.zeros(len(edges)),
     )
 
@@ -509,8 +480,6 @@ def make_model_fitting(
         raise ValueError("response vector length must match the row count of K")
     if len(losses) != q or len(regularizers) != p_feat:
         raise ValueError("need one loss per response and one regularizer per feature")
-    a_blocks = [k_matrix[:, j : j + 1] for j in range(p_feat)]
-    a_blocks += [-np.eye(q)[:, i : i + 1] for i in range(q)]
     zero_prox = ProxBlock(lambda x: 0.0, lambda g, v: v, 0.0)
     smooth = tuple(SmoothBlock.zero(1) for _ in range(p_feat)) + tuple(losses)
     prox = tuple(regularizers) + tuple(zero_prox for _ in range(q))
@@ -518,7 +487,7 @@ def make_model_fitting(
         blocks=BlockStructure(tuple([1] * (p_feat + q))),
         smooth=smooth,
         prox=prox,
-        a_blocks=tuple(a_blocks),
+        a=np.hstack([k_matrix, -np.eye(q)]),
         b=b,
     )
 
@@ -658,7 +627,7 @@ def make_random_inconsistent_ls(
         blocks=structure,
         smooth=tuple(smooth),
         prox=tuple(ProxBlock(value, prox, mu, coordinatewise=True) for _ in range(d)),
-        a_blocks=tuple(a[:, structure.block_slice(i)] for i in range(d)),
+        a=a,
         b=b,
         meta=meta,
     )

@@ -39,15 +39,17 @@ Every reference is exact (:mod:`blockpd.oracles`), so Psi*, and with it a
 consensus instances.  Nothing is written before set-up has succeeded.
 
 Exit codes: 0 success, 2 config error (including a file that is not valid
-INI, a field that does not read as a number or a boolean, a count below its
+INI, a field that does not read as a number or a boolean, an empty one among
+them (only the word ``none`` turns ``stop_kkt_tol`` off), a count below its
 least value, a ``[fit] k_min`` above ``[run] k_max``, an unknown ``[fit]``
 column, a ``psi_hat_gap`` fit with no exact Psi*, a field the run never
 reads, such as a misspelled key or ``[sampling] m`` for a kind other than
 ``nice``, a value the library rejects, a custom ``a_path`` or ``b_path``
-holding a value that is not finite, or malformed grid data such as a bus
-in two rows, a bus value that is not finite or a negative line capacity),
-3 divergence or a projection that did not converge, 4 infeasible instance
-(such as a bus whose consumption floor exceeds its cap).
+that is unset, unreadable or holding a value that is not finite, or
+malformed grid data such as a bus in two rows, a bus value that is not
+finite or a negative line capacity), 3 divergence or a projection that did
+not converge, 4 infeasible instance (such as a bus whose consumption floor
+exceeds its cap).
 
 The grid experiment reads ``[instance] bus_path`` and ``edges_path``, each
 falling back to its own bundled file, and runs
@@ -63,7 +65,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -123,17 +125,19 @@ class Section(dict):
 
 @dataclass
 class RunConfig:
+    """A parsed config; :func:`parse_config` sets every field but ``quiet``."""
+
     experiment: str
-    seed: int = 0
-    k_max: int = 10_000
-    trace_every: int = 100
-    stop_kkt_tol: float | None = None
-    out: str = "runs/out"
-    quiet: bool = False
+    seed: int
+    k_max: int
+    trace_every: int
+    stop_kkt_tol: float | None
+    out: str
     # every section by name, with [instance], [sampling] and [policy] even when absent
-    sections: dict[str, Section] = field(default_factory=dict)
-    fit_columns: tuple[str, ...] = ()
-    fit_k_min: int | None = None
+    sections: dict[str, Section]
+    fit_columns: tuple[str, ...]
+    fit_k_min: int | None
+    quiet: bool = False
 
 
 def parse_config(path: str) -> RunConfig:
@@ -157,9 +161,8 @@ def parse_config(path: str) -> RunConfig:
     k_max = field_value(runsec, "k_max", 10_000, int, at_least=1)
     seed = field_value(runsec, "seed", 0, int, at_least=0)
     trace_every = field_value(runsec, "trace_every", 100, int, at_least=1)
-    tol_raw = runsec.get("stop_kkt_tol", "none").strip().lower()
     stop_tol = None
-    if tol_raw not in ("none", ""):
+    if runsec.get("stop_kkt_tol", "none").strip().lower() != "none":
         stop_tol = field_value(runsec, "stop_kkt_tol", None)
         if not 0.0 < stop_tol < math.inf:
             raise ConfigError(f"{path}: [run] stop_kkt_tol must be finite and > 0")
@@ -173,12 +176,11 @@ def parse_config(path: str) -> RunConfig:
         unknown = [c for c in fit_cols if c not in known]
         if unknown:
             raise ConfigError(f"{path}: [fit] columns: unknown {unknown}, known {known}")
-        if fit.get("k_min"):
-            fit_k_min = field_value(fit, "k_min", None, int, at_least=1)
-            if fit_k_min > k_max:
-                raise ConfigError(
-                    f"{path}: [fit] k_min must be <= [run] k_max = {k_max}, got {fit_k_min}"
-                )
+        fit_k_min = field_value(fit, "k_min", None, int, at_least=1)
+        if fit_k_min is not None and fit_k_min > k_max:
+            raise ConfigError(
+                f"{path}: [fit] k_min must be <= [run] k_max = {k_max}, got {fit_k_min}"
+            )
     return RunConfig(
         experiment=experiment,
         seed=seed,
@@ -285,14 +287,19 @@ def _build_model_fit(cfg: RunConfig):
 
 def _build_custom(cfg: RunConfig):
     ins = cfg.sections["instance"]
-    try:
-        a = np.loadtxt(ins["a_path"], delimiter=",", ndmin=2)
-        b = np.loadtxt(ins["b_path"], delimiter=",")
-    except KeyError as exc:
-        raise ConfigError(f"[instance] custom experiment needs {exc} set") from exc
-    for key, values in (("a_path", a), ("b_path", b)):
+    data = []
+    for key, ndmin in (("a_path", 2), ("b_path", 0)):
+        path = ins.get(key)
+        if path is None:
+            raise ConfigError(f"[instance] custom experiment needs '{key}' set")
+        try:
+            values = np.loadtxt(path, delimiter=",", ndmin=ndmin)
+        except OSError as exc:
+            raise ConfigError(f"[instance] {key} = {path!r}: {exc}") from exc
         if not np.isfinite(values).all():
             raise ConfigError(f"[instance] {key} holds a value that is not finite")
+        data.append(values)
+    a, b = data
     dims = _instance(cfg, "dims", [a.shape[1]], lambda raw: [int(t) for t in raw.split()])
     structure = BlockStructure(tuple(dims))
     if structure.m != a.shape[1]:
@@ -303,7 +310,7 @@ def _build_custom(cfg: RunConfig):
         blocks=structure,
         smooth=tuple(SmoothBlock.zero(n) for n in dims),
         prox=prox,
-        a_blocks=tuple(a[:, structure.block_slice(i)] for i in range(len(dims))),
+        a=a,
         b=np.atleast_1d(b),
     )
 
@@ -439,9 +446,7 @@ def run_experiment(cfg: RunConfig) -> int:
             "certified_margin": policy.certified_margin,
         }
     elif pol_kind == "accelerated":
-        tau0 = None
-        if fields.get("tau0"):
-            tau0 = field_value(fields, "tau0", None)
+        tau0 = field_value(fields, "tau0", None)
         with rejected_as_config("policy"):
             policy = make_accelerated_policy(problem, sampling, tau0=tau0)
         resolved["policy_resolved"] = {

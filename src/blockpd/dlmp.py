@@ -622,22 +622,15 @@ def _make_agg_prox(net: NetworkModel, group: tuple[int, ...], cols: Array):
 # ---------------------------------------------------------------------------
 
 
-def default_slack_costs(horizon: int):
-    """Quadratic peak period followed by linear off-peak periods."""
-    costs = [(lambda p: 2.0 * p + p * p, lambda p: 2.0 + 2.0 * p, 2.0)]
-    for _ in range(1, horizon):
-        costs.append((lambda p: p, lambda p: 1.0, 0.0))
-    return costs
-
-
 def build_opf_problem(net: NetworkModel, *, drop_shunt: bool = False) -> ProblemSpec:
     """Assemble the pricing problem as a block problem.
 
     Block 0 is the operator, blocks 1..p the aggregators in the order of
     ``net.aggregators``.  The coupling rows are the flow-conservation
     equations with ``b = 0``; ``drop_shunt`` leaves the shunt term B v out
-    of the reactive rows.  The operator pays :func:`default_slack_costs`
-    for its active slack injections; the aggregators' objectives vanish.
+    of the reactive rows.  The operator pays the quadratic 2 p0 + p0^2 for
+    its active slack injection p0 in the first period and the linear p0 in
+    later ones; the aggregators' objectives vanish.
     """
     t_h = net.horizon
     lay = _layout(net)
@@ -663,22 +656,15 @@ def build_opf_problem(net: NetworkModel, *, drop_shunt: bool = False) -> Problem
         a_a[lay.q[at], qg] = -1.0
         a_blocks.append(a_a)
 
-    # the slack costs act on the p0 columns, the operator's first T
-    costs = default_slack_costs(t_h)
-
-    def phi0_value(x0):
-        return sum(costs[t][0](x0[t]) for t in range(t_h))
-
-    def phi0_grad(x0):
-        g = np.zeros(dim0)
-        g[:t_h] = [costs[t][1](x0[t]) for t in range(t_h)]
-        return g
-
-    lam0 = np.zeros((dim0, dim0))
-    lam0[range(t_h), range(t_h)] = [cost[2] for cost in costs]
+    # the slack costs act on p0, the operator's first T columns
+    h0 = np.zeros((dim0, dim0))
+    h0[0, 0] = 2.0
+    c0 = np.zeros(dim0)
+    c0[0] = 2.0
+    c0[1:t_h] = 1.0
 
     dso_prox, dso_projector = _make_dso_prox(net, lay)
-    smooth = [SmoothBlock(phi0_value, phi0_grad, lam0)]
+    smooth = [SmoothBlock.quadratic(h0, c0)]
     prox = [dso_prox]
     for group, (_, cols) in zip(net.aggregators, lay.groups):
         smooth.append(SmoothBlock.zero(cols.size))
@@ -688,7 +674,7 @@ def build_opf_problem(net: NetworkModel, *, drop_shunt: bool = False) -> Problem
         blocks=BlockStructure(tuple(a.shape[1] for a in a_blocks)),
         smooth=tuple(smooth),
         prox=tuple(prox),
-        a_blocks=tuple(a_blocks),
+        a=np.hstack(a_blocks),
         b=np.zeros(q),
         meta={
             "net": net,

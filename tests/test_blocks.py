@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import blockpd as bp
 from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock, _Quadratic
-from blockpd import blocks, oracles
+from blockpd import blocks, cli, oracles
 from blockpd.errors import InfeasibleInstance, InvariantViolation
 from blockpd import dlmp
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
@@ -25,9 +25,9 @@ def scalar_problem(phi=None, prox=None, a=None, b=None, dims=(1,)):
     )
     pr = tuple(prox[i] if prox else prox_zero_block() for i in range(d))
     if a is None:
-        a = [np.zeros((1, dims[i])) for i in range(d)]
+        a = np.zeros((1, structure.m))
         b = np.zeros(1)
-    return ProblemSpec(structure, smooth, pr, tuple(a), np.asarray(b, dtype=float))
+    return ProblemSpec(structure, smooth, pr, a, np.asarray(b, dtype=float))
 
 
 def quad1(coef=1.0, shift=0.0):
@@ -66,34 +66,34 @@ class TestEvalPsi:
 class TestPenalty:
     def test_identity_matrix(self):
         p = scalar_problem(
-            a=[np.eye(2)], b=np.zeros(2), dims=(2,)
+            a=np.eye(2), b=np.zeros(2), dims=(2,)
         )
         assert penalty_h(p, np.array([3.0, 4.0])) == pytest.approx(12.5)
 
     def test_inconsistent_column(self):
-        p = scalar_problem(a=[np.array([[1.0], [1.0]])], b=np.array([0.0, 1.0]))
+        p = scalar_problem(a=np.array([[1.0], [1.0]]), b=np.array([0.0, 1.0]))
         assert penalty_h(p, np.zeros(1)) == pytest.approx(0.5)
         # normal equations: 2x = 1 -> x* = 0.5, h* = 0.25
         assert penalty_h(p, np.array([0.5])) == pytest.approx(0.25)
 
     def test_grad_identity(self, rng):
-        p = scalar_problem(a=[np.eye(3)], b=np.zeros(3), dims=(3,))
+        p = scalar_problem(a=np.eye(3), b=np.zeros(3), dims=(3,))
         x = rng.standard_normal(3)
         assert np.allclose(grad_h(p, x), x)
 
 
 class TestKktResidual:
     def test_simple_saddle(self):
-        p = scalar_problem(phi=[quad1(0.5)], a=[np.array([[1.0]])], b=np.zeros(1))
+        p = scalar_problem(phi=[quad1(0.5)], a=np.array([[1.0]]), b=np.zeros(1))
         assert bp.kkt_residual(p, np.zeros(1), np.zeros(1), p.a @ np.zeros(1) - p.b) == pytest.approx(0.0, abs=1e-14)
 
     def test_shifted_saddle(self):
         # phi(t) = (t-1)^2/2, A = 1, b = 0: x* = 0, y* = -phi'(0) = 1
-        p = scalar_problem(phi=[quad1(0.5, shift=1.0)], a=[np.array([[1.0]])], b=np.zeros(1))
+        p = scalar_problem(phi=[quad1(0.5, shift=1.0)], a=np.array([[1.0]]), b=np.zeros(1))
         assert bp.kkt_residual(p, np.zeros(1), np.ones(1), p.a @ np.zeros(1) - p.b) == pytest.approx(0.0, abs=1e-14)
 
     def test_nonstationary_point(self):
-        p = scalar_problem(phi=[quad1(0.5)], a=[np.array([[1.0]])], b=np.zeros(1))
+        p = scalar_problem(phi=[quad1(0.5)], a=np.array([[1.0]]), b=np.zeros(1))
         assert bp.kkt_residual(p, np.ones(1), np.zeros(1), p.a @ np.ones(1) - p.b) == pytest.approx(1.0)
 
 
@@ -338,9 +338,9 @@ class TestCouplingLayout:
             p.a_blocks[0][0, 0] = 1.0
 
     def test_caller_blocks_are_copied(self):
-        a0 = np.arange(6.0).reshape(3, 2)
-        p = scalar_problem(a=[a0, np.ones((3, 1))], b=np.zeros(3), dims=(2, 1))
-        a0[0, 0] = 99.0
+        a = np.hstack([np.arange(6.0).reshape(3, 2), np.ones((3, 1))])
+        p = scalar_problem(a=a, b=np.zeros(3), dims=(2, 1))
+        a[0, 0] = 99.0
         assert p.a[0, 0] == 0.0
         assert np.array_equal(p.a, np.hstack([np.arange(6.0).reshape(3, 2), np.ones((3, 1))]))
 
@@ -351,49 +351,76 @@ class TestCouplingLayout:
         assert dataclasses.replace(p, b=-p.b).a is p.a
 
     @pytest.mark.parametrize("source", [
-        "writable", "c_ordered", "read_only_view_of_writable", "other_offsets",
+        "writable", "c_ordered", "read_only_view_of_writable", "float32",
     ])
     def test_other_sources_are_copied(self, source):
-        """Only the column slabs of one read-only, column-major array at the
-        structure's offsets are taken as they are; any other source leaves
-        the problem its own read-only copy, which a later write to the
-        source does not reach."""
-        dims = (2, 3, 2)
+        """Only an owning, read-only, column-major float64 matrix is taken
+        as it is; any other source leaves the problem its own read-only,
+        column-major float64 copy, which a later write to the source does
+        not reach."""
         src = np.asfortranarray(np.random.default_rng(3).standard_normal((4, 7)))
-        view = src
+        a = src
         if source == "c_ordered":
             src = np.ascontiguousarray(src)
             src.flags.writeable = False
-            view = src
+            a = src
         elif source == "read_only_view_of_writable":
-            view = src.view()
-            view.flags.writeable = False
-        elif source == "other_offsets":
+            a = src.view()
+            a.flags.writeable = False
+        elif source == "float32":
+            src = src.astype(np.float32, order="F")
             src.flags.writeable = False
-            view = src
-        cuts = [(0, 2), (2, 5), (5, 7)]
-        if source == "other_offsets":
-            cuts = [(5, 7), (2, 5), (0, 2)]
-        a_blocks = [view[:, lo:hi] for lo, hi in cuts]
-        p = scalar_problem(a=a_blocks, b=np.zeros(4), dims=dims)
-        want = np.hstack(a_blocks)
+            a = src
+        p = scalar_problem(a=a, b=np.zeros(4), dims=(2, 3, 2))
+        want = np.array(a, dtype=float)
         assert not np.shares_memory(p.a, src)
+        assert p.a.dtype == np.float64
         assert p.a.flags.f_contiguous and not p.a.flags.writeable
         src.flags.writeable = True
         src[...] = 0.0
         assert np.array_equal(p.a, want)
+        assert all(np.array_equal(a_i, want[:, sl]) for a_i, sl in zip(p.a_blocks, p.blocks.slices))
+
+    @pytest.mark.parametrize("build", ["generator", "consensus", "model_fit", "custom", "opf15"])
+    def test_every_builder_shares_a_under_replace(self, build, tmp_path):
+        if build == "generator":
+            p = bp.make_random_inconsistent_ls(seed=4, d=3, dims=2, q=5, noise=0.3)
+        elif build == "consensus":
+            p = bp.make_consensus([(0, 1), (1, 2)], [prox_quadratic_block(1.0)] * 3)
+        elif build == "model_fit":
+            p = bp.make_model_fitting(
+                np.ones((3, 2)), np.zeros(3),
+                [SmoothBlock.zero(1)] * 3, [prox_zero_block()] * 2,
+            )
+        elif build == "custom":
+            np.savetxt(tmp_path / "a.csv", np.arange(6.0).reshape(2, 3), delimiter=",")
+            np.savetxt(tmp_path / "b.csv", np.ones(2), delimiter=",")
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(
+                "[run]\nexperiment = custom\nk_max = 1\n"
+                f"[instance]\na_path = {tmp_path / 'a.csv'}\nb_path = {tmp_path / 'b.csv'}\n"
+            )
+            p = cli._build_custom(cli.parse_config(cfg))
+        else:
+            p = dlmp.build_opf_problem(dlmp.load_network(*dlmp.default_network_paths()))
+        assert p.a.flags.f_contiguous and not p.a.flags.writeable and p.a.flags.owndata
+        assert dataclasses.replace(p).a is p.a
+
+    def test_a_with_the_wrong_columns_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"A has shape \(3, 2\), expected 3 columns"):
+            scalar_problem(a=np.ones((3, 2)), b=np.zeros(3), dims=(1, 2))
 
 
 class TestProblemShapes:
     def test_b_must_be_a_vector(self):
         a = np.arange(6.0).reshape(3, 2)
         with pytest.raises(ValueError, match=r"b must be a vector, got an array of shape \(3, 2\)"):
-            scalar_problem(a=[a[:, :1], a[:, 1:]], b=np.ones((3, 2)), dims=(1, 1))
+            scalar_problem(a=a, b=np.ones((3, 2)), dims=(1, 1))
 
     def test_b_length_names_the_rows_of_a(self):
         a = np.arange(6.0).reshape(3, 2)
         with pytest.raises(ValueError, match="b has length 2 but A has 3 rows"):
-            scalar_problem(a=[a[:, :1], a[:, 1:]], b=np.ones(2), dims=(1, 1))
+            scalar_problem(a=a, b=np.ones(2), dims=(1, 1))
 
     def test_consensus_needs_an_edge(self):
         with pytest.raises(ValueError, match="consensus needs an edge"):
@@ -426,7 +453,7 @@ class TestReferenceChecks:
         # A and b scaled by 1e-5: both solves missing by one leave a
         # residual of about 1e-10, which an absolute 1e-8 bound accepted
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
-        p = dataclasses.replace(p, a_blocks=tuple(1e-5 * a for a in p.a_blocks), b=1e-5 * p.b)
+        p = dataclasses.replace(p, a=1e-5 * p.a, b=1e-5 * p.b)
         for name in ("_gram_min_norm", "_gelsy_min_norm"):
             real = getattr(oracles, name)
             monkeypatch.setattr(oracles, name, lambda prob, real=real: real(prob) + 1.0)
@@ -439,9 +466,7 @@ class TestReferenceChecks:
         # solve grows with scale^2 (about 1e-7 at 1e4), and so must the bound
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
         base = bp.least_squares_reference(p).x_ls
-        big = dataclasses.replace(
-            p, a_blocks=tuple(scale * a for a in p.a_blocks), b=scale * p.b
-        )
+        big = dataclasses.replace(p, a=scale * p.a, b=scale * p.b)
         x_ls = bp.least_squares_reference(big).x_ls
         assert np.max(np.abs(x_ls - base)) <= 1e-12 * np.max(np.abs(base))
 
@@ -456,7 +481,7 @@ class TestReferenceChecks:
         u = np.linalg.qr(rng.standard_normal((q, q)))[0]
         v = np.linalg.qr(rng.standard_normal((m, m)))[0]
         a = (u * np.logspace(0.0, np.log10(5.2223527848731225e-08), q)) @ v[:, :q].T
-        p = scalar_problem(a=[a[:, j : j + 1] for j in range(m)], b=rng.standard_normal(q), dims=(1,) * m)
+        p = scalar_problem(a=a, b=rng.standard_normal(q), dims=(1,) * m)
 
         def normal(x):
             return float(np.max(np.abs(p.a.T @ (p.a @ x - p.b))))
@@ -478,7 +503,7 @@ class TestReferenceChecks:
         # 1e-9 would pass the 1e-8 check; gelsy's cut-off eps * max(q, m),
         # NumPy's default, keeps it, so the floor is 0.5, not 1.0
         a = np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]])
-        p = scalar_problem(a=[a[:, :1], a[:, 1:]], b=np.ones(3), dims=(1, 1))
+        p = scalar_problem(a=a, b=np.ones(3), dims=(1, 1))
         x_np, *_ = np.linalg.lstsq(p.a, p.b, rcond=None)
         ref = bp.least_squares_reference(p)
         assert ref.h_star == pytest.approx(penalty_h(p, x_np), abs=1e-12)
@@ -487,7 +512,7 @@ class TestReferenceChecks:
     def test_zero_coupling(self, capfd):
         # rank 0: no triangular solve reaches LAPACK, which would reject an
         # empty one on the console
-        p = scalar_problem(a=[np.zeros((3, 1)), np.zeros((3, 1))], b=np.ones(3), dims=(1, 1))
+        p = scalar_problem(a=np.zeros((3, 2)), b=np.ones(3), dims=(1, 1))
         ref = bp.least_squares_reference(p)
         assert np.array_equal(ref.x_ls, np.zeros(2)) and ref.h_star == 1.5
         assert capfd.readouterr() == ("", "")
@@ -564,7 +589,7 @@ class TestReferenceChecks:
         p = scalar_problem(
             phi=[SmoothBlock.quadratic(h, c) for h, c in zip(h_blocks, c_blocks)],
             prox=[prox_quadratic_block(1.0)] * m,
-            a=[a[:, j : j + 1] for j in range(m)], b=rng.standard_normal(q), dims=(1,) * m,
+            a=a, b=rng.standard_normal(q), dims=(1,) * m,
         )
         quad = {"h_blocks": h_blocks, "c_blocks": c_blocks, "mu": 1.0}
         return dataclasses.replace(p, meta={"quadratic": quad})

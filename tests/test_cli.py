@@ -220,6 +220,16 @@ class TestConfigParsing:
         assert main(["--config", cfg, "--quiet"]) == 2
         assert "stop_kkt_tol" in capsys.readouterr().err
 
+    def test_stop_kkt_tol_none_runs_to_k_max(self, tmp_path):
+        out = tmp_path / "o"
+        body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=out)
+        cfg = write_config(
+            tmp_path / "c.cfg", body.replace("seed = 5", "seed = 5\nstop_kkt_tol = None")
+        )
+        assert parse_config(cfg).stop_kkt_tol is None
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert json.loads((out / "metadata.json").read_text())["stopped_at"] is None
+
     def test_non_numeric_instance_field(self, tmp_path, capsys):
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
         cfg = write_config(tmp_path / "c.cfg", body.replace("d = 4", "d = ten"))
@@ -255,13 +265,19 @@ class TestConfigParsing:
          "[instance] instance_seed must be >= 0, got -1"),
         ((LS, "d = 4"), (CONSENSUS, "instance_seed = -1"),
          "[instance] instance_seed must be >= 0, got -1"),
+        # an empty number is rejected like any other unreadable one
+        ("kind = convex", "kind = accelerated\ntau0 =", "[policy] tau0 = ''"),
+        ("kind = convex", "kind = convex\nsigma =", "[policy] sigma = ''"),
+        ("seed = 5", "seed = 5\nstop_kkt_tol =", "[run] stop_kkt_tol = ''"),
+        ("h_gap_w\n", "h_gap_w\nk_min =\n", "[fit] k_min = ''"),
     ], ids=["unknown-sampling", "nice-m-above-d", "nice-without-m", "tau0-too-large", "tau0-zero",
             "no-blocks", "negative-sigma", "infinite-sigma", "negative-mu", "nan-noise",
             "nan-stop-tol", "negative-l1-weight", "nan-l1-weight", "no-consensus-nodes",
             "negative-consensus-nodes", "one-consensus-node", "one-node-ring", "fit-no-features",
             "fit-negative-features", "fit-no-samples", "fit-negative-samples",
             "negative-instance-seed", "fit-negative-instance-seed",
-            "consensus-negative-instance-seed"])
+            "consensus-negative-instance-seed", "empty-tau0", "empty-sigma",
+            "empty-stop-tol", "empty-fit-k-min"])
     def test_rejected_value_exit_code(self, tmp_path, capsys, old, new, message):
         # a pair of tuples makes several replacements (another experiment)
         body = BASE_RANDOM_LS.format(k_max=50, trace_every=10, out=tmp_path / "o")
@@ -880,22 +896,49 @@ UNSET_FIELDS = (
     ("random_ls_convex", "policy", "sigma", "0.05"),  # the default is 0.1
     (None, "fit", "k_min", "2"),
 )
+# a custom instance beside the bundled configs; its CSVs, written by the
+# test (custom_data), are read relative to the directory a run starts in
+CUSTOM_CFG = """
+[run]
+experiment = custom
+seed = 1
+k_max = 20
+trace_every = 10
+out = runs/custom
+
+[instance]
+a_path = a.csv
+b_path = b.csv
+dims = 2 1 3
+mu = 0.5
+
+[fit]
+columns = h_gap_w
+"""
+
+
+def custom_data(where):
+    """The custom config's A (4 by 6) and an inconsistent b, as CSVs."""
+    rng = np.random.default_rng(5)
+    np.savetxt(where / "a.csv", rng.standard_normal((4, 6)), delimiter=",")
+    np.savetxt(where / "b.csv", rng.standard_normal(4), delimiter=",")
 
 
 def config_mutations(seed=2026):
-    """Every field of each bundled config deleted, emptied, set to 0, -1,
-    nan, inf and a word, and one key per section repeated under a misspelled
-    name, each with ``k_max = 20`` unless ``k_max`` itself is the field and
-    with the ``UNSET_FIELDS`` set:
+    """Every field of each bundled config and of ``CUSTOM_CFG`` deleted,
+    emptied, set to 0, -1, nan, inf and a word, and one key per section
+    repeated under a misspelled name, each with ``k_max = 20`` unless
+    ``k_max`` itself is the field and with the ``UNSET_FIELDS`` set:
     tuples (config name, section, key, value or None for a deletion,
     misspelled key or None, INI text)."""
     rng = random.Random(seed)
-    for path in sorted(CONFIGS.glob("*.cfg")):
+    configs = [(path.stem, path.read_text()) for path in sorted(CONFIGS.glob("*.cfg"))]
+    for stem, source in configs + [("custom", CUSTOM_CFG)]:
         base = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        base.read(path)
+        base.read_string(source)
         base["run"]["k_max"] = "20"
         for name, section, key, value in UNSET_FIELDS:
-            if name == path.stem or (name is None and base.has_section(section)):
+            if name == stem or (name is None and base.has_section(section)):
                 base[section][key] = value
 
         def mutated(section, key, value, typo=None):
@@ -909,7 +952,7 @@ def config_mutations(seed=2026):
                 cp[section][key] = value
             text = io.StringIO()
             cp.write(text)
-            return (path.stem, section, key, value, typo, text.getvalue())
+            return (stem, section, key, value, typo, text.getvalue())
 
         for section in base.sections():
             for key in base[section]:
@@ -925,33 +968,33 @@ def accepted(name, section, key, value):
     """Whether a run takes the mutation: a deleted field falls back to its
     default, and a few fields admit the value given."""
     if value is None:
-        # nothing stands in for the experiment; consensus's nice sampling
-        # needs m, which a single sampling does not read; and the convex
-        # policy a deleted kind falls back to does not read tau0
-        if key == "experiment" or (name == "consensus" and section == "sampling"):
+        # nothing stands in for the experiment or the custom data; consensus's
+        # nice sampling needs m, which a single sampling does not read; and
+        # the convex policy a deleted kind falls back to does not read tau0
+        if key in ("experiment", "a_path", "b_path") or (
+            name == "consensus" and section == "sampling"
+        ):
             return False
         return not (name == "random_ls_accel" and section == "policy" and key == "kind")
     if key == "out":
         return value != ""  # any path but the empty one, which names no directory
     admits = {
-        "stop_kkt_tol": {""},  # none
-        "tau0": {""},  # the default
-        "k_min": {""},  # the default, k_max // 10
         "columns": {""},  # fit nothing
         "certify": {"0"},  # a boolean word
         "seed": {"0"},
         "noise": {"0"},
         "rank_deficiency": {"0"},
         # mu = 0 leaves the accelerated policy without strong convexity
-        "mu": {"0"} if name == "random_ls_convex" else set(),
+        "mu": {"0"} if name in ("random_ls_convex", "custom") else set(),
     }
     return key in admits and value in admits[key]
 
 
 class TestConfigMutations:
     def test_every_mutation_exits_with_its_documented_code(self, tmp_path, monkeypatch, capsys):
-        # outputs land under tmp_path: every bundled config names a relative out
+        # outputs land under tmp_path: every config names a relative out
         monkeypatch.chdir(tmp_path)
+        custom_data(tmp_path)
         seen = 0
         for name, section, key, value, typo, text in config_mutations():
             cfg = write_config(tmp_path / "m.cfg", text)
@@ -966,4 +1009,4 @@ class TestConfigMutations:
                 # the message names a section, mostly the field's own
                 assert code == 2 and re.search(r"config error: .*\[[a-z]+\]", err), case
             seen += 1
-        assert seen == 7 * 52 + 16  # 52 fields, 16 sections
+        assert seen == 7 * 63 + 19  # 63 fields, 19 sections

@@ -214,10 +214,15 @@ class TestLoadNetwork:
 
 
 class TestBuildProblem:
-    def test_slack_cost_values(self):
-        costs = dlmp.default_slack_costs(2)
-        assert costs[0][0](1.0) == pytest.approx(3.0)
-        assert costs[1][0](1.0) == pytest.approx(1.0)
+    def test_slack_cost_values(self, net15, opf15, rng):
+        # 2 p0 + p0^2 in the first period and p0 in the second: at p0 = (1, 1)
+        # the operator pays 3 + 1, and only its p0 columns carry a gradient
+        assert net15.horizon == 2
+        phi0 = opf15.smooth[0]
+        x0 = rng.standard_normal(opf15.blocks.dims[0])
+        x0[:2] = 1.0
+        assert phi0.value(x0) == pytest.approx(4.0)
+        assert np.array_equal(phi0.grad(x0), np.r_[4.0, 1.0, np.zeros(x0.size - 2)])
 
     def test_aggregator_objectives_vanish(self, opf15, rng):
         for a in range(1, opf15.d):

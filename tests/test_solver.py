@@ -40,7 +40,7 @@ def one_dim_problem(l_val=1.0, a=None, b=None):
         BlockStructure((1,)),
         (SmoothBlock.quadratic(np.array([[l_val]]), np.zeros(1)),),
         (prox_zero_block(),),
-        (a,),
+        a,
         b,
     )
 
@@ -51,7 +51,7 @@ class TestForwardBackward:
             BlockStructure((2,)),
             (SmoothBlock.zero(2),),
             (prox_zero_block(),),
-            (np.zeros((1, 2)),),
+            np.zeros((1, 2)),
             np.zeros(1),
         )
         s = bp.full(1)
@@ -74,7 +74,7 @@ class TestForwardBackward:
             BlockStructure((1,)),
             (SmoothBlock.quadratic(np.array([[2.0]]), np.array([0.3])),),
             (prox_l1_block(0.5),),
-            (np.array([[1.0], [-2.0]]),),
+            np.array([[1.0], [-2.0]]),
             np.array([0.1, -0.4]),
         )
         pol = ConvexPolicy(sigma=0.7, b_diag=np.array([4.0]))
@@ -131,7 +131,7 @@ class TestAveragingStep:
             BlockStructure((1,)),
             (SmoothBlock.zero(1),),
             (prox_box_block(0.0, 1.0),),
-            (np.zeros((1, 1)),),
+            np.zeros((1, 1)),
             np.zeros(1),
         )
         eng = RbcdEngine(p, bp.full(1), ConvexPolicy(sigma=1.0, b_diag=np.ones(1)))
@@ -150,7 +150,7 @@ class TestPrimalDualStep:
             BlockStructure((2,)),
             (SmoothBlock.quadratic(np.eye(2), np.zeros(2)),),
             (prox_zero_block(),),
-            (a,),
+            a,
             b,
         )
         pol = ConvexPolicy(sigma=0.3, b_diag=np.full(2, 8.0))
@@ -523,7 +523,7 @@ class TestRunLoop:
             BlockStructure((1,)),
             (SmoothBlock.zero(1),),
             (prox_zero_block(),),
-            (np.array([[1.0], [1.0]]),),
+            np.array([[1.0], [1.0]]),
             np.array([0.0, 1.0]),
         )
         pol = bp.convex_default_policy(p, bp.full(1))
@@ -546,7 +546,7 @@ class TestRunLoop:
             BlockStructure((1, 1)),
             (SmoothBlock.zero(1), SmoothBlock.zero(1)),
             (prox_zero_block(), ProxBlock(lambda x: 0.0, lambda g, v: v * np.nan, 0.0)),
-            (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])),
+            np.eye(2),
             np.array([1.0, 2.0]),
         )
         s = bp.single_coordinate(2)

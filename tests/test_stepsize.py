@@ -51,7 +51,7 @@ def tiny_problem(a_blocks, l_vals, mu_vals):
         BlockStructure(dims),
         tuple(smooth),
         tuple(prox),
-        tuple(a_blocks),
+        np.hstack(a_blocks),
         np.zeros(a_blocks[0].shape[0]),
     )
 
