@@ -42,9 +42,9 @@ def main():
             problem, sampling, policy, np.zeros(problem.m), args.k_max,
             seed=args.seed, trace_every=10, reference=ref,
         )
-        ks = np.array([r.k for r in res.trace], dtype=float)
-        psi_gap = np.array([r.psi_hat - ref.psi_star for r in res.trace])
-        h_gap_w = np.array([r.h_gap_w for r in res.trace])
+        ks = res.trace.column("k")
+        psi_gap = res.trace.column("psi_hat") - ref.psi_star
+        h_gap_w = res.trace.column("h_gap_w")
         lo = args.k_max // 100
         s1, e1 = fit_rate(ks, psi_gap, k_min=lo)
         s2, e2 = fit_rate(ks, h_gap_w, k_min=lo)

@@ -37,6 +37,7 @@ from .solver import (
     PdaEngine,
     RbcdEngine,
     RunResult,
+    Trace,
     TraceRecord,
     run,
 )

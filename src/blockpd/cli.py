@@ -97,7 +97,7 @@ from .errors import (
 from .oracles import Reference, least_squares_reference, quadratic_reference
 from .proxops import prox_l1_block, prox_quadratic_block, prox_zero_block
 from .sampling import from_config as sampling_from_config
-from .solver import TraceRecord, run
+from .solver import Trace, TraceRecord, run
 from .stepsize import ConvexPolicy, convex_default_policy, make_accelerated_policy
 
 TRACE_SCHEMA = "blockpd-trace-v2"
@@ -320,13 +320,15 @@ def _build_custom(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def write_trace_csv(path: Path, trace: list[TraceRecord]) -> None:
+def write_trace_csv(path: Path, trace: Trace) -> None:
+    """The trace's ``CSV_FIELDS`` columns, ``str`` of each k and ``repr``
+    of each float."""
+    ks, *floats = (trace.column(name).tolist() for name in TraceRecord.CSV_FIELDS)
     with open(path, "w") as fh:
         fh.write(f"# {TRACE_SCHEMA}\n")
         fh.write(",".join(TraceRecord.CSV_FIELDS) + "\n")
-        for rec in trace:
-            vals = [getattr(rec, name) for name in TraceRecord.CSV_FIELDS]
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals))
+        for k, *vals in zip(ks, *floats):
+            fh.write(",".join([str(int(k)), *map(repr, vals)]))
             fh.write("\n")
 
 
@@ -368,12 +370,9 @@ def fit_rate(ks, values, k_min=None, k_max=None):
 def trace_column(trace, name, reference: Reference | None = None):
     """The trace's k and one ``[fit]`` column (a name ``parse_config`` accepts;
     ``psi_hat_gap`` reads ``reference.psi_star``, which the run checked)."""
-    ks = np.array([r.k for r in trace], dtype=float)
     if name == "psi_hat_gap":
-        vals = np.array([r.psi_hat - reference.psi_star for r in trace])
-    else:
-        vals = np.array([getattr(r, name) for r in trace])
-    return ks, vals
+        return trace.column("k"), trace.column("psi_hat") - reference.psi_star
+    return trace.column("k"), trace.column(name)
 
 
 def _check_out(out: str) -> None:

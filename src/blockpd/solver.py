@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,6 +68,61 @@ class TraceRecord:
 
 # the trace.csv columns: every field but the wall time, which varies by run
 TraceRecord.CSV_FIELDS = tuple(f.name for f in fields(TraceRecord) if f.name != "wall_time")
+
+
+class Trace(Sequence):
+    """A run's trace rows, stored as columns: one ``array('q')`` for ``k``
+    and one ``array('d')`` for each float field, 80 bytes a row.
+
+    A read-only sequence of :class:`TraceRecord`: indexing (negative too)
+    and iteration build each record on access, with plain ``float`` fields
+    and an ``int`` ``k``, and a slice is a list of records.  A trace equals
+    a trace or a sequence of records that holds the same values bit for bit
+    (so NaN equals NaN).  :meth:`column` copies one field out as a float64
+    array."""
+
+    __slots__ = ("_cols",)
+    _NAMES = tuple(f.name for f in fields(TraceRecord))
+    _values = attrgetter(*_NAMES)
+
+    def __init__(self, records=()):
+        self._cols = {name: array("q" if name == "k" else "d") for name in self._NAMES}
+        for rec in records:
+            self._append(rec)
+
+    def _append(self, rec: TraceRecord) -> None:
+        for col, value in zip(self._cols.values(), self._values(rec)):
+            col.append(value)
+
+    def __len__(self) -> int:
+        return len(self._cols["k"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(TraceRecord, *(col[i] for col in self._cols.values())))
+        return TraceRecord(*[col[i] for col in self._cols.values()])
+
+    def __iter__(self):
+        return map(TraceRecord, *self._cols.values())
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, (str, Trace)):
+            if not all(isinstance(rec, TraceRecord) for rec in other):
+                return False
+            other = Trace(other)
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(
+            mine.tobytes() == theirs.tobytes()
+            for mine, theirs in zip(self._cols.values(), other._cols.values())
+        )
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} rows)"
+
+    def column(self, name: str) -> Array:
+        """A float64 copy of the field ``name`` over the rows."""
+        return np.array(self._cols[name], dtype=float)
 
 
 @dataclass(slots=True)
@@ -292,8 +350,12 @@ class PdaEngine(_EngineBase):
 
 @dataclass
 class RunResult:
+    """A run's final engine state, its trace (rows stored as columns, 80
+    bytes each; records are built on access), the reference its gap
+    columns read and the iteration it stopped at early, if it did."""
+
     state: object
-    trace: list[TraceRecord]
+    trace: Trace
     reference: Reference | None = None
     stopped_at: int | None = None
 
@@ -319,15 +381,22 @@ def run(
         object built for this problem, sampling and policy (with
         ``init_state``, ``step`` and ``refresh``, e.g. the grid's
         ``PpdlmpEngine``).
+    k_max : iterations to run, at least 0.
     trace_every : record a trace row every this many iterations, at least 1
         (the final iteration is always recorded; nothing is recorded at
-        k = 0).
+        k = 0).  Rows are kept as columns, 80 bytes a row, in the result's
+        :class:`Trace`, which builds a :class:`TraceRecord` on access.
     stop_kkt_tol : stop early at the first trace point where both the saddle
         residual ``kkt_res`` and the coupling residual ``primal_res``
-        (||Ax - b||) are below this value; both vanish only on consistent
-        instances.
-    reference : ground-truth anchors for gap columns; computed from the
-        normal equations when omitted.
+        (||Ax - b||) are below this value, which must be finite and
+        positive; both vanish only on consistent instances.  None never
+        stops early.
+    reference : ground-truth anchors for gap columns, with ``x_ls`` of
+        length m and ``r_ls`` of length q; computed from the normal
+        equations when omitted.
+
+    Every option is checked before the first step, and a bad value raises
+    ``ValueError`` naming it.
 
     The engine's caches are recomputed every ``REFRESH_EVERY`` steps, and a
     non-finite iterate at a check every ``NAN_CHECK_EVERY`` steps and at
@@ -337,8 +406,16 @@ def run(
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if stop_kkt_tol is not None and not (math.isfinite(stop_kkt_tol) and stop_kkt_tol > 0):
+        raise ValueError(f"stop_kkt_tol must be finite and > 0 (or None), got {stop_kkt_tol}")
     if reference is None:
         reference = least_squares_reference(problem)
+    for name, n in (("x_ls", problem.m), ("r_ls", problem.q)):
+        shape = np.shape(getattr(reference, name))
+        if shape != (n,):
+            raise ValueError(f"reference {name} has shape {shape}, expected ({n},)")
 
     if isinstance(engine, str):
         engines = {"rbcd": RbcdEngine, "pda": PdaEngine}
@@ -351,7 +428,7 @@ def run(
             raise ValueError("engine was built for another problem, sampling or policy")
     state = eng.init_state(x0, make_rng(seed))
 
-    trace: list[TraceRecord] = []
+    trace = Trace()
     t_start = time.perf_counter()
     stopped_at = None
 
@@ -368,7 +445,7 @@ def run(
         if done % trace_every == 0 or done == k_max:
             rec = _trace_record(problem, eng, state, reference)
             rec.wall_time = time.perf_counter() - t_start
-            trace.append(rec)
+            trace._append(rec)
             if stop_kkt_tol is not None and (
                 rec.kkt_res < stop_kkt_tol and rec.primal_res < stop_kkt_tol
             ):

@@ -326,6 +326,32 @@ class TestPenaltyIdentities:
             assert gap == pytest.approx(ident, rel=1e-9, abs=1e-12)
 
 
+def built_problem(build, tmp_path):
+    """A small problem from each builder of the package."""
+    if build == "generator":
+        return bp.make_random_inconsistent_ls(seed=4, d=3, dims=2, q=5, noise=0.3)
+    if build == "wide_generator":
+        return bp.make_random_inconsistent_ls(seed=1, d=24, dims=4, q=144, noise=0.6, mu=1.0,
+                                              rank_deficiency=4)
+    if build == "consensus":
+        return bp.make_consensus([(0, 1), (1, 2)], [prox_quadratic_block(1.0)] * 3)
+    if build == "model_fit":
+        return bp.make_model_fitting(
+            np.random.default_rng(2).standard_normal((3, 2)), np.zeros(3),
+            [SmoothBlock.zero(1)] * 3, [prox_zero_block()] * 2,
+        )
+    if build == "custom":
+        np.savetxt(tmp_path / "a.csv", np.arange(6.0).reshape(2, 3), delimiter=",")
+        np.savetxt(tmp_path / "b.csv", np.ones(2), delimiter=",")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "[run]\nexperiment = custom\nk_max = 1\n"
+            f"[instance]\na_path = {tmp_path / 'a.csv'}\nb_path = {tmp_path / 'b.csv'}\n"
+        )
+        return cli._build_custom(cli.parse_config(cfg))
+    return dlmp.build_opf_problem(dlmp.load_network(*dlmp.default_network_paths()))
+
+
 class TestCouplingLayout:
     def test_blocks_are_contiguous_read_only_views(self):
         p = bp.make_random_inconsistent_ls(seed=4, d=5, dims=(1, 3, 2, 4, 2), q=9, noise=0.3)
@@ -383,28 +409,17 @@ class TestCouplingLayout:
 
     @pytest.mark.parametrize("build", ["generator", "consensus", "model_fit", "custom", "opf15"])
     def test_every_builder_shares_a_under_replace(self, build, tmp_path):
-        if build == "generator":
-            p = bp.make_random_inconsistent_ls(seed=4, d=3, dims=2, q=5, noise=0.3)
-        elif build == "consensus":
-            p = bp.make_consensus([(0, 1), (1, 2)], [prox_quadratic_block(1.0)] * 3)
-        elif build == "model_fit":
-            p = bp.make_model_fitting(
-                np.ones((3, 2)), np.zeros(3),
-                [SmoothBlock.zero(1)] * 3, [prox_zero_block()] * 2,
-            )
-        elif build == "custom":
-            np.savetxt(tmp_path / "a.csv", np.arange(6.0).reshape(2, 3), delimiter=",")
-            np.savetxt(tmp_path / "b.csv", np.ones(2), delimiter=",")
-            cfg = tmp_path / "c.cfg"
-            cfg.write_text(
-                "[run]\nexperiment = custom\nk_max = 1\n"
-                f"[instance]\na_path = {tmp_path / 'a.csv'}\nb_path = {tmp_path / 'b.csv'}\n"
-            )
-            p = cli._build_custom(cli.parse_config(cfg))
-        else:
-            p = dlmp.build_opf_problem(dlmp.load_network(*dlmp.default_network_paths()))
+        p = built_problem(build, tmp_path)
         assert p.a.flags.f_contiguous and not p.a.flags.writeable and p.a.flags.owndata
         assert dataclasses.replace(p).a is p.a
+
+    @pytest.mark.parametrize("build", ["generator", "wide_generator", "consensus", "model_fit", "opf15"])
+    def test_gram_is_exactly_symmetric(self, build, tmp_path):
+        """NumPy forms A'A with one BLAS syrk and mirrors its triangle; the
+        convex certificate's column-slab pass reads Xi, which scales the
+        Gram, as exactly symmetric."""
+        p = built_problem(build, tmp_path)
+        assert np.array_equal(p.gram, p.gram.T)
 
     def test_a_with_the_wrong_columns_names_its_shape(self):
         with pytest.raises(ValueError, match=r"A has shape \(3, 2\), expected 3 columns"):

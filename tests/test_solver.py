@@ -1,6 +1,8 @@
 import ast
+import gc
 import inspect
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from blockpd.blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock, 
 from blockpd.errors import InvariantViolation, SolverDivergence
 from blockpd.proxops import prox_quadratic_block, prox_zero_block
 from blockpd.sampling import weight_matrix_p
-from blockpd.solver import PdaEngine, RbcdEngine, RunResult
+from blockpd.solver import PdaEngine, RbcdEngine, RunResult, Trace, TraceRecord
 from blockpd.stepsize import ConvexPolicy
 from instruments import (
     aw,
@@ -510,6 +512,41 @@ class TestRunLoop:
             with pytest.raises(ValueError, match="trace_every"):
                 bp.run(p, s, pol, np.zeros(p.m), 10, seed=0, trace_every=bad)
 
+    def test_k_max_must_not_be_negative(self, two_block_instance):
+        p = two_block_instance
+        s = bp.single_coordinate(2)
+        pol = bp.convex_default_policy(p, s)
+        with pytest.raises(ValueError, match=r"k_max must be >= 0, got -5"):
+            bp.run(p, s, pol, np.zeros(p.m), -5, seed=0)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_stop_kkt_tol_must_be_finite_and_positive(self, two_block_instance, bad):
+        # each of these once ran all k_max steps without stopping
+        p = two_block_instance
+        s = bp.single_coordinate(2)
+        pol = bp.convex_default_policy(p, s)
+        with pytest.raises(ValueError, match="stop_kkt_tol must be finite and > 0"):
+            bp.run(p, s, pol, np.zeros(p.m), 200, seed=0, trace_every=1, stop_kkt_tol=bad)
+
+    @pytest.mark.parametrize("field", ["x_ls", "r_ls"])
+    def test_reference_of_another_shape_fails_before_the_first_step(
+        self, two_block_instance, two_block_reference, monkeypatch, field
+    ):
+        p = two_block_instance
+        s = bp.single_coordinate(2)
+        pol = bp.convex_default_policy(p, s)
+        n = len(getattr(two_block_reference, field))
+        ref = replace(two_block_reference, **{field: np.zeros(n + 3)})
+
+        def no_step(self, state):
+            raise AssertionError("stepped before the reference was checked")
+
+        monkeypatch.setattr(RbcdEngine, "step", no_step)
+        with pytest.raises(
+            ValueError, match=rf"reference {field} has shape \({n + 3},\), expected \({n},\)"
+        ):
+            bp.run(p, s, pol, np.zeros(p.m), 100, seed=0, trace_every=10, reference=ref)
+
     def test_consensus_two_node_limit(self):
         local = [prox_quadratic_block(1.0, center=c) for c in (0.0, 2.0)]
         p = bp.make_consensus([(0, 1)], local)
@@ -604,6 +641,79 @@ class TestRunLoop:
         for rec, w in zip(res.trace, eng.averaged[50::50]):
             psi_w = eval_psi(p, w)
             assert psi_w - ref.psi_star >= -delta * math.sqrt(rec.h_gap_w) - 1e-9
+
+
+class TestTrace:
+    """``run`` keeps its rows as columns; the trace reads as a sequence of
+    records built on access."""
+
+    @pytest.fixture(scope="class", params=["rbcd", "pda"])
+    def traced(self, request, two_block_instance, two_block_reference):
+        p = two_block_instance
+        s = bp.single_coordinate(2)
+        pol = bp.convex_default_policy(p, s)
+        return bp.run(p, s, pol, np.zeros(p.m), 1200, engine=request.param, seed=3,
+                      trace_every=100, reference=two_block_reference).trace
+
+    def test_sequence_access(self, traced):
+        assert isinstance(traced, Trace)
+        rows = list(traced)
+        assert len(traced) == len(rows) == 12
+        assert all(isinstance(r, TraceRecord) for r in rows)
+        assert [r.k for r in traced] == list(range(100, 1201, 100))
+        assert traced[0].k == 100 and traced[-1].k == 1200
+        assert traced[-12].k == 100 and traced[11].k == 1200
+        for bad in (12, -13):
+            with pytest.raises(IndexError):
+                traced[bad]
+        assert [r.k for r in traced[2:5]] == [300, 400, 500]
+        assert [r.k for r in traced[::-5]] == [1200, 700, 200]
+        assert traced[5:5] == []
+        assert [r.k for r in traced] == [r.k for r in rows]  # iterates afresh
+
+    def test_equals_a_list_of_its_rows(self, traced):
+        rows = traced[:]
+        assert isinstance(rows, list)
+        assert traced == rows and rows == traced
+        assert traced == tuple(rows) == Trace(rows) and traced == traced  # NaN rows too
+        assert traced != rows[:-1]
+        moved = replace(rows[3], kkt_res=rows[3].kkt_res * 2)
+        assert traced != [*rows[:3], moved, *rows[4:]]
+        assert traced != "not a trace" and Trace() == []
+
+    def test_column_is_a_bit_equal_copy_of_the_rows(self, traced):
+        for f in fields(TraceRecord):
+            col = traced.column(f.name)
+            want = np.array([getattr(r, f.name) for r in traced], dtype=float)
+            assert col.dtype == np.float64
+            assert np.array_equal(col.view(np.int64), want.view(np.int64)), f.name
+            col[:] = 0.0
+            assert np.array_equal(traced.column(f.name).view(np.int64), want.view(np.int64))
+
+    def test_a_row_keeps_under_100_bytes(self, bench_instance, bench_reference):
+        """20 000 steps at trace_every = 1 under the constant policy, whose
+        schedule keeps nothing per step: what the run keeps beyond a one-step
+        run (its state and one row) is its rows.  A list of records kept
+        about 320 bytes a row."""
+        p = bench_instance
+        s = bp.single_coordinate(p.d)
+        pol = bp.convex_default_policy(p, s)
+
+        def kept(k_max):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = bp.run(p, s, pol, np.zeros(p.m), k_max, seed=1, trace_every=1,
+                             reference=bench_reference)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0], len(res.trace)
+            finally:
+                tracemalloc.stop()
+
+        one, n_one = kept(1)
+        many, n_many = kept(20_000)
+        assert (n_one, n_many) == (1, 20_000)
+        assert (many - one) / (n_many - n_one) < 100
 
 
 class TestTraceRowsFromState:
