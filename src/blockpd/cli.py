@@ -454,7 +454,7 @@ def run_experiment(cfg: RunConfig) -> int:
             "beta": policy.beta,
             "kappa": policy.kappa,
             "tau0": policy.tau0,
-            "sigma0": policy.sigma_at(0),
+            "sigma0": policy.start()[1],
         }
     else:
         raise ConfigError(f"[policy] kind must be convex or accelerated, got {pol_kind!r}")

@@ -741,7 +741,7 @@ class PpdlmpEngine(PdaEngine):
     def init_state(self, x0: Array, rng: np.random.Generator) -> PpdlmpState:
         """Prices start at sigma (A x0 - b), with a fresh session."""
         base = super().init_state(x0, rng)
-        base.y *= self.policy.sigma_at(0)
+        base.y *= base.sigma
         return PpdlmpState(**vars(base), session=ProjectionSession())
 
     def step(self, state: PpdlmpState) -> PpdlmpState:

@@ -127,7 +127,9 @@ class Trace(Sequence):
 
 @dataclass(slots=True)
 class RbcdState:
-    """Averaging-form iterate; ``s_cur`` is the cumulative weight S_k.
+    """Averaging-form iterate; ``s_cur`` is the cumulative weight S_k and
+    ``tau``, ``sigma`` are the step parameters of step k, which the step
+    advances through the policy.
 
     The averaged iterate is stored implicitly as w = x + gamma e, with
     Aw = Ax + gamma Ae, so a step rescales gamma and touches only the
@@ -143,6 +145,8 @@ class RbcdState:
     psi_hat: float
     k: int
     s_cur: float
+    tau: float
+    sigma: float
     rng: np.random.Generator
 
     @property
@@ -152,12 +156,15 @@ class RbcdState:
 
 @dataclass
 class PdaState:
-    """Primal-dual iterate: x, running residual u = Ax - b, dual y."""
+    """Primal-dual iterate: x, running residual u = Ax - b, dual y, and
+    the step parameters ``tau``, ``sigma`` of step k."""
 
     x: Array
     u: Array
     y: Array
     k: int
+    tau: float
+    sigma: float
     rng: np.random.Generator
 
 
@@ -228,9 +235,11 @@ class RbcdEngine(_EngineBase):
         p = self.problem
         x0, psi_vec = self._start(x0)
         psi = float(np.sum(psi_vec))
+        tau, sigma = self.policy.start()
         return RbcdState(
             x=x0, e=np.zeros(p.m), ax=p.a.dot(x0), ae=np.zeros(p.q), gamma=1.0,
-            psi_vec=psi_vec, psi_total=psi, psi_hat=psi, k=0, s_cur=1.0, rng=rng,
+            psi_vec=psi_vec, psi_total=psi, psi_hat=psi, k=0, s_cur=1.0,
+            tau=tau, sigma=sigma, rng=rng,
         )
 
     def step(self, state: RbcdState) -> RbcdState:
@@ -241,9 +250,7 @@ class RbcdEngine(_EngineBase):
         gamma and e+ = e + ((theta/pi_i - 1)/gamma+) delta_i; when
         theta = 1 the old w drops out and e restarts from zero."""
         p = self.problem
-        k = state.k
-        sigma_k = self.policy.sigma_at(k)
-        tau_k = self.policy.tau_at(k)
+        sigma_k, tau_k = state.sigma, state.tau
         s_k = state.s_cur
         theta = sigma_k / s_k
 
@@ -279,8 +286,9 @@ class RbcdEngine(_EngineBase):
 
         state.gamma = gamma
         state.psi_hat = (1.0 - theta) * state.psi_hat + theta * bracket
-        state.s_cur = s_k + self.policy.sigma_at(k + 1)
-        state.k = k + 1
+        state.tau, state.sigma = self.policy.advance(tau_k)
+        state.s_cur = s_k + state.sigma
+        state.k += 1
         return state
 
     def refresh(self, state: RbcdState) -> None:
@@ -297,7 +305,7 @@ class RbcdEngine(_EngineBase):
     def dual_estimate(self, state: RbcdState) -> Array:
         """Price vector the equivalent primal-dual process would hold now:
         S_k (A z - b) at the extrapolated point z = (1 - theta) w + theta x."""
-        theta = self.policy.sigma_at(state.k) / state.s_cur
+        theta = state.sigma / state.s_cur
         az = state.ax + ((1.0 - theta) * state.gamma) * state.ae
         return state.s_cur * (az - self.problem.b)
 
@@ -315,12 +323,11 @@ class PdaEngine(_EngineBase):
         u0 = p.a.dot(x0) - p.b
         # the dual start S_0 (A z^0 - b) = A x^0 - b matches the averaging
         # form exactly (z^0 = x^0 because w^0 = x^0)
-        return PdaState(x=x0, u=u0, y=u0.copy(), k=0, rng=rng)
+        tau, sigma = self.policy.start()
+        return PdaState(x=x0, u=u0, y=u0.copy(), k=0, tau=tau, sigma=sigma, rng=rng)
 
     def step(self, state: PdaState) -> PdaState:
-        k = state.k
-        sigma_k = self.policy.sigma_at(k)
-        tau_k = self.policy.tau_at(k)
+        sigma_k, tau_k = state.sigma, state.tau
 
         x, u, y = state.x, state.u, state.y
         ap_delta = self._ap_delta
@@ -338,10 +345,11 @@ class PdaEngine(_EngineBase):
 
         # y += sigma_k ap_delta + sigma_{k+1} u, in that association
         ap_delta *= sigma_k
-        np.multiply(u, self.policy.sigma_at(k + 1), out=self._dy)
+        state.tau, state.sigma = self.policy.advance(tau_k)
+        np.multiply(u, state.sigma, out=self._dy)
         ap_delta += self._dy
         y += ap_delta
-        state.k = k + 1
+        state.k += 1
         return state
 
     def refresh(self, state: PdaState) -> None:
@@ -461,9 +469,6 @@ def _trace_record(problem, eng, state, ref) -> TraceRecord:
     the penalty gaps, ``primal_res`` and the dual part of ``kkt_res`` cost
     O(q) and A'y is the row's one product over A.  The gaps and ``kkt_res``
     carry the products' drift, at most ``REFRESH_EVERY`` steps of it."""
-    k = state.k
-    sigma = eng.policy.sigma_at(k)
-    tau = eng.policy.tau_at(k)
     psi_hat = h_gap_w = math.nan
     if isinstance(state, RbcdState):
         psi_x = state.psi_total
@@ -479,13 +484,13 @@ def _trace_record(problem, eng, state, ref) -> TraceRecord:
         r = state.u
         y = state.y
     return TraceRecord(
-        k=k,
+        k=state.k,
         psi_x=psi_x,
         psi_hat=psi_hat,
         h_gap_x=ref.h_gap(r),
         h_gap_w=h_gap_w,
         primal_res=float(np.linalg.norm(r)),
         kkt_res=kkt_residual(problem, state.x, y, r),
-        tau=tau,
-        sigma=sigma,
+        tau=state.tau,
+        sigma=state.sigma,
     )

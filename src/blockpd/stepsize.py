@@ -18,16 +18,17 @@ D - Lam, so neither a dense D - Lam nor a full spectrum is formed; the
 generalised and full-spectrum eigenproblems are test oracles
 (``tests/instruments.py``).
 
-Both expose ``sigma_at(k)`` / ``tau_at(k)`` plus the diagonal of the block
-scaling B, which is what the engines consume.  Policy objects memoise their
-sequences and are advanced by a single owner; certification helpers are pure.
+Both are frozen parameter sets that hold nothing per step, so any number of
+runs may share one.  Each gives its start ``(tau_0, sigma_0)``, a pure
+``advance(tau_k) -> (tau_{k+1}, sigma_{k+1})`` and the diagonal of the block
+scaling B; the engine state carries (tau_k, sigma_k).  Certification
+helpers are pure too.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ MI_TOL = -1e-8
 EDGE_FRACTION = 0.95
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvexPolicy:
     """Constant steps: sigma_k = sigma, tau_k = 1.
 
@@ -62,20 +63,22 @@ class ConvexPolicy:
         if not 0.0 < self.sigma < math.inf:
             raise PolicyConstructionError(f"sigma must be finite and > 0, got {self.sigma}")
 
-    def sigma_at(self, k: int) -> float:
-        return self.sigma
+    def start(self) -> tuple[float, float]:
+        return 1.0, self.sigma
 
-    def tau_at(self, k: int) -> float:
-        return 1.0
+    def advance(self, tau: float) -> tuple[float, float]:
+        return 1.0, self.sigma
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcceleratedPolicy:
     """Coupled (sigma_k, tau_k) schedule for strongly convex problems.
 
-    The memoised sequences grow on demand: tau through :func:`tau_next` and
-    sigma_k = alpha / tau_k - beta beside it, non-decreasing while tau_k
-    strictly decreases toward zero.
+    :meth:`advance` takes tau_k to tau_{k+1} through one call of this
+    module's :func:`tau_next`, looked up at each call, on the distinct
+    marginals (found once, when the policy is built) and gives
+    sigma_{k+1} = alpha / tau_{k+1} - beta beside it, non-decreasing while
+    tau_k strictly decreases toward zero.
     """
 
     alpha: float
@@ -84,8 +87,6 @@ class AcceleratedPolicy:
     pi: Array
     tau0: float
     b_diag: Array
-    _taus: array = field(init=False, repr=False)
-    _sigmas: array = field(init=False, repr=False)
     _marginals: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -94,24 +95,15 @@ class AcceleratedPolicy:
                 f"tau0={self.tau0} outside the admissible interval "
                 f"(0, 1/kappa={1.0 / self.kappa})"
             )
-        # 16 bytes a step: a long run memoises one (tau, sigma) per iteration
-        self._taus = array("d", (float(self.tau0),))
-        self._sigmas = array("d", (self.alpha / self._taus[0] - self.beta,))
-        self._marginals = _distinct_marginals(self.pi)
+        object.__setattr__(self, "_marginals", _distinct_marginals(self.pi))
 
-    def _extend(self, k: int) -> None:
-        while len(self._taus) <= k:
-            tau = tau_next(self._taus[-1], self.kappa, self._marginals)
-            self._taus.append(tau)
-            self._sigmas.append(self.alpha / tau - self.beta)
+    def start(self) -> tuple[float, float]:
+        tau = float(self.tau0)
+        return tau, self.alpha / tau - self.beta
 
-    def tau_at(self, k: int) -> float:
-        self._extend(k)
-        return self._taus[k]
-
-    def sigma_at(self, k: int) -> float:
-        self._extend(k)
-        return self._sigmas[k]
+    def advance(self, tau: float) -> tuple[float, float]:
+        tau = tau_next(tau, self.kappa, self._marginals)
+        return tau, self.alpha / tau - self.beta
 
 
 def convex_default_policy(
@@ -345,7 +337,7 @@ def make_accelerated_policy(
     # built first, so tau0 is checked against its interval before sigma_0
     # divides by it
     policy = AcceleratedPolicy(alpha, beta, kappa, s.pi.copy(), float(tau0), b_diag)
-    sigma0 = policy.sigma_at(0)
+    _, sigma0 = policy.start()
     if given and sigma0 > pi_min + 1e-12:
         warnings.warn(
             f"tau0={tau0} gives theta_0={sigma0:.4g} > min pi={pi_min:.4g}; "
@@ -365,9 +357,10 @@ def tau_next(tau_k: float, kappa: float, pi) -> float:
 
     maximised over blocks by the explicit root formula, once per distinct
     pi_i.  ``pi`` is one marginal, the marginals as an array or list, or a
-    tuple of distinct marginals (what :class:`AcceleratedPolicy` passes,
-    used as given).  The result is strictly below tau_k and satisfies the
-    binding block's inequality with equality.  For uniform marginals the
+    tuple of distinct marginals, used as given (what
+    :meth:`AcceleratedPolicy.advance` passes: the policy finds them once).
+    The result is strictly below tau_k and satisfies the binding block's
+    inequality with equality.  For uniform marginals the
     tests check it against the normalized recursion
     s_{k+1} = 2 s_k / (s_k + sqrt(s_k^2 + 4 d_k)) with
     s_k = (1 + delta) tau_k and d_k = 1 - delta tau_k - kappa tau_k^2

@@ -290,22 +290,21 @@ class ExplicitRbcdOracle(RbcdEngine):
     """The averaging engine with w and Aw held explicitly: the step and
     refresh ``RbcdEngine`` ran before it kept w = x + gamma e implicitly,
     a test oracle for the implicit form.  Its state is a namespace with x,
-    w, ax, aw, psi_vec, psi_total, psi_hat, k, s_prev, s_cur and rng; the
-    draws come from the mask oracle."""
+    w, ax, aw, psi_vec, psi_total, psi_hat, k, s_prev, s_cur, tau, sigma
+    and rng; the draws come from the mask oracle."""
 
     def init_state(self, x0, rng):
         st = super().init_state(x0, rng)
         return SimpleNamespace(
             x=st.x, w=st.x.copy(), ax=st.ax, aw=st.ax.copy(), psi_vec=st.psi_vec,
             psi_total=st.psi_total, psi_hat=st.psi_hat, k=0,
-            s_prev=1.0 - self.policy.sigma_at(0), s_cur=st.s_cur, rng=rng,
+            s_prev=1.0 - st.sigma, s_cur=st.s_cur, tau=st.tau, sigma=st.sigma, rng=rng,
         )
 
     def step(self, state):
         p = self.problem
         k = state.k
-        sigma_k = self.policy.sigma_at(k)
-        tau_k = self.policy.tau_at(k)
+        sigma_k, tau_k = state.sigma, state.tau
         s_k = state.s_cur
         theta = sigma_k / s_k
 
@@ -339,9 +338,9 @@ class ExplicitRbcdOracle(RbcdEngine):
         state.psi_hat = (1.0 - theta) * state.psi_hat + theta * bracket
         state.w = w_new
         state.aw = aw_new
-        sigma_next = self.policy.sigma_at(k + 1)
+        state.tau, state.sigma = self.policy.advance(tau_k)
         state.s_prev = s_k
-        state.s_cur = s_k + sigma_next
+        state.s_cur = s_k + state.sigma
         state.k = k + 1
         return state
 

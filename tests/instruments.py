@@ -453,7 +453,7 @@ def fresh_trace_record(problem: ProblemSpec, eng, state, ref: Reference) -> solv
         k=k, psi_x=psi_x, psi_hat=psi_hat, h_gap_x=gap(state.x), h_gap_w=h_gap_w,
         primal_res=primal,
         kkt_res=kkt_residual(problem, state.x, y, problem.a @ state.x - problem.b),
-        tau=eng.policy.tau_at(k), sigma=eng.policy.sigma_at(k),
+        tau=state.tau, sigma=state.sigma,
     )
 
 
@@ -464,7 +464,7 @@ def fresh_trace_record(problem: ProblemSpec, eng, state, ref: Reference) -> solv
 
 def extrapolated(eng: RbcdEngine, state: RbcdState) -> tuple[Array, Array, float]:
     """Current z = (1 - theta) w + theta x, its A-image and theta."""
-    theta = eng.policy.sigma_at(state.k) / state.s_cur
+    theta = state.sigma / state.s_cur
     c = (1.0 - theta) * state.gamma
     return state.x + c * state.e, state.ax + c * state.ae, theta
 
@@ -478,7 +478,7 @@ def forward_backward_block(eng: RbcdEngine, state: RbcdState, i: int) -> Array:
     blk = eng.per_block[i]
     xi = state.x[blk.sl]
     g = blk.grad(xi) + state.s_cur * blk.a_t.dot(res)
-    return eng._fb(i, xi, g, eng.policy.tau_at(state.k))
+    return eng._fb(i, xi, g, state.tau)
 
 
 def aw(state: RbcdState) -> Array:
@@ -516,11 +516,12 @@ def previous_weight(policy, k: int) -> float:
     extrapolated point is then a convex combination already at k = 0),
     replayed with the engine's own additions S_0 = 1, S_j = S_{j-1} +
     sigma_j, so its bits are the engine's."""
+    _, sigmas = schedule(policy, k)
     if k == 0:
-        return 1.0 - policy.sigma_at(0)
+        return 1.0 - sigmas[0]
     s = 1.0
-    for j in range(1, k):
-        s += policy.sigma_at(j)
+    for sigma_j in sigmas[1:k]:
+        s += sigma_j
     return s
 
 
@@ -541,8 +542,7 @@ def lyapunov(
     if ref.x_star is None or ref.psi_star is None:
         raise ValueError("lyapunov diagnostics need a reference with x_star/psi_star")
     k = state.k
-    sigma_k = policy.sigma_at(k)
-    tau_k = policy.tau_at(k)
+    sigma_k, tau_k = state.sigma, state.tau
     p_diag = weight_matrix_p(sampling, problem.blocks)
     w_diag = (sigma_k / tau_k) * p_diag**2 * policy.b_diag + sigma_k * (
         p_diag - 1.0
@@ -557,6 +557,19 @@ def lyapunov(
 # ---------------------------------------------------------------------------
 # step sizes: the normalized tau recursion, its floor and certificates
 # ---------------------------------------------------------------------------
+
+
+def schedule(policy, k: int) -> tuple[list[float], list[float]]:
+    """(tau_0 .. tau_k) and (sigma_0 .. sigma_k), replayed from the policy's
+    start through ``advance`` as a run's steps advance them, with their
+    bits."""
+    tau, sigma = policy.start()
+    taus, sigmas = [tau], [sigma]
+    for _ in range(k):
+        tau, sigma = policy.advance(tau)
+        taus.append(tau)
+        sigmas.append(sigma)
+    return taus, sigmas
 
 
 def normalized_s_step(s_k: float, d_k: float) -> float:

@@ -33,6 +33,7 @@ from instruments import (
     make_single_line_network,
     mi_margins,
     recorded,
+    schedule,
     step_on,
     tau_lower_bound,
 )
@@ -114,16 +115,15 @@ def test_04_step_certificates(bench_instance, tau_oracle):
     lam, ups = lam_full(p), p.mu_vector
     pi = float(s.pi[0])
     worst1 = worst2 = np.inf
-    taus = [pol.tau_at(0)]
+    taus, sigmas = schedule(pol, 10_000)
     bound_ok = True
     for k in range(10_000):
-        tau_k, tau_k1 = pol.tau_at(k), pol.tau_at(k + 1)
+        tau_k, tau_k1 = taus[k], taus[k + 1]
         m1, m2 = mi_margins(
             lam, ups, xi, p_diag, pol.b_diag,
-            pol.sigma_at(k), tau_k, pol.sigma_at(k + 1), tau_k1,
+            sigmas[k], tau_k, sigmas[k + 1], tau_k1,
         )
         worst1, worst2 = min(worst1, m1), min(worst2, m2)
-        taus.append(tau_k1)
         if tau_k < tau_lower_bound(k, pol.tau0, pol.kappa, pi):
             bound_ok = False
     decreasing = bool((np.diff(taus) < 0).all())
@@ -185,7 +185,7 @@ def test_06_supermartingale(two_block_instance, two_block_reference):
         eng = RbcdEngine(p, s, pol)
         state = eng.init_state(np.zeros(p.m), bp.make_rng(5))
         slack = -np.inf
-        for k in range(100):
+        for _ in range(100):
             v_k, _ = lyapunov(p, s, pol, state, ref)
 
             def v_next(mask):
@@ -194,7 +194,7 @@ def test_06_supermartingale(two_block_instance, two_block_reference):
                 return lyapunov(p, s, pol, st, ref)[0]
 
             exp_v = expectation_over_sampling(s, v_next)
-            slack = max(slack, exp_v - (v_k - pol.sigma_at(k) ** 2 * ref.h_gap(p.a @ state.x - p.b)))
+            slack = max(slack, exp_v - (v_k - state.sigma ** 2 * ref.h_gap(p.a @ state.x - p.b)))
             eng.step(state)
         worst[name] = slack
     ok = all(v <= 1e-9 for v in worst.values())
@@ -248,7 +248,7 @@ def test_08_prox_inequality(bench_instance):
     for _ in range(7):
         eng.step(state)
     z, az, _ = extrapolated(eng, state)
-    q_diag = pol.b_diag * weight_matrix_p(s, p.blocks) / pol.tau_at(state.k)
+    q_diag = pol.b_diag * weight_matrix_p(s, p.blocks) / state.tau
     grad_phi = p.grad_phi(state.x)
     grad_pen = p.a.T @ (az - p.b)
     mu = p.mu_vector

@@ -915,6 +915,25 @@ mu = 0.5
 [fit]
 columns = h_gap_w
 """
+# a model-fitting instance, whose builder reads q, p, l1_weight and
+# instance_seed
+MODEL_FIT_CFG = """
+[run]
+experiment = model_fit
+seed = 1
+k_max = 20
+trace_every = 10
+out = runs/model_fit
+
+[instance]
+q = 12
+p = 4
+l1_weight = 0.1
+instance_seed = 3
+
+[fit]
+columns = h_gap_w
+"""
 
 
 def custom_data(where):
@@ -925,15 +944,15 @@ def custom_data(where):
 
 
 def config_mutations(seed=2026):
-    """Every field of each bundled config and of ``CUSTOM_CFG`` deleted,
-    emptied, set to 0, -1, nan, inf and a word, and one key per section
-    repeated under a misspelled name, each with ``k_max = 20`` unless
-    ``k_max`` itself is the field and with the ``UNSET_FIELDS`` set:
-    tuples (config name, section, key, value or None for a deletion,
-    misspelled key or None, INI text)."""
+    """Every field of each bundled config, ``CUSTOM_CFG`` and
+    ``MODEL_FIT_CFG`` deleted, emptied, set to 0, -1, nan, inf and a word,
+    and one key per section repeated under a misspelled name, each with
+    ``k_max = 20`` unless ``k_max`` itself is the field and with the
+    ``UNSET_FIELDS`` set: tuples (config name, section, key, value or None
+    for a deletion, misspelled key or None, INI text)."""
     rng = random.Random(seed)
     configs = [(path.stem, path.read_text()) for path in sorted(CONFIGS.glob("*.cfg"))]
-    for stem, source in configs + [("custom", CUSTOM_CFG)]:
+    for stem, source in configs + [("custom", CUSTOM_CFG), ("model_fit", MODEL_FIT_CFG)]:
         base = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         base.read_string(source)
         base["run"]["k_max"] = "20"
@@ -982,6 +1001,8 @@ def accepted(name, section, key, value):
         "columns": {""},  # fit nothing
         "certify": {"0"},  # a boolean word
         "seed": {"0"},
+        "instance_seed": {"0"},
+        "l1_weight": {"0"},  # no regulariser
         "noise": {"0"},
         "rank_deficiency": {"0"},
         # mu = 0 leaves the accelerated policy without strong convexity
@@ -1009,4 +1030,4 @@ class TestConfigMutations:
                 # the message names a section, mostly the field's own
                 assert code == 2 and re.search(r"config error: .*\[[a-z]+\]", err), case
             seen += 1
-        assert seen == 7 * 63 + 19  # 63 fields, 19 sections
+        assert seen == 7 * 74 + 22  # 74 fields, 22 sections

@@ -31,6 +31,7 @@ from instruments import (
     penalty_h,
     prox_box_block,
     recorded,
+    schedule,
     step_on,
 )
 
@@ -218,12 +219,13 @@ class TestEquivalence:
 
 class TestImplicitAveragedIterate:
     """The implicit w = x + gamma e against the explicit step it replaced
-    (``ExplicitRbcdOracle`` in conftest), drawing the same blocks."""
+    (``ExplicitRbcdOracle`` in conftest), drawing the same blocks and
+    sharing one policy."""
 
     @staticmethod
-    def _compare(p, s, pol_new, pol_old, oracle_cls, steps, recompute_every, seed=8):
-        eng = RbcdEngine(p, s, pol_new)
-        ora = oracle_cls(p, s, pol_old)
+    def _compare(p, s, pol, oracle_cls, steps, recompute_every, seed=8):
+        eng = RbcdEngine(p, s, pol)
+        ora = oracle_cls(p, s, pol)
         st = eng.init_state(np.zeros(p.m), bp.make_rng(seed))
         so = ora.init_state(np.zeros(p.m), bp.make_rng(seed))
 
@@ -251,15 +253,16 @@ class TestImplicitAveragedIterate:
         p = bench_instance
         s = bp.single_coordinate(p.d)
         pol = bp.make_accelerated_policy(p, s)
-        self._compare(p, s, pol, replace(pol), explicit_rbcd, 10_000, recompute_every)
+        self._compare(p, s, pol, explicit_rbcd, 10_000, recompute_every)
 
     def test_full_sampling_accelerated_matches_explicit(self, bench_instance, explicit_rbcd):
         # sigma_0 = min pi = 1 to rounding, so gamma starts near 1e-16
         p = bench_instance
         s = bp.full(p.d)
         pol = bp.make_accelerated_policy(p, s)
-        assert pol.sigma_at(0) == pytest.approx(1.0, abs=1e-12)
-        self._compare(p, s, pol, replace(pol), explicit_rbcd, 10_000, 1000)
+        _, (sigma0,) = schedule(pol, 0)
+        assert sigma0 == pytest.approx(1.0, abs=1e-12)
+        self._compare(p, s, pol, explicit_rbcd, 10_000, 1000)
 
     def test_theta0_one_restarts_the_average(self, bench_instance, explicit_rbcd):
         # theta_0 = sigma / S_0 = 1 exactly; B >= d A_i'A_i + Lam_i blockwise
@@ -273,7 +276,7 @@ class TestImplicitAveragedIterate:
         eng.step(st)
         assert st.gamma == 1.0 and not st.e.any()
         assert np.array_equal(st.w, st.x)
-        self._compare(p, s, pol, replace(pol), explicit_rbcd, 10_000, 0)
+        self._compare(p, s, pol, explicit_rbcd, 10_000, 0)
 
     def test_averaged_iterate_is_read_only(self, two_block_instance):
         p = two_block_instance
@@ -385,7 +388,7 @@ class TestExactExpectations:
         p = two_block_instance
         pol = bp.convex_default_policy(p, bp.single_coordinate(2))
         s, eng, state = self._engine_state(p, pol)
-        theta = pol.sigma_at(state.k) / state.s_cur
+        theta = state.sigma / state.s_cur
         x_hat = np.concatenate(
             [forward_backward_block(eng, state, i) for i in range(p.d)]
         )
@@ -422,7 +425,7 @@ class TestProxInequality:
             eng.step(state)
         z, az, _ = extrapolated(eng, state)
         res_z = az - p.b
-        tau = pol.tau_at(state.k)
+        tau = state.tau
         # blockwise metric B / (pi * tau)
         q_diag = pol.b_diag * weight_matrix_p(s, p.blocks) / tau
         grad_phi = p.grad_phi(state.x)
@@ -466,7 +469,7 @@ class TestLyapunovDescent:
         )
         eng = RbcdEngine(p, s, pol)
         state = eng.init_state(np.zeros(p.m), bp.make_rng(5))
-        for k in range(100):
+        for _ in range(100):
             v_k, _ = lyapunov(p, s, pol, state, ref)
 
             def nxt(mask):
@@ -476,7 +479,7 @@ class TestLyapunovDescent:
 
             exp_v = expectation_over_sampling(s, nxt)
             h_gap = ref.h_gap(p.a @ state.x - p.b)
-            assert exp_v <= v_k - pol.sigma_at(k) ** 2 * h_gap + 1e-9
+            assert exp_v <= v_k - state.sigma ** 2 * h_gap + 1e-9
             eng.step(state)
 
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from instruments import (
     looped_smooth_lipschitz,
     mi_margins,
     normalized_s_step,
+    schedule,
     step_map,
     tau_lower_bound,
 )
@@ -495,7 +497,7 @@ class TestTauRecursion:
             taus = [pol.tau0]
             for _ in range(2000):
                 taus.append(tau_next(taus[-1], pol.kappa, s.pi))
-            assert [pol.tau_at(k) for k in range(2001)] == taus
+            assert schedule(pol, 2000)[0] == taus
 
     def test_fixed_point_at_inverse_kappa(self):
         for kappa, pi in ((4.0, 0.5), (10.0, 0.2), (1.5, 1.0)):
@@ -663,8 +665,7 @@ class TestPolicies:
     def test_sigma_monotone_tau_monotone(self, bench_instance):
         s = bp.single_coordinate(bench_instance.d)
         pol = make_accelerated_policy(bench_instance, s)
-        taus = [pol.tau_at(k) for k in range(500)]
-        sigmas = [pol.sigma_at(k) for k in range(500)]
+        taus, sigmas = schedule(pol, 499)
         assert (np.diff(taus) < 0).all()
         assert (np.diff(sigmas) >= 0).all()
         for k in range(500):
@@ -674,30 +675,77 @@ class TestPolicies:
             )
 
     def test_one_tau_step_per_run_step(self, bench_instance, monkeypatch):
-        # sigma_k is memoised beside tau_k with the bits of alpha/tau_k - beta
+        # each step advances (tau_k, sigma_k) once, sigma_k with the bits of
+        # alpha/tau_k - beta; a policy keeps nothing of a run, so a second
+        # run on it repeats the recursion and the rows
         s = bp.single_coordinate(bench_instance.d)
         pol = make_accelerated_policy(bench_instance, s)
         calls = []
         orig = stepsize.tau_next
         monkeypatch.setattr(stepsize, "tau_next", lambda *a: calls.append(a) or orig(*a))
-        bp.run(bench_instance, s, pol, np.zeros(bench_instance.m), 300, trace_every=10)
-        assert len(calls) == 300
+        runs = []
+        for n_calls in (300, 600):
+            runs.append(bp.run(bench_instance, s, pol, np.zeros(bench_instance.m), 300,
+                               trace_every=10))
+            assert len(calls) == n_calls
+        for name in bp.TraceRecord.CSV_FIELDS:
+            first, second = (r.trace.column(name) for r in runs)
+            assert first.tobytes() == second.tobytes(), name
+        taus, sigmas = schedule(pol, 300)
         for k in range(301):
-            assert pol.sigma_at(k) == pol.alpha / pol.tau_at(k) - pol.beta
+            assert sigmas[k] == pol.alpha / taus[k] - pol.beta
+        trace = runs[0].trace
+        ks = trace.column("k").astype(int)
+        assert trace.column("tau").tolist() == [taus[k] for k in ks]
+        assert trace.column("sigma").tolist() == [sigmas[k] for k in ks]
+        for frozen in (pol, bp.convex_default_policy(bench_instance, s)):
+            for f in dataclasses.fields(frozen):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(frozen, f.name, getattr(frozen, f.name))
+
+    def test_a_run_keeps_no_schedule(self, bench_instance, bench_reference):
+        """What an accelerated run keeps is within 10% of what a
+        constant-policy run of the same length keeps: both keep their state
+        and trace rows, and the schedule lives in the state.  A memo of
+        (tau_k, sigma_k) on the policy would keep 16 bytes a step, twice
+        the rows at trace_every = 10."""
+        p = bench_instance
+        s = bp.single_coordinate(p.d)
+        policies = (bp.convex_default_policy(p, s), make_accelerated_policy(p, s))
+
+        def kept(pol, k_max):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = bp.run(p, s, pol, np.zeros(p.m), k_max, seed=1, trace_every=10,
+                             reference=bench_reference)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0], len(res.trace)
+            finally:
+                tracemalloc.stop()
+
+        for pol in policies:  # first-run allocations land outside the measurement
+            kept(pol, 10)
+        # 100 steps suffice: a policy-side memo kept 1.25 times the constant run
+        (const, n_const), (accel, n_accel) = (kept(pol, 100) for pol in policies)
+        assert n_const == n_accel == 10
+        assert accel <= 1.1 * const, (accel, const)
 
     def test_cumulative_weight_quadratic_bound(self, bench_instance):
         s = bp.single_coordinate(bench_instance.d)
         pol = make_accelerated_policy(bench_instance, s)
         s_k = 1.0
-        sigma0 = pol.sigma_at(0)
+        _, sigmas = schedule(pol, 2999)
+        sigma0 = sigmas[0]
         for k in range(1, 3000):
-            s_k += pol.sigma_at(k)
+            s_k += sigmas[k]
             assert s_k <= cumulative_weight_bound(k, pol.alpha, accel_delta(pol), sigma0) + 1e-9
 
     def test_default_tau0_keeps_theta0_admissible(self, bench_instance):
         s = bp.single_coordinate(bench_instance.d)
         pol = make_accelerated_policy(bench_instance, s)
-        assert pol.sigma_at(0) <= float(np.min(s.pi)) + 1e-12
+        _, (sigma0,) = schedule(pol, 0)
+        assert sigma0 <= float(np.min(s.pi)) + 1e-12
 
     def test_oversized_tau0_warns(self, bench_instance):
         s = bp.single_coordinate(bench_instance.d)
@@ -746,6 +794,7 @@ class TestCertificates:
         s = bp.single_coordinate(bench_instance.d)
         pol = make_accelerated_policy(bench_instance, s)
         lam, ups, xi, p_diag = self._pieces(bench_instance, s)
+        taus, sigmas = schedule(pol, 200)
         for k in range(0, 200):
             m1, m2 = mi_margins(
                 lam,
@@ -753,10 +802,10 @@ class TestCertificates:
                 xi,
                 p_diag,
                 pol.b_diag,
-                pol.sigma_at(k),
-                pol.tau_at(k),
-                pol.sigma_at(k + 1),
-                pol.tau_at(k + 1),
+                sigmas[k],
+                taus[k],
+                sigmas[k + 1],
+                taus[k + 1],
             )
             assert m1 >= MI_TOL and m2 >= MI_TOL, f"certificate failed at k={k}"
 
@@ -765,16 +814,17 @@ class TestCertificates:
         pol = make_accelerated_policy(bench_instance, s)
         lam, ups, xi, p_diag = self._pieces(bench_instance, s)
         k = 50
+        taus, sigmas = schedule(pol, k + 1)
         m1, _ = mi_margins(
             lam,
             ups,
             xi,
             p_diag,
             pol.b_diag,
-            pol.sigma_at(k),
-            25.0 * pol.tau_at(k),
-            pol.sigma_at(k + 1),
-            pol.tau_at(k + 1),
+            sigmas[k],
+            25.0 * taus[k],
+            sigmas[k + 1],
+            taus[k + 1],
         )
         assert not m1 >= MI_TOL
 
