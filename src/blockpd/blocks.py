@@ -97,15 +97,9 @@ class _SizeGroup(NamedTuple):
 
     def take(self, arr: Array) -> Array:
         """The group's row slabs of ``arr`` (leading dimension m) stacked
-        (len(ids), n, ...): a view when the blocks are contiguous, else a
-        copy, which :meth:`put` writes back."""
+        (len(ids), n, ...), for reading only: a view when the blocks are
+        contiguous, else a copy, so a write to it may not reach ``arr``."""
         return arr[self.cols].reshape(len(self.ids), self.n, *arr.shape[1:])
-
-    def put(self, arr: Array, stack: Array) -> None:
-        """Write a stack from :meth:`take` that was changed in place back
-        into ``arr``; nothing to do when it is a view."""
-        if not isinstance(self.cols, slice):
-            arr[self.cols] = stack.reshape(-1, *arr.shape[1:])
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,15 @@ least value, a ``[fit] k_min`` above ``[run] k_max``, an unknown ``[fit]``
 column, a ``psi_hat_gap`` fit with no exact Psi*, a field the run never
 reads, such as a misspelled key or ``[sampling] m`` for a kind other than
 ``nice``, a value the library rejects, a custom ``a_path`` or ``b_path``
-that is unset, unreadable or holding a value that is not finite, or
-malformed grid data such as a bus in two rows, a bus value that is not
-finite or a negative line capacity), 3 divergence or a projection that did
-not converge, 4 infeasible instance (such as a bus whose consumption floor
-exceeds its cap).
+that is unset, unreadable or holding a value that is not finite, a grid
+``bus_path`` or ``edges_path`` that names no readable file (the empty
+path names none), or malformed grid data such as a bus in two rows, a bus
+value that is not finite or a negative line capacity), 3 divergence or a
+projection that did not converge, 4 infeasible instance (such as a bus
+whose consumption floor exceeds its cap).
 
 The grid experiment reads ``[instance] bus_path`` and ``edges_path``, each
-falling back to its own bundled file, and runs
+falling back to its own bundled file when left out, and runs
 :func:`blockpd.dlmp.ppdlmp_run`.
 """
 
@@ -508,12 +509,16 @@ def run_experiment(cfg: RunConfig) -> int:
 
 def _run_opf(cfg: RunConfig, say, t0) -> int:
     ins = cfg.sections["instance"]
-    bundled_bus, bundled_edges = default_network_paths()
-    bus_path = ins.get("bus_path") or bundled_bus
-    edges_path = ins.get("edges_path") or bundled_edges
+    # a field left out reads its bundled file; an empty one names no file
+    paths = {key: ins.get(key, bundled)
+             for key, bundled in zip(("bus_path", "edges_path"), default_network_paths())}
     drop_shunt = field_value(ins, "drop_shunt", False, _ini_bool)
     with rejected_as_config("instance"):
-        net = load_network(bus_path, edges_path)
+        try:
+            net = load_network(paths["bus_path"], paths["edges_path"])
+        except OSError as exc:
+            key = "bus_path" if exc.filename == paths["bus_path"] else "edges_path"
+            raise ConfigError(f"[instance] {key} = {exc.filename!r}: {exc.strerror}") from exc
         problem = build_opf_problem(net, drop_shunt=drop_shunt)
     x0 = opf_initial_point(problem)
     out, meta = _start(cfg)

@@ -108,9 +108,11 @@ BUS_QUANTITIES = (
 @dataclass(frozen=True)
 class NetworkModel:
     """Radial network data over a horizon of T periods.  ``renewable`` maps
-    a bus to its per-period production caps; a bus without an entry
-    produces nothing.  Every per-bus value must be finite and every line
-    capacity non-negative (``ValueError`` naming the bus and quantity)."""
+    a bus of the table to its per-period production caps; a bus without an
+    entry produces nothing.  Every per-bus value must be finite, every
+    per-period series (floors, caps, renewable caps) must hold T values,
+    every line capacity must be non-negative and every aggregator group
+    non-empty (``ValueError`` naming the bus or the group)."""
 
     buses: tuple[int, ...]
     parent: dict
@@ -132,6 +134,19 @@ class NetworkModel:
     def __post_init__(self):
         if not self.buses:
             raise ValueError("the bus table has no buses")
+        stray = sorted(set(self.renewable) - set(self.buses))
+        if stray:
+            raise ValueError(f"renewable caps name bus {stray[0]}, which is not in the bus table")
+        labels = dict(BUS_QUANTITIES)
+        series = [(n, labels[name], getattr(self, name)[n])
+                  for name in ("p_lo", "p_hi") for n in self.buses]
+        series += [(n, "renewable caps", caps) for n, caps in self.renewable.items()]
+        for n, label, values in series:
+            if np.shape(values) != (self.horizon,):
+                raise ValueError(
+                    f"bus {n}: {label} has shape {np.shape(values)}, expected "
+                    f"({self.horizon},), one value per period"
+                )
         for name, label in BUS_QUANTITIES:
             values = getattr(self, name)
             table = np.array([values[n] for n in self.buses], dtype=float)
@@ -168,6 +183,9 @@ class NetworkModel:
                     f"bus {n}: energy demand {self.energy[n]} exceeds "
                     f"total consumption capacity {float(np.sum(self.p_hi[n]))}"
                 )
+        for j, group in enumerate(self.aggregators):
+            if not group:
+                raise ValueError(f"aggregator group {j} is empty")
         covered = sorted(n for group in self.aggregators for n in group)
         if covered != sorted(self.buses):
             raise ValueError("aggregator groups must partition the buses")

@@ -200,9 +200,7 @@ def _apply_hessian(p: ProblemSpec, quad: dict, v: Array) -> Array:
     size (the bits of a per-block product)."""
     hv = quad["mu"] * v
     for g, h in zip(p.blocks._size_groups, p._block_stacks(quad["h_blocks"])):
-        slabs = g.take(hv)
-        slabs += np.matmul(h, g.take(v))
-        g.put(hv, slabs)
+        hv[g.cols] += np.matmul(h, g.take(v)).reshape(-1, *v.shape[1:])
     return hv
 
 

@@ -200,30 +200,17 @@ def xi_matrix(s: Sampling, gram: Array, blocks: BlockStructure) -> Array:
     ``gram`` = A'A (a problem's cached ``ProblemSpec.gram``) split by
     ``blocks``, scaled blockwise by W = Pi / (pi pi') (diagonal 1/pi_i):
     Xi[i,j] = (Pi_ij / (pi_i pi_j)) A_i'A_j off the diagonal and
-    Xi[i,i] = A_i'A_i / pi_i.  A fresh copy of ``gram`` is scaled by one
-    operation per pair of block sizes, on the n_i x n_j tiles of those
-    blocks' rows and columns, and returned, so a caller may overwrite it;
-    nothing beside it is larger than d x d.
+    Xi[i,i] = A_i'A_i / pi_i.  W is repeated out over the block dims to a
+    fresh m x m array, through one m x d temporary, and multiplied in place
+    by ``gram``; the result is returned, so a caller may overwrite it.
     The exhaustive expectation, the per-pair block loop and the form that
     stacks the blocks into its own Gram product are test oracles
     (``tests/conftest.py``).
     """
     w = prob_matrix(s) / np.outer(s.pi, s.pi)
     np.fill_diagonal(w, 1.0 / s.pi)
-    xi = gram.copy()
-    groups = blocks._size_groups
-    for g in groups:
-        slabs = g.take(xi)
-        for h in groups:
-            # g's row slabs at h's columns (a view for a slice, else a copy),
-            # split into their n_g x n_h tiles, each scaled by its one
-            # weight: no weight is repeated out to m columns
-            tiles = slabs[..., h.cols]
-            grid = tiles.reshape(len(g.ids), g.n, len(h.ids), h.n)
-            grid *= w[g.blocks][:, h.blocks][:, None, :, None]
-            if not isinstance(h.cols, slice):
-                slabs[..., h.cols] = tiles
-        g.put(xi, slabs)
+    xi = np.repeat(np.repeat(w, blocks.dims, axis=0), blocks.dims, axis=1)
+    xi *= gram
     return xi
 
 

@@ -76,19 +76,17 @@ class Trace(Sequence):
 
     A read-only sequence of :class:`TraceRecord`: indexing (negative too)
     and iteration build each record on access, with plain ``float`` fields
-    and an ``int`` ``k``, and a slice is a list of records.  A trace equals
-    a trace or a sequence of records that holds the same values bit for bit
-    (so NaN equals NaN).  :meth:`column` copies one field out as a float64
-    array."""
+    and an ``int`` ``k``, and a slice is a list of records.  Only ``run``
+    appends rows.  Traces compare by identity: the wall times of two runs
+    differ, so no two runs give equal rows.  :meth:`column` copies one
+    field out as a float64 array, which is what to compare."""
 
     __slots__ = ("_cols",)
     _NAMES = tuple(f.name for f in fields(TraceRecord))
     _values = attrgetter(*_NAMES)
 
-    def __init__(self, records=()):
+    def __init__(self):
         self._cols = {name: array("q" if name == "k" else "d") for name in self._NAMES}
-        for rec in records:
-            self._append(rec)
 
     def _append(self, rec: TraceRecord) -> None:
         for col, value in zip(self._cols.values(), self._values(rec)):
@@ -104,18 +102,6 @@ class Trace(Sequence):
 
     def __iter__(self):
         return map(TraceRecord, *self._cols.values())
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence) and not isinstance(other, (str, Trace)):
-            if not all(isinstance(rec, TraceRecord) for rec in other):
-                return False
-            other = Trace(other)
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return all(
-            mine.tobytes() == theirs.tobytes()
-            for mine, theirs in zip(self._cols.values(), other._cols.values())
-        )
 
     def __repr__(self) -> str:
         return f"Trace({len(self)} rows)"

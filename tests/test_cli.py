@@ -849,6 +849,20 @@ out = {out}
         err = capsys.readouterr().err
         assert "config error: [instance]" in err and message in err
 
+    @pytest.mark.parametrize("key", ["bus_path", "edges_path"])
+    @pytest.mark.parametrize("value", ["", "nope.csv", "."], ids=["empty", "missing", "directory"])
+    def test_grid_path_that_names_no_file(self, tmp_path, monkeypatch, capsys, key, value):
+        # an empty path does not fall back to the bundled file, and every
+        # path that names no file is a config error naming the field
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(
+            tmp_path / "grid.cfg",
+            f"[run]\nexperiment = opf15\nk_max = 10\nout = o\n\n[instance]\n{key} = {value}\n",
+        )
+        assert main(["--config", cfg, "--quiet"]) == 2
+        assert f"config error: [instance] {key} = {value!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_opf_exit_code(self, tmp_path):
         from blockpd.dlmp import default_network_paths
 
@@ -935,6 +949,24 @@ instance_seed = 3
 columns = h_gap_w
 """
 
+# a grid instance read from copies of the bundled data (grid_data), with
+# every field of its [instance] section set; the loose tolerance stops the
+# run that falls back to the default k_max within about 10^3 steps
+GRID_CFG = """
+[run]
+experiment = opf15
+seed = 1
+k_max = 20
+trace_every = 10
+stop_kkt_tol = 1e-2
+out = runs/grid
+
+[instance]
+bus_path = bus.csv
+edges_path = edges.csv
+drop_shunt = false
+"""
+
 
 def custom_data(where):
     """The custom config's A (4 by 6) and an inconsistent b, as CSVs."""
@@ -943,16 +975,26 @@ def custom_data(where):
     np.savetxt(where / "b.csv", rng.standard_normal(4), delimiter=",")
 
 
+def grid_data(where):
+    """Copies of the bundled bus table and edge list, as the grid config's
+    CSVs."""
+    from blockpd.dlmp import default_network_paths
+
+    for name, path in zip(("bus.csv", "edges.csv"), default_network_paths()):
+        (where / name).write_text(Path(path).read_text())
+
+
 def config_mutations(seed=2026):
-    """Every field of each bundled config, ``CUSTOM_CFG`` and
-    ``MODEL_FIT_CFG`` deleted, emptied, set to 0, -1, nan, inf and a word,
+    """Every field of each bundled config, ``CUSTOM_CFG``, ``MODEL_FIT_CFG``
+    and ``GRID_CFG`` deleted, emptied, set to 0, -1, nan, inf and a word,
     and one key per section repeated under a misspelled name, each with
     ``k_max = 20`` unless ``k_max`` itself is the field and with the
     ``UNSET_FIELDS`` set: tuples (config name, section, key, value or None
     for a deletion, misspelled key or None, INI text)."""
     rng = random.Random(seed)
     configs = [(path.stem, path.read_text()) for path in sorted(CONFIGS.glob("*.cfg"))]
-    for stem, source in configs + [("custom", CUSTOM_CFG), ("model_fit", MODEL_FIT_CFG)]:
+    extra = [("custom", CUSTOM_CFG), ("model_fit", MODEL_FIT_CFG), ("grid", GRID_CFG)]
+    for stem, source in configs + extra:
         base = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         base.read_string(source)
         base["run"]["k_max"] = "20"
@@ -987,7 +1029,8 @@ def accepted(name, section, key, value):
     """Whether a run takes the mutation: a deleted field falls back to its
     default, and a few fields admit the value given."""
     if value is None:
-        # nothing stands in for the experiment or the custom data; consensus's
+        # nothing stands in for the experiment or the custom data (a grid
+        # path falls back to its bundled file); consensus's
         # nice sampling needs m, which a single sampling does not read; and
         # the convex policy a deleted kind falls back to does not read tau0
         if key in ("experiment", "a_path", "b_path") or (
@@ -1000,6 +1043,7 @@ def accepted(name, section, key, value):
     admits = {
         "columns": {""},  # fit nothing
         "certify": {"0"},  # a boolean word
+        "drop_shunt": {"0"},
         "seed": {"0"},
         "instance_seed": {"0"},
         "l1_weight": {"0"},  # no regulariser
@@ -1016,6 +1060,7 @@ class TestConfigMutations:
         # outputs land under tmp_path: every config names a relative out
         monkeypatch.chdir(tmp_path)
         custom_data(tmp_path)
+        grid_data(tmp_path)
         seen = 0
         for name, section, key, value, typo, text in config_mutations():
             cfg = write_config(tmp_path / "m.cfg", text)
@@ -1030,4 +1075,4 @@ class TestConfigMutations:
                 # the message names a section, mostly the field's own
                 assert code == 2 and re.search(r"config error: .*\[[a-z]+\]", err), case
             seen += 1
-        assert seen == 7 * 74 + 22  # 74 fields, 22 sections
+        assert seen == 7 * 83 + 24  # 83 fields, 24 sections

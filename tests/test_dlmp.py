@@ -192,10 +192,25 @@ class TestLoadNetwork:
         ("tau_c", np.nan, "bus 3: reactive ratio tau_c nan is not finite"),
         ("energy", np.inf, "bus 3: energy demand E inf is not finite"),
         ("s_cap", -1.0, "bus 3: line capacity S -1.0 is negative"),
-    ], ids=["nan-floor", "nan-tau_c", "infinite-energy", "negative-capacity"])
+        ("p_lo", np.array([0.003]), "bus 3: consumption floor Pmin has shape (1,), expected (2,)"),
+        ("p_hi", np.array([0.02, 0.035, 1.0]),
+         "bus 3: consumption cap Pmax has shape (3,), expected (2,)"),
+        ("renewable", np.array([0.1]), "bus 3: renewable caps has shape (1,), expected (2,)"),
+    ], ids=["nan-floor", "nan-tau_c", "infinite-energy", "negative-capacity", "short-floor",
+            "long-cap", "short-renewable"])
     def test_bus_values_are_domain_checked(self, net15, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(net15, **{field: {**getattr(net15, field), 3: value}})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("renewable", {7: np.array([0.1, 0.1])},
+         "renewable caps name bus 7, which is not in the bus table"),
+        ("aggregators", ((1,), ()), "aggregator group 1 is empty"),
+    ], ids=["renewable-off-table", "empty-group"])
+    def test_network_structure_is_checked(self, field, value, message):
+        # the builders would ignore such caps and fail on such a group
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(make_single_line_network(), **{field: value})
 
     def test_empty_bus_table_rejected(self, tmp_path):
         bus, _ = dlmp.default_network_paths()
