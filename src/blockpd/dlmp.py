@@ -24,12 +24,12 @@ slack bounds.  Squared currents and quadratic loss terms are dropped
 entirely (lossless model); the two flow-magnitude caps of the lossy model
 then coincide.
 
-Layout, bus-major and period-minor throughout, buses in ascending order:
-the coupling rows are all active rows, then all reactive rows; the
-operator's vector is (p0, q0, f, g, v); an aggregator's vector holds
-(pc, pg, qg) for each of its buses in turn.  One set of index arrays,
-built once per network by ``_layout``, places every coefficient, bound and
-price.
+Layout, bus-major and period-minor throughout, in the bus order of the
+network, which also orders its per-bus data arrays: the coupling rows are
+all active rows, then all reactive rows; the operator's vector is (p0, q0,
+f, g, v); an aggregator's vector holds (pc, pg, qg) for each of its buses
+in turn.  One set of index arrays, built once per network by ``_layout``,
+places every coefficient, bound and price.
 
 Every projection on the pricing path is exact.  An aggregator's set is its
 energy budgets (a breakpoint search over all of the group's buses at once)
@@ -75,114 +75,104 @@ from .stepsize import convex_default_policy
 
 Array = np.ndarray
 
-BUS_COLUMNS = (
-    "n",
-    "S",
-    "R_e3",
-    "X_e3",
-    "B_e3",
-    "Pmin_0",
-    "Pmin_1",
-    "Pmax_0",
-    "Pmax_1",
-    "E",
-    "tau_c",
-)
-
 # bounds on each period's slack injections p0 and q0
 SLACK_BOUNDS = (-10.0, 10.0)
 
-# the per-bus fields of a NetworkModel and how a message names them
-BUS_QUANTITIES = (
-    ("s_cap", "line capacity S"),
-    ("r", "resistance R"),
-    ("x", "reactance X"),
-    ("b_shunt", "shunt susceptance B"),
-    ("p_lo", "consumption floor Pmin"),
-    ("p_hi", "consumption cap Pmax"),
-    ("energy", "energy demand E"),
-    ("tau_c", "reactive ratio tau_c"),
+# the bus table: each per-bus field of a NetworkModel, how a message names it,
+# its CSV columns (one, or one per period for an (n, T) field) and their scale
+BUS_TABLE = (
+    ("s_cap", "line capacity S", ("S",), 1.0),
+    ("r", "resistance R", ("R_e3",), 1e-3),
+    ("x", "reactance X", ("X_e3",), 1e-3),
+    ("b_shunt", "shunt susceptance B", ("B_e3",), 1e-3),
+    ("p_lo", "consumption floor Pmin", ("Pmin_0", "Pmin_1"), 1.0),
+    ("p_hi", "consumption cap Pmax", ("Pmax_0", "Pmax_1"), 1.0),
+    ("energy", "energy demand E", ("E",), 1.0),
+    ("tau_c", "reactive ratio tau_c", ("tau_c",), 1.0),
 )
+BUS_COLUMNS = ("n", *(col for _, _, cols, _ in BUS_TABLE for col in cols))
 
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Radial network data over a horizon of T periods.  ``renewable`` maps
-    a bus of the table to its per-period production caps; a bus without an
-    entry produces nothing.  Every per-bus value must be finite, every
-    per-period series (floors, caps, renewable caps) must hold T values,
-    every line capacity must be non-negative and every aggregator group
-    non-empty (``ValueError`` naming the bus or the group)."""
+    """Radial network data over T periods, per-bus arrays in the order of
+    ``buses``: ``parent`` (bus numbers, 0 for the slack bus), ``r``, ``x``,
+    ``s_cap``, ``b_shunt``, ``energy`` and ``tau_c`` of shape (n,); ``p_lo``,
+    ``p_hi`` and the production caps ``renewable`` (zero where a bus
+    produces nothing) of shape (n, T), T being the columns of ``p_lo``.
+    Each array is copied once, read-only, so a later write by the caller
+    cannot reach a checked model.  Each must have its shape, every value be
+    finite, every line capacity and production cap non-negative, every
+    parent a bus or 0, the edges a tree and every aggregator group non-empty
+    (``ValueError`` naming the bus, field or group)."""
 
     buses: tuple[int, ...]
-    parent: dict
-    r: dict
-    x: dict
-    s_cap: dict
-    b_shunt: dict
-    p_lo: dict
-    p_hi: dict
-    energy: dict
-    tau_c: dict
-    renewable: dict
+    parent: Array
+    r: Array
+    x: Array
+    s_cap: Array
+    b_shunt: Array
+    p_lo: Array
+    p_hi: Array
+    energy: Array
+    tau_c: Array
+    renewable: Array
     v_lo: float
     v_hi: float
     v0: float
-    horizon: int
     aggregators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not self.buses:
             raise ValueError("the bus table has no buses")
-        stray = sorted(set(self.renewable) - set(self.buses))
-        if stray:
-            raise ValueError(f"renewable caps name bus {stray[0]}, which is not in the bus table")
-        labels = dict(BUS_QUANTITIES)
-        series = [(n, labels[name], getattr(self, name)[n])
-                  for name in ("p_lo", "p_hi") for n in self.buses]
-        series += [(n, "renewable caps", caps) for n, caps in self.renewable.items()]
-        for n, label, values in series:
-            if np.shape(values) != (self.horizon,):
-                raise ValueError(
-                    f"bus {n}: {label} has shape {np.shape(values)}, expected "
-                    f"({self.horizon},), one value per period"
-                )
-        for name, label in BUS_QUANTITIES:
-            values = getattr(self, name)
-            table = np.array([values[n] for n in self.buses], dtype=float)
-            finite = np.isfinite(table.reshape(self.n_buses, -1)).all(axis=1)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise ValueError(
-                    f"bus {self.buses[i]}: {label} {table[i].tolist()} is not finite"
-                )
-        known = {0, *self.buses}
-        for n in self.buses:
-            if self.s_cap[n] < 0.0:
-                raise ValueError(f"bus {n}: line capacity S {self.s_cap[n]} is negative")
-            if n not in self.parent:
-                raise ValueError(f"bus {n} has no parent edge")
-            if self.parent[n] not in known:
-                raise ValueError(
-                    f"bus {n}: parent {self.parent[n]} is neither a bus nor the slack bus 0"
-                )
-            seen = {n}
-            node = n
+        labels = {"parent": "parent", **{name: label for name, label, _, _ in BUS_TABLE},
+                  "renewable": "renewable caps"}
+        series = {name for name, _, cols, _ in BUS_TABLE if len(cols) > 1} | {"renewable"}
+        for name in labels:
+            values = np.array(getattr(self, name), dtype=int if name == "parent" else float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.p_lo.ndim != 2:
+            raise ValueError(f"{labels['p_lo']} has shape {self.p_lo.shape}, expected (n, T)")
+        n_b = self.n_buses
+        for name, label in labels.items():
+            shape = (n_b, self.horizon) if name in series else (n_b,)
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{label} has shape {got}, expected {shape}")
+
+        def reject(name, bad, what):
+            """Name the first bus whose row of ``name`` has a ``bad`` entry."""
+            if bad.any():
+                i = int(np.argmax(bad.reshape(n_b, -1).any(axis=1)))
+                values = getattr(self, name)[i].tolist()
+                raise ValueError(f"bus {self.buses[i]}: {labels[name]} {values} {what}")
+
+        for name in labels:
+            reject(name, ~np.isfinite(getattr(self, name)), "is not finite")
+        for name in ("s_cap", "renewable"):
+            reject(name, getattr(self, name) < 0.0, "is negative")
+        known = np.isin(self.parent, (0, *self.buses))
+        reject("parent", ~known, "is neither a bus nor the slack bus 0")
+        up = dict(zip(self.buses, self.parent.tolist()))
+        for node in self.buses:
+            seen = {node}
             while node != 0:
-                node = self.parent[node]
+                node = up[node]
                 if node in seen:
                     raise ValueError("edge list contains a cycle")
                 seen.add(node)
-            for t, (lo, hi) in enumerate(zip(self.p_lo[n], self.p_hi[n])):
-                if lo > hi:
-                    raise InfeasibleInstance(
-                        f"bus {n}, period {t}: consumption floor {lo} exceeds cap {hi}"
-                    )
-            if float(np.sum(self.p_hi[n])) < self.energy[n] - 1e-12:
-                raise InfeasibleInstance(
-                    f"bus {n}: energy demand {self.energy[n]} exceeds "
-                    f"total consumption capacity {float(np.sum(self.p_hi[n]))}"
-                )
+        for i, t in np.argwhere(self.p_lo > self.p_hi)[:1]:
+            raise InfeasibleInstance(
+                f"bus {self.buses[i]}, period {t}: consumption floor {self.p_lo[i, t]} "
+                f"exceeds cap {self.p_hi[i, t]}"
+            )
+        total = self.p_hi.sum(axis=1)
+        for i in np.flatnonzero(total < self.energy - 1e-12)[:1]:
+            raise InfeasibleInstance(
+                f"bus {self.buses[i]}: energy demand {self.energy[i]} exceeds "
+                f"total consumption capacity {total[i]}"
+            )
         for j, group in enumerate(self.aggregators):
             if not group:
                 raise ValueError(f"aggregator group {j} is empty")
@@ -194,16 +184,20 @@ class NetworkModel:
     def n_buses(self) -> int:
         return len(self.buses)
 
+    @property
+    def horizon(self) -> int:
+        return self.p_lo.shape[1]
+
 
 def default_aggregators(buses, parent) -> tuple[tuple[int, ...], ...]:
     """Partition the buses into feeder branches: one group per child of the
-    root, split once more at the first fork.  The 15-bus study yields the
-    three groups (1..6), (7..11) and (12..14).  A bus with no parent, or
-    with one that is not a bus, is left out of every group;
-    :class:`NetworkModel` names it."""
+    root, split once more at the first fork.  ``parent`` holds each bus's
+    parent bus number in the order of ``buses``.  The 15-bus study yields
+    the three groups (1..6), (7..11) and (12..14).  A bus whose parent is
+    not a bus is left out of every group; :class:`NetworkModel` names it."""
     children = {n: [] for n in [0, *buses]}
-    for n in buses:
-        children.setdefault(parent.get(n), []).append(n)
+    for n, up in zip(buses, parent):
+        children.setdefault(up, []).append(n)
 
     def subtree(root):
         out, stack = [], [root]
@@ -236,18 +230,27 @@ def default_network_paths() -> tuple[str, str]:
     return str(base / "bus15.csv"), str(base / "edges15.csv")
 
 
+def _bus_value(rec: dict, column: str) -> float:
+    try:
+        return float(rec[column])
+    except (TypeError, ValueError):
+        raise ValueError(f"bus {rec['n']}: {column} {rec[column]!r} is not a number") from None
+
+
 def load_network(bus_path: str, edges_path: str) -> NetworkModel:
     """Read the bus table and edge list of a two-period study.
 
-    The bus CSV must carry the columns ``n, S, R_e3, X_e3, B_e3, Pmin_0,
-    Pmin_1, Pmax_0, Pmax_1, E, tau_c`` (impedances and shunt susceptance
-    scaled by 1e3), one row per bus; the edge CSV has ``parent, child``
-    rows describing the tree, rooted at the slack bus 0, each child a bus
-    of the table named in one edge only.  Voltages are bounded to [0.81, 1.21]
-    around v0 = 1, the aggregators are :func:`default_aggregators`, and
-    bus 11, if the table has it, produces up to (0.438, 0.201), fully
-    active, as in the bundled study.  Malformed data, a bus value that is
-    not finite or a negative line capacity ``S`` raises ``ValueError``; a
+    The bus CSV must carry the columns ``BUS_COLUMNS`` (``n, S, R_e3, X_e3,
+    B_e3, Pmin_0, Pmin_1, Pmax_0, Pmax_1, E, tau_c``), one row per bus, taken
+    in ascending bus order; ``BUS_TABLE`` says which columns fill which
+    field, at which scale.  The edge CSV has ``parent, child`` rows
+    describing the tree, rooted at the slack bus 0, each bus the child of
+    exactly one edge.  Voltages are bounded to [0.81, 1.21] around v0 = 1,
+    the aggregators are :func:`default_aggregators`, and bus 11, if the
+    table has it, produces up to (0.438, 0.201), fully active, as in the
+    bundled study.  Malformed data (a row for the slack bus, a bus value
+    that is not a number or not finite, buses with no parent edge, a
+    negative line capacity ``S``) raises ``ValueError`` naming the buses; a
     consumption floor above its cap or an energy demand above the caps
     raises :class:`InfeasibleInstance`.
     """
@@ -259,6 +262,8 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
             raise ValueError(f"bus table is missing columns: {missing}")
         for rec in reader:
             n = int(rec["n"])
+            if n == 0:
+                raise ValueError("the bus table has a row for the slack bus 0")
             if n in rows:
                 raise ValueError(f"bus {n} has two rows in the bus table")
             rows[n] = rec
@@ -276,27 +281,25 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
             parent[child] = par
 
     buses = tuple(sorted(rows))
-
-    def pick(rec, keys):
-        return np.array([float(rec[k]) for k in keys])
-
+    orphans = [f"bus {n} has no parent edge" for n in buses if n not in parent]
+    if orphans:
+        raise ValueError("; ".join(orphans))
+    parents = [parent[n] for n in buses]
+    fields = {}
+    for name, _, cols, scale in BUS_TABLE:
+        table = [[_bus_value(rows[n], c) for c in cols] for n in buses]
+        table = scale * np.array(table).reshape(-1, len(cols))
+        fields[name] = table if len(cols) > 1 else table[:, 0]
+    renewable = np.where(np.array(buses)[:, None] == 11, (0.438, 0.201), 0.0)
     return NetworkModel(
         buses=buses,
-        parent=parent,
-        r={n: float(rows[n]["R_e3"]) * 1e-3 for n in buses},
-        x={n: float(rows[n]["X_e3"]) * 1e-3 for n in buses},
-        s_cap={n: float(rows[n]["S"]) for n in buses},
-        b_shunt={n: float(rows[n]["B_e3"]) * 1e-3 for n in buses},
-        p_lo={n: pick(rows[n], ("Pmin_0", "Pmin_1")) for n in buses},
-        p_hi={n: pick(rows[n], ("Pmax_0", "Pmax_1")) for n in buses},
-        energy={n: float(rows[n]["E"]) for n in buses},
-        tau_c={n: float(rows[n]["tau_c"]) for n in buses},
-        renewable={11: np.array([0.438, 0.201])} if 11 in rows else {},
+        parent=parents,
+        renewable=renewable,
         v_lo=0.81,
         v_hi=1.21,
         v0=1.0,
-        horizon=2,
-        aggregators=default_aggregators(buses, parent),
+        aggregators=default_aggregators(buses, parents),
+        **fields,
     )
 
 
@@ -330,7 +333,7 @@ def _layout(net: NetworkModel) -> _Layout:
         f=2 * t_h + grid,
         g=(2 + n_b) * t_h + grid,
         v=(2 + 2 * n_b) * t_h + grid,
-        up=np.array([pos.get(net.parent[n], -1) for n in net.buses]),
+        up=np.array([pos.get(n, -1) for n in net.parent.tolist()]),
         groups=tuple(
             (
                 np.array([pos[n] for n in group]),
@@ -364,8 +367,8 @@ def _dso_feasible_set(net: NetworkModel, lay: _Layout):
     c[root_p, periods] = -1.0
     c[root_q, t_h + periods] = -1.0
     c[drop, lay.v] = 1.0
-    c[drop, lay.f] = 2.0 * np.array([[net.r[n]] for n in net.buses])
-    c[drop, lay.g] = 2.0 * np.array([[net.x[n]] for n in net.buses])
+    c[drop, lay.f] = 2.0 * net.r[:, None]
+    c[drop, lay.g] = 2.0 * net.x[:, None]
     c[drop[inner], lay.v[lay.up[inner]]] = -1.0
     e[drop[~inner]] = net.v0
     affine = AffineSubspace(c, e)
@@ -377,7 +380,7 @@ def _dso_feasible_set(net: NetworkModel, lay: _Layout):
 
     f = slice(int(lay.f[0, 0]), int(lay.f[-1, -1]) + 1)
     g = slice(int(lay.g[0, 0]), int(lay.g[-1, -1]) + 1)
-    radii = np.repeat([net.s_cap[n] for n in net.buses], t_h)
+    radii = np.repeat(net.s_cap, t_h)
     return affine, lo, hi, f, g, radii
 
 
@@ -599,20 +602,16 @@ def _make_dso_prox(net: NetworkModel, lay: _Layout):
     return ProxBlock(value, lambda g, v: projector.project(v), 0.0), projector
 
 
-def _make_agg_prox(net: NetworkModel, group: tuple[int, ...], cols: Array):
-    """Prox of an aggregator's feasible set: every consumption row onto its
-    energy budget in one batched call, every other coordinate clipped to
-    its bounds (production to [0, cap], its reactive power to 0)."""
+def _make_agg_prox(net: NetworkModel, at: Array, cols: Array):
+    """Prox of an aggregator's feasible set, the buses at positions ``at``:
+    every consumption row onto its energy budget in one batched call, every
+    other coordinate clipped to its bounds (production to [0, cap], its
+    reactive power to 0)."""
     pc = cols[:, 0]
-    p_lo = np.array([net.p_lo[n] for n in group])
-    p_hi = np.array([net.p_hi[n] for n in group])
-    energy = np.array([net.energy[n] for n in group])
-    lo = np.zeros(cols.size)
-    hi = np.zeros(cols.size)
+    p_lo, p_hi, energy = net.p_lo[at], net.p_hi[at], net.energy[at]
+    lo, hi = np.zeros(cols.size), np.zeros(cols.size)
     lo[pc], hi[pc] = p_lo, p_hi
-    for i, n in enumerate(group):
-        if n in net.renewable:
-            hi[cols[i, 1]] = net.renewable[n]
+    hi[cols[:, 1]] = net.renewable[at]
 
     def project(v):
         v = np.asarray(v, dtype=float)
@@ -662,15 +661,15 @@ def build_opf_problem(net: NetworkModel, *, drop_shunt: bool = False) -> Problem
     a0[lay.p[lay.up[inner]], lay.f[inner]] = 1.0
     a0[lay.q[lay.up[inner]], lay.g[inner]] = 1.0
     if not drop_shunt:
-        a0[lay.q, lay.v] = -np.array([[net.b_shunt[n]] for n in net.buses])
+        a0[lay.q, lay.v] = -net.b_shunt[:, None]
 
     a_blocks = [a0]
-    for group, (at, cols) in zip(net.aggregators, lay.groups):
+    for at, cols in lay.groups:
         pc, pg, qg = cols.transpose(1, 0, 2)
         a_a = np.zeros((q, cols.size))
         a_a[lay.p[at], pc] = 1.0
         a_a[lay.p[at], pg] = -1.0
-        a_a[lay.q[at], pc] = np.array([[net.tau_c[n]] for n in group])
+        a_a[lay.q[at], pc] = net.tau_c[at][:, None]
         a_a[lay.q[at], qg] = -1.0
         a_blocks.append(a_a)
 
@@ -684,9 +683,9 @@ def build_opf_problem(net: NetworkModel, *, drop_shunt: bool = False) -> Problem
     dso_prox, dso_projector = _make_dso_prox(net, lay)
     smooth = [SmoothBlock.quadratic(h0, c0)]
     prox = [dso_prox]
-    for group, (_, cols) in zip(net.aggregators, lay.groups):
+    for at, cols in lay.groups:
         smooth.append(SmoothBlock.zero(cols.size))
-        prox.append(_make_agg_prox(net, group, cols))
+        prox.append(_make_agg_prox(net, at, cols))
 
     return ProblemSpec(
         blocks=BlockStructure(tuple(a.shape[1] for a in a_blocks)),

@@ -669,7 +669,7 @@ def cumulative_weight_bound(
 
 def children(net: NetworkModel, n: int) -> list[int]:
     """The buses whose parent is ``n``, in bus order."""
-    return [m for m in net.buses if net.parent[m] == n]
+    return [m for m, up in zip(net.buses, net.parent) if up == n]
 
 
 def dso_primitives(problem: ProblemSpec):
@@ -687,23 +687,21 @@ def dso_primitives(problem: ProblemSpec):
 def make_single_line_network(demand=(0.5, 0.25)) -> NetworkModel:
     """One slack, one bus, fixed per-period demand: the marginal prices at
     the bus equal the slack cost derivatives at that demand."""
-    demand = np.asarray(demand, dtype=float)
-    t = demand.size
+    demand = np.asarray(demand, dtype=float)[None, :]
     return NetworkModel(
         buses=(1,),
-        parent={1: 0},
-        r={1: 1e-3},
-        x={1: 1e-3},
-        s_cap={1: 5.0},
-        b_shunt={1: 0.0},
-        p_lo={1: demand.copy()},
-        p_hi={1: demand.copy()},
-        energy={1: float(demand.sum())},
-        tau_c={1: 0.0},
-        renewable={},
+        parent=[0],
+        r=[1e-3],
+        x=[1e-3],
+        s_cap=[5.0],
+        b_shunt=[0.0],
+        p_lo=demand,
+        p_hi=demand,
+        energy=demand.sum(axis=1),
+        tau_c=[0.0],
+        renewable=np.zeros_like(demand),
         v_lo=0.25,
         v_hi=4.0,
         v0=1.0,
-        horizon=t,
         aggregators=((1,),),
     )

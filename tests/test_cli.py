@@ -800,6 +800,7 @@ out = {out}
         ("bus", "n,S,R_e3,", "n,S,", "bus table is missing columns"),
         ("edges", "8,7", "20,7", "bus 7: parent 20 is neither a bus"),
         ("edges", "0,12\n", "", "bus 12 has no parent edge"),
+        ("edges", "0,1\n1,2\n", "2,1\n", "bus 2 has no parent edge"),
         ("edges", "8,7\n", "8,7\n5,7\n", "edge 5,7: bus 7 has two parent edges"),
         ("edges", "0,12\n", "0,12\n3,99\n", "edge 3,99: child 99 is not in the bus table"),
         ("bus", "\n4,", "\n3,9.999,138.4,197.8,2.4,0.003,0.011,0.020,0.035,0.047,0.418\n4,",
@@ -807,11 +808,15 @@ out = {out}
         ("bus", "\n3,0.256,138.4,197.8,2.4,0.003,", "\n3,0.256,138.4,197.8,2.4,nan,",
          "bus 3: consumption floor Pmin [nan, 0.011] is not finite"),
         ("bus", "\n3,0.256,", "\n3,-1,", "bus 3: line capacity S -1.0 is negative"),
+        ("bus", "\n3,0.256,138.4,", "\n3,0.256,abc,", "bus 3: R_e3 'abc' is not a number"),
+        ("bus", "\n14,", "\n0,2.0,1.0,120.0,1.1,0,0,0.1,0.1,0,0\n14,",
+         "the bus table has a row for the slack bus 0"),
         ("bus", "0.047,0.418", "0.047,nan", "bus 3: reactive ratio tau_c nan is not finite"),
         ("bus", "0.035,0.047,", "0.035,inf,", "bus 3: energy demand E inf is not finite"),
     ], ids=["bus-columns-missing", "parent-not-a-bus", "bus-without-parent",
-            "repeated-child", "child-not-a-bus", "repeated-bus", "nan-floor",
-            "negative-capacity", "nan-tau_c", "infinite-energy"])
+            "ancestor-without-parent", "repeated-child", "child-not-a-bus", "repeated-bus",
+            "nan-floor", "negative-capacity", "non-numeric-value", "slack-bus-row", "nan-tau_c",
+            "infinite-energy"])
     def test_malformed_grid_data_exit_code(self, tmp_path, capsys, table, old, new, message):
         from blockpd.dlmp import default_network_paths
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import re
 import shutil
@@ -25,6 +26,43 @@ def net15():
 @pytest.fixture(scope="module")
 def opf15(net15):
     return dlmp.build_opf_problem(net15)
+
+
+# SHA-256 of each assembled array's dtype, shape and bytes (see
+# ``array_digest``) for the bundled network and the single line: a change to
+# how the network holds its data must keep every assembled bit
+ASSEMBLY_DIGESTS = {
+    "net15": {
+        "a": "386515f8ac386bccde213fa44642bf53572c47e728b844ef648f346aef0f9867",
+        "b": "f762d1a118f3fe6e5e5be4fef78d21d9ce2cf10a53cace1568699758c3f05ff5",
+        "c": "9582c818352e9023686461353df27aa8710a95a249c8574025335ed0b63746c0",
+        "e": "468fa2c872cb47dddf8802fb39ab7a9afd8c889d107f5f7df79130f4a8e3c5ed",
+        "lo": "2bef9df8341eda6ad9efa9a4d6eb719864b97b63b847619547c7eba67a582608",
+        "hi": "7a8ed0eedae7f32409a4546c71d2b56a183b4aec7c0707bca23b3562c285e0f1",
+        "radii": "29324e12e757593b9490fab8a87858669056184a58dcdca4e8a11b594421c2f5",
+        "x0": "df894bb724b4a1aac312906d49c7ce2c43dd7bea3ba9be2cafc43ca92b6d18f6",
+        "agg_prox": "2d5c59c29a11f7d3dfb0908e284292abaf1cfe3568b7f08521a36f49a097fab7",
+    },
+    "line": {
+        "a": "d0f3fae41633a35f6725b359b582f0eaad62b67ce62ffb9f200f04152f609ebf",
+        "b": "faeb3ed5ffcb5a15edc94952976430d5d7323e2353ca0da4da6b3b43d41fd7b8",
+        "c": "c28d86384d076755e2d2ad24dc380b669548749646dbe5d16e91cd715de37157",
+        "e": "f6c99c16dce9374cacfe401bb644a9c8562a9e60648690fd6b9a1672b832ac50",
+        "lo": "4c248f7d5d40fe9ec2c4692a52f891b69fafe5e69725a4587da6d44910fbd053",
+        "hi": "074be1c1ebdaf66baff547fb8760d0a48482ccd3ad573930242450c938f18457",
+        "radii": "e4d60bdd84e7866189a944aae5bed2b99d50bfe7115be969a8f9362330f3d79e",
+        "x0": "eea492fc627d6c7a0e4fb10a60750a32a9f229b8087a2ea9b478c4b3d80c7d6d",
+        "agg_prox": "e6f62be4a27ebc1b77770c5201ee35f169fb259cdac74994265157a4e40f56b1",
+    },
+}
+# ``drop_shunt`` changes only the shunt entries of A
+NO_SHUNT_A_DIGEST = "107ce796f7a33d1cc0cb1d22922c558bc938df27008ca2c6b20db10c36281b05"
+
+
+def array_digest(values) -> str:
+    values = np.asarray(values)
+    head = repr((values.dtype.str, values.shape)).encode()
+    return hashlib.sha256(head + np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 # a fixed path length: the seed-1 iteration count to residual 1e-4 when the
@@ -108,21 +146,23 @@ class TestLoadNetwork:
         assert Path(bus).parent == Path(edges).parent == pkg / "data"
 
     def test_line_one_parameters(self, net15):
-        assert net15.s_cap[1] == pytest.approx(2.000)
-        assert net15.r[1] == pytest.approx(1.0e-3)
-        assert net15.x[1] == pytest.approx(120e-3)
+        assert net15.buses[0] == 1
+        assert net15.s_cap[0] == pytest.approx(2.000)
+        assert net15.r[0] == pytest.approx(1.0e-3)
+        assert net15.x[0] == pytest.approx(120e-3)
 
     def test_renewable_caps(self, net15):
-        assert np.allclose(net15.renewable[11], [0.438, 0.201])
-        assert set(net15.renewable) == {11}
+        at = net15.buses.index(11)
+        assert np.allclose(net15.renewable[at], [0.438, 0.201])
+        assert np.flatnonzero(net15.renewable.any(axis=1)).tolist() == [at]
 
     def test_voltage_bounds(self, net15):
         assert (net15.v_lo, net15.v_hi) == (0.81, 1.21)
         assert net15.v0 == 1.0
 
     def test_tree_structure(self, net15):
-        assert net15.parent[7] == 8
-        assert net15.parent[8] == 3
+        assert net15.parent[net15.buses.index(7)] == 8
+        assert net15.parent[net15.buses.index(8)] == 3
         assert sorted(children(net15, 0)) == [1, 12]
         assert net15.n_buses == 14
 
@@ -156,6 +196,47 @@ class TestLoadNetwork:
         with pytest.raises(ValueError, match="bus 7: parent 20 is neither a bus"):
             dlmp.load_network(bus, str(bad))
 
+    @pytest.mark.parametrize("edits, message", [
+        ([("0,1\n1,2\n", "2,1\n")], "bus 2 has no parent edge"),
+        ([("0,1\n1,2\n", "2,1\n"), ("0,12\n", "")],
+         "bus 2 has no parent edge; bus 12 has no parent edge"),
+    ], ids=["ancestor", "two-buses"])
+    def test_every_bus_needs_a_parent_edge(self, tmp_path, edits, message):
+        # bus 2 becomes bus 1's parent but has no parent edge itself
+        bus, edges = dlmp.default_network_paths()
+        text = open(edges).read()
+        for old, new in edits:
+            text = text.replace(old, new)
+        bad = tmp_path / "edges.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dlmp.load_network(bus, str(bad))
+
+    def test_slack_bus_row_rejected(self, tmp_path):
+        # a bus 0 would be its own child, and the branch partition would never end
+        bus, edges = dlmp.default_network_paths()
+        bad_bus, bad_edges = tmp_path / "bus.csv", tmp_path / "edges.csv"
+        bad_bus.write_text(open(bus).read() + "0,2.0,1.0,120.0,1.1,0,0,0.1,0.1,0,0\n")
+        bad_edges.write_text(open(edges).read() + "0,0\n")
+        with pytest.raises(ValueError, match="the bus table has a row for the slack bus 0"):
+            dlmp.load_network(str(bad_bus), str(bad_edges))
+
+    def test_non_numeric_bus_value_named(self, tmp_path):
+        bus, edges = dlmp.default_network_paths()
+        bad = tmp_path / "bus.csv"
+        bad.write_text(open(bus).read().replace("\n3,0.256,138.4,", "\n3,0.256,abc,"))
+        with pytest.raises(ValueError, match=re.escape("bus 3: R_e3 'abc' is not a number")):
+            dlmp.load_network(str(bad), edges)
+
+    def test_model_holds_its_own_read_only_arrays(self):
+        demand = np.array([[0.5, 0.25]])
+        net = replace(make_single_line_network(), p_lo=demand, p_hi=demand)
+        demand[0, 0] = 9.0  # a later write by the caller
+        assert net.p_lo.tolist() == net.p_hi.tolist() == [[0.5, 0.25]]
+        assert net.parent.dtype.kind == "i" and net.tau_c.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            net.p_hi[0, 0] = 9.0
+
     def test_repeated_child_rejected(self, tmp_path):
         bus, edges = dlmp.default_network_paths()
         bad = tmp_path / "edges.csv"
@@ -188,23 +269,31 @@ class TestLoadNetwork:
             dlmp.load_network(str(bad), edges)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("p_lo", np.array([np.nan, 0.011]), "bus 3: consumption floor Pmin [nan, 0.011] is not finite"),
+        ("p_lo", [np.nan, 0.011], "bus 3: consumption floor Pmin [nan, 0.011] is not finite"),
         ("tau_c", np.nan, "bus 3: reactive ratio tau_c nan is not finite"),
         ("energy", np.inf, "bus 3: energy demand E inf is not finite"),
         ("s_cap", -1.0, "bus 3: line capacity S -1.0 is negative"),
-        ("p_lo", np.array([0.003]), "bus 3: consumption floor Pmin has shape (1,), expected (2,)"),
-        ("p_hi", np.array([0.02, 0.035, 1.0]),
-         "bus 3: consumption cap Pmax has shape (3,), expected (2,)"),
-        ("renewable", np.array([0.1]), "bus 3: renewable caps has shape (1,), expected (2,)"),
-    ], ids=["nan-floor", "nan-tau_c", "infinite-energy", "negative-capacity", "short-floor",
-            "long-cap", "short-renewable"])
+        ("renewable", [np.nan, 0.1], "bus 3: renewable caps [nan, 0.1] is not finite"),
+        ("renewable", [-1.0, -1.0], "bus 3: renewable caps [-1.0, -1.0] is negative"),
+        # whole-array cases: the floors' columns set the horizon
+        ("p_lo", lambda a: a[:, :1], "consumption cap Pmax has shape (14, 2), expected (14, 1)"),
+        ("p_hi", lambda a: np.hstack([a, a[:, :1]]),
+         "consumption cap Pmax has shape (14, 3), expected (14, 2)"),
+        ("renewable", lambda a: a[:, :1], "renewable caps has shape (14, 1), expected (14, 2)"),
+    ], ids=["nan-floor", "nan-tau_c", "infinite-energy", "negative-capacity",
+            "nan-renewable", "negative-renewable", "short-floor", "long-cap",
+            "short-renewable"])
     def test_bus_values_are_domain_checked(self, net15, field, value, message):
+        if callable(value):
+            values = value(getattr(net15, field))
+        else:  # bus 3's entry
+            values = np.array(getattr(net15, field))
+            values[net15.buses.index(3)] = value
         with pytest.raises(ValueError, match=re.escape(message)):
-            replace(net15, **{field: {**getattr(net15, field), 3: value}})
+            replace(net15, **{field: values})
 
     @pytest.mark.parametrize("field, value, message", [
-        ("renewable", {7: np.array([0.1, 0.1])},
-         "renewable caps name bus 7, which is not in the bus table"),
+        ("renewable", np.zeros((2, 2)), "renewable caps has shape (2, 2), expected (1, 2)"),
         ("aggregators", ((1,), ()), "aggregator group 1 is empty"),
     ], ids=["renewable-off-table", "empty-group"])
     def test_network_structure_is_checked(self, field, value, message):
@@ -272,6 +361,7 @@ class TestBuildProblem:
             for n, (c, p, r) in zip(group, plans):
                 pc[n], pg[n], qg[n] = c, p, r
         shunt = 0.0 if drop_shunt else 1.0
+        at = {n: i for i, n in enumerate(net.buses)}  # the network's arrays are in bus order
 
         # coupling rows: flow conservation at every bus and period
         rows = dlmp.extract_dlmp(problem.a @ x - problem.b, problem)
@@ -279,8 +369,8 @@ class TestBuildProblem:
         for n, t, row_p, row_q in rows:
             kids = children(net, n)
             active = pc[n][t] - pg[n][t] + sum(f[m][t] for m in kids) - f[n][t]
-            reactive = (net.tau_c[n] * pc[n][t] - qg[n][t] + sum(g[m][t] for m in kids)
-                        - g[n][t] - shunt * net.b_shunt[n] * v[n][t])
+            reactive = (net.tau_c[at[n]] * pc[n][t] - qg[n][t] + sum(g[m][t] for m in kids)
+                        - g[n][t] - shunt * net.b_shunt[at[n]] * v[n][t])
             assert row_p == pytest.approx(active, abs=1e-12)
             assert row_q == pytest.approx(reactive, abs=1e-12)
 
@@ -290,10 +380,11 @@ class TestBuildProblem:
         for t in range(t_h):
             expected.append(sum(f[m][t] for m in children(net, 0)) - p0[t])
             expected.append(sum(g[m][t] for m in children(net, 0)) - q0[t])
-        for n in net.buses:
+        for n, up in zip(net.buses, net.parent):
             for t in range(t_h):
-                v_up = net.v0 if net.parent[n] == 0 else v[net.parent[n]][t]
-                expected.append(v[n][t] - v_up + 2 * net.r[n] * f[n][t] + 2 * net.x[n] * g[n][t])
+                v_up = net.v0 if up == 0 else v[up][t]
+                expected.append(v[n][t] - v_up + 2 * net.r[at[n]] * f[n][t]
+                                + 2 * net.x[at[n]] * g[n][t])
         assert np.max(np.abs(affine.c_matrix @ dso - affine.e - expected)) <= 1e-12
 
         # slack and voltage box, unbounded flows, one flow ball per line and period
@@ -302,9 +393,33 @@ class TestBuildProblem:
                                                       np.full(n_b * t_h, net.v_lo)]))
         assert np.array_equal(box.hi, np.concatenate([np.full(2 * t_h, 10.0), inf,
                                                       np.full(n_b * t_h, net.v_hi)]))
-        assert np.array_equal(balls.radii, [net.s_cap[n] for n in net.buses for _ in range(t_h)])
+        assert np.array_equal(balls.radii, [s for s in net.s_cap for _ in range(t_h)])
         assert np.array_equal(dso[balls.f], dso[2 * t_h : (2 + n_b) * t_h])
         assert np.array_equal(dso[balls.g], dso[(2 + n_b) * t_h : (2 + 2 * n_b) * t_h])
+
+    @pytest.mark.parametrize("network, drop_shunt",
+                             [("net15", False), ("net15", True), ("line", False)])
+    def test_assembly_bits_are_pinned(self, request, network, drop_shunt):
+        # the operator's rows, box and balls, the initial point (every
+        # aggregator prox from zero) and every aggregator prox at 0.5, which
+        # lies above bus 11's production caps
+        net = (request.getfixturevalue("net15") if network == "net15"
+               else make_single_line_network())
+        problem = dlmp.build_opf_problem(net, drop_shunt=drop_shunt)
+        projector = problem.meta["dso_projector"]
+        arrays = {
+            "a": problem.a, "b": problem.b, "c": projector.c, "e": projector.e,
+            "lo": projector.lo, "hi": projector.hi, "radii": projector.radii,
+            "x0": dlmp.opf_initial_point(problem),
+            "agg_prox": np.concatenate([
+                problem.prox[a].prox(None, np.full(problem.blocks.dims[a], 0.5))
+                for a in range(1, problem.d)
+            ]),
+        }
+        expected = dict(ASSEMBLY_DIGESTS[network])
+        if drop_shunt:
+            expected["a"] = NO_SHUNT_A_DIGEST
+        assert {name: array_digest(v) for name, v in arrays.items()} == expected
 
     def test_coupling_is_consistent_by_default(self, opf15):
         ref = bp.least_squares_reference(opf15)
@@ -418,10 +533,9 @@ class TestProjectors:
             sl = opf15.blocks.block_slice(a)
             blk = opf15.prox[a]
             shape = (len(group), 3, net15.horizon)
-            p_lo = np.array([net15.p_lo[n] for n in group])
-            p_hi = np.array([net15.p_hi[n] for n in group])
-            energy = np.array([net15.energy[n] for n in group])
-            caps = np.array([net15.renewable.get(n, np.zeros(net15.horizon)) for n in group])
+            at = [net15.buses.index(n) for n in group]
+            p_lo, p_hi, energy = net15.p_lo[at], net15.p_hi[at], net15.energy[at]
+            caps = net15.renewable[at]
             for scale in (0.3, 3.0):
                 for _ in range(5):
                     v = x0[sl] + rng.standard_normal(sl.stop - sl.start) * scale
