@@ -8,7 +8,8 @@ step (single-coordinate sampling) under the uncertified constant policy,
 and prints the median microseconds per engine step and per trace row
 (``solver._trace_record``, what ``run`` pays every ``trace_every`` steps)
 over several timed windows, plus each engine's step cost at the last d
-over its cost at the first.  A step that touches only its active blocks
+over its cost at the first and the one-off time of each rung's
+least-squares reference.  A step that touches only its active blocks
 keeps that ratio near 1; a row is O(m) by nature.  It also prints the
 process's peak resident set (``ru_maxrss``) right after the imports and
 again at the end, after every rung is built and run.  Runs on one BLAS
@@ -61,14 +62,16 @@ def main():
         trees["against"] = load_tree(args.against)
     print(f"maxrss_mb after imports: {peak_rss_mb():.1f}")
 
-    runs = {}
+    runs, ref_ms = {}, {}
     for d in args.d:
         for tree_name, tree in trees.items():
             p = tree.make_random_inconsistent_ls(
                 seed=args.seed, d=d, dims=4, q=args.q, noise=0.6
             )
             s = tree.single_coordinate(d)
+            t0 = time.perf_counter()
             ref = tree.least_squares_reference(p)
+            ref_ms[tree_name, d] = (time.perf_counter() - t0) * 1e3
             for name, cls in ENGINES.items():
                 policy = tree.convex_default_policy(p, s, certify=False)
                 eng = getattr(tree.solver, cls)(p, s, policy)
@@ -113,6 +116,7 @@ def main():
         table(lambda d, n: us[tree_name, d, n], lambda d, n: row_us[tree_name, d, n], ".1f")
         print(f"ratio d={hi} / d={lo}: " + ", ".join(
             f"{name} {us[tree_name, hi, name] / us[tree_name, lo, name]:.2f}x" for name in ENGINES))
+        print("reference ms: " + ", ".join(f"d={d} {ref_ms[tree_name, d]:.2f}" for d in args.d))
     if args.against:
         print("this / against (ratio of the medians)")
         table(lambda d, n: us["this", d, n] / us["against", d, n],

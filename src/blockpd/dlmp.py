@@ -102,9 +102,10 @@ class NetworkModel:
     produces nothing) of shape (n, T), T being the columns of ``p_lo``.
     Each array is copied once, read-only, so a later write by the caller
     cannot reach a checked model.  Each must have its shape, every value be
-    finite, every line capacity and production cap non-negative, every
-    parent a bus or 0, the edges a tree and every aggregator group non-empty
-    (``ValueError`` naming the bus, field or group)."""
+    finite, every line capacity and production cap non-negative, no bus
+    numbered 0 (the slack bus), every parent a bus or 0, the edges a tree
+    and every aggregator group non-empty (``ValueError`` naming the bus,
+    field or group)."""
 
     buses: tuple[int, ...]
     parent: Array
@@ -125,6 +126,8 @@ class NetworkModel:
     def __post_init__(self):
         if not self.buses:
             raise ValueError("the bus table has no buses")
+        if 0 in self.buses:
+            raise ValueError("bus 0 is the slack bus, not a bus of the table")
         labels = {"parent": "parent", **{name: label for name, label, _, _ in BUS_TABLE},
                   "renewable": "renewable caps"}
         series = {name for name, _, cols, _ in BUS_TABLE if len(cols) > 1} | {"renewable"}
@@ -237,6 +240,17 @@ def _bus_value(rec: dict, column: str) -> float:
         raise ValueError(f"bus {rec['n']}: {column} {rec[column]!r} is not a number") from None
 
 
+def _int_cell(path: str, reader: csv.DictReader, rec: dict, column: str) -> int:
+    """The integer in ``column`` of the row ``reader`` just read from
+    ``path``, or a ``ValueError`` naming the file, line and column."""
+    try:
+        return int(rec[column])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{path}, line {reader.line_num}: {column} {rec[column]!r} is not an integer"
+        ) from None
+
+
 def load_network(bus_path: str, edges_path: str) -> NetworkModel:
     """Read the bus table and edge list of a two-period study.
 
@@ -250,9 +264,10 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
     table has it, produces up to (0.438, 0.201), fully active, as in the
     bundled study.  Malformed data (a row for the slack bus, a bus value
     that is not a number or not finite, buses with no parent edge, a
-    negative line capacity ``S``) raises ``ValueError`` naming the buses; a
-    consumption floor above its cap or an energy demand above the caps
-    raises :class:`InfeasibleInstance`.
+    negative line capacity ``S``) raises ``ValueError`` naming the buses,
+    and a bus number or edge end that is not an integer one naming the
+    file, line and column; a consumption floor above its cap or an energy
+    demand above the caps raises :class:`InfeasibleInstance`.
     """
     rows = {}
     with open(bus_path, newline="") as fh:
@@ -261,7 +276,7 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
         if missing:
             raise ValueError(f"bus table is missing columns: {missing}")
         for rec in reader:
-            n = int(rec["n"])
+            n = _int_cell(bus_path, reader, rec, "n")
             if n == 0:
                 raise ValueError("the bus table has a row for the slack bus 0")
             if n in rows:
@@ -273,7 +288,7 @@ def load_network(bus_path: str, edges_path: str) -> NetworkModel:
         if not reader.fieldnames or set(reader.fieldnames) < {"parent", "child"}:
             raise ValueError("edge list needs 'parent' and 'child' columns")
         for rec in reader:
-            par, child = int(rec["parent"]), int(rec["child"])
+            par, child = (_int_cell(edges_path, reader, rec, c) for c in ("parent", "child"))
             if child not in rows:
                 raise ValueError(f"edge {par},{child}: child {child} is not in the bus table")
             if child in parent:

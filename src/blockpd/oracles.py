@@ -57,28 +57,26 @@ class Reference:
 def least_squares_reference(p: ProblemSpec) -> Reference:
     """Penalty floor via the normal equations (minimum-norm solution).
 
-    Solved first from the problem's cached Gram matrix G = A'A, the product
-    the step certificates scale (:func:`_gram_min_norm`).  G squares the
-    singular values of A, so its factorisation treats as null every
-    direction with singular value below about sqrt(m eps) ||A||; the Gram
-    solve declines unless each such direction is null for A itself at the
+    Solved first from a Gram matrix of A on its shorter side
+    (:func:`_gram_min_norm`): the q x q K = AA' when the instance is wide,
+    q < m, and otherwise the problem's cached G = A'A, the product the step
+    certificates scale.  A wide instance never forms the m x m G here, so
+    its reference costs O(q^2 m) time and O(q^2 + q m) memory, where G
+    would take O(q m^2) and O(m^2).  Both Gram matrices square the
+    singular values of A, so they do not resolve a direction whose
+    singular value is below about sqrt(m eps) ||A||; the Gram solve
+    declines unless each such direction is null for A itself at the
     cut-off of the complete orthogonal factorisation of A
-    (:func:`_gelsy_min_norm`).  A solution must meet the normal equations
-    relative to the problem's scale,
-    ||A'(A x - b)||_inf <= 1e-8 max(max_i G_ii ||x||_inf, ||A'b||_inf),
-    checked from A; scaling A and b together by c scales both sides by c^2,
-    and A = 0 passes with x = 0.
-    When the Gram solve declines or misses that check, ``gelsy`` runs
-    instead; a miss there raises :class:`InvariantViolation`."""
-    atb_max = float(np.max(np.abs(p.a.T @ p.b)))
-    g_max = float(p.gram.diagonal().max())
+    (:func:`_gram_factor`, :func:`_gelsy_min_norm`).  A solution must meet
+    the normal equations relative to the problem's scale
+    (:func:`_normal_equations`, checked from A); when the Gram solve
+    declines or misses that check, ``gelsy`` runs instead; a miss there
+    raises :class:`InvariantViolation`."""
     for solve in (_gram_min_norm, _gelsy_min_norm):
         x_ls = solve(p)
         if x_ls is None:
             continue
-        r_ls = p.a.dot(x_ls) - p.b
-        normal = float(np.max(np.abs(p.a.T @ r_ls)))
-        bound = 1e-8 * max(g_max * float(np.max(np.abs(x_ls))), atb_max)
+        r_ls, normal, bound = _normal_equations(p, x_ls)
         if normal <= bound:
             return Reference(x_ls=x_ls, r_ls=r_ls, h_star=0.5 * float(r_ls.dot(r_ls)))
     raise InvariantViolation(
@@ -87,10 +85,32 @@ def least_squares_reference(p: ProblemSpec) -> Reference:
     )
 
 
+def _col_sq_max(p: ProblemSpec) -> float:
+    """max_j ||A_j||^2, the largest diagonal entry of G = A'A: read off G
+    where the problem already holds it, and otherwise from the columns of
+    A, O(q m), without forming G."""
+    if "gram" in vars(p):
+        return float(p.gram.diagonal().max())
+    return float(np.einsum("ij,ij->j", p.a, p.a).max())
+
+
+def _normal_equations(p: ProblemSpec, x: Array) -> tuple[Array, float, float]:
+    """The residual r = Ax - b, the normal-equation miss ||A'r||_inf and
+    its bound 1e-8 max(max_i G_ii ||x||_inf, ||A'b||_inf), relative to the
+    problem's scale: scaling A and b together by c scales both sides by
+    c^2, and A = 0 passes with x = 0."""
+    r = p.a.dot(x) - p.b
+    normal = float(np.max(np.abs(p.a.T @ r)))
+    atb_max = float(np.max(np.abs(p.a.T @ p.b)))
+    bound = 1e-8 * max(_col_sq_max(p) * float(np.max(np.abs(x))), atb_max)
+    return r, normal, bound
+
+
 class _GramFactor(NamedTuple):
-    """Pivoted Cholesky factor P'GP = U'U of G = ``p.gram``, U = [U11 U12]
-    of rank r: ``low`` is U11' (lower triangular), ``perm`` and ``dropped``
-    the columns of G the factor kept and dropped, and W = U11^{-1} U12."""
+    """Pivoted Cholesky factor P'GP = U'U of an n x n Gram matrix G
+    (A'A, AA' or A H^{-1} A'), U = [U11 U12] of rank r: ``low`` is U11'
+    (lower triangular), ``perm`` and ``dropped`` the columns of G the
+    factor kept and dropped, and W = U11^{-1} U12."""
 
     low: Array
     perm: Array
@@ -109,70 +129,129 @@ class _GramFactor(NamedTuple):
         return z
 
     def null_basis(self) -> Array:
-        """N = P [-W; I], whose m - r columns span the null space of U."""
+        """N = P [-W; I], whose n - r columns span the null space of U."""
         null = np.zeros((len(self.perm) + len(self.dropped), len(self.dropped)))
         null[self.perm] = -self.w
         null[self.dropped, np.arange(len(self.dropped))] = 1.0
         return null
 
+    def null_solve(self, rhs: Array) -> Array:
+        """(I + W'W)^{-1} rhs, with N'N = I + W'W; I + W'W >= I, so its
+        Cholesky factor always exists (n > r)."""
+        f, _ = lapack.dpotrf(np.eye(self.dropped.size) + self.w.T @ self.w)
+        t, _ = lapack.dpotrs(f, rhs)
+        return t
 
-def _gram_factor(p: ProblemSpec) -> _GramFactor | None:
-    """G = ``p.gram`` factored by pivoted Cholesky (LAPACK ``dpstrf``, its
-    default rank cut-off m * eps * max_i G_ii), or None when G's rank is
-    below the rank ``gelsy`` would find for A.  Made once per problem and
-    kept in ``p.derived``, None included, so the least-squares and the
-    quadratic reference share one factorisation.
+    def range_part(self, rhs: Array) -> Array:
+        """The kept entries of rhs less its orthogonal projection N t onto
+        the null space of U, (I + W'W) t = N'rhs: rhs_kept + W t.
+
+        For rhs in the range of the factored G this changes nothing; for
+        any other rhs the basic solution P [U11^{-1} U11^{-T} rhs_kept; 0]
+        does not solve G u = rhs in the least-squares sense, and the basic
+        solution of this projection does."""
+        kept = rhs[self.perm]
+        if self.dropped.size:
+            kept += self.w @ self.null_solve(rhs[self.dropped] - self.w.T @ kept)
+        return kept
+
+    def drop_null(self, z: Array) -> Array:
+        """The basic solution P [z; 0] less its component in the null space
+        of U: P [z - W t; t] with (I + W'W) t = W'z, the minimum-norm
+        element of P [z; 0] + null(U), at O(r^2 (n - r))."""
+        u = np.empty(len(self.perm) + len(self.dropped))
+        u[self.perm] = z
+        if not self.dropped.size:
+            return u
+        t = self.null_solve(self.w.T @ z)
+        u[self.perm] -= self.w @ t
+        u[self.dropped] = t
+        return u
+
+
+def _pivoted_factor(gram: Array) -> _GramFactor:
+    """``gram`` factored by pivoted Cholesky (LAPACK ``dpstrf``, its
+    default rank cut-off n * eps * max_i G_ii)."""
+    c, piv, rank, _ = lapack.dpstrf(gram)
+    low = c[:rank, :rank].T
+    w = np.zeros((rank, gram.shape[0] - rank))
+    if 0 < rank < gram.shape[0]:
+        w, _ = lapack.dtrtrs(low, c[:rank, rank:], lower=1, trans=1)
+    return _GramFactor(low, piv[:rank] - 1, piv[rank:] - 1, w)
+
+
+def _gram_factor(p: ProblemSpec, wide: bool | None = None) -> _GramFactor | None:
+    """The Gram matrix of A on one side factored by :func:`_pivoted_factor`,
+    or None when it does not resolve every direction ``gelsy`` would keep
+    for A.  The side is the shorter one unless ``wide`` picks it:
+    K = AA' (q x q) when the instance is wide, q < m, and G = ``p.gram`` =
+    A'A (m x m) otherwise.  Both have the rank of A; K costs O(q^2 m) time
+    and O(q^2) memory where G costs O(q m^2) and O(m^2).  Made once per
+    problem and side and kept in ``p.derived``, None included, so the
+    least-squares and the quadratic reference share one factorisation.
 
     When r < min(q, m), each column N_j of :meth:`_GramFactor.null_basis`
-    must be null for A at ``gelsy``'s cut-off,
-    ||A N_j|| <= eps * max(q, m) * sqrt(max_i G_ii) * ||N_j|| (the largest
+    must be null for A at ``gelsy``'s cut-off (for A' on the q side: the
+    null space of AA' is that of A'),
+    ||A N_j|| <= eps * max(q, m) * max_i ||A_i|| * ||N_j|| (the largest
     column norm of A, where ``gelsy``'s pivoted QR starts), which costs
-    O(q m (m - r)).  At r = min(q, m) the factor kept as many directions
-    as A has singular values, each far above ``gelsy``'s cut-off, so the
-    two ranks agree and the check is skipped; at r = 0, G = 0 and so A = 0.
+    O(q m (n - r)) for a factor of order n.  At r = min(q, m) the factor
+    kept as many directions as A has singular values, and on the m side
+    each is far above ``gelsy``'s cut-off, so the two ranks agree and the
+    check is skipped; at r = 0 the Gram matrix is 0 and so is A.
+
+    Each entry of K sums m products, so K resolves no singular value of A
+    below about sqrt(m eps) ||A||: G's factor drops such a direction at its
+    cut-off m eps max_i G_ii.  K's factor may keep it, because a pivot
+    can sit far above the eigenvalue it stands for, and a kept direction
+    has no null column to check.  So the q-side factor also declines when
+    the reciprocal condition estimate of U11 (LAPACK ``dtrcon``, O(r^2))
+    is below sqrt(m eps).
     """
-    if _GramFactor in p.derived:
-        return p.derived[_GramFactor]
-    c, piv, rank, _ = lapack.dpstrf(p.gram)
-    low = c[:rank, :rank].T
-    w = np.zeros((rank, p.m - rank))
-    if 0 < rank < p.m:
-        w, _ = lapack.dtrtrs(low, c[:rank, rank:], lower=1, trans=1)
-    factor = _GramFactor(low, piv[:rank] - 1, piv[rank:] - 1, w)
-    if 0 < rank < min(p.q, p.m):
+    if wide is None:
+        wide = p.q < p.m
+    key = (_GramFactor, wide)
+    if key in p.derived:
+        return p.derived[key]
+    factor = _pivoted_factor(p.a @ p.a.T if wide else p.gram)
+    rank = len(factor.perm)
+    eps = np.finfo(float).eps
+    if wide and rank and lapack.dtrcon(factor.low, uplo="L")[0] < np.sqrt(p.m * eps):
+        factor = None
+    elif 0 < rank < min(p.q, p.m):
         null = factor.null_basis()
-        cut = np.finfo(float).eps * max(p.q, p.m) * np.sqrt(p.gram.diagonal().max())
-        if np.any(np.linalg.norm(p.a @ null, axis=0) > cut * np.linalg.norm(null, axis=0)):
+        image = (p.a.T if wide else p.a) @ null
+        cut = eps * max(p.q, p.m) * np.sqrt(_col_sq_max(p))
+        if np.any(np.linalg.norm(image, axis=0) > cut * np.linalg.norm(null, axis=0)):
             factor = None
-    p.derived[_GramFactor] = factor
+    p.derived[key] = factor
     return factor
 
 
 def _gram_min_norm(p: ProblemSpec) -> Array | None:
-    """Minimum-norm solution of G x = A'b from G = ``p.gram``, or None when
-    :func:`_gram_factor` declines.
+    """Minimum-norm solution of the normal equations A'A x = A'b from the
+    Gram factor of :func:`_gram_factor`, or None when it declines.
 
-    x_b = P [U11^{-1} U11^{-T} (P'A'b)_1; 0] solves the normal equations;
-    taking out its component in the null space of U, x = P [z - W t; t]
-    with (I + W'W) t = W'z, costs O(r^2 (m - r)) beyond the factorisation;
-    I + W'W >= I, so its Cholesky factor always exists.
+    On the m side, with G = ``p.gram``, the basic solution
+    x_b = P [U11^{-1} U11^{-T} (P'A'b)_1; 0] solves the normal equations,
+    and :meth:`_GramFactor.drop_null` takes out its component in the null
+    space of U.  On the q side, with K = AA', x = A'z for any
+    least-squares solution z of K z = b: A'A A'z = A'b holds exactly when
+    Kz - b lies in null(A') = null(K), and x lies in range(A'), so it is
+    the minimum-norm solution.  An inconsistent b has a component in
+    null(K), so z is the basic solution of b's range part
+    (:meth:`_GramFactor.range_part`); no m x m matrix is formed.
     """
     factor = _gram_factor(p)
     if factor is None:
         return None
-    _, perm, dropped, w = factor
-    if not perm.size:  # G = 0, so A = 0
+    if not factor.perm.size:  # the Gram matrix is 0, so A = 0
         return np.zeros(p.m)
-    z = factor.solve_kept(p.a.T.dot(p.b)[perm])
-    x = np.empty(p.m)
-    x[perm] = z
-    if not dropped.size:
-        return x
-    f, _ = lapack.dpotrf(np.eye(dropped.size) + w.T @ w)
-    t, _ = lapack.dpotrs(f, w.T @ z)
-    x[perm] -= w @ t
-    x[dropped] = t
-    return x
+    if p.q < p.m:
+        z = np.zeros(p.q)
+        z[factor.perm] = factor.solve_kept(factor.range_part(p.b))
+        return p.a.T @ z
+    return factor.drop_null(factor.solve_kept(p.a.T.dot(p.b)[factor.perm]))
 
 
 def _gelsy_min_norm(p: ProblemSpec) -> Array:
@@ -208,19 +287,23 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     """Exact solve for fully quadratic instances.
 
     Minimises 0.5 x'Hx + c'x over the affine set x_ls + null(A) of
-    normal-equation solutions by the null-space method: with an orthonormal
-    basis N of null(A), x* = x_ls + N z where (N'HN) z = -N'(H x_ls + c), an
-    (m - r)^2 system.  Requires the generator to have recorded the quadratic
-    data (no box constraints); H = blockdiag(H_i) + mu I is applied by one
-    stacked ``matmul`` per block size (:func:`_apply_hessian`), never
-    formed.  N and the multiplier y* (the minimum-norm
-    solution of A'y = -(H x* + c)) come from the pivoted Cholesky factor of
-    the cached Gram matrix G = A'A (:func:`_gram_factor`): N is a thin QR of
-    P [-W; I], and y* = A z with G z = -(H x* + c) by two triangular solves.
-    The factor is the one :func:`least_squares_reference` made, kept on
-    the problem.  Where the factor declines (its rank is below the
-    rank ``gelsy`` finds for A), N comes from an SVD of A
-    (``scipy.linalg.null_space``) and y* from ``numpy.linalg.lstsq``.
+    normal-equation solutions.  Requires the generator to have recorded the
+    quadratic data (no box constraints); H = blockdiag(H_i) + mu I is
+    never formed.  The method follows the shape, with the factor
+    :func:`least_squares_reference` made, kept on the problem
+    (:func:`_gram_factor`), giving the rank r of A:
+
+    - when q < m - r, the range-space method on the q side
+      (:func:`_range_space_solve`): H is factored block by block and the
+      q x q system A H^{-1} A' is solved for the multiplier, so a wide
+      instance forms no m x m array;
+    - otherwise the null-space method on the m side
+      (:func:`_null_space_solve`), whose reduced system is (m - r)^2; a
+      wide instance forms G = A'A for it, at m <= q + r.
+
+    It falls back from the first to the second when H or A H^{-1} A' does
+    not factor to rank r or its x* misses the normal equations.  In both
+    y* is the minimum-norm solution of A'y = -(H x* + c).
     The multiplier must meet stationarity relative to the size of the
     gradient's terms,
     ||A'y + (H + mu I) x + c||_inf <= 1e-7 max(||(H + mu I) x||_inf, ||c||_inf),
@@ -233,29 +316,15 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     base = least_squares_reference(p)
     c = np.concatenate(quad["c_blocks"])
     factor = _gram_factor(p)
-    if factor is None:
-        null = sla.null_space(p.a)
-    elif factor.dropped.size:
-        # a thin QR of P [-W; I] straight through LAPACK
-        qr, tau, _, _ = lapack.dgeqrf(factor.null_basis())
-        null, _, _ = lapack.dorgqr(qr, tau)
-    else:
-        null = np.empty((p.m, 0))
-    # (H + mu I) [N x_ls]
-    hv = _apply_hessian(p, quad, np.column_stack((null, base.x_ls)))
-    k = null.shape[1]
-    x_star, hx = base.x_ls, hv[:, k]
-    if k:
-        z = np.linalg.solve(null.T @ hv[:, :k], -null.T @ (hx + c))
-        x_star = base.x_ls + null @ z
-        hx = hx + hv[:, :k] @ z
-    grad = hx + c
-    # stationarity demands grad + A'y = 0 for some multiplier y
-    if factor is None:
-        y_star, *_ = np.linalg.lstsq(p.a.T, -grad, rcond=None)
-    else:
-        y_star = _gram_multiplier(p, factor, grad)
-    stationarity = float(np.max(np.abs(p.a.T @ y_star + grad)))
+    solved = None
+    if factor is not None and 0 < len(factor.perm) < p.m - p.q:
+        solved = _range_space_solve(p, quad, base.x_ls, c, len(factor.perm))
+    if solved is None:
+        if factor is not None and p.q < p.m:
+            factor = _gram_factor(p, wide=False)
+        solved = _null_space_solve(p, quad, base.x_ls, c, factor)
+    x_star, hx, y_star = solved
+    stationarity = float(np.max(np.abs(p.a.T @ y_star + (hx + c))))
     bound = 1e-7 * max(float(np.max(np.abs(hx))), float(np.max(np.abs(c))))
     if not stationarity <= bound:
         raise InvariantViolation(
@@ -265,3 +334,80 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     return replace(
         base, x_star=x_star, psi_star=eval_psi(p, x_star), y_star=y_star, source="reduced-qp"
     )
+
+
+def _null_space_solve(
+    p: ProblemSpec, quad: dict, x_ls: Array, c: Array, factor: _GramFactor | None
+) -> tuple[Array, Array, Array]:
+    """x*, (H + mu I) x* and y* by the null-space method: with an
+    orthonormal basis N of null(A), x* = x_ls + N z where
+    (N'HN) z = -N'(H x_ls + c), an (m - r)^2 system.  N and y* come from
+    the pivoted Cholesky factor of G = A'A (``factor``, m side): N is a
+    thin QR of P [-W; I], and y* = A z with G z = -(H x* + c) by two
+    triangular solves (:func:`_gram_multiplier`).  Where the factor
+    declined (None), N comes from an SVD of A (``scipy.linalg.null_space``)
+    and y* from ``numpy.linalg.lstsq``."""
+    if factor is None:
+        null = sla.null_space(p.a)
+    elif factor.dropped.size:
+        # a thin QR of P [-W; I] straight through LAPACK
+        qr, tau, _, _ = lapack.dgeqrf(factor.null_basis())
+        null, _, _ = lapack.dorgqr(qr, tau)
+    else:
+        null = np.empty((p.m, 0))
+    # (H + mu I) [N x_ls]
+    hv = _apply_hessian(p, quad, np.column_stack((null, x_ls)))
+    k = null.shape[1]
+    x_star, hx = x_ls, hv[:, k]
+    if k:
+        z = np.linalg.solve(null.T @ hv[:, :k], -null.T @ (hx + c))
+        x_star = x_ls + null @ z
+        hx = hx + hv[:, :k] @ z
+    grad = hx + c
+    # stationarity demands grad + A'y = 0 for some multiplier y
+    if factor is None:
+        y_star, *_ = np.linalg.lstsq(p.a.T, -grad, rcond=None)
+    else:
+        y_star = _gram_multiplier(p, factor, grad)
+    return x_star, hx, y_star
+
+
+def _range_space_solve(
+    p: ProblemSpec, quad: dict, x_ls: Array, c: Array, rank: int
+) -> tuple[Array, Array, Array] | None:
+    """x*, (H + mu I) x* and y* by the range-space method (Nocedal &
+    Wright 2006, *Numerical Optimization*, §16.2), on the q side.
+
+    H + mu I = L L' is factored by one stacked Cholesky call per block
+    size; with B = L^{-1} A' (m x q) and e = L^{-1} c, the multiplier y of
+    H x + c = A'y, A x = A x_ls solves M y = A x_ls + B'e with
+    M = B'B = A H^{-1} A' (q x q), and x* = L^{-T}(B y - e).  M is factored
+    by pivoted Cholesky and y is its minimum-norm least-squares solution
+    (:meth:`_GramFactor.range_part`, :meth:`_GramFactor.drop_null`); M has
+    the null space of A', so y* = -y is the minimum-norm multiplier.  That
+    costs O(q^2 m) time and O(q m) memory.  None when H + mu I does not
+    factor, M's rank is not the ``rank`` r of A, or x* misses the normal
+    equations (:func:`_normal_equations`), which the null-space method
+    meets by construction."""
+    lows = []
+    try:
+        for g, h in zip(p.blocks._size_groups, p._block_stacks(quad["h_blocks"])):
+            lows.append(np.linalg.cholesky(h + quad["mu"] * np.eye(g.n)))
+    except np.linalg.LinAlgError:
+        return None
+    b_mat, e = np.empty((p.m, p.q)), np.empty(p.m)
+    for g, low in zip(p.blocks._size_groups, lows):
+        b_mat[g.cols] = np.linalg.solve(low, g.take(p.a.T)).reshape(-1, p.q)
+        e[g.cols] = np.linalg.solve(low, g.take(c)[..., None]).reshape(-1)
+    factor = _pivoted_factor(b_mat.T @ b_mat)
+    if len(factor.perm) != rank:
+        return None
+    y = factor.drop_null(factor.solve_kept(factor.range_part(p.a @ x_ls + b_mat.T @ e)))
+    v = b_mat @ y - e
+    x_star = np.empty(p.m)
+    for g, low in zip(p.blocks._size_groups, lows):
+        x_star[g.cols] = np.linalg.solve(low.transpose(0, 2, 1), g.take(v)[..., None]).reshape(-1)
+    _, normal, bound = _normal_equations(p, x_star)
+    if not normal <= bound:
+        return None
+    return x_star, _apply_hessian(p, quad, x_star[:, None])[:, 0], -y

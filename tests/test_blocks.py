@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,6 +541,42 @@ class TestReferenceChecks:
         ref = bp.least_squares_reference(p)
         assert np.max(np.abs(ref.x_ls - x_np)) <= 1e-9
 
+    def test_wide_reference_forms_no_m_by_m_array(self):
+        # q = 20 rows on m = 4000 columns: G = A'A alone would take
+        # m^2 * 8 bytes = 128 MB; the q-side solve holds q x m arrays of
+        # 640 kB and the 20 x 20 K = AA'
+        p = bp.make_random_inconsistent_ls(seed=7, d=1000, dims=4, q=20, noise=0.8)
+        tracemalloc.start()
+        try:
+            ref = bp.least_squares_reference(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert "gram" not in vars(p)
+        x_np, *_ = np.linalg.lstsq(p.a, p.b, rcond=None)
+        assert np.max(np.abs(ref.x_ls - x_np)) <= 1e-9 * np.max(np.abs(x_np))
+
+    def test_wide_rank_deficient_reference_projects_b(self):
+        # 20 rows of rank 15 on 30 columns, b outside range(A): the q-side
+        # factor of K = AA' keeps 15 rows, and the basic solution of those
+        # rows of K z = b is no least-squares solution of K z = b, so the
+        # solve first takes out b's component in null(K)
+        p = bp.make_random_inconsistent_ls(
+            seed=11, d=10, dims=3, q=20, noise=0.8, rank_deficiency=15
+        )
+        factor = oracles._gram_factor(p)
+        assert factor is not None and len(factor.perm) == 15
+        x_np, *_ = np.linalg.lstsq(p.a, p.b, rcond=None)
+        ref = bp.least_squares_reference(p)
+        assert np.array_equal(ref.x_ls, oracles._gram_min_norm(p)), "gelsy fallback ran"
+        assert np.max(np.abs(ref.x_ls - x_np)) <= 1e-9 * np.max(np.abs(x_np))
+        assert ref.h_star == pytest.approx(p.meta["h_star"], rel=1e-9)
+        assert "gram" not in vars(p)
+        z = np.zeros(p.q)
+        z[factor.perm] = factor.solve_kept(p.b[factor.perm])
+        assert np.max(np.abs(p.a.T @ z - x_np)) > 1e-3 * np.max(np.abs(x_np))
+
     @staticmethod
     def quadratic_scaled(scale):
         """The rank-deficient d=50 generator instance with H, c and mu scaled
@@ -628,6 +665,42 @@ class TestReferenceChecks:
         assert rel(ref.x_star, dense.x_star) <= 1e-11
         assert rel(ref.y_star, dense.y_star) <= 1e-10
         assert abs(ref.psi_star - dense.psi_star) <= 1e-12 * abs(dense.psi_star)
+
+    @pytest.mark.parametrize("rank", [20, 12], ids=["full-row-rank", "rank-deficient"])
+    def test_range_space_reference_matches_the_kkt_solve(self, rank, monkeypatch):
+        # q = 20 < m - r on m = 60 columns: x* and y* come from the q x q
+        # system A H^{-1} A', with neither the null-space method nor G = A'A;
+        # at rank 12 b lies outside range(A) and the multiplier is not unique
+        p = bp.make_random_inconsistent_ls(seed=6, d=15, dims=4, q=20, noise=0.6, mu=0.5)
+        if rank < p.q:
+            rng = np.random.default_rng(6)
+            a = rng.standard_normal((p.q, rank)) @ rng.standard_normal((rank, p.m)) / p.m
+            p = dataclasses.replace(p, a=a, b=rng.standard_normal(p.q))
+
+        def null_space_method(*args):
+            raise AssertionError("the null-space method ran on a range-space case")
+
+        monkeypatch.setattr(oracles, "_null_space_solve", null_space_method)
+        ref = oracles.quadratic_reference(p)
+        assert "gram" not in vars(p)
+        # the dense KKT system H x + A'y = -c, A x = A x_ls; its null space
+        # is {(0, v): A'v = 0}, so its minimum-norm solution carries the
+        # unique x* and the minimum-norm multiplier
+        quad = p.meta["quadratic"]
+        h = quad["mu"] * np.eye(p.m)
+        for sl, h_i in zip(p.blocks.slices, quad["h_blocks"]):
+            h[sl, sl] += h_i
+        c = np.concatenate(quad["c_blocks"])
+        kkt = np.block([[h, p.a.T], [p.a, np.zeros((p.q, p.q))]])
+        sol, *_ = np.linalg.lstsq(kkt, np.concatenate([-c, p.a @ ref.x_ls]), rcond=None)
+        y_min, *_ = np.linalg.lstsq(p.a.T, -(h @ ref.x_star + c), rcond=None)
+
+        def rel(x, oracle):
+            return np.max(np.abs(x - oracle)) / np.max(np.abs(oracle))
+
+        assert rel(ref.x_star, sol[:p.m]) <= 1e-11
+        assert rel(ref.y_star, sol[p.m:]) <= 1e-10
+        assert rel(ref.y_star, y_min) <= 1e-10
 
     def test_bench_reference_takes_no_svd(self, bench_instance, monkeypatch):
         def svd(*args, **kwargs):

@@ -813,10 +813,13 @@ out = {out}
          "the bus table has a row for the slack bus 0"),
         ("bus", "0.047,0.418", "0.047,nan", "bus 3: reactive ratio tau_c nan is not finite"),
         ("bus", "0.035,0.047,", "0.035,inf,", "bus 3: energy demand E inf is not finite"),
+        ("bus", "\n3,0.256,", "\nx3,0.256,", "bus.csv, line 4: n 'x3' is not an integer"),
+        ("edges", "8,7", "x8,7", "edges.csv, line 9: parent 'x8' is not an integer"),
+        ("edges", "8,7", "8,7.0", "edges.csv, line 9: child '7.0' is not an integer"),
     ], ids=["bus-columns-missing", "parent-not-a-bus", "bus-without-parent",
             "ancestor-without-parent", "repeated-child", "child-not-a-bus", "repeated-bus",
             "nan-floor", "negative-capacity", "non-numeric-value", "slack-bus-row", "nan-tau_c",
-            "infinite-energy"])
+            "infinite-energy", "non-integer-bus", "non-integer-parent", "non-integer-child"])
     def test_malformed_grid_data_exit_code(self, tmp_path, capsys, table, old, new, message):
         from blockpd.dlmp import default_network_paths
 

@@ -301,6 +301,11 @@ class TestLoadNetwork:
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(make_single_line_network(), **{field: value})
 
+    def test_slack_bus_is_not_a_table_bus(self):
+        # a bus numbered 0 would be laid out as its own parent (up = [0])
+        with pytest.raises(ValueError, match="bus 0 is the slack bus"):
+            replace(make_single_line_network(), buses=(0,), aggregators=((0,),))
+
     def test_empty_bus_table_rejected(self, tmp_path):
         bus, _ = dlmp.default_network_paths()
         empty_bus, empty_edges = tmp_path / "bus.csv", tmp_path / "edges.csv"

@@ -233,6 +233,23 @@ class TestAffineSubspace:
         out = aff.project(rng.standard_normal(4))
         assert np.allclose(c @ out, [1.0, 2.0], atol=1e-10)
 
+    def test_gram_matches_the_checked_cholesky(self, rng):
+        import scipy.linalg as sla
+
+        c = rng.standard_normal((5, 12))
+        e = rng.standard_normal(5)
+        aff = AffineSubspace(c, e)
+        factor = sla.cho_factor(c @ c.T + 1e-14 * np.eye(5))
+        assert np.array_equal(aff._gram_inv_c, sla.cho_solve(factor, c))
+        assert np.array_equal(aff._gram_inv_e, sla.cho_solve(factor, e))
+
+    def test_lifted_gram_not_positive_definite_raises(self, rng):
+        # at scale 1e8 the 1e-14 lift is lost below the rounding of C C^T,
+        # so duplicated rows leave it singular
+        c = 1e8 * rng.standard_normal((2, 4))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            AffineSubspace(np.vstack([c, c]), np.zeros(4))
+
 
 class TestDykstra:
     def test_two_overlapping_boxes(self, rng):

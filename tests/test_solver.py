@@ -825,6 +825,26 @@ class TestHotPathProducts:
 
 
 class TestStepLadder:
+    def test_small_rungs_run(self):
+        # the default rungs once stopped at d=10^4 on an m x m Gram matrix
+        # with no test noticing; two small rungs keep the script running
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "step_ladder.py"), "--d", "10", "100",
+             "--steps", "200", "--windows", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        (at,) = [i for i, line in enumerate(lines) if line.split()[:2] == ["d", "m"]]
+        rows = [line.split() for line in lines[at + 1:at + 3]]
+        assert [row[:2] for row in rows] == [["10", "40"], ["100", "400"]]
+        assert all(len(row) == 6 and all(float(x) > 0.0 for x in row[2:]) for row in rows)
+        (refs,) = [line for line in lines if line.startswith("reference ms: ")]
+        assert [part.split()[0] for part in refs[14:].split(", ")] == ["d=10", "d=100"]
+        assert lines[-1].startswith("maxrss_mb at the end: ")
+
     def test_against_mode_runs(self):
         # the --against comparisons are made with this script, which reads
         # the private solver._trace_record: its smallest rung, this tree
