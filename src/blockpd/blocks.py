@@ -238,8 +238,8 @@ class ProblemSpec:
     @cached_property
     def gram(self) -> Array:
         """The read-only m-by-m Gram matrix A'A, formed once per problem:
-        both step certificates scale it into Xi and the least-squares
-        reference factors it."""
+        both step certificates scale it into Xi, and the references factor
+        it when q >= m (a wide instance's references factor AA' instead)."""
         g = self.a.T @ self.a
         g.flags.writeable = False
         return g
@@ -273,7 +273,7 @@ class ProblemSpec:
     @cached_property
     def derived(self) -> dict:
         """Results other modules compute from this problem's data alone
-        (the references' Gram factor), kept here so each is made once per
+        (the references' Gram factors), kept here so each is made once per
         problem; a ``dataclasses.replace`` copy starts empty."""
         return {}
 
