@@ -86,11 +86,8 @@ def least_squares_reference(p: ProblemSpec) -> Reference:
 
 
 def _col_sq_max(p: ProblemSpec) -> float:
-    """max_j ||A_j||^2, the largest diagonal entry of G = A'A: read off G
-    where the problem already holds it, and otherwise from the columns of
-    A, O(q m), without forming G."""
-    if "gram" in vars(p):
-        return float(p.gram.diagonal().max())
+    """max_j ||A_j||^2, the largest diagonal entry of G = A'A, from the
+    columns of A at O(q m), whether or not the problem holds G."""
     return float(np.einsum("ij,ij->j", p.a, p.a).max())
 
 
@@ -180,15 +177,15 @@ def _pivoted_factor(gram: Array) -> _GramFactor:
     return _GramFactor(low, piv[:rank] - 1, piv[rank:] - 1, w)
 
 
-def _gram_factor(p: ProblemSpec, wide: bool | None = None) -> _GramFactor | None:
-    """The Gram matrix of A on one side factored by :func:`_pivoted_factor`,
-    or None when it does not resolve every direction ``gelsy`` would keep
-    for A.  The side is the shorter one unless ``wide`` picks it:
-    K = AA' (q x q) when the instance is wide, q < m, and G = ``p.gram`` =
-    A'A (m x m) otherwise.  Both have the rank of A; K costs O(q^2 m) time
-    and O(q^2) memory where G costs O(q m^2) and O(m^2).  Made once per
-    problem and side and kept in ``p.derived``, None included, so the
-    least-squares and the quadratic reference share one factorisation.
+def _gram_factor(p: ProblemSpec) -> _GramFactor | None:
+    """The Gram matrix of A on its shorter side factored by
+    :func:`_pivoted_factor`, or None when it does not resolve every
+    direction ``gelsy`` would keep for A: K = AA' (q x q) when the instance
+    is wide, q < m, and G = ``p.gram`` = A'A (m x m) otherwise.  Both have
+    the rank of A; K costs O(q^2 m) time and O(q^2) memory where G costs
+    O(q m^2) and O(m^2).  Made once per problem and kept in ``p.derived``,
+    None included, so the least-squares and the quadratic reference share
+    one factorisation.
 
     When r < min(q, m), each column N_j of :meth:`_GramFactor.null_basis`
     must be null for A at ``gelsy``'s cut-off (for A' on the q side: the
@@ -208,11 +205,9 @@ def _gram_factor(p: ProblemSpec, wide: bool | None = None) -> _GramFactor | None
     the reciprocal condition estimate of U11 (LAPACK ``dtrcon``, O(r^2))
     is below sqrt(m eps).
     """
-    if wide is None:
-        wide = p.q < p.m
-    key = (_GramFactor, wide)
-    if key in p.derived:
-        return p.derived[key]
+    if _GramFactor in p.derived:
+        return p.derived[_GramFactor]
+    wide = p.q < p.m
     factor = _pivoted_factor(p.a @ p.a.T if wide else p.gram)
     rank = len(factor.perm)
     eps = np.finfo(float).eps
@@ -224,7 +219,7 @@ def _gram_factor(p: ProblemSpec, wide: bool | None = None) -> _GramFactor | None
         cut = eps * max(p.q, p.m) * np.sqrt(_col_sq_max(p))
         if np.any(np.linalg.norm(image, axis=0) > cut * np.linalg.norm(null, axis=0)):
             factor = None
-    p.derived[key] = factor
+    p.derived[_GramFactor] = factor
     return factor
 
 
@@ -289,20 +284,21 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     Minimises 0.5 x'Hx + c'x over the affine set x_ls + null(A) of
     normal-equation solutions.  Requires the generator to have recorded the
     quadratic data (no box constraints); H = blockdiag(H_i) + mu I is
-    never formed.  The method follows the shape, with the factor
+    never formed.  The method follows the shape, on the side of the factor
     :func:`least_squares_reference` made, kept on the problem
-    (:func:`_gram_factor`), giving the rank r of A:
+    (:func:`_gram_factor`):
 
-    - when q < m - r, the range-space method on the q side
+    - when q < m, the range-space method on the q side
       (:func:`_range_space_solve`): H is factored block by block and the
-      q x q system A H^{-1} A' is solved for the multiplier, so a wide
-      instance forms no m x m array;
+      q x q system A H^{-1} A' is solved for the multiplier, at O(q^2 m)
+      time and O(q m) memory, so a wide instance forms no m x m array;
     - otherwise the null-space method on the m side
-      (:func:`_null_space_solve`), whose reduced system is (m - r)^2; a
-      wide instance forms G = A'A for it, at m <= q + r.
+      (:func:`_null_space_solve`), whose reduced system is (m - r)^2 for
+      A of rank r, with its basis and multiplier from the factor of G.
 
-    It falls back from the first to the second when H or A H^{-1} A' does
-    not factor to rank r or its x* misses the normal equations.  In both
+    When the q-side factor declines, or the range-space method does (H or
+    A H^{-1} A' does not factor to A's rank, or its x* misses the normal
+    equations), the null-space method runs on an SVD of A.  In every case
     y* is the minimum-norm solution of A'y = -(H x* + c).
     The multiplier must meet stationarity relative to the size of the
     gradient's terms,
@@ -317,11 +313,12 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     c = np.concatenate(quad["c_blocks"])
     factor = _gram_factor(p)
     solved = None
-    if factor is not None and 0 < len(factor.perm) < p.m - p.q:
-        solved = _range_space_solve(p, quad, base.x_ls, c, len(factor.perm))
+    if p.q < p.m:
+        if factor is not None and factor.perm.size:
+            solved = _range_space_solve(p, quad, base.x_ls, c, len(factor.perm))
+        # K's factor holds no basis of null(A)
+        factor = None
     if solved is None:
-        if factor is not None and p.q < p.m:
-            factor = _gram_factor(p, wide=False)
         solved = _null_space_solve(p, quad, base.x_ls, c, factor)
     x_star, hx, y_star = solved
     stationarity = float(np.max(np.abs(p.a.T @ y_star + (hx + c))))
@@ -378,10 +375,12 @@ def _range_space_solve(
     """x*, (H + mu I) x* and y* by the range-space method (Nocedal &
     Wright 2006, *Numerical Optimization*, §16.2), on the q side.
 
-    H + mu I = L L' is factored by one stacked Cholesky call per block
-    size; with B = L^{-1} A' (m x q) and e = L^{-1} c, the multiplier y of
-    H x + c = A'y, A x = A x_ls solves M y = A x_ls + B'e with
-    M = B'B = A H^{-1} A' (q x q), and x* = L^{-T}(B y - e).  M is factored
+    H + mu I = L L' is factored, and L inverted, by one stacked Cholesky
+    and one stacked inverse call per block size, so every product with
+    L^{-1} is one stacked ``matmul``.  With B = L^{-1} A' (m x q) and
+    e = L^{-1} c, the multiplier y of H x + c = A'y, A x = A x_ls solves
+    M y = A x_ls + B'e with M = B'B = A H^{-1} A' (q x q), and
+    x* = L^{-T}(B y - e).  M is factored
     by pivoted Cholesky and y is its minimum-norm least-squares solution
     (:meth:`_GramFactor.range_part`, :meth:`_GramFactor.drop_null`); M has
     the null space of A', so y* = -y is the minimum-norm multiplier.  That
@@ -389,24 +388,24 @@ def _range_space_solve(
     factor, M's rank is not the ``rank`` r of A, or x* misses the normal
     equations (:func:`_normal_equations`), which the null-space method
     meets by construction."""
-    lows = []
+    invs = []
     try:
         for g, h in zip(p.blocks._size_groups, p._block_stacks(quad["h_blocks"])):
-            lows.append(np.linalg.cholesky(h + quad["mu"] * np.eye(g.n)))
+            invs.append(np.linalg.inv(np.linalg.cholesky(h + quad["mu"] * np.eye(g.n))))
     except np.linalg.LinAlgError:
         return None
     b_mat, e = np.empty((p.m, p.q)), np.empty(p.m)
-    for g, low in zip(p.blocks._size_groups, lows):
-        b_mat[g.cols] = np.linalg.solve(low, g.take(p.a.T)).reshape(-1, p.q)
-        e[g.cols] = np.linalg.solve(low, g.take(c)[..., None]).reshape(-1)
+    for g, inv in zip(p.blocks._size_groups, invs):
+        b_mat[g.cols] = np.matmul(inv, g.take(p.a.T)).reshape(-1, p.q)
+        e[g.cols] = np.matmul(inv, g.take(c)[..., None]).reshape(-1)
     factor = _pivoted_factor(b_mat.T @ b_mat)
     if len(factor.perm) != rank:
         return None
     y = factor.drop_null(factor.solve_kept(factor.range_part(p.a @ x_ls + b_mat.T @ e)))
     v = b_mat @ y - e
     x_star = np.empty(p.m)
-    for g, low in zip(p.blocks._size_groups, lows):
-        x_star[g.cols] = np.linalg.solve(low.transpose(0, 2, 1), g.take(v)[..., None]).reshape(-1)
+    for g, inv in zip(p.blocks._size_groups, invs):
+        x_star[g.cols] = np.matmul(inv.transpose(0, 2, 1), g.take(v)[..., None]).reshape(-1)
     _, normal, bound = _normal_equations(p, x_star)
     if not normal <= bound:
         return None

@@ -75,7 +75,9 @@ class AffineSubspace:
     The factor and its two solves go straight through LAPACK ``dpotrf`` and
     ``dpotrs``, without scipy.linalg's per-call checks: the bits of
     ``cho_factor``/``cho_solve``, in about 60% of their time on the 15-bus
-    grid.  A lifted Gram matrix that is not positive definite raises
+    grid.  A Gram matrix that is not finite raises ``ValueError``, as
+    ``cho_factor``'s check did (``dpotrf`` passes a NaN through with info
+    0), and a lifted Gram matrix that is not positive definite raises
     ``numpy.linalg.LinAlgError``.  ``c_matrix`` and ``e`` are kept as float
     arrays."""
 
@@ -89,6 +91,8 @@ class AffineSubspace:
         c = np.asarray(self.c_matrix, dtype=float)
         e = np.asarray(self.e, dtype=float)
         gram = c @ c.T
+        if not np.isfinite(gram).all():
+            raise ValueError("the Gram matrix C C^T is not finite")
         # tiny diagonal lift guards against duplicated rows
         factor, info = lapack.dpotrf(gram + 1e-14 * np.eye(gram.shape[0]), clean=0)
         if info:

@@ -666,12 +666,17 @@ class TestReferenceChecks:
         assert rel(ref.y_star, dense.y_star) <= 1e-10
         assert abs(ref.psi_star - dense.psi_star) <= 1e-12 * abs(dense.psi_star)
 
-    @pytest.mark.parametrize("rank", [20, 12], ids=["full-row-rank", "rank-deficient"])
-    def test_range_space_reference_matches_the_kkt_solve(self, rank, monkeypatch):
-        # q = 20 < m - r on m = 60 columns: x* and y* come from the q x q
-        # system A H^{-1} A', with neither the null-space method nor G = A'A;
-        # at rank 12 b lies outside range(A) and the multiplier is not unique
-        p = bp.make_random_inconsistent_ls(seed=6, d=15, dims=4, q=20, noise=0.6, mu=0.5)
+    @pytest.mark.parametrize(
+        "d, rank",
+        [(15, 20), (15, 12), (6, 20)],
+        ids=["full-row-rank", "rank-deficient", "small-null-space"],
+    )
+    def test_range_space_reference_matches_the_kkt_solve(self, d, rank, monkeypatch):
+        # q = 20 < m on m = 60 or 24 columns: x* and y* come from the q x q
+        # system A H^{-1} A', with neither the null-space method nor G = A'A,
+        # also where null(A) has fewer dimensions than q (m = 24); at rank 12
+        # b lies outside range(A) and the multiplier is not unique
+        p = bp.make_random_inconsistent_ls(seed=6, d=d, dims=4, q=20, noise=0.6, mu=0.5)
         if rank < p.q:
             rng = np.random.default_rng(6)
             a = rng.standard_normal((p.q, rank)) @ rng.standard_normal((rank, p.m)) / p.m
@@ -701,6 +706,19 @@ class TestReferenceChecks:
         assert rel(ref.x_star, sol[:p.m]) <= 1e-11
         assert rel(ref.y_star, sol[p.m:]) <= 1e-10
         assert rel(ref.y_star, y_min) <= 1e-10
+
+    def test_declined_range_space_solve_takes_the_svd_path(self, request, monkeypatch):
+        # a wide instance whose range-space solve declines runs the
+        # null-space method on an SVD of A, not on G = A'A
+        p = self.quadratic_instance("wide", request)
+        dense = dense_quadratic_reference(p)
+        real, svds = oracles.sla.null_space, []
+        monkeypatch.setattr(oracles.sla, "null_space", lambda a: svds.append(a) or real(a))
+        monkeypatch.setattr(oracles, "_range_space_solve", lambda *args: None)
+        ref = oracles.quadratic_reference(p)
+        assert len(svds) == 1 and "gram" not in vars(p)
+        assert np.max(np.abs(ref.x_star - dense.x_star)) <= 1e-11 * np.max(np.abs(dense.x_star))
+        assert np.max(np.abs(ref.y_star - dense.y_star)) <= 1e-10 * np.max(np.abs(dense.y_star))
 
     def test_bench_reference_takes_no_svd(self, bench_instance, monkeypatch):
         def svd(*args, **kwargs):

@@ -243,12 +243,19 @@ class TestAffineSubspace:
         assert np.array_equal(aff._gram_inv_c, sla.cho_solve(factor, c))
         assert np.array_equal(aff._gram_inv_e, sla.cho_solve(factor, e))
 
-    def test_lifted_gram_not_positive_definite_raises(self, rng):
-        # at scale 1e8 the 1e-14 lift is lost below the rounding of C C^T,
-        # so duplicated rows leave it singular
-        c = 1e8 * rng.standard_normal((2, 4))
+    def test_lifted_gram_not_positive_definite_raises(self):
+        # two equal rows of norm 2^27: C C^T holds 2^54 everywhere, the
+        # 1e-14 lift is below its spacing of 8, and every step of the
+        # factorisation is exact, so the second pivot is exactly 0
+        c = np.array([[2.0**27, 0.0], [2.0**27, 0.0]])
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            AffineSubspace(np.vstack([c, c]), np.zeros(4))
+            AffineSubspace(c, np.zeros(2))
+
+    def test_non_finite_gram_raises(self):
+        # dpotrf factors a NaN Gram matrix with info 0
+        c = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not finite"):
+            AffineSubspace(c, np.zeros(2))
 
 
 class TestDykstra:
