@@ -9,11 +9,12 @@ and prints the median microseconds per engine step and per trace row
 (``solver._trace_record``, what ``run`` pays every ``trace_every`` steps)
 over several timed windows, plus each engine's step cost at the last d
 over its cost at the first and the one-off time of each rung's
-least-squares reference.  A step that touches only its active blocks
-keeps that ratio near 1; a row is O(m) by nature.  It also prints the
-process's peak resident set (``ru_maxrss``) right after the imports and
-again at the end, after every rung is built and run.  Runs on one BLAS
-thread:
+least-squares and quadratic references (d=10 is tall, q >= m, and takes
+the null-space method; d >= 100 is wide and takes the range-space
+method).  A step that touches only its active blocks keeps that ratio
+near 1; a row is O(m) by nature.  It also prints the process's peak
+resident set (``ru_maxrss``) right after the imports and again at the
+end, after every rung is built and run.  Runs on one BLAS thread:
 
     PYTHONPATH=src python scripts/step_ladder.py
 
@@ -62,7 +63,7 @@ def main():
         trees["against"] = load_tree(args.against)
     print(f"maxrss_mb after imports: {peak_rss_mb():.1f}")
 
-    runs, ref_ms = {}, {}
+    runs, ref_ms, quad_ms = {}, {}, {}
     for d in args.d:
         for tree_name, tree in trees.items():
             p = tree.make_random_inconsistent_ls(
@@ -72,6 +73,9 @@ def main():
             t0 = time.perf_counter()
             ref = tree.least_squares_reference(p)
             ref_ms[tree_name, d] = (time.perf_counter() - t0) * 1e3
+            t0 = time.perf_counter()
+            tree.quadratic_reference(p)
+            quad_ms[tree_name, d] = (time.perf_counter() - t0) * 1e3
             for name, cls in ENGINES.items():
                 policy = tree.convex_default_policy(p, s, certify=False)
                 eng = getattr(tree.solver, cls)(p, s, policy)
@@ -117,6 +121,7 @@ def main():
         print(f"ratio d={hi} / d={lo}: " + ", ".join(
             f"{name} {us[tree_name, hi, name] / us[tree_name, lo, name]:.2f}x" for name in ENGINES))
         print("reference ms: " + ", ".join(f"d={d} {ref_ms[tree_name, d]:.2f}" for d in args.d))
+        print("quadratic ms: " + ", ".join(f"d={d} {quad_ms[tree_name, d]:.2f}" for d in args.d))
     if args.against:
         print("this / against (ratio of the medians)")
         table(lambda d, n: us["this", d, n] / us["against", d, n],

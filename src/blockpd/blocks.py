@@ -175,7 +175,8 @@ class ProblemSpec:
     and ``A_i t`` run on contiguous memory.  An ``a`` that already is such
     an array and owns its data, as the one a ``dataclasses.replace`` copy
     passes, is kept as it is; any other is copied once, so a later write to
-    it does not reach the problem.
+    it does not reach the problem.  A non-finite entry of A or b is
+    rejected, naming which.
     """
 
     blocks: BlockStructure
@@ -209,6 +210,9 @@ class ProblemSpec:
             raise ValueError(f"A has shape {a.shape}, expected {self.blocks.m} columns")
         if a.shape[0] != self.q:
             raise ValueError(f"b has length {self.q} but A has {a.shape[0]} rows")
+        for name, arr in (("A", a), ("b", self.b)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds a value that is not finite")
         object.__setattr__(self, "a_blocks", tuple(a[:, sl] for sl in self.blocks.slices))
 
     @property

@@ -107,23 +107,41 @@ class _GramFactor(NamedTuple):
     """Pivoted Cholesky factor P'GP = U'U of an n x n Gram matrix G
     (A'A, AA' or A H^{-1} A'), U = [U11 U12] of rank r: ``low`` is U11'
     (lower triangular), ``perm`` and ``dropped`` the columns of G the
-    factor kept and dropped, and W = U11^{-1} U12."""
+    factor kept and dropped, W = U11^{-1} U12, and ``null_chol`` the
+    Cholesky factor of I + W'W = N'N for the null basis N of
+    :meth:`null_basis` (None unless 0 < r < n)."""
 
     low: Array
     perm: Array
     dropped: Array
     w: Array
+    null_chol: Array | None
 
-    def solve_kept(self, rhs: Array) -> Array:
-        """U11^{-1} U11^{-T} rhs, for rhs on the kept columns (r > 0).
-
-        Straight through LAPACK, without scipy.linalg's per-call checks
-        (some 12 us each, as much as the factorisation at m = 40).  With
-        U11' as the lower factor, trans=1 solves with U11.  Every info is 0:
-        U11's diagonal holds the pivots ``dpstrf`` kept."""
-        z, _ = lapack.dtrtrs(self.low, rhs, lower=1)
+    def lstsq(self, rhs: Array) -> Array:
+        """The minimum-norm least-squares solution u of G u = rhs (0 at
+        r = 0): the basic solution P [z; 0] of rhs's range part, whose kept
+        entries are rhs_1 + W t with (I + W'W) t = N'rhs, less its own null
+        component, P [z - W s; s] with (I + W'W) s = W'z.  The basic
+        solution of rhs itself is no least-squares solution when rhs has a
+        null component.  Straight through LAPACK, without scipy.linalg's
+        per-call checks (some 12 us each at m = 40); with U11' as the lower
+        factor, trans=1 solves with U11.  Every info is 0: U11's diagonal
+        holds the pivots ``dpstrf`` kept, and I + W'W >= I."""
+        u = np.zeros(len(self.perm) + len(self.dropped))
+        if not self.perm.size:  # G = 0: LAPACK rejects an empty solve on the console
+            return u
+        kept = rhs[self.perm]
+        if self.dropped.size:
+            t, _ = lapack.dpotrs(self.null_chol, rhs[self.dropped] - self.w.T @ kept)
+            kept += self.w @ t
+        z, _ = lapack.dtrtrs(self.low, kept, lower=1)
         z, _ = lapack.dtrtrs(self.low, z, lower=1, trans=1)
-        return z
+        u[self.perm] = z
+        if self.dropped.size:
+            s, _ = lapack.dpotrs(self.null_chol, self.w.T @ z)
+            u[self.perm] -= self.w @ s
+            u[self.dropped] = s
+        return u
 
     def null_basis(self) -> Array:
         """N = P [-W; I], whose n - r columns span the null space of U."""
@@ -132,49 +150,19 @@ class _GramFactor(NamedTuple):
         null[self.dropped, np.arange(len(self.dropped))] = 1.0
         return null
 
-    def null_solve(self, rhs: Array) -> Array:
-        """(I + W'W)^{-1} rhs, with N'N = I + W'W; I + W'W >= I, so its
-        Cholesky factor always exists (n > r)."""
-        f, _ = lapack.dpotrf(np.eye(self.dropped.size) + self.w.T @ self.w)
-        t, _ = lapack.dpotrs(f, rhs)
-        return t
-
-    def range_part(self, rhs: Array) -> Array:
-        """The kept entries of rhs less its orthogonal projection N t onto
-        the null space of U, (I + W'W) t = N'rhs: rhs_kept + W t.
-
-        For rhs in the range of the factored G this changes nothing; for
-        any other rhs the basic solution P [U11^{-1} U11^{-T} rhs_kept; 0]
-        does not solve G u = rhs in the least-squares sense, and the basic
-        solution of this projection does."""
-        kept = rhs[self.perm]
-        if self.dropped.size:
-            kept += self.w @ self.null_solve(rhs[self.dropped] - self.w.T @ kept)
-        return kept
-
-    def drop_null(self, z: Array) -> Array:
-        """The basic solution P [z; 0] less its component in the null space
-        of U: P [z - W t; t] with (I + W'W) t = W'z, the minimum-norm
-        element of P [z; 0] + null(U), at O(r^2 (n - r))."""
-        u = np.empty(len(self.perm) + len(self.dropped))
-        u[self.perm] = z
-        if not self.dropped.size:
-            return u
-        t = self.null_solve(self.w.T @ z)
-        u[self.perm] -= self.w @ t
-        u[self.dropped] = t
-        return u
-
 
 def _pivoted_factor(gram: Array) -> _GramFactor:
     """``gram`` factored by pivoted Cholesky (LAPACK ``dpstrf``, its
-    default rank cut-off n * eps * max_i G_ii)."""
+    default rank cut-off n * eps * max_i G_ii), with the Cholesky factor
+    of I + W'W, which exists because I + W'W >= I."""
     c, piv, rank, _ = lapack.dpstrf(gram)
     low = c[:rank, :rank].T
-    w = np.zeros((rank, gram.shape[0] - rank))
-    if 0 < rank < gram.shape[0]:
+    n = gram.shape[0]
+    w, null_chol = np.zeros((rank, n - rank)), None
+    if 0 < rank < n:
         w, _ = lapack.dtrtrs(low, c[:rank, rank:], lower=1, trans=1)
-    return _GramFactor(low, piv[:rank] - 1, piv[rank:] - 1, w)
+        null_chol, _ = lapack.dpotrf(np.eye(n - rank) + w.T @ w)
+    return _GramFactor(low, piv[:rank] - 1, piv[rank:] - 1, w, null_chol)
 
 
 def _gram_factor(p: ProblemSpec) -> _GramFactor | None:
@@ -227,26 +215,19 @@ def _gram_min_norm(p: ProblemSpec) -> Array | None:
     """Minimum-norm solution of the normal equations A'A x = A'b from the
     Gram factor of :func:`_gram_factor`, or None when it declines.
 
-    On the m side, with G = ``p.gram``, the basic solution
-    x_b = P [U11^{-1} U11^{-T} (P'A'b)_1; 0] solves the normal equations,
-    and :meth:`_GramFactor.drop_null` takes out its component in the null
-    space of U.  On the q side, with K = AA', x = A'z for any
-    least-squares solution z of K z = b: A'A A'z = A'b holds exactly when
-    Kz - b lies in null(A') = null(K), and x lies in range(A'), so it is
-    the minimum-norm solution.  An inconsistent b has a component in
-    null(K), so z is the basic solution of b's range part
-    (:meth:`_GramFactor.range_part`); no m x m matrix is formed.
+    On the m side, with G = ``p.gram``, it is the minimum-norm solution of
+    G x = A'b (:meth:`_GramFactor.lstsq`).  On the q side, with K = AA',
+    x = A'z for any least-squares solution z of K z = b: A'A A'z = A'b
+    holds exactly when Kz - b lies in null(A') = null(K), and x lies in
+    range(A'), so it is the minimum-norm solution; no m x m matrix is
+    formed.
     """
     factor = _gram_factor(p)
     if factor is None:
         return None
-    if not factor.perm.size:  # the Gram matrix is 0, so A = 0
-        return np.zeros(p.m)
     if p.q < p.m:
-        z = np.zeros(p.q)
-        z[factor.perm] = factor.solve_kept(factor.range_part(p.b))
-        return p.a.T @ z
-    return factor.drop_null(factor.solve_kept(p.a.T.dot(p.b)[factor.perm]))
+        return p.a.T @ factor.lstsq(p.b)
+    return factor.lstsq(p.a.T.dot(p.b))
 
 
 def _gelsy_min_norm(p: ProblemSpec) -> Array:
@@ -255,17 +236,6 @@ def _gelsy_min_norm(p: ProblemSpec) -> Array:
     cond = np.finfo(float).eps * max(p.q, p.m)
     x_ls, *_ = sla.lstsq(p.a, p.b, cond=cond, lapack_driver="gelsy")
     return x_ls
-
-
-def _gram_multiplier(p: ProblemSpec, factor: _GramFactor, grad: Array) -> Array:
-    """The minimum-norm multiplier y = A z with G z = -grad, z = P [U11^{-1}
-    U11^{-T} (-P'grad)_1; 0]; it solves A'y = -grad when grad lies in the
-    range of G, as it does at a minimiser over the normal-equation
-    solutions, and lies in the range of A."""
-    z = np.zeros(p.m)
-    if factor.perm.size:
-        z[factor.perm] = factor.solve_kept(-grad[factor.perm])
-    return p.a @ z
 
 
 def _apply_hessian(p: ProblemSpec, quad: dict, v: Array) -> Array:
@@ -336,36 +306,28 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
 def _null_space_solve(
     p: ProblemSpec, quad: dict, x_ls: Array, c: Array, factor: _GramFactor | None
 ) -> tuple[Array, Array, Array]:
-    """x*, (H + mu I) x* and y* by the null-space method: with an
-    orthonormal basis N of null(A), x* = x_ls + N z where
-    (N'HN) z = -N'(H x_ls + c), an (m - r)^2 system.  N and y* come from
-    the pivoted Cholesky factor of G = A'A (``factor``, m side): N is a
-    thin QR of P [-W; I], and y* = A z with G z = -(H x* + c) by two
-    triangular solves (:func:`_gram_multiplier`).  Where the factor
-    declined (None), N comes from an SVD of A (``scipy.linalg.null_space``)
-    and y* from ``numpy.linalg.lstsq``."""
-    if factor is None:
-        null = sla.null_space(p.a)
-    elif factor.dropped.size:
-        # a thin QR of P [-W; I] straight through LAPACK
-        qr, tau, _, _ = lapack.dgeqrf(factor.null_basis())
-        null, _, _ = lapack.dorgqr(qr, tau)
-    else:
-        null = np.empty((p.m, 0))
+    """x*, (H + mu I) x* and y* by the null-space method: with a basis N of
+    null(A), x* = x_ls + N z where (N'HN) z = -N'(H x_ls + c), an
+    (m - r)^2 system; any basis will do, and an empty one leaves x_ls.  N
+    and y* come from the pivoted Cholesky factor of G = A'A (``factor``, m
+    side): N = P [-W; I] (:meth:`_GramFactor.null_basis`), and y* = A u
+    for the minimum-norm solution u of G u = -(H x* + c)
+    (:meth:`_GramFactor.lstsq`).  Where the factor declined (None), N comes
+    from an SVD of A (``scipy.linalg.null_space``) and y* from
+    ``numpy.linalg.lstsq``."""
+    null = sla.null_space(p.a) if factor is None else factor.null_basis()
     # (H + mu I) [N x_ls]
     hv = _apply_hessian(p, quad, np.column_stack((null, x_ls)))
     k = null.shape[1]
-    x_star, hx = x_ls, hv[:, k]
-    if k:
-        z = np.linalg.solve(null.T @ hv[:, :k], -null.T @ (hx + c))
-        x_star = x_ls + null @ z
-        hx = hx + hv[:, :k] @ z
+    z = np.linalg.solve(null.T @ hv[:, :k], -null.T @ (hv[:, k] + c))
+    x_star = x_ls + null @ z
+    hx = hv[:, k] + hv[:, :k] @ z
     grad = hx + c
     # stationarity demands grad + A'y = 0 for some multiplier y
     if factor is None:
         y_star, *_ = np.linalg.lstsq(p.a.T, -grad, rcond=None)
     else:
-        y_star = _gram_multiplier(p, factor, grad)
+        y_star = p.a @ factor.lstsq(-grad)
     return x_star, hx, y_star
 
 
@@ -380,9 +342,8 @@ def _range_space_solve(
     L^{-1} is one stacked ``matmul``.  With B = L^{-1} A' (m x q) and
     e = L^{-1} c, the multiplier y of H x + c = A'y, A x = A x_ls solves
     M y = A x_ls + B'e with M = B'B = A H^{-1} A' (q x q), and
-    x* = L^{-T}(B y - e).  M is factored
-    by pivoted Cholesky and y is its minimum-norm least-squares solution
-    (:meth:`_GramFactor.range_part`, :meth:`_GramFactor.drop_null`); M has
+    x* = L^{-T}(B y - e).  M is factored by pivoted Cholesky and y is its
+    minimum-norm least-squares solution (:meth:`_GramFactor.lstsq`); M has
     the null space of A', so y* = -y is the minimum-norm multiplier.  That
     costs O(q^2 m) time and O(q m) memory.  None when H + mu I does not
     factor, M's rank is not the ``rank`` r of A, or x* misses the normal
@@ -401,7 +362,7 @@ def _range_space_solve(
     factor = _pivoted_factor(b_mat.T @ b_mat)
     if len(factor.perm) != rank:
         return None
-    y = factor.drop_null(factor.solve_kept(factor.range_part(p.a @ x_ls + b_mat.T @ e)))
+    y = factor.lstsq(p.a @ x_ls + b_mat.T @ e)
     v = b_mat @ y - e
     x_star = np.empty(p.m)
     for g, inv in zip(p.blocks._size_groups, invs):

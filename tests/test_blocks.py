@@ -442,6 +442,23 @@ class TestProblemShapes:
         with pytest.raises(ValueError, match="consensus needs an edge"):
             bp.make_consensus([], [prox_quadratic_block(1.0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["A", "b"])
+    def test_a_and_b_must_be_finite(self, name, bad):
+        # a NaN or inf reached the references as a bare SciPy error and the
+        # policy as a failed SVD or a block with "no coupling columns"
+        a, b = np.arange(6.0).reshape(3, 2), np.ones(3)
+        (a if name == "A" else b)[1] = bad
+        with pytest.raises(ValueError, match=f"{name} holds a value that is not finite"):
+            scalar_problem(a=a, b=b, dims=(1, 1))
+        if name == "A":
+            # an A kept as it is, as a dataclasses.replace copy passes it
+            p = scalar_problem(a=np.arange(6.0).reshape(3, 2), b=np.ones(3), dims=(1, 1))
+            kept = np.array(a, order="F")
+            kept.flags.writeable = False
+            with pytest.raises(ValueError, match="A holds a value that is not finite"):
+                dataclasses.replace(p, a=kept)
+
     def test_size_groups(self):
         groups = BlockStructure((2, 5, 3, 2, 5))._size_groups
         assert [(g.n, g.ids) for g in groups] == [(2, (0, 3)), (5, (1, 4)), (3, (2,))]
@@ -453,6 +470,25 @@ class TestProblemShapes:
         assert one.blocks == slice(0, 6) and one.cols == slice(0, 24)
         y = np.zeros((24, 3))
         assert np.shares_memory(one.take(y), y)
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("inside", [True, False], ids=["in-range", "off-range"])
+    @pytest.mark.parametrize("rank", [0, 5, 12])
+    def test_lstsq_is_the_pseudoinverse_solution(self, rank, inside):
+        # a PSD G = B B' of rank 0, of rank 5 < n and of full rank n = 12,
+        # with rhs in range(G) and with a component in null(G)
+        n = 12
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            half = rng.standard_normal((n, rank))
+            g = half @ half.T
+            rhs = g @ rng.standard_normal(n) if inside else rng.standard_normal(n)
+            factor = oracles._pivoted_factor(g)
+            assert len(factor.perm) == rank
+            want = np.linalg.pinv(g, hermitian=True) @ rhs
+            err = np.linalg.norm(factor.lstsq(rhs) - want)
+            assert err <= 1e-10 * np.linalg.norm(want), seed
 
 
 class TestReferenceChecks:
@@ -525,12 +561,24 @@ class TestReferenceChecks:
         assert ref.h_star == pytest.approx(penalty_h(p, x_np), abs=1e-12)
         assert np.allclose(ref.x_ls, x_np, rtol=1e-12, atol=0.0)
 
-    def test_zero_coupling(self, capfd):
+    @pytest.mark.parametrize("q, m", [(3, 2), (1, 3), (0, 2)], ids=["tall", "wide", "no-rows"])
+    def test_zero_coupling(self, q, m, capfd):
         # rank 0: no triangular solve reaches LAPACK, which would reject an
-        # empty one on the console
-        p = scalar_problem(a=np.zeros((3, 2)), b=np.ones(3), dims=(1, 1))
-        ref = bp.least_squares_reference(p)
-        assert np.array_equal(ref.x_ls, np.zeros(2)) and ref.h_star == 1.5
+        # empty one on the console; with no rows the range-space method has
+        # no q x q system to solve
+        h = np.arange(2.0, 2.0 + m)
+        c = np.linspace(-1.0, 1.0, m)
+        h_blocks, c_blocks = [np.array([[t]]) for t in h], [np.array([t]) for t in c]
+        p = scalar_problem(
+            phi=[SmoothBlock.quadratic(h_i, c_i) for h_i, c_i in zip(h_blocks, c_blocks)],
+            prox=[prox_quadratic_block(1.0)] * m,
+            a=np.zeros((q, m)), b=np.ones(q), dims=(1,) * m,
+        )
+        p = dataclasses.replace(p, meta={"quadratic": {"h_blocks": h_blocks, "c_blocks": c_blocks, "mu": 1.0}})
+        for ref in (bp.least_squares_reference(p), oracles.quadratic_reference(p)):
+            assert np.array_equal(ref.x_ls, np.zeros(m)) and ref.h_star == 0.5 * q
+        assert np.allclose(ref.x_star, -c / (h + 1.0), rtol=1e-12, atol=0.0)
+        assert np.array_equal(ref.y_star, np.zeros(q))
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("q", [20, 9])
@@ -574,7 +622,8 @@ class TestReferenceChecks:
         assert ref.h_star == pytest.approx(p.meta["h_star"], rel=1e-9)
         assert "gram" not in vars(p)
         z = np.zeros(p.q)
-        z[factor.perm] = factor.solve_kept(p.b[factor.perm])
+        kept = np.ix_(factor.perm, factor.perm)
+        z[factor.perm] = np.linalg.solve((p.a @ p.a.T)[kept], p.b[factor.perm])
         assert np.max(np.abs(p.a.T @ z - x_np)) > 1e-3 * np.max(np.abs(x_np))
 
     @staticmethod
@@ -606,14 +655,14 @@ class TestReferenceChecks:
         # residual of 1e-8, which an absolute 1e-7 bound accepted
         scale = 1e-5
         _, small = self.quadratic_scaled(scale)
-        real = oracles._gram_multiplier
+        real = oracles._null_space_solve
 
-        def missing(prob, factor, grad):
-            y = real(prob, factor, grad)
+        def missing(prob, *args):
+            x_star, hx, y = real(prob, *args)
             y[0] += 1e-3 * scale / np.max(np.abs(prob.a[0]))
-            return y
+            return x_star, hx, y
 
-        monkeypatch.setattr(oracles, "_gram_multiplier", missing)
+        monkeypatch.setattr(oracles, "_null_space_solve", missing)
         with pytest.raises(InvariantViolation, match="stationarity"):
             oracles.quadratic_reference(small)
 

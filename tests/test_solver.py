@@ -841,8 +841,11 @@ class TestStepLadder:
         rows = [line.split() for line in lines[at + 1:at + 3]]
         assert [row[:2] for row in rows] == [["10", "40"], ["100", "400"]]
         assert all(len(row) == 6 and all(float(x) > 0.0 for x in row[2:]) for row in rows)
-        (refs,) = [line for line in lines if line.startswith("reference ms: ")]
-        assert [part.split()[0] for part in refs[14:].split(", ")] == ["d=10", "d=100"]
+        for title in ("reference ms: ", "quadratic ms: "):
+            (refs,) = [line for line in lines if line.startswith(title)]
+            parts = [part.split() for part in refs[len(title):].split(", ")]
+            assert [part[0] for part in parts] == ["d=10", "d=100"], title
+            assert all(float(part[1]) > 0.0 for part in parts), title
         assert lines[-1].startswith("maxrss_mb at the end: ")
 
     def test_against_mode_runs(self):
