@@ -26,6 +26,18 @@ products rather than forming it, so the penalty gaps ``h_gap_x`` and
 Within one iteration the block updates read shared state and write disjoint
 slices, so they could run concurrently; the e/u/y updates are the
 synchronisation point.  One engine instance is single-writer.
+
+A step that draws more than one block of a problem whose blocks stack
+(every smooth block a ``SmoothBlock.quadratic`` of one size n, all blocks
+sharing one coordinatewise prox: ``ProblemSpec._quadratic_stack`` and
+``_shared_prox`` are both set) gathers the drawn coordinates once as a
+(k, n) stack and makes one stacked call each for the gradients, the
+metrics, the prox and, in the averaging form, the smooth values, with the
+bits of the per-block loop.  Each block keeps its own A_i products, q-vector
+updates and objective bookkeeping, in block order.  Single-block draws and
+problems that do not stack take the per-block loop, and so does a problem
+whose oracles were wrapped, as ``perfbench``'s traced runs wrap every
+block's grad and prox.
 """
 
 from __future__ import annotations
@@ -170,11 +182,28 @@ class _Block(NamedTuple):
     inv_pi: float
 
 
+class _Stack(NamedTuple):
+    """The oracles of a problem whose blocks stack, as rows indexed by
+    block: every H_i stacked (d, n, n); c, the policy's B and the marginal
+    pi_i repeated over the block as (d, n); and the one coordinatewise prox
+    all blocks share."""
+
+    h: Array
+    c: Array
+    b: Array
+    pi: Array
+    prox: Callable[[Array, Array], Array]
+
+
 class _EngineBase:
     """Shared per-block data of the engines.  Products are written with
     ``ndarray.dot``: on the few-column slabs of a block step the dispatch
     of ``@`` costs more than the product, and ``.dot`` reaches the same
-    BLAS routine with the same result bits."""
+    BLAS routine with the same result bits.
+
+    When the problem's blocks stack (``ProblemSpec._quadratic_stack`` and
+    ``_shared_prox`` are both set), a step that draws more than one block
+    takes their forward-backward steps as one stack (:meth:`_fb_stacked`)."""
 
     def __init__(self, problem: ProblemSpec, sampling: Sampling, policy):
         if sampling.d != problem.d:
@@ -190,6 +219,13 @@ class _EngineBase:
                 sampling.pi.tolist(),
             )
         )
+        quad, prox = problem._quadratic_stack, problem._shared_prox
+        self._stack = None
+        if quad is not None and prox is not None:
+            h, c = quad
+            rows = h.shape[:2]
+            pi = problem.blocks.expand(sampling.pi).reshape(rows)
+            self._stack = _Stack(h, c.reshape(rows), policy.b_diag.reshape(rows), pi, prox)
 
     def _start(self, x0: Array) -> tuple[Array, list[float]]:
         """A float copy of x0, checked for length m and to lie in dom R
@@ -214,6 +250,48 @@ class _EngineBase:
         blk = self.per_block[i]
         q_i = blk.b / (blk.pi * tau_k)
         return blk.prox(q_i, xi - grad_i / q_i)
+
+    def _fb_stacked(
+        self, drawn: Array, x: Array, dual: Array, scale: float | None, tau_k: float,
+        values: bool = False,
+    ) -> tuple:
+        """The forward-backward steps of the blocks ``drawn`` as one stack:
+        the (k, n) rows x_hat_i and delta_i = x_hat_i - x_i and, when
+        ``values`` is set, the list of smooth values 0.5 x_hat_i'H_i x_hat_i +
+        c_i'x_hat_i.  The gradient H_i x_i + c_i + scale A_i' dual (no
+        scale when None), the metric B_i / (pi_i tau_k), the shared
+        prox and the values are one call each over the stack, and each A_i'
+        dual is its own product, so every row has the bits that :meth:`_fb`
+        and ``psi_block`` give its block: ``np.matmul`` on a stack reaches
+        the per-block BLAS call, as in ``ProblemSpec.grad_phi`` and
+        ``phi``."""
+        h, c, b, pi, prox = self._stack
+        k, n = len(drawn), c.shape[1]
+        xs = x.reshape(c.shape).take(drawn, 0)
+        h = h.take(drawn, 0)
+        c = c.take(drawn, 0)
+        g = np.matmul(h, xs.reshape(k, n, 1)).reshape(k, n)
+        g += c
+        dual_part = np.empty((k, n))
+        for row, i in zip(dual_part, drawn.tolist()):
+            self.per_block[i].a_t.dot(dual, out=row)
+        if scale is not None:
+            dual_part *= scale
+        g += dual_part
+        metric = b.take(drawn, 0)
+        pi_tau = pi.take(drawn, 0)
+        pi_tau *= tau_k
+        metric /= pi_tau
+        g /= metric
+        np.subtract(xs, g, out=g)
+        x_hats = prox(metric.ravel(), g.ravel()).reshape(k, n)
+        np.subtract(x_hats, xs, out=xs)
+        if not values:
+            return x_hats, xs
+        col = x_hats.reshape(k, n, 1)
+        vals = 0.5 * np.matmul(x_hats.reshape(k, 1, n), np.matmul(h, col))
+        vals += np.matmul(c.reshape(k, 1, n), col)
+        return x_hats, xs, vals.ravel().tolist()
 
 
 class RbcdEngine(_EngineBase):
@@ -250,12 +328,21 @@ class RbcdEngine(_EngineBase):
 
         x, e, ax, ae, psi_vec = state.x, state.e, state.ax, state.ae, state.psi_vec
         bracket = state.psi_total
-        for i in draw(self.sampling, state.rng).tolist():
+        drawn = draw(self.sampling, state.rng)
+        stacked = self._stack is not None and len(drawn) > 1
+        if stacked:
+            rows = zip(*self._fb_stacked(drawn, x, res, s_k, tau_k, values=True))
+        for i in drawn.tolist():
             sl, a_i, a_t, grad, _, _, _, inv_pi = self.per_block[i]
-            xi = x[sl]
-            g = grad(xi) + s_k * a_t.dot(res)
-            x_hat = self._fb(i, xi, g, tau_k)
-            delta = x_hat - xi
+            if stacked:
+                x_hat, delta, smooth = next(rows)
+                psi_new = smooth + float(p.prox[i].value(x_hat))
+            else:
+                xi = x[sl]
+                g = grad(xi) + s_k * a_t.dot(res)
+                x_hat = self._fb(i, xi, g, tau_k)
+                delta = x_hat - xi
+                psi_new = p.psi_block(i, x_hat)
             a_delta = a_i.dot(delta)
             ax += a_delta
             c = (theta * inv_pi - 1.0) / gamma
@@ -263,7 +350,6 @@ class RbcdEngine(_EngineBase):
             e[sl] += delta
             a_delta *= c
             ae += a_delta
-            psi_new = p.psi_block(i, x_hat)
             change = psi_new - psi_vec[i]
             bracket += inv_pi * change
             state.psi_total += change
@@ -318,12 +404,19 @@ class PdaEngine(_EngineBase):
         x, u, y = state.x, state.u, state.y
         ap_delta = self._ap_delta
         ap_delta.fill(0.0)
-        for i in draw(self.sampling, state.rng).tolist():
+        drawn = draw(self.sampling, state.rng)
+        stacked = self._stack is not None and len(drawn) > 1
+        if stacked:
+            rows = zip(*self._fb_stacked(drawn, x, y, None, tau_k))
+        for i in drawn.tolist():
             sl, a_i, a_t, grad, _, _, _, inv_pi = self.per_block[i]
-            xi = x[sl]
-            g = grad(xi) + a_t.dot(y)
-            x_hat = self._fb(i, xi, g, tau_k)
-            a_delta = a_i.dot(x_hat - xi)
+            if stacked:
+                x_hat, delta = next(rows)
+            else:
+                xi = x[sl]
+                x_hat = self._fb(i, xi, grad(xi) + a_t.dot(y), tau_k)
+                delta = x_hat - xi
+            a_delta = a_i.dot(delta)
             u += a_delta
             a_delta *= inv_pi
             ap_delta += a_delta

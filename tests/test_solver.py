@@ -220,6 +220,128 @@ class TestEquivalence:
             assert row2.psi_x == pytest.approx(row1.psi_x, rel=1e-8)
 
 
+def loop_copy(p):
+    """A copy of ``p`` whose grads are wrapped, as ``perfbench``'s tracer
+    wraps them: its blocks no longer stack, so every step takes the
+    per-block loop."""
+    smooth = tuple(replace(sb, grad=lambda x, f=sb.grad: f(x)) for sb in p.smooth)
+    return replace(p, smooth=smooth)
+
+
+def final_bytes(result):
+    """The bytes of a run's final state arrays, psi_hat and trace columns."""
+    st = result.state
+    names = ("x", "e", "ax", "ae") if isinstance(st, solver.RbcdState) else ("x", "u", "y")
+    out = {name: getattr(st, name).tobytes() for name in names}
+    if isinstance(st, solver.RbcdState):
+        out["psi_hat"] = np.float64(st.psi_hat).tobytes()
+    for name in TraceRecord.CSV_FIELDS:
+        out[f"trace.{name}"] = result.trace.column(name).tobytes()
+    return out
+
+
+class TestStackedStep:
+    """A step that draws several blocks of a problem whose blocks stack runs
+    their oracles as one stacked call; it must give the loop's bits."""
+
+    @staticmethod
+    def _policies(p, s):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return {
+                "convex": bp.convex_default_policy(p, s),
+                "accel": bp.make_accelerated_policy(p, s),
+            }
+
+    @staticmethod
+    def _stacked_calls(monkeypatch):
+        calls = []
+        real = solver._EngineBase._fb_stacked
+
+        def counted(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(solver._EngineBase, "_fb_stacked", counted)
+        return calls
+
+    @pytest.mark.parametrize("d, sampling", [(8, "nice3"), (24, "nice4"), (8, "full")])
+    def test_stacked_path_gives_the_loop_bits(self, d, sampling, monkeypatch):
+        p = bp.make_random_inconsistent_ls(
+            seed=d, d=d, dims=3, q=5 * d, noise=0.5, mu=1.0, rank_deficiency=2
+        )
+        s = {"nice3": bp.nice(d, 3), "nice4": bp.nice(d, 4), "full": bp.full(d)}[sampling]
+        assert (s.support is None) == (sampling == "nice4")
+        looped = loop_copy(p)
+        assert p._quadratic_stack is not None and looped._quadratic_stack is None
+        ref = bp.least_squares_reference(p)
+        calls = self._stacked_calls(monkeypatch)
+        steps = 2500
+        assert steps > solver.REFRESH_EVERY
+        for name, pol in self._policies(p, s).items():
+            for engine in ("rbcd", "pda"):
+                kw = dict(engine=engine, seed=3, trace_every=100, reference=ref)
+                calls.clear()
+                fast = bp.run(p, s, pol, np.zeros(p.m), steps, **kw)
+                assert len(calls) == steps and min(calls) > 1
+                calls.clear()
+                slow = bp.run(looped, s, pol, np.zeros(p.m), steps, **kw)
+                assert calls == []
+                assert final_bytes(fast) == final_bytes(slow), (name, engine)
+
+    def test_mixed_block_sizes_take_the_loop(self, monkeypatch):
+        p = bp.make_random_inconsistent_ls(
+            seed=5, d=8, dims=[3, 4] * 4, q=40, noise=0.5, mu=1.0
+        )
+        assert p._quadratic_stack is None and p._shared_prox is not None
+        s = bp.nice(8, 3)
+        ref = bp.least_squares_reference(p)
+        calls = self._stacked_calls(monkeypatch)
+        for name, pol in self._policies(p, s).items():
+            for engine in ("rbcd", "pda"):
+                kw = dict(engine=engine, seed=3, trace_every=100, reference=ref)
+                mixed = bp.run(p, s, pol, np.zeros(p.m), 1200, **kw)
+                looped = bp.run(loop_copy(p), s, pol, np.zeros(p.m), 1200, **kw)
+                assert final_bytes(mixed) == final_bytes(looped), (name, engine)
+        assert calls == []
+
+    @pytest.mark.parametrize("engine", ["rbcd", "pda"])
+    def test_every_step_draws_once_and_advances_tau_once(self, engine, monkeypatch):
+        # perfbench calibrates at draws and checks tau_next calls == iters,
+        # patching the module attributes as done here
+        import blockpd.sampling as sampling_mod
+        import blockpd.stepsize as stepsize_mod
+
+        p = bp.make_random_inconsistent_ls(seed=24, d=24, dims=3, q=72, noise=0.5, mu=1.0)
+        s = bp.nice(24, 4)
+        pols = self._policies(p, s)
+        counts = {"draw": 0, "tau_next": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name, owner in (("draw", sampling_mod), ("tau_next", stepsize_mod)):
+            real = getattr(owner, name)
+            new = counting(name, real)
+            for mod in (bp, sampling_mod, stepsize_mod, solver):
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, new)
+        k = 300
+        stacked = self._stacked_calls(monkeypatch)
+        for problem in (p, loop_copy(p)):
+            for name, pol in pols.items():
+                counts.update(draw=0, tau_next=0)
+                bp.run(problem, s, pol, np.zeros(p.m), k, engine=engine, seed=1, trace_every=k)
+                assert counts == {"draw": k, "tau_next": k if name == "accel" else 0}
+        assert len(stacked) == 2 * k
+
+
 class TestImplicitAveragedIterate:
     """The implicit w = x + gamma e against the explicit step it replaced
     (``ExplicitRbcdOracle`` in conftest), drawing the same blocks and
@@ -774,7 +896,7 @@ class TestTraceRowsFromState:
 # products go through ndarray.dot, which on the few-column slabs of a block
 # step skips most of @'s dispatch cost
 HOT_PATHS = {
-    "solver.py": ("RbcdEngine.step", "PdaEngine.step", "_trace_record"),
+    "solver.py": ("RbcdEngine.step", "PdaEngine.step", "_EngineBase._fb_stacked", "_trace_record"),
     "blocks.py": ("kkt_residual", "SmoothBlock.quadratic"),
     "oracles.py": ("Reference.h_gap",),
     "dlmp.py": (
@@ -866,3 +988,23 @@ class TestStepLadder:
             head, row = lines[at + 1], lines[at + 2].split()
             assert head.split()[:2] == ["d", "m"] and row[:2] == ["10", "40"], title
             assert len(row) == 6 and all(float(x) > 0.0 for x in row[2:]), title
+        for title in ("reference ratio: ", "quadratic ratio: "):
+            (ratios,) = [line for line in lines if line.startswith(title)]
+            (part,) = ratios[len(title):].split(", ")
+            assert part.split()[0] == "d=10" and float(part.split()[1]) > 0.0, title
+
+    def test_tau_times_the_stacked_step(self):
+        # --tau T draws nice(d, T), which on these instances takes the
+        # stacked multi-block step that traced perfbench runs do not reach
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "step_ladder.py"), "--d", "10",
+             "--steps", "50", "--windows", "1", "--tau", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        (at,) = [i for i, line in enumerate(lines) if line.split()[:2] == ["d", "m"]]
+        row = lines[at + 1].split()
+        assert row[:2] == ["10", "40"] and all(float(x) > 0.0 for x in row[2:])
