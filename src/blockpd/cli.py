@@ -98,7 +98,7 @@ from .errors import (
 from .oracles import Reference, least_squares_reference, quadratic_reference
 from .proxops import prox_l1_block, prox_quadratic_block, prox_zero_block
 from .sampling import from_config as sampling_from_config
-from .solver import Trace, TraceRecord, run
+from .solver import TraceRecord, run
 from .stepsize import ConvexPolicy, convex_default_policy, make_accelerated_policy
 
 TRACE_SCHEMA = "blockpd-trace-v2"
@@ -321,16 +321,13 @@ def _build_custom(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def write_trace_csv(path: Path, trace: Trace) -> None:
-    """The trace's ``CSV_FIELDS`` columns, ``str`` of each k and ``repr``
-    of each float."""
-    ks, *floats = (trace.column(name).tolist() for name in TraceRecord.CSV_FIELDS)
+def write_csv(path: Path, header: str, rows) -> None:
+    """``header``, then one line per row, each cell as ``str``: a Python
+    float's ``str`` is its shortest round-trip ``repr``."""
     with open(path, "w") as fh:
-        fh.write(f"# {TRACE_SCHEMA}\n")
-        fh.write(",".join(TraceRecord.CSV_FIELDS) + "\n")
-        for k, *vals in zip(ks, *floats):
-            fh.write(",".join([str(int(k)), *map(repr, vals)]))
-            fh.write("\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def fit_rate(ks, values, k_min=None, k_max=None):
@@ -498,10 +495,7 @@ def run_experiment(cfg: RunConfig) -> int:
             continue
         rates.append({"column": col, "slope": slope, "stderr": stderr, "k_min": k_min})
         say(f"  fit[{col}]: slope {slope:+.3f} (stderr {stderr:.1e})")
-    with open(out / "rates.csv", "w") as fh:
-        fh.write("column,slope,stderr,k_min\n")
-        for row in rates:
-            fh.write(f"{row['column']},{row['slope']!r},{row['stderr']!r},{row['k_min']}\n")
+    write_csv(out / "rates.csv", "column,slope,stderr,k_min", (row.values() for row in rates))
     meta["rates"] = rates
     meta["stopped_at"] = result.stopped_at
     return _finish(out, result, meta, say, t0)
@@ -529,10 +523,7 @@ def _run_opf(cfg: RunConfig, say, t0) -> int:
         stop_kkt_tol=cfg.stop_kkt_tol,
     )
     prices = extract_dlmp(result.state.y, problem)
-    with open(out / "dlmp.csv", "w") as fh:
-        fh.write("bus,period,y_p,y_q\n")
-        for busn, t, yp, yq in prices:
-            fh.write(f"{busn},{t},{yp!r},{yq!r}\n")
+    write_csv(out / "dlmp.csv", "bus,period,y_p,y_q", prices)
     meta["policy_resolved"] = {"sigma": result.trace[-1].sigma if result.trace else None,
                                "stopped_at": result.stopped_at}
     meta["reference"] = {"h_star": result.reference.h_star, "source": result.reference.source}
@@ -541,8 +532,11 @@ def _run_opf(cfg: RunConfig, say, t0) -> int:
 
 
 def _finish(out: Path, result, meta: dict, say, t0: float) -> int:
-    """Write ``trace.csv`` and ``metadata.json`` and print the last trace row."""
-    write_trace_csv(out / "trace.csv", result.trace)
+    """Write ``trace.csv`` (the ``CSV_FIELDS`` columns, k as an integer) and
+    ``metadata.json`` and print the last trace row."""
+    ks, *floats = (result.trace.column(name).tolist() for name in TraceRecord.CSV_FIELDS)
+    write_csv(out / "trace.csv", f"# {TRACE_SCHEMA}\n" + ",".join(TraceRecord.CSV_FIELDS),
+              zip(map(int, ks), *floats))
     meta["wall_time_sec"] = time.perf_counter() - t0
     with open(out / "metadata.json", "w") as fh:
         json.dump(meta, fh, indent=2, default=float)

@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib.util
 import inspect
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1008,3 +1010,135 @@ class TestStepLadder:
         (at,) = [i for i, line in enumerate(lines) if line.split()[:2] == ["d", "m"]]
         row = lines[at + 1].split()
         assert row[:2] == ["10", "40"] and all(float(x) > 0.0 for x in row[2:])
+
+
+def _ladder(script, *argv):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / script), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestLadderCounts:
+    @pytest.mark.parametrize("script,argv", [
+        ("step_ladder.py", ["--d", "10", "--windows", "0"]),
+        ("step_ladder.py", ["--d", "10", "--windows", "-1"]),
+        ("step_ladder.py", ["--d", "10", "--steps", "0"]),
+        ("setup_ladder.py", ["--windows", "0"]),
+    ])
+    def test_a_count_below_one_is_refused_before_any_instance(self, script, argv):
+        # these once built every instance and then divided by zero or took
+        # the median of no readings
+        out = _ladder(script, *argv)
+        assert out.returncode == 2, out.stderr
+        assert f"argument {argv[-2]}: " in out.stderr and "is below 1" in out.stderr
+        assert out.stdout == ""
+
+
+class TestAgainstWindows:
+    """The one window loop of scripts/against.py, on a stub timer whose
+    readings are the window's index plus an offset per tree, rung and
+    reading, and 1e9 in the warm-up window."""
+
+    @pytest.fixture(scope="class")
+    def against(self):
+        # the module pins one BLAS thread on import; this process keeps its
+        # environment
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("ladder_against", root / "scripts" / "against.py")
+        module = importlib.util.module_from_spec(spec)
+        before = dict(os.environ)
+        with mock.patch.dict(os.environ):
+            spec.loader.exec_module(module)
+        assert dict(os.environ) == before
+        return module
+
+    OFFSET = {"this": 0.0, "against": 1000.0, 10: 0.0, 24: 100.0, "a": 0.0, "b": 10_000.0}
+
+    def medians(self, against, trees, windows):
+        calls = []
+
+        def time_one(tree, rung):
+            w = calls.count((tree, rung))
+            calls.append((tree, rung))
+            return {reading: 1e9 if w == 0 else w + self.OFFSET[tree] + self.OFFSET[rung]
+                    + self.OFFSET[reading] for reading in ("a", "b")}
+
+        med = against.medians(dict.fromkeys(trees), [10, 24], windows, time_one)
+        return med, calls
+
+    def windows_of(self, calls, n_trees):
+        per = 2 * n_trees
+        assert len(calls) % per == 0
+        return [calls[i:i + per] for i in range(0, len(calls), per)]
+
+    @pytest.mark.parametrize("windows,timed", [(1, 2), (4, 4), (5, 6)])
+    def test_two_trees_go_first_equally_often(self, against, windows, timed):
+        med, calls = self.medians(against, ["this", "against"], windows)
+        wins = self.windows_of(calls, 2)
+        assert len(wins) == timed + 1  # the warm-up window, then the timed ones
+        for win in wins:
+            # round-robin over rung x tree: each rung's trees back to back
+            assert [rung for _, rung in win] == [10, 10, 24, 24]
+            assert set(win) == {(t, r) for t in ("this", "against") for r in (10, 24)}
+        firsts = [win[0][0] for win in wins[1:]] + [win[2][0] for win in wins[1:]]
+        assert firsts.count("this") == firsts.count("against") == timed
+        assert all(win[0][0] == win[2][0] for win in wins)  # one order per window
+        assert all(a[0][0] != b[0][0] for a, b in zip(wins, wins[1:]))  # flipped each window
+        assert max(med.values()) < 1e9  # the warm-up reaches no median
+
+    @pytest.mark.parametrize("windows", [1, 4, 5])
+    def test_one_tree_keeps_the_count(self, against, windows):
+        med, calls = self.medians(against, ["this"], windows)
+        assert calls == [("this", rung) for _ in range(windows + 1) for rung in (10, 24)]
+        assert med[("this", 10, "a")] == (windows + 1) / 2  # the median of 1..windows
+
+    def test_medians_per_tree_rung_and_reading(self, against):
+        med, _ = self.medians(against, ["this", "against"], 3)
+        keys = [(t, r, x) for t in ("this", "against") for r in (10, 24) for x in ("a", "b")]
+        assert len(med) == len(keys) and set(med) == set(keys)
+        for key in keys:
+            # windows 1..4: the median is 2.5 above the key's offset
+            assert med[key] == 2.5 + sum(self.OFFSET[part] for part in key)
+
+
+class TestSetupLadder:
+    COLS = ["d", "m", "generate", "maxrss_mb", "gram", "blocks", "convex", "accelerated",
+            "reference", "quadratic", "total"]
+
+    def table(self, lines, at, ratio=False):
+        """The rows of the table whose header is ``lines[at]``."""
+        assert lines[at].split() == self.COLS
+        rows = [line.split() for line in lines[at + 1:at + 3]]
+        assert [row[:2] for row in rows] == [["10", "40"], ["24", "96"]]
+        for row in rows:
+            cells = [float(x) for x in row[2:]]
+            assert len(cells) == (7 if ratio else 9) and min(cells) >= 0.0
+            assert cells[-1] > 0.0  # the total
+            if ratio:
+                assert min(cells) > 0.0
+
+    def test_small_rungs_run(self):
+        # named largest first, the rungs are still generated and printed
+        # smallest first
+        out = _ladder("setup_ladder.py", "--d", "24", "10", "--windows", "1")
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith("maxrss_mb after imports: ")
+        self.table(lines, 1)
+        assert len(lines) == 4
+
+    def test_against_mode_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        out = _ladder("setup_ladder.py", "--d", "10", "24", "--windows", "1", "--against", str(root))
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith("maxrss_mb after imports: ")
+        for at, title in ((1, "this: "), (5, "against: ")):
+            assert lines[at].startswith(title) and lines[at].endswith("__init__.py")
+            self.table(lines, at + 1)
+        assert lines[9] == "this / against (ratio of the medians)"
+        self.table(lines, 10, ratio=True)
+        assert len(lines) == 13
