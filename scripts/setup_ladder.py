@@ -57,7 +57,8 @@ def phases(tree):
 
 def main():
     ap = against.parser(__doc__, windows=5)
-    ap.add_argument("--d", type=int, nargs="+", default=[10, 250, 500], help="the rungs")
+    ap.add_argument("--d", type=against.at_least_one, nargs="+", default=[10, 250, 500],
+                    help="the rungs")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     ds = sorted(set(args.d))

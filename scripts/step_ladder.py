@@ -45,11 +45,12 @@ ROWS = 50  # trace rows per window
 
 def main():
     ap = against.parser(__doc__, windows=8)
-    ap.add_argument("--d", type=int, nargs="+", default=[10, 100, 1000, 10_000])
+    ap.add_argument("--d", type=against.at_least_one, nargs="+", default=[10, 100, 1000, 10_000])
     ap.add_argument("--q", type=int, default=60)
     ap.add_argument("--steps", type=against.at_least_one, default=5000)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--tau", type=int, default=1, help="blocks drawn per step, nice(d, T)")
+    ap.add_argument("--tau", type=against.at_least_one, default=1,
+                    help="blocks drawn per step, nice(d, T)")
     args = ap.parse_args()
     trees = against.tree_set(args.against)
     print(f"maxrss_mb after imports: {against.peak_rss_mb():.1f}")

@@ -152,13 +152,15 @@ class ProxBlock:
     the strong-convexity modulus of ``r`` (0 for merely convex terms).
     ``coordinatewise`` marks a ``prox`` that acts on each coordinate alone
     and alike, so one call on a concatenation of blocks equals the
-    concatenation of the per-block calls.
+    concatenation of the per-block calls.  ``center`` is set only when r is
+    exactly mu/2 ||x - center||^2 (a scalar or a length-n array).
     """
 
     value: Callable[[Array], float]
     prox: Callable[[Array, Array], Array]
     mu: float = 0.0
     coordinatewise: bool = False
+    center: float | Array | None = None
 
 
 @dataclass(frozen=True)
@@ -257,14 +259,6 @@ class ProblemSpec:
             np.stack([self.smooth[i].lam for i in g.ids]) for g in self.blocks._size_groups
         )
 
-    def _block_stacks(self, mats: Sequence[Array]) -> tuple[Array, ...]:
-        """The d per-block matrices ``mats`` stacked like :attr:`lam_stacks`,
-        which is returned itself when each of them is that block's curvature
-        matrix object, as :meth:`SmoothBlock.quadratic` stores H."""
-        if all(mat is blk.lam for mat, blk in zip(mats, self.smooth)):
-            return self.lam_stacks
-        return tuple(np.stack([mats[i] for i in g.ids]) for g in self.blocks._size_groups)
-
     @cached_property
     def smooth_lipschitz(self) -> Array:
         """Per-block scalar curvature bounds L_i = lammax(Lam_i), one
@@ -289,19 +283,38 @@ class ProblemSpec:
     # -- value / gradient oracles ------------------------------------------
 
     @cached_property
-    def _quadratic_stack(self) -> tuple[Array, Array] | None:
-        """Every smooth block's H stacked (d, n, n) and c as one length-m
-        vector, when every block still has both oracles that
-        :meth:`SmoothBlock.quadratic` built and all blocks have one
-        dimension n; None otherwise."""
-        quads = [getattr(blk.grad, "__self__", None) for blk in self.smooth]
-        if len(set(self.blocks.dims)) > 1 or not all(
-            isinstance(quad, _Quadratic) and blk.value == quad.value
-            for quad, blk in zip(quads, self.smooth)
-        ):
+    def _quadratics(self) -> tuple[_Quadratic, ...] | None:
+        """Each smooth block's :class:`_Quadratic`, when every block still
+        has all three oracles that :meth:`SmoothBlock.quadratic` built (so
+        H_i is ``lam``); None otherwise."""
+        quads = tuple(getattr(blk.grad, "__self__", None) for blk in self.smooth)
+        if all(isinstance(quad, _Quadratic) and blk.value == quad.value and blk.lam is quad.h
+               for quad, blk in zip(quads, self.smooth)):
+            return quads
+        return None
+
+    @cached_property
+    def quadratic_c(self) -> Array | None:
+        """The read-only c of Psi(x) = 0.5 x'(H + D)x + c'x + const with H =
+        blockdiag(Lam_i), D = diag(mu_vector): c_i less mu_i center_i.  None
+        unless every smooth block is a :meth:`SmoothBlock.quadratic` and
+        every prox states its ``center``: the one test of being quadratic."""
+        quads = self._quadratics
+        if quads is None or any(blk.center is None for blk in self.prox):
             return None
-        h = self._block_stacks([quad.h for quad in quads])[0]
-        return h, np.concatenate([quad.c for quad in quads])
+        c = np.concatenate([quad.c - blk.mu * blk.center for quad, blk in zip(quads, self.prox)])
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def _quadratic_stack(self) -> tuple[Array, Array] | None:
+        """Every smooth block's H stacked (d, n, n), the one entry of
+        :attr:`lam_stacks`, and c as one length-m vector, when every block
+        is a :meth:`SmoothBlock.quadratic` and all blocks have one
+        dimension n; None otherwise."""
+        if self._quadratics is None or len(set(self.blocks.dims)) > 1:
+            return None
+        return self.lam_stacks[0], np.concatenate([quad.c for quad in self._quadratics])
 
     @cached_property
     def _shared_prox(self) -> Callable[[Array, Array], Array] | None:
@@ -452,7 +465,7 @@ def make_consensus(
         a[e, u], a[e, v] = 1.0, -1.0
     return ProblemSpec(
         blocks=BlockStructure((1,) * n),
-        smooth=tuple(SmoothBlock.zero(1) for _ in range(n)),
+        smooth=tuple(SmoothBlock.quadratic(np.zeros((1, 1)), np.zeros(1)) for _ in range(n)),
         prox=tuple(local_fns),
         a=a,
         b=np.zeros(len(edges)),
@@ -555,17 +568,20 @@ def make_random_inconsistent_ls(
 
     Smooth blocks are random convex quadratics with largest curvature equal
     to a uniform draw from [1, 3]; the proximable part is ``mu/2 ||.||^2``.
-    Ground truth (``xbar``, ``h*``) and the full quadratic data are recorded
-    in ``meta`` for independent reference solves.
+    Ground truth (``xbar``, ``h*``) is recorded in ``meta``.
     """
     for name, value in (("noise", noise), ("mu", mu)):
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if isinstance(dims, int):
         dims = [dims] * d
     dims = tuple(int(n) for n in dims)
     if len(dims) != d:
         raise ValueError("dims must provide one dimension per block")
+    if min(dims) < 1:
+        raise ValueError(f"dims must all be >= 1, got {dims}")
     m = int(sum(dims))
     rng = np.random.default_rng(seed)
 
@@ -591,10 +607,7 @@ def make_random_inconsistent_ls(
     del g1  # free the factor before ProblemSpec copies A
     b = a @ xbar + xi
 
-    structure = BlockStructure(dims)
     smooth = []
-    h_blocks = []
-    c_blocks = []
     for i in range(d):
         ni = dims[i]
         l_i = float(rng.uniform(1.0, 3.0))
@@ -605,8 +618,6 @@ def make_random_inconsistent_ls(
         h = 0.5 * (h + h.T)
         c = rng.standard_normal(ni)
         smooth.append(SmoothBlock.quadratic(h, c))
-        h_blocks.append(h)
-        c_blocks.append(c)
 
     def value(xv):
         return 0.5 * mu * float(xv.dot(xv))
@@ -614,17 +625,11 @@ def make_random_inconsistent_ls(
     def prox(g, v):
         return g * v / (g + mu)
 
-    meta = {
-        "x_ls": xbar,
-        "h_star": 0.5 * float(xi @ xi),
-        "xi": xi,
-        "seed": seed,
-        "quadratic": {"h_blocks": h_blocks, "c_blocks": c_blocks, "mu": mu},
-    }
+    meta = {"x_ls": xbar, "h_star": 0.5 * float(xi @ xi), "xi": xi, "seed": seed}
     return ProblemSpec(
-        blocks=structure,
+        blocks=BlockStructure(dims),
         smooth=tuple(smooth),
-        prox=tuple(ProxBlock(value, prox, mu, coordinatewise=True) for _ in range(d)),
+        prox=tuple(ProxBlock(value, prox, mu, coordinatewise=True, center=0.0) for _ in range(d)),
         a=a,
         b=b,
         meta=meta,

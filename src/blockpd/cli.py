@@ -265,13 +265,7 @@ def _build_consensus(cfg: RunConfig):
     else:
         raise ConfigError(f"[instance] graph must be path or ring, got {graph!r}")
     local = [prox_quadratic_block(1.0, center=anchors[i]) for i in range(n)]
-    problem = make_consensus(edges, local)
-    problem.meta["quadratic"] = {
-        "h_blocks": [np.eye(1) for _ in range(n)],
-        "c_blocks": [np.array([-anchors[i]]) for i in range(n)],
-        "mu": 0.0,
-    }
-    return problem
+    return make_consensus(edges, local)
 
 
 def _build_model_fit(cfg: RunConfig):
@@ -457,8 +451,8 @@ def run_experiment(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"[policy] kind must be convex or accelerated, got {pol_kind!r}")
 
-    # exact solves only: Psi* is known where the instance is fully quadratic
-    exact = quadratic_reference if "quadratic" in problem.meta else least_squares_reference
+    # exact solves only: Psi* is known where the oracles declare a quadratic
+    exact = quadratic_reference if problem.quadratic_c is not None else least_squares_reference
     reference = exact(problem)
     if "psi_hat_gap" in cfg.fit_columns and reference.psi_star is None:
         raise ConfigError(f"[fit] columns: psi_hat_gap needs an exact objective floor, "

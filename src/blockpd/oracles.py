@@ -2,8 +2,8 @@
 
 Every reference is an exact solve.  The penalty floor h* always comes from a
 direct least-squares solve of the normal equations.  The objective floor
-Psi* comes from an exact reduced QP solve, and only when the instance is
-fully quadratic (quadratic metadata present); otherwise it is left unknown.
+Psi* comes from an exact reduced QP solve, and only where the oracles
+declare a quadratic (``ProblemSpec.quadratic_c``); otherwise it is unknown.
 """
 
 from __future__ import annotations
@@ -238,12 +238,12 @@ def _gelsy_min_norm(p: ProblemSpec) -> Array:
     return x_ls
 
 
-def _apply_hessian(p: ProblemSpec, quad: dict, v: Array) -> Array:
-    """(H + mu I) v for H = blockdiag(H_i) of the quadratic metadata
-    ``quad`` and the m-row matrix v, by one stacked ``matmul`` per block
-    size (the bits of a per-block product)."""
-    hv = quad["mu"] * v
-    for g, h in zip(p.blocks._size_groups, p._block_stacks(quad["h_blocks"])):
+def _apply_hessian(p: ProblemSpec, v: Array) -> Array:
+    """(H + D) v for H = blockdiag(Lam_i), D = diag(``p.mu_vector``) and
+    the m-row matrix v, by one stacked ``matmul`` per block size on
+    ``p.lam_stacks`` (the bits of a per-block product)."""
+    hv = p.mu_vector[:, None] * v
+    for g, h in zip(p.blocks._size_groups, p.lam_stacks):
         hv[g.cols] += np.matmul(h, g.take(v)).reshape(-1, *v.shape[1:])
     return hv
 
@@ -252,10 +252,10 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     """Exact solve for fully quadratic instances.
 
     Minimises 0.5 x'Hx + c'x over the affine set x_ls + null(A) of
-    normal-equation solutions.  Requires the generator to have recorded the
-    quadratic data (no box constraints); H = blockdiag(H_i) + mu I is
-    never formed.  The method follows the shape, on the side of the factor
-    :func:`least_squares_reference` made, kept on the problem
+    normal-equation solutions, with H = blockdiag(Lam_i), D = diag(mu) and
+    c as the oracles declare them (``p.quadratic_c``, else ``ValueError``);
+    H + D is never formed.  The method follows the shape, on the side of
+    the factor :func:`least_squares_reference` made, kept on the problem
     (:func:`_gram_factor`):
 
     - when q < m, the range-space method on the q side
@@ -272,24 +272,24 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
     y* is the minimum-norm solution of A'y = -(H x* + c).
     The multiplier must meet stationarity relative to the size of the
     gradient's terms,
-    ||A'y + (H + mu I) x + c||_inf <= 1e-7 max(||(H + mu I) x||_inf, ||c||_inf),
+    ||A'y + (H + D) x + c||_inf <= 1e-7 max(||(H + D) x||_inf, ||c||_inf),
     so scaling H, c and mu together by s leaves x unchanged and scales both
-    sides by s; a miss raises :class:`InvariantViolation`.
+    sides by s; a miss raises :class:`InvariantViolation`.  A reduced
+    system that is singular, so that x* is not unique, raises ``ValueError``.
     """
-    quad = p.meta.get("quadratic")
-    if quad is None:
-        raise ValueError("instance carries no quadratic metadata")
+    c = p.quadratic_c
+    if c is None:
+        raise ValueError("the problem's oracles declare no quadratic")
     base = least_squares_reference(p)
-    c = np.concatenate(quad["c_blocks"])
     factor = _gram_factor(p)
     solved = None
     if p.q < p.m:
         if factor is not None and factor.perm.size:
-            solved = _range_space_solve(p, quad, base.x_ls, c, len(factor.perm))
+            solved = _range_space_solve(p, base.x_ls, c, len(factor.perm))
         # K's factor holds no basis of null(A)
         factor = None
     if solved is None:
-        solved = _null_space_solve(p, quad, base.x_ls, c, factor)
+        solved = _null_space_solve(p, base.x_ls, c, factor)
     x_star, hx, y_star = solved
     stationarity = float(np.max(np.abs(p.a.T @ y_star + (hx + c))))
     bound = 1e-7 * max(float(np.max(np.abs(hx))), float(np.max(np.abs(c))))
@@ -304,9 +304,9 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
 
 
 def _null_space_solve(
-    p: ProblemSpec, quad: dict, x_ls: Array, c: Array, factor: _GramFactor | None
+    p: ProblemSpec, x_ls: Array, c: Array, factor: _GramFactor | None
 ) -> tuple[Array, Array, Array]:
-    """x*, (H + mu I) x* and y* by the null-space method: with a basis N of
+    """x*, (H + D) x* and y* by the null-space method: with a basis N of
     null(A), x* = x_ls + N z where (N'HN) z = -N'(H x_ls + c), an
     (m - r)^2 system; any basis will do, and an empty one leaves x_ls.  N
     and y* come from the pivoted Cholesky factor of G = A'A (``factor``, m
@@ -316,10 +316,13 @@ def _null_space_solve(
     from an SVD of A (``scipy.linalg.null_space``) and y* from
     ``numpy.linalg.lstsq``."""
     null = sla.null_space(p.a) if factor is None else factor.null_basis()
-    # (H + mu I) [N x_ls]
-    hv = _apply_hessian(p, quad, np.column_stack((null, x_ls)))
+    # (H + D) [N x_ls]
+    hv = _apply_hessian(p, np.column_stack((null, x_ls)))
     k = null.shape[1]
-    z = np.linalg.solve(null.T @ hv[:, :k], -null.T @ (hv[:, k] + c))
+    try:
+        z = np.linalg.solve(null.T @ hv[:, :k], -null.T @ (hv[:, k] + c))
+    except np.linalg.LinAlgError:
+        raise ValueError("x* is not unique: N'HN is singular on null(A)") from None
     x_star = x_ls + null @ z
     hx = hv[:, k] + hv[:, :k] @ z
     grad = hx + c
@@ -332,12 +335,12 @@ def _null_space_solve(
 
 
 def _range_space_solve(
-    p: ProblemSpec, quad: dict, x_ls: Array, c: Array, rank: int
+    p: ProblemSpec, x_ls: Array, c: Array, rank: int
 ) -> tuple[Array, Array, Array] | None:
-    """x*, (H + mu I) x* and y* by the range-space method (Nocedal &
+    """x*, (H + D) x* and y* by the range-space method (Nocedal &
     Wright 2006, *Numerical Optimization*, §16.2), on the q side.
 
-    H + mu I = L L' is factored, and L inverted, by one stacked Cholesky
+    H + D = L L' is factored, and L inverted, by one stacked Cholesky
     and one stacked inverse call per block size, so every product with
     L^{-1} is one stacked ``matmul``.  With B = L^{-1} A' (m x q) and
     e = L^{-1} c, the multiplier y of H x + c = A'y, A x = A x_ls solves
@@ -345,14 +348,15 @@ def _range_space_solve(
     x* = L^{-T}(B y - e).  M is factored by pivoted Cholesky and y is its
     minimum-norm least-squares solution (:meth:`_GramFactor.lstsq`); M has
     the null space of A', so y* = -y is the minimum-norm multiplier.  That
-    costs O(q^2 m) time and O(q m) memory.  None when H + mu I does not
+    costs O(q^2 m) time and O(q m) memory.  None when H + D does not
     factor, M's rank is not the ``rank`` r of A, or x* misses the normal
     equations (:func:`_normal_equations`), which the null-space method
     meets by construction."""
     invs = []
     try:
-        for g, h in zip(p.blocks._size_groups, p._block_stacks(quad["h_blocks"])):
-            invs.append(np.linalg.inv(np.linalg.cholesky(h + quad["mu"] * np.eye(g.n))))
+        for g, h in zip(p.blocks._size_groups, p.lam_stacks):
+            mu = g.take(p.mu_vector)[..., None] * np.eye(g.n)
+            invs.append(np.linalg.inv(np.linalg.cholesky(h + mu)))
     except np.linalg.LinAlgError:
         return None
     b_mat, e = np.empty((p.m, p.q)), np.empty(p.m)
@@ -370,4 +374,4 @@ def _range_space_solve(
     _, normal, bound = _normal_equations(p, x_star)
     if not normal <= bound:
         return None
-    return x_star, _apply_hessian(p, quad, x_star[:, None])[:, 0], -y
+    return x_star, _apply_hessian(p, x_star[:, None])[:, 0], -y

@@ -48,7 +48,8 @@ def prox_l1_block(weight: float = 1.0) -> ProxBlock:
 
 
 def prox_quadratic_block(mu: float, center=0.0) -> ProxBlock:
-    """r(x) = mu/2 * ||x - center||^2; mu must be finite and >= 0."""
+    """r(x) = mu/2 * ||x - center||^2, ``center`` stated on the block; mu
+    must be finite and >= 0."""
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
 
@@ -59,7 +60,7 @@ def prox_quadratic_block(mu: float, center=0.0) -> ProxBlock:
     def prox(g, v):
         return (g * v + mu * center) / (g + mu)
 
-    return ProxBlock(value, prox, mu)
+    return ProxBlock(value, prox, mu, center=center)
 
 
 # ---------------------------------------------------------------------------

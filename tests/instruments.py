@@ -98,17 +98,10 @@ def dense_quadratic_reference(p: ProblemSpec) -> Reference:
     """The exact reduced QP solve ``oracles.quadratic_reference`` made before
     it read the Gram factor, kept as its test oracle: a dense m x m H, an
     SVD null-space basis of A and the multiplier from ``numpy.linalg.lstsq``
-    (with no stationarity check)."""
-    quad = p.meta["quadratic"]
+    (with no stationarity check).  H and c are read from the oracles, as
+    :func:`dense_quadratic`."""
     base = least_squares_reference(p)
-    m = p.m
-    h = np.zeros((m, m))
-    c = np.zeros(m)
-    for i in range(p.d):
-        sl = p.blocks.block_slice(i)
-        h[sl, sl] = quad["h_blocks"][i]
-        c[sl] = quad["c_blocks"][i]
-    h = h + quad["mu"] * np.eye(m)
+    h, c = dense_quadratic(p)
 
     null = sla.null_space(p.a)
     if null.shape[1] == 0:
@@ -121,6 +114,19 @@ def dense_quadratic_reference(p: ProblemSpec) -> Reference:
     y_star, *_ = np.linalg.lstsq(p.a.T, -(h @ x_star + c), rcond=None)
     return replace(base, x_star=x_star, psi_star=eval_psi(p, x_star), y_star=y_star,
                    source="reduced-qp")
+
+
+def dense_quadratic(p: ProblemSpec) -> tuple[Array, Array]:
+    """The dense m x m Hessian and linear term of Psi, read from the
+    oracles of a quadratic problem: H_i = ``smooth[i].lam`` plus mu_i I,
+    and c_i = ``smooth[i].grad(0)`` less mu_i times the prox's ``center``."""
+    h = np.zeros((p.m, p.m))
+    c = np.zeros(p.m)
+    for sl, smooth, prox in zip(p.blocks.slices, p.smooth, p.prox):
+        n = sl.stop - sl.start
+        h[sl, sl] = smooth.lam + prox.mu * np.eye(n)
+        c[sl] = smooth.grad(np.zeros(n)) - prox.mu * prox.center
+    return h, c
 
 
 def svd_projected_noise(a: Array, draw: Array, noise: float) -> Array:
@@ -181,11 +187,13 @@ def looped_coupled_factors(p: ProblemSpec, pb_diag: Array, coupled: Array) -> di
     return out
 
 
-def looped_apply_hessian(p: ProblemSpec, quad: dict, v: Array) -> Array:
-    """(blockdiag(H_i) + mu I) v, one product per block."""
-    hv = quad["mu"] * v
-    for sl, h in zip(p.blocks.slices, quad["h_blocks"]):
-        hv[sl] += h @ v[sl]
+def looped_apply_hessian(p: ProblemSpec, v: Array) -> Array:
+    """(blockdiag(Lam_i) + diag(mu)) v, one product per block, with mu_i
+    from each block's prox."""
+    hv = np.empty_like(v)
+    for sl, smooth, prox in zip(p.blocks.slices, p.smooth, p.prox):
+        hv[sl] = prox.mu * v[sl]
+        hv[sl] += smooth.lam @ v[sl]
     return hv
 
 

@@ -12,9 +12,10 @@ from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock, _Quadratic
 from blockpd import blocks, cli, oracles
 from blockpd.errors import InfeasibleInstance, InvariantViolation
 from blockpd import dlmp
-from blockpd.proxops import prox_quadratic_block, prox_zero_block
+from blockpd.proxops import prox_l1_block, prox_quadratic_block, prox_zero_block
 from instruments import (
-    dense_quadratic_reference, grad_h, penalty_h, prox_box_block, svd_projected_noise,
+    dense_quadratic, dense_quadratic_reference, grad_h, penalty_h, prox_box_block,
+    svd_projected_noise,
 )
 
 
@@ -126,6 +127,20 @@ class TestConsensus:
         with pytest.raises(InfeasibleInstance):
             bp.make_consensus([(0, 1), (2, 3)], [prox_zero_block()] * 4)
 
+    def test_centred_nodes_are_a_declared_quadratic(self):
+        # sum_i mu/2 (x - c_i)^2 over the constant vectors: at mu = 1, x* is
+        # the centres' mean; at mu = 0 every constant is a solution
+        def path(mu):
+            local = [prox_quadratic_block(mu, center=t) for t in (0.0, 1.0, 2.0)]
+            return bp.make_consensus([(0, 1), (1, 2)], local)
+
+        assert np.array_equal(path(1.0).quadratic_c, [0.0, -1.0, -2.0])
+        ref = oracles.quadratic_reference(path(1.0))
+        assert np.allclose(ref.x_star, 1.0, rtol=1e-12, atol=0.0)
+        assert path(0.0).quadratic_c is not None
+        with pytest.raises(ValueError, match=r"x\* is not unique"):
+            oracles.quadratic_reference(path(0.0))
+
 
 class TestModelFitting:
     def test_consistent_least_squares(self):
@@ -160,6 +175,16 @@ class TestModelFitting:
 
 
 class TestRandomInstanceGenerator:
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(d=0, dims=4), "d"), (dict(d=-1, dims=4), "d"),
+        (dict(d=3, dims=0), "dims"), (dict(d=3, dims=[4, 0, 4]), "dims"),
+    ])
+    def test_an_empty_block_count_or_size_is_named(self, kwargs, name, monkeypatch):
+        # these once reached LAPACK's QR with n = 0; nothing is drawn first
+        monkeypatch.setattr(blocks.np.random, "default_rng", None)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            bp.make_random_inconsistent_ls(seed=1, q=10, noise=0.5, **kwargs)
+
     def test_zero_noise_is_consistent(self):
         p = bp.make_random_inconsistent_ls(seed=1, d=3, dims=2, q=10, noise=0.0)
         assert p.meta["h_star"] == pytest.approx(0.0, abs=1e-15)
@@ -568,13 +593,11 @@ class TestReferenceChecks:
         # no q x q system to solve
         h = np.arange(2.0, 2.0 + m)
         c = np.linspace(-1.0, 1.0, m)
-        h_blocks, c_blocks = [np.array([[t]]) for t in h], [np.array([t]) for t in c]
         p = scalar_problem(
-            phi=[SmoothBlock.quadratic(h_i, c_i) for h_i, c_i in zip(h_blocks, c_blocks)],
+            phi=[SmoothBlock.quadratic(np.array([[t]]), np.array([u])) for t, u in zip(h, c)],
             prox=[prox_quadratic_block(1.0)] * m,
             a=np.zeros((q, m)), b=np.ones(q), dims=(1,) * m,
         )
-        p = dataclasses.replace(p, meta={"quadratic": {"h_blocks": h_blocks, "c_blocks": c_blocks, "mu": 1.0}})
         for ref in (bp.least_squares_reference(p), oracles.quadratic_reference(p)):
             assert np.array_equal(ref.x_ls, np.zeros(m)) and ref.h_star == 0.5 * q
         assert np.allclose(ref.x_star, -c / (h + 1.0), rtol=1e-12, atol=0.0)
@@ -629,17 +652,41 @@ class TestReferenceChecks:
     @staticmethod
     def quadratic_scaled(scale):
         """The rank-deficient d=50 generator instance with H, c and mu scaled
-        together by ``scale``, which leaves x* where it was."""
+        together by ``scale`` in its oracles, which leaves x* where it was."""
         p = bp.make_random_inconsistent_ls(
             seed=1, d=50, dims=4, q=300, noise=0.6, mu=1.0, rank_deficiency=4
         )
-        quad = p.meta["quadratic"]
-        meta = {**p.meta, "quadratic": {
-            "h_blocks": [scale * h for h in quad["h_blocks"]],
-            "c_blocks": [scale * c for c in quad["c_blocks"]],
-            "mu": scale * quad["mu"],
-        }}
-        return p, dataclasses.replace(p, meta=meta)
+        smooth = [
+            SmoothBlock.quadratic(scale * blk.lam, scale * blk.grad(np.zeros(4)))
+            for blk in p.smooth
+        ]
+        prox = [prox_quadratic_block(scale * blk.mu) for blk in p.prox]
+        return p, dataclasses.replace(p, smooth=smooth, prox=prox)
+
+    def test_a_copy_is_solved_for_its_own_oracles(self):
+        # every smooth block of a copy doubled: the reference solves the
+        # copy, as its dense KKT system does, not the problem it copied
+        p = bp.make_random_inconsistent_ls(
+            seed=1, d=10, dims=4, q=60, noise=0.6, mu=1.0, rank_deficiency=4
+        )
+        smooth = [
+            SmoothBlock.quadratic(2.0 * blk.lam, 2.0 * blk.grad(np.zeros(4))) for blk in p.smooth
+        ]
+        copy = dataclasses.replace(p, smooth=smooth)
+        ref = oracles.quadratic_reference(copy)
+        h, c = dense_quadratic(copy)
+        kkt = np.block([[h, copy.a.T], [copy.a, np.zeros((copy.q, copy.q))]])
+        sol, *_ = np.linalg.lstsq(kkt, np.concatenate([-c, copy.a @ ref.x_ls]), rcond=None)
+        x_kkt = sol[:copy.m]
+        assert np.max(np.abs(ref.x_star - x_kkt)) <= 1e-11 * np.max(np.abs(x_kkt))
+        assert ref.psi_star == pytest.approx(bp.eval_psi(copy, x_kkt), rel=1e-12)
+
+    def test_a_copy_with_a_prox_that_is_no_quadratic_has_no_reference(self):
+        p = bp.make_random_inconsistent_ls(seed=1, d=10, dims=4, q=60, noise=0.6)
+        copy = dataclasses.replace(p, prox=(prox_l1_block(0.1),) + p.prox[1:])
+        assert p.quadratic_c is not None and copy.quadratic_c is None
+        with pytest.raises(ValueError, match="declare no quadratic"):
+            oracles.quadratic_reference(copy)
 
     @pytest.mark.parametrize("scale", [1e-5, 1e3, 1e5, 1e7])
     def test_stationarity_check_scales_with_the_problem(self, scale):
@@ -669,8 +716,8 @@ class TestReferenceChecks:
     @staticmethod
     def quadratic_instance(case, request):
         """A generator instance, or the matrix of
-        ``test_gelsy_fallback_when_gram_solve_misses`` with quadratic blocks
-        and their metadata."""
+        ``test_gelsy_fallback_when_gram_solve_misses`` with quadratic
+        blocks."""
         if case in ("bench", "two_block"):
             return request.getfixturevalue(f"{case}_instance")
         if case != "gelsy":
@@ -687,13 +734,11 @@ class TestReferenceChecks:
         a = (u * np.logspace(0.0, np.log10(5.2223527848731225e-08), q)) @ v[:, :q].T
         h_blocks = [np.array([[t]]) for t in rng.uniform(1.0, 3.0, m)]
         c_blocks = [np.array([t]) for t in rng.standard_normal(m)]
-        p = scalar_problem(
+        return scalar_problem(
             phi=[SmoothBlock.quadratic(h, c) for h, c in zip(h_blocks, c_blocks)],
             prox=[prox_quadratic_block(1.0)] * m,
             a=a, b=rng.standard_normal(q), dims=(1,) * m,
         )
-        quad = {"h_blocks": h_blocks, "c_blocks": c_blocks, "mu": 1.0}
-        return dataclasses.replace(p, meta={"quadratic": quad})
 
     @pytest.mark.parametrize("case", ["bench", "two_block", "wide", "full_rank", "mixed", "gelsy"])
     def test_quadratic_reference_matches_the_dense_solve(self, case, request, monkeypatch):
@@ -740,11 +785,7 @@ class TestReferenceChecks:
         # the dense KKT system H x + A'y = -c, A x = A x_ls; its null space
         # is {(0, v): A'v = 0}, so its minimum-norm solution carries the
         # unique x* and the minimum-norm multiplier
-        quad = p.meta["quadratic"]
-        h = quad["mu"] * np.eye(p.m)
-        for sl, h_i in zip(p.blocks.slices, quad["h_blocks"]):
-            h[sl, sl] += h_i
-        c = np.concatenate(quad["c_blocks"])
+        h, c = dense_quadratic(p)
         kkt = np.block([[h, p.a.T], [p.a, np.zeros((p.q, p.q))]])
         sol, *_ = np.linalg.lstsq(kkt, np.concatenate([-c, p.a @ ref.x_ls]), rcond=None)
         y_min, *_ = np.linalg.lstsq(p.a.T, -(h @ ref.x_star + c), rcond=None)
@@ -870,8 +911,9 @@ class TestWholeVectorOracles:
             [(i, (i + 1) % 8) for i in range(8)],
             [prox_quadratic_block(1.0, center=0.25 * i) for i in range(8)],
         )
-        for p in (grid, ring):
-            assert p._quadratic_stack is None and p._shared_prox is None
+        assert grid._quadratic_stack is None and grid._shared_prox is None
+        # the ring's zero quadratics stack, but its centred proxes are not shared
+        assert ring._shared_prox is None
         assert_same_bits_as_block_loops(ring, 5, points=5)
 
     @pytest.mark.parametrize("variant", [

@@ -405,7 +405,7 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_psi_gap_fit_without_exact_floor_before_the_run(self, tmp_path, capsys):
-        # a model_fit instance has no quadratic metadata, so no exact Psi*
+        # a model_fit instance's zero smooth blocks declare no quadratic, so no exact Psi*
         out = tmp_path / "o"
         cfg = write_config(
             tmp_path / "fit.cfg",
@@ -750,7 +750,8 @@ kind = full
         def with_nan_prox(make):
             def build(**kwargs):
                 p = make(**kwargs)
-                nan = ProxBlock(lambda x: 0.0, lambda g, v: v * np.nan, 0.0)
+                # r = 0 is mu/2 ||x - 0||^2 at mu = 0, so the exact reference runs
+                nan = ProxBlock(lambda x: 0.0, lambda g, v: v * np.nan, 0.0, center=0.0)
                 return dataclasses.replace(p, prox=(nan,) + p.prox[1:])
             return build
 

@@ -1027,6 +1027,9 @@ class TestLadderCounts:
         ("step_ladder.py", ["--d", "10", "--windows", "-1"]),
         ("step_ladder.py", ["--d", "10", "--steps", "0"]),
         ("setup_ladder.py", ["--windows", "0"]),
+        ("step_ladder.py", ["--d", "0"]),
+        ("step_ladder.py", ["--d", "10", "--tau", "0"]),
+        ("setup_ladder.py", ["--d", "0"]),
     ])
     def test_a_count_below_one_is_refused_before_any_instance(self, script, argv):
         # these once built every instance and then divided by zero or took
