@@ -46,10 +46,16 @@ def load_tree(root):
     return module
 
 
-def at_least_one(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text} is below 1")
-    return int(text)
+def at_least(low):
+    """An argparse type: an int no smaller than ``low``."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return int(text)
+    return parse
+
+
+at_least_one = at_least(1)
 
 
 def parser(doc, windows):

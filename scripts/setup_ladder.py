@@ -5,8 +5,8 @@ Builds the random inconsistent least-squares instance of the ls_wide
 benchmark (d blocks of 4 columns, q = 6d rows, seed 1) with 4-of-d
 ``nice`` sampling for the rungs ``--d`` names, by default d in
 {10, 250, 500} (d=1000 takes about a minute to generate and some 15 s a
-window to set up).  Each instance is generated once, outside the
-timings.  Every window takes a
+window to set up; a rung below 4 is refused).  Each instance is generated
+once, outside the timings.  Every window takes a
 fresh ``dataclasses.replace`` copy, so nothing cached on the problem
 carries over (its ``BlockStructure``, with the grouping of its blocks by
 size, is shared), and times six phases on it in the order a run pays
@@ -58,10 +58,11 @@ def phases(tree):
 def main():
     ap = against.parser(__doc__, windows=5)
     ap.add_argument("--d", type=against.at_least_one, nargs="+", default=[10, 250, 500],
-                    help="the rungs")
-    ap.add_argument("--seed", type=int, default=1)
+                    help="the rungs, at least 4 each")
     args = ap.parse_args()
     ds = sorted(set(args.d))
+    if ds[0] < 4:
+        ap.error(f"argument --d: {ds[0]} is below 4, and nice(d, 4) draws 4 blocks")
     trees = against.tree_set(args.against)
     print(f"maxrss_mb after imports: {against.peak_rss_mb():.1f}")
 
@@ -70,7 +71,7 @@ def main():
         for name, tree in trees.items():
             t0 = time.perf_counter()
             p = tree.make_random_inconsistent_ls(
-                seed=args.seed, d=d, dims=4, q=6 * d, noise=0.6, mu=1.0, rank_deficiency=4
+                seed=1, d=d, dims=4, q=6 * d, noise=0.6, mu=1.0, rank_deficiency=4
             )
             seconds = time.perf_counter() - t0
             rungs[name, d] = (p, tree.nice(d, 4), seconds, against.peak_rss_mb())

@@ -2,10 +2,11 @@
 """Per-step and per-trace-row cost of both engines as the block count
 grows at fixed q.
 
-Builds the random inconsistent least-squares instance with q=60 rows and
-d blocks of 4 columns for d in {10, 100, 1000, 10^4}, draws one block per
-step (single-coordinate sampling) under the uncertified constant policy,
-and prints the median microseconds per engine step and per trace row
+Builds the random inconsistent least-squares instance (seed 1) with q=60
+rows and d blocks of 4 columns for d in {10, 100, 1000, 10^4}, draws one
+block per step (single-coordinate sampling) under the uncertified
+constant policy, and prints the median microseconds per engine step and
+per trace row
 (``solver._trace_record``, what ``run`` pays every ``trace_every`` steps)
 over several timed windows, plus each engine's step cost at the last d
 over its cost at the first and the median time of each rung's
@@ -24,7 +25,8 @@ and run.  Runs on one BLAS thread:
 
 ``--tau T`` draws T of the d blocks per step (``nice(d, T)``), which on
 these instances takes the engines' stacked multi-block step; the ls_wide
-shape is ``--d 250 --q 1500 --tau 4``.  The default, 1, draws one block.
+shape is ``--d 250 --q 1500 --tau 4``.  The default, 1, draws one block;
+T above the smallest ``--d`` is refused.
 
 The windows, their order and ``--against DIR`` follow the rules in
 ``against.py``: with a second checkout each tree builds its own instances
@@ -46,12 +48,13 @@ ROWS = 50  # trace rows per window
 def main():
     ap = against.parser(__doc__, windows=8)
     ap.add_argument("--d", type=against.at_least_one, nargs="+", default=[10, 100, 1000, 10_000])
-    ap.add_argument("--q", type=int, default=60)
+    ap.add_argument("--q", type=against.at_least(0), default=60)
     ap.add_argument("--steps", type=against.at_least_one, default=5000)
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--tau", type=against.at_least_one, default=1,
                     help="blocks drawn per step, nice(d, T)")
     args = ap.parse_args()
+    if args.tau > min(args.d):
+        ap.error(f"argument --tau: {args.tau} is above the smallest --d, {min(args.d)}")
     trees = against.tree_set(args.against)
     print(f"maxrss_mb after imports: {against.peak_rss_mb():.1f}")
 
@@ -59,14 +62,14 @@ def main():
     for d in args.d:
         for tree_name, tree in trees.items():
             p = problems[tree_name, d] = tree.make_random_inconsistent_ls(
-                seed=args.seed, d=d, dims=4, q=args.q, noise=0.6
+                seed=1, d=d, dims=4, q=args.q, noise=0.6
             )
             s = tree.single_coordinate(d) if args.tau == 1 else tree.nice(d, args.tau)
             ref = tree.least_squares_reference(p)
             for name, cls in ENGINES.items():
                 policy = tree.convex_default_policy(p, s, certify=False)
                 eng = getattr(tree.solver, cls)(p, s, policy)
-                state = eng.init_state(np.zeros(p.m), tree.make_rng(args.seed))
+                state = eng.init_state(np.zeros(p.m), tree.make_rng(1))
                 runs[tree_name, d, name] = (eng, state, ref)
 
     def time_one(tree_name, d):

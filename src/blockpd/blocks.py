@@ -163,6 +163,25 @@ class ProxBlock:
     center: float | Array | None = None
 
 
+def _read_only(x: Array) -> Array:
+    x.flags.writeable = False
+    return x
+
+
+def _owned_read_only(x) -> Array:
+    """``x`` when it is a read-only, column-major float64 array that owns
+    its data; otherwise a read-only copy of it in that form."""
+    if (
+        type(x) is np.ndarray
+        and x.flags.owndata
+        and x.dtype == np.float64
+        and x.flags.f_contiguous
+        and not x.flags.writeable
+    ):
+        return x
+    return _read_only(np.array(x, dtype=float, order="F"))
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Immutable problem instance.  Shared read-only use is safe, except
@@ -174,11 +193,12 @@ class ProblemSpec:
     q-by-m coupling matrix A, kept as one read-only, column-major float64
     array; ``a_blocks`` are its column slabs A_1 .. A_d at the block
     offsets, each a contiguous view, so the per-block products ``A_i' r``
-    and ``A_i t`` run on contiguous memory.  An ``a`` that already is such
-    an array and owns its data, as the one a ``dataclasses.replace`` copy
+    and ``A_i t`` run on contiguous memory.  ``b`` is kept the same way, as
+    a read-only float64 vector.  An ``a`` or ``b`` that already is such an
+    array and owns its data, as the ones a ``dataclasses.replace`` copy
     passes, is kept as it is; any other is copied once, so a later write to
-    it does not reach the problem.  A non-finite entry of A or b is
-    rejected, naming which.
+    it does not reach the problem.  The cached arrays are read-only too.  A
+    non-finite entry of A or b is rejected, naming which.
     """
 
     blocks: BlockStructure
@@ -192,27 +212,18 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "smooth", tuple(self.smooth))
         object.__setattr__(self, "prox", tuple(self.prox))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        a = self.a
-        if not (
-            type(a) is np.ndarray
-            and a.flags.owndata
-            and a.dtype == np.float64
-            and a.flags.f_contiguous
-            and not a.flags.writeable
-        ):
-            a = np.array(a, dtype=float, order="F")
-            a.flags.writeable = False
+        a, b = _owned_read_only(self.a), _owned_read_only(self.b)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if not len(self.smooth) == len(self.prox) == self.blocks.d:
             raise ValueError("per-block sequences must all have length d")
-        if self.b.ndim != 1:
-            raise ValueError(f"b must be a vector, got an array of shape {self.b.shape}")
+        if b.ndim != 1:
+            raise ValueError(f"b must be a vector, got an array of shape {b.shape}")
         if a.ndim != 2 or a.shape[1] != self.blocks.m:
             raise ValueError(f"A has shape {a.shape}, expected {self.blocks.m} columns")
         if a.shape[0] != self.q:
             raise ValueError(f"b has length {self.q} but A has {a.shape[0]} rows")
-        for name, arr in (("A", a), ("b", self.b)):
+        for name, arr in (("A", a), ("b", b)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds a value that is not finite")
         object.__setattr__(self, "a_blocks", tuple(a[:, sl] for sl in self.blocks.slices))
@@ -239,16 +250,14 @@ class ProblemSpec:
             for g in self.blocks._size_groups:
                 s = np.linalg.svd(g.take(self.a.T).transpose(0, 2, 1), compute_uv=False)
                 out[g.blocks] = s[:, 0] ** 2
-        return out
+        return _read_only(out)
 
     @cached_property
     def gram(self) -> Array:
         """The read-only m-by-m Gram matrix A'A, formed once per problem:
         both step certificates scale it into Xi, and the references factor
         it when q >= m (a wide instance's references factor AA' instead)."""
-        g = self.a.T @ self.a
-        g.flags.writeable = False
-        return g
+        return _read_only(self.a.T @ self.a)
 
     @cached_property
     def lam_stacks(self) -> tuple[Array, ...]:
@@ -256,7 +265,8 @@ class ProblemSpec:
         per entry of ``blocks._size_groups``; the per-block curvature and
         both step certificates read them."""
         return tuple(
-            np.stack([self.smooth[i].lam for i in g.ids]) for g in self.blocks._size_groups
+            _read_only(np.stack([self.smooth[i].lam for i in g.ids]))
+            for g in self.blocks._size_groups
         )
 
     @cached_property
@@ -266,7 +276,7 @@ class ProblemSpec:
         out = np.empty(self.d)
         for g, lam in zip(self.blocks._size_groups, self.lam_stacks):
             out[g.blocks] = np.linalg.eigvalsh(lam).max(axis=1)
-        return out
+        return _read_only(out)
 
     @cached_property
     def derived(self) -> dict:
@@ -278,7 +288,7 @@ class ProblemSpec:
     @cached_property
     def mu_vector(self) -> Array:
         """Length-m diagonal of the strong-convexity matrix of R."""
-        return self.blocks.expand([p.mu for p in self.prox])
+        return _read_only(self.blocks.expand([p.mu for p in self.prox]))
 
     # -- value / gradient oracles ------------------------------------------
 
@@ -303,8 +313,7 @@ class ProblemSpec:
         if quads is None or any(blk.center is None for blk in self.prox):
             return None
         c = np.concatenate([quad.c - blk.mu * blk.center for quad, blk in zip(quads, self.prox)])
-        c.flags.writeable = False
-        return c
+        return _read_only(c)
 
     @cached_property
     def _quadratic_stack(self) -> tuple[Array, Array] | None:
@@ -314,7 +323,8 @@ class ProblemSpec:
         dimension n; None otherwise."""
         if self._quadratics is None or len(set(self.blocks.dims)) > 1:
             return None
-        return self.lam_stacks[0], np.concatenate([quad.c for quad in self._quadratics])
+        c = np.concatenate([quad.c for quad in self._quadratics])
+        return self.lam_stacks[0], _read_only(c)
 
     @cached_property
     def _shared_prox(self) -> Callable[[Array, Array], Array] | None:
@@ -573,8 +583,9 @@ def make_random_inconsistent_ls(
     for name, value in (("noise", noise), ("mu", mu)):
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    for name, value, low in (("seed", seed, 0), ("q", q, 0), ("d", d, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     if isinstance(dims, int):
         dims = [dims] * d
     dims = tuple(int(n) for n in dims)

@@ -104,12 +104,12 @@ def _normal_equations(p: ProblemSpec, x: Array) -> tuple[Array, float, float]:
 
 
 class _GramFactor(NamedTuple):
-    """Pivoted Cholesky factor P'GP = U'U of an n x n Gram matrix G
-    (A'A, AA' or A H^{-1} A'), U = [U11 U12] of rank r: ``low`` is U11'
-    (lower triangular), ``perm`` and ``dropped`` the columns of G the
-    factor kept and dropped, W = U11^{-1} U12, and ``null_chol`` the
-    Cholesky factor of I + W'W = N'N for the null basis N of
-    :meth:`null_basis` (None unless 0 < r < n)."""
+    """Pivoted Cholesky factor P'GP = U'U of an n x n Gram matrix G (A'A,
+    AA', A H^{-1} A', or the grid rows' C C' of :class:`proxops.AffineSubspace`),
+    U = [U11 U12] of rank r: ``low`` is U11' (lower triangular), ``perm``
+    and ``dropped`` the columns of G the factor kept and dropped, W =
+    U11^{-1} U12, and ``null_chol`` the Cholesky factor of I + W'W = N'N
+    for the null basis N of :meth:`null_basis` (None unless 0 < r < n)."""
 
     low: Array
     perm: Array

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .blocks import ProxBlock
 from .errors import InfeasibleInstance, ProjectionDidNotConverge
+from .oracles import _GramFactor, _pivoted_factor
 
 Array = np.ndarray
 
@@ -70,49 +70,34 @@ def prox_quadratic_block(mu: float, center=0.0) -> ProxBlock:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """{x : C x = e}.  The projection is v - C^T multiplier(v); the
-    multiplier (C C^T)^{-1} (C v - e) is an affine map formed once from a
-    Cholesky factor of the Gram matrix ``gram`` = C C^T, lifted by 1e-14 I.
-    The factor and its two solves go straight through LAPACK ``dpotrf`` and
-    ``dpotrs``, without scipy.linalg's per-call checks: the bits of
-    ``cho_factor``/``cho_solve``, in about 60% of their time on the 15-bus
-    grid.  A Gram matrix that is not finite raises ``ValueError``, as
-    ``cho_factor``'s check did (``dpotrf`` passes a NaN through with info
-    0), and a lifted Gram matrix that is not positive definite raises
-    ``numpy.linalg.LinAlgError``.  ``c_matrix`` and ``e`` are kept as float
-    arrays."""
+    """{x : C x = e}.  The projection is v - C^T multiplier(v), the
+    multiplier being the minimum-norm least-squares solution of
+    (C C^T) lam = C v - e on the references' pivoted Cholesky factor of
+    the Gram matrix ``gram`` = C C^T (:meth:`oracles._GramFactor.lstsq`),
+    so dependent rows need no lift.  A Gram matrix that is not finite
+    raises ``ValueError``: ``dpstrf`` would drop a NaN pivot as a dependent
+    row.  ``c_matrix`` and ``e`` are kept as float arrays."""
 
     c_matrix: Array
     e: Array
     gram: Array = field(init=False, repr=False, compare=False)
-    _gram_inv_c: Array = field(init=False, repr=False, compare=False)
-    _gram_inv_e: Array = field(init=False, repr=False, compare=False)
+    _factor: _GramFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.c_matrix, dtype=float)
-        e = np.asarray(self.e, dtype=float)
         gram = c @ c.T
         if not np.isfinite(gram).all():
             raise ValueError("the Gram matrix C C^T is not finite")
-        # tiny diagonal lift guards against duplicated rows
-        factor, info = lapack.dpotrf(gram + 1e-14 * np.eye(gram.shape[0]), clean=0)
-        if info:
-            raise np.linalg.LinAlgError(
-                f"the lifted Gram matrix C C^T + 1e-14 I is not positive definite "
-                f"(dpotrf info {info})"
-            )
         object.__setattr__(self, "c_matrix", c)
-        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_gram_inv_c", lapack.dpotrs(factor, c)[0])
-        object.__setattr__(self, "_gram_inv_e", lapack.dpotrs(factor, e)[0])
+        object.__setattr__(self, "_factor", _pivoted_factor(gram))
 
     def project(self, v: Array) -> Array:
         return v - self.c_matrix.T.dot(self.multiplier(v))
 
     def multiplier(self, v: Array) -> Array:
-        """(C C^T)^{-1} (C v - e)."""
-        return self._gram_inv_c.dot(v) - self._gram_inv_e
+        return self._factor.lstsq(self.c_matrix.dot(v) - self.e)
 
     def distance(self, v: Array) -> float:
         return float(np.linalg.norm(v - self.project(v)))

@@ -178,12 +178,14 @@ class TestRandomInstanceGenerator:
     @pytest.mark.parametrize("kwargs, name", [
         (dict(d=0, dims=4), "d"), (dict(d=-1, dims=4), "d"),
         (dict(d=3, dims=0), "dims"), (dict(d=3, dims=[4, 0, 4]), "dims"),
+        (dict(d=3, dims=4, q=-1), "q"), (dict(d=3, dims=4, seed=-1), "seed"),
     ])
     def test_an_empty_block_count_or_size_is_named(self, kwargs, name, monkeypatch):
-        # these once reached LAPACK's QR with n = 0; nothing is drawn first
+        # these once reached LAPACK's QR with n = 0, or NumPy's array and
+        # seeding errors, which name no argument; nothing is drawn first
         monkeypatch.setattr(blocks.np.random, "default_rng", None)
         with pytest.raises(ValueError, match=f"^{name} must"):
-            bp.make_random_inconsistent_ls(seed=1, q=10, noise=0.5, **kwargs)
+            bp.make_random_inconsistent_ls(**{"seed": 1, "q": 10, "noise": 0.5, **kwargs})
 
     def test_zero_noise_is_consistent(self):
         p = bp.make_random_inconsistent_ls(seed=1, d=3, dims=2, q=10, noise=0.0)
@@ -432,6 +434,31 @@ class TestCouplingLayout:
         src[...] = 0.0
         assert np.array_equal(p.a, want)
         assert all(np.array_equal(a_i, want[:, sl]) for a_i, sl in zip(p.a_blocks, p.blocks.slices))
+
+    def test_caller_b_is_copied_and_replace_shares_it(self):
+        # b was kept by reference: adding 5 to the caller's b[0] moved h*
+        # from 0.125 to 5.354
+        gen = bp.make_random_inconsistent_ls(seed=1, d=5, dims=3, q=20, noise=0.5)
+        b = np.array(gen.b)
+        p = ProblemSpec(gen.blocks, gen.smooth, gen.prox, np.array(gen.a), b)
+        h_star = bp.least_squares_reference(p).h_star
+        b[0] += 5.0
+        assert np.array_equal(p.b, gen.b)
+        assert p.b.flags.owndata and not p.b.flags.writeable
+        assert bp.least_squares_reference(dataclasses.replace(p)).h_star == h_star
+        assert dataclasses.replace(p).b is p.b
+        with pytest.raises(ValueError, match="read-only"):
+            p.b[0] = 0.0
+
+    @pytest.mark.parametrize("name", [
+        "block_sq_norms", "lam_stacks", "smooth_lipschitz", "mu_vector", "quadratic_c",
+        "_quadratic_stack",
+    ])
+    def test_cached_arrays_are_read_only(self, bench_instance, name):
+        value = getattr(dataclasses.replace(bench_instance), name)
+        for arr in value if isinstance(value, tuple) else (value,):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
 
     @pytest.mark.parametrize("build", ["generator", "consensus", "model_fit", "custom", "opf15"])
     def test_every_builder_shares_a_under_replace(self, build, tmp_path):

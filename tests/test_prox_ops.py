@@ -233,23 +233,33 @@ class TestAffineSubspace:
         out = aff.project(rng.standard_normal(4))
         assert np.allclose(c @ out, [1.0, 2.0], atol=1e-10)
 
-    def test_gram_matches_the_checked_cholesky(self, rng):
-        import scipy.linalg as sla
-
+    @pytest.mark.parametrize("dependent", [False, True])
+    def test_multiplier_is_the_minimum_norm_solution(self, rng, dependent):
+        # (C C^T) lam = C v - e, on full-rank rows and on rows whose Gram
+        # matrix is singular: the fourth row is the sum of the first two and
+        # the fifth repeats the third
         c = rng.standard_normal((5, 12))
-        e = rng.standard_normal(5)
+        if dependent:
+            c[3] = c[0] + c[1]
+            c[4] = c[2]
+        e = c @ rng.standard_normal(12)
         aff = AffineSubspace(c, e)
-        factor = sla.cho_factor(c @ c.T + 1e-14 * np.eye(5))
-        assert np.array_equal(aff._gram_inv_c, sla.cho_solve(factor, c))
-        assert np.array_equal(aff._gram_inv_e, sla.cho_solve(factor, e))
+        for _ in range(10):
+            v = rng.standard_normal(12)
+            expected, *_ = np.linalg.lstsq(c @ c.T, c @ v - e, rcond=None)
+            lam = aff.multiplier(v)
+            assert np.allclose(lam, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+            assert np.allclose(c @ aff.project(v), e, atol=1e-10)
 
-    def test_lifted_gram_not_positive_definite_raises(self):
-        # two equal rows of norm 2^27: C C^T holds 2^54 everywhere, the
-        # 1e-14 lift is below its spacing of 8, and every step of the
-        # factorisation is exact, so the second pivot is exactly 0
+    def test_two_equal_rows_of_norm_2_27_project_onto_the_rows(self):
+        # C C^T holds 2^54 everywhere and its second pivot is exactly 0: the
+        # pivoted factor keeps one row and the projection lands on C x = e
         c = np.array([[2.0**27, 0.0], [2.0**27, 0.0]])
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            AffineSubspace(c, np.zeros(2))
+        e = np.array([3.0, 3.0])
+        aff = AffineSubspace(c, e)
+        out = aff.project(np.array([1.0, 4.0]))
+        assert np.allclose(c @ out, e, rtol=1e-15)
+        assert out[1] == 4.0
 
     def test_non_finite_gram_raises(self):
         # dpotrf factors a NaN Gram matrix with info 0

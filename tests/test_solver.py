@@ -1039,6 +1039,22 @@ class TestLadderCounts:
         assert f"argument {argv[-2]}: " in out.stderr and "is below 1" in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("script,argv,message", [
+        ("step_ladder.py", ["--d", "10", "3", "--tau", "4"],
+         "argument --tau: 4 is above the smallest --d, 3"),
+        ("setup_ladder.py", ["--d", "10", "3"], "argument --d: 3 is below 4"),
+        ("step_ladder.py", ["--d", "10", "--q", "-1"], "argument --q: -1 is below 0"),
+        ("step_ladder.py", ["--d", "10", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        ("setup_ladder.py", ["--seed", "1"], "unrecognized arguments: --seed 1"),
+    ], ids=["tau_above_d", "setup_rung_below_4", "negative_q", "step_seed", "setup_seed"])
+    def test_a_rung_the_draws_or_the_rows_cannot_take_is_refused(self, script, argv, message):
+        # these once built every instance and then died in sampling.nice or
+        # in NumPy; the seed is 1, with no option
+        out = _ladder(script, *argv)
+        assert out.returncode == 2, out.stderr
+        assert message in out.stderr
+        assert out.stdout == ""
+
 
 class TestAgainstWindows:
     """The one window loop of scripts/against.py, on a stub timer whose
