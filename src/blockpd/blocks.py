@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .errors import InfeasibleInstance
 
 Array = np.ndarray

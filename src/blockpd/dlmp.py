@@ -61,8 +61,8 @@ from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .blocks import BlockStructure, ProblemSpec, ProxBlock, SmoothBlock
 from .errors import InfeasibleInstance, ProjectionDidNotConverge
 from .proxops import AffineSubspace, project_energy_budgets

@@ -12,9 +12,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .blocks import ProblemSpec, eval_psi
 from .errors import InvariantViolation
 
@@ -233,8 +232,10 @@ def _gram_min_norm(p: ProblemSpec) -> Array | None:
 def _gelsy_min_norm(p: ProblemSpec) -> Array:
     """Minimum-norm least-squares solution from LAPACK ``gelsy`` on A, with
     NumPy's default rank cut-off eps * max(q, m)."""
+    import scipy.linalg  # a decline path; the package loads no scipy.linalg otherwise
+
     cond = np.finfo(float).eps * max(p.q, p.m)
-    x_ls, *_ = sla.lstsq(p.a, p.b, cond=cond, lapack_driver="gelsy")
+    x_ls, *_ = scipy.linalg.lstsq(p.a, p.b, cond=cond, lapack_driver="gelsy")
     return x_ls
 
 
@@ -315,7 +316,12 @@ def _null_space_solve(
     (:meth:`_GramFactor.lstsq`).  Where the factor declined (None), N comes
     from an SVD of A (``scipy.linalg.null_space``) and y* from
     ``numpy.linalg.lstsq``."""
-    null = sla.null_space(p.a) if factor is None else factor.null_basis()
+    if factor is None:
+        import scipy.linalg  # a decline path, as in ``_gelsy_min_norm``
+
+        null = scipy.linalg.null_space(p.a)
+    else:
+        null = factor.null_basis()
     # (H + D) [N x_ls]
     hv = _apply_hessian(p, np.column_stack((null, x_ls)))
     k = null.shape[1]

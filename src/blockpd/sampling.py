@@ -109,8 +109,19 @@ class Sampling:
         return tuple(out)
 
 
+def _count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int, or ``ValueError`` naming it when it is not an
+    integer (a bool is not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def single_coordinate(d: int, probs=None) -> Sampling:
     """One block per iteration; uniform unless per-block probs are given."""
+    d = _count("d", d)
     if probs is None:
         probs = np.full(d, 1.0 / d)
     probs = np.asarray(probs, dtype=float)
@@ -120,8 +131,9 @@ def single_coordinate(d: int, probs=None) -> Sampling:
 
 def nice(d: int, m: int) -> Sampling:
     """Uniform choice of exactly m of the d blocks."""
-    if not 1 <= m <= d:
-        raise ValueError("subset size must be between 1 and d")
+    d, m = _count("d", d), _count("m", m)
+    if m > d:
+        raise ValueError(f"m must be <= d = {d}, got {m}")
     pi = np.full(d, m / d)
     if comb(d, m) <= MAX_ENUMERABLE:
         support = tuple(combinations(range(d), m))
@@ -131,14 +143,14 @@ def nice(d: int, m: int) -> Sampling:
 
 
 def full(d: int) -> Sampling:
+    d = _count("d", d)
     return Sampling(d, "full", np.ones(d), (tuple(range(d)),), np.array([1.0]))
 
 
 def paired_dso(p: int) -> Sampling:
     """Coordinator-plus-one-agent pairs: block 0 always active, one of the p
     agent blocks chosen uniformly."""
-    if p < 1:
-        raise ValueError("need at least one agent block")
+    p = _count("p", p)
     support = tuple((0, a) for a in range(1, p + 1))
     probs = np.full(p, 1.0 / p)
     pi = np.concatenate([[1.0], np.full(p, 1.0 / p)])

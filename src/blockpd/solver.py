@@ -55,7 +55,7 @@ import numpy as np
 from .blocks import ProblemSpec, eval_psi, kkt_residual
 from .errors import SolverDivergence
 from .oracles import Reference, least_squares_reference
-from .sampling import Sampling, draw, make_rng
+from .sampling import Sampling, _count, draw, make_rng
 
 Array = np.ndarray
 
@@ -491,10 +491,8 @@ def run(
     attached.  Deterministic for a fixed seed: the generator is consumed only
     by the block draws.
     """
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    _count("trace_every", trace_every)
+    _count("k_max", k_max, 0)
     if stop_kkt_tol is not None and not (math.isfinite(stop_kkt_tol) and stop_kkt_tol > 0):
         raise ValueError(f"stop_kkt_tol must be finite and > 0 (or None), got {stop_kkt_tol}")
     if reference is None:

@@ -32,8 +32,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
+from ._lapack import blas, lapack
 from .blocks import ProblemSpec
 from .errors import InvariantViolation, PolicyConstructionError, StrongConvexityRequired
 from .sampling import Sampling, weight_matrix_p, xi_matrix

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -774,8 +775,8 @@ class TestReferenceChecks:
         # reference takes the SVD path
         p = self.quadratic_instance(case, request)
         dense = dense_quadratic_reference(p)
-        real, svds = oracles.sla.null_space, []
-        monkeypatch.setattr(oracles.sla, "null_space", lambda a: svds.append(a) or real(a))
+        real, svds = scipy.linalg.null_space, []
+        monkeypatch.setattr(scipy.linalg, "null_space", lambda a: svds.append(a) or real(a))
         ref = oracles.quadratic_reference(p)
         assert len(svds) == (case == "gelsy")
         assert np.array_equal(ref.x_ls, dense.x_ls) and ref.h_star == dense.h_star
@@ -829,8 +830,8 @@ class TestReferenceChecks:
         # null-space method on an SVD of A, not on G = A'A
         p = self.quadratic_instance("wide", request)
         dense = dense_quadratic_reference(p)
-        real, svds = oracles.sla.null_space, []
-        monkeypatch.setattr(oracles.sla, "null_space", lambda a: svds.append(a) or real(a))
+        real, svds = scipy.linalg.null_space, []
+        monkeypatch.setattr(scipy.linalg, "null_space", lambda a: svds.append(a) or real(a))
         monkeypatch.setattr(oracles, "_range_space_solve", lambda *args: None)
         ref = oracles.quadratic_reference(p)
         assert len(svds) == 1 and "gram" not in vars(p)
@@ -841,7 +842,7 @@ class TestReferenceChecks:
         def svd(*args, **kwargs):
             raise AssertionError("SVD-based solve on the bench instance")
 
-        monkeypatch.setattr(oracles.sla, "null_space", svd)
+        monkeypatch.setattr(scipy.linalg, "null_space", svd)
         monkeypatch.setattr(np.linalg, "lstsq", svd)
         ref = oracles.quadratic_reference(bench_instance)
         assert ref.source == "reduced-qp"

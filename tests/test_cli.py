@@ -133,26 +133,56 @@ class TestFitMatchesLinregress:
         assert str(ours.value) == str(theirs.value)
 
 
-def test_package_loads_no_scipy_stats():
-    # scipy.stats adds about 43 MB of resident memory to an import of the
-    # package (scipy 1.17); the package uses SciPy for linear algebra only
-    code = (
-        "import sys\n"
-        "import blockpd, blockpd.cli, blockpd.dlmp\n"
-        "names = sorted(m for m in sys.modules if m.startswith('scipy.'))\n"
-        "subpackages = sorted(m for m in names if m.count('.') == 1\n"
-        "                     and not m.startswith('scipy._')\n"
-        "                     and hasattr(sys.modules[m], '__path__'))\n"
-        "print([m for m in names if m.startswith('scipy.stats')])\n"
-        "print(subpackages)\n"
-    )
+def fresh_python(code, *args):
+    """stdout of ``code`` run in a new interpreter that imports this package."""
     src = str(Path(blockpd.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
     assert out.returncode == 0, out.stderr
-    stats_modules, subpackages = out.stdout.splitlines()
-    assert stats_modules == "[]"
-    assert subpackages == "['scipy.linalg']"
+    return out.stdout
+
+
+def test_package_loads_no_scipy_linalg():
+    # scipy.linalg's package __init__ adds about 23 MB of resident memory
+    # and some 300 modules to an import of the package (scipy 1.17), and
+    # scipy.stats, which loads it, another 43 MB; the package takes its
+    # LAPACK and BLAS from blockpd._lapack
+    out = fresh_python(
+        "import sys\n"
+        "import blockpd, blockpd.cli, blockpd.dlmp\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.stats'))))\n"
+    )
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("first", ["blockpd", "scipy.linalg"])
+def test_linear_algebra_routines_are_scipys(first):
+    # every lapack.* and blas.* routine the package calls is the very object
+    # scipy.linalg.lapack / blas export, whichever is imported first, and a
+    # later import of scipy.linalg still sets its two extension modules
+    calls = set()
+    for path in Path(blockpd.__file__).parent.glob("*.py"):
+        calls.update(re.findall(r"(?<![\w.])((?:lapack|blas)\.\w+)\(", path.read_text()))
+    assert {"lapack.dpstrf", "lapack.dsyevr", "blas.dtrsm"} <= calls
+    second = "blockpd" if first == "scipy.linalg" else "scipy.linalg"
+    out = fresh_python(
+        "import sys\n"
+        f"import {first}\n"
+        f"import {second}\n"
+        "from blockpd import _lapack\n"
+        "print(scipy.linalg._flapack is sys.modules['scipy.linalg._flapack'],\n"
+        "      scipy.linalg._fblas is sys.modules['scipy.linalg._fblas'])\n"
+        "for call in sys.argv[1:]:\n"
+        "    kind, name = call.split('.')\n"
+        "    ours = getattr(getattr(_lapack, kind), name)\n"
+        "    print(call, ours is getattr(getattr(scipy.linalg, kind), name))\n",
+        *sorted(calls),
+    )
+    lines = out.splitlines()
+    assert lines[0] == "True True"
+    assert lines[1:] == [f"{call} True" for call in sorted(calls)]
 
 
 class TestConfigParsing:

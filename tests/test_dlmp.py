@@ -796,7 +796,7 @@ class TestPairActivatedLoop:
 
     def test_trace_every_must_be_positive(self, opf15):
         x0 = dlmp.opf_initial_point(opf15)
-        for bad in (0, -5):
+        for bad in (0, -5, 2.5):
             with pytest.raises(ValueError, match="trace_every"):
                 dlmp.ppdlmp_run(opf15, x0, 10, seed=0, trace_every=bad)
 

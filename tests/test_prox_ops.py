@@ -262,7 +262,8 @@ class TestAffineSubspace:
         assert out[1] == 4.0
 
     def test_non_finite_gram_raises(self):
-        # dpotrf factors a NaN Gram matrix with info 0
+        # dpstrf takes a NaN pivot for a dropped row, not an error (rank 0,
+        # info 1 here), so the factor alone would not refuse this Gram matrix
         c = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="not finite"):
             AffineSubspace(c, np.zeros(2))

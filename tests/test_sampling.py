@@ -188,6 +188,31 @@ class TestInvariantChecks:
         with pytest.raises(ValueError, match="nice"):
             bp.Sampling(3, kind, np.full(3, 0.5), None, None, nice_m=m)
 
+    @pytest.mark.parametrize(
+        "make, args, name",
+        [
+            (bp.single_coordinate, (0,), "d"),
+            (bp.single_coordinate, (2.0,), "d"),
+            (bp.nice, (0, 1), "d"),
+            (bp.nice, (5, 0), "m"),
+            (bp.nice, (5, 6), "m"),
+            (bp.nice, (5, 2.0), "m"),
+            (bp.nice, (5, True), "m"),
+            (bp.full, (0,), "d"),
+            (bp.paired_dso, (0,), "p"),
+            (bp.paired_dso, (1.5,), "p"),
+        ],
+        ids=[
+            "single-d-zero", "single-d-float", "nice-d-zero", "nice-m-zero", "nice-m-above-d",
+            "nice-m-float", "nice-m-bool", "full-d-zero", "paired-p-zero", "paired-p-float",
+        ],
+    )
+    def test_a_constructor_names_its_bad_count(self, make, args, name):
+        # single_coordinate(0) once raised ZeroDivisionError, nice(5, 2.0) a
+        # TypeError from math.comb, and nice(5, True) built a sampling
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            make(*args)
+
     def test_prob_matrix_makes_no_eigen_call(self, monkeypatch):
         calls = []
 

@@ -638,7 +638,7 @@ class TestRunLoop:
         p = two_block_instance
         s = bp.single_coordinate(2)
         pol = bp.convex_default_policy(p, s)
-        for bad in (0, -1):
+        for bad in (0, -1, 2.5):
             with pytest.raises(ValueError, match="trace_every"):
                 bp.run(p, s, pol, np.zeros(p.m), 10, seed=0, trace_every=bad)
 
@@ -648,6 +648,8 @@ class TestRunLoop:
         pol = bp.convex_default_policy(p, s)
         with pytest.raises(ValueError, match=r"k_max must be >= 0, got -5"):
             bp.run(p, s, pol, np.zeros(p.m), -5, seed=0)
+        with pytest.raises(ValueError, match=r"k_max must be an integer, got 2\.5"):
+            bp.run(p, s, pol, np.zeros(p.m), 2.5, seed=0)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
     def test_stop_kkt_tol_must_be_finite_and_positive(self, two_block_instance, bad):
