@@ -28,6 +28,16 @@ from .errors import InfeasibleInstance
 Array = np.ndarray
 
 
+def _count(name: str, value, low: int = 1) -> int:
+    """``value`` as an int, or ``ValueError`` naming it when it is not an
+    integer (a bool is not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Decomposition of R^m into d contiguous coordinate blocks."""
@@ -35,9 +45,9 @@ class BlockStructure:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.dims or any(int(n) < 1 for n in self.dims):
-            raise ValueError("block dimensions must all be >= 1")
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        if not self.dims:
+            raise ValueError("dims must hold at least one block dimension")
+        object.__setattr__(self, "dims", tuple(_count("dims", n) for n in self.dims))
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
@@ -461,8 +471,8 @@ def make_consensus(
     n = len(local_fns)
     if n == 0:
         raise ValueError("consensus needs at least one node")
-    edges = [(int(u), int(v)) for u, v in edges]
-    if any(u == v or not (0 <= u < n and 0 <= v < n) for u, v in edges):
+    edges = [(_count("edges", u, 0), _count("edges", v, 0)) for u, v in edges]
+    if any(u == v or max(u, v) >= n for u, v in edges):
         raise ValueError("edge endpoints must be distinct node indices")
     if not _connected(n, edges):
         raise InfeasibleInstance(
@@ -568,13 +578,16 @@ def make_random_inconsistent_ls(
     ``b = A xbar + xi`` where ``xi`` is drawn, projected onto the orthogonal
     complement of range(A) and scaled to norm ``noise``, so the attainable
     penalty minimum is exactly ``h* = 0.5 ||xi||^2`` and ``xbar`` solves the
-    normal equations.  With ``rank_deficiency > 0`` the coupling matrix is
-    drawn as A = G1 G2 / sqrt(m (m - r)) with G1 q-by-(m - r), which gives it
-    a null space of dimension r, so the feasible set is a nontrivial affine
-    subspace.  The projection reads range(A) from the draw's own factor, G1
-    or A itself, by Householder reflectors (:func:`_range_complement`), with
-    no SVD of A.  When that factor has at least q columns, range(A) is all
-    of R^q: no b is inconsistent, and ``xi = 0``, ``h* = 0``.
+    normal equations.  With ``rank_deficiency`` r > 0 the coupling matrix is
+    drawn as A = G1 G2 / sqrt(m (m - r)) with G1 q-by-(m - r), so A has rank
+    min(q, m - r): its null space has dimension r when q >= m - r (and
+    m - q otherwise), and the feasible set is a nontrivial affine subspace.
+    G2 is drawn in row chunks of about 2^20 doubles, so no (m - r)-by-m
+    array is held.  The projection reads range(A) from the draw's own
+    factor, G1 or A itself, by Householder reflectors
+    (:func:`_range_complement`), with no SVD of A.  When that factor has at
+    least q columns, range(A) is all of R^q: no b is inconsistent, and
+    ``xi = 0``, ``h* = 0``.
 
     Smooth blocks are random convex quadratics with largest curvature equal
     to a uniform draw from [1, 3]; the proximable part is ``mu/2 ||.||^2``.
@@ -583,27 +596,30 @@ def make_random_inconsistent_ls(
     for name, value in (("noise", noise), ("mu", mu)):
         if not 0.0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    for name, value, low in (("seed", seed, 0), ("q", q, 0), ("d", d, 1)):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-    if isinstance(dims, int):
+    seed, q, d = _count("seed", seed, 0), _count("q", q, 0), _count("d", d)
+    rank_deficiency = _count("rank_deficiency", rank_deficiency, 0)
+    if np.ndim(dims) == 0:
         dims = [dims] * d
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(_count("dims", n) for n in dims)
     if len(dims) != d:
         raise ValueError("dims must provide one dimension per block")
-    if min(dims) < 1:
-        raise ValueError(f"dims must all be >= 1, got {dims}")
-    m = int(sum(dims))
+    m = sum(dims)
     rng = np.random.default_rng(seed)
 
     if rank_deficiency:
-        if not 0 < rank_deficiency < min(q, m):
+        if not rank_deficiency < min(q, m):
             raise ValueError("rank_deficiency must be in (0, min(q, m))")
         # factored draw keeps entry variance at 1/m like the full-rank branch;
-        # range(A) = range(G1) almost surely
-        g1 = rng.standard_normal((q, m - rank_deficiency))
-        a = g1 @ rng.standard_normal((m - rank_deficiency, m))
-        a /= math.sqrt(m * (m - rank_deficiency))
+        # range(A) = range(G1) almost surely.  G2's row chunks come in the
+        # order of one (m - r) x m draw: the first chunk's product sets A and
+        # each later one adds its part
+        k = m - rank_deficiency
+        rows = max(1, 2**20 // m)
+        g1 = rng.standard_normal((q, k))
+        a = g1[:, :rows] @ rng.standard_normal((min(rows, k), m))
+        for lo in range(rows, k, rows):
+            a += g1[:, lo:lo + rows] @ rng.standard_normal((min(rows, k - lo), m))
+        a /= math.sqrt(m * k)
     else:
         a = g1 = rng.standard_normal((q, m))
         a /= math.sqrt(m)

@@ -27,7 +27,10 @@ A run is described by a flat INI file with sections::
     columns = psi_hat_gap, h_gap_w  ; psi_hat_gap: random_ls or consensus only
 
 Artifacts written to the output directory: ``trace.csv`` (schema versioned in
-a leading comment line; deterministic bytes for a fixed config), ``metadata.json``
+a leading comment line; deterministic bytes for a fixed config, numpy and scipy
+build and BLAS thread count: a d=250 random_ls config wrote different bytes
+under ``OPENBLAS_NUM_THREADS`` 1 and 2, the four bundled configs did not),
+``metadata.json``
 (the ``[run]`` fields and the ``[instance]``, ``[sampling]`` and ``[policy]``
 sections as written, plus ``policy_resolved``, ``reference``, and
 ``sampling_resolved`` and the rate fits or, for the grid experiment, the

@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .blocks import BlockStructure
+from .blocks import BlockStructure, _count
 from .errors import UnsupportedSampling
 
 Array = np.ndarray
@@ -107,16 +107,6 @@ class Sampling:
             idx.flags.writeable = False
             out.append(idx)
         return tuple(out)
-
-
-def _count(name: str, value, low: int = 1) -> int:
-    """``value`` as an int, or ``ValueError`` naming it when it is not an
-    integer (a bool is not) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-    return int(value)
 
 
 def single_coordinate(d: int, probs=None) -> Sampling:

@@ -12,6 +12,13 @@ averaging form to rounding error.  Grid pricing (``blockpd.dlmp.PpdlmpEngine``)
 is the primal-dual form with coordinator-pair sampling fixed; it is passed
 to :func:`run` as an engine object.
 
+Both engines take a block's forward-backward step from one method,
+``_EngineBase._fb``: the gradient grad_i(x_i) + scale A_i' dual (S_k and
+the residual at the extrapolated point in the averaging form, no scale and
+y in the primal-dual form), the metric B_i / (pi_i tau_k), the prox, delta_i
+and, in the averaging form, psi_i(x_hat_i).  The steps then differ only in
+how they update the averaged point or the prices.
+
 Both engines touch only the active blocks per iteration: a step costs the
 active blocks' oracles and products plus O(q), never O(m).  The averaging
 form keeps w implicitly as x + gamma e (the change of variables of Lee &
@@ -32,8 +39,9 @@ A step that draws more than one block of a problem whose blocks stack
 sharing one coordinatewise prox: ``ProblemSpec._quadratic_stack`` and
 ``_shared_prox`` are both set) gathers the drawn coordinates once as a
 (k, n) stack and makes one stacked call each for the gradients, the
-metrics, the prox and, in the averaging form, the smooth values, with the
-bits of the per-block loop.  Each block keeps its own A_i products, q-vector
+metrics, the prox and, in the averaging form, the smooth values
+(``_EngineBase._fb_stacked``), whose rows are the tuples ``_fb`` returns,
+with the same bits.  Each block keeps its own A_i products, q-vector
 updates and objective bookkeeping, in block order.  Single-block draws and
 problems that do not stack take the per-block loop, and so does a problem
 whose oracles were wrapped, as ``perfbench``'s traced runs wrap every
@@ -52,10 +60,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blocks import ProblemSpec, eval_psi, kkt_residual
+from .blocks import ProblemSpec, _count, eval_psi, kkt_residual
 from .errors import SolverDivergence
 from .oracles import Reference, least_squares_reference
-from .sampling import Sampling, _count, draw, make_rng
+from .sampling import Sampling, draw, make_rng
 
 Array = np.ndarray
 
@@ -208,6 +216,19 @@ class _EngineBase:
     def __init__(self, problem: ProblemSpec, sampling: Sampling, policy):
         if sampling.d != problem.d:
             raise ValueError("sampling block count must match the problem")
+        # a policy is built for one problem (its B) and, when it records
+        # marginals (the accelerated one), for one sampling
+        name = type(policy).__name__
+        if np.shape(policy.b_diag) != (problem.m,):
+            raise ValueError(
+                f"{name}.b_diag has shape {np.shape(policy.b_diag)}, expected ({problem.m},):"
+                " the policy was built for another problem"
+            )
+        if not np.array_equal(getattr(policy, "pi", sampling.pi), sampling.pi):
+            raise ValueError(
+                f"{name}.pi differs from the sampling's marginals: the policy was built"
+                " for another sampling"
+            )
         self.problem = problem
         self.sampling = sampling
         self.policy = policy
@@ -244,27 +265,39 @@ class _EngineBase:
         taken with ``np.sum``, in NumPy's pairwise order."""
         return [self.problem.psi_block(i, x[sl]) for i, sl in enumerate(self.slices)]
 
-    def _fb(self, i: int, xi: Array, grad_i: Array, tau_k: float) -> Array:
-        """Weighted forward-backward step on block i: prox in the metric
-        B_i / (pi_i tau_k) of the gradient-shifted point."""
+    def _fb(
+        self, i: int, x: Array, dual: Array, scale: float | None, tau_k: float, values=False
+    ) -> tuple:
+        """Block i's weighted forward-backward step from the iterate x: the
+        prox in the metric B_i / (pi_i tau_k) of x_i shifted against the
+        gradient grad_i(x_i) + scale A_i' dual (no scale when None).
+        Returns x_hat_i and delta_i = x_hat_i - x_i and, when ``values`` is
+        set, psi_i(x_hat_i): the tuple of a row of :meth:`_fb_stacked`."""
         blk = self.per_block[i]
+        xi = x[blk.sl]
+        g = blk.a_t.dot(dual)
+        if scale is not None:
+            g *= scale
+        g += blk.grad(xi)
         q_i = blk.b / (blk.pi * tau_k)
-        return blk.prox(q_i, xi - grad_i / q_i)
+        x_hat = blk.prox(q_i, xi - g / q_i)
+        if not values:
+            return x_hat, x_hat - xi
+        return x_hat, x_hat - xi, self.problem.psi_block(i, x_hat)
 
     def _fb_stacked(
-        self, drawn: Array, x: Array, dual: Array, scale: float | None, tau_k: float,
-        values: bool = False,
+        self, drawn: Array, x: Array, dual: Array, scale: float | None, tau_k: float, values=False
     ) -> tuple:
         """The forward-backward steps of the blocks ``drawn`` as one stack:
         the (k, n) rows x_hat_i and delta_i = x_hat_i - x_i and, when
-        ``values`` is set, the list of smooth values 0.5 x_hat_i'H_i x_hat_i +
-        c_i'x_hat_i.  The gradient H_i x_i + c_i + scale A_i' dual (no
-        scale when None), the metric B_i / (pi_i tau_k), the shared
-        prox and the values are one call each over the stack, and each A_i'
-        dual is its own product, so every row has the bits that :meth:`_fb`
-        and ``psi_block`` give its block: ``np.matmul`` on a stack reaches
-        the per-block BLAS call, as in ``ProblemSpec.grad_phi`` and
-        ``phi``."""
+        ``values`` is set, the list of psi_i(x_hat_i), each the smooth value
+        0.5 x_hat_i'H_i x_hat_i + c_i'x_hat_i plus the block's prox value.
+        The gradient H_i x_i + c_i + scale A_i' dual (no scale when None),
+        the metric B_i / (pi_i tau_k), the shared prox and the smooth values
+        are one call each over the stack, and each A_i' dual is its own
+        product, so row i is the tuple :meth:`_fb` returns for block i, with
+        its bits: ``np.matmul`` on a stack reaches the per-block BLAS call,
+        as in ``ProblemSpec.grad_phi`` and ``phi``."""
         h, c, b, pi, prox = self._stack
         k, n = len(drawn), c.shape[1]
         xs = x.reshape(c.shape).take(drawn, 0)
@@ -291,7 +324,8 @@ class _EngineBase:
         col = x_hats.reshape(k, n, 1)
         vals = 0.5 * np.matmul(x_hats.reshape(k, 1, n), np.matmul(h, col))
         vals += np.matmul(c.reshape(k, 1, n), col)
-        return x_hats, xs, vals.ravel().tolist()
+        smooth = zip(vals.ravel().tolist(), drawn.tolist(), x_hats)
+        return x_hats, xs, [v + float(self.problem.prox[i].value(xh)) for v, i, xh in smooth]
 
 
 class RbcdEngine(_EngineBase):
@@ -333,16 +367,8 @@ class RbcdEngine(_EngineBase):
         if stacked:
             rows = zip(*self._fb_stacked(drawn, x, res, s_k, tau_k, values=True))
         for i in drawn.tolist():
-            sl, a_i, a_t, grad, _, _, _, inv_pi = self.per_block[i]
-            if stacked:
-                x_hat, delta, smooth = next(rows)
-                psi_new = smooth + float(p.prox[i].value(x_hat))
-            else:
-                xi = x[sl]
-                g = grad(xi) + s_k * a_t.dot(res)
-                x_hat = self._fb(i, xi, g, tau_k)
-                delta = x_hat - xi
-                psi_new = p.psi_block(i, x_hat)
+            sl, a_i, _, _, _, _, _, inv_pi = self.per_block[i]
+            x_hat, delta, psi_i = next(rows) if stacked else self._fb(i, x, res, s_k, tau_k, True)
             a_delta = a_i.dot(delta)
             ax += a_delta
             c = (theta * inv_pi - 1.0) / gamma
@@ -350,10 +376,10 @@ class RbcdEngine(_EngineBase):
             e[sl] += delta
             a_delta *= c
             ae += a_delta
-            change = psi_new - psi_vec[i]
+            change = psi_i - psi_vec[i]
             bracket += inv_pi * change
             state.psi_total += change
-            psi_vec[i] = psi_new
+            psi_vec[i] = psi_i
             x[sl] = x_hat
 
         state.gamma = gamma
@@ -409,13 +435,8 @@ class PdaEngine(_EngineBase):
         if stacked:
             rows = zip(*self._fb_stacked(drawn, x, y, None, tau_k))
         for i in drawn.tolist():
-            sl, a_i, a_t, grad, _, _, _, inv_pi = self.per_block[i]
-            if stacked:
-                x_hat, delta = next(rows)
-            else:
-                xi = x[sl]
-                x_hat = self._fb(i, xi, grad(xi) + a_t.dot(y), tau_k)
-                delta = x_hat - xi
+            sl, a_i, _, _, _, _, _, inv_pi = self.per_block[i]
+            x_hat, delta = next(rows) if stacked else self._fb(i, x, y, None, tau_k)
             a_delta = a_i.dot(delta)
             u += a_delta
             a_delta *= inv_pi

@@ -221,14 +221,11 @@ class PairActivatedOracle(_EngineBase):
         # tau = 1; the metric weights 1/pi are 1 for the operator, p for a
         sl0 = self.slices[0]
         x0_old = state.x[sl0]
-        g0 = pr.smooth[0].grad(x0_old) + pr.a_blocks[0].T @ state.y
-        x0_new = self._fb(0, x0_old, g0, 1.0)
+        x0_new, _ = self._fb(0, state.x, state.y, None, 1.0)
 
         sla = self.slices[a]
-        xa_old = state.x[sla]
-        ga = pr.smooth[a].grad(xa_old) + pr.a_blocks[a].T @ state.y
-        xa_new = self._fb(a, xa_old, ga, 1.0)
-        bid = pr.a_blocks[a] @ (xa_new - xa_old)
+        xa_new, xa_delta = self._fb(a, state.x, state.y, None, 1.0)
+        bid = pr.a_blocks[a] @ xa_delta
 
         state.y = (
             state.y
@@ -320,10 +317,7 @@ class ExplicitRbcdOracle(RbcdEngine):
         bracket = state.psi_total
         for i in active:
             sl = self.slices[i]
-            xi = state.x[sl]
-            g = p.smooth[i].grad(xi) + s_k * (p.a_blocks[i].T @ res)
-            x_hat = self._fb(i, xi, g, tau_k)
-            delta = x_hat - xi
+            x_hat, delta = self._fb(i, state.x, res, s_k, tau_k)
             a_delta = p.a_blocks[i] @ delta
             state.ax += a_delta
             inv_pi = self.per_block[i].inv_pi

@@ -482,11 +482,8 @@ def forward_backward_block(eng: RbcdEngine, state: RbcdState, i: int) -> Array:
     extrapolated point, as the averaging engine's step takes it; the state
     does not move."""
     _, az, _ = extrapolated(eng, state)
-    res = az - eng.problem.b
-    blk = eng.per_block[i]
-    xi = state.x[blk.sl]
-    g = blk.grad(xi) + state.s_cur * blk.a_t.dot(res)
-    return eng._fb(i, xi, g, state.tau)
+    x_hat, _ = eng._fb(i, state.x, az - eng.problem.b, state.s_cur, state.tau)
+    return x_hat
 
 
 def aw(state: RbcdState) -> Array:

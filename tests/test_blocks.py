@@ -124,6 +124,12 @@ class TestConsensus:
         if np.linalg.norm(x) > 1e-9:
             assert np.linalg.norm(a @ x) > 1e-9
 
+    @pytest.mark.parametrize("edges", [[(0, 1.7), (1.2, 2)], [(0, True), (1, 2)], [(0, 1), (1, "2")]])
+    def test_every_edge_end_is_a_node_index(self, edges):
+        # ends were cast with int(), so (0, 1.7), (1.2, 2) built (0, 1), (1, 2)
+        with pytest.raises(ValueError, match="^edges must be an integer"):
+            bp.make_consensus(edges, [prox_zero_block()] * 3)
+
     def test_disconnected_graph_rejected(self):
         with pytest.raises(InfeasibleInstance):
             bp.make_consensus([(0, 1), (2, 3)], [prox_zero_block()] * 4)
@@ -180,6 +186,14 @@ class TestRandomInstanceGenerator:
         (dict(d=0, dims=4), "d"), (dict(d=-1, dims=4), "d"),
         (dict(d=3, dims=0), "dims"), (dict(d=3, dims=[4, 0, 4]), "dims"),
         (dict(d=3, dims=4, q=-1), "q"), (dict(d=3, dims=4, seed=-1), "seed"),
+        # not integers: a bool once built a 1-block problem, a float raised
+        # a bare TypeError
+        (dict(d=True, dims=4), "d"), (dict(d=2.0, dims=4), "d"),
+        (dict(d=3, dims=4, q=60.0), "q"), (dict(d=3, dims=4, seed=1.5), "seed"),
+        (dict(d=3, dims=2.5), "dims"), (dict(d=3, dims=[4, 2.5, 4]), "dims"),
+        (dict(d=3, dims=[4, True, 4]), "dims"),
+        (dict(d=3, dims=4, rank_deficiency=-1), "rank_deficiency"),
+        (dict(d=3, dims=4, rank_deficiency=1.5), "rank_deficiency"),
     ])
     def test_an_empty_block_count_or_size_is_named(self, kwargs, name, monkeypatch):
         # these once reached LAPACK's QR with n = 0, or NumPy's array and
@@ -206,6 +220,36 @@ class TestRandomInstanceGenerator:
             seed=9, d=4, dims=3, q=20, noise=0.7, rank_deficiency=3
         )
         assert np.linalg.matrix_rank(p.a) == p.m - 3
+
+    def test_a_wide_rank_deficient_draw_holds_no_whole_factor(self):
+        # G2 is 3996 x 4000 here: 128 MB when drawn at once
+        tracemalloc.start()
+        try:
+            p = bp.make_random_inconsistent_ls(
+                seed=1, d=1000, dims=4, q=60, noise=0.6, rank_deficiency=4
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.a.shape == (60, 4000)
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("d", [10, 300])
+    def test_chunked_factor_keeps_the_random_stream(self, d):
+        # G2 fits one chunk at d = 10 (36 x 40), which keeps the one-draw
+        # bits; at d = 300 (1196 x 1200) it is two row chunks of 873 rows
+        q, r = 60, 4
+        p = bp.make_random_inconsistent_ls(seed=3, d=d, dims=4, q=q, noise=0.6,
+                                           rank_deficiency=r)
+        m = p.m
+        assert (2**20 // m < m - r) == (d == 300)
+        rng = np.random.default_rng(3)
+        g1 = rng.standard_normal((q, m - r))
+        a = g1 @ rng.standard_normal((m - r, m))
+        a /= math.sqrt(m * (m - r))
+        if d == 10:
+            assert np.array_equal(p.a, a)
+        assert np.allclose(p.a, a, rtol=0.0, atol=1e-13 * np.abs(a).max())
 
     # draws whose range factor (G1 of A = G1 G2, or A itself) has fewer
     # columns than rows, so xi keeps a component
@@ -511,6 +555,13 @@ class TestProblemShapes:
             kept.flags.writeable = False
             with pytest.raises(ValueError, match="A holds a value that is not finite"):
                 dataclasses.replace(p, a=kept)
+
+    @pytest.mark.parametrize("dims", [(2.5, 3), (True, 2), (3, np.float64(2.0)), (0, 2), (2, -1)])
+    def test_every_dim_is_a_count(self, dims):
+        # dims were cast with int(): (2.5, 3) gave (2, 3) and (True, 2) (1, 2)
+        with pytest.raises(ValueError, match="^dims must be"):
+            BlockStructure(dims)
+        assert BlockStructure((np.int64(2), 3)).dims == (2, 3)
 
     def test_size_groups(self):
         groups = BlockStructure((2, 5, 3, 2, 5))._size_groups

@@ -343,6 +343,25 @@ class TestStackedStep:
                 assert counts == {"draw": k, "tau_next": k if name == "accel" else 0}
         assert len(stacked) == 2 * k
 
+    @pytest.mark.parametrize("scale", [None, 2.75], ids=["pda", "rbcd"])
+    def test_a_stacked_row_is_the_block_step(self, scale, rng):
+        # both engines take a block's step from _fb; a row of the stacked
+        # step must be the same tuple, with the same bits
+        p = bp.make_random_inconsistent_ls(seed=7, d=10, dims=4, q=60, noise=0.5, mu=1.0)
+        s = bp.nice(10, 4)
+        eng = RbcdEngine(p, s, bp.convex_default_policy(p, s))
+        x, dual = rng.standard_normal(p.m), rng.standard_normal(p.q)
+        drawn = np.array([1, 4, 5, 9])
+        rows = list(zip(*eng._fb_stacked(drawn, x, dual, scale, 0.37, values=True)))
+        pairs = list(zip(*eng._fb_stacked(drawn, x, dual, scale, 0.37)))
+        assert len(rows) == len(pairs) == len(drawn)
+        for i, row, pair in zip(drawn.tolist(), rows, pairs):
+            one = eng._fb(i, x, dual, scale, 0.37, True)
+            assert len(one) == 3 and len(eng._fb(i, x, dual, scale, 0.37)) == 2
+            for got in (row, pair):
+                assert all(np.array(u).tobytes() == np.array(v).tobytes() for u, v in zip(got, one))
+            assert type(row[2]) is type(one[2]) is float
+
 
 class TestImplicitAveragedIterate:
     """The implicit w = x + gamma e against the explicit step it replaced
@@ -634,6 +653,36 @@ class TestRunLoop:
             "state", "trace", "reference", "stopped_at",
         ]
 
+    @staticmethod
+    def _ring(n):
+        local = [prox_quadratic_block(1.0, center=float(i)) for i in range(n)]
+        return bp.make_consensus([(i, (i + 1) % n) for i in range(n)], local)
+
+    @pytest.mark.parametrize("engine", ["rbcd", "pda"])
+    @pytest.mark.parametrize("case", ["ring-10-on-8", "ring-8-on-10", "stack-longer", "accel-marginals"])
+    def test_a_policy_for_another_problem_or_sampling_is_refused(self, case, engine):
+        # each once ran silently with the wrong sigma or B, or died mid-run
+        # in a NumPy shape error
+        if case.startswith("ring"):
+            built, ran = (10, 8) if case == "ring-10-on-8" else (8, 10)
+            p = self._ring(ran)
+            s = bp.full(ran)
+            pol = bp.convex_default_policy(self._ring(built), bp.full(built))
+            message = rf"ConvexPolicy.b_diag has shape \({built},\), expected \({ran},\)"
+        elif case == "stack-longer":
+            p = bp.make_random_inconsistent_ls(seed=1, d=10, dims=4, q=60, noise=0.5)
+            s = bp.nice(10, 2)
+            other = bp.make_random_inconsistent_ls(seed=1, d=12, dims=4, q=60, noise=0.5)
+            pol = bp.convex_default_policy(other, bp.nice(12, 2))
+            message = r"ConvexPolicy.b_diag has shape \(48,\), expected \(40,\)"
+        else:
+            p = bp.make_random_inconsistent_ls(seed=1, d=10, dims=4, q=60, noise=0.5)
+            s = bp.single_coordinate(10)
+            pol = bp.make_accelerated_policy(p, bp.nice(10, 2))
+            message = "AcceleratedPolicy.pi differs from the sampling's marginals"
+        with pytest.raises(ValueError, match=message):
+            bp.run(p, s, pol, np.zeros(p.m), 50, engine=engine, trace_every=10)
+
     def test_trace_every_must_be_positive(self, two_block_instance):
         p = two_block_instance
         s = bp.single_coordinate(2)
@@ -900,7 +949,10 @@ class TestTraceRowsFromState:
 # products go through ndarray.dot, which on the few-column slabs of a block
 # step skips most of @'s dispatch cost
 HOT_PATHS = {
-    "solver.py": ("RbcdEngine.step", "PdaEngine.step", "_EngineBase._fb_stacked", "_trace_record"),
+    "solver.py": (
+        "RbcdEngine.step", "PdaEngine.step", "_EngineBase._fb", "_EngineBase._fb_stacked",
+        "_trace_record",
+    ),
     "blocks.py": ("kkt_residual", "SmoothBlock.quadratic"),
     "oracles.py": ("Reference.h_gap",),
     "dlmp.py": (
@@ -911,18 +963,24 @@ HOT_PATHS = {
 }
 
 
-def matmul_uses(source: str, names) -> list[str]:
-    """``name:line`` of every ``@`` or ``@=`` inside the named module-level
-    functions or methods of ``source``; a missing name raises KeyError."""
-    tree = ast.parse(source)
+def functions(source: str) -> dict:
+    """The module-level functions and methods of ``source`` by name, a
+    method as ``Class.name``."""
     funcs = {}
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef):
             funcs[node.name] = node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     funcs[f"{node.name}.{item.name}"] = item
+    return funcs
+
+
+def matmul_uses(source: str, names) -> list[str]:
+    """``name:line`` of every ``@`` or ``@=`` inside the named module-level
+    functions or methods of ``source``; a missing name raises KeyError."""
+    funcs = functions(source)
     return [
         f"{name}:{node.lineno}"
         for name in names
@@ -943,10 +1001,41 @@ class TestHotPathProducts:
 
     def test_guard_sees_a_matmul_put_back(self):
         source = (Path(bp.__file__).resolve().parent / "solver.py").read_text()
-        assert "a_t.dot(res)" in source
-        back = source.replace("a_t.dot(res)", "a_t @ res")
+        assert source.count("blk.a_t.dot(dual)") == 1
+        back = source.replace("blk.a_t.dot(dual)", "blk.a_t @ dual")
         assert [use.split(":")[0] for use in matmul_uses(back, HOT_PATHS["solver.py"])] == [
-            "RbcdEngine.step"
+            "_EngineBase._fb"
+        ]
+
+
+class TestOneBlockStep:
+    ORACLES = ("grad", "prox", "psi_block")
+
+    @classmethod
+    def oracle_calls(cls, source: str) -> list[str]:
+        """``name:line`` of every grad, prox or psi_block call, by name or
+        as an attribute, inside the two engines' steps."""
+        funcs = functions(source)
+        return [
+            f"{name}:{node.lineno}"
+            for name in ("RbcdEngine.step", "PdaEngine.step")
+            for node in ast.walk(funcs[name])
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in cls.ORACLES
+        ]
+
+    def test_the_engines_take_the_block_step_from_fb(self):
+        source = (Path(bp.__file__).resolve().parent / "solver.py").read_text()
+        assert self.oracle_calls(source) == []
+
+    @pytest.mark.parametrize("call", ["grad(xi)", "p.prox[i].prox(q, v)", "p.psi_block(i, x_hat)"])
+    def test_guard_sees_an_oracle_call_put_back(self, call):
+        source = (Path(bp.__file__).resolve().parent / "solver.py").read_text()
+        anchor = "            a_delta = a_i.dot(delta)\n"
+        assert source.count(anchor) == 2
+        back = source.replace(anchor, f"            {call}\n" + anchor)
+        assert [use.split(":")[0] for use in self.oracle_calls(back)] == [
+            "RbcdEngine.step", "PdaEngine.step"
         ]
 
 
