@@ -131,8 +131,18 @@ class SmoothBlock:
 
     @staticmethod
     def quadratic(h: Array, c: Array) -> "SmoothBlock":
-        """phi(x) = 0.5 x'Hx + c'x with exact curvature matrix H."""
-        quad = _Quadratic(np.asarray(h, dtype=float), np.asarray(c, dtype=float))
+        """phi(x) = 0.5 x'Hx + c'x with exact curvature matrix H, which must
+        be square, finite and symmetric to 1e-12 of its largest entry (the
+        gradient Hx + c is that of the value only for a symmetric H), with
+        c of length n (``ValueError`` otherwise)."""
+        h, c = np.asarray(h, dtype=float), np.asarray(c, dtype=float)
+        if h.ndim != 2 or h.shape[0] != h.shape[1] or not np.isfinite(h).all():
+            raise ValueError(f"H must be a finite square matrix, got shape {h.shape}")
+        if not np.max(np.abs(h - h.T), initial=0.0) <= 1e-12 * np.max(np.abs(h), initial=0.0):
+            raise ValueError("H must be symmetric: 0.5 x'Hx has gradient 0.5 (H + H')x")
+        if c.shape != (h.shape[0],):
+            raise ValueError(f"c has shape {c.shape}, expected ({h.shape[0]},)")
+        quad = _Quadratic(h, c)
         return SmoothBlock(quad.value, quad.grad, quad.h)
 
 

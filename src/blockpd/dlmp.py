@@ -103,9 +103,10 @@ class NetworkModel:
     Each array is copied once, read-only, so a later write by the caller
     cannot reach a checked model.  Each must have its shape, every value be
     finite, every line capacity and production cap non-negative, no bus
-    numbered 0 (the slack bus), every parent a bus or 0, the edges a tree
-    and every aggregator group non-empty (``ValueError`` naming the bus,
-    field or group)."""
+    numbered 0 (the slack bus), every parent a bus or 0, the edges a tree,
+    every aggregator group non-empty and the voltage scalars finite with
+    v_lo <= v0 <= v_hi, since every bus starts at v0 (``ValueError`` naming
+    the bus, field or group)."""
 
     buses: tuple[int, ...]
     parent: Array
@@ -155,6 +156,13 @@ class NetworkModel:
             reject(name, ~np.isfinite(getattr(self, name)), "is not finite")
         for name in ("s_cap", "renewable"):
             reject(name, getattr(self, name) < 0.0, "is negative")
+        volts = [("v_lo", self.v_lo), ("v0", self.v0), ("v_hi", self.v_hi)]
+        for name, value in volts:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
+        for (low, lo), (high, hi) in zip(volts, volts[1:]):
+            if lo > hi:
+                raise ValueError(f"{low} {lo} exceeds {high} {hi}")
         known = np.isin(self.parent, (0, *self.buses))
         reject("parent", ~known, "is neither a bus nor the slack bus 0")
         up = dict(zip(self.buses, self.parent.tolist()))

@@ -64,14 +64,13 @@ def least_squares_reference(p: ProblemSpec) -> Reference:
     would take O(q m^2) and O(m^2).  Both Gram matrices square the
     singular values of A, so they do not resolve a direction whose
     singular value is below about sqrt(m eps) ||A||; the Gram solve
-    declines unless each such direction is null for A itself at the
-    cut-off of the complete orthogonal factorisation of A
-    (:func:`_gram_factor`, :func:`_gelsy_min_norm`).  A solution must meet
-    the normal equations relative to the problem's scale
-    (:func:`_normal_equations`, checked from A); when the Gram solve
-    declines or misses that check, ``gelsy`` runs instead; a miss there
-    raises :class:`InvariantViolation`."""
-    for solve in (_gram_min_norm, _gelsy_min_norm):
+    declines unless each such direction is null for A itself at NumPy's
+    SVD cut-off (:func:`_gram_factor`).  A solution must meet the normal
+    equations relative to the problem's scale (:func:`_normal_equations`,
+    checked from A); when the Gram solve declines or misses that check,
+    NumPy's ``lstsq`` on A runs instead (:func:`_lstsq_min_norm`, which
+    loads nothing beyond NumPy); a miss there raises InvariantViolation."""
+    for solve in (_gram_min_norm, _lstsq_min_norm):
         x_ls = solve(p)
         if x_ls is None:
             continue
@@ -167,22 +166,22 @@ def _pivoted_factor(gram: Array) -> _GramFactor:
 def _gram_factor(p: ProblemSpec) -> _GramFactor | None:
     """The Gram matrix of A on its shorter side factored by
     :func:`_pivoted_factor`, or None when it does not resolve every
-    direction ``gelsy`` would keep for A: K = AA' (q x q) when the instance
-    is wide, q < m, and G = ``p.gram`` = A'A (m x m) otherwise.  Both have
+    direction NumPy's cut-off would keep for A: K = AA' (q x q) when the
+    instance is wide, q < m, and G = ``p.gram`` = A'A (m x m) otherwise.  Both have
     the rank of A; K costs O(q^2 m) time and O(q^2) memory where G costs
     O(q m^2) and O(m^2).  Made once per problem and kept in ``p.derived``,
     None included, so the least-squares and the quadratic reference share
     one factorisation.
 
     When r < min(q, m), each column N_j of :meth:`_GramFactor.null_basis`
-    must be null for A at ``gelsy``'s cut-off (for A' on the q side: the
-    null space of AA' is that of A'),
-    ||A N_j|| <= eps * max(q, m) * max_i ||A_i|| * ||N_j|| (the largest
-    column norm of A, where ``gelsy``'s pivoted QR starts), which costs
-    O(q m (n - r)) for a factor of order n.  At r = min(q, m) the factor
-    kept as many directions as A has singular values, and on the m side
-    each is far above ``gelsy``'s cut-off, so the two ranks agree and the
-    check is skipped; at r = 0 the Gram matrix is 0 and so is A.
+    must be null for A (for A' on the q side: the null space of AA' is
+    that of A'), ||A N_j|| <= eps * max(q, m) * max_i ||A_i|| * ||N_j||,
+    at O(q m (n - r)) for a factor of order n.  No column norm ||A_i||
+    exceeds ||A||_2, so this declines wherever NumPy's SVD cut-off eps *
+    max(q, m) * ||A||_2 would keep a dropped direction.  At r = min(q, m)
+    the factor kept as many directions as A has singular values, each far
+    above that cut-off on the m side, so the check is skipped; at r = 0
+    the Gram matrix is 0 and so is A.
 
     Each entry of K sums m products, so K resolves no singular value of A
     below about sqrt(m eps) ||A||: G's factor drops such a direction at its
@@ -229,14 +228,10 @@ def _gram_min_norm(p: ProblemSpec) -> Array | None:
     return factor.lstsq(p.a.T.dot(p.b))
 
 
-def _gelsy_min_norm(p: ProblemSpec) -> Array:
-    """Minimum-norm least-squares solution from LAPACK ``gelsy`` on A, with
-    NumPy's default rank cut-off eps * max(q, m)."""
-    import scipy.linalg  # a decline path; the package loads no scipy.linalg otherwise
-
-    cond = np.finfo(float).eps * max(p.q, p.m)
-    x_ls, *_ = scipy.linalg.lstsq(p.a, p.b, cond=cond, lapack_driver="gelsy")
-    return x_ls
+def _lstsq_min_norm(p: ProblemSpec) -> Array:
+    """Minimum-norm least-squares solution from NumPy's SVD-based
+    ``lstsq`` on A, at its rank cut-off eps * max(q, m) * ||A||_2."""
+    return np.linalg.lstsq(p.a, p.b, rcond=None)[0]
 
 
 def _apply_hessian(p: ProblemSpec, v: Array) -> Array:
@@ -269,8 +264,9 @@ def quadratic_reference(p: ProblemSpec) -> Reference:
 
     When the q-side factor declines, or the range-space method does (H or
     A H^{-1} A' does not factor to A's rank, or its x* misses the normal
-    equations), the null-space method runs on an SVD of A.  In every case
-    y* is the minimum-norm solution of A'y = -(H x* + c).
+    equations), the null-space method runs on NumPy's SVD of A, which
+    loads nothing beyond NumPy.  In every case y* is the minimum-norm
+    solution of A'y = -(H x* + c).
     The multiplier must meet stationarity relative to the size of the
     gradient's terms,
     ||A'y + (H + D) x + c||_inf <= 1e-7 max(||(H + D) x||_inf, ||c||_inf),
@@ -313,13 +309,14 @@ def _null_space_solve(
     and y* come from the pivoted Cholesky factor of G = A'A (``factor``, m
     side): N = P [-W; I] (:meth:`_GramFactor.null_basis`), and y* = A u
     for the minimum-norm solution u of G u = -(H x* + c)
-    (:meth:`_GramFactor.lstsq`).  Where the factor declined (None), N comes
-    from an SVD of A (``scipy.linalg.null_space``) and y* from
-    ``numpy.linalg.lstsq``."""
+    (:meth:`_GramFactor.lstsq`).  Where the factor declined (None), N is
+    the rows of V' past NumPy's cut-off eps * max(q, m) * ||A||_2 in the
+    SVD A = U S V' (``gesdd``, as ``scipy.linalg.null_space``), and y*
+    comes from ``numpy.linalg.lstsq``."""
     if factor is None:
-        import scipy.linalg  # a decline path, as in ``_gelsy_min_norm``
-
-        null = scipy.linalg.null_space(p.a)
+        _, s, vt = np.linalg.svd(p.a)
+        cut = np.finfo(float).eps * max(p.q, p.m) * np.max(s, initial=0.0)
+        null = vt[np.count_nonzero(s > cut):].T
     else:
         null = factor.null_basis()
     # (H + D) [N x_ls]

@@ -56,30 +56,31 @@ class Sampling:
         a distribution over non-empty sets of distinct block indices with
         those marginals, or the m-of-d kind with pi = m/d.  Its pair
         probabilities are then symmetric PSD by construction (a sum of
-        p 1_S 1_S'), so :func:`prob_matrix` checks nothing."""
+        p 1_S 1_S'), so :func:`prob_matrix` checks nothing.  Each check
+        is written so that a NaN fails it."""
         pi = np.asarray(self.pi, dtype=float)
         object.__setattr__(self, "pi", pi)
         d = self.d
-        if pi.shape != (d,) or np.any(pi <= 0.0) or np.any(pi > 1.0 + 1e-12):
+        if pi.shape != (d,) or not np.all((pi > 0.0) & (pi <= 1.0 + 1e-12)):
             raise ValueError("sampling is not proper: d marginals in (0, 1] needed")
         if self.support is None:
             m = self.nice_m
             if self.kind != "nice" or not (isinstance(m, (int, np.integer)) and 1 <= m <= d):
                 raise ValueError("only the nice kind with integer 1 <= m <= d omits its support")
-            if np.max(np.abs(pi - m / d)) > 1e-12:
+            if not np.max(np.abs(pi - m / d)) <= 1e-12:
                 raise ValueError("nice marginals must equal m/d")
             return
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", probs)
         n = len(self.support)
-        if probs.shape != (n,) or np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
+        if probs.shape != (n,) or not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("support probabilities must be nonnegative, one per subset, sum 1")
         for subset in self.support:
             if not 0 < len(set(subset)) == len(subset) or not all(0 <= i < d for i in subset):
                 raise ValueError(f"subset {subset} is not a non-empty set of blocks in [0, {d})")
         flat = np.fromiter(chain.from_iterable(self.support), dtype=np.intp)
         weights = np.repeat(probs, [len(t) for t in self.support])
-        if np.max(np.abs(np.bincount(flat, weights, d) - pi)) > 1e-12:
+        if not np.max(np.abs(np.bincount(flat, weights, d) - pi)) <= 1e-12:
             raise ValueError("marginals inconsistent with the support")
 
     @cached_property

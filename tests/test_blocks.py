@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -356,6 +355,28 @@ class TestSmoothnessModel:
                 fd[j] = (p.smooth[i].value(x + e) - p.smooth[i].value(x - e)) / (2 * step)
             assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
+    @pytest.mark.parametrize("h, c, message", [
+        # 0.5 x'Hx has gradient 0.5 (H + H')x, not Hx: at x = (1, -1) the
+        # gradient read -1e-6 along t = 1e-6 (1, 0) where the value's
+        # central difference reads 0
+        ([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0], "symmetric"),
+        ([[1.0, np.nan], [np.nan, 1.0]], [0.0, 0.0], "finite square"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0], "finite square"),
+        ([1.0, 2.0], [0.0, 0.0], "finite square"),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.0], r"c has shape \(3,\), expected \(2,\)"),
+    ], ids=["asymmetric", "nan", "not-square", "vector", "long-c"])
+    def test_quadratic_rejects_a_malformed_h_or_c(self, h, c, message):
+        with pytest.raises(ValueError, match=message):
+            SmoothBlock.quadratic(np.array(h), np.array(c))
+
+    def test_quadratic_accepts_symmetric_rounding(self):
+        # F D F' differs from its transpose by rounding only (4e-16 here)
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((4, 4))
+        h = f @ np.diag(rng.uniform(1.0, 2.0, 4)) @ f.T
+        assert not np.array_equal(h, h.T)
+        assert np.array_equal(SmoothBlock.quadratic(h, np.zeros(4)).lam, h)
+
 
 class TestPenaltyIdentities:
     @settings(max_examples=30, deadline=None)
@@ -598,8 +619,8 @@ class TestGramFactor:
 class TestReferenceChecks:
     def test_normal_equation_check(self, monkeypatch):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
-        # both solves, the Gram solve and its gelsy fallback, miss by one
-        for name in ("_gram_min_norm", "_gelsy_min_norm"):
+        # both solves, the Gram solve and its lstsq fallback, miss by one
+        for name in ("_gram_min_norm", "_lstsq_min_norm"):
             real = getattr(oracles, name)
             monkeypatch.setattr(oracles, name, lambda prob, real=real: real(prob) + 1.0)
         with pytest.raises(InvariantViolation, match="normal equations"):
@@ -610,7 +631,7 @@ class TestReferenceChecks:
         # residual of about 1e-10, which an absolute 1e-8 bound accepted
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
         p = dataclasses.replace(p, a=1e-5 * p.a, b=1e-5 * p.b)
-        for name in ("_gram_min_norm", "_gelsy_min_norm"):
+        for name in ("_gram_min_norm", "_lstsq_min_norm"):
             real = getattr(oracles, name)
             monkeypatch.setattr(oracles, name, lambda prob, real=real: real(prob) + 1.0)
         with pytest.raises(InvariantViolation, match="normal equations"):
@@ -626,12 +647,12 @@ class TestReferenceChecks:
         x_ls = bp.least_squares_reference(big).x_ls
         assert np.max(np.abs(x_ls - base)) <= 1e-12 * np.max(np.abs(base))
 
-    def test_gelsy_fallback_when_gram_solve_misses(self):
+    def test_lstsq_fallback_when_gram_solve_misses(self):
         # 22 singular values from 1 down to 5.2e-8 on 56 columns: G = A'A
         # squares that spread, so its factor drops the directions below
         # about 1e-7, which A does not null; solved anyway, G missed the
-        # normal equations (4.8e-8) where the orthogonal factorisation of A
-        # meets them (2.6e-10)
+        # normal equations (4.8e-8) where NumPy's SVD-based lstsq on A
+        # meets them (6.5e-10)
         rng = np.random.default_rng(1462)
         q, m = 22, 56
         u = np.linalg.qr(rng.standard_normal((q, q)))[0]
@@ -646,18 +667,18 @@ class TestReferenceChecks:
         ref = bp.least_squares_reference(p)
         assert normal(ref.x_ls) < 1e-8
 
-    def test_gelsy_fallback_when_gram_solution_misses(self, monkeypatch):
+    def test_lstsq_fallback_when_gram_solution_misses(self, monkeypatch):
         p = bp.make_random_inconsistent_ls(seed=13, d=3, dims=4, q=20, noise=0.8)
         real = oracles._gram_min_norm
         monkeypatch.setattr(oracles, "_gram_min_norm", lambda prob: real(prob) + 1.0)
         ref = bp.least_squares_reference(p)
-        assert np.array_equal(ref.x_ls, oracles._gelsy_min_norm(p))
+        assert np.array_equal(ref.x_ls, oracles._lstsq_min_norm(p))
 
-    def test_gram_rank_follows_gelsy_cutoff(self):
+    def test_gram_rank_follows_numpy_cutoff(self):
         # singular values 1 and 1e-9: G's factor cuts at m eps = 4.4e-16 on
         # 1e-18 and drops the second column, whose normal-equation residual
-        # 1e-9 would pass the 1e-8 check; gelsy's cut-off eps * max(q, m),
-        # NumPy's default, keeps it, so the floor is 0.5, not 1.0
+        # 1e-9 would pass the 1e-8 check; NumPy's cut-off
+        # eps * max(q, m) * ||A||_2 keeps it, so the floor is 0.5, not 1.0
         a = np.array([[1.0, 0.0], [0.0, 1e-9], [0.0, 0.0]])
         p = scalar_problem(a=a, b=np.ones(3), dims=(1, 1))
         x_np, *_ = np.linalg.lstsq(p.a, p.b, rcond=None)
@@ -719,7 +740,7 @@ class TestReferenceChecks:
         assert factor is not None and len(factor.perm) == 15
         x_np, *_ = np.linalg.lstsq(p.a, p.b, rcond=None)
         ref = bp.least_squares_reference(p)
-        assert np.array_equal(ref.x_ls, oracles._gram_min_norm(p)), "gelsy fallback ran"
+        assert np.array_equal(ref.x_ls, oracles._gram_min_norm(p)), "lstsq fallback ran"
         assert np.max(np.abs(ref.x_ls - x_np)) <= 1e-9 * np.max(np.abs(x_np))
         assert ref.h_star == pytest.approx(p.meta["h_star"], rel=1e-9)
         assert "gram" not in vars(p)
@@ -795,11 +816,11 @@ class TestReferenceChecks:
     @staticmethod
     def quadratic_instance(case, request):
         """A generator instance, or the matrix of
-        ``test_gelsy_fallback_when_gram_solve_misses`` with quadratic
+        ``test_lstsq_fallback_when_gram_solve_misses`` with quadratic
         blocks."""
         if case in ("bench", "two_block"):
             return request.getfixturevalue(f"{case}_instance")
-        if case != "gelsy":
+        if case != "declining":
             kwargs = {
                 "wide": dict(seed=3, d=10, dims=4, q=20, rank_deficiency=4),
                 "full_rank": dict(seed=4, d=10, dims=4, q=60, rank_deficiency=0),
@@ -819,17 +840,19 @@ class TestReferenceChecks:
             a=a, b=rng.standard_normal(q), dims=(1,) * m,
         )
 
-    @pytest.mark.parametrize("case", ["bench", "two_block", "wide", "full_rank", "mixed", "gelsy"])
+    @pytest.mark.parametrize(
+        "case", ["bench", "two_block", "wide", "full_rank", "mixed", "declining"]
+    )
     def test_quadratic_reference_matches_the_dense_solve(self, case, request, monkeypatch):
         # the Gram factor's null basis and multiplier move x*, y* and psi*
-        # by rounding only; the gelsy matrix's factor declines, so its
+        # by rounding only; the declining matrix's factor declines, so its
         # reference takes the SVD path
         p = self.quadratic_instance(case, request)
         dense = dense_quadratic_reference(p)
-        real, svds = scipy.linalg.null_space, []
-        monkeypatch.setattr(scipy.linalg, "null_space", lambda a: svds.append(a) or real(a))
+        real, svds = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a: svds.append(a) or real(a))
         ref = oracles.quadratic_reference(p)
-        assert len(svds) == (case == "gelsy")
+        assert len(svds) == (case == "declining")
         assert np.array_equal(ref.x_ls, dense.x_ls) and ref.h_star == dense.h_star
 
         def rel(x, oracle):
@@ -881,8 +904,8 @@ class TestReferenceChecks:
         # null-space method on an SVD of A, not on G = A'A
         p = self.quadratic_instance("wide", request)
         dense = dense_quadratic_reference(p)
-        real, svds = scipy.linalg.null_space, []
-        monkeypatch.setattr(scipy.linalg, "null_space", lambda a: svds.append(a) or real(a))
+        real, svds = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a: svds.append(a) or real(a))
         monkeypatch.setattr(oracles, "_range_space_solve", lambda *args: None)
         ref = oracles.quadratic_reference(p)
         assert len(svds) == 1 and "gram" not in vars(p)
@@ -893,7 +916,7 @@ class TestReferenceChecks:
         def svd(*args, **kwargs):
             raise AssertionError("SVD-based solve on the bench instance")
 
-        monkeypatch.setattr(scipy.linalg, "null_space", svd)
+        monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg, "lstsq", svd)
         ref = oracles.quadratic_reference(bench_instance)
         assert ref.source == "reduced-qp"

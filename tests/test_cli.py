@@ -1,3 +1,4 @@
+import ast
 import configparser
 import io
 import json
@@ -144,17 +145,60 @@ def fresh_python(code, *args):
     return out.stdout
 
 
-def test_package_loads_no_scipy_linalg():
+# a reference on the 22 x 56 matrix of the oracles' decline tests, whose
+# Gram factor declines, so x_ls, x* and y* come from NumPy's lstsq and SVD
+DECLINED_REFERENCE = """
+import numpy as np
+from blockpd.blocks import BlockStructure, ProblemSpec, SmoothBlock
+from blockpd.oracles import _gram_factor, quadratic_reference
+from blockpd.proxops import prox_quadratic_block
+rng = np.random.default_rng(1462)
+u = np.linalg.qr(rng.standard_normal((22, 22)))[0]
+v = np.linalg.qr(rng.standard_normal((56, 56)))[0]
+a = (u * np.logspace(0.0, np.log10(5.2223527848731225e-08), 22)) @ v[:, :22].T
+smooth = [SmoothBlock.quadratic(np.array([[t]]), np.zeros(1)) for t in rng.uniform(1, 3, 56)]
+p = ProblemSpec(BlockStructure((1,) * 56), tuple(smooth),
+                (prox_quadratic_block(1.0),) * 56, a, rng.standard_normal(22))
+if quadratic_reference(p).source != "reduced-qp" or _gram_factor(p) is not None:
+    raise SystemExit("the reference did not decline")
+"""
+
+
+@pytest.mark.parametrize("work", ["", DECLINED_REFERENCE], ids=["import", "declined-reference"])
+def test_package_loads_no_scipy_linalg(work):
     # scipy.linalg's package __init__ adds about 23 MB of resident memory
     # and some 300 modules to an import of the package (scipy 1.17), and
     # scipy.stats, which loads it, another 43 MB; the package takes its
-    # LAPACK and BLAS from blockpd._lapack
+    # LAPACK and BLAS from blockpd._lapack, and a declined reference falls
+    # back to NumPy alone
     out = fresh_python(
         "import sys\n"
         "import blockpd, blockpd.cli, blockpd.dlmp\n"
+        f"{work}\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.stats'))))\n"
     )
     assert out.strip() == "[]"
+
+
+def test_no_module_imports_scipy_linalg():
+    # the package's LAPACK and BLAS come from blockpd._lapack, which loads
+    # the two extension modules by path, not by an import statement
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        return []
+
+    package = Path(blockpd.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.")
+               for name in imported(node))
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("first", ["blockpd", "scipy.linalg"])
@@ -727,7 +771,8 @@ kind = full
         ("a_path", [[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]], [1.0, 2.0, 0.0]),
     ])
     def test_custom_non_finite_data_exit_code(self, tmp_path, capsys, key, a, b):
-        # inf in b reached gelsy, nan in A the policy's SVD
+        # inf in b once reached the reference's fallback solve, nan in A the
+        # policy's SVD
         a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
         np.savetxt(a_path, np.array(a), delimiter=",")
         np.savetxt(b_path, np.array(b), delimiter=",")

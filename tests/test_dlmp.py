@@ -295,9 +295,13 @@ class TestLoadNetwork:
     @pytest.mark.parametrize("field, value, message", [
         ("renewable", np.zeros((2, 2)), "renewable caps has shape (2, 2), expected (1, 2)"),
         ("aggregators", ((1,), ()), "aggregator group 1 is empty"),
-    ], ids=["renewable-off-table", "empty-group"])
+        ("v_lo", np.nan, "v_lo nan is not finite"),
+        ("v_lo", 5.0, "v_lo 5.0 exceeds v0 1.0"),
+        ("v0", 5.0, "v0 5.0 exceeds v_hi 4.0"),
+    ], ids=["renewable-off-table", "empty-group", "nan-v_lo", "v_lo-above-v0", "v0-above-v_hi"])
     def test_network_structure_is_checked(self, field, value, message):
-        # the builders would ignore such caps and fail on such a group
+        # the builders would ignore such caps and fail on such a group; a
+        # run on such voltages stopped in init_state, every bus starting at v0
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(make_single_line_network(), **{field: value})
 

@@ -172,12 +172,24 @@ class TestInvariantChecks:
             (((0,), (3,)), [0.5, 0.5], [0.5, 0.5, 0.5], r"subset \(3,\)"),
             (((-1,), (0,)), [0.5, 0.5], [0.5, 0.5, 0.5], None),
             (((0,), (1,), (0, 1)), [0.6, 0.6, -0.2], [0.4, 0.4], "nonnegative"),
+            # NaN passes every <=, < and > test; each check must fail it
+            (((0,), (1,)), [0.5, 0.5], [np.nan, 0.5], "not proper"),
+            (((0,), (1,), (0, 1)), [np.nan, 0.5, 0.5], [0.5, 0.5], "nonnegative"),
         ],
-        ids=["repeated-index", "index-above-d", "negative-index", "negative-probability"],
+        ids=[
+            "repeated-index", "index-above-d", "negative-index", "negative-probability",
+            "nan-marginal", "nan-probability",
+        ],
     )
     def test_malformed_support_rejected(self, support, probs, pi, message):
         with pytest.raises(ValueError, match=message):
             bp.Sampling(len(pi), "explicit", np.array(pi), support, np.array(probs))
+
+    def test_single_coordinate_rejects_a_nan_probability(self):
+        # accepted once, the convex policy then failed on B_i = 0 and the
+        # accelerated one inside LAPACK
+        with pytest.raises(ValueError, match="not proper"):
+            bp.single_coordinate(3, [np.nan, 0.5, 0.5])
 
     @pytest.mark.parametrize(
         "kind, m",
